@@ -1,16 +1,17 @@
 // Experiment E4 (Fig. 10): the impact of the MPP execution engine and the
 // in-memory column index on TPC-H query latency.
 //
-// Three execution modes per query:
-//   single : one CN executes fragment + merge serially on the row store;
-//   MPP    : 4 CN tasks. Because this host has few cores, distributed
-//            parallelism is modeled by the critical path: fragments run
-//            sequentially and MPP latency = max(fragment time) + merge
-//            time. This is the idealized 4-CN wall time, the quantity the
-//            paper's figure varies (see DESIGN.md substitution table).
-//   column : single-node execution against the in-memory column index
-//            (§VI-E) — vectorized scans/filters, column-native hash joins,
-//            and bloom/min-max runtime-filter pushdown (DESIGN.md §9).
+// Four execution modes per query:
+//   single     : one CN executes fragment + merge serially on the row store;
+//   MPP        : RunQueryMpp with 4 tasks on a ThreadPool(4) (the 4 CN
+//                servers of §VII-C as threads), row store: each task scans
+//                its shard subset, the coordinator merges;
+//   column     : single-node execution against the in-memory column index
+//                (§VI-E) — vectorized scans/filters, column-native hash
+//                joins, and bloom/min-max runtime-filter pushdown
+//                (DESIGN.md §9);
+//   MPP+column : RunQueryMpp as above with the column index: each task
+//                scans its row-id slice of the partitioned table's index.
 //
 // Each mode is measured as the median of --reps timed runs after one
 // untimed warmup. Runtime-filter counters (rows reaching join probes, rows
@@ -19,8 +20,9 @@
 // into join fragments.
 //
 // Reported: per-query latency for each mode and the improvement ratios
-// ("MPP gain" = single/mpp - 1, "column gain" = single/column - 1),
-// matching the percentages Fig. 10 quotes.
+// ("MPP gain" = single/mpp - 1, "column gain" = single/column - 1,
+// "MPP+col gain" = single/mpp_column - 1), matching the percentages
+// Fig. 10 quotes.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -54,41 +56,24 @@ struct ModeResult {
   RuntimeFilterStats stats;  // from the first timed rep
 };
 
-double TimeSingle(int q, const TpchDb& db, const ScanOptions& base) {
-  auto start = Clock::now();
-  auto rows = RunQuerySingleNode(q, db, db.load_ts(), base);
+void ReportFailure(int q, const Result<std::vector<Row>>& rows) {
   if (!rows.ok()) {
     std::fprintf(stderr, "Q%d failed: %s\n", q,
                  rows.status().ToString().c_str());
   }
+}
+
+double TimeSingle(int q, const TpchDb& db, const ScanOptions& base) {
+  auto start = Clock::now();
+  ReportFailure(q, RunQuerySingleNode(q, db, db.load_ts(), base));
   return MsSince(start);
 }
 
-/// Critical-path MPP timing: run each of `tasks` fragments serially and
-/// take the slowest, then add the coordinator's merge time.
-double TimeMppCriticalPath(int q, const TpchDb& db, int tasks,
-                           const ScanOptions& base) {
-  TpchPlan plan = BuildQuery(q, db, db.load_ts());
-  double max_fragment_ms = 0;
-  std::vector<Row> gathered;
-  for (int t = 0; t < tasks; ++t) {
-    ScanOptions opt = base;
-    opt.task = t;
-    opt.num_tasks = tasks;
-    auto start = Clock::now();
-    OperatorPtr fragment = plan.fragment(opt);
-    auto rows = Collect(fragment.get());
-    max_fragment_ms = std::max(max_fragment_ms, MsSince(start));
-    if (rows.ok()) {
-      for (auto& r : *rows) gathered.push_back(std::move(r));
-    }
-  }
+double TimeMpp(int q, const TpchDb& db, int tasks, ThreadPool* pool,
+               const ScanOptions& base) {
   auto start = Clock::now();
-  OperatorPtr merge =
-      plan.merge(std::make_unique<ValuesOp>(std::move(gathered)));
-  auto merged = Collect(merge.get());
-  (void)merged;
-  return max_fragment_ms + MsSince(start);
+  ReportFailure(q, RunQueryMpp(q, db, db.load_ts(), tasks, pool, base));
+  return MsSince(start);
 }
 
 /// Warmup + median-of-reps wrapper; runtime-filter counters are read from
@@ -138,43 +123,52 @@ int main(int argc, char** argv) {
       cfg.shards_per_table, reps, flags.runtime_filters ? "on" : "off");
 
   constexpr int kMppTasks = 4;  // 4 CN servers, as in §VII-C
+  ThreadPool pool(kMppTasks, "mpp");
   ScanOptions row_base, col_base;
   row_base.runtime_filters = flags.runtime_filters;
   col_base.use_column_index = true;
   col_base.runtime_filters = flags.runtime_filters;
 
-  std::printf("%-5s %12s %12s %12s %11s %11s %14s\n", "query", "single(ms)",
-              "mpp(ms)", "column(ms)", "MPP gain", "col gain", "probe rows");
-  double sum_single = 0, sum_mpp = 0, sum_col = 0;
+  std::printf("%-5s %11s %11s %11s %11s %10s %10s %12s %11s\n", "query",
+              "single(ms)", "mpp(ms)", "column(ms)", "mpp+col(ms)",
+              "MPP gain", "col gain", "MPP+col gain", "probe rows");
+  double sum_single = 0, sum_mpp = 0, sum_col = 0, sum_mpp_col = 0;
   uint64_t total_probe_single = 0, total_probe_col = 0,
            total_dropped_col = 0;
   std::ostringstream queries_json;
   for (int q = 1; q <= 22; ++q) {
     ModeResult single = Measure(
         reps, [&] { return TimeSingle(q, db, row_base); });
-    ModeResult mpp = Measure(reps, [&] {
-      return TimeMppCriticalPath(q, db, kMppTasks, row_base);
-    });
+    ModeResult mpp = Measure(
+        reps, [&] { return TimeMpp(q, db, kMppTasks, &pool, row_base); });
     ModeResult column = Measure(
         reps, [&] { return TimeSingle(q, db, col_base); });
+    ModeResult mpp_col = Measure(
+        reps, [&] { return TimeMpp(q, db, kMppTasks, &pool, col_base); });
     sum_single += single.ms;
     sum_mpp += mpp.ms;
     sum_col += column.ms;
+    sum_mpp_col += mpp_col.ms;
     total_probe_single += single.stats.join_probe_rows;
     total_probe_col += column.stats.join_probe_rows;
     total_dropped_col += column.stats.scan_rows_dropped;
-    std::printf("Q%-4d %12.2f %12.2f %12.2f %+10.0f%% %+10.0f%% %14llu\n", q,
-                single.ms, mpp.ms, column.ms,
-                100.0 * (single.ms / mpp.ms - 1.0),
-                100.0 * (single.ms / column.ms - 1.0),
-                static_cast<unsigned long long>(
-                    column.stats.join_probe_rows));
+    std::printf(
+        "Q%-4d %11.2f %11.2f %11.2f %11.2f %+9.0f%% %+9.0f%% %+11.0f%% "
+        "%11llu\n",
+        q, single.ms, mpp.ms, column.ms, mpp_col.ms,
+        100.0 * (single.ms / mpp.ms - 1.0),
+        100.0 * (single.ms / column.ms - 1.0),
+        100.0 * (single.ms / mpp_col.ms - 1.0),
+        static_cast<unsigned long long>(column.stats.join_probe_rows));
     queries_json << (q == 1 ? "" : ",\n    ")
                  << "{\"q\": " << q << ", \"single_ms\": " << single.ms
                  << ", \"mpp_ms\": " << mpp.ms
-                 << ", \"column_ms\": " << column.ms << ", \"mpp_gain\": "
-                 << (single.ms / mpp.ms - 1.0) << ", \"column_gain\": "
-                 << (single.ms / column.ms - 1.0)
+                 << ", \"column_ms\": " << column.ms
+                 << ", \"mpp_column_ms\": " << mpp_col.ms
+                 << ", \"mpp_gain\": " << (single.ms / mpp.ms - 1.0)
+                 << ", \"column_gain\": " << (single.ms / column.ms - 1.0)
+                 << ", \"mpp_column_gain\": "
+                 << (single.ms / mpp_col.ms - 1.0)
                  << ", \"single_join_probe_rows\": "
                  << single.stats.join_probe_rows
                  << ", \"single_scan_rows_dropped\": "
@@ -184,10 +178,12 @@ int main(int argc, char** argv) {
                  << ", \"column_scan_rows_dropped\": "
                  << column.stats.scan_rows_dropped << "}";
   }
-  std::printf("\ntotal %12.2f %12.2f %12.2f %+10.0f%% %+10.0f%%\n",
-              sum_single, sum_mpp, sum_col,
-              100.0 * (sum_single / sum_mpp - 1.0),
-              100.0 * (sum_single / sum_col - 1.0));
+  std::printf(
+      "\ntotal %11.2f %11.2f %11.2f %11.2f %+9.0f%% %+9.0f%% %+11.0f%%\n",
+      sum_single, sum_mpp, sum_col, sum_mpp_col,
+      100.0 * (sum_single / sum_mpp - 1.0),
+      100.0 * (sum_single / sum_col - 1.0),
+      100.0 * (sum_single / sum_mpp_col - 1.0));
   std::printf(
       "join probe rows (all 22 queries): row-single=%llu column=%llu; "
       "rows pruned at column scans=%llu\n",
@@ -206,6 +202,7 @@ int main(int argc, char** argv) {
        << "  \"queries\": [\n    " << queries_json.str() << "\n  ],\n"
        << "  \"totals\": {\"single_ms\": " << sum_single
        << ", \"mpp_ms\": " << sum_mpp << ", \"column_ms\": " << sum_col
+       << ", \"mpp_column_ms\": " << sum_mpp_col
        << ", \"single_join_probe_rows\": " << total_probe_single
        << ", \"column_join_probe_rows\": " << total_probe_col
        << ", \"column_scan_rows_dropped\": " << total_dropped_col

@@ -3,7 +3,8 @@
 # AddressSanitizer+UBSan build running the chaos label on fixed seeds
 # (one representative schedule per suite keeps the ASan pass fast while
 # still exercising every fault path; the full 50-seed sweeps run in the
-# regular build above).
+# regular build above), then a ThreadSanitizer build running the suites
+# whose code shares state between real threads.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]   (default: build)
 set -euo pipefail
@@ -54,6 +55,20 @@ echo "==> asan: runtime-filter / column-join units"
 # The bloom filter and the column hash join lean on raw hashing and
 # selection-vector slicing; run their unit suites under ASan+UBSan too.
 ctest --test-dir "${PREFIX}-asan" -R 'runtime_filter_test|colindex_test' \
+  --output-on-failure
+
+echo "==> tsan: configure + build (${PREFIX}-tsan)"
+cmake -B "${PREFIX}-tsan" "${GENERATOR_ARGS[@]}" \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPOLARX_SANITIZE=thread
+cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target \
+  exec_test tpch_test colindex_test htap_router_test
+
+echo "==> tsan: executor, MPP, column index and HTAP routing"
+# MppExecutor and QueryScheduler run operators on pool threads, and MPP
+# fragments read one ColumnIndex concurrently under its shared lock; a
+# data race in any of them fails these suites under TSan.
+ctest --test-dir "${PREFIX}-tsan" \
+  -R '^(exec_test|tpch_test|colindex_test|htap_router_test)$' \
   --output-on-failure
 
 echo "==> ci.sh: all green"

@@ -1,6 +1,7 @@
 #include "src/colindex/column_index.h"
 
 #include <algorithm>
+#include <mutex>
 #include <unordered_set>
 
 #include "src/storage/key_codec.h"
@@ -53,14 +54,14 @@ ColumnIndex::ColumnIndex(Schema schema, std::vector<int> columns)
 }
 
 void ColumnIndex::SetBatching(bool enabled, size_t max_buffered_ops) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock lock(mu_);
   batching_ = enabled;
   max_buffered_ = max_buffered_ops;
 }
 
 void ColumnIndex::ApplyCommit(Timestamp commit_ts,
                               const std::vector<RedoRecord>& ops) {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::unique_lock lock(mu_);
   if (batching_) {
     pending_.push_back(PendingCommit{commit_ts, ops});
     pending_op_count_ += ops.size();
@@ -79,7 +80,7 @@ void ColumnIndex::ApplyCommit(Timestamp commit_ts,
 }
 
 void ColumnIndex::FlushPending() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock lock(mu_);
   for (const auto& commit : pending_) {
     for (const auto& op : commit.ops) ApplyOne(commit.commit_ts, op);
     version_ = std::max(version_, commit.commit_ts);
@@ -108,17 +109,17 @@ void ColumnIndex::ApplyOne(Timestamp commit_ts, const RedoRecord& op) {
 }
 
 Timestamp ColumnIndex::version() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock lock(mu_);
   return version_;
 }
 
 size_t ColumnIndex::pending_ops() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock lock(mu_);
   return pending_op_count_;
 }
 
 size_t ColumnIndex::live_rows(Timestamp snapshot) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock lock(mu_);
   size_t n = 0;
   for (size_t r = 0; r < insert_ts_.size(); ++r) {
     n += insert_ts_[r] <= snapshot && snapshot < delete_ts_[r];
@@ -127,7 +128,7 @@ size_t ColumnIndex::live_rows(Timestamp snapshot) const {
 }
 
 size_t ColumnIndex::total_versions() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock lock(mu_);
   return insert_ts_.size();
 }
 
@@ -181,11 +182,13 @@ bool CmpScalar(CmpOp op, const T& a, const V& b) {
 }  // namespace
 
 void ColumnIndex::BuildSelection(Timestamp snapshot, const ExprPtr& filter,
-                                 std::vector<uint32_t>* selection) const {
-  std::lock_guard<std::mutex> lock(mu_);
+                                 std::vector<uint32_t>* selection,
+                                 RowRange range) const {
+  std::shared_lock lock(mu_);
   selection->clear();
-  const size_t n = insert_ts_.size();
-  selection->reserve(n / 4);
+  const size_t end = std::min(range.end, insert_ts_.size());
+  const size_t begin = std::min(range.begin, end);
+  const size_t n = end - begin;
 
   std::vector<SimplePred> simple;
   std::vector<ExprPtr> residual;
@@ -194,7 +197,7 @@ void ColumnIndex::BuildSelection(Timestamp snapshot, const ExprPtr& filter,
   // Pass 1: visibility (vectorized).
   std::vector<uint32_t> sel;
   sel.reserve(n / 2);
-  for (uint32_t r = 0; r < n; ++r) {
+  for (uint32_t r = uint32_t(begin); r < end; ++r) {
     if (insert_ts_[r] <= snapshot && snapshot < delete_ts_[r]) {
       sel.push_back(r);
     }
@@ -266,7 +269,7 @@ void ColumnIndex::BuildSelection(Timestamp snapshot, const ExprPtr& filter,
 }
 
 Row ColumnIndex::MaterializeRow(uint32_t rowid) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock lock(mu_);
   Row row(columns_.size());
   for (size_t i = 0; i < columns_.size(); ++i) row[i] = data_[i].Get(rowid);
   return row;
@@ -276,7 +279,7 @@ void ColumnIndex::MaterializeBatch(const std::vector<uint32_t>& selection,
                                    size_t start, size_t count,
                                    const std::vector<int>& cols,
                                    std::vector<Row>* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock lock(mu_);
   const size_t end = std::min(start + count, selection.size());
   for (size_t i = start; i < end; ++i) {
     const uint32_t r = selection[i];
@@ -296,7 +299,7 @@ void ColumnIndex::MaterializeBatch(const std::vector<uint32_t>& selection,
 
 double ColumnIndex::SumSelected(int col,
                                 const std::vector<uint32_t>& selection) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock lock(mu_);
   const ColumnVector& c = data_[col];
   double sum = 0;
   if (c.type == ValueType::kInt64) {
@@ -476,7 +479,7 @@ void ColumnIndex::HashAndFilterSelection(const std::vector<int>& key_cols,
                                          std::vector<uint64_t>* hashes,
                                          uint64_t* tested,
                                          uint64_t* dropped) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock lock(mu_);
   std::vector<uint32_t> kept;
   kept.reserve(selection->size());
   std::vector<uint64_t> kept_hashes;
@@ -533,13 +536,15 @@ void ColumnIndex::FilterSelection(const RuntimeFilter& rf,
 
 ColumnAggOp::ColumnAggOp(const ColumnIndex* index, Timestamp snapshot_ts,
                          ExprPtr filter, std::vector<int> group_cols,
-                         std::vector<AggSpec> aggs, AggMode mode)
+                         std::vector<AggSpec> aggs, AggMode mode,
+                         RowRange range)
     : index_(index),
       snapshot_ts_(snapshot_ts),
       filter_(std::move(filter)),
       group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)),
-      mode_(mode) {}
+      mode_(mode),
+      range_(range) {}
 
 void ColumnAggOp::SetSemiJoin(OperatorPtr build, std::vector<int> build_keys,
                               std::vector<int> probe_cols) {
@@ -552,7 +557,7 @@ Status ColumnAggOp::Open() {
   results_.clear();
   pos_ = 0;
   std::vector<uint32_t> selection;
-  index_->BuildSelection(snapshot_ts_, filter_, &selection);
+  index_->BuildSelection(snapshot_ts_, filter_, &selection, range_);
 
   if (semi_build_ != nullptr) {
     Status st = semi_build_->Open();
@@ -740,14 +745,16 @@ Status ColumnAggOp::Next(Batch* out) {
 }
 
 ColumnScanOp::ColumnScanOp(const ColumnIndex* index, Timestamp snapshot_ts,
-                           ExprPtr filter, std::vector<int> projection)
+                           ExprPtr filter, std::vector<int> projection,
+                           RowRange range)
     : index_(index),
       snapshot_ts_(snapshot_ts),
       filter_(std::move(filter)),
-      projection_(std::move(projection)) {}
+      projection_(std::move(projection)),
+      range_(range) {}
 
 Status ColumnScanOp::Open() {
-  index_->BuildSelection(snapshot_ts_, filter_, &selection_);
+  index_->BuildSelection(snapshot_ts_, filter_, &selection_, range_);
   if (rf_slot_ != nullptr && rf_slot_->filter != nullptr) {
     // Map the slot's projected-output key positions back to index columns,
     // then prune the selection before any row is materialized.
@@ -783,7 +790,7 @@ ColumnHashJoinOp::ColumnHashJoinOp(const ColumnIndex* index,
                                    std::vector<int> probe_keys,
                                    OperatorPtr build,
                                    std::vector<int> build_keys, JoinType type,
-                                   bool use_runtime_filter)
+                                   bool use_runtime_filter, RowRange range)
     : index_(index),
       snapshot_ts_(snapshot_ts),
       probe_filter_(std::move(probe_filter)),
@@ -792,7 +799,8 @@ ColumnHashJoinOp::ColumnHashJoinOp(const ColumnIndex* index,
       build_(std::move(build)),
       build_keys_(std::move(build_keys)),
       type_(type),
-      use_runtime_filter_(use_runtime_filter) {
+      use_runtime_filter_(use_runtime_filter),
+      range_(range) {
   probe_key_cols_.reserve(probe_keys_.size());
   for (int k : probe_keys_) {
     probe_key_cols_.push_back(projection_.empty() ? k : projection_[k]);
@@ -830,7 +838,7 @@ Status ColumnHashJoinOp::Open() {
     if (prune) rf_builder.AddKey(build_rows_[i], build_keys_);
   }
 
-  index_->BuildSelection(snapshot_ts_, probe_filter_, &selection_);
+  index_->BuildSelection(snapshot_ts_, probe_filter_, &selection_, range_);
   std::shared_ptr<const RuntimeFilter> rf =
       prune ? rf_builder.Finish() : nullptr;
   uint64_t tested = 0, dropped = 0;

@@ -14,12 +14,17 @@
 // one. Scans run a vectorized visibility+predicate pass that evaluates
 // simple comparisons directly on the typed arrays, falling back to row
 // materialization only for residual predicates.
+//
+// Scans can be restricted to a contiguous row-id range (RowRange), which is
+// how MPP fragments split one index between tasks. Readers share the index
+// lock, so parallel fragments scan their slices concurrently; maintenance
+// takes it exclusively.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,6 +50,16 @@ struct ColumnVector {
   size_t size() const { return nulls.size(); }
   void Append(const Value& v);
   Value Get(size_t row) const;
+};
+
+/// A contiguous range [begin, end) of row ids (version slots) of a
+/// ColumnIndex. A scan clamps `end` to the index's size when it runs, so
+/// the default range, and any range ending at kToEnd, covers every version
+/// present at that moment.
+struct RowRange {
+  static constexpr size_t kToEnd = std::numeric_limits<size_t>::max();
+  size_t begin = 0;
+  size_t end = kToEnd;
 };
 
 class ColumnIndex {
@@ -79,11 +94,13 @@ class ColumnIndex {
 
   // ---- scans ----
 
-  /// Builds the selection vector of row ids visible at `snapshot` and
-  /// passing `filter` (may be null). Simple comparisons on numeric columns
-  /// run vectorized; residual predicates evaluate on materialized rows.
+  /// Builds the ascending selection vector of row ids in `range` visible
+  /// at `snapshot` and passing `filter` (may be null). Simple comparisons
+  /// on numeric columns run vectorized; residual predicates evaluate on
+  /// materialized rows.
   void BuildSelection(Timestamp snapshot, const ExprPtr& filter,
-                      std::vector<uint32_t>* selection) const;
+                      std::vector<uint32_t>* selection,
+                      RowRange range = {}) const;
 
   /// Materializes the indexed columns of row `rowid`.
   Row MaterializeRow(uint32_t rowid) const;
@@ -139,7 +156,9 @@ class ColumnIndex {
 
   Schema schema_;
   std::vector<int> columns_;  // source column ids
-  mutable std::mutex mu_;
+  // Shared by read-only paths, exclusive for ApplyCommit / FlushPending /
+  // SetBatching.
+  mutable std::shared_mutex mu_;
   std::vector<ColumnVector> data_;
   std::vector<Timestamp> insert_ts_;
   std::vector<Timestamp> delete_ts_;  // kMaxTimestamp while live
@@ -162,9 +181,11 @@ class ColumnIndex {
 /// so it drops into plans as a replacement for Agg(Scan(...)).
 class ColumnAggOp : public Operator {
  public:
+  /// Aggregates the rows of `range` only (an MPP task's slice).
   ColumnAggOp(const ColumnIndex* index, Timestamp snapshot_ts,
               ExprPtr filter, std::vector<int> group_cols,
-              std::vector<AggSpec> aggs, AggMode mode = AggMode::kComplete);
+              std::vector<AggSpec> aggs, AggMode mode = AggMode::kComplete,
+              RowRange range = {});
 
   /// Fuses a left-semi join into the selection phase: Open() drains
   /// `build`, then keeps only selected rows whose key (`probe_cols` of the
@@ -186,6 +207,7 @@ class ColumnAggOp : public Operator {
   std::vector<int> group_cols_;
   std::vector<AggSpec> aggs_;
   AggMode mode_;
+  RowRange range_;
   OperatorPtr semi_build_;
   std::vector<int> semi_build_keys_, semi_probe_cols_;
   std::vector<Row> results_;
@@ -197,9 +219,11 @@ class ColumnAggOp : public Operator {
 /// selection vector before any row is materialized.
 class ColumnScanOp : public Operator, public RuntimeFilterTarget {
  public:
-  /// `projection` indexes into the index's column subset (empty = all).
+  /// `projection` indexes into the index's column subset (empty = all);
+  /// only rows in `range` are scanned.
   ColumnScanOp(const ColumnIndex* index, Timestamp snapshot_ts,
-               ExprPtr filter = nullptr, std::vector<int> projection = {});
+               ExprPtr filter = nullptr, std::vector<int> projection = {},
+               RowRange range = {});
 
   /// Slot key columns refer to this scan's *projected* output positions.
   void SetRuntimeFilter(std::shared_ptr<RuntimeFilterSlot> slot) override {
@@ -214,6 +238,7 @@ class ColumnScanOp : public Operator, public RuntimeFilterTarget {
   Timestamp snapshot_ts_;
   ExprPtr filter_;
   std::vector<int> projection_;
+  RowRange range_;
   std::shared_ptr<RuntimeFilterSlot> rf_slot_;
   std::vector<uint32_t> selection_;
   size_t pos_ = 0;
@@ -235,12 +260,13 @@ class ColumnHashJoinOp : public Operator {
   /// all), `probe_keys` are positions in the *projected* output row. When
   /// `use_runtime_filter` is set (inner/semi only), the build side's bloom
   /// + min/max bounds prune the probe selection before materialization.
+  /// Only index rows in `range` are probed; the build side is read whole.
   ColumnHashJoinOp(const ColumnIndex* index, Timestamp snapshot_ts,
                    ExprPtr probe_filter, std::vector<int> projection,
                    std::vector<int> probe_keys, OperatorPtr build,
                    std::vector<int> build_keys,
                    JoinType type = JoinType::kInner,
-                   bool use_runtime_filter = true);
+                   bool use_runtime_filter = true, RowRange range = {});
 
   Status Open() override;
   Status Next(Batch* out) override;
@@ -261,6 +287,7 @@ class ColumnHashJoinOp : public Operator {
   std::vector<int> build_keys_;
   JoinType type_;
   bool use_runtime_filter_;
+  RowRange range_;
   std::vector<Row> build_rows_;
   std::unordered_multimap<uint64_t, uint32_t> buckets_;
   std::vector<uint32_t> selection_;

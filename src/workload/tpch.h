@@ -117,7 +117,10 @@ class TpchDb {
 struct ScanOptions {
   int task = 0;        // MPP task id
   int num_tasks = 1;   // 1 = single-node execution
-  /// Use the in-memory column index for tables that have one.
+  /// Use the in-memory column index for tables that have one. In an MPP
+  /// plan each task scans a contiguous row-id slice of the partitioned
+  /// table's index (boundaries fixed when the plan is built); broadcast
+  /// tables are read in full by every task.
   bool use_column_index = false;
   /// Probe hash joins directly against the column index (ColumnHashJoinOp)
   /// where the plan shape allows it; off falls back to ColumnScanOp +
@@ -130,7 +133,8 @@ struct ScanOptions {
 
 /// One TPC-H query: a fragment factory (per MPP task) plus a merge stage
 /// run on the gathered fragment outputs. Single-node execution is
-/// fragment(0, 1) piped into merge.
+/// fragment(0, 1) piped into merge. Column-index slice boundaries are read
+/// when the plan is built, so all fragments of one plan share them.
 struct TpchPlan {
   std::function<OperatorPtr(const ScanOptions&)> fragment;
   std::function<OperatorPtr(OperatorPtr)> merge;

@@ -1,7 +1,8 @@
 // Plan builders for all 22 TPC-H queries (experiment E4 / Fig. 10).
 //
 // Each query is a TpchPlan: a per-task fragment (scans of the query's
-// driving table are restricted to the task's shard subset; small tables are
+// driving table are restricted to the task's share of it: its shard subset
+// on the row store, its row-id slice of the column index; small tables are
 // scanned in full, i.e. broadcast) plus a merge stage on the coordinator
 // (final aggregation, having/top-n, and any multi-pass join-backs via
 // SubplanOp). Single-node execution is fragment({0,1}) | merge.
@@ -27,19 +28,38 @@ const CostModel& PlanCostModel() {
 struct QB {
   const TpchDb* db;
   Timestamp snap;
+  /// Per-table column-index size read once when the plan is built: every
+  /// task of one plan derives its slice boundaries from the same count.
+  std::array<size_t, kNumTables> index_rows{};
+
+  /// The task's row-id slice of `t`'s column index: [W·t/N, W·(t+1)/N) for
+  /// W = index_rows[t]. The last slice runs to the index's end at scan
+  /// time, so rows appended after the plan was built fall to exactly one
+  /// task (a single-task plan's one slice is the whole index). Broadcast
+  /// scans (`partition` unset) read the whole index.
+  RowRange Slice(Table t, const ScanOptions& o, bool partition) const {
+    RowRange range;
+    if (!partition) return range;
+    const size_t w = index_rows[t];
+    range.begin = w * size_t(o.task) / size_t(o.num_tasks);
+    if (o.task + 1 < o.num_tasks) {
+      range.end = w * size_t(o.task + 1) / size_t(o.num_tasks);
+    }
+    return range;
+  }
 
   /// Scans table `t`. If `partition` is set the scan is restricted to the
-  /// task's shards (the MPP fragment's data-locality assignment); otherwise
-  /// the full table is read (broadcast side). The column index serves the
-  /// scan when requested and available (single-task plans only).
+  /// task's share (the MPP fragment's data-locality assignment: its shards
+  /// on the row store, its Slice of the column index); otherwise the full
+  /// table is read (broadcast side). The column index serves the scan when
+  /// requested and available.
   OperatorPtr Scan(Table t, const ScanOptions& o, bool partition,
                    ExprPtr filter = nullptr,
                    std::vector<int> proj = {}) const {
-    if (o.use_column_index && o.num_tasks == 1 &&
-        db->column_index(t) != nullptr) {
-      return std::make_unique<ColumnScanOp>(db->column_index(t), snap,
-                                            std::move(filter),
-                                            std::move(proj));
+    if (o.use_column_index && db->column_index(t) != nullptr) {
+      return std::make_unique<ColumnScanOp>(
+          db->column_index(t), snap, std::move(filter), std::move(proj),
+          Slice(t, o, partition));
     }
     std::vector<TableStore*> shards = db->shards(t);
     if (partition && o.num_tasks > 1) {
@@ -55,12 +75,11 @@ struct QB {
   OperatorPtr AggScan(Table t, const ScanOptions& o, ExprPtr filter,
                       std::vector<int> group_cols,
                       std::vector<AggSpec> aggs, AggMode mode) const {
-    if (o.use_column_index && o.num_tasks == 1 &&
-        db->column_index(t) != nullptr) {
-      return std::make_unique<ColumnAggOp>(db->column_index(t), snap,
-                                           std::move(filter),
-                                           std::move(group_cols),
-                                           std::move(aggs), mode);
+    if (o.use_column_index && db->column_index(t) != nullptr) {
+      return std::make_unique<ColumnAggOp>(
+          db->column_index(t), snap, std::move(filter),
+          std::move(group_cols), std::move(aggs), mode,
+          Slice(t, o, /*partition=*/true));
     }
     std::vector<ExprPtr> group_exprs;
     for (int c : group_cols) group_exprs.push_back(Expr::Col(c));
@@ -73,9 +92,9 @@ struct QB {
   /// Hash join whose probe side is a partitioned scan of `t` — the
   /// fragment shape of every big TPC-H lineitem join. Two optimizations
   /// hang off this helper:
-  ///  - column-native join: with a column index available (and a
-  ///    single-task plan), the probe runs as ColumnHashJoinOp over the
-  ///    index's selection vector instead of ColumnScanOp + HashJoinOp;
+  ///  - column-native join: with a column index available, the probe runs
+  ///    as ColumnHashJoinOp over the task's slice of the index's selection
+  ///    vector instead of ColumnScanOp + HashJoinOp;
   ///  - runtime filter: when the cost model approves
   ///    (ShouldAttachRuntimeFilter on the build estimates vs the probe
   ///    table size), the join's build side is published as a bloom+bounds
@@ -94,12 +113,12 @@ struct QB {
         (type == JoinType::kInner || type == JoinType::kLeftSemi) &&
         PlanCostModel().ShouldAttachRuntimeFilter(
             build_rows_est, build_base_rows, probe_rows_est);
-    if (o.use_column_index && o.num_tasks == 1 && o.column_join &&
+    if (o.use_column_index && o.column_join &&
         db->column_index(t) != nullptr && type != JoinType::kLeftOuter) {
       return std::make_unique<ColumnHashJoinOp>(
           db->column_index(t), snap, std::move(scan_filter), std::move(proj),
           std::move(probe_keys), std::move(build), std::move(build_keys),
-          type, attach);
+          type, attach, Slice(t, o, /*partition=*/true));
     }
     auto scan = Scan(t, o, /*partition=*/true, std::move(scan_filter),
                      std::move(proj));
@@ -1174,6 +1193,11 @@ TpchPlan Q22(const QB& qb) {
 
 TpchPlan BuildQuery(int q, const TpchDb& db, Timestamp snapshot) {
   QB qb{&db, snapshot};
+  for (int t = 0; t < kNumTables; ++t) {
+    if (const ColumnIndex* index = db.column_index(Table(t))) {
+      qb.index_rows[size_t(t)] = index->total_versions();
+    }
+  }
   switch (q) {
     case 1: return Q1(qb);
     case 2: return Q2(qb);

@@ -3,6 +3,8 @@
 // selection, and integration with RO-replica log capture.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
 #include "src/clock/hlc.h"
@@ -148,6 +150,81 @@ TEST(ColumnIndexTest, ColumnSubsetProjection) {
   ASSERT_EQ(row.size(), 2u);
   EXPECT_EQ(std::get<int64_t>(row[0]), 1);
   EXPECT_DOUBLE_EQ(std::get<double>(row[1]), 10.0);
+}
+
+// Cuts the index into `parts` row-id slices the way the MPP plan builder
+// does (boundaries W·p/parts from a fixed count `w`, the last slice
+// open-ended) and checks that each slice's selection stays inside its
+// range and that their concatenation is strictly ascending (so the slices
+// are disjoint) and equals the whole-index selection.
+void ExpectSlicesPartition(const ColumnIndex& idx, Timestamp snap,
+                           const ExprPtr& filter, size_t w, size_t parts) {
+  std::vector<uint32_t> sliced;
+  for (size_t p = 0; p < parts; ++p) {
+    RowRange range;
+    range.begin = w * p / parts;
+    if (p + 1 < parts) range.end = w * (p + 1) / parts;
+    std::vector<uint32_t> sel;
+    idx.BuildSelection(snap, filter, &sel, range);
+    for (uint32_t r : sel) {
+      EXPECT_GE(r, range.begin) << "part " << p << "/" << parts;
+      EXPECT_LT(r, range.end) << "part " << p << "/" << parts;
+    }
+    sliced.insert(sliced.end(), sel.begin(), sel.end());
+  }
+  EXPECT_TRUE(std::adjacent_find(sliced.begin(), sliced.end(),
+                                 std::greater_equal<uint32_t>()) ==
+              sliced.end())
+      << "slices overlap or are out of order; parts=" << parts;
+  std::vector<uint32_t> full;
+  idx.BuildSelection(snap, filter, &full);
+  EXPECT_EQ(sliced, full) << "snap=" << snap << " parts=" << parts;
+}
+
+// Row-id slices partition the index, for tombstoned versions, a snapshot
+// between versions, fewer rows than parts, and rows appended after the
+// slice boundaries were fixed.
+TEST(ColumnIndexTest, RowRangeSlicesPartitionTheSelection) {
+  ColumnIndex idx(TestSchema());
+  std::vector<RedoRecord> load, updates, deletes;
+  for (int64_t i = 0; i < 40; ++i) load.push_back(Ins(i, double(i), "v1"));
+  for (int64_t i = 0; i < 40; i += 3) {
+    updates.push_back(Ins(i, double(i) + 0.5, "v2"));
+  }
+  for (int64_t i = 0; i < 40; i += 5) deletes.push_back(Del(i));
+  idx.ApplyCommit(100, load);
+  idx.ApplyCommit(200, updates);  // tombstones every third v1 version
+  idx.ApplyCommit(300, deletes);
+  const ExprPtr amount_ge_10 = Expr::ColCmp(CmpOp::kGe, 1, 10.0);
+  const size_t w = idx.total_versions();
+  for (Timestamp snap : {Timestamp{150}, Timestamp{250}, Timestamp{350}}) {
+    for (const ExprPtr& filter : {ExprPtr(), amount_ge_10}) {
+      for (size_t parts : {1, 2, 3, 7}) {
+        ExpectSlicesPartition(idx, snap, filter, w, parts);
+      }
+    }
+  }
+
+  ColumnIndex tiny(TestSchema());
+  tiny.ApplyCommit(100, {Ins(1, 1.0, "a"), Ins(2, 2.0, "b"),
+                         Ins(3, 3.0, "c")});
+  for (size_t parts : {1, 2, 3, 7}) {
+    ExpectSlicesPartition(tiny, 100, nullptr, tiny.total_versions(), parts);
+  }
+
+  // Watermark: boundaries fixed from `w`, then more commits land (new rows
+  // plus updates tombstoning rows in earlier slices) before the slices
+  // open. The open-ended last slice picks up every appended row.
+  std::vector<RedoRecord> late;
+  for (int64_t i = 40; i < 50; ++i) late.push_back(Ins(i, double(i), "v3"));
+  for (int64_t i = 1; i < 40; i += 4) late.push_back(Ins(i, 0.25, "v3"));
+  idx.ApplyCommit(400, late);
+  ASSERT_GT(idx.total_versions(), w);
+  for (Timestamp snap : {Timestamp{350}, Timestamp{450}}) {
+    for (size_t parts : {1, 2, 3, 7}) {
+      ExpectSlicesPartition(idx, snap, nullptr, w, parts);
+    }
+  }
 }
 
 TEST(ColumnIndexTest, FedFromRoReplicaCommitHook) {
