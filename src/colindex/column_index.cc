@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <unordered_set>
 
 #include "src/storage/key_codec.h"
 
@@ -534,6 +533,28 @@ void ColumnIndex::FilterSelection(const RuntimeFilter& rf,
   HashAndFilterSelection(key_cols, &rf, selection, nullptr, tested, dropped);
 }
 
+namespace {
+
+/// Walks `table`'s chain for key hash `hash` from candidate `i` to the
+/// first build row whose key equals the `probe_cols` of index row `rowid`
+/// (CellEquals semantics); kNoRow if none.
+uint32_t NextMatch(const ColumnIndex& index, const JoinHashTable& table,
+                   const std::vector<int>& probe_cols, uint32_t rowid,
+                   uint64_t hash, uint32_t i) {
+  for (; i != JoinHashTable::kNoRow; i = table.Next(i, hash)) {
+    const Row& built = table.row(i);
+    bool equal = true;
+    for (size_t k = 0; k < probe_cols.size() && equal; ++k) {
+      equal = CellEquals(index.column(probe_cols[k]).Get(rowid),
+                         built[table.build_keys()[k]]);
+    }
+    if (equal) return i;
+  }
+  return JoinHashTable::kNoRow;
+}
+
+}  // namespace
+
 ColumnAggOp::ColumnAggOp(const ColumnIndex* index, Timestamp snapshot_ts,
                          ExprPtr filter, std::vector<int> group_cols,
                          std::vector<AggSpec> aggs, AggMode mode,
@@ -560,56 +581,20 @@ Status ColumnAggOp::Open() {
   index_->BuildSelection(snapshot_ts_, filter_, &selection, range_);
 
   if (semi_build_ != nullptr) {
-    Status st = semi_build_->Open();
-    if (!st.ok()) return st;
-    std::vector<Row> build_rows;
-    Batch batch;
-    do {
-      st = semi_build_->Next(&batch);
-      if (!st.ok()) return st;
-      for (auto& row : batch.rows) build_rows.push_back(std::move(row));
-    } while (!batch.empty());
-    semi_build_->Close();
-
-    // Exact membership, never a bloom test: int64 set when the key shape
-    // allows, encoded-key set (HashJoinOp semantics) otherwise.
-    bool fast =
-        semi_probe_cols_.size() == 1 &&
-        index_->column(semi_probe_cols_[0]).type == ValueType::kInt64;
-    if (fast) {
-      for (const Row& row : build_rows) {
-        if (!std::holds_alternative<int64_t>(row[semi_build_keys_[0]])) {
-          fast = false;
-          break;
-        }
-      }
-    }
+    // Exact membership in the hash joins' build table, never a bloom test.
+    JoinHashTable table;
+    POLARX_RETURN_NOT_OK(
+        table.Build(semi_build_.get(), semi_build_keys_, false));
+    std::vector<uint64_t> hashes;
+    uint64_t tested = 0, dropped = 0;
+    index_->HashAndFilterSelection(semi_probe_cols_, nullptr, &selection,
+                                   &hashes, &tested, &dropped);
     std::vector<uint32_t> kept;
     kept.reserve(selection.size());
-    if (fast) {
-      std::unordered_set<int64_t> keys;
-      keys.reserve(build_rows.size() * 2);
-      for (const Row& row : build_rows) {
-        keys.insert(std::get<int64_t>(row[semi_build_keys_[0]]));
-      }
-      const ColumnVector& col = index_->column(semi_probe_cols_[0]);
-      for (uint32_t r : selection) {
-        if (!col.nulls[r] && keys.count(col.ints[r]) != 0) kept.push_back(r);
-      }
-    } else {
-      std::unordered_set<EncodedKey> keys;
-      EncodedKey key;
-      for (const Row& row : build_rows) {
-        key.clear();
-        for (int c : semi_build_keys_) EncodeValue(row[c], &key);
-        keys.insert(key);
-      }
-      for (uint32_t r : selection) {
-        key.clear();
-        for (int c : semi_probe_cols_) {
-          EncodeValue(index_->column(c).Get(r), &key);
-        }
-        if (keys.count(key) != 0) kept.push_back(r);
+    for (size_t i = 0; i < selection.size(); ++i) {
+      if (NextMatch(*index_, table, semi_probe_cols_, selection[i], hashes[i],
+                    table.First(hashes[i])) != JoinHashTable::kNoRow) {
+        kept.push_back(selection[i]);
       }
     }
     selection.swap(kept);
@@ -790,7 +775,8 @@ ColumnHashJoinOp::ColumnHashJoinOp(const ColumnIndex* index,
                                    std::vector<int> probe_keys,
                                    OperatorPtr build,
                                    std::vector<int> build_keys, JoinType type,
-                                   bool use_runtime_filter, RowRange range)
+                                   bool use_runtime_filter, RowRange range,
+                                   std::shared_ptr<JoinHashTable> shared)
     : index_(index),
       snapshot_ts_(snapshot_ts),
       probe_filter_(std::move(probe_filter)),
@@ -800,7 +786,9 @@ ColumnHashJoinOp::ColumnHashJoinOp(const ColumnIndex* index,
       build_keys_(std::move(build_keys)),
       type_(type),
       use_runtime_filter_(use_runtime_filter),
-      range_(range) {
+      range_(range),
+      table_(shared != nullptr ? std::move(shared)
+                               : std::make_shared<JoinHashTable>()) {
   probe_key_cols_.reserve(probe_keys_.size());
   for (int k : probe_keys_) {
     probe_key_cols_.push_back(projection_.empty() ? k : projection_[k]);
@@ -811,52 +799,22 @@ Status ColumnHashJoinOp::Open() {
   if (type_ == JoinType::kLeftOuter) {
     return Status::NotSupported("ColumnHashJoinOp: left outer join");
   }
-  build_rows_.clear();
-  buckets_.clear();
   pos_ = 0;
-
-  Status st = build_->Open();
-  if (!st.ok()) return st;
-  Batch batch;
-  do {
-    st = build_->Next(&batch);
-    if (!st.ok()) return st;
-    for (auto& row : batch.rows) build_rows_.push_back(std::move(row));
-  } while (!batch.empty());
-  build_->Close();
-
   // Anti joins keep exactly the rows a filter would prune, so they never
-  // build one; inner/semi get the bloom + bounds summary for free from the
-  // same pass that fills the hash table.
+  // build one; inner/semi get the bloom + bounds summary from the pass
+  // that fills the hash table.
   const bool prune =
       use_runtime_filter_ &&
       (type_ == JoinType::kInner || type_ == JoinType::kLeftSemi);
-  RuntimeFilterBuilder rf_builder(build_rows_.size(), kKeyHashSeed);
-  buckets_.reserve(build_rows_.size());
-  for (uint32_t i = 0; i < build_rows_.size(); ++i) {
-    buckets_.emplace(RowKeyHash(build_rows_[i], build_keys_), i);
-    if (prune) rf_builder.AddKey(build_rows_[i], build_keys_);
-  }
+  POLARX_RETURN_NOT_OK(table_->Build(build_.get(), build_keys_, prune));
 
   index_->BuildSelection(snapshot_ts_, probe_filter_, &selection_, range_);
-  std::shared_ptr<const RuntimeFilter> rf =
-      prune ? rf_builder.Finish() : nullptr;
   uint64_t tested = 0, dropped = 0;
-  index_->HashAndFilterSelection(probe_key_cols_, rf.get(), &selection_,
-                                 &probe_hashes_, &tested, &dropped);
+  index_->HashAndFilterSelection(
+      probe_key_cols_, prune ? table_->filter().get() : nullptr, &selection_,
+      &probe_hashes_, &tested, &dropped);
   AddScanFilterStats(tested, dropped);
   return Status::Ok();
-}
-
-bool ColumnHashJoinOp::ProbeMatchesBuild(uint32_t rowid,
-                                         const Row& build_row) const {
-  for (size_t k = 0; k < probe_key_cols_.size(); ++k) {
-    if (!CellEquals(index_->column(probe_key_cols_[k]).Get(rowid),
-                    build_row[build_keys_[k]])) {
-      return false;
-    }
-  }
-  return true;
 }
 
 Status ColumnHashJoinOp::Next(Batch* out) {
@@ -871,36 +829,31 @@ Status ColumnHashJoinOp::Next(Batch* out) {
   // slots).
   hits_.clear();
   hit_build_.clear();
+  const JoinHashTable& table = *table_;
   while (pos_ < selection_.size() && hits_.size() < kExecBatchSize) {
     const uint32_t rowid = selection_[pos_];
     const uint64_t hash = probe_hashes_[pos_];
     ++pos_;
     ++probed;
-    auto [begin, end] = buckets_.equal_range(hash);
+    uint32_t match = NextMatch(*index_, table, probe_key_cols_, rowid, hash,
+                               table.First(hash));
     if (type_ == JoinType::kInner) {
-      for (auto it = begin; it != end; ++it) {
-        if (!ProbeMatchesBuild(rowid, build_rows_[it->second])) continue;
+      for (; match != JoinHashTable::kNoRow;
+           match = NextMatch(*index_, table, probe_key_cols_, rowid, hash,
+                             table.Next(match, hash))) {
         hits_.push_back(rowid);
-        hit_build_.push_back(it->second);
+        hit_build_.push_back(match);
       }
-    } else {
-      bool matched = false;
-      for (auto it = begin; it != end; ++it) {
-        if (ProbeMatchesBuild(rowid, build_rows_[it->second])) {
-          matched = true;
-          break;
-        }
-      }
-      if (matched == (type_ == JoinType::kLeftSemi)) {
-        hits_.push_back(rowid);
-      }
+    } else if ((match != JoinHashTable::kNoRow) ==
+               (type_ == JoinType::kLeftSemi)) {
+      hits_.push_back(rowid);
     }
   }
   out->rows.reserve(hits_.size());
   index_->MaterializeBatch(hits_, 0, hits_.size(), projection_, &out->rows);
   if (type_ == JoinType::kInner) {
     for (size_t i = 0; i < hit_build_.size(); ++i) {
-      const Row& build_row = build_rows_[hit_build_[i]];
+      const Row& build_row = table.row(hit_build_[i]);
       out->rows[i].insert(out->rows[i].end(), build_row.begin(),
                           build_row.end());
     }
@@ -911,8 +864,6 @@ Status ColumnHashJoinOp::Next(Batch* out) {
 }
 
 void ColumnHashJoinOp::Close() {
-  build_rows_.clear();
-  buckets_.clear();
   selection_.clear();
   probe_hashes_.clear();
 }

@@ -188,9 +188,9 @@ class ColumnAggOp : public Operator {
               RowRange range = {});
 
   /// Fuses a left-semi join into the selection phase: Open() drains
-  /// `build`, then keeps only selected rows whose key (`probe_cols` of the
-  /// index) appears among the build rows' `build_keys` — an exact match
-  /// (encoded-key semantics, like HashJoinOp), not a bloom test. The
+  /// `build` into a JoinHashTable, then keeps only selected rows whose key
+  /// (`probe_cols` of the index) appears among the build rows' `build_keys`
+  /// — an exact match (HashJoinOp semantics), not a bloom test. The
   /// aggregation then runs over the surviving selection without ever
   /// materializing a probe row (the column store's semi-join + first-phase
   /// aggregation pipeline, the Q21 shape).
@@ -245,8 +245,8 @@ class ColumnScanOp : public Operator, public RuntimeFilterTarget {
 };
 
 /// Vectorized hash join probing a column index natively (§VI-E, the column
-/// store's "built-in" hash join): the build child is consumed into a hash
-/// table keyed by 64-bit key hashes (exact key equality re-verified on each
+/// store's "built-in" hash join): the build child is consumed into a
+/// JoinHashTable (64-bit key hashes, exact key equality re-verified on each
 /// candidate, so hash collisions cannot fabricate matches), and the probe
 /// side runs over the index's selection vector — visibility + pushed-down
 /// filter + (for inner/semi joins) the build side's own runtime filter —
@@ -261,22 +261,21 @@ class ColumnHashJoinOp : public Operator {
   /// `use_runtime_filter` is set (inner/semi only), the build side's bloom
   /// + min/max bounds prune the probe selection before materialization.
   /// Only index rows in `range` are probed; the build side is read whole.
+  /// `shared` is a build table shared with the joins of the other MPP
+  /// tasks, as for HashJoinOp; null gives the join a private one.
   ColumnHashJoinOp(const ColumnIndex* index, Timestamp snapshot_ts,
                    ExprPtr probe_filter, std::vector<int> projection,
                    std::vector<int> probe_keys, OperatorPtr build,
                    std::vector<int> build_keys,
                    JoinType type = JoinType::kInner,
-                   bool use_runtime_filter = true, RowRange range = {});
+                   bool use_runtime_filter = true, RowRange range = {},
+                   std::shared_ptr<JoinHashTable> shared = nullptr);
 
   Status Open() override;
   Status Next(Batch* out) override;
   void Close() override;
 
-  size_t build_rows() const { return build_rows_.size(); }
-
  private:
-  bool ProbeMatchesBuild(uint32_t rowid, const Row& build_row) const;
-
   const ColumnIndex* index_;
   Timestamp snapshot_ts_;
   ExprPtr probe_filter_;
@@ -288,8 +287,7 @@ class ColumnHashJoinOp : public Operator {
   JoinType type_;
   bool use_runtime_filter_;
   RowRange range_;
-  std::vector<Row> build_rows_;
-  std::unordered_multimap<uint64_t, uint32_t> buckets_;
+  std::shared_ptr<JoinHashTable> table_;
   std::vector<uint32_t> selection_;
   std::vector<uint64_t> probe_hashes_;
   size_t pos_ = 0;

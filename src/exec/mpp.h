@@ -34,11 +34,14 @@ class MppExecutor {
   /// Convenience: parallel partial fragments + a final merge operator built
   /// over the gathered partials by `merge_factory`.
   ///
-  /// Runtime filters live *inside* a fragment plan: the factory wires a
-  /// RuntimeFilterSlot between a fragment's join and its probe scan, so the
-  /// filter's lifetime is the fragment's and nothing crosses task
-  /// boundaries. Pruning therefore shrinks the per-task partials gathered
-  /// here (see last_gathered_rows()), not just join-local work.
+  /// Runtime filters are wired *inside* a fragment plan: the factory puts
+  /// a RuntimeFilterSlot between a fragment's join and its probe scan.
+  /// What does cross task boundaries is read-only after publish: a join
+  /// whose build side every task reads in full may share one
+  /// JoinHashTable, and with it the runtime filter, with the same join in
+  /// the other tasks; the first task builds it, the rest wait and probe.
+  /// Pruning shrinks the per-task partials gathered here (see
+  /// last_gathered_rows()), not just join-local work.
   Result<std::vector<Row>> RunPartialFinal(
       int num_tasks, const FragmentFactory& partial_factory,
       const std::function<OperatorPtr(OperatorPtr gathered)>& merge_factory);

@@ -16,13 +16,6 @@ Row ProjectRow(const Row& row, const std::vector<int>& projection) {
   return out;
 }
 
-/// Hashable group/join key: encoded values (exact, order irrelevant).
-std::string EncodeCells(const Row& row, const std::vector<int>& cols) {
-  EncodedKey key;
-  for (int c : cols) EncodeValue(row[c], &key);
-  return key;
-}
-
 }  // namespace
 
 Result<std::vector<Row>> Collect(Operator* op) {
@@ -189,49 +182,34 @@ Status ProjectOp::Next(Batch* out) {
 HashJoinOp::HashJoinOp(OperatorPtr probe, OperatorPtr build,
                        std::vector<int> probe_keys,
                        std::vector<int> build_keys, JoinType type,
-                       size_t build_width)
+                       size_t build_width,
+                       std::shared_ptr<JoinHashTable> shared)
     : probe_(std::move(probe)),
       build_(std::move(build)),
       probe_keys_(std::move(probe_keys)),
       build_keys_(std::move(build_keys)),
       type_(type),
-      build_width_(build_width) {}
-
-std::string HashJoinOp::KeyOf(const Row& row,
-                              const std::vector<int>& cols) const {
-  return EncodeCells(row, cols);
-}
+      build_width_(build_width),
+      table_(shared != nullptr ? std::move(shared)
+                               : std::make_shared<JoinHashTable>()) {}
 
 Status HashJoinOp::Open() {
-  POLARX_RETURN_NOT_OK(build_->Open());
   // Runtime filters never attach to anti/outer probes: a pruned probe row
   // would (wrongly) surface as "no match" output there.
-  bool emit_rf = rf_slot_ != nullptr &&
-                 (type_ == JoinType::kInner || type_ == JoinType::kLeftSemi);
-  std::unique_ptr<RuntimeFilterBuilder> rf_builder;
-  if (emit_rf) {
-    rf_builder = std::make_unique<RuntimeFilterBuilder>(rf_expected_keys_,
-                                                        kKeyHashSeed);
-  }
-  Batch batch;
-  for (;;) {
-    POLARX_RETURN_NOT_OK(build_->Next(&batch));
-    if (batch.empty()) break;
-    for (auto& row : batch.rows) {
-      if (rf_builder != nullptr) rf_builder->AddKey(row, build_keys_);
-      table_.emplace(KeyOf(row, build_keys_), std::move(row));
-      ++build_size_;
-    }
-  }
-  build_->Close();
+  const bool emit_rf =
+      rf_slot_ != nullptr &&
+      (type_ == JoinType::kInner || type_ == JoinType::kLeftSemi);
+  POLARX_RETURN_NOT_OK(
+      table_->Build(build_.get(), build_keys_, emit_rf, rf_expected_keys_));
   // Publish before opening the probe: the probe-side scan reads the slot
   // at its own Open()/Next(), strictly after this point.
-  if (rf_builder != nullptr) rf_slot_->filter = rf_builder->Finish();
+  if (emit_rf) rf_slot_->filter = table_->filter();
   return probe_->Open();
 }
 
 Status HashJoinOp::Next(Batch* out) {
   out->rows.clear();
+  const JoinHashTable& table = *table_;
   uint64_t probed = 0;
   while (out->rows.size() < kExecBatchSize) {
     if (probe_pos_ >= pending_probe_.rows.size()) {
@@ -239,52 +217,54 @@ Status HashJoinOp::Next(Batch* out) {
       probe_pos_ = 0;
       if (pending_probe_.empty()) break;
     }
-    const Row& probe_row = pending_probe_.rows[probe_pos_++];
+    Row& probe_row = pending_probe_.rows[probe_pos_++];
     ++probed;
-    std::string key = KeyOf(probe_row, probe_keys_);
-    auto [begin, end] = table_.equal_range(key);
+    const uint64_t hash = RowKeyHash(probe_row, probe_keys_);
+    // Hash candidates in build order, skipping collisions.
+    auto matching = [&](uint32_t i) {
+      while (i != JoinHashTable::kNoRow &&
+             !table.KeyEquals(probe_row, probe_keys_, i)) {
+        i = table.Next(i, hash);
+      }
+      return i;
+    };
+    uint32_t match = matching(table.First(hash));
     switch (type_) {
       case JoinType::kInner:
-        for (auto it = begin; it != end; ++it) {
-          Row joined = probe_row;
-          joined.insert(joined.end(), it->second.begin(), it->second.end());
-          out->rows.push_back(std::move(joined));
-        }
-        break;
       case JoinType::kLeftOuter:
-        if (begin == end) {
-          Row joined = probe_row;
-          size_t width =
-              build_width_ > 0
-                  ? build_width_
-                  : (table_.empty() ? 0 : table_.begin()->second.size());
-          joined.resize(joined.size() + width);  // NULL padding
+        if (match == JoinHashTable::kNoRow) {
+          if (type_ == JoinType::kInner) break;
+          size_t width = build_width_;
+          if (width == 0 && table.size() > 0) width = table.row(0).size();
+          probe_row.resize(probe_row.size() + width);  // NULL padding
+          out->rows.push_back(std::move(probe_row));
+          break;
+        }
+        for (; match != JoinHashTable::kNoRow;
+             match = matching(table.Next(match, hash))) {
+          const Row& built = table.row(match);
+          Row joined;
+          joined.reserve(probe_row.size() + built.size());
+          joined.insert(joined.end(), probe_row.begin(), probe_row.end());
+          joined.insert(joined.end(), built.begin(), built.end());
           out->rows.push_back(std::move(joined));
-        } else {
-          for (auto it = begin; it != end; ++it) {
-            Row joined = probe_row;
-            joined.insert(joined.end(), it->second.begin(),
-                          it->second.end());
-            out->rows.push_back(std::move(joined));
-          }
         }
         break;
       case JoinType::kLeftSemi:
-        if (begin != end) out->rows.push_back(probe_row);
+        if (match != JoinHashTable::kNoRow) {
+          out->rows.push_back(std::move(probe_row));
+        }
         break;
       case JoinType::kLeftAnti:
-        if (begin == end) out->rows.push_back(probe_row);
+        if (match == JoinHashTable::kNoRow) {
+          out->rows.push_back(std::move(probe_row));
+        }
         break;
     }
   }
   AddJoinProbeRows(probed);
   rows_produced_ += out->rows.size();
   return Status::Ok();
-}
-
-void HashJoinOp::Close() {
-  probe_->Close();
-  table_.clear();
 }
 
 // ----------------------------------------------------------- LookupJoin --

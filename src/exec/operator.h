@@ -11,6 +11,7 @@
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/exec/expr.h"
+#include "src/exec/join_table.h"
 #include "src/exec/runtime_filter.h"
 #include "src/storage/key_codec.h"
 #include "src/storage/table.h"
@@ -149,13 +150,17 @@ enum class JoinType { kInner, kLeftSemi, kLeftAnti, kLeftOuter };
 class HashJoinOp : public Operator {
  public:
   /// `build_width` is required for kLeftOuter (NULL-pad width when the
-  /// build side has no match); ignored otherwise.
+  /// build side has no match); ignored otherwise. `shared` is the build
+  /// table of a join site whose build side every MPP task reads in full:
+  /// the first join to open builds it from its own `build` child, the
+  /// others wait and probe it. Null gives the join a private table.
   HashJoinOp(OperatorPtr probe, OperatorPtr build,
              std::vector<int> probe_keys, std::vector<int> build_keys,
-             JoinType type = JoinType::kInner, size_t build_width = 0);
+             JoinType type = JoinType::kInner, size_t build_width = 0,
+             std::shared_ptr<JoinHashTable> shared = nullptr);
 
-  /// Makes this join the source of a runtime filter: Open() feeds every
-  /// build-side key into a bloom + bounds summary and publishes it on
+  /// Makes this join the source of a runtime filter: Open() summarizes
+  /// every build-side key into a bloom + bounds filter and publishes it on
   /// `slot` before opening the probe child (so a scan holding the same
   /// slot prunes from its first batch). Only inner/semi joins publish —
   /// pruning the probe of an anti/outer join would drop output rows.
@@ -167,21 +172,16 @@ class HashJoinOp : public Operator {
 
   Status Open() override;
   Status Next(Batch* out) override;
-  void Close() override;
-
-  size_t build_rows() const { return build_size_; }
+  void Close() override { probe_->Close(); }
 
  private:
-  std::string KeyOf(const Row& row, const std::vector<int>& cols) const;
-
   OperatorPtr probe_, build_;
   std::vector<int> probe_keys_, build_keys_;
   JoinType type_;
   size_t build_width_;
   std::shared_ptr<RuntimeFilterSlot> rf_slot_;
   size_t rf_expected_keys_ = 0;
-  std::unordered_multimap<std::string, Row> table_;
-  size_t build_size_ = 0;
+  std::shared_ptr<JoinHashTable> table_;
   // carry-over state when one probe row matches many build rows
   Batch pending_probe_;
   size_t probe_pos_ = 0;

@@ -29,9 +29,9 @@ inline uint64_t MixHash64(uint64_t x) {
 }
 
 // Type-tagged cell hashing. The tags keep int64/double/string/null hash
-// spaces disjoint, mirroring the memcomparable key encoding the row-side
-// HashJoinOp matches on (an int64 and a double never compare equal there,
-// so they must not alias here either).
+// spaces disjoint, mirroring the type-strict key equality (CellEquals)
+// every hash join verifies matches with (an int64 and a double never
+// compare equal there, so they must not alias here either).
 inline constexpr uint64_t kHashTagNull = 0x6b4f1d2c9a8e7035ULL;
 inline constexpr uint64_t kHashTagInt = 0x2545f4914f6cdd1dULL;
 inline constexpr uint64_t kHashTagDouble = 0x9e6c63d0876a9a4bULL;
@@ -118,9 +118,11 @@ class RuntimeFilterBuilder {
 
 /// Plumbing between a join and its probe-side scan within one fragment
 /// plan: the planner wires the same slot into both; the join's Open()
-/// publishes `filter` after consuming its build side and before opening
-/// the probe child, so the scan sees it on its own Open()/Next(). The slot
-/// dies with the fragment plan (filter lifetime == fragment lifetime).
+/// publishes `filter` after its build side is complete and before opening
+/// the probe child, so the scan sees it on its own Open()/Next(). Each
+/// fragment has its own slot, but the filter it publishes may be the one
+/// of a build table shared by all MPP tasks (JoinHashTable): a filter is
+/// read-only after publish, so any number of scans may test it at once.
 struct RuntimeFilterSlot {
   /// Join-key positions in the target scan's *output* (projected) row.
   std::vector<int> key_cols;

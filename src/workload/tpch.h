@@ -134,7 +134,10 @@ struct ScanOptions {
 /// One TPC-H query: a fragment factory (per MPP task) plus a merge stage
 /// run on the gathered fragment outputs. Single-node execution is
 /// fragment(0, 1) piped into merge. Column-index slice boundaries are read
-/// when the plan is built, so all fragments of one plan share them.
+/// when the plan is built, so all fragments of one plan share them. So are
+/// the build tables of its broadcast joins: each is built by the first
+/// fragment to open that join and probed read-only by the rest, which
+/// makes a plan good for one execution with one set of ScanOptions.
 struct TpchPlan {
   std::function<OperatorPtr(const ScanOptions&)> fragment;
   std::function<OperatorPtr(OperatorPtr)> merge;

@@ -6,6 +6,12 @@
 // scanned in full, i.e. broadcast) plus a merge stage on the coordinator
 // (final aggregation, having/top-n, and any multi-pass join-backs via
 // SubplanOp). Single-node execution is fragment({0,1}) | merge.
+//
+// Every fragment join whose build side reads only broadcast scans gets a
+// build table (SharedBuild) created with the plan and captured by its
+// fragment factory, so the join's hash table and runtime filter are built
+// once per query and probed read-only by every task. A join whose build
+// side reads the task's partition (Q4's semi-join) keeps a private table.
 #include <cassert>
 
 #include "src/optimizer/cost.h"
@@ -23,6 +29,11 @@ const CostModel& PlanCostModel() {
   static const CostModel model;
   return model;
 }
+
+/// One join site's build table, shared by all tasks of one plan.
+using SharedBuild = std::shared_ptr<JoinHashTable>;
+
+SharedBuild NewSharedBuild() { return std::make_shared<JoinHashTable>(); }
 
 /// Shared plan-construction context.
 struct QB {
@@ -101,12 +112,14 @@ struct QB {
   ///    filter into the probe scan through a shared RuntimeFilterSlot.
   /// `probe_keys` index the projected scan output; `build_rows_est` is the
   /// build side's estimated cardinality after its own filters and
-  /// `build_base_rows` its base-table row count (0 when unknown).
+  /// `build_base_rows` its base-table row count (0 when unknown). `shared`
+  /// is the join site's build table (`build` reads only broadcast scans).
   OperatorPtr ScanJoin(Table t, const ScanOptions& o, ExprPtr scan_filter,
                        std::vector<int> proj, std::vector<int> probe_keys,
                        OperatorPtr build, std::vector<int> build_keys,
                        JoinType type, double build_rows_est,
-                       double build_base_rows) const {
+                       double build_base_rows,
+                       const SharedBuild& shared) const {
     double probe_rows_est = double(db->row_count(t)) / o.num_tasks;
     const bool attach =
         o.runtime_filters &&
@@ -118,7 +131,7 @@ struct QB {
       return std::make_unique<ColumnHashJoinOp>(
           db->column_index(t), snap, std::move(scan_filter), std::move(proj),
           std::move(probe_keys), std::move(build), std::move(build_keys),
-          type, attach, Slice(t, o, /*partition=*/true));
+          type, attach, Slice(t, o, /*partition=*/true), shared);
     }
     auto scan = Scan(t, o, /*partition=*/true, std::move(scan_filter),
                      std::move(proj));
@@ -134,7 +147,7 @@ struct QB {
     }
     auto join = std::make_unique<HashJoinOp>(
         std::move(scan), std::move(build), std::move(probe_keys),
-        std::move(build_keys), type);
+        std::move(build_keys), type, /*build_width=*/0, shared);
     if (slot != nullptr) {
       join->SetRuntimeFilterSource(std::move(slot),
                                    size_t(build_rows_est) + 16);
@@ -149,6 +162,17 @@ OperatorPtr Join(OperatorPtr probe, OperatorPtr build,
   return std::make_unique<HashJoinOp>(std::move(probe), std::move(build),
                                       std::move(pk), std::move(bk), type,
                                       build_width);
+}
+
+/// Fragment hash join probing `shared`, which every task of the plan builds
+/// once from its own copy of the broadcast `build` side.
+OperatorPtr SharedJoin(const SharedBuild& shared, OperatorPtr probe,
+                       OperatorPtr build, std::vector<int> pk,
+                       std::vector<int> bk,
+                       JoinType type = JoinType::kInner) {
+  return std::make_unique<HashJoinOp>(std::move(probe), std::move(build),
+                                      std::move(pk), std::move(bk), type,
+                                      /*build_width=*/0, shared);
 }
 
 OperatorPtr Agg(OperatorPtr child, std::vector<ExprPtr> groups,
@@ -256,9 +280,10 @@ Value S(const char* s) { return Value{std::string(s)}; }
 
 // Nation joined with a region filter, projected to (n_nationkey, n_name).
 OperatorPtr NationOfRegion(const QB& qb, const ScanOptions& o,
-                           const char* region) {
+                           const char* region, const SharedBuild& shared) {
   // nation(nk, name, rk) JOIN region(rk) => width 4
-  auto joined = Join(
+  auto joined = SharedJoin(
+      shared,
       qb.Scan(kNation, o, false, nullptr,
               {col::n_nationkey, col::n_name, col::n_regionkey}),
       qb.Scan(kRegion, o, false,
@@ -301,32 +326,34 @@ TpchPlan Q1(const QB& qb) {
   return plan;
 }
 
-// The full Q2 join, projected to the columns the query outputs plus the
-// (ps_partkey, ps_supplycost) pair used for the min-cost correlation:
-// out: ps_pk0 cost1 s_acctbal2 s_name3 n_name4 p_mfgr5 s_addr6 s_phone7
-//      s_comment8
-OperatorPtr Q2Joined(const QB& qb, const ScanOptions& o, bool partition) {
-  auto part = qb.Scan(
-      kPart, o, false,
-      E::And(E::ColCmp(CmpOp::kEq, col::p_size, int64_t{15}),
-             E::Contains(E::Col(col::p_type), "BRASS")),
-      {col::p_partkey, col::p_mfgr});
-  // partsupp(pk0 sk1 qty2 cost3) x part(p_pk4 mfgr5)
-  auto j1 = Join(qb.Scan(kPartSupp, o, partition), std::move(part), {0}, {0});
-  // + supplier at 6..12
-  auto j2 = Join(std::move(j1), qb.Scan(kSupplier, o, false), {1}, {0});
-  // + nation(EUROPE) at 13,14
-  auto j3 = Join(std::move(j2), NationOfRegion(qb, o, "EUROPE"), {9}, {0});
-  return Project(std::move(j3),
-                 {E::Col(0), E::Col(3), E::Col(11), E::Col(7), E::Col(14),
-                  E::Col(5), E::Col(8), E::Col(10), E::Col(12)});
-}
-
 TpchPlan Q2(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kPart, kPartSupp, kSupplier, kNation, kRegion};
-  plan.fragment = [qb](const ScanOptions& o) {
-    return Q2Joined(qb, o, /*partition=*/true);
+  SharedBuild part_b = NewSharedBuild(), supp_b = NewSharedBuild(),
+              europe_b = NewSharedBuild(), region_b = NewSharedBuild();
+  // The full Q2 join, projected to the columns the query outputs plus the
+  // (ps_partkey, ps_supplycost) pair used for the min-cost correlation:
+  // out: ps_pk0 cost1 s_acctbal2 s_name3 n_name4 p_mfgr5 s_addr6 s_phone7
+  //      s_comment8
+  plan.fragment = [qb, part_b, supp_b, europe_b,
+                   region_b](const ScanOptions& o) {
+    auto part = qb.Scan(
+        kPart, o, false,
+        E::And(E::ColCmp(CmpOp::kEq, col::p_size, int64_t{15}),
+               E::Contains(E::Col(col::p_type), "BRASS")),
+        {col::p_partkey, col::p_mfgr});
+    // partsupp(pk0 sk1 qty2 cost3) x part(p_pk4 mfgr5)
+    auto j1 = SharedJoin(part_b, qb.Scan(kPartSupp, o, true),
+                         std::move(part), {0}, {0});
+    // + supplier at 6..12
+    auto j2 = SharedJoin(supp_b, std::move(j1), qb.Scan(kSupplier, o, false),
+                         {1}, {0});
+    // + nation(EUROPE) at 13,14
+    auto j3 = SharedJoin(europe_b, std::move(j2),
+                         NationOfRegion(qb, o, "EUROPE", region_b), {9}, {0});
+    return Project(std::move(j3),
+                   {E::Col(0), E::Col(3), E::Col(11), E::Col(7), E::Col(14),
+                    E::Col(5), E::Col(8), E::Col(10), E::Col(12)});
   };
   plan.merge = [qb](OperatorPtr gathered) {
     return std::make_unique<SubplanOp>(
@@ -354,7 +381,8 @@ TpchPlan Q3(const QB& qb) {
   plan.tables = {kCustomer, kOrders, kLineItem};
   int64_t date = Days(1995, 3, 15);
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(1, 2)}};
-  plan.fragment = [qb, date, aggs](const ScanOptions& o) {
+  SharedBuild cust_b = NewSharedBuild(), orders_b = NewSharedBuild();
+  plan.fragment = [qb, date, aggs, cust_b, orders_b](const ScanOptions& o) {
     auto cust = qb.Scan(kCustomer, o, false,
                         E::ColCmp(CmpOp::kEq, col::c_mktsegment,
                                   S("BUILDING")),
@@ -364,7 +392,7 @@ TpchPlan Q3(const QB& qb) {
                           {col::o_orderkey, col::o_custkey,
                            col::o_orderdate, col::o_shippriority});
     // oc: ok0 ck1 odate2 prio3 cck4
-    auto oc = Join(std::move(orders), std::move(cust), {1}, {0});
+    auto oc = SharedJoin(cust_b, std::move(orders), std::move(cust), {1}, {0});
     // j: lok0 ext1 disc2 ok3 ck4 odate5 prio6 cck7
     // build = BUILDING customers' pre-date orders (~1/5 segment x ~48%).
     auto j = qb.ScanJoin(kLineItem, o,
@@ -373,7 +401,7 @@ TpchPlan Q3(const QB& qb) {
                           col::l_discount},
                          {0}, std::move(oc), {0}, JoinType::kInner,
                          double(qb.db->row_count(kOrders)) * 0.096,
-                         double(qb.db->row_count(kOrders)));
+                         double(qb.db->row_count(kOrders)), orders_b);
     return Agg(std::move(j), {E::Col(0), E::Col(5), E::Col(6)}, aggs,
                AggMode::kPartial);
   };
@@ -397,7 +425,8 @@ TpchPlan Q4(const QB& qb) {
     // The big lineitem scan is the partitioned side; the date-filtered
     // orders are small and broadcast. Each task emits the distinct
     // (orderkey, priority) pairs matched by ITS lineitems; the merge
-    // deduplicates across tasks.
+    // deduplicates across tasks. The build side is the task's own
+    // lineitem share, so this join's table is private to the task.
     auto line = qb.Scan(
         kLineItem, o, true,
         E::Cmp(CmpOp::kLt, E::Col(col::l_commitdate),
@@ -428,7 +457,11 @@ TpchPlan Q5(const QB& qb) {
   plan.tables = {kCustomer, kOrders, kLineItem, kSupplier, kNation, kRegion};
   int64_t lo = Days(1994, 1, 1), hi = Days(1995, 1, 1);
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(2, 3)}};
-  plan.fragment = [qb, lo, hi, aggs](const ScanOptions& o) {
+  SharedBuild cust_b = NewSharedBuild(), orders_b = NewSharedBuild(),
+              supp_b = NewSharedBuild(), asia_b = NewSharedBuild(),
+              region_b = NewSharedBuild();
+  plan.fragment = [qb, lo, hi, aggs, cust_b, orders_b, supp_b, asia_b,
+                   region_b](const ScanOptions& o) {
     auto orders = qb.Scan(kOrders, o, false,
                           E::And(E::ColCmp(CmpOp::kGe, col::o_orderdate, lo),
                                  E::ColCmp(CmpOp::kLt, col::o_orderdate, hi)),
@@ -436,7 +469,7 @@ TpchPlan Q5(const QB& qb) {
     auto cust = qb.Scan(kCustomer, o, false, nullptr,
                         {col::c_custkey, col::c_nationkey});
     // oc: ok0 ck1 cck2 cnk3
-    auto oc = Join(std::move(orders), std::move(cust), {1}, {0});
+    auto oc = SharedJoin(cust_b, std::move(orders), std::move(cust), {1}, {0});
     // j: lok0 lsk1 ext2 disc3 ok4 ck5 cck6 cnk7
     // build = one year of orders (~1/7 of the date range).
     auto j = qb.ScanJoin(kLineItem, o, nullptr,
@@ -444,13 +477,15 @@ TpchPlan Q5(const QB& qb) {
                           col::l_extendedprice, col::l_discount},
                          {0}, std::move(oc), {0}, JoinType::kInner,
                          double(qb.db->row_count(kOrders)) / 7.0,
-                         double(qb.db->row_count(kOrders)));
+                         double(qb.db->row_count(kOrders)), orders_b);
     auto supp = qb.Scan(kSupplier, o, false, nullptr,
                         {col::s_suppkey, col::s_nationkey});
     // j2: + ssk8 snk9 ; join requires s_nationkey == c_nationkey
-    auto j2 = Join(std::move(j), std::move(supp), {1, 7}, {0, 1});
+    auto j2 = SharedJoin(supp_b, std::move(j), std::move(supp), {1, 7},
+                         {0, 1});
     // j3: + nk10 nname11
-    auto j3 = Join(std::move(j2), NationOfRegion(qb, o, "ASIA"), {9}, {0});
+    auto j3 = SharedJoin(asia_b, std::move(j2),
+                         NationOfRegion(qb, o, "ASIA", region_b), {9}, {0});
     return Agg(std::move(j3), {E::Col(11)}, aggs, AggMode::kPartial);
   };
   plan.merge = [aggs](OperatorPtr gathered) {
@@ -487,26 +522,33 @@ TpchPlan Q7(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kSupplier, kLineItem, kOrders, kCustomer, kNation};
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(2, 3)}};
-  plan.fragment = [qb, aggs](const ScanOptions& o) {
+  SharedBuild supp_nation_b = NewSharedBuild(),
+              cust_nation_b = NewSharedBuild(), cust_b = NewSharedBuild(),
+              orders_b = NewSharedBuild(), supp_b = NewSharedBuild();
+  plan.fragment = [qb, aggs, supp_nation_b, cust_nation_b, cust_b, orders_b,
+                   supp_b](const ScanOptions& o) {
     auto nations_filter = E::Or(
         E::ColCmp(CmpOp::kEq, col::n_name, S("FRANCE")),
         E::ColCmp(CmpOp::kEq, col::n_name, S("GERMANY")));
     // sn: ssk0 snk1 nk2 nname3
-    auto sn = Join(qb.Scan(kSupplier, o, false, nullptr,
-                           {col::s_suppkey, col::s_nationkey}),
-                   qb.Scan(kNation, o, false, nations_filter,
-                           {col::n_nationkey, col::n_name}),
-                   {1}, {0});
+    auto sn = SharedJoin(supp_nation_b,
+                         qb.Scan(kSupplier, o, false, nullptr,
+                                 {col::s_suppkey, col::s_nationkey}),
+                         qb.Scan(kNation, o, false, nations_filter,
+                                 {col::n_nationkey, col::n_name}),
+                         {1}, {0});
     // cn: ck0 cnk1 nk2 nname3
-    auto cn = Join(qb.Scan(kCustomer, o, false, nullptr,
-                           {col::c_custkey, col::c_nationkey}),
-                   qb.Scan(kNation, o, false, nations_filter,
-                           {col::n_nationkey, col::n_name}),
-                   {1}, {0});
+    auto cn = SharedJoin(cust_nation_b,
+                         qb.Scan(kCustomer, o, false, nullptr,
+                                 {col::c_custkey, col::c_nationkey}),
+                         qb.Scan(kNation, o, false, nations_filter,
+                                 {col::n_nationkey, col::n_name}),
+                         {1}, {0});
     // ocn: ok0 ck1 + cn 2..5 (cck2 cnk3 nk4 cnname5)
-    auto ocn = Join(qb.Scan(kOrders, o, false, nullptr,
-                            {col::o_orderkey, col::o_custkey}),
-                    std::move(cn), {1}, {0});
+    auto ocn = SharedJoin(cust_b,
+                          qb.Scan(kOrders, o, false, nullptr,
+                                  {col::o_orderkey, col::o_custkey}),
+                          std::move(cn), {1}, {0});
     // j: lok0 lsk1 ext2 disc3 sdate4 + ocn 5..10 (cnname at 10)
     // build = orders of FRANCE/GERMANY customers (2/25 nations).
     auto j = qb.ScanJoin(
@@ -516,9 +558,9 @@ TpchPlan Q7(const QB& qb) {
          col::l_discount, col::l_shipdate},
         {0}, std::move(ocn), {0}, JoinType::kInner,
         double(qb.db->row_count(kOrders)) * 0.08,
-        double(qb.db->row_count(kOrders)));
+        double(qb.db->row_count(kOrders)), orders_b);
     // j2: + sn 11..14 (snname at 14)
-    auto j2 = Join(std::move(j), std::move(sn), {1}, {0});
+    auto j2 = SharedJoin(supp_b, std::move(j), std::move(sn), {1}, {0});
     auto cross = Filter(
         std::move(j2),
         E::Or(E::And(E::ColCmp(CmpOp::kEq, 14, S("FRANCE")),
@@ -546,7 +588,12 @@ TpchPlan Q8(const QB& qb) {
        E::Case(E::ColCmp(CmpOp::kEq, 17, S("BRAZIL")), Vol(3, 4),
                E::Lit(0.0))},
       {AggOp::kSum, Vol(3, 4)}};
-  plan.fragment = [qb, aggs](const ScanOptions& o) {
+  SharedBuild part_b = NewSharedBuild(), orders_b = NewSharedBuild(),
+              america_b = NewSharedBuild(), region_b = NewSharedBuild(),
+              cust_b = NewSharedBuild(), supp_b = NewSharedBuild(),
+              nation_b = NewSharedBuild();
+  plan.fragment = [qb, aggs, part_b, orders_b, america_b, region_b, cust_b,
+                   supp_b, nation_b](const ScanOptions& o) {
     auto part = qb.Scan(kPart, o, false,
                         E::ColCmp(CmpOp::kEq, col::p_type,
                                   S("ECONOMY ANODIZED STEEL")),
@@ -559,32 +606,35 @@ TpchPlan Q8(const QB& qb) {
                            col::l_extendedprice, col::l_discount},
                           {1}, std::move(part), {0}, JoinType::kInner,
                           double(qb.db->row_count(kPart)) / 150.0,
-                          double(qb.db->row_count(kPart)));
+                          double(qb.db->row_count(kPart)), part_b);
     auto orders = qb.Scan(
         kOrders, o, false,
         E::Between(col::o_orderdate, Days(1995, 1, 1), Days(1996, 12, 31)),
         {col::o_orderkey, col::o_custkey, col::o_orderdate});
     // lpo: +ook6 ock7 odate8
-    auto lpo = Join(std::move(lp), std::move(orders), {0}, {0});
+    auto lpo = SharedJoin(orders_b, std::move(lp), std::move(orders), {0},
+                          {0});
     // cnr: ck0 cnk1 nk2 nname3 (nation of AMERICA)
-    auto cnr = Join(qb.Scan(kCustomer, o, false, nullptr,
-                            {col::c_custkey, col::c_nationkey}),
-                    NationOfRegion(qb, o, "AMERICA"), {1}, {0});
+    auto cnr = SharedJoin(america_b,
+                          qb.Scan(kCustomer, o, false, nullptr,
+                                  {col::c_custkey, col::c_nationkey}),
+                          NationOfRegion(qb, o, "AMERICA", region_b), {1},
+                          {0});
     // j: +ck9 cnk10 nk11 nname12
-    auto j = Join(std::move(lpo), std::move(cnr), {7}, {0});
+    auto j = SharedJoin(cust_b, std::move(lpo), std::move(cnr), {7}, {0});
     // supplier: +ssk13 snk14
-    auto j2 = Join(std::move(j),
-                   qb.Scan(kSupplier, o, false, nullptr,
-                           {col::s_suppkey, col::s_nationkey}),
-                   {2}, {0});
+    auto j2 = SharedJoin(supp_b, std::move(j),
+                         qb.Scan(kSupplier, o, false, nullptr,
+                                 {col::s_suppkey, col::s_nationkey}),
+                         {2}, {0});
     // nation2 (supplier nation): +nk15... wait cols: width 15 now; +nk15
     // nname2_16? Column math: j2 width = 13 + 2 = 15 (cols 13,14). Join
     // nation2 => cols 15 (n_nationkey), 16 (n_name)... but the agg case
     // expression references col 17. Add region too? No: project instead.
-    auto j3 = Join(std::move(j2),
-                   qb.Scan(kNation, o, false, nullptr,
-                           {col::n_nationkey, col::n_name}),
-                   {14}, {0});
+    auto j3 = SharedJoin(nation_b, std::move(j2),
+                         qb.Scan(kNation, o, false, nullptr,
+                                 {col::n_nationkey, col::n_name}),
+                         {14}, {0});
     // j3: width 17, supp-nation name at col 16. Pad to match agg exprs:
     // project to keep odate8, ext3, disc4, nname16 at stable positions.
     // For clarity rebuild positions: we keep full row; aggs reference
@@ -616,7 +666,11 @@ TpchPlan Q8(const QB& qb) {
 TpchPlan Q9(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kPart, kLineItem, kPartSupp, kSupplier, kOrders, kNation};
-  plan.fragment = [qb](const ScanOptions& o) {
+  SharedBuild part_b = NewSharedBuild(), partsupp_b = NewSharedBuild(),
+              supp_b = NewSharedBuild(), orders_b = NewSharedBuild(),
+              nation_b = NewSharedBuild();
+  plan.fragment = [qb, part_b, partsupp_b, supp_b, orders_b,
+                   nation_b](const ScanOptions& o) {
     auto part = qb.Scan(kPart, o, false,
                         E::Contains(E::Col(col::p_name), "green"),
                         {col::p_partkey});
@@ -628,27 +682,28 @@ TpchPlan Q9(const QB& qb) {
                            col::l_discount},
                           {1}, std::move(part), {0}, JoinType::kInner,
                           double(qb.db->row_count(kPart)) * 0.06,
-                          double(qb.db->row_count(kPart)));
+                          double(qb.db->row_count(kPart)), part_b);
     auto ps = qb.Scan(kPartSupp, o, false, nullptr,
                       {col::ps_partkey, col::ps_suppkey,
                        col::ps_supplycost});
     // j2: +pspk7 pssk8 cost9
-    auto j2 = Join(std::move(lp), std::move(ps), {1, 2}, {0, 1});
+    auto j2 = SharedJoin(partsupp_b, std::move(lp), std::move(ps), {1, 2},
+                         {0, 1});
     // j3: +ssk10 snk11
-    auto j3 = Join(std::move(j2),
-                   qb.Scan(kSupplier, o, false, nullptr,
-                           {col::s_suppkey, col::s_nationkey}),
-                   {2}, {0});
+    auto j3 = SharedJoin(supp_b, std::move(j2),
+                         qb.Scan(kSupplier, o, false, nullptr,
+                                 {col::s_suppkey, col::s_nationkey}),
+                         {2}, {0});
     // j4: +ook12 odate13
-    auto j4 = Join(std::move(j3),
-                   qb.Scan(kOrders, o, false, nullptr,
-                           {col::o_orderkey, col::o_orderdate}),
-                   {0}, {0});
+    auto j4 = SharedJoin(orders_b, std::move(j3),
+                         qb.Scan(kOrders, o, false, nullptr,
+                                 {col::o_orderkey, col::o_orderdate}),
+                         {0}, {0});
     // j5: +nk14 nname15
-    auto j5 = Join(std::move(j4),
-                   qb.Scan(kNation, o, false, nullptr,
-                           {col::n_nationkey, col::n_name}),
-                   {11}, {0});
+    auto j5 = SharedJoin(nation_b, std::move(j4),
+                         qb.Scan(kNation, o, false, nullptr,
+                                 {col::n_nationkey, col::n_name}),
+                         {11}, {0});
     std::vector<AggSpec> aggs = {
         {AggOp::kSum,
          E::Arith(ArithOp::kSub, Vol(4, 5),
@@ -670,13 +725,17 @@ TpchPlan Q10(const QB& qb) {
   plan.tables = {kCustomer, kOrders, kLineItem, kNation};
   int64_t lo = Days(1993, 10, 1), hi = Days(1994, 1, 1);
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(1, 2)}};
-  plan.fragment = [qb, lo, hi, aggs](const ScanOptions& o) {
+  SharedBuild cust_b = NewSharedBuild(), orders_b = NewSharedBuild(),
+              nation_b = NewSharedBuild();
+  plan.fragment = [qb, lo, hi, aggs, cust_b, orders_b,
+                   nation_b](const ScanOptions& o) {
     auto orders = qb.Scan(kOrders, o, false,
                           E::And(E::ColCmp(CmpOp::kGe, col::o_orderdate, lo),
                                  E::ColCmp(CmpOp::kLt, col::o_orderdate, hi)),
                           {col::o_orderkey, col::o_custkey});
     // oc: ok0 ck1 + customer 2..9
-    auto oc = Join(std::move(orders), qb.Scan(kCustomer, o, false), {1}, {0});
+    auto oc = SharedJoin(cust_b, std::move(orders),
+                         qb.Scan(kCustomer, o, false), {1}, {0});
     // j: lok0 ext1 disc2 ok3 ck4 c_ck5 c_name6 c_addr7 c_nk8 c_phone9
     //    c_acct10 c_seg11 c_comm12
     // build = one quarter of orders (~3.8%).
@@ -686,12 +745,12 @@ TpchPlan Q10(const QB& qb) {
                           col::l_discount},
                          {0}, std::move(oc), {0}, JoinType::kInner,
                          double(qb.db->row_count(kOrders)) * 0.038,
-                         double(qb.db->row_count(kOrders)));
+                         double(qb.db->row_count(kOrders)), orders_b);
     // j2: +nk13 nname14
-    auto j2 = Join(std::move(j),
-                   qb.Scan(kNation, o, false, nullptr,
-                           {col::n_nationkey, col::n_name}),
-                   {8}, {0});
+    auto j2 = SharedJoin(nation_b, std::move(j),
+                         qb.Scan(kNation, o, false, nullptr,
+                                 {col::n_nationkey, col::n_name}),
+                         {8}, {0});
     return Agg(std::move(j2),
                {E::Col(5), E::Col(6), E::Col(10), E::Col(9), E::Col(14),
                 E::Col(7), E::Col(12)},
@@ -711,16 +770,19 @@ TpchPlan Q11(const QB& qb) {
   double fraction = 0.0001 / qb.db->config().scale;
   std::vector<AggSpec> aggs = {
       {AggOp::kSum, E::Arith(ArithOp::kMul, E::Col(3), E::Col(2))}};
-  plan.fragment = [qb, aggs](const ScanOptions& o) {
-    auto sn = Join(qb.Scan(kSupplier, o, false, nullptr,
-                           {col::s_suppkey, col::s_nationkey}),
-                   qb.Scan(kNation, o, false,
-                           E::ColCmp(CmpOp::kEq, col::n_name, S("GERMANY")),
-                           {col::n_nationkey}),
-                   {1}, {0});
+  SharedBuild nation_b = NewSharedBuild(), supp_b = NewSharedBuild();
+  plan.fragment = [qb, aggs, nation_b, supp_b](const ScanOptions& o) {
+    auto sn = SharedJoin(
+        nation_b,
+        qb.Scan(kSupplier, o, false, nullptr,
+                {col::s_suppkey, col::s_nationkey}),
+        qb.Scan(kNation, o, false,
+                E::ColCmp(CmpOp::kEq, col::n_name, S("GERMANY")),
+                {col::n_nationkey}),
+        {1}, {0});
     // ps(pk0 sk1 qty2 cost3) semi-join German suppliers
-    auto j = Join(qb.Scan(kPartSupp, o, true), std::move(sn), {1}, {0},
-                  JoinType::kLeftSemi);
+    auto j = SharedJoin(supp_b, qb.Scan(kPartSupp, o, true), std::move(sn),
+                        {1}, {0}, JoinType::kLeftSemi);
     return Agg(std::move(j), {E::Col(0)}, aggs, AggMode::kPartial);
   };
   plan.merge = [aggs, fraction](OperatorPtr gathered) {
@@ -744,7 +806,8 @@ TpchPlan Q12(const QB& qb) {
                             E::Lit(int64_t{0}))},
       {AggOp::kSum, E::Case(E::Not(high_prio), E::Lit(int64_t{1}),
                             E::Lit(int64_t{0}))}};
-  plan.fragment = [qb, lo, hi, aggs](const ScanOptions& o) {
+  SharedBuild orders_b = NewSharedBuild();
+  plan.fragment = [qb, lo, hi, aggs, orders_b](const ScanOptions& o) {
     auto filter = E::And(
         E::And(E::In(E::Col(col::l_shipmode), {S("MAIL"), S("SHIP")}),
                E::And(E::Cmp(CmpOp::kLt, E::Col(col::l_commitdate),
@@ -762,7 +825,7 @@ TpchPlan Q12(const QB& qb) {
                                  {col::o_orderkey, col::o_orderpriority}),
                          {0}, JoinType::kInner,
                          double(qb.db->row_count(kOrders)),
-                         double(qb.db->row_count(kOrders)));
+                         double(qb.db->row_count(kOrders)), orders_b);
     return Agg(std::move(j), {E::Col(1)}, aggs, AggMode::kPartial);
   };
   plan.merge = [aggs](OperatorPtr gathered) {
@@ -871,7 +934,9 @@ TpchPlan Q16(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kPartSupp, kPart, kSupplier};
   std::vector<AggSpec> count_aggs = {{AggOp::kCount, nullptr}};
-  plan.fragment = [qb, count_aggs](const ScanOptions& o) {
+  SharedBuild part_b = NewSharedBuild(), complaints_b = NewSharedBuild();
+  plan.fragment = [qb, count_aggs, part_b,
+                   complaints_b](const ScanOptions& o) {
     auto part = qb.Scan(
         kPart, o, false,
         E::And(E::And(E::Not(E::ColCmp(CmpOp::kEq, col::p_brand,
@@ -887,13 +952,13 @@ TpchPlan Q16(const QB& qb) {
     auto ps = qb.Scan(kPartSupp, o, true, nullptr,
                       {col::ps_partkey, col::ps_suppkey});
     // j: pspk0 pssk1 ppk2 brand3 type4 size5
-    auto j = Join(std::move(ps), std::move(part), {0}, {0});
+    auto j = SharedJoin(part_b, std::move(ps), std::move(part), {0}, {0});
     auto bad = qb.Scan(kSupplier, o, false,
                        E::Contains(E::Col(col::s_comment),
                                    "Customer Complaints"),
                        {col::s_suppkey});
-    auto cleaned = Join(std::move(j), std::move(bad), {1}, {0},
-                        JoinType::kLeftAnti);
+    auto cleaned = SharedJoin(complaints_b, std::move(j), std::move(bad), {1},
+                              {0}, JoinType::kLeftAnti);
     // distinct (brand,type,size,suppkey)
     return Agg(std::move(cleaned),
                {E::Col(3), E::Col(4), E::Col(5), E::Col(1)}, count_aggs,
@@ -914,7 +979,8 @@ TpchPlan Q16(const QB& qb) {
 TpchPlan Q17(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kLineItem, kPart};
-  plan.fragment = [qb](const ScanOptions& o) {
+  SharedBuild part_b = NewSharedBuild();
+  plan.fragment = [qb, part_b](const ScanOptions& o) {
     auto part = qb.Scan(
         kPart, o, false,
         E::And(E::ColCmp(CmpOp::kEq, col::p_brand, S("Brand#23")),
@@ -927,7 +993,7 @@ TpchPlan Q17(const QB& qb) {
                         col::l_extendedprice},
                        {0}, std::move(part), {0}, JoinType::kInner,
                        double(qb.db->row_count(kPart)) * 0.001,
-                       double(qb.db->row_count(kPart)));
+                       double(qb.db->row_count(kPart)), part_b);
   };
   plan.merge = [](OperatorPtr gathered) {
     return std::make_unique<SubplanOp>(
@@ -955,23 +1021,24 @@ TpchPlan Q18(const QB& qb) {
   plan.tables = {kLineItem, kOrders, kCustomer};
   std::vector<AggSpec> aggs = {{AggOp::kSum, E::Col(col::l_quantity)}};
   plan.fragment = [qb, aggs](const ScanOptions& o) {
-    auto line = qb.Scan(kLineItem, o, true, nullptr, {});
-    return Agg(std::move(line), {E::Col(col::l_orderkey)}, aggs,
-               AggMode::kPartial);
+    return qb.AggScan(kLineItem, o, nullptr, {col::l_orderkey}, aggs,
+                      AggMode::kPartial);
   };
   plan.merge = [qb, aggs](OperatorPtr gathered) {
     auto sums = Agg(std::move(gathered), GroupCols(1), aggs,
                     AggMode::kFinal);
     auto big = Filter(std::move(sums),
                       E::ColCmp(CmpOp::kGt, 1, 300.0));
-    ScanOptions single;
+    // The handful of big orders and their customers are fetched by primary
+    // key (§VII-C index nested-loop join), as in Q15.
     // j: ok0 qty1 + orders 2..9 (o_ck at 3, total at 5, odate at 6)
-    auto j = Join(std::move(big), qb.Scan(kOrders, single, false), {0}, {0});
-    // j2: + c_ck10 c_name11
-    auto j2 = Join(std::move(j),
-                   qb.Scan(kCustomer, single, false, nullptr,
-                           {col::c_custkey, col::c_name}),
-                   {3}, {0});
+    auto j = std::make_unique<LookupJoinOp>(
+        std::move(big), qb.db->shards(kOrders),
+        std::vector<ExprPtr>{E::Col(0)}, qb.snap);
+    // j2: + customer 10.. (c_ck10 c_name11)
+    auto j2 = std::make_unique<LookupJoinOp>(
+        std::move(j), qb.db->shards(kCustomer),
+        std::vector<ExprPtr>{E::Col(3)}, qb.snap);
     auto sorted = Sort(std::move(j2), {{5, false}, {6, true}}, 100);
     return Project(std::move(sorted),
                    {E::Col(11), E::Col(10), E::Col(0), E::Col(6), E::Col(5),
@@ -984,7 +1051,8 @@ TpchPlan Q19(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kLineItem, kPart};
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(2, 3)}};
-  plan.fragment = [qb, aggs](const ScanOptions& o) {
+  SharedBuild part_b = NewSharedBuild();
+  plan.fragment = [qb, aggs, part_b](const ScanOptions& o) {
     // j: lpk0 qty1 ext2 disc3 + part: ppk4 brand5 size6 container7
     // build = ALL parts (the brand/container predicate applies after the
     // join): no runtime filter, but the column-native join applies.
@@ -1000,7 +1068,7 @@ TpchPlan Q19(const QB& qb) {
                 {col::p_partkey, col::p_brand, col::p_size,
                  col::p_container}),
         {0}, JoinType::kInner, double(qb.db->row_count(kPart)),
-        double(qb.db->row_count(kPart)));
+        double(qb.db->row_count(kPart)), part_b);
     auto branch = [](const char* brand, std::vector<Value> containers,
                      double qlo, double qhi, int64_t smax) {
       return E::And(
@@ -1075,7 +1143,8 @@ TpchPlan Q20(const QB& qb) {
 TpchPlan Q21(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kLineItem, kSupplier, kOrders, kNation};
-  plan.fragment = [qb](const ScanOptions& o) -> OperatorPtr {
+  SharedBuild orders_b = NewSharedBuild();
+  plan.fragment = [qb, orders_b](const ScanOptions& o) -> OperatorPtr {
     // Only F-order lineitems can reach the final result (the merge keeps F
     // orders), so the fragment semi-joins lineitem against the F orders;
     // the column path runs this as a vectorized ColumnHashJoinOp with the
@@ -1094,7 +1163,7 @@ TpchPlan Q21(const QB& qb) {
          col::l_receiptdate},
         {0}, std::move(orders_f), {0}, JoinType::kLeftSemi,
         double(qb.db->row_count(kOrders)) * 0.49,
-        double(qb.db->row_count(kOrders)));
+        double(qb.db->row_count(kOrders)), orders_b);
     // projected positions: commit=2, receipt=3
     auto late = E::Cmp(CmpOp::kGt, E::Col(3), E::Col(2));
     return Project(std::move(semi),

@@ -51,6 +51,9 @@ struct GroupCommitFixture {
   /// Keys of every transaction whose commit the CN saw acknowledged.
   std::vector<int64_t> acked_keys;
   int64_t next_unique = kUniqueBase;
+  /// Client loops; each refers to itself weakly, so the fixture is their
+  /// only owner and frees them.
+  std::vector<std::shared_ptr<std::function<void(int)>>> clients;
 
   explicit GroupCommitFixture(SimClusterConfig cfg)
       : net(&sched, [] {
@@ -88,7 +91,9 @@ struct GroupCommitFixture {
   void StartUniqueKeyClient(int cn, int txns, int width, int target_dn = -1,
                             std::function<void()> on_ack = nullptr) {
     auto submit = std::make_shared<std::function<void(int)>>();
-    *submit = [this, cn, width, target_dn, on_ack, submit](int left) {
+    clients.push_back(submit);
+    std::weak_ptr<std::function<void(int)>> self = submit;
+    *submit = [this, cn, width, target_dn, on_ack, self](int left) {
       if (left <= 0) return;
       SysbenchTxn txn;
       txn.read_only = false;
@@ -103,12 +108,12 @@ struct GroupCommitFixture {
             {SysbenchOp::Type::kInsert, key, /*range_len=*/0});
       }
       cluster->SubmitTxn(
-          cn, txn, [this, keys, on_ack, submit, left](bool ok, sim::SimTime) {
+          cn, txn, [this, keys, on_ack, self, left](bool ok, sim::SimTime) {
             if (ok) {
               acked_keys.insert(acked_keys.end(), keys.begin(), keys.end());
               if (on_ack) on_ack();
             }
-            (*submit)(left - 1);
+            if (auto next = self.lock()) (*next)(left - 1);
           });
     };
     (*submit)(txns);

@@ -43,6 +43,9 @@ struct ChaosFixture {
   std::shared_ptr<std::function<void(int, int)>> step_hook =
       std::make_shared<std::function<void(int, int)>>();
   std::unique_ptr<SimCluster> cluster;
+  /// Client loops; each refers to itself weakly, so the fixture is their
+  /// only owner and frees them.
+  std::vector<std::shared_ptr<std::function<void(int)>>> clients;
 
   explicit ChaosFixture(SimClusterConfig cfg)
       : net(&sched, [] {
@@ -78,12 +81,14 @@ struct ChaosFixture {
     Sysbench bench({.mode = SysbenchMode::kWriteOnly, .table_size = 400});
     auto rng = std::make_shared<Rng>(seed);
     auto submit = std::make_shared<std::function<void(int)>>();
-    *submit = [this, cn, bench, rng, submit, remaining](int left) {
+    clients.push_back(submit);
+    std::weak_ptr<std::function<void(int)>> self = submit;
+    *submit = [this, cn, bench, rng, self, remaining](int left) {
       if (left <= 0) return;
       cluster->SubmitTxn(cn, bench.NextTxn(rng.get()),
-                         [submit, left, remaining](bool, sim::SimTime) {
+                         [self, left, remaining](bool, sim::SimTime) {
                            --*remaining;
-                           (*submit)(left - 1);
+                           if (auto next = self.lock()) (*next)(left - 1);
                          });
     };
     (*submit)(txns);

@@ -2,16 +2,21 @@
 // the time-slicing scheduler with TP/AP isolation, and memory regions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <random>
 
 #include "src/clock/hlc.h"
 #include "src/exec/expr.h"
+#include "src/exec/join_table.h"
 #include "src/exec/memory.h"
 #include "src/exec/mpp.h"
 #include "src/exec/operator.h"
 #include "src/exec/scheduler.h"
 #include "src/optimizer/cost.h"
 #include "src/storage/buffer_pool.h"
+#include "src/storage/key_codec.h"
 #include "src/txn/engine.h"
 
 namespace polarx {
@@ -207,6 +212,201 @@ TEST(OperatorTest, HashJoinSemiAnti) {
   auto anti_rows = Collect(&anti);
   ASSERT_TRUE(anti_rows.ok());
   EXPECT_EQ(anti_rows->size(), 2u);
+}
+
+/// Row multiset in a canonical form: each row memcomparable-encoded, sorted.
+std::vector<std::string> Canonical(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) {
+    EncodedKey key;
+    for (const Value& v : row) EncodeValue(v, &key);
+    out.push_back(std::move(key));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Nested-loop reference join. Keys match when their memcomparable
+/// encodings match: type-strict, NULL equal to NULL, doubles bit-exact.
+std::vector<Row> NestedLoopJoin(const std::vector<Row>& probe,
+                                const std::vector<Row>& build,
+                                const std::vector<int>& pk,
+                                const std::vector<int>& bk, JoinType type,
+                                size_t build_width) {
+  auto key_of = [](const Row& row, const std::vector<int>& cols) {
+    EncodedKey key;
+    for (int c : cols) EncodeValue(row[c], &key);
+    return key;
+  };
+  std::vector<Row> out;
+  for (const Row& p : probe) {
+    bool matched = false;
+    for (const Row& b : build) {
+      if (key_of(p, pk) != key_of(b, bk)) continue;
+      matched = true;
+      if (type == JoinType::kInner || type == JoinType::kLeftOuter) {
+        Row joined = p;
+        joined.insert(joined.end(), b.begin(), b.end());
+        out.push_back(std::move(joined));
+      }
+    }
+    if ((type == JoinType::kLeftSemi && matched) ||
+        (type == JoinType::kLeftAnti && !matched)) {
+      out.push_back(p);
+    }
+    if (type == JoinType::kLeftOuter && !matched) {
+      Row padded = p;
+      padded.resize(p.size() + build_width);
+      out.push_back(std::move(padded));
+    }
+  }
+  return out;
+}
+
+// HashJoinOp (hash -> row-index buckets verified with CellEquals) must
+// produce exactly the nested-loop join under the encoded-key semantics for
+// every join type, over keys mixing int64, double, string and NULL cells —
+// including the near-misses 5 vs 5.0 and -0.0 vs 0.0, which must not match.
+TEST(OperatorTest, HashJoinMatchesNestedLoopOracle) {
+  const std::vector<Value> pool = {
+      Value{},           int64_t{5},        5.0,
+      0.0,               -0.0,              int64_t{0},
+      int64_t{-1},       2.5,               std::string("5"),
+      std::string(""),   std::string("a"),  int64_t{7}};
+  std::mt19937_64 rng(20221);
+  auto random_rows = [&](size_t n, int64_t tag) {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < n; ++i) {
+      rows.push_back({pool[rng() % pool.size()], pool[rng() % pool.size()],
+                      tag * 1000 + int64_t(i)});
+    }
+    return rows;
+  };
+  const std::vector<std::pair<std::vector<int>, std::vector<int>>> keys = {
+      {{0}, {0}}, {{0, 1}, {0, 1}}, {{1, 0}, {0, 1}}, {{}, {}}};
+  for (int round = 0; round < 8; ++round) {
+    std::vector<Row> probe = random_rows(60, 1);
+    std::vector<Row> build = random_rows(round == 0 ? 0 : 40, 2);
+    for (const auto& [pk, bk] : keys) {
+      for (JoinType type : {JoinType::kInner, JoinType::kLeftSemi,
+                            JoinType::kLeftAnti, JoinType::kLeftOuter}) {
+        HashJoinOp join(std::make_unique<ValuesOp>(probe),
+                        std::make_unique<ValuesOp>(build), pk, bk, type,
+                        /*build_width=*/3);
+        auto got = Collect(&join);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(Canonical(*got),
+                  Canonical(NestedLoopJoin(probe, build, pk, bk, type, 3)))
+            << "round " << round << " keys " << pk.size() << " type "
+            << int(type);
+      }
+    }
+  }
+  // The near-misses on their own: an int64 never equals a double, and the
+  // two zeros stay distinct, as their encodings do.
+  std::vector<Row> probe = {{int64_t{5}}, {-0.0}, {Value{}}};
+  std::vector<Row> build = {{5.0}, {0.0}, {Value{}}};
+  HashJoinOp join(std::make_unique<ValuesOp>(probe),
+                  std::make_unique<ValuesOp>(build), {0}, {0});
+  auto got = Collect(&join);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->size(), 1u) << "only NULL = NULL matches";
+  EXPECT_TRUE(IsNull((*got)[0][0]));
+}
+
+/// ValuesOp that counts its Open() calls and can fail its first Next().
+class CountingValuesOp : public ValuesOp {
+ public:
+  CountingValuesOp(std::vector<Row> rows, std::atomic<int>* opens,
+                   Status fail = Status::Ok())
+      : ValuesOp(std::move(rows)), opens_(opens), fail_(std::move(fail)) {}
+  Status Open() override {
+    opens_->fetch_add(1);
+    return ValuesOp::Open();
+  }
+  Status Next(Batch* out) override {
+    if (!fail_.ok()) return fail_;
+    return ValuesOp::Next(out);
+  }
+
+ private:
+  std::atomic<int>* opens_;
+  Status fail_;
+};
+
+// Seven joins sharing one JoinHashTable on a four-thread pool, the shape
+// of a broadcast join site in a 7-task MPP plan: the build child is opened
+// by exactly one join, every join publishes the same runtime filter into
+// its own slot, and each join's output equals a private-build join's.
+TEST(OperatorTest, SharedJoinTableBuildsOnceForAllTasks) {
+  constexpr int kTasks = 7;
+  std::vector<Row> build;
+  for (int64_t k = 0; k < 500; k += 3) build.push_back({k, k * 10});
+  auto probe_of = [](int task) {
+    std::vector<Row> rows;
+    for (int64_t k = task; k < 600; k += kTasks) rows.push_back({k});
+    return rows;
+  };
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftSemi,
+                        JoinType::kLeftAnti, JoinType::kLeftOuter}) {
+    auto shared = std::make_shared<JoinHashTable>();
+    std::atomic<int> opens{0};
+    std::vector<std::shared_ptr<RuntimeFilterSlot>> slots(kTasks);
+    std::vector<Result<std::vector<Row>>> got(kTasks, std::vector<Row>{});
+    ThreadPool pool(4);
+    for (int t = 0; t < kTasks; ++t) {
+      pool.Submit([&, t] {
+        slots[t] = std::make_shared<RuntimeFilterSlot>();
+        slots[t]->key_cols = {0};
+        HashJoinOp join(std::make_unique<ValuesOp>(probe_of(t)),
+                        std::make_unique<CountingValuesOp>(build, &opens),
+                        {0}, {0}, type, /*build_width=*/2, shared);
+        join.SetRuntimeFilterSource(slots[t], build.size());
+        got[t] = Collect(&join);
+      });
+    }
+    pool.Wait();
+    EXPECT_EQ(opens.load(), 1) << "type " << int(type);
+    const bool filtered =
+        type == JoinType::kInner || type == JoinType::kLeftSemi;
+    EXPECT_EQ(shared->filter() != nullptr, filtered);
+    for (int t = 0; t < kTasks; ++t) {
+      ASSERT_TRUE(got[t].ok()) << got[t].status().ToString();
+      EXPECT_EQ(slots[t]->filter, filtered ? shared->filter() : nullptr);
+      HashJoinOp private_join(std::make_unique<ValuesOp>(probe_of(t)),
+                              std::make_unique<ValuesOp>(build), {0}, {0},
+                              type, 2);
+      auto want = Collect(&private_join);
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(Canonical(*got[t]), Canonical(*want))
+          << "task " << t << " type " << int(type);
+    }
+  }
+}
+
+// A failed shared build is not retried: every task sharing the table gets
+// the builder's Status.
+TEST(OperatorTest, SharedJoinTableFailureReachesEveryTask) {
+  constexpr int kTasks = 7;
+  auto shared = std::make_shared<JoinHashTable>();
+  std::atomic<int> opens{0};
+  std::vector<Status> got(kTasks);
+  ThreadPool pool(4);
+  for (int t = 0; t < kTasks; ++t) {
+    pool.Submit([&, t] {
+      std::vector<Row> one = {{int64_t{1}}};
+      HashJoinOp join(std::make_unique<ValuesOp>(one),
+                      std::make_unique<CountingValuesOp>(
+                          one, &opens, Status::Busy("build side failed")),
+                      {0}, {0}, JoinType::kInner, 0, shared);
+      got[t] = Collect(&join).status();
+    });
+  }
+  pool.Wait();
+  EXPECT_EQ(opens.load(), 1);
+  for (const Status& s : got) {
+    EXPECT_EQ(s.code(), StatusCode::kBusy) << s.ToString();
+  }
 }
 
 TEST(OperatorTest, LookupJoinFetchesByPrimaryKey) {
