@@ -1,40 +1,41 @@
 #include "src/exec/mpp.h"
 
-#include <atomic>
-#include <mutex>
+#include <iterator>
 
 namespace polarx {
 
 Result<std::vector<Row>> MppExecutor::RunParallel(
     int num_tasks, const FragmentFactory& factory) {
   std::mutex mu;
+  std::condition_variable done_cv;
   std::vector<Row> all;
   Status first_error;
-  std::atomic<int> remaining{num_tasks};
-  std::mutex done_mu;
-  std::condition_variable done_cv;
+  int remaining = num_tasks;
+  // Records one task's outcome; the last one wakes the coordinator.
+  auto finish = [&](Result<std::vector<Row>> rows) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!rows.ok()) {
+      if (first_error.ok()) first_error = rows.status();
+    } else {
+      for (auto& r : *rows) all.push_back(std::move(r));
+    }
+    if (--remaining == 0) done_cv.notify_all();
+  };
 
   for (int t = 0; t < num_tasks; ++t) {
-    pool_->Submit([&, t] {
+    const bool queued = pool_->Submit([&, t] {
       OperatorPtr fragment = factory(t, num_tasks);
       Result<std::vector<Row>> rows = Collect(fragment.get());
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!rows.ok()) {
-          if (first_error.ok()) first_error = rows.status();
-        } else {
-          for (auto& r : *rows) all.push_back(std::move(r));
-        }
-      }
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_all();
-      }
+      fragment.reset();
+      finish(std::move(rows));
     });
+    if (!queued) {
+      finish(Status::Unavailable("MppExecutor: thread pool refused a task"));
+    }
   }
   {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return remaining.load() == 0; });
+    std::unique_lock<std::mutex> lock(mu);
+    done_cv.wait(lock, [&] { return remaining == 0; });
   }
   if (!first_error.ok()) return first_error;
   return all;
@@ -58,6 +59,85 @@ std::vector<TableStore*> MppExecutor::ShardsForTask(
     if (static_cast<int>(i % num_tasks) == task) mine.push_back(shards[i]);
   }
   return mine;
+}
+
+// -------------------------------------------------------------- Exchange --
+
+Result<std::vector<Row>> Exchange::Take(int task, int num_tasks,
+                                        const ProducerFactory& producer) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (num_tasks_ == 0) {
+      num_tasks_ = num_tasks;
+      out_.resize(size_t(num_tasks));
+    } else if (num_tasks != num_tasks_) {
+      return Status::InvalidArgument("Exchange: consumers disagree on N");
+    }
+  }
+  // Claim and run producers until none is left unclaimed.
+  for (;;) {
+    int p;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (next_producer_ == num_tasks_) break;
+      p = next_producer_++;
+    }
+    std::vector<std::vector<Row>> buckets(static_cast<size_t>(num_tasks));
+    OperatorPtr fragment = producer(p);
+    Status s = Produce(fragment.get(), num_tasks, &buckets);
+    fragment.reset();
+    std::lock_guard<std::mutex> lock(mu_);
+    out_[size_t(p)] = std::move(buckets);
+    if (!s.ok() && status_.ok()) status_ = std::move(s);
+    if (++done_producers_ == num_tasks_) done_cv_.notify_all();
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [&] { return done_producers_ == num_tasks_; });
+    if (!status_.ok()) return status_;
+  }
+  // out_ is final now; each consumer moves out only its own bucket.
+  std::vector<Row> rows = std::move(out_[0][size_t(task)]);
+  for (size_t p = 1; p < out_.size(); ++p) {
+    std::vector<Row>& bucket = out_[p][size_t(task)];
+    rows.insert(rows.end(), std::make_move_iterator(bucket.begin()),
+                std::make_move_iterator(bucket.end()));
+  }
+  return rows;
+}
+
+Status Exchange::Produce(Operator* fragment, int num_tasks,
+                         std::vector<std::vector<Row>>* buckets) const {
+  POLARX_RETURN_NOT_OK(fragment->Open());
+  Batch batch;
+  for (;;) {
+    POLARX_RETURN_NOT_OK(fragment->Next(&batch));
+    if (batch.empty()) break;
+    for (Row& row : batch.rows) {
+      const int b = Bucket(RowKeyHash(row, keys_), num_tasks);
+      (*buckets)[size_t(b)].push_back(std::move(row));
+    }
+  }
+  fragment->Close();
+  return Status::Ok();
+}
+
+Status ExchangeSourceOp::Open() {
+  if (num_tasks_ == 1) {
+    // One producer and one bucket: stream the producer through unhashed.
+    input_ = producer_(0);
+  } else {
+    POLARX_ASSIGN_OR_RETURN(std::vector<Row> bucket,
+                            exchange_->Take(task_, num_tasks_, producer_));
+    input_ = std::make_unique<ValuesOp>(std::move(bucket));
+  }
+  return input_->Open();
+}
+
+Status ExchangeSourceOp::Next(Batch* out) {
+  POLARX_RETURN_NOT_OK(input_->Next(out));
+  rows_produced_ += out->rows.size();
+  return Status::Ok();
 }
 
 }  // namespace polarx

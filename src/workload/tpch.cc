@@ -37,7 +37,7 @@ const char* kContainerSyl1[5] = {"SM", "LG", "MED", "JUMBO", "WRAP"};
 const char* kContainerSyl2[8] = {"CASE", "BOX", "BAG", "JAR",
                                  "PKG",  "PACK", "CAN", "DRUM"};
 const char* kColors[10] = {"almond", "antique", "aquamarine", "azure",
-                           "beige",  "bisque",  "black",      "blanched",
+                           "beige",  "bisque",  "black",      "forest",
                            "green",  "blue"};
 
 int64_t kStartDate;  // 1992-01-01

@@ -133,11 +133,15 @@ struct ScanOptions {
 
 /// One TPC-H query: a fragment factory (per MPP task) plus a merge stage
 /// run on the gathered fragment outputs. Single-node execution is
-/// fragment(0, 1) piped into merge. Column-index slice boundaries are read
-/// when the plan is built, so all fragments of one plan share them. So are
-/// the build tables of its broadcast joins: each is built by the first
-/// fragment to open that join and probed read-only by the rest, which
-/// makes a plan good for one execution with one set of ScanOptions.
+/// fragment(0, 1) piped into merge. Some fragments are two-stage: a final
+/// stage over the task's bucket of a hash-repartition Exchange, whose
+/// producers are the per-task partial stage (Q10, Q16, Q18, Q20, Q21);
+/// their merge only concatenates, merges top-N lists or runs a small join.
+/// Column-index slice boundaries are read when the plan is built, so all
+/// fragments of one plan share them. So are the build tables of its
+/// broadcast joins (each is built by the first fragment to open that join
+/// and probed read-only by the rest) and its exchanges, which makes a plan
+/// good for one execution with one set of ScanOptions.
 struct TpchPlan {
   std::function<OperatorPtr(const ScanOptions&)> fragment;
   std::function<OperatorPtr(OperatorPtr)> merge;

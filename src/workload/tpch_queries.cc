@@ -7,11 +7,20 @@
 // (final aggregation, having/top-n, and any multi-pass join-backs via
 // SubplanOp). Single-node execution is fragment({0,1}) | merge.
 //
+// Where the partials do not compress (Q10, Q16, Q18, Q20, Q21), the
+// fragment has two stages: the partial stage becomes the producer of a
+// hash-repartition Exchange keyed on the final stage's group/join key, and
+// the fragment is the final stage over the task's bucket (QB::Shuffle), so
+// the final aggregation, filters and join-backs run in every task and the
+// merge only concatenates, merges top-N lists or runs a small join. With
+// one task the exchange passes its one producer's rows straight through.
+//
 // Every fragment join whose build side reads only broadcast scans gets a
 // build table (SharedBuild) created with the plan and captured by its
 // fragment factory, so the join's hash table and runtime filter are built
 // once per query and probed read-only by every task. A join whose build
 // side reads the task's partition (Q4's semi-join) keeps a private table.
+// Exchanges are created and captured the same way.
 #include <cassert>
 
 #include "src/optimizer/cost.h"
@@ -34,6 +43,13 @@ const CostModel& PlanCostModel() {
 using SharedBuild = std::shared_ptr<JoinHashTable>;
 
 SharedBuild NewSharedBuild() { return std::make_shared<JoinHashTable>(); }
+
+/// One repartitioning point between a plan's two stages, shared likewise.
+using SharedExchange = std::shared_ptr<Exchange>;
+
+SharedExchange NewExchange(std::vector<int> keys) {
+  return std::make_shared<Exchange>(std::move(keys));
+}
 
 /// Shared plan-construction context.
 struct QB {
@@ -153,6 +169,21 @@ struct QB {
                                    size_t(build_rows_est) + 16);
     }
     return join;
+  }
+
+  /// The task's bucket of `ex`: the leaf of a fragment's final stage.
+  /// Producer p of the exchange is `producer` run with the ScanOptions of
+  /// task p, i.e. the fragment's partial stage for task p's share.
+  OperatorPtr Shuffle(
+      const SharedExchange& ex, const ScanOptions& o,
+      std::function<OperatorPtr(const ScanOptions&)> producer) const {
+    return std::make_unique<ExchangeSourceOp>(
+        ex, o.task, o.num_tasks,
+        [o, producer = std::move(producer)](int p) {
+          ScanOptions po = o;
+          po.task = p;
+          return producer(po);
+        });
   }
 };
 
@@ -727,8 +758,9 @@ TpchPlan Q10(const QB& qb) {
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(1, 2)}};
   SharedBuild cust_b = NewSharedBuild(), orders_b = NewSharedBuild(),
               nation_b = NewSharedBuild();
-  plan.fragment = [qb, lo, hi, aggs, cust_b, orders_b,
-                   nation_b](const ScanOptions& o) {
+  SharedExchange by_customer = NewExchange({0});
+  auto partial = [qb, lo, hi, aggs, cust_b, orders_b,
+                  nation_b](const ScanOptions& o) {
     auto orders = qb.Scan(kOrders, o, false,
                           E::And(E::ColCmp(CmpOp::kGe, col::o_orderdate, lo),
                                  E::ColCmp(CmpOp::kLt, col::o_orderdate, hi)),
@@ -756,10 +788,15 @@ TpchPlan Q10(const QB& qb) {
                 E::Col(7), E::Col(12)},
                aggs, AggMode::kPartial);
   };
-  plan.merge = [aggs](OperatorPtr gathered) {
-    return Sort(Agg(std::move(gathered), GroupCols(7), aggs,
+  // Partials shuffled by c_custkey: each task finishes its customers and
+  // keeps their top 20; the merge picks the top 20 of those lists.
+  plan.fragment = [qb, aggs, by_customer, partial](const ScanOptions& o) {
+    return Sort(Agg(qb.Shuffle(by_customer, o, partial), GroupCols(7), aggs,
                     AggMode::kFinal),
                 {{7, false}}, 20);
+  };
+  plan.merge = [](OperatorPtr gathered) {
+    return Sort(std::move(gathered), {{7, false}}, 20);
   };
   return plan;
 }
@@ -935,8 +972,9 @@ TpchPlan Q16(const QB& qb) {
   plan.tables = {kPartSupp, kPart, kSupplier};
   std::vector<AggSpec> count_aggs = {{AggOp::kCount, nullptr}};
   SharedBuild part_b = NewSharedBuild(), complaints_b = NewSharedBuild();
-  plan.fragment = [qb, count_aggs, part_b,
-                   complaints_b](const ScanOptions& o) {
+  SharedExchange by_brand_type_size = NewExchange({0, 1, 2});
+  auto partial = [qb, count_aggs, part_b,
+                  complaints_b](const ScanOptions& o) {
     auto part = qb.Scan(
         kPart, o, false,
         E::And(E::And(E::Not(E::ColCmp(CmpOp::kEq, col::p_brand,
@@ -964,13 +1002,17 @@ TpchPlan Q16(const QB& qb) {
                {E::Col(3), E::Col(4), E::Col(5), E::Col(1)}, count_aggs,
                AggMode::kPartial);
   };
-  plan.merge = [count_aggs](OperatorPtr gathered) {
-    auto distinct =
-        Agg(std::move(gathered), GroupCols(4), count_aggs, AggMode::kFinal);
-    auto counted = Agg(std::move(distinct),
-                       {E::Col(0), E::Col(1), E::Col(2)},
-                       {{AggOp::kCount, nullptr}});
-    return Sort(std::move(counted),
+  // Partials shuffled by (brand, type, size): every supplier of a group
+  // lands in one task, which counts the group's distinct suppliers.
+  plan.fragment = [qb, count_aggs, by_brand_type_size,
+                   partial](const ScanOptions& o) {
+    auto distinct = Agg(qb.Shuffle(by_brand_type_size, o, partial),
+                        GroupCols(4), count_aggs, AggMode::kFinal);
+    return Agg(std::move(distinct), {E::Col(0), E::Col(1), E::Col(2)},
+               {{AggOp::kCount, nullptr}});
+  };
+  plan.merge = [](OperatorPtr gathered) {
+    return Sort(std::move(gathered),
                 {{3, false}, {0, true}, {1, true}, {2, true}});
   };
   return plan;
@@ -1020,12 +1062,16 @@ TpchPlan Q18(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kLineItem, kOrders, kCustomer};
   std::vector<AggSpec> aggs = {{AggOp::kSum, E::Col(col::l_quantity)}};
-  plan.fragment = [qb, aggs](const ScanOptions& o) {
-    return qb.AggScan(kLineItem, o, nullptr, {col::l_orderkey}, aggs,
-                      AggMode::kPartial);
-  };
-  plan.merge = [qb, aggs](OperatorPtr gathered) {
-    auto sums = Agg(std::move(gathered), GroupCols(1), aggs,
+  SharedExchange by_order = NewExchange({0});
+  // Partial sums per order, shuffled by l_orderkey: each task finishes the
+  // orders of its bucket, fetches the big ones' rows and keeps its top 100.
+  plan.fragment = [qb, aggs, by_order](const ScanOptions& o) {
+    auto partials =
+        qb.Shuffle(by_order, o, [qb, aggs](const ScanOptions& po) {
+          return qb.AggScan(kLineItem, po, nullptr, {col::l_orderkey}, aggs,
+                            AggMode::kPartial);
+        });
+    auto sums = Agg(std::move(partials), GroupCols(1), aggs,
                     AggMode::kFinal);
     auto big = Filter(std::move(sums),
                       E::ColCmp(CmpOp::kGt, 1, 300.0));
@@ -1043,6 +1089,10 @@ TpchPlan Q18(const QB& qb) {
     return Project(std::move(sorted),
                    {E::Col(11), E::Col(10), E::Col(0), E::Col(6), E::Col(5),
                     E::Col(1)});
+  };
+  // out: c_name0 c_ck1 ok2 odate3 total4 qty5
+  plan.merge = [](OperatorPtr gathered) {
+    return Sort(std::move(gathered), {{4, false}, {3, true}}, 100);
   };
   return plan;
 }
@@ -1102,7 +1152,9 @@ TpchPlan Q20(const QB& qb) {
   plan.tables = {kLineItem, kPartSupp, kPart, kSupplier, kNation};
   int64_t lo = Days(1994, 1, 1), hi = Days(1995, 1, 1);
   std::vector<AggSpec> aggs = {{AggOp::kSum, E::Col(2)}};
-  plan.fragment = [qb, lo, hi, aggs](const ScanOptions& o) {
+  SharedBuild partsupp_b = NewSharedBuild(), forest_b = NewSharedBuild();
+  SharedExchange by_part_supp = NewExchange({0, 1});
+  auto partial = [qb, lo, hi, aggs](const ScanOptions& o) {
     auto line = qb.Scan(kLineItem, o, true,
                         E::And(E::ColCmp(CmpOp::kGe, col::l_shipdate, lo),
                                E::ColCmp(CmpOp::kLt, col::l_shipdate, hi)),
@@ -1110,29 +1162,39 @@ TpchPlan Q20(const QB& qb) {
     return Agg(std::move(line), {E::Col(0), E::Col(1)}, aggs,
                AggMode::kPartial);
   };
-  plan.merge = [qb, aggs](OperatorPtr gathered) {
-    auto qty =
-        Agg(std::move(gathered), GroupCols(2), aggs, AggMode::kFinal);
-    ScanOptions single;
-    // j: pspk0 pssk1 avail2 cost3 + qty: pk4 sk5 sum6
-    auto j = Join(qb.Scan(kPartSupp, single, false), std::move(qty),
-                  {0, 1}, {0, 1});
+  // Partials shuffled by (partkey, suppkey): each task finishes its pairs'
+  // shipped quantity, checks them against partsupp and the forest parts,
+  // and emits the suppkeys that qualify.
+  plan.fragment = [qb, aggs, partsupp_b, forest_b, by_part_supp,
+                   partial](const ScanOptions& o) {
+    // qty: pk0 sk1 sum2
+    auto qty = Agg(qb.Shuffle(by_part_supp, o, partial), GroupCols(2), aggs,
+                   AggMode::kFinal);
+    // j: qty 0..2 + partsupp: pspk3 pssk4 avail5 cost6
+    auto j = SharedJoin(partsupp_b, std::move(qty),
+                        qb.Scan(kPartSupp, o, false), {0, 1}, {0, 1});
     auto enough = Filter(
         std::move(j),
-        E::Cmp(CmpOp::kGt, E::Col(2),
-               E::Arith(ArithOp::kMul, E::Lit(0.5), E::Col(6))));
-    auto forest = qb.Scan(kPart, single, false,
+        E::Cmp(CmpOp::kGt, E::Col(5),
+               E::Arith(ArithOp::kMul, E::Lit(0.5), E::Col(2))));
+    auto forest = qb.Scan(kPart, o, false,
                           E::StartsWith(E::Col(col::p_name), "forest"),
                           {col::p_partkey});
-    auto candidates = Join(std::move(enough), std::move(forest), {0}, {0},
-                           JoinType::kLeftSemi);
+    auto candidates = SharedJoin(forest_b, std::move(enough),
+                                 std::move(forest), {0}, {0},
+                                 JoinType::kLeftSemi);
+    return Project(std::move(candidates), {E::Col(1)});
+  };
+  // gathered: candidate sk0 (duplicates across parts)
+  plan.merge = [qb](OperatorPtr gathered) {
+    ScanOptions single;
     // suppliers in CANADA whose suppkey is among candidates
     auto sn = Join(qb.Scan(kSupplier, single, false),
                    qb.Scan(kNation, single, false,
                            E::ColCmp(CmpOp::kEq, col::n_name, S("CANADA")),
                            {col::n_nationkey}),
                    {col::s_nationkey}, {0});
-    auto result = Join(std::move(sn), std::move(candidates), {0}, {1},
+    auto result = Join(std::move(sn), std::move(gathered), {0}, {0},
                        JoinType::kLeftSemi);
     auto projected = Project(std::move(result), {E::Col(1), E::Col(2)});
     return Sort(std::move(projected), {{0, true}});
@@ -1143,17 +1205,19 @@ TpchPlan Q20(const QB& qb) {
 TpchPlan Q21(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kLineItem, kSupplier, kOrders, kNation};
-  SharedBuild orders_b = NewSharedBuild();
-  plan.fragment = [qb, orders_b](const ScanOptions& o) -> OperatorPtr {
-    // Only F-order lineitems can reach the final result (the merge keeps F
-    // orders), so the fragment semi-joins lineitem against the F orders;
-    // the column path runs this as a vectorized ColumnHashJoinOp with the
-    // F-orders bloom filter pruning the probe selection, the row path as
-    // HashJoinOp with the same filter pushed into the scan. ~51% of
-    // lineitems are pruned. The (ok, sk) pairs are nearly all distinct at
-    // this scale, so a fragment-local partial agg would not compress the
-    // shuffle; the fragment emits raw (ok, sk, late_sk_or_NULL) rows and
-    // leaves the single per-order grouping to the merge.
+  SharedBuild orders_b = NewSharedBuild(), saudi_b = NewSharedBuild(),
+              supp_b = NewSharedBuild();
+  SharedExchange by_order = NewExchange({0});
+  auto partial = [qb, orders_b](const ScanOptions& o) -> OperatorPtr {
+    // Only F-order lineitems can reach the final result (the final stage
+    // keeps F orders), so the partial stage semi-joins lineitem against
+    // the F orders; the column path runs this as a vectorized
+    // ColumnHashJoinOp with the F-orders bloom filter pruning the probe
+    // selection, the row path as HashJoinOp with the same filter pushed
+    // into the scan. ~51% of lineitems are pruned. The (ok, sk) pairs are
+    // nearly all distinct at this scale, so a partial agg would not
+    // compress the shuffle; the stage emits raw (ok, sk, late_sk_or_NULL)
+    // rows and leaves the single per-order grouping to the final stage.
     auto orders_f = qb.Scan(kOrders, o, false,
                             E::ColCmp(CmpOp::kEq, col::o_orderstatus, S("F")),
                             {col::o_orderkey});
@@ -1170,16 +1234,18 @@ TpchPlan Q21(const QB& qb) {
                    {E::Col(0), E::Col(1),
                     E::Case(late, E::Col(1), E::Lit(Value{}))});
   };
-  plan.merge = [qb](OperatorPtr gathered) {
+  // Raw rows shuffled by orderkey, so each task sees whole orders.
+  plan.fragment = [qb, saudi_b, supp_b, by_order,
+                   partial](const ScanOptions& o) {
     // Per-order stats with min/max only, which merge over raw
-    // lineitem-level rows from any number of fragments — so one grouping
+    // lineitem-level rows from any number of producers — so one grouping
     // pass by order replaces the (ok, sk) dedup + per-order two-agg
     // cascade: >1 distinct supplier ⇔ min(sk) != max(sk); exactly one
     // distinct late supplier ⇔ min(late_sk) == max(late_sk) and non-NULL,
-    // and that unique value IS the waiting supplier's key. Every gathered
-    // row already comes from an F order (the fragments semi-join against
+    // and that unique value IS the waiting supplier's key. Every shuffled
+    // row already comes from an F order (the producers semi-join against
     // F orders), so no orderstatus re-check is needed.
-    auto stats = Agg(std::move(gathered), {E::Col(0)},
+    auto stats = Agg(qb.Shuffle(by_order, o, partial), {E::Col(0)},
                      {{AggOp::kMin, E::Col(1)},
                       {AggOp::kMax, E::Col(1)},
                       {AggOp::kMin, E::Col(2)},
@@ -1190,19 +1256,23 @@ TpchPlan Q21(const QB& qb) {
     auto waiting = Filter(std::move(stats),
                           E::And(E::Cmp(CmpOp::kNe, E::Col(1), E::Col(2)),
                                  E::Cmp(CmpOp::kEq, E::Col(3), E::Col(4))));
-    ScanOptions single;
     // suppliers in SAUDI ARABIA: s_sk0 s_name1 s_nk2 nk3
-    auto sn = Join(
-        qb.Scan(kSupplier, single, false, nullptr,
+    auto sn = SharedJoin(
+        saudi_b,
+        qb.Scan(kSupplier, o, false, nullptr,
                 {col::s_suppkey, col::s_name, col::s_nationkey}),
-        qb.Scan(kNation, single, false,
+        qb.Scan(kNation, o, false,
                 E::ColCmp(CmpOp::kEq, col::n_name, S("SAUDI ARABIA")),
                 {col::n_nationkey}),
         {2}, {0});
     // j2: waiting 0..4 + sn 5..8 (s_name = 6)
-    auto j2 = Join(std::move(waiting), std::move(sn), {3}, {0});
-    auto counted =
-        Agg(std::move(j2), {E::Col(6)}, {{AggOp::kCount, nullptr}});
+    auto j2 = SharedJoin(supp_b, std::move(waiting), std::move(sn), {3}, {0});
+    return Agg(std::move(j2), {E::Col(6)}, {{AggOp::kCount, nullptr}},
+               AggMode::kPartial);
+  };
+  plan.merge = [](OperatorPtr gathered) {
+    auto counted = Agg(std::move(gathered), GroupCols(1),
+                       {{AggOp::kCount, nullptr}}, AggMode::kFinal);
     return Sort(std::move(counted), {{1, false}, {0, true}}, 100);
   };
   return plan;

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
+#include <thread>
 
 #include "src/clock/hlc.h"
 #include "src/exec/expr.h"
@@ -622,18 +626,155 @@ TEST(MppTest, PartialFinalAggregation) {
 }
 
 TEST(MppTest, ShardAssignmentIsDisjointAndComplete) {
-  std::vector<TableStore*> shards(10, nullptr);
-  std::set<size_t> seen;
-  for (int t = 0; t < 3; ++t) {
-    auto mine = MppExecutor::ShardsForTask(shards, t, 3);
-    for (auto* s : mine) {
-      (void)s;
+  // Distinct placeholder pointers: ShardsForTask never dereferences them.
+  std::array<char, 10> tags{};
+  std::vector<TableStore*> shards;
+  for (char& tag : tags) shards.push_back(reinterpret_cast<TableStore*>(&tag));
+  for (int tasks : {1, 3, 4, 7, 10, 12}) {
+    std::map<TableStore*, int> owner;
+    for (int t = 0; t < tasks; ++t) {
+      for (TableStore* s : MppExecutor::ShardsForTask(shards, t, tasks)) {
+        EXPECT_TRUE(owner.emplace(s, t).second)
+            << "shard owned twice at " << tasks << " tasks";
+      }
     }
-    for (size_t i = 0; i < shards.size(); ++i) {
-      if (static_cast<int>(i % 3) == t) seen.insert(i);
+    EXPECT_EQ(owner.size(), shards.size()) << tasks << " tasks";
+  }
+}
+
+// A task the pool refuses (it is shutting down) must count as finished
+// with an error; otherwise the coordinator waits for it forever.
+TEST(MppTest, RefusedTaskFailsInsteadOfHanging) {
+  auto* pool = new ThreadPool(1);
+  Status got;
+  pool->Submit([&] {
+    // Spin until the destructor below has started refusing work.
+    while (pool->Submit([] {})) std::this_thread::yield();
+    MppExecutor mpp(pool);
+    got = mpp.RunParallel(2, [](int, int) -> OperatorPtr {
+                return std::make_unique<ValuesOp>(std::vector<Row>{});
+              }).status();
+  });
+  delete pool;  // joins the worker, so `got` is final afterwards
+  EXPECT_EQ(got.code(), StatusCode::kUnavailable) << got.ToString();
+}
+
+/// Producer p of the exchange tests: rows {seq % keys, p, seq} for seq in
+/// [0, n), so every key recurs within and across producers.
+OperatorPtr ProducerRows(int p, int n, int keys) {
+  std::vector<Row> rows;
+  for (int64_t seq = 0; seq < n; ++seq) {
+    rows.push_back({seq % keys, int64_t{p}, seq});
+  }
+  return std::make_unique<ValuesOp>(std::move(rows));
+}
+
+/// Runs consumer t of `num_tasks` on `pool` as an ExchangeSourceOp over
+/// `ex`; returns each consumer's rows.
+std::vector<Result<std::vector<Row>>> ConsumeExchange(
+    const std::shared_ptr<Exchange>& ex, int num_tasks, ThreadPool* pool,
+    const ProducerFactory& producer) {
+  std::vector<Result<std::vector<Row>>> got(num_tasks, std::vector<Row>{});
+  for (int t = 0; t < num_tasks; ++t) {
+    pool->Submit([&, t] {
+      ExchangeSourceOp source(ex, t, num_tasks, producer);
+      got[t] = Collect(&source);
+    });
+  }
+  pool->Wait();
+  return got;
+}
+
+// Every row lands in exactly one bucket, and rows with equal keys land in
+// the same bucket whichever producer emitted them.
+TEST(MppTest, ExchangeRoutesEachKeyToOneBucket) {
+  constexpr int kTasks = 4, kRows = 300, kKeys = 40;
+  ThreadPool pool(kTasks);
+  auto got = ConsumeExchange(
+      std::make_shared<Exchange>(std::vector<int>{0}), kTasks, &pool,
+      [](int p) { return ProducerRows(p, kRows, kKeys); });
+  std::set<std::pair<int64_t, int64_t>> seen;  // (producer, seq)
+  std::map<int64_t, int> bucket_of_key;
+  int nonempty = 0;
+  for (int t = 0; t < kTasks; ++t) {
+    ASSERT_TRUE(got[t].ok()) << got[t].status().ToString();
+    nonempty += got[t]->empty() ? 0 : 1;
+    for (const Row& row : *got[t]) {
+      EXPECT_TRUE(seen.emplace(std::get<int64_t>(row[1]),
+                               std::get<int64_t>(row[2]))
+                      .second)
+          << "row delivered twice";
+      EXPECT_EQ(Exchange::Bucket(RowKeyHash(row, {0}), kTasks), t);
+      auto [it, fresh] = bucket_of_key.emplace(std::get<int64_t>(row[0]), t);
+      EXPECT_EQ(it->second, t) << "key split across buckets";
     }
   }
-  EXPECT_EQ(seen.size(), 10u);
+  EXPECT_EQ(seen.size(), size_t(kTasks * kRows));
+  EXPECT_EQ(bucket_of_key.size(), size_t(kKeys));
+  EXPECT_GT(nonempty, 1);
+}
+
+// With one task the exchange hands its producer's rows through unchanged,
+// across several output batches.
+TEST(MppTest, SingleTaskExchangeIsIdentity) {
+  constexpr int kRows = 2500;  // > 2 batches
+  ThreadPool pool(1);
+  auto got = ConsumeExchange(std::make_shared<Exchange>(std::vector<int>{0}),
+                             1, &pool,
+                             [](int p) { return ProducerRows(p, kRows, 7); });
+  ASSERT_TRUE(got[0].ok()) << got[0].status().ToString();
+  auto want = Collect(ProducerRows(0, kRows, 7).get());
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(*got[0], *want);
+}
+
+// Seven two-stage fragments on a four-thread pool: a consumer only waits
+// for producers a running consumer claimed, so the run finishes; each
+// producer runs exactly once; the per-bucket final aggregation sees every
+// producer's rows of its keys.
+TEST(MppTest, ExchangeConsumersOutnumberingThreadsFinish) {
+  constexpr int kTasks = 7, kRows = 210, kKeys = 30;
+  auto ex = std::make_shared<Exchange>(std::vector<int>{0});
+  std::array<std::atomic<int>, kTasks> calls{};
+  ThreadPool pool(4);
+  MppExecutor mpp(&pool);
+  auto rows = mpp.RunParallel(kTasks, [&](int task, int n) -> OperatorPtr {
+    auto source = std::make_unique<ExchangeSourceOp>(
+        ex, task, n, [&](int p) {
+          calls[p].fetch_add(1);
+          return ProducerRows(p, kRows, kKeys);
+        });
+    return std::make_unique<HashAggOp>(
+        std::move(source), std::vector<ExprPtr>{Expr::Col(0)},
+        std::vector<AggSpec>{{AggOp::kCount, nullptr}});
+  });
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  for (int p = 0; p < kTasks; ++p) EXPECT_EQ(calls[p].load(), 1) << p;
+  ASSERT_EQ(rows->size(), size_t(kKeys));
+  for (const Row& r : *rows) {
+    EXPECT_EQ(std::get<int64_t>(r[1]), kTasks * kRows / kKeys);
+  }
+}
+
+// A failed producer's Status reaches every consumer, including the ones
+// that did not run it.
+TEST(MppTest, ExchangeProducerFailureReachesEveryConsumer) {
+  constexpr int kTasks = 7;
+  std::atomic<int> opens{0};
+  ThreadPool pool(4);
+  auto got = ConsumeExchange(
+      std::make_shared<Exchange>(std::vector<int>{0}), kTasks, &pool,
+      [&](int p) -> OperatorPtr {
+        if (p != 3) return ProducerRows(p, 100, 10);
+        return std::make_unique<CountingValuesOp>(
+            std::vector<Row>{{int64_t{1}}}, &opens,
+            Status::Busy("producer failed"));
+      });
+  EXPECT_EQ(opens.load(), 1);
+  for (int t = 0; t < kTasks; ++t) {
+    EXPECT_EQ(got[t].status().code(), StatusCode::kBusy)
+        << "consumer " << t << ": " << got[t].status().ToString();
+  }
 }
 
 // ---------- scheduler ----------

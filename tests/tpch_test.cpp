@@ -4,8 +4,10 @@
 // results == row-store results — which Fig. 10's comparisons rest on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 
 #include "src/exec/expr.h"
 #include "src/exec/runtime_filter.h"
@@ -372,6 +374,125 @@ TEST_F(TpchFixture, RuntimeFiltersPruneRowStoreScans) {
   EXPECT_EQ(SetFingerprint(*with_filters), SetFingerprint(*without));
   EXPECT_GT(s_on.scan_rows_dropped, 0u);
   EXPECT_LT(s_on.join_probe_rows, s_off.join_probe_rows);
+}
+
+// The queries whose final stage runs behind a hash-repartition exchange
+// return no rows at the main fixture's scale for Q18, Q20 and Q21, which
+// would let a broken final stage pass the grid above. At SF 0.02 all five
+// return rows.
+class TpchExchangeFixture : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    TpchConfig cfg;
+    cfg.scale = 0.02;  // ~30000 orders, ~120000 lineitems
+    cfg.shards_per_table = 8;
+    db_ = new TpchDb(cfg);
+    db_->Load();
+    for (int t = 0; t < kNumTables; ++t) {
+      db_->BuildColumnIndex(static_cast<Table>(t));
+    }
+  }
+  static void TearDownTestSuite() {
+    delete db_;
+    db_ = nullptr;
+  }
+
+  /// Calls `fn` with every row of `t` visible at the load snapshot.
+  template <typename Fn>
+  static void ForEachRow(Table t, Fn fn) {
+    for (TableStore* shard : db_->shards(t)) {
+      shard->rows().ScanAll([&](const EncodedKey&, const VersionPtr& head) {
+        if (const Version* v = LatestVisible(head, db_->load_ts())) {
+          fn(v->row);
+        }
+        return true;
+      });
+    }
+  }
+
+  static TpchDb* db_;
+};
+
+TpchDb* TpchExchangeFixture::db_ = nullptr;
+
+/// Row-for-row equality; doubles within a relative 1e-9 (MPP sums add in
+/// a different order).
+void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << label << " row " << i;
+    for (size_t c = 0; c < got[i].size(); ++c) {
+      const auto* g = std::get_if<double>(&got[i][c]);
+      const auto* w = std::get_if<double>(&want[i][c]);
+      if (g != nullptr && w != nullptr) {
+        EXPECT_NEAR(*g, *w, std::abs(*w) * 1e-9)
+            << label << " row " << i << " col " << c;
+      } else {
+        EXPECT_EQ(got[i][c], want[i][c])
+            << label << " row " << i << " col " << c;
+      }
+    }
+  }
+}
+
+TEST_F(TpchExchangeFixture, ExchangeQueriesMatchRowStoreSingleNode) {
+  ThreadPool pool(4);
+  for (int q : {10, 16, 18, 20, 21}) {
+    auto want = RunQuerySingleNode(q, *db_, db_->load_ts(), false);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_FALSE(want->empty()) << "Q" << q;
+    ScanOptions col;
+    col.use_column_index = true;
+    for (int tasks : {3, 4, 7}) {
+      auto got = RunQueryMpp(q, *db_, db_->load_ts(), tasks, &pool, col);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameRows(*got, *want,
+                     "Q" + std::to_string(q) + " tasks=" +
+                         std::to_string(tasks));
+    }
+  }
+}
+
+// Q18 by brute force over the loaded rows: orders whose lineitem quantity
+// sums above 300, with their customer, by total price desc, date asc.
+TEST_F(TpchExchangeFixture, Q18MatchesManualComputation) {
+  std::map<int64_t, double> qty;
+  ForEachRow(kLineItem, [&](const Row& r) {
+    qty[std::get<int64_t>(r[col::l_orderkey])] +=
+        std::get<double>(r[col::l_quantity]);
+  });
+  std::map<int64_t, std::string> cust_name;
+  ForEachRow(kCustomer, [&](const Row& r) {
+    cust_name[std::get<int64_t>(r[col::c_custkey])] =
+        std::get<std::string>(r[col::c_name]);
+  });
+  // out: c_name0 c_ck1 ok2 odate3 total4 qty5
+  std::vector<Row> want;
+  ForEachRow(kOrders, [&](const Row& r) {
+    const int64_t ok = std::get<int64_t>(r[col::o_orderkey]);
+    auto it = qty.find(ok);
+    if (it == qty.end() || it->second <= 300.0) return;
+    const int64_t ck = std::get<int64_t>(r[col::o_custkey]);
+    want.push_back({cust_name.at(ck), ck, ok, r[col::o_orderdate],
+                    r[col::o_totalprice], it->second});
+  });
+  std::sort(want.begin(), want.end(), [](const Row& a, const Row& b) {
+    if (a[4] != b[4]) return std::get<double>(a[4]) > std::get<double>(b[4]);
+    return std::get<int64_t>(a[3]) < std::get<int64_t>(b[3]);
+  });
+  if (want.size() > 100) want.resize(100);
+  ASSERT_FALSE(want.empty());
+
+  auto single = RunQuerySingleNode(18, *db_, db_->load_ts(), false);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  ExpectSameRows(*single, want, "Q18 single-node");
+  ScanOptions col;
+  col.use_column_index = true;
+  ThreadPool pool(4);
+  auto mpp = RunQueryMpp(18, *db_, db_->load_ts(), 7, &pool, col);
+  ASSERT_TRUE(mpp.ok()) << mpp.status().ToString();
+  ExpectSameRows(*mpp, want, "Q18 MPP+column, 7 tasks");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, QuerySweep, ::testing::Range(1, 23),
