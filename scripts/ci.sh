@@ -53,9 +53,10 @@ done
 
 echo "==> asan: runtime-filter / column-join units"
 # The bloom filter and the column hash join lean on raw hashing and
-# selection-vector slicing; run their unit suites under ASan+UBSan too.
-ctest --test-dir "${PREFIX}-asan" -R 'runtime_filter_test|colindex_test' \
-  --output-on-failure
+# selection-vector slicing, and ColumnAggOp's group table indexes flat
+# arrays by computed slots; run their unit suites under ASan+UBSan too.
+ctest --test-dir "${PREFIX}-asan" \
+  -R 'runtime_filter_test|colindex_test|column_agg_test' --output-on-failure
 
 echo "==> tsan: configure + build (${PREFIX}-tsan)"
 cmake -B "${PREFIX}-tsan" "${GENERATOR_ARGS[@]}" \

@@ -1,7 +1,12 @@
 #include "src/colindex/column_index.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <functional>
 #include <mutex>
+#include <string_view>
+#include <type_traits>
 
 #include "src/storage/key_codec.h"
 
@@ -10,6 +15,7 @@ namespace polarx {
 void ColumnVector::Append(const Value& v) {
   bool null = IsNull(v);
   nulls.push_back(null);
+  null_count += null;
   switch (type) {
     case ValueType::kInt64:
       ints.push_back(null ? 0 : std::get<int64_t>(v));
@@ -133,49 +139,460 @@ size_t ColumnIndex::total_versions() const {
 
 namespace {
 
-/// A simple comparison of an indexed numeric/string column vs a literal,
-/// extracted from a conjunction for the vectorized pass.
+/// A comparison of an indexed column with a literal, extracted from a
+/// conjunction for the tight pass-2 loops.
 struct SimplePred {
   int col;
   CmpOp op;
   Value lit;
 };
 
-/// Splits `expr` into vectorizable simple predicates and a residual.
-/// Returns false if the expr is not a conjunction decomposable this way
-/// (then everything goes to the residual).
-void Decompose(const ExprPtr& expr, std::vector<SimplePred>* simple,
+/// True when the typed array of a `type` column decides a comparison with
+/// `lit` exactly as CompareValues does: int64 vs int64, double vs int64 or
+/// double (compared as doubles there too), string vs string. Other pairs
+/// (an int64 column vs 10.5 or 'x', a string column vs 5) go to the
+/// residual pass, which follows CompareValues across types.
+bool TypedLiteral(ValueType type, const Value& lit) {
+  switch (type) {
+    case ValueType::kInt64:
+      return std::holds_alternative<int64_t>(lit);
+    case ValueType::kDouble:
+      return std::holds_alternative<int64_t>(lit) ||
+             std::holds_alternative<double>(lit);
+    case ValueType::kString:
+      return std::holds_alternative<std::string>(lit);
+    default:
+      return false;
+  }
+}
+
+/// Splits the conjunction `expr` into simple predicates and residual
+/// conjuncts.
+void Decompose(const ExprPtr& expr, const std::vector<ColumnVector>& data,
+               std::vector<SimplePred>* simple,
                std::vector<ExprPtr>* residual) {
   if (expr == nullptr) return;
   if (expr->kind() == Expr::Kind::kLogic &&
       expr->logic_op() == LogicOp::kAnd) {
-    Decompose(expr->children()[0], simple, residual);
-    Decompose(expr->children()[1], simple, residual);
+    Decompose(expr->children()[0], data, simple, residual);
+    Decompose(expr->children()[1], data, simple, residual);
     return;
   }
   if (expr->kind() == Expr::Kind::kCompare) {
-    const auto& kids = expr->children();
-    if (kids[0]->kind() == Expr::Kind::kColumn &&
-        kids[1]->kind() == Expr::Kind::kLiteral) {
+    const Expr& lhs = *expr->children()[0];
+    const Expr& rhs = *expr->children()[1];
+    if (lhs.kind() == Expr::Kind::kColumn && lhs.column() >= 0 &&
+        size_t(lhs.column()) < data.size() &&
+        rhs.kind() == Expr::Kind::kLiteral &&
+        TypedLiteral(data[lhs.column()].type, rhs.literal())) {
       simple->push_back(
-          SimplePred{kids[0]->column(), expr->cmp_op(), kids[1]->literal()});
+          SimplePred{lhs.column(), expr->cmp_op(), rhs.literal()});
       return;
     }
   }
   residual->push_back(expr);
 }
 
-template <typename T, typename V>
-bool CmpScalar(CmpOp op, const T& a, const V& b) {
+/// Three-way comparison in CompareValues' order for two operands of one
+/// type (a NaN compares equal to everything, as it does there).
+template <typename T,
+          typename = std::enable_if_t<std::is_arithmetic_v<T>>>
+int Cmp3(T a, T b) {
+  return a < b ? -1 : (b < a ? 1 : 0);
+}
+int Cmp3(std::string_view a, std::string_view b) {
+  const int c = a.compare(b);
+  return (c > 0) - (c < 0);
+}
+
+constexpr bool Holds(CmpOp op, int c) {
   switch (op) {
-    case CmpOp::kEq: return a == b;
-    case CmpOp::kNe: return a != b;
-    case CmpOp::kLt: return a < b;
-    case CmpOp::kLe: return a <= b;
-    case CmpOp::kGt: return a > b;
-    case CmpOp::kGe: return a >= b;
+    case CmpOp::kEq: return c == 0;
+    case CmpOp::kNe: return c != 0;
+    case CmpOp::kLt: return c < 0;
+    case CmpOp::kLe: return c <= 0;
+    case CmpOp::kGt: return c > 0;
+    case CmpOp::kGe: return c >= 0;
   }
   return false;
+}
+
+/// Calls `f(std::integral_constant<CmpOp, op>{})`, so a loop over a
+/// selection compiles once per operator instead of switching per row.
+template <typename F>
+void WithOp(CmpOp op, F&& f) {
+  using C = CmpOp;
+  switch (op) {
+    case C::kEq: return f(std::integral_constant<C, C::kEq>{});
+    case C::kNe: return f(std::integral_constant<C, C::kNe>{});
+    case C::kLt: return f(std::integral_constant<C, C::kLt>{});
+    case C::kLe: return f(std::integral_constant<C, C::kLe>{});
+    case C::kGt: return f(std::integral_constant<C, C::kGt>{});
+    case C::kGe: return f(std::integral_constant<C, C::kGe>{});
+  }
+}
+
+/// One scalar expression over a selection, typed the way Expr::Eval types
+/// it: int64 for int64 columns and literals, Year(), and +,-,* of two int64
+/// operands; double for other arithmetic; views into the column or literal
+/// for strings and Substr(). `null[i]` marks rows where Eval is NULL.
+struct TypedVector {
+  ValueType type = ValueType::kInt64;  // kInt64, kDouble or kString
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<std::string_view> strs;
+  std::vector<uint8_t> null;
+
+  bool numeric() const { return type != ValueType::kString; }
+};
+
+void ToDoubles(TypedVector* v) {
+  if (v->type != ValueType::kInt64) return;
+  v->doubles.assign(v->ints.begin(), v->ints.end());
+  v->type = ValueType::kDouble;
+}
+
+bool EvalBoolVec(const std::vector<ColumnVector>& data, const Expr& expr,
+                 const std::vector<uint32_t>& sel, std::vector<uint8_t>* out);
+
+/// Row-at-a-time EvalBool on rows that hold only the columns `expr`
+/// references (the others stay NULL, as unreferenced cells never matter).
+void EvalBoolRows(const std::vector<ColumnVector>& data, const Expr& expr,
+                  const std::vector<uint32_t>& sel,
+                  std::vector<uint8_t>* out) {
+  std::vector<int> cols;
+  expr.CollectColumns(&cols);
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  cols.erase(std::remove_if(cols.begin(), cols.end(),
+                            [&](int c) {
+                              return c < 0 || size_t(c) >= data.size();
+                            }),
+             cols.end());
+  Row row(cols.empty() ? 0 : size_t(cols.back()) + 1);
+  out->resize(sel.size());
+  for (size_t i = 0; i < sel.size(); ++i) {
+    for (int c : cols) row[c] = data[c].Get(sel[i]);
+    (*out)[i] = expr.EvalBool(row);
+  }
+}
+
+/// Evaluates `expr` over `sel` into `out`; false when its shape is not
+/// covered (string arithmetic, comparisons used as values, a CASE whose
+/// branches differ in type, ...).
+bool EvalTyped(const std::vector<ColumnVector>& data, const Expr& expr,
+               const std::vector<uint32_t>& sel, TypedVector* out) {
+  const size_t n = sel.size();
+  out->null.assign(n, 0);
+  switch (expr.kind()) {
+    case Expr::Kind::kColumn: {
+      const int c = expr.column();
+      if (c < 0 || size_t(c) >= data.size()) return false;
+      const ColumnVector& col = data[c];
+      out->type = col.type;
+      if (col.null_count != 0) {
+        for (size_t i = 0; i < n; ++i) out->null[i] = col.nulls[sel[i]];
+      }
+      switch (col.type) {
+        case ValueType::kInt64:
+          out->ints.resize(n);
+          for (size_t i = 0; i < n; ++i) out->ints[i] = col.ints[sel[i]];
+          return true;
+        case ValueType::kDouble:
+          out->doubles.resize(n);
+          for (size_t i = 0; i < n; ++i) {
+            out->doubles[i] = col.doubles[sel[i]];
+          }
+          return true;
+        case ValueType::kString:
+          out->strs.resize(n);
+          for (size_t i = 0; i < n; ++i) out->strs[i] = col.strings[sel[i]];
+          return true;
+        default:
+          return false;
+      }
+    }
+    case Expr::Kind::kLiteral: {
+      const Value& v = expr.literal();
+      if (const auto* i = std::get_if<int64_t>(&v)) {
+        out->type = ValueType::kInt64;
+        out->ints.assign(n, *i);
+      } else if (const auto* d = std::get_if<double>(&v)) {
+        out->type = ValueType::kDouble;
+        out->doubles.assign(n, *d);
+      } else if (const auto* s = std::get_if<std::string>(&v)) {
+        out->type = ValueType::kString;
+        out->strs.assign(n, *s);
+      } else {
+        out->type = ValueType::kInt64;
+        out->ints.assign(n, 0);
+        out->null.assign(n, 1);
+      }
+      return true;
+    }
+    case Expr::Kind::kArith: {
+      TypedVector a, b;
+      if (!EvalTyped(data, *expr.children()[0], sel, &a) ||
+          !EvalTyped(data, *expr.children()[1], sel, &b) || !a.numeric() ||
+          !b.numeric()) {
+        return false;
+      }
+      for (size_t i = 0; i < n; ++i) out->null[i] = a.null[i] | b.null[i];
+      const ArithOp op = expr.arith_op();
+      if (a.type == ValueType::kInt64 && b.type == ValueType::kInt64 &&
+          op != ArithOp::kDiv) {
+        // Two's-complement wraparound, computed unsigned to stay defined.
+        out->type = ValueType::kInt64;
+        out->ints.resize(n);
+        auto run = [&](auto f) {
+          for (size_t i = 0; i < n; ++i) {
+            out->ints[i] =
+                int64_t(f(uint64_t(a.ints[i]), uint64_t(b.ints[i])));
+          }
+        };
+        if (op == ArithOp::kAdd) run(std::plus<>());
+        if (op == ArithOp::kSub) run(std::minus<>());
+        if (op == ArithOp::kMul) run(std::multiplies<>());
+        return true;
+      }
+      ToDoubles(&a);
+      ToDoubles(&b);
+      out->type = ValueType::kDouble;
+      out->doubles.resize(n);
+      auto run = [&](auto f) {
+        for (size_t i = 0; i < n; ++i) {
+          out->doubles[i] = f(a.doubles[i], b.doubles[i]);
+        }
+      };
+      switch (op) {
+        case ArithOp::kAdd: run(std::plus<>()); break;
+        case ArithOp::kSub: run(std::minus<>()); break;
+        case ArithOp::kMul: run(std::multiplies<>()); break;
+        case ArithOp::kDiv:
+          run([](double x, double y) { return y == 0 ? 0.0 : x / y; });
+          break;
+      }
+      return true;
+    }
+    case Expr::Kind::kCase: {
+      TypedVector then_v, else_v;
+      if (!EvalTyped(data, *expr.children()[1], sel, &then_v) ||
+          !EvalTyped(data, *expr.children()[2], sel, &else_v) ||
+          !then_v.numeric() || then_v.type != else_v.type) {
+        return false;
+      }
+      const Expr& cond = *expr.children()[0];
+      std::vector<uint8_t> pick;
+      if (!EvalBoolVec(data, cond, sel, &pick)) {
+        EvalBoolRows(data, cond, sel, &pick);
+      }
+      out->type = then_v.type;
+      for (size_t i = 0; i < n; ++i) {
+        out->null[i] = pick[i] ? then_v.null[i] : else_v.null[i];
+      }
+      if (out->type == ValueType::kInt64) {
+        out->ints.resize(n);
+        for (size_t i = 0; i < n; ++i) {
+          out->ints[i] = pick[i] ? then_v.ints[i] : else_v.ints[i];
+        }
+      } else {
+        out->doubles.resize(n);
+        for (size_t i = 0; i < n; ++i) {
+          out->doubles[i] = pick[i] ? then_v.doubles[i] : else_v.doubles[i];
+        }
+      }
+      return true;
+    }
+    case Expr::Kind::kYear: {
+      TypedVector d;
+      if (!EvalTyped(data, *expr.children()[0], sel, &d) || !d.numeric()) {
+        return false;
+      }
+      out->type = ValueType::kInt64;
+      out->null.swap(d.null);
+      out->ints.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        // ValueAsInt rounds a double day number, as Eval does.
+        out->ints[i] = YearOfDays(d.type == ValueType::kInt64
+                                      ? d.ints[i]
+                                      : std::llround(d.doubles[i]));
+      }
+      return true;
+    }
+    case Expr::Kind::kSubstr: {
+      TypedVector s;
+      if (expr.substr_pos() < 0 ||
+          !EvalTyped(data, *expr.children()[0], sel, &s)) {
+        return false;
+      }
+      out->type = ValueType::kString;
+      out->strs.assign(n, std::string_view());
+      if (!s.numeric()) {
+        out->null.swap(s.null);
+        const size_t pos = size_t(expr.substr_pos());
+        const size_t len = size_t(expr.substr_len());
+        for (size_t i = 0; i < n; ++i) {
+          if (pos < s.strs[i].size()) {
+            out->strs[i] = s.strs[i].substr(pos, len);
+          }
+        }
+      } else {
+        out->null.assign(n, 1);  // Substr of a number is NULL
+      }
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+/// `a <op> b` row by row with CompareValues' rules: int64 pairs compare
+/// exactly, other number pairs as doubles, strings bytewise, every number
+/// below every string, and a NULL side makes the row false.
+void CompareVectors(CmpOp op, TypedVector* a, TypedVector* b,
+                    std::vector<uint8_t>* out) {
+  const size_t n = a->null.size();
+  out->resize(n);
+  if (a->numeric() != b->numeric()) {
+    const bool holds = Holds(op, a->numeric() ? -1 : 1);
+    for (size_t i = 0; i < n; ++i) {
+      (*out)[i] = holds && !a->null[i] && !b->null[i];
+    }
+    return;
+  }
+  if (a->numeric() && a->type != b->type) {
+    ToDoubles(a);
+    ToDoubles(b);
+  }
+  WithOp(op, [&](auto k) {
+    constexpr CmpOp kOp = decltype(k)::value;
+    auto run = [&](const auto& x, const auto& y) {
+      for (size_t i = 0; i < n; ++i) {
+        (*out)[i] =
+            !a->null[i] && !b->null[i] && Holds(kOp, Cmp3(x[i], y[i]));
+      }
+    };
+    switch (a->type) {
+      case ValueType::kInt64: return run(a->ints, b->ints);
+      case ValueType::kDouble: return run(a->doubles, b->doubles);
+      default: return run(a->strs, b->strs);
+    }
+  });
+}
+
+/// `a IN (set)`: CompareValues(a, member) == 0 for some member, so numbers
+/// match numbers (int64 pairs exactly), strings match strings, and a NULL
+/// member or a NULL `a` matches nothing.
+void InVector(const std::vector<Value>& set, const TypedVector& a,
+              std::vector<uint8_t>* out) {
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<std::string_view> strs;
+  for (const Value& v : set) {
+    if (const auto* i = std::get_if<int64_t>(&v)) ints.push_back(*i);
+    if (const auto* d = std::get_if<double>(&v)) doubles.push_back(*d);
+    if (const auto* s = std::get_if<std::string>(&v)) strs.push_back(*s);
+  }
+  auto scan = [&](auto hit) {
+    out->resize(a.null.size());
+    for (size_t i = 0; i < a.null.size(); ++i) {
+      (*out)[i] = !a.null[i] && hit(i);
+    }
+  };
+  auto any_double = [&](double x) {
+    return std::any_of(doubles.begin(), doubles.end(),
+                       [x](double d) { return Cmp3(x, d) == 0; });
+  };
+  switch (a.type) {
+    case ValueType::kInt64:
+      scan([&](size_t i) {
+        return std::find(ints.begin(), ints.end(), a.ints[i]) != ints.end() ||
+               any_double(double(a.ints[i]));
+      });
+      break;
+    case ValueType::kDouble:
+      doubles.insert(doubles.end(), ints.begin(), ints.end());
+      scan([&](size_t i) { return any_double(a.doubles[i]); });
+      break;
+    default:
+      scan([&](size_t i) {
+        return std::find(strs.begin(), strs.end(), a.strs[i]) != strs.end();
+      });
+      break;
+  }
+}
+
+bool EvalBoolVec(const std::vector<ColumnVector>& data, const Expr& expr,
+                 const std::vector<uint32_t>& sel,
+                 std::vector<uint8_t>* out) {
+  const size_t n = sel.size();
+  out->assign(n, 0);
+  switch (expr.kind()) {
+    case Expr::Kind::kCompare: {
+      TypedVector a, b;
+      if (!EvalTyped(data, *expr.children()[0], sel, &a) ||
+          !EvalTyped(data, *expr.children()[1], sel, &b)) {
+        return false;
+      }
+      CompareVectors(expr.cmp_op(), &a, &b, out);
+      return true;
+    }
+    case Expr::Kind::kLogic: {
+      // Two-valued, as EvalBool: a NULL comparison is false, NOT of it
+      // true.
+      std::vector<uint8_t> a, b;
+      if (!EvalBoolVec(data, *expr.children()[0], sel, &a)) return false;
+      if (expr.logic_op() == LogicOp::kNot) {
+        for (size_t i = 0; i < n; ++i) (*out)[i] = !a[i];
+        return true;
+      }
+      if (!EvalBoolVec(data, *expr.children()[1], sel, &b)) return false;
+      for (size_t i = 0; i < n; ++i) {
+        (*out)[i] = expr.logic_op() == LogicOp::kAnd ? a[i] && b[i]
+                                                     : a[i] || b[i];
+      }
+      return true;
+    }
+    case Expr::Kind::kIn: {
+      TypedVector a;
+      if (!EvalTyped(data, *expr.children()[0], sel, &a)) return false;
+      InVector(expr.in_set(), a, out);
+      return true;
+    }
+    case Expr::Kind::kContains:
+    case Expr::Kind::kStartsWith: {
+      TypedVector s;
+      if (!EvalTyped(data, *expr.children()[0], sel, &s)) return false;
+      if (s.numeric()) return true;  // NULL for a number: false everywhere
+      const std::string_view arg = expr.str_arg();
+      const bool contains = expr.kind() == Expr::Kind::kContains;
+      for (size_t i = 0; i < n; ++i) {
+        (*out)[i] = !s.null[i] &&
+                    (contains ? s.strs[i].find(arg) != std::string_view::npos
+                              : s.strs[i].substr(0, arg.size()) == arg);
+      }
+      return true;
+    }
+    case Expr::Kind::kIsNull: {
+      TypedVector v;
+      if (!EvalTyped(data, *expr.children()[0], sel, &v)) return false;
+      out->swap(v.null);
+      return true;
+    }
+    default: {
+      // Any other scalar is true when it is a non-zero number.
+      TypedVector v;
+      if (!EvalTyped(data, expr, sel, &v)) return false;
+      if (v.type == ValueType::kInt64) {
+        for (size_t i = 0; i < n; ++i) (*out)[i] = !v.null[i] && v.ints[i];
+      } else if (v.type == ValueType::kDouble) {
+        for (size_t i = 0; i < n; ++i) {
+          (*out)[i] = !v.null[i] && v.doubles[i] != 0;
+        }
+      }
+      return true;
+    }
+  }
 }
 
 }  // namespace
@@ -191,7 +608,7 @@ void ColumnIndex::BuildSelection(Timestamp snapshot, const ExprPtr& filter,
 
   std::vector<SimplePred> simple;
   std::vector<ExprPtr> residual;
-  Decompose(filter, &simple, &residual);
+  Decompose(filter, data_, &simple, &residual);
 
   // Pass 1: visibility (vectorized).
   std::vector<uint32_t> sel;
@@ -202,67 +619,43 @@ void ColumnIndex::BuildSelection(Timestamp snapshot, const ExprPtr& filter,
     }
   }
 
-  // Pass 2: one tight loop per simple predicate, shrinking the selection.
+  // Pass 2: one tight loop per simple predicate, compacting the selection
+  // in place.
   for (const auto& pred : simple) {
     const ColumnVector& col = data_[pred.col];
-    std::vector<uint32_t> next;
-    next.reserve(sel.size());
-    switch (col.type) {
-      case ValueType::kInt64: {
-        auto lit = ValueAsInt(pred.lit);
-        if (!lit.ok()) break;
-        int64_t v = *lit;
+    size_t kept = 0;
+    auto run = [&](const auto& values, auto lit) {
+      WithOp(pred.op, [&](auto k) {
+        constexpr CmpOp kOp = decltype(k)::value;
         for (uint32_t r : sel) {
-          if (!col.nulls[r] && CmpScalar(pred.op, col.ints[r], v)) {
-            next.push_back(r);
+          if (!col.nulls[r] && Holds(kOp, Cmp3(values[r], lit))) {
+            sel[kept++] = r;
           }
         }
-        break;
-      }
-      case ValueType::kDouble: {
-        auto lit = ValueAsDouble(pred.lit);
-        if (!lit.ok()) break;
-        double v = *lit;
-        for (uint32_t r : sel) {
-          if (!col.nulls[r] && CmpScalar(pred.op, col.doubles[r], v)) {
-            next.push_back(r);
-          }
-        }
-        break;
-      }
-      case ValueType::kString: {
-        const auto* v = std::get_if<std::string>(&pred.lit);
-        if (v == nullptr) break;
-        for (uint32_t r : sel) {
-          if (!col.nulls[r] && CmpScalar(pred.op, col.strings[r], *v)) {
-            next.push_back(r);
-          }
-        }
-        break;
-      }
-      default:
-        break;
+      });
+    };
+    if (col.type == ValueType::kInt64) {
+      run(col.ints, std::get<int64_t>(pred.lit));
+    } else if (col.type == ValueType::kDouble) {
+      run(col.doubles, *ValueAsDouble(pred.lit));
+    } else {
+      run(col.strings, std::string_view(std::get<std::string>(pred.lit)));
     }
-    sel.swap(next);
+    sel.resize(kept);
   }
 
-  // Pass 3: residual predicates on materialized rows.
-  if (!residual.empty()) {
-    std::vector<uint32_t> next;
-    next.reserve(sel.size());
-    Row row(columns_.size());
-    for (uint32_t r : sel) {
-      for (size_t i = 0; i < columns_.size(); ++i) row[i] = data_[i].Get(r);
-      bool pass = true;
-      for (const auto& e : residual) {
-        if (!e->EvalBool(row)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) next.push_back(r);
+  // Pass 3: each residual conjunct on the typed arrays; a shape they do
+  // not cover runs row at a time on rows of just the columns it reads.
+  std::vector<uint8_t> keep;
+  for (const auto& e : residual) {
+    if (!EvalBoolVec(data_, *e, sel, &keep)) {
+      EvalBoolRows(data_, *e, sel, &keep);
     }
-    sel.swap(next);
+    size_t kept = 0;
+    for (size_t i = 0; i < sel.size(); ++i) {
+      if (keep[i]) sel[kept++] = sel[i];
+    }
+    sel.resize(kept);
   }
   selection->swap(sel);
 }
@@ -315,161 +708,23 @@ double ColumnIndex::SumSelected(int col,
 
 bool ColumnIndex::EvalNumericVector(const Expr& expr,
                                     const std::vector<uint32_t>& selection,
-                                    std::vector<double>* out) const {
-  out->resize(selection.size());
-  switch (expr.kind()) {
-    case Expr::Kind::kColumn: {
-      int c = expr.column();
-      if (c < 0 || size_t(c) >= data_.size()) return false;
-      const ColumnVector& col = data_[c];
-      if (col.type == ValueType::kDouble) {
-        for (size_t i = 0; i < selection.size(); ++i) {
-          (*out)[i] = col.doubles[selection[i]];
-        }
-        return true;
-      }
-      if (col.type == ValueType::kInt64) {
-        for (size_t i = 0; i < selection.size(); ++i) {
-          (*out)[i] = double(col.ints[selection[i]]);
-        }
-        return true;
-      }
-      return false;
-    }
-    case Expr::Kind::kLiteral: {
-      auto v = ValueAsDouble(expr.literal());
-      if (!v.ok()) return false;
-      std::fill(out->begin(), out->end(), *v);
-      return true;
-    }
-    case Expr::Kind::kArith: {
-      std::vector<double> lhs, rhs;
-      if (!EvalNumericVector(*expr.children()[0], selection, &lhs) ||
-          !EvalNumericVector(*expr.children()[1], selection, &rhs)) {
-        return false;
-      }
-      switch (expr.arith_op()) {
-        case ArithOp::kAdd:
-          for (size_t i = 0; i < lhs.size(); ++i) (*out)[i] = lhs[i] + rhs[i];
-          return true;
-        case ArithOp::kSub:
-          for (size_t i = 0; i < lhs.size(); ++i) (*out)[i] = lhs[i] - rhs[i];
-          return true;
-        case ArithOp::kMul:
-          for (size_t i = 0; i < lhs.size(); ++i) (*out)[i] = lhs[i] * rhs[i];
-          return true;
-        case ArithOp::kDiv:
-          for (size_t i = 0; i < lhs.size(); ++i) {
-            (*out)[i] = rhs[i] == 0 ? 0 : lhs[i] / rhs[i];
-          }
-          return true;
-      }
-      return false;
-    }
-    case Expr::Kind::kCase: {
-      // cond ? then : else, with cond evaluated row-at-a-time only when the
-      // branches vectorize (sufficient for the TPC-H CASE aggregates).
-      std::vector<double> then_v, else_v;
-      if (!EvalNumericVector(*expr.children()[1], selection, &then_v) ||
-          !EvalNumericVector(*expr.children()[2], selection, &else_v)) {
-        return false;
-      }
-      const Expr& cond = *expr.children()[0];
-      std::vector<uint8_t> cond_v;
-      if (EvalBoolVector(cond, selection, &cond_v)) {
-        for (size_t i = 0; i < selection.size(); ++i) {
-          (*out)[i] = cond_v[i] ? then_v[i] : else_v[i];
-        }
-        return true;
-      }
-      Row row(data_.size());
-      for (size_t i = 0; i < selection.size(); ++i) {
-        for (size_t c = 0; c < data_.size(); ++c) {
-          row[c] = data_[c].Get(selection[i]);
-        }
-        (*out)[i] = cond.EvalBool(row) ? then_v[i] : else_v[i];
-      }
-      return true;
-    }
-    default:
-      return false;
+                                    std::vector<double>* out,
+                                    std::vector<uint8_t>* nulls) const {
+  TypedVector v;
+  if (!EvalTyped(data_, expr, selection, &v) || !v.numeric()) return false;
+  ToDoubles(&v);
+  for (size_t i = 0; i < selection.size(); ++i) {
+    if (v.null[i]) v.doubles[i] = 0;
   }
+  out->swap(v.doubles);
+  if (nulls != nullptr) nulls->swap(v.null);
+  return true;
 }
 
 bool ColumnIndex::EvalBoolVector(const Expr& expr,
                                  const std::vector<uint32_t>& selection,
                                  std::vector<uint8_t>* out) const {
-  out->assign(selection.size(), 0);
-  switch (expr.kind()) {
-    case Expr::Kind::kCompare: {
-      const Expr& lhs = *expr.children()[0];
-      const Expr& rhs = *expr.children()[1];
-      CmpOp op = expr.cmp_op();
-      // String column vs literal compares directly on the string vector.
-      if (lhs.kind() == Expr::Kind::kColumn && lhs.column() >= 0 &&
-          size_t(lhs.column()) < data_.size() &&
-          data_[lhs.column()].type == ValueType::kString &&
-          rhs.kind() == Expr::Kind::kLiteral) {
-        const auto* lit = std::get_if<std::string>(&rhs.literal());
-        if (lit == nullptr) return false;
-        const ColumnVector& col = data_[lhs.column()];
-        for (size_t i = 0; i < selection.size(); ++i) {
-          uint32_t r = selection[i];
-          (*out)[i] = !col.nulls[r] && CmpScalar(op, col.strings[r], *lit);
-        }
-        return true;
-      }
-      std::vector<double> a, b;
-      if (!EvalNumericVector(lhs, selection, &a) ||
-          !EvalNumericVector(rhs, selection, &b)) {
-        return false;
-      }
-      // A NULL operand makes the comparison false (EvalBool semantics);
-      // the numeric vectors carry 0 for NULL slots, so check the flags.
-      std::vector<int> cols;
-      lhs.CollectColumns(&cols);
-      rhs.CollectColumns(&cols);
-      for (size_t i = 0; i < selection.size(); ++i) {
-        bool null = false;
-        for (int c : cols) {
-          if (data_[c].nulls[selection[i]]) {
-            null = true;
-            break;
-          }
-        }
-        (*out)[i] = !null && CmpScalar(op, a[i], b[i]);
-      }
-      return true;
-    }
-    case Expr::Kind::kLogic: {
-      std::vector<uint8_t> a, b;
-      switch (expr.logic_op()) {
-        case LogicOp::kAnd:
-          if (!EvalBoolVector(*expr.children()[0], selection, &a) ||
-              !EvalBoolVector(*expr.children()[1], selection, &b)) {
-            return false;
-          }
-          for (size_t i = 0; i < a.size(); ++i) (*out)[i] = a[i] && b[i];
-          return true;
-        case LogicOp::kOr:
-          if (!EvalBoolVector(*expr.children()[0], selection, &a) ||
-              !EvalBoolVector(*expr.children()[1], selection, &b)) {
-            return false;
-          }
-          for (size_t i = 0; i < a.size(); ++i) (*out)[i] = a[i] || b[i];
-          return true;
-        case LogicOp::kNot:
-          if (!EvalBoolVector(*expr.children()[0], selection, &a)) {
-            return false;
-          }
-          for (size_t i = 0; i < a.size(); ++i) (*out)[i] = !a[i];
-          return true;
-      }
-      return false;
-    }
-    default:
-      return false;
-  }
+  return EvalBoolVec(data_, expr, selection, out);
 }
 
 void ColumnIndex::HashAndFilterSelection(const std::vector<int>& key_cols,
@@ -553,6 +808,52 @@ uint32_t NextMatch(const ColumnIndex& index, const JoinHashTable& table,
   return JoinHashTable::kNoRow;
 }
 
+/// Open-addressed table of keys of `width` 64-bit words, numbering each
+/// distinct key in first-insertion order. Callers supply each key's hash.
+class KeyWordTable {
+ public:
+  explicit KeyWordTable(size_t width) : width_(width), slots_(1024, 0) {}
+
+  /// The id of `key`, inserting it as the next id if it is new.
+  uint32_t FindOrInsert(const uint64_t* key, uint64_t hash, bool* inserted) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+      const uint32_t slot = slots_[pos];
+      if (slot == 0) {
+        const uint32_t id = uint32_t(hashes_.size());
+        keys_.insert(keys_.end(), key, key + width_);
+        hashes_.push_back(hash);
+        slots_[pos] = id + 1;
+        if (hashes_.size() * 2 > slots_.size()) Grow();
+        *inserted = true;
+        return id;
+      }
+      if (hashes_[slot - 1] == hash &&
+          std::equal(key, key + width_, &keys_[(slot - 1) * width_])) {
+        *inserted = false;
+        return slot - 1;
+      }
+    }
+  }
+
+ private:
+  void Grow() {
+    std::vector<uint32_t> grown(slots_.size() * 2, 0);
+    const size_t mask = grown.size() - 1;
+    for (uint32_t id = 0; id < hashes_.size(); ++id) {
+      size_t pos = hashes_[id] & mask;
+      while (grown[pos] != 0) pos = (pos + 1) & mask;
+      grown[pos] = id + 1;
+    }
+    slots_.swap(grown);
+  }
+
+  const size_t width_;
+  std::vector<uint32_t> slots_;   // id + 1 per slot, 0 when empty
+  std::vector<uint64_t> keys_;    // width_ words per id
+  std::vector<uint64_t> hashes_;  // per id
+};
+
 }  // namespace
 
 ColumnAggOp::ColumnAggOp(const ColumnIndex* index, Timestamp snapshot_ts,
@@ -600,56 +901,78 @@ Status ColumnAggOp::Open() {
     selection.swap(kept);
   }
 
-  // Group id per selected row.
-  std::unordered_map<std::string, uint32_t> group_ids;
-  std::vector<uint32_t> row_group(selection.size());
-  std::vector<Row> group_values;
-  if (group_cols_.empty()) {
-    group_ids.emplace("", 0);
-    group_values.push_back({});
-    std::fill(row_group.begin(), row_group.end(), 0);
+  // Group id per selected row, numbered in first-seen order. A row's key
+  // is one 64-bit code word per group column (int64: the value; double:
+  // its bits; string: its bytes if short, else a code from a dictionary
+  // built here), then one NULL flag bit per column. Each column holds one
+  // type, so equal words mean equal EncodeValue keys: the groups are
+  // HashAggOp's. Codes and key hashes are computed a column at a time, so
+  // the rows' hash chains overlap instead of running one after another.
+  const size_t ncols = group_cols_.size();
+  std::vector<uint32_t> row_group(selection.size(), 0);
+  std::vector<uint32_t> group_first;  // first selected row of each group
+  if (ncols == 0) {
+    group_first.push_back(0);  // the global aggregate's one row
   } else {
-    bool int_groups = true;
-    for (int c : group_cols_) {
-      if (index_->column(c).type != ValueType::kInt64) {
-        int_groups = false;
-        break;
+    const size_t width = ncols + (ncols + 63) / 64;
+    std::vector<uint64_t> keys(selection.size() * width, 0);
+    std::vector<uint64_t> hashes(selection.size(), kKeyHashSeed);
+    for (size_t k = 0; k < ncols; ++k) {
+      const ColumnVector& col = index_->column(group_cols_[k]);
+      auto encode = [&](auto code) {
+        for (size_t i = 0; i < selection.size(); ++i) {
+          const uint32_t r = selection[i];
+          uint64_t* key = &keys[i * width];
+          if (col.nulls[r]) {
+            key[ncols + k / 64] |= uint64_t{1} << (k % 64);
+            hashes[i] = HashCombine(hashes[i], kHashTagNull);
+          } else {
+            key[k] = code(r);
+            hashes[i] = HashCombine(hashes[i], key[k]);
+          }
+        }
+      };
+      if (col.type == ValueType::kInt64) {
+        encode([&](uint32_t r) { return uint64_t(col.ints[r]); });
+      } else if (col.type == ValueType::kDouble) {
+        encode([&](uint32_t r) {
+          uint64_t bits;
+          std::memcpy(&bits, &col.doubles[r], sizeof(bits));
+          return bits;
+        });
+      } else {
+        // A string of up to 7 bytes is its own code: the bytes, and its
+        // length in the top byte. Longer strings take dictionary codes with
+        // the top bit set (find before emplace: libstdc++'s emplace
+        // allocates a node first).
+        std::unordered_map<std::string_view, uint64_t> dict;
+        encode([&](uint32_t r) {
+          const std::string_view v = col.strings[r];
+          if (v.size() < 8) {
+            uint64_t code = uint64_t(v.size()) << 56;
+            for (size_t b = 0; b < v.size(); ++b) {
+              code |= uint64_t(uint8_t(v[b])) << (8 * b);
+            }
+            return code;
+          }
+          auto it = dict.find(v);
+          if (it == dict.end()) {
+            it = dict.emplace(v, (uint64_t{1} << 63) | dict.size()).first;
+          }
+          return it->second;
+        });
       }
     }
-    EncodedKey key;
+    KeyWordTable table(width);
     for (size_t i = 0; i < selection.size(); ++i) {
-      key.clear();
-      if (int_groups) {
-        // Packed 9 bytes per column (null flag + raw bits): injective for
-        // grouping and much cheaper than the memcomparable encoding.
-        for (int c : group_cols_) {
-          const ColumnVector& col = index_->column(c);
-          uint32_t r = selection[i];
-          bool null = col.nulls[r];
-          key.push_back(null ? '\1' : '\0');
-          int64_t v = null ? 0 : col.ints[r];
-          key.append(reinterpret_cast<const char*>(&v), sizeof(v));
-        }
-      } else {
-        for (int c : group_cols_) {
-          EncodeValue(index_->column(c).Get(selection[i]), &key);
-        }
-      }
-      auto [it, inserted] =
-          group_ids.emplace(key, uint32_t(group_values.size()));
-      if (inserted) {
-        Row group;
-        group.reserve(group_cols_.size());
-        for (int c : group_cols_) {
-          group.push_back(index_->column(c).Get(selection[i]));
-        }
-        group_values.push_back(std::move(group));
-      }
-      row_group[i] = it->second;
+      bool inserted = false;
+      row_group[i] =
+          table.FindOrInsert(&keys[i * width], hashes[i], &inserted);
+      if (inserted) group_first.push_back(selection[i]);
     }
   }
 
-  const size_t ngroups = group_values.size();
+  const size_t ngroups = group_first.size();
   // Accumulate each aggregate vectorized.
   struct Acc {
     std::vector<double> sum;
@@ -666,20 +989,23 @@ Status ColumnAggOp::Open() {
       }
       continue;
     }
+    // NULL values are skipped, as HashAggOp folds them.
     std::vector<double> values;
-    if (spec.expr != nullptr &&
-        index_->EvalNumericVector(*spec.expr, selection, &values)) {
+    std::vector<uint8_t> nulls;
+    if (index_->EvalNumericVector(*spec.expr, selection, &values, &nulls)) {
       for (size_t i = 0; i < selection.size(); ++i) {
+        if (nulls[i]) continue;
         accs[a].sum[row_group[i]] += values[i];
         ++accs[a].count[row_group[i]];
       }
     } else {
       // Fallback: row-at-a-time.
       for (size_t i = 0; i < selection.size(); ++i) {
-        Row row = index_->MaterializeRow(selection[i]);
-        auto v = ValueAsDouble(spec.expr->Eval(row));
-        if (v.ok()) {
-          accs[a].sum[row_group[i]] += *v;
+        const Value v = spec.expr->Eval(index_->MaterializeRow(selection[i]));
+        if (IsNull(v)) continue;
+        auto d = ValueAsDouble(v);
+        if (spec.op == AggOp::kCount || d.ok()) {
+          accs[a].sum[row_group[i]] += d.ValueOr(0);
           ++accs[a].count[row_group[i]];
         }
       }
@@ -689,7 +1015,10 @@ Status ColumnAggOp::Open() {
   // Emit in HashAggOp-compatible layout. Min/max are not vectorized here;
   // plans that need them over a column index use ColumnScanOp + HashAggOp.
   for (size_t g = 0; g < ngroups; ++g) {
-    Row row = group_values[g];
+    Row row;
+    for (int c : group_cols_) {
+      row.push_back(index_->column(c).Get(group_first[g]));
+    }
     for (size_t a = 0; a < aggs_.size(); ++a) {
       switch (aggs_[a].op) {
         case AggOp::kCount:

@@ -11,9 +11,10 @@
 //
 // Storage is typed column vectors (int64/double/string) with insert/delete
 // timestamp arrays; updates append a new row version and tombstone the old
-// one. Scans run a vectorized visibility+predicate pass that evaluates
-// simple comparisons directly on the typed arrays, falling back to row
-// materialization only for residual predicates.
+// one. Scans decide visibility and filters on the typed arrays, and the
+// pushed-down aggregation assigns group ids from them too; a Row is
+// materialized only for output (and, row at a time, for a predicate shape
+// the vectorized evaluator does not cover, holding just its columns).
 //
 // Scans can be restricted to a contiguous row-id range (RowRange), which is
 // how MPP fragments split one index between tasks. Readers share the index
@@ -46,6 +47,7 @@ struct ColumnVector {
   std::vector<double> doubles;
   std::vector<std::string> strings;
   std::vector<bool> nulls;
+  size_t null_count = 0;
 
   size_t size() const { return nulls.size(); }
   void Append(const Value& v);
@@ -95,9 +97,12 @@ class ColumnIndex {
   // ---- scans ----
 
   /// Builds the ascending selection vector of row ids in `range` visible
-  /// at `snapshot` and passing `filter` (may be null). Simple comparisons
-  /// on numeric columns run vectorized; residual predicates evaluate on
-  /// materialized rows.
+  /// at `snapshot` and passing `filter` (may be null). Each conjunct
+  /// `column <op> literal` whose literal the column's type compares exactly
+  /// runs as one tight loop over the typed array; every other conjunct goes
+  /// through EvalBoolVector, and one it does not cover is evaluated row at
+  /// a time on rows holding only the columns it references. No full-width
+  /// row is built.
   void BuildSelection(Timestamp snapshot, const ExprPtr& filter,
                       std::vector<uint32_t>* selection,
                       RowRange range = {}) const;
@@ -117,15 +122,20 @@ class ColumnIndex {
   double SumSelected(int col, const std::vector<uint32_t>& selection) const;
 
   /// Vectorized evaluation of a numeric expression (columns, literals,
-  /// arithmetic, CASE over simple comparisons) for every selected row.
-  /// Returns false if the expression shape is unsupported (caller falls
-  /// back to row-at-a-time evaluation).
+  /// arithmetic, Year, CASE) for every selected row, as doubles. Rows
+  /// where Expr::Eval is NULL read 0 and, when `nulls` is non-null, are
+  /// flagged there. Returns false if the expression shape is unsupported
+  /// (caller falls back to row-at-a-time evaluation).
   bool EvalNumericVector(const Expr& expr,
                          const std::vector<uint32_t>& selection,
-                         std::vector<double>* out) const;
+                         std::vector<double>* out,
+                         std::vector<uint8_t>* nulls = nullptr) const;
 
-  /// Vectorized boolean evaluation over selected rows: comparisons whose
-  /// operands vectorize numerically, string column-vs-literal compares,
+  /// Vectorized boolean evaluation over selected rows, equal row for row to
+  /// Expr::EvalBool (two-valued: a comparison with NULL is false, NOT of it
+  /// true). Covers comparisons of any two int64/double/string operands
+  /// (columns, literals, arithmetic, Year, CASE, Substr) under
+  /// CompareValues' rules, IN, Contains, StartsWith, IsNull and
   /// AND/OR/NOT. Returns false when the shape is unsupported (caller falls
   /// back to row-at-a-time EvalBool).
   bool EvalBoolVector(const Expr& expr,
@@ -177,8 +187,14 @@ class ColumnIndex {
 /// Aggregation pushed down into the column index (§VI-E: "table-scan and
 /// filter ... and the first phase of aggregation are offloaded"): computes
 /// group-by aggregates directly over the typed column vectors, without
-/// materializing rows. Output layout matches HashAggOp for the same specs,
-/// so it drops into plans as a replacement for Agg(Scan(...)).
+/// materializing rows. Group ids come from one 64-bit code word per group
+/// column (int64 value, double bits, a short string's bytes or a longer
+/// one's per-Open dictionary code, NULL flag) in an open-addressed table,
+/// so groups equal HashAggOp's (EncodeValue equality: type-strict, doubles
+/// bit-exact) and are emitted in first-seen order. NULL aggregate inputs
+/// are skipped, as HashAggOp skips them. Output layout matches HashAggOp
+/// for the same specs, so it drops into plans as a replacement for
+/// Agg(Scan(...)).
 class ColumnAggOp : public Operator {
  public:
   /// Aggregates the rows of `range` only (an MPP task's slice).

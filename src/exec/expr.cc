@@ -206,16 +206,7 @@ Value Expr::Eval(const Row& row) const {
     case Kind::kYear: {
       auto d = ValueAsInt(children_[0]->Eval(row));
       if (!d.ok()) return Value{};
-      // civil_from_days (Hinnant), year component only.
-      int64_t z = *d + 719468;
-      int64_t era = (z >= 0 ? z : z - 146096) / 146097;
-      uint64_t doe = static_cast<uint64_t>(z - era * 146097);
-      uint64_t yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
-      int64_t y = static_cast<int64_t>(yoe) + era * 400;
-      uint64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-      uint64_t mp = (5 * doy + 2) / 153;
-      int64_t m = static_cast<int64_t>(mp < 10 ? mp + 3 : mp - 9);
-      return Value{y + (m <= 2 ? 1 : 0)};
+      return Value{YearOfDays(*d)};
     }
     case Kind::kSubstr: {
       Value a = children_[0]->Eval(row);
@@ -256,6 +247,19 @@ int64_t Days(int year, int month, int day) {
   unsigned doy = (153u * (month + (month > 2 ? -3 : 9)) + 2) / 5 + day - 1;
   unsigned doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
   return era * 146097LL + static_cast<int64_t>(doe) - 719468LL;
+}
+
+int64_t YearOfDays(int64_t days) {
+  // civil_from_days (Hinnant), year component only.
+  int64_t z = days + 719468;
+  int64_t era = (z >= 0 ? z : z - 146096) / 146097;
+  uint64_t doe = static_cast<uint64_t>(z - era * 146097);
+  uint64_t yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
+  int64_t y = static_cast<int64_t>(yoe) + era * 400;
+  uint64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+  uint64_t mp = (5 * doy + 2) / 153;
+  int64_t m = static_cast<int64_t>(mp < 10 ? mp + 3 : mp - 9);
+  return y + (m <= 2 ? 1 : 0);
 }
 
 }  // namespace polarx

@@ -67,6 +67,8 @@ class Expr {
   LogicOp logic_op() const { return logic_; }
   ArithOp arith_op() const { return arith_; }
   const std::string& str_arg() const { return str_arg_; }
+  int substr_pos() const { return substr_pos_; }
+  int substr_len() const { return substr_len_; }
   const std::vector<Value>& in_set() const { return in_set_; }
   const std::vector<ExprPtr>& children() const { return children_; }
 
@@ -100,5 +102,8 @@ class Expr {
 /// Encodes a calendar date as the int64 day number since 1970-01-01
 /// (proleptic Gregorian). TPC-H dates are stored and compared this way.
 int64_t Days(int year, int month, int day);
+
+/// Calendar year of a Days()-encoded date (what Expr::Year evaluates to).
+int64_t YearOfDays(int64_t days);
 
 }  // namespace polarx

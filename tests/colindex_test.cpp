@@ -9,6 +9,7 @@
 
 #include "src/clock/hlc.h"
 #include "src/colindex/column_index.h"
+#include "src/common/rng.h"
 #include "src/exec/runtime_filter.h"
 #include "src/replication/rw_ro.h"
 #include "src/storage/buffer_pool.h"
@@ -141,6 +142,299 @@ TEST(ColumnIndexTest, ResidualPredicateFallback) {
   std::vector<uint32_t> sel;
   idx.BuildSelection(100, filter, &sel);
   EXPECT_EQ(sel.size(), 5u);  // i in {3,13,23,33,43}
+}
+
+// ---- typed column path: residual filters on the typed arrays ----
+
+// id0 a1 b2 (int64) x3 y4 (double) s5 t6 (string); every column but id
+// nullable.
+Schema MixedSchema() {
+  return Schema({{"id", ValueType::kInt64, false},
+                 {"a", ValueType::kInt64, true},
+                 {"b", ValueType::kInt64, true},
+                 {"x", ValueType::kDouble, true},
+                 {"y", ValueType::kDouble, true},
+                 {"s", ValueType::kString, true},
+                 {"t", ValueType::kString, true}},
+                {0});
+}
+
+RedoRecord InsRow(Row row) {
+  RedoRecord rec;
+  rec.type = RedoType::kInsert;
+  rec.key = EncodeKey({row[0]});
+  rec.row = std::move(row);
+  return rec;
+}
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+// The selection the row path gives: visible rows of `range` (the filter-
+// free selection) whose materialized row passes Expr::EvalBool.
+std::vector<uint32_t> RowPathSelection(const ColumnIndex& idx, Timestamp snap,
+                                       const ExprPtr& filter,
+                                       RowRange range = {}) {
+  std::vector<uint32_t> visible, out;
+  idx.BuildSelection(snap, nullptr, &visible, range);
+  for (uint32_t r : visible) {
+    if (filter->EvalBool(idx.MaterializeRow(r))) out.push_back(r);
+  }
+  return out;
+}
+
+// A double literal against an int64 column compares as a double, not
+// rounded (`a <= 10.5` keeps 10, not 11), and a literal of a type the
+// column does not hold keeps every non-NULL row or none, since
+// CompareValues sorts numbers before strings.
+TEST(ColumnIndexTest, LiteralOfAnotherTypeComparesAsCompareValues) {
+  ColumnIndex idx(MixedSchema());
+  std::vector<RedoRecord> ops;
+  for (int64_t i = 0; i < 20; ++i) {
+    const bool null = i % 5 == 4;
+    ops.push_back(InsRow({i, null ? Value{} : Value{i},
+                          Value{i}, null ? Value{} : Value{double(i)},
+                          Value{0.0},
+                          null ? Value{} : Value{"s" + std::to_string(i)},
+                          Value{std::string("t")}}));
+  }
+  idx.ApplyCommit(100, ops);
+  auto count = [&](const ExprPtr& f) {
+    std::vector<uint32_t> sel;
+    idx.BuildSelection(100, f, &sel);
+    EXPECT_EQ(sel, RowPathSelection(idx, 100, f));
+    return sel.size();
+  };
+  // a is NULL for i = 4, 9, 14, 19.
+  EXPECT_EQ(count(Expr::ColCmp(CmpOp::kLe, 1, 10.5)), 9u);  // 0..10 \ {4, 9}
+  EXPECT_EQ(count(Expr::ColCmp(CmpOp::kEq, 1, 10.4)), 0u);
+  EXPECT_EQ(count(Expr::ColCmp(CmpOp::kEq, 1, 10.0)), 1u);
+  EXPECT_EQ(count(Expr::ColCmp(CmpOp::kGt, 1, 10.5)), 7u);
+  EXPECT_EQ(count(Expr::ColCmp(CmpOp::kLt, 1, std::string("x"))), 16u);
+  EXPECT_EQ(count(Expr::ColCmp(CmpOp::kGe, 1, std::string("x"))), 0u);
+  EXPECT_EQ(count(Expr::ColCmp(CmpOp::kGt, 5, int64_t{5})), 16u);
+  EXPECT_EQ(count(Expr::ColCmp(CmpOp::kNe, 5, 5.0)), 16u);
+  EXPECT_EQ(count(Expr::ColCmp(CmpOp::kLt, 5, int64_t{5})), 0u);
+  // double column vs int64 literal compares as doubles: exact here.
+  EXPECT_EQ(count(Expr::ColCmp(CmpOp::kEq, 3, int64_t{3})), 1u);
+  // A NULL literal makes every comparison false, and NOT of it true.
+  EXPECT_EQ(count(Expr::ColCmp(CmpOp::kEq, 2, Value{})), 0u);
+  EXPECT_EQ(count(Expr::Not(Expr::ColCmp(CmpOp::kEq, 2, Value{}))), 20u);
+}
+
+// int64 operands compare exactly, not through double (2^53 and 2^53 + 1
+// are the same double).
+TEST(ColumnIndexTest, Int64ComparesExactlyBeyond2Pow53) {
+  ColumnIndex idx(MixedSchema());
+  idx.ApplyCommit(100, {InsRow({int64_t{0}, kTwo53, kTwo53 + 1, Value{},
+                                Value{}, Value{}, Value{}})});
+  std::vector<uint32_t> sel;
+  idx.BuildSelection(100, nullptr, &sel);
+  ASSERT_EQ(sel.size(), 1u);
+  auto vec = [&](const ExprPtr& f) {
+    std::vector<uint8_t> out;
+    EXPECT_TRUE(idx.EvalBoolVector(*f, sel, &out));
+    EXPECT_EQ(bool(out[0]), f->EvalBool(idx.MaterializeRow(sel[0])));
+    return bool(out[0]);
+  };
+  const ExprPtr a = Expr::Col(1), b = Expr::Col(2);
+  EXPECT_TRUE(vec(Expr::Cmp(CmpOp::kLt, a, b)));
+  EXPECT_FALSE(vec(Expr::Cmp(CmpOp::kEq, a, b)));
+  EXPECT_TRUE(vec(Expr::Cmp(CmpOp::kNe, a, b)));
+  EXPECT_TRUE(vec(Expr::Cmp(CmpOp::kGt, Expr::Arith(ArithOp::kSub, b, a),
+                            Expr::Lit(int64_t{0}))));
+  EXPECT_TRUE(vec(Expr::Cmp(CmpOp::kEq, Expr::Arith(ArithOp::kAdd, a,
+                                                    Expr::Lit(int64_t{1})),
+                            b)));
+  EXPECT_TRUE(vec(Expr::In(a, {Value{kTwo53 - 1}, Value{kTwo53}})));
+  EXPECT_FALSE(vec(Expr::In(b, {Value{kTwo53}})));
+  for (CmpOp op : {CmpOp::kLt, CmpOp::kEq, CmpOp::kGe}) {
+    idx.BuildSelection(100, Expr::Cmp(op, a, b), &sel);
+    EXPECT_EQ(sel.size(), op == CmpOp::kLt ? 1u : 0u);
+    idx.BuildSelection(100, nullptr, &sel);
+  }
+  idx.BuildSelection(100, Expr::ColCmp(CmpOp::kEq, 1, kTwo53 + 1), &sel);
+  EXPECT_TRUE(sel.empty());
+}
+
+// Random rows over int64, double and string columns with NULLs, values
+// around +-2^53, -0.0 and 0.0, in three versions (inserts, updates of
+// every third id, deletes of every seventh).
+std::unique_ptr<ColumnIndex> RandomMixedIndex(uint64_t seed) {
+  Rng rng(seed);
+  auto int_val = [&]() -> Value {
+    switch (rng.Uniform(6)) {
+      case 0: return Value{};
+      case 1: return Value{kTwo53 + rng.UniformRange(-2, 2)};
+      case 2: return Value{-kTwo53 - rng.UniformRange(0, 2)};
+      case 3: return Value{rng.UniformRange(-3, 3)};
+      default: return Value{rng.UniformRange(-5, 12000)};  // days
+    }
+  };
+  auto dbl_val = [&]() -> Value {
+    switch (rng.Uniform(7)) {
+      case 0: return Value{};
+      case 1: return Value{0.0};
+      case 2: return Value{-0.0};
+      case 3: return Value{double(kTwo53) + double(2 * rng.Uniform(2))};
+      case 4: return Value{double(rng.UniformRange(-3, 3))};
+      case 5: return Value{double(rng.UniformRange(-3, 3)) + 0.5};
+      default: return Value{rng.NextDouble() * 12000 - 50};
+    }
+  };
+  static const char* kWords[] = {"",     "sp",   "special", "spare",
+                                 "foo",  "food", "bar",     "x",
+                                 "especially", "Z"};
+  auto str_val = [&]() -> Value {
+    if (rng.Uniform(6) == 0) return Value{};
+    return Value{std::string(kWords[rng.Uniform(10)])};
+  };
+  auto row = [&](int64_t id) {
+    return InsRow({id, int_val(), int_val(), dbl_val(), dbl_val(), str_val(),
+                   str_val()});
+  };
+  auto idx = std::make_unique<ColumnIndex>(MixedSchema());
+  std::vector<RedoRecord> load, updates, deletes;
+  for (int64_t id = 0; id < 600; ++id) load.push_back(row(id));
+  for (int64_t id = 0; id < 600; id += 3) updates.push_back(row(id));
+  for (int64_t id = 0; id < 600; id += 7) deletes.push_back(Del(id));
+  idx->ApplyCommit(100, load);
+  idx->ApplyCommit(200, updates);
+  idx->ApplyCommit(300, deletes);
+  return idx;
+}
+
+// Every residual shape the TPC-H plans use, and more, decides on the typed
+// arrays exactly what Expr::EvalBool decides on the materialized row: the
+// whole index, RowRange slices, and a snapshot between versions.
+TEST(ColumnIndexTest, ResidualFiltersMatchRowPathDifferentially) {
+  using E = Expr;
+  const auto a = [] { return E::Col(1); };
+  const auto b = [] { return E::Col(2); };
+  const auto x = [] { return E::Col(3); };
+  const auto y = [] { return E::Col(4); };
+  const auto s = [] { return E::Col(5); };
+  const auto t = [] { return E::Col(6); };
+  auto lit = [](Value v) { return E::Lit(std::move(v)); };
+  const std::string kX = "x";
+  struct Case {
+    std::string name;
+    ExprPtr filter;
+    bool vectorizes;
+  };
+  const std::vector<Case> cases = {
+      {"int<int", E::Cmp(CmpOp::kLt, a(), b()), true},
+      {"int==int", E::Cmp(CmpOp::kEq, a(), b()), true},
+      {"dbl<=dbl", E::Cmp(CmpOp::kLe, x(), y()), true},
+      {"dbl==dbl", E::Cmp(CmpOp::kEq, x(), y()), true},
+      {"int>dbl", E::Cmp(CmpOp::kGt, a(), x()), true},
+      {"dbl!=int", E::Cmp(CmpOp::kNe, x(), a()), true},
+      {"str<str", E::Cmp(CmpOp::kLt, s(), t()), true},
+      {"int<'x'", E::Cmp(CmpOp::kLt, a(), lit(kX)), true},
+      {"str>5", E::Cmp(CmpOp::kGt, s(), lit(int64_t{5})), true},
+      {"int<=10.5", E::Cmp(CmpOp::kLe, a(), lit(10.5)), true},
+      {"dbl==0", E::Cmp(CmpOp::kEq, x(), lit(0.0)), true},
+      {"dbl<-0", E::Cmp(CmpOp::kLt, x(), lit(-0.0)), true},
+      {"int==NULL", E::Cmp(CmpOp::kEq, a(), lit(Value{})), true},
+      {"not(int<int)", E::Not(E::Cmp(CmpOp::kLt, a(), b())), true},
+      {"in ints", E::In(a(), {Value{int64_t{1}}, Value{int64_t{-3}},
+                              Value{kTwo53 + 1}, Value{}, Value{3.0},
+                              Value{kX}}),
+       true},
+      {"in dbls", E::In(x(), {Value{int64_t{0}}, Value{2.5}, Value{}}), true},
+      {"in strs", E::In(s(), {Value{std::string("foo")},
+                              Value{std::string()}, Value{},
+                              Value{int64_t{3}}}),
+       true},
+      {"not in", E::Not(E::In(s(), {Value{std::string("bar")}})), true},
+      {"contains", E::Contains(s(), "ec"), true},
+      {"starts", E::StartsWith(t(), "sp"), true},
+      {"not like", E::Not(E::Contains(s(), "special")), true},
+      {"contains int", E::Not(E::Contains(a(), "1")), true},
+      {"or", E::Or(E::Cmp(CmpOp::kLt, a(), b()), E::Contains(s(), "x")),
+       true},
+      {"and/or/not",
+       E::And(E::Or(E::Cmp(CmpOp::kGe, x(), y()), E::IsNull(t())),
+              E::Not(E::StartsWith(s(), "fo"))),
+       true},
+      {"isnull", E::IsNull(x()), true},
+      {"not isnull", E::Not(E::IsNull(s())), true},
+      {"isnull arith", E::IsNull(E::Arith(ArithOp::kAdd, a(), x())), true},
+      {"year", E::Cmp(CmpOp::kEq, E::Year(a()), lit(int64_t{1995})), true},
+      {"year dbl", E::Cmp(CmpOp::kGe, E::Year(x()), lit(int64_t{1980})),
+       true},
+      {"in substr", E::In(E::Substr(s(), 0, 2),
+                          {Value{std::string("sp")},
+                           Value{std::string("fo")}}),
+       true},
+      {"substr==", E::Cmp(CmpOp::kEq, E::Substr(t(), 1, 3), lit("pec")),
+       true},
+      {"a-b>0", E::Cmp(CmpOp::kGt, E::Arith(ArithOp::kSub, a(), b()),
+                       lit(int64_t{0})),
+       true},
+      {"a+1>b", E::Cmp(CmpOp::kGt,
+                       E::Arith(ArithOp::kAdd, a(), lit(int64_t{1})), b()),
+       true},
+      {"2x<y", E::Cmp(CmpOp::kLt, E::Arith(ArithOp::kMul, x(), lit(2.0)),
+                      y()),
+       true},
+      {"a/b>=1", E::Cmp(CmpOp::kGe, E::Arith(ArithOp::kDiv, a(), b()),
+                        lit(int64_t{1})),
+       true},
+      {"a+x<b", E::Cmp(CmpOp::kLt, E::Arith(ArithOp::kAdd, a(), x()), b()),
+       true},
+      {"case", E::Cmp(CmpOp::kGt,
+                      E::Case(E::Cmp(CmpOp::kLt, a(), b()), x(), lit(1.0)),
+                      lit(0.5)),
+       true},
+      {"int as bool", a(), true},
+      {"arith as bool", E::Arith(ArithOp::kSub, a(), b()), true},
+      {"simple and residual",
+       E::And(E::Cmp(CmpOp::kGe, a(), lit(int64_t{0})),
+              E::And(E::Cmp(CmpOp::kLt, x(), y()),
+                     E::Cmp(CmpOp::kEq, s(), lit("foo")))),
+       true},
+      // Shapes the typed path leaves to the row-at-a-time fallback: a
+      // comparison used as a value, and a CASE mixing int64 and double.
+      {"cmp as value", E::Cmp(CmpOp::kEq, E::Cmp(CmpOp::kLt, a(), b()),
+                              lit(int64_t{1})),
+       false},
+      {"mixed case", E::Cmp(CmpOp::kGe, E::Case(E::IsNull(x()), a(), x()),
+                            lit(int64_t{0})),
+       false},
+  };
+
+  auto idx = RandomMixedIndex(2024);
+  const size_t w = idx->total_versions();
+  std::vector<RowRange> ranges = {RowRange{}};
+  for (size_t p = 0; p < 3; ++p) {
+    RowRange r;
+    r.begin = w * p / 3;
+    if (p < 2) r.end = w * (p + 1) / 3;
+    ranges.push_back(r);
+  }
+  for (const Case& c : cases) {
+    for (Timestamp snap : {Timestamp{150}, Timestamp{250}, Timestamp{350}}) {
+      for (const RowRange& range : ranges) {
+        std::vector<uint32_t> sel;
+        idx->BuildSelection(snap, c.filter, &sel, range);
+        EXPECT_EQ(sel, RowPathSelection(*idx, snap, c.filter, range))
+            << c.name << " snap=" << snap << " range=[" << range.begin
+            << "," << range.end << ")";
+      }
+      std::vector<uint32_t> visible;
+      idx->BuildSelection(snap, nullptr, &visible);
+      std::vector<uint8_t> mask;
+      ASSERT_EQ(idx->EvalBoolVector(*c.filter, visible, &mask), c.vectorizes)
+          << c.name;
+      if (!c.vectorizes) continue;
+      ASSERT_EQ(mask.size(), visible.size());
+      for (size_t i = 0; i < visible.size(); ++i) {
+        ASSERT_EQ(bool(mask[i]),
+                  c.filter->EvalBool(idx->MaterializeRow(visible[i])))
+            << c.name << " row " << visible[i];
+      }
+    }
+  }
 }
 
 TEST(ColumnIndexTest, ColumnSubsetProjection) {

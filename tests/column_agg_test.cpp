@@ -3,8 +3,13 @@
 // HashAggOp on identical data.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <set>
+
 #include "src/colindex/column_index.h"
 #include "src/common/rng.h"
+#include "src/storage/key_codec.h"
 
 namespace polarx {
 namespace {
@@ -125,6 +130,152 @@ TEST(ColumnAggTest, CaseExpressionVectorizes) {
     }
   }
   EXPECT_NEAR(std::get<double>((*rows)[0][0]), expected, 1e-6);
+}
+
+// id0 (int64) s1 (string) d2 (double) i3 (int64) j4 (int64) t5 (string)
+// v6 (double); all but id nullable.
+Schema GroupSchema() {
+  return Schema({{"id", ValueType::kInt64, false},
+                 {"s", ValueType::kString, true},
+                 {"d", ValueType::kDouble, true},
+                 {"i", ValueType::kInt64, true},
+                 {"j", ValueType::kInt64, true},
+                 {"t", ValueType::kString, true},
+                 {"v", ValueType::kDouble, true}},
+                {0});
+}
+
+// Small domains so groups repeat: strings with "" and NULL, doubles with
+// -0.0 and 0.0 (distinct groups: EncodeValue compares bits), int64 with
+// NULL and 2^53 neighbours; v (the aggregated column) is NULL in 1 of 10.
+std::unique_ptr<ColumnIndex> MakeGroupIndex(int n, Rng* rng) {
+  const std::vector<Value> strs = {Value{std::string("A")},
+                                   Value{std::string("B")},
+                                   Value{std::string("")}, Value{}};
+  const std::vector<Value> dbls = {Value{-0.0}, Value{0.0}, Value{1.5},
+                                   Value{}};
+  const int64_t big = int64_t{1} << 53;
+  const std::vector<Value> ints = {Value{int64_t{0}}, Value{int64_t{-1}},
+                                   Value{big}, Value{big + 1}, Value{}};
+  auto pick = [&](const std::vector<Value>& from) {
+    return from[rng->Uniform(from.size())];
+  };
+  std::vector<RedoRecord> ops;
+  for (int64_t id = 0; id < n; ++id) {
+    RedoRecord rec;
+    rec.type = RedoType::kInsert;
+    rec.key = EncodeKey({id});
+    rec.row = {id,
+               pick(strs),
+               pick(dbls),
+               pick(ints),
+               Value{int64_t(rng->Uniform(3))},
+               pick({Value{std::string("x")}, Value{std::string("y")}}),
+               rng->Uniform(10) == 0 ? Value{} : Value{rng->NextDouble()}};
+    ops.push_back(std::move(rec));
+  }
+  auto idx = std::make_unique<ColumnIndex>(GroupSchema());
+  idx->ApplyCommit(100, ops);
+  return idx;
+}
+
+// ColumnAggOp's groups are HashAggOp's groups over the same selection, for
+// 1 to 6 group columns of every type, and come out in first-seen order.
+TEST(ColumnAggTest, GroupsMatchHashAggAndComeInFirstSeenOrder) {
+  Rng rng(41);
+  auto idx = MakeGroupIndex(3000, &rng);
+  // A residual conjunct (IS NULL / compare) in front of the aggregation.
+  auto filter = [] {
+    return Expr::And(Expr::ColCmp(CmpOp::kNe, 4, int64_t{2}),
+                     Expr::Or(Expr::IsNull(Expr::Col(6)),
+                              Expr::ColCmp(CmpOp::kGt, 6, 0.2)));
+  };
+  std::vector<AggSpec> aggs = {
+      {AggOp::kCount, nullptr},
+      {AggOp::kSum, Expr::Col(6)},
+      {AggOp::kAvg, Expr::Col(6)},
+      {AggOp::kCount, Expr::Col(1)},  // string: the row-at-a-time fallback
+      {AggOp::kSum, Expr::Arith(ArithOp::kMul, Expr::Col(6), Expr::Lit(2.0))}};
+  const std::vector<std::vector<int>> group_sets = {
+      {1}, {2}, {3}, {1, 2}, {3, 1, 2}, {3, 1, 2, 4}, {1, 2, 3, 4, 5},
+      {5, 4, 3, 2, 1, 0}};
+  std::vector<uint32_t> sel;
+  idx->BuildSelection(100, filter(), &sel);
+  ASSERT_GT(sel.size(), 1000u);
+  for (const auto& cols : group_sets) {
+    ColumnAggOp pushed(idx.get(), 100, filter(), cols, aggs);
+    auto fast = Collect(&pushed);
+    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+
+    std::vector<ExprPtr> group_by;
+    for (int c : cols) group_by.push_back(Expr::Col(c));
+    HashAggOp reference(std::make_unique<ColumnScanOp>(idx.get(), 100,
+                                                       filter()),
+                        std::move(group_by), aggs);
+    auto slow = Collect(&reference);
+    ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+
+    // Group keys compare as EncodeValue does; aggregates to rounding.
+    auto group_key = [&](const Row& row) {
+      return EncodeKey(Row(row.begin(), row.begin() + cols.size()));
+    };
+    std::map<EncodedKey, Row> expected;
+    for (const Row& row : *slow) expected[group_key(row)] = row;
+    ASSERT_EQ(fast->size(), expected.size()) << cols.size() << " columns";
+    for (const Row& row : *fast) {
+      auto it = expected.find(group_key(row));
+      ASSERT_NE(it, expected.end()) << "unexpected group";
+      const Row& want = it->second;
+      ASSERT_EQ(row.size(), want.size());
+      for (size_t k = cols.size(); k < row.size(); ++k) {
+        if (IsNull(want[k])) {
+          EXPECT_TRUE(IsNull(row[k])) << "agg " << k;
+        } else if (std::holds_alternative<int64_t>(want[k])) {
+          EXPECT_EQ(std::get<int64_t>(row[k]), std::get<int64_t>(want[k]));
+        } else {
+          EXPECT_NEAR(std::get<double>(row[k]), std::get<double>(want[k]),
+                      1e-9 * std::max(1.0, std::abs(std::get<double>(
+                                               want[k]))));
+        }
+      }
+    }
+
+    // First-seen order over the selection.
+    std::vector<EncodedKey> first_seen;
+    std::set<EncodedKey> seen;
+    for (uint32_t r : sel) {
+      Row full = idx->MaterializeRow(r);
+      Row group;
+      for (int c : cols) group.push_back(full[c]);
+      EncodedKey key = EncodeKey(group);
+      if (seen.insert(key).second) first_seen.push_back(key);
+    }
+    std::vector<EncodedKey> emitted;
+    for (const Row& row : *fast) emitted.push_back(group_key(row));
+    EXPECT_EQ(emitted, first_seen) << cols.size() << " columns";
+  }
+
+  // -0.0 and 0.0 are two groups, as in HashAggOp.
+  ColumnAggOp by_double(idx.get(), 100, nullptr, {2},
+                        {{AggOp::kCount, nullptr}});
+  auto rows = Collect(&by_double);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 4u);  // -0.0, 0.0, 1.5, NULL
+
+  // An empty selection: no groups with GROUP BY, one row without.
+  auto none = Expr::ColCmp(CmpOp::kGt, 6, 2.0);
+  ColumnAggOp grouped(idx.get(), 100, none, {1, 2},
+                      {{AggOp::kCount, nullptr}});
+  auto empty = Collect(&grouped);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  ColumnAggOp global(idx.get(), 100, none, {},
+                     {{AggOp::kCount, nullptr}, {AggOp::kAvg, Expr::Col(6)}});
+  auto one = Collect(&global);
+  ASSERT_TRUE(one.ok());
+  ASSERT_EQ(one->size(), 1u);
+  EXPECT_EQ(std::get<int64_t>((*one)[0][0]), 0);
+  EXPECT_TRUE(IsNull((*one)[0][1]));
 }
 
 TEST(EvalNumericVectorTest, ArithmeticTree) {
