@@ -20,8 +20,11 @@
 // A failing seed is replayable with POLARX_CHAOS_SEED=<seed>.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <ostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/cn/sim_cluster.h"
@@ -287,6 +290,105 @@ TEST(ChaosRecoveryTest, GuardWithoutRecoveryLeavesBranchesInDoubt) {
   EXPECT_EQ(f.cluster->stats().recovery_resolved_commits, 0u);
   EXPECT_EQ(f.cluster->stats().recovery_resolved_aborts, 0u);
 }
+
+// ---- pinned recovery footprint: one fixed schedule per kill point, with
+// exact resolution, retry, message and event counts. The simulation is
+// deterministic, so any change to the commit or recovery message sequence
+// moves these. ----
+
+struct RecoveryFootprint {
+  uint64_t committed;
+  uint64_t aborted;
+  uint64_t recovery_resolved_commits;
+  uint64_t recovery_resolved_aborts;
+  uint64_t rpc_retries;
+  uint64_t messages;
+  uint64_t events;
+};
+
+struct RecoveryFootprintCase {
+  const char* name;
+  CommitStep kill_at;
+  bool flap_dn_leader;
+  RecoveryFootprint expected;
+};
+
+void PrintTo(const RecoveryFootprintCase& c, std::ostream* os) {
+  *os << c.name;
+}
+
+class RecoveryFootprintTest
+    : public ::testing::TestWithParam<RecoveryFootprintCase> {};
+
+TEST_P(RecoveryFootprintTest, MatchesPinnedCounts) {
+  const RecoveryFootprintCase& c = GetParam();
+  SimClusterConfig cfg;
+  cfg.seed = 5;
+  ChaosFixture f(cfg);
+
+  auto killed = std::make_shared<bool>(false);
+  ChaosFixture* fp = &f;
+  const int kill_at = int(c.kill_at);
+  *f.step_hook = [fp, killed, kill_at](int cn, int step) {
+    if (*killed || cn != 0 || step != kill_at) return;
+    *killed = true;
+    fp->CrashNode(fp->cluster->cn_node(0));
+  };
+  if (c.flap_dn_leader) {
+    NodeId flap_node = f.cluster->dn_member_nodes(1)[0];
+    f.sched.ScheduleAfter(40 * kMs, [fp, flap_node] {
+      fp->CrashNode(flap_node);
+    });
+    f.sched.ScheduleAfter(600 * kMs, [fp, flap_node] {
+      fp->RestartNode(flap_node);
+    });
+  }
+
+  auto remaining = std::make_shared<int>(3 * 8);
+  for (int cn = 0; cn < 3; ++cn) {
+    f.StartClient(cn, 8, remaining, 17 + uint64_t(cn));
+  }
+  f.RunUntil(3000 * kMs);
+  ASSERT_TRUE(*killed) << "fault never triggered";
+  CheckSurvivabilityInvariants(f.cluster.get(), 0);
+
+  const SimClusterStats& stats = f.cluster->stats();
+  RecoveryFootprint got{stats.committed,
+                        stats.aborted,
+                        stats.recovery_resolved_commits,
+                        stats.recovery_resolved_aborts,
+                        stats.rpc_retries,
+                        f.net.messages_sent(),
+                        f.sched.executed_events()};
+  const RecoveryFootprint& want = c.expected;
+  EXPECT_EQ(got.committed, want.committed);
+  EXPECT_EQ(got.aborted, want.aborted);
+  EXPECT_EQ(got.recovery_resolved_commits, want.recovery_resolved_commits);
+  EXPECT_EQ(got.recovery_resolved_aborts, want.recovery_resolved_aborts);
+  EXPECT_EQ(got.rpc_retries, want.rpc_retries);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.events, want.events);
+  if (::testing::Test::HasFailure()) {
+    std::printf("actual: {%llu, %llu, %llu, %llu, %llu, %llu, %llu}\n",
+                (unsigned long long)got.committed,
+                (unsigned long long)got.aborted,
+                (unsigned long long)got.recovery_resolved_commits,
+                (unsigned long long)got.recovery_resolved_aborts,
+                (unsigned long long)got.rpc_retries,
+                (unsigned long long)got.messages,
+                (unsigned long long)got.events);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FixedSeed, RecoveryFootprintTest,
+    ::testing::Values(
+        RecoveryFootprintCase{"KillAtAllPrepared", CommitStep::kAllPrepared,
+                              false, {16, 0, 0, 2, 0, 2578, 5182}},
+        RecoveryFootprintCase{"KillAtDecidedWithLeaderFlap",
+                              CommitStep::kDecided, true,
+                              {16, 0, 2, 0, 19, 2524, 5159}}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // ---- TSO outage: TSO-SI transactions retry with backoff then fail
 // cleanly; HLC-SI is untouched by construction ----

@@ -3,6 +3,10 @@
 // HLC-SI and TSO-SI.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ostream>
+#include <string>
+
 #include "src/cn/sim_cluster.h"
 #include "src/workload/sysbench.h"
 #include "src/workload/tpcc.h"
@@ -260,6 +264,94 @@ TEST(SimClusterTest, HlcWritesFasterThanTsoAcrossDcs) {
   double tso_mean = tso.cluster->stats().latency_us.Mean();
   EXPECT_LT(hlc_mean, tso_mean);
 }
+
+// ---------- pinned footprint ----------
+//
+// The simulation is deterministic, so a fixed-seed closed-loop run has
+// exact outcome, latency, message, byte and event counts. Any change to the
+// 2PC message sequence — an extra or reordered RPC, a changed payload size,
+// a new scheduled event — moves at least one of them.
+
+struct Footprint {
+  uint64_t committed;
+  uint64_t aborted;
+  double p50_us;
+  double p99_us;
+  double mean_us;
+  uint64_t messages;
+  uint64_t bytes;
+  uint64_t events;
+  uint64_t tso_requests;
+};
+
+struct FootprintCase {
+  const char* name;
+  TsScheme scheme;
+  SysbenchMode mode;
+  Footprint expected;
+};
+
+void PrintTo(const FootprintCase& c, std::ostream* os) { *os << c.name; }
+
+class SimClusterFootprintTest
+    : public ::testing::TestWithParam<FootprintCase> {};
+
+TEST_P(SimClusterFootprintTest, MatchesPinnedCounts) {
+  const FootprintCase& c = GetParam();
+  SimFixture f(c.scheme);
+  f.RunClosedLoop(c.mode, 6, 20, /*seed=*/11);
+  const SimClusterStats& stats = f.cluster->stats();
+  Footprint got{stats.committed,
+                stats.aborted,
+                stats.latency_us.Percentile(0.5),
+                stats.latency_us.Percentile(0.99),
+                stats.latency_us.Mean(),
+                f.net.messages_sent(),
+                f.net.bytes_sent(),
+                f.sched.executed_events(),
+                f.cluster->tso()->requests_served()};
+  const Footprint& want = c.expected;
+  EXPECT_EQ(got.committed, want.committed);
+  EXPECT_EQ(got.aborted, want.aborted);
+  EXPECT_DOUBLE_EQ(got.p50_us, want.p50_us);
+  EXPECT_DOUBLE_EQ(got.p99_us, want.p99_us);
+  EXPECT_DOUBLE_EQ(got.mean_us, want.mean_us);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.tso_requests, want.tso_requests);
+  if (::testing::Test::HasFailure()) {
+    std::printf("actual: {%llu, %llu, %.17g, %.17g, %.17g, %llu, %llu, "
+                "%llu, %llu}\n",
+                (unsigned long long)got.committed,
+                (unsigned long long)got.aborted, got.p50_us, got.p99_us,
+                got.mean_us, (unsigned long long)got.messages,
+                (unsigned long long)got.bytes,
+                (unsigned long long)got.events,
+                (unsigned long long)got.tso_requests);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FixedSeed, SimClusterFootprintTest,
+    ::testing::Values(
+        FootprintCase{"HlcSi_WriteOnly", TsScheme::kHlcSi,
+                      SysbenchMode::kWriteOnly,
+                      {118, 2, 8744.0650858195822, 10398.504414103525,
+                       8838.1355932203387, 5396, 454528, 9936, 0}},
+        FootprintCase{"HlcSi_ReadWrite", TsScheme::kHlcSi,
+                      SysbenchMode::kReadWrite,
+                      {116, 4, 18262.39584192061, 23683.397290496774,
+                       19031.03448275862, 10008, 1174464, 19012, 0}},
+        FootprintCase{"TsoSi_WriteOnly", TsScheme::kTsoSi,
+                      SysbenchMode::kWriteOnly,
+                      {119, 1, 10858.885536104048, 12365.975434639115,
+                       10266.705882352941, 5854, 471448, 10933, 239}},
+        FootprintCase{"TsoSi_ReadWrite", TsScheme::kTsoSi,
+                      SysbenchMode::kReadWrite,
+                      {117, 3, 20797.00882820705, 24731.950869278229,
+                       20783.145299145301, 10506, 1194472, 20017, 237}}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace polarx
