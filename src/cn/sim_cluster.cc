@@ -6,6 +6,7 @@
 
 #include "src/replication/redo_applier.h"
 #include "src/storage/key_codec.h"
+#include "src/txn/recovery.h"
 
 namespace polarx {
 
@@ -29,10 +30,11 @@ SimCluster::SimCluster(sim::Scheduler* sched, sim::Network* net,
                                          std::to_string(i));
       cn.hlc = std::make_unique<Hlc>(SimClockMs(sched_));
       cn.server = std::make_unique<sim::Server>(sched_, config_.cn_cores);
-      cn.coordinator_id = gms_.RegisterCoordinator(cn.dc, 0);
+      uint32_t coordinator_id = gms_.RegisterCoordinator(cn.dc, 0);
       cn.rng = Rng(config_.seed ^ (0x9E3779B97F4A7C15ULL * (cn.node + 1)));
       cn_of_node_[cn.node] = int(cns_.size());
       cns_.push_back(std::move(cn));
+      StartCoordinator(int(cns_.size()) - 1, coordinator_id);
     }
   }
   // DN instances: leader in DC (i % num_dcs), followers in the other DCs.
@@ -252,12 +254,6 @@ void SimCluster::CnRpc(int cn_index, uint64_t incarnation,
   call->send_attempt();
 }
 
-void SimCluster::StepHook(TxnPtr txn, CommitStep step) {
-  if (config_.commit_step_hook) {
-    config_.commit_step_hook(txn->cn, int(step));
-  }
-}
-
 void SimCluster::InstallTsoCoalescer(int cn_index) {
   if (config_.scheme != TsScheme::kTsoSi || !config_.tso_coalescing) return;
   cns_[cn_index].tso = std::make_unique<TsoCoalescer>(
@@ -275,29 +271,29 @@ void SimCluster::InstallTsoCoalescer(int cn_index) {
                   config_.tso_service_us, [this, count, reply] {
                     RpcReply r;
                     r.ts = tso_service_->NextBatch(count);
-                    r.ts_count = count;
                     reply(r);
                   });
             },
-            [cb](RpcReply r) { cb(r.status, r.ts, r.ts_count); });
+            [cb, count](RpcReply r) { cb(r.status, r.ts, count); });
       });
 }
 
-void SimCluster::RequestTsoTimestamp(
-    TxnPtr txn, std::function<void(Status, Timestamp)> done) {
-  CnNode& cn = cns_[txn->cn];
+void SimCluster::RequestTsoTimestamp(int cn_index, uint64_t incarnation,
+                                     ReplyFn done) {
+  CnNode& cn = cns_[cn_index];
   if (cn.tso != nullptr) {
     // Coalesced: ride (or start) the CN's shared batched fetch. FIFO
     // hand-out of strictly-increasing ranges keeps per-CN timestamps
     // strictly monotonic, same as dedicated round trips.
-    cn.tso->Request([this, txn, done](Status s, Timestamp ts) {
-      if (!CnLive(txn->cn, txn->cn_incarnation)) return;
-      done(s, ts);
+    cn.tso->Request([this, cn_index, incarnation, done](Status s,
+                                                        Timestamp ts) {
+      if (!CnLive(cn_index, incarnation)) return;
+      done(ParticipantReply{s, ts});
     });
     return;
   }
   CnRpc(
-      txn->cn, txn->cn_incarnation, [this] { return tso_node_; }, 32, 32,
+      cn_index, incarnation, [this] { return tso_node_; }, 32, 32,
       /*resolve_via_gms=*/false,
       [this](NodeId, std::function<void(RpcReply)> reply) {
         tso_server_->Execute(config_.tso_service_us, [this, reply] {
@@ -306,12 +302,11 @@ void SimCluster::RequestTsoTimestamp(
           reply(r);
         });
       },
-      [done](RpcReply r) { done(r.status, r.ts); });
+      std::move(done));
 }
 
 void SimCluster::ReplyWhenDurable(DnNode* dn, RpcReply ok,
-                                  std::function<void(RpcReply)> reply,
-                                  const char* lost_what) {
+                                  std::function<void(RpcReply)> reply) {
   if (!config_.wait_commit_durability) {
     reply(std::move(ok));  // guard mode: ack before durability (unsafe)
     return;
@@ -321,9 +316,151 @@ void SimCluster::ReplyWhenDurable(DnNode* dn, RpcReply ok,
   // watermark. The callback fires on DLSN advance, or fails if a leader
   // change truncates the log underneath it.
   dn->committer->Submit(
-      dn->leader->log()->current_lsn(),
-      [reply, ok] { reply(ok); },
-      [reply, lost_what] { reply(RpcReply{Status::Unavailable(lost_what)}); });
+      dn->leader->log()->current_lsn(), [reply, ok] { reply(ok); },
+      [reply] { reply(RpcReply{Status::Unavailable("lost to truncation")}); });
+}
+
+// ---------------------------------------------------------------------------
+// The 2PC transport: participant calls as retried CN->DN RPCs
+// ---------------------------------------------------------------------------
+
+/// CN `cn`'s TxnParticipants for one incarnation. Participants are DNs,
+/// named by engine id (the 1-based DN index).
+class SimCluster::CnParticipants : public TxnParticipants {
+ public:
+  CnParticipants(SimCluster* cluster, int cn, uint64_t incarnation)
+      : cluster_(cluster), cn_(cn), incarnation_(incarnation) {}
+
+  std::vector<uint32_t> participant_ids() const override {
+    std::vector<uint32_t> ids;
+    for (auto& dn : cluster_->dns_) ids.push_back(dn->engine_id);
+    return ids;
+  }
+  void Call(uint32_t participant, ParticipantCall call,
+            ReplyFn done) override {
+    cluster_->CallDn(cn_, incarnation_, int(participant) - 1,
+                     std::move(call), std::move(done));
+  }
+  void FetchTso(ReplyFn done) override {
+    cluster_->RequestTsoTimestamp(cn_, incarnation_, std::move(done));
+  }
+
+ private:
+  SimCluster* cluster_;
+  int cn_;
+  uint64_t incarnation_;
+};
+
+void SimCluster::StartCoordinator(int cn_index, uint32_t coordinator_id) {
+  CnNode& cn = cns_[cn_index];
+  const uint64_t inc = cn.incarnation;
+  cn.participants = std::make_unique<CnParticipants>(this, cn_index, inc);
+  cn.coord = std::make_unique<TxnCoordinator>(
+      cn.participants.get(), config_.scheme, cn.hlc.get(), coordinator_id);
+  cn.coord->set_step_hook([this, cn_index, inc](CommitStep step) {
+    if (config_.commit_step_hook) {
+      config_.commit_step_hook(cn_index, int(step));
+    }
+    return CnLive(cn_index, inc);
+  });
+}
+
+NodeId SimCluster::DnEndpoint(int dn_index) {
+  auto ep = gms_.DnEndpoint(uint32_t(dn_index));
+  return ep.ok() ? *ep : dns_[dn_index]->serving_node;
+}
+
+namespace {
+/// Request and response bytes of each participant call. They are part of
+/// the simulated cost model, so the pinned footprints depend on them.
+std::pair<size_t, size_t> WireBytes(const ParticipantCall& call) {
+  using Op = ParticipantCall::Op;
+  switch (call.op) {
+    case Op::kPrepare:
+      return {128, 64};
+    case Op::kDecideCommit:
+      return {96, 64};
+    case Op::kCommit:
+      return {call.resolving ? 96 : 128, 64};
+    case Op::kAbort:
+      return {96, 64};
+    case Op::kListUnresolved:
+      return {64, 512};
+    case Op::kDecisionOrPresumeAbort:
+      return {64, 64};
+  }
+  return {64, 64};
+}
+
+/// Whether a coordinator call that failed with `s` must be re-driven: the
+/// commit point and every phase-2 commit may already be durable, and a
+/// PREPARED branch must not outlive its live coordinator's abort.
+bool MustRedrive(const ParticipantCall& call, const Status& s) {
+  using Op = ParticipantCall::Op;
+  if (s.ok() || call.resolving) return false;
+  switch (call.op) {
+    case Op::kDecideCommit:
+      return !s.IsAborted();  // Aborted: a resolver's abort decision won
+    case Op::kCommit:
+      return !s.IsAborted() && !s.IsNotFound();
+    case Op::kAbort:
+      return s.retryable();
+    default:
+      return false;
+  }
+}
+}  // namespace
+
+void SimCluster::CallDn(int cn_index, uint64_t incarnation, int dn_index,
+                        ParticipantCall call, ReplyFn done) {
+  auto [req_bytes, resp_bytes] = WireBytes(call);
+  // Shared, so the closures the RPC layer copies per attempt stay small.
+  struct Pending {
+    ParticipantCall call;
+    ReplyFn done;
+  };
+  auto p = std::make_shared<const Pending>(
+      Pending{std::move(call), std::move(done)});
+  auto handler = [this, dn_index, p](NodeId to,
+                                     std::function<void(RpcReply)> reply) {
+    if (to != dns_[dn_index]->serving_node) {
+      reply(RpcReply{Status::NotLeader("dn leader moved")});
+      return;
+    }
+    dns_[dn_index]->server->Execute(config_.dn_op_us, [this, dn_index, p, to,
+                                                       reply] {
+      DnNode* dn = dns_[dn_index].get();
+      if (to != dn->serving_node) {
+        reply(RpcReply{Status::NotLeader("dn leader moved")});
+        return;
+      }
+      RpcReply r{ServeParticipantCall(dn->engine.get(), p->call)};
+      // Commit-path records must be durable on a majority of datacenters
+      // before the reply (§III). Asynchronous commit: no DN thread blocks.
+      if (r.await_durable) {
+        ReplyWhenDurable(dn, std::move(r), reply);
+      } else {
+        reply(std::move(r));
+      }
+    });
+  };
+  CnRpc(
+      cn_index, incarnation, [this, dn_index] { return DnEndpoint(dn_index); },
+      req_bytes, resp_bytes, /*resolve_via_gms=*/true, handler,
+      [this, cn_index, incarnation, dn_index, p](RpcReply r) {
+        if (!config_.enable_retry || !MustRedrive(p->call, r.status)) {
+          p->done(std::move(r));
+          return;
+        }
+        // Keep re-driving; the chaos plans always heal, so this terminates.
+        sched_->ScheduleAfter(
+            4 * config_.rpc_timeout_us, [this, cn_index, incarnation,
+                                         dn_index, p] {
+              if (CnLive(cn_index, incarnation)) {
+                CallDn(cn_index, incarnation, dn_index, p->call, p->done);
+              }
+            });
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -340,37 +477,26 @@ void SimCluster::SubmitTxn(int cn_index, const SysbenchTxn& txn,
   state->done = std::move(done);
   state->start_time = sched_->Now();
   state->cn_incarnation = cn.incarnation;
-  state->gid =
-      (GlobalTxnId(cn.coordinator_id) << 32) | GlobalTxnId(cn.next_global++);
+  state->dtxn = cn.coord->NewTxn();
   cn.server->Execute(config_.cn_overhead_us, [this, state] {
     if (!CnLive(state->cn, state->cn_incarnation)) return;
-    AcquireSnapshot(state);
-  });
-}
-
-void SimCluster::AcquireSnapshot(TxnPtr txn) {
-  CnNode& cn = cns_[txn->cn];
-  if (config_.scheme == TsScheme::kHlcSi) {
-    txn->snapshot_ts = cn.hlc->Now();  // ClockNow: free, local (§IV)
-    ExecuteNextOp(txn);
-    return;
-  }
-  // TSO-SI: a (possibly coalesced) round trip to the TSO in DC 0, retried
-  // with backoff. If the TSO DC stays unreachable past the deadline, the
-  // transaction fails cleanly instead of hanging.
-  RequestTsoTimestamp(txn, [this, txn](Status s, Timestamp ts) {
-    if (!s.ok()) {
-      AbortAll(txn);
-      return;
-    }
-    txn->snapshot_ts = ts;
-    ExecuteNextOp(txn);
+    // Under TSO-SI a (possibly coalesced) round trip to the TSO in DC 0,
+    // retried with backoff: if the TSO DC stays unreachable past the
+    // deadline, the transaction fails cleanly instead of hanging.
+    cns_[state->cn].coord->AcquireSnapshot(
+        &state->dtxn, [this, state](Status s) {
+          if (s.ok()) {
+            ExecuteNextOp(state);
+          } else {
+            AbortTxn(state);
+          }
+        });
   });
 }
 
 void SimCluster::ExecuteNextOp(TxnPtr txn) {
   if (txn->failed) {
-    AbortAll(txn);
+    AbortTxn(txn);
     return;
   }
   if (txn->next_op >= txn->txn.ops.size()) {
@@ -383,16 +509,17 @@ void SimCluster::ExecuteNextOp(TxnPtr txn) {
 
 void SimCluster::RunOpOnDn(TxnPtr txn, int dn_index, SysbenchOp op) {
   uint64_t vseed = uint64_t(op.key) * 1315423911ULL + txn->next_op;
-  GlobalTxnId gid = txn->gid;
-  Timestamp snapshot_ts = txn->snapshot_ts;
-  uint32_t coord = cns_[txn->cn].coordinator_id;
+  GlobalTxnId gid = txn->dtxn.global_id();
+  Timestamp snapshot_ts = txn->dtxn.snapshot_ts();
+  uint32_t coord = cns_[txn->cn].coord->coordinator_id();
   // The branch id the CN knows, captured once so every retry attempt of
   // this statement carries the same view. Invalid means the branch may not
   // exist yet — the DN dedups BeginBranch by global id, so a retried first
   // statement cannot fork a second branch.
-  auto known = txn->branches.find(dn_index);
+  const uint32_t participant = dns_[dn_index]->engine_id;
+  auto known = txn->dtxn.branches().find(participant);
   TxnId known_branch =
-      known == txn->branches.end() ? kInvalidTxnId : known->second;
+      known == txn->dtxn.branches().end() ? kInvalidTxnId : known->second;
 
   auto handler = [this, dn_index, op, vseed, gid, snapshot_ts, coord,
                   known_branch](NodeId to,
@@ -489,318 +616,32 @@ void SimCluster::RunOpOnDn(TxnPtr txn, int dn_index, SysbenchOp op) {
 
   CnRpc(
       txn->cn, txn->cn_incarnation,
-      [this, dn_index] {
-        auto ep = gms_.DnEndpoint(uint32_t(dn_index));
-        return ep.ok() ? *ep : dns_[dn_index]->serving_node;
-      },
-      256, 128, /*resolve_via_gms=*/true, handler,
-      [this, txn, dn_index](RpcReply r) {
-        if (r.branch != kInvalidTxnId) txn->branches[dn_index] = r.branch;
+      [this, dn_index] { return DnEndpoint(dn_index); }, 256, 128,
+      /*resolve_via_gms=*/true, handler, [this, txn, participant](RpcReply r) {
+        if (r.branch != kInvalidTxnId) {
+          txn->dtxn.SetBranch(participant, r.branch);
+        }
         if (!r.status.ok()) txn->failed = true;
         ExecuteNextOp(txn);
       });
 }
 
 void SimCluster::BeginCommit(TxnPtr txn) {
-  if (txn->branches.empty()) {
-    Finish(txn, true);
-    return;
-  }
   if (txn->txn.read_only) {
-    // Read-only: no 2PC, just end the branches.
-    for (auto& [dn_index, branch] : txn->branches) {
-      dns_[dn_index]->engine->Abort(branch);  // drop read-only branch state
+    // Read-only: no 2PC, just end the branches locally (no message).
+    for (const auto& [participant, branch] : txn->dtxn.branches()) {
+      dns_[participant - 1]->engine->Abort(branch);
     }
     Finish(txn, true);
     return;
   }
-  StepHook(txn, CommitStep::kBeforePrepare);
-  if (!CnLive(txn->cn, txn->cn_incarnation)) return;
-  SendPrepares(txn);
+  cns_[txn->cn].coord->CommitAsync(
+      &txn->dtxn, [this, txn](Status s) { Finish(txn, s.ok()); });
 }
 
-void SimCluster::SendPrepares(TxnPtr txn) {
-  txn->pending_acks = txn->branches.size();
-  // The first branch's DN doubles as the commit-point participant: its
-  // decision registry is where the outcome becomes durable.
-  uint32_t owner_engine = dns_[txn->branches.begin()->first]->engine_id;
-  for (auto& [dn_index, branch] : txn->branches) {
-    int dn_copy = dn_index;
-    TxnId branch_copy = branch;
-    auto handler = [this, dn_copy, branch_copy, owner_engine](
-                       NodeId to, std::function<void(RpcReply)> reply) {
-      DnNode* dn = dns_[dn_copy].get();
-      if (to != dn->serving_node) {
-        reply(RpcReply{Status::NotLeader("dn leader moved")});
-        return;
-      }
-      dn->server->Execute(config_.dn_op_us, [this, dn_copy, branch_copy,
-                                             owner_engine, to, reply] {
-        DnNode* dn = dns_[dn_copy].get();
-        if (to != dn->serving_node) {
-          reply(RpcReply{Status::NotLeader("dn leader moved")});
-          return;
-        }
-        // Idempotent: re-preparing a PREPARED branch returns its
-        // prepare_ts. A branch lost to a failover fails here (recovery
-        // presumed it aborted) and the transaction aborts.
-        auto prep = dn->engine->Prepare(branch_copy, owner_engine);
-        if (!prep.ok()) {
-          reply(RpcReply{prep.status()});
-          return;
-        }
-        // The prepare (and all the transaction's redo) must be durable on
-        // a majority of datacenters before ACKing (§III). Asynchronous
-        // commit: no DN thread blocks.
-        RpcReply r;
-        r.ts = *prep;
-        ReplyWhenDurable(dn, std::move(r), reply,
-                         "prepare lost to log truncation");
-      });
-    };
-    CnRpc(
-        txn->cn, txn->cn_incarnation,
-        [this, dn_copy] {
-          auto ep = gms_.DnEndpoint(uint32_t(dn_copy));
-          return ep.ok() ? *ep : dns_[dn_copy]->serving_node;
-        },
-        128, 64, /*resolve_via_gms=*/true, handler,
-        [this, txn](RpcReply r) {
-          if (!r.status.ok()) {
-            txn->failed = true;
-          } else {
-            txn->max_prepare_ts = std::max(txn->max_prepare_ts, r.ts);
-          }
-          if (--txn->pending_acks != 0) return;
-          if (txn->failed) {
-            AbortAll(txn);
-            return;
-          }
-          StepHook(txn, CommitStep::kAllPrepared);
-          if (!CnLive(txn->cn, txn->cn_incarnation)) return;
-          if (config_.scheme == TsScheme::kHlcSi) {
-            // §IV step 5: commit_ts = max(prepare_ts); one ClockUpdate.
-            txn->commit_ts = txn->max_prepare_ts;
-            cns_[txn->cn].hlc->Update(txn->commit_ts);
-            SendDecide(txn);
-            return;
-          }
-          // TSO-SI: another (possibly coalesced) round trip for the
-          // commit timestamp. The branches are prepared but no decision
-          // exists yet, so a TSO outage here still aborts cleanly.
-          RequestTsoTimestamp(txn, [this, txn](Status s, Timestamp ts) {
-            if (!s.ok()) {
-              AbortAll(txn);
-              return;
-            }
-            txn->commit_ts = ts;
-            SendDecide(txn);
-          });
-        });
-  }
-}
-
-void SimCluster::SendDecide(TxnPtr txn) {
-  int owner = txn->branches.begin()->first;
-  GlobalTxnId gid = txn->gid;
-  Timestamp cts = txn->commit_ts;
-  auto handler = [this, owner, gid, cts](NodeId to,
-                                         std::function<void(RpcReply)> reply) {
-    DnNode* dn = dns_[owner].get();
-    if (to != dn->serving_node) {
-      reply(RpcReply{Status::NotLeader("dn leader moved")});
-      return;
-    }
-    dn->server->Execute(config_.dn_op_us, [this, owner, gid, cts, to,
-                                           reply] {
-      DnNode* dn = dns_[owner].get();
-      if (to != dn->serving_node) {
-        reply(RpcReply{Status::NotLeader("dn leader moved")});
-        return;
-      }
-      // Commit point: first-writer-wins against an in-doubt resolver that
-      // presumed this coordinator dead. Aborted means the resolver won.
-      auto decided = dn->engine->DecideCommit(gid, cts);
-      if (!decided.ok()) {
-        reply(RpcReply{decided.status()});
-        return;
-      }
-      RpcReply r;
-      r.ts = *decided;
-      ReplyWhenDurable(dn, std::move(r), reply,
-                       "decision lost to log truncation");
-    });
-  };
-  CnRpc(
-      txn->cn, txn->cn_incarnation,
-      [this, owner] {
-        auto ep = gms_.DnEndpoint(uint32_t(owner));
-        return ep.ok() ? *ep : dns_[owner]->serving_node;
-      },
-      96, 64, /*resolve_via_gms=*/true, handler,
-      [this, txn](RpcReply r) {
-        if (r.status.ok()) {
-          txn->commit_ts = r.ts;
-          StepHook(txn, CommitStep::kDecided);
-          if (!CnLive(txn->cn, txn->cn_incarnation)) return;
-          SendCommits(txn);
-          return;
-        }
-        if (r.status.IsAborted()) {
-          // An in-doubt resolver won with an abort decision; follow it.
-          AbortAll(txn);
-          return;
-        }
-        if (config_.enable_retry) {
-          // Outcome unknown: the decision may be durable at the owner, so
-          // aborting could split the transaction. Keep re-driving; the
-          // chaos plans always heal, so this terminates.
-          sched_->ScheduleAfter(4 * config_.rpc_timeout_us, [this, txn] {
-            if (CnLive(txn->cn, txn->cn_incarnation)) SendDecide(txn);
-          });
-          return;
-        }
-        Finish(txn, false);  // guard mode: abandoned in doubt
-      });
-}
-
-void SimCluster::SendCommits(TxnPtr txn) {
-  txn->commit_acks = 0;
-  txn->pending_acks = txn->branches.size();
-  for (auto& [dn_index, branch] : txn->branches) {
-    SendCommitTo(txn, dn_index, branch);
-  }
-}
-
-void SimCluster::SendCommitTo(TxnPtr txn, int dn_index, TxnId branch) {
-  Timestamp cts = txn->commit_ts;
-  auto handler = [this, dn_index, branch, cts](
-                     NodeId to, std::function<void(RpcReply)> reply) {
-    DnNode* dn = dns_[dn_index].get();
-    if (to != dn->serving_node) {
-      reply(RpcReply{Status::NotLeader("dn leader moved")});
-      return;
-    }
-    dn->server->Execute(config_.dn_op_us, [this, dn_index, branch, cts, to,
-                                           reply] {
-      DnNode* dn = dns_[dn_index].get();
-      if (to != dn->serving_node) {
-        reply(RpcReply{Status::NotLeader("dn leader moved")});
-        return;
-      }
-      Status s = dn->engine->Commit(branch, cts);  // idempotent on retry
-      if (!s.ok()) {
-        reply(RpcReply{s});
-        return;
-      }
-      ReplyWhenDurable(dn, RpcReply{}, reply,
-                       "commit lost to log truncation");
-    });
-  };
-  CnRpc(
-      txn->cn, txn->cn_incarnation,
-      [this, dn_index] {
-        auto ep = gms_.DnEndpoint(uint32_t(dn_index));
-        return ep.ok() ? *ep : dns_[dn_index]->serving_node;
-      },
-      128, 64, /*resolve_via_gms=*/true, handler,
-      [this, txn, dn_index, branch](RpcReply r) {
-        if (!r.status.ok()) {
-          if (config_.enable_retry && !r.status.IsAborted() &&
-              !r.status.IsNotFound()) {
-            // The decision is durable; this branch MUST commit. Keep
-            // re-driving it (the branch stays prepared meanwhile, or was
-            // already committed by recovery — Commit is idempotent).
-            sched_->ScheduleAfter(4 * config_.rpc_timeout_us,
-                                  [this, txn, dn_index, branch] {
-                                    if (CnLive(txn->cn,
-                                               txn->cn_incarnation)) {
-                                      SendCommitTo(txn, dn_index, branch);
-                                    }
-                                  });
-            return;  // pending_acks stays held by this branch
-          }
-        } else {
-          ++txn->commit_acks;
-          if (txn->commit_acks == 1) {
-            StepHook(txn, CommitStep::kFirstCommitAcked);
-            if (!CnLive(txn->cn, txn->cn_incarnation)) return;
-          }
-        }
-        if (--txn->pending_acks == 0) {
-          Finish(txn, txn->commit_acks == txn->branches.size());
-        }
-      });
-}
-
-void SimCluster::AbortAll(TxnPtr txn) {
-  // Presumed abort: no commit decision was (or can any longer be) written
-  // for this transaction. The abort must land on each branch's SERVING
-  // engine and replicate before it counts: an abort applied to a crashed
-  // leader's in-memory engine is lost, and the durably PREPARED branch
-  // would resurrect on promotion with nobody left to resolve it (recovery
-  // only covers dead coordinators).
-  if (txn->branches.empty()) {
-    Finish(txn, false);
-    return;
-  }
-  txn->pending_acks = txn->branches.size();
-  for (auto& [dn_index, branch] : txn->branches) {
-    SendAbortTo(txn, dn_index, branch);
-  }
-}
-
-void SimCluster::SendAbortTo(TxnPtr txn, int dn_index, TxnId branch) {
-  auto handler = [this, dn_index, branch](
-                     NodeId to, std::function<void(RpcReply)> reply) {
-    DnNode* dn = dns_[dn_index].get();
-    if (to != dn->serving_node) {
-      reply(RpcReply{Status::NotLeader("dn leader moved")});
-      return;
-    }
-    dn->server->Execute(config_.dn_op_us, [this, dn_index, branch, to,
-                                           reply] {
-      DnNode* dn = dns_[dn_index].get();
-      if (to != dn->serving_node) {
-        reply(RpcReply{Status::NotLeader("dn leader moved")});
-        return;
-      }
-      Status s = dn->engine->Abort(branch);  // idempotent on retry
-      if (s.IsNotFound()) {
-        // The branch died unprepared with a failed-over leader: nothing
-        // durable to undo.
-        reply(RpcReply{});
-        return;
-      }
-      if (!s.ok()) {
-        reply(RpcReply{s});
-        return;
-      }
-      ReplyWhenDurable(dn, RpcReply{}, reply,
-                       "abort lost to log truncation");
-    });
-  };
-  CnRpc(
-      txn->cn, txn->cn_incarnation,
-      [this, dn_index] {
-        auto ep = gms_.DnEndpoint(uint32_t(dn_index));
-        return ep.ok() ? *ep : dns_[dn_index]->serving_node;
-      },
-      96, 64, /*resolve_via_gms=*/true, handler,
-      [this, txn, dn_index, branch](RpcReply r) {
-        if (!r.status.ok() && config_.enable_retry && r.status.retryable()) {
-          // A PREPARED branch must not outlive its live coordinator's
-          // abort; keep re-driving until the (healed) leader takes it.
-          sched_->ScheduleAfter(4 * config_.rpc_timeout_us,
-                                [this, txn, dn_index, branch] {
-                                  if (CnLive(txn->cn, txn->cn_incarnation)) {
-                                    SendAbortTo(txn, dn_index, branch);
-                                  }
-                                });
-          return;  // pending_acks stays held by this branch
-        }
-        if (--txn->pending_acks == 0) Finish(txn, false);
-      });
+void SimCluster::AbortTxn(TxnPtr txn) {
+  cns_[txn->cn].coord->AbortAsync(
+      &txn->dtxn, [this, txn](Status) { Finish(txn, false); });
 }
 
 void SimCluster::Finish(TxnPtr txn, bool ok) {
@@ -822,7 +663,9 @@ void SimCluster::Finish(TxnPtr txn, bool ok) {
 
 void SimCluster::HeartbeatTick() {
   for (auto& cn : cns_) {
-    if (cn.alive) gms_.CoordinatorHeartbeat(cn.coordinator_id, sched_->Now());
+    if (cn.alive) {
+      gms_.CoordinatorHeartbeat(cn.coord->coordinator_id(), sched_->Now());
+    }
   }
   sched_->ScheduleAfter(config_.cn_heartbeat_us, [this] { HeartbeatTick(); });
 }
@@ -894,18 +737,6 @@ void SimCluster::Promote(int dn_index, PaxosMember* member) {
 // In-doubt recovery: resolving branches orphaned by dead coordinators
 // ---------------------------------------------------------------------------
 
-struct SimCluster::RecoverySweep {
-  std::set<uint32_t> dead;
-  /// One global transaction's branches as discovered across the DNs.
-  struct Global {
-    uint32_t owner = 0;  // commit-point engine id (0: never prepared)
-    std::map<int, TxnId> branches;  // dn index -> branch
-  };
-  std::map<GlobalTxnId, Global> globals;
-  size_t pending = 0;
-  bool all_listings_ok = true;
-};
-
 int SimCluster::FirstAliveCn() const {
   for (size_t i = 0; i < cns_.size(); ++i) {
     if (cns_[i].alive) return int(i);
@@ -929,220 +760,18 @@ void SimCluster::RecoveryTick() {
   recovery_in_flight_ = true;
   recovery_cn_ = cn;
   recovery_cn_inc_ = cns_[cn].incarnation;
-  auto sweep = std::make_shared<RecoverySweep>();
-  sweep->dead.insert(dead.begin(), dead.end());
-  RecoveryCollect(cn, recovery_cn_inc_, sweep);
-}
-
-void SimCluster::RecoveryCollect(int cn_index, uint64_t inc,
-                                 std::shared_ptr<RecoverySweep> sweep) {
-  sweep->pending = dns_.size();
-  for (int i = 0; i < int(dns_.size()); ++i) {
-    auto handler = [this, i, sweep](NodeId to,
-                                    std::function<void(RpcReply)> reply) {
-      DnNode* dn = dns_[i].get();
-      if (to != dn->serving_node) {
-        reply(RpcReply{Status::NotLeader("dn leader moved")});
-        return;
-      }
-      dn->server->Execute(config_.dn_op_us, [this, i, sweep, to, reply] {
-        DnNode* dn = dns_[i].get();
-        if (to != dn->serving_node) {
-          reply(RpcReply{Status::NotLeader("dn leader moved")});
-          return;
+  std::set<uint32_t> dead_ids(dead.begin(), dead.end());
+  InDoubtResolver(cns_[cn].participants.get())
+      .ResolveAsync(dead_ids, [this, dead_ids](ResolutionStats s) {
+        stats_.recovery_resolved_commits += s.branches_committed;
+        stats_.recovery_resolved_aborts += s.branches_aborted;
+        // Only a sweep that found nothing left, with every DN answering,
+        // may reap these expired incarnations — a failed listing could be
+        // hiding branches.
+        if (s.complete && s.branches_found == 0) {
+          for (uint32_t id : dead_ids) gms_.UnregisterCoordinator(id);
         }
-        RpcReply r;
-        // Unresolved branches owned by expired coordinator incarnations:
-        // prepared ones are in doubt, active ones hold row locks that
-        // their (dead) coordinator will never release.
-        for (const TxnInfo& info : dn->engine->TxnsSnapshot()) {
-          if (info.global_id == kInvalidGlobalTxnId) continue;
-          if (info.state != ::polarx::TxnState::kActive &&
-              info.state != ::polarx::TxnState::kPrepared) {
-            continue;
-          }
-          if (sweep->dead.count(info.coordinator) == 0) continue;
-          TxnInfo meta = info;
-          meta.writes.clear();  // listing needs identity, not payloads
-          r.in_doubt.push_back(std::move(meta));
-        }
-        reply(r);
-      });
-    };
-    CnRpc(
-        cn_index, inc,
-        [this, i] {
-          auto ep = gms_.DnEndpoint(uint32_t(i));
-          return ep.ok() ? *ep : dns_[i]->serving_node;
-        },
-        64, 512, /*resolve_via_gms=*/true, handler,
-        [this, cn_index, inc, i, sweep](RpcReply r) {
-          if (r.status.ok()) {
-            for (const TxnInfo& info : r.in_doubt) {
-              auto& g = sweep->globals[info.global_id];
-              if (info.commit_owner != 0) g.owner = info.commit_owner;
-              g.branches[i] = info.id;
-            }
-          } else {
-            sweep->all_listings_ok = false;  // retried on a later tick
-          }
-          if (--sweep->pending != 0) return;
-          if (sweep->globals.empty()) {
-            // Nothing left in doubt. Only if every DN answered can these
-            // expired incarnations be reaped — a failed listing could be
-            // hiding branches.
-            if (sweep->all_listings_ok) {
-              for (uint32_t id : sweep->dead) gms_.UnregisterCoordinator(id);
-            }
-            recovery_in_flight_ = false;
-            return;
-          }
-          RecoveryResolveGlobals(cn_index, inc, sweep);
-        });
-  }
-}
-
-void SimCluster::RecoveryResolveGlobals(int cn_index, uint64_t inc,
-                                        std::shared_ptr<RecoverySweep> sweep) {
-  sweep->pending = sweep->globals.size();
-  auto finish_one = [this, sweep] {
-    if (--sweep->pending == 0) recovery_in_flight_ = false;
-  };
-  for (auto& entry : sweep->globals) {
-    GlobalTxnId gid = entry.first;
-    RecoverySweep::Global* g = &entry.second;
-    // A transaction with NO prepared branch (owner unknown) cannot have a
-    // commit decision anywhere — the coordinator decides only after every
-    // branch acked prepare — so its branches abort directly.
-    if (g->owner == 0) {
-      sweep->pending += g->branches.size() - 1;  // gid slot -> its branches
-      for (auto& [dn_index, branch] : g->branches) {
-        RecoveryResolveBranch(cn_index, inc, dn_index, branch,
-                              /*commit=*/false, 0, finish_one);
-      }
-      continue;
-    }
-    int owner_dn = int(g->owner) - 1;
-    auto handler = [this, owner_dn, gid](NodeId to,
-                                         std::function<void(RpcReply)> reply) {
-      DnNode* dn = dns_[owner_dn].get();
-      if (to != dn->serving_node) {
-        reply(RpcReply{Status::NotLeader("dn leader moved")});
-        return;
-      }
-      dn->server->Execute(config_.dn_op_us, [this, owner_dn, gid, to,
-                                             reply] {
-        DnNode* dn = dns_[owner_dn].get();
-        if (to != dn->serving_node) {
-          reply(RpcReply{Status::NotLeader("dn leader moved")});
-          return;
-        }
-        // Follow an existing decision, else durably record presumed-abort
-        // BEFORE any branch is touched — if the "dead" coordinator is
-        // merely partitioned and races us with DecideCommit, exactly one
-        // side wins the registry and the other follows.
-        auto existing = dn->engine->DecisionOf(gid);
-        if (existing.ok()) {
-          RpcReply r;
-          r.has_decision = true;
-          r.decision = *existing;
-          reply(r);
-          return;
-        }
-        Status s = dn->engine->DecideAbort(gid);
-        if (s.IsConflict()) {
-          // Lost the race to a concurrent DecideCommit: follow it.
-          ++stats_.recovery_decide_races;
-          auto won = dn->engine->DecisionOf(gid);
-          if (!won.ok()) {
-            reply(RpcReply{won.status()});
-            return;
-          }
-          RpcReply r;
-          r.has_decision = true;
-          r.decision = *won;
-          reply(r);
-          return;
-        }
-        if (!s.ok()) {
-          reply(RpcReply{s});
-          return;
-        }
-        RpcReply r;
-        r.has_decision = true;
-        r.decision = CommitDecision{};  // abort
-        ReplyWhenDurable(dn, std::move(r), reply,
-                         "decision lost to log truncation");
-      });
-    };
-    CnRpc(
-        cn_index, inc,
-        [this, owner_dn] {
-          auto ep = gms_.DnEndpoint(uint32_t(owner_dn));
-          return ep.ok() ? *ep : dns_[owner_dn]->serving_node;
-        },
-        64, 64, /*resolve_via_gms=*/true, handler,
-        [this, cn_index, inc, g, sweep, finish_one](RpcReply r) {
-          if (!r.status.ok() || !r.has_decision) {
-            finish_one();  // retried on a later tick
-            return;
-          }
-          sweep->pending += g->branches.size() - 1;
-          for (auto& [dn_index, branch] : g->branches) {
-            RecoveryResolveBranch(cn_index, inc, dn_index, branch,
-                                  r.decision.commit, r.decision.commit_ts,
-                                  finish_one);
-          }
-        });
-  }
-}
-
-void SimCluster::RecoveryResolveBranch(int cn_index, uint64_t inc,
-                                       int dn_index, TxnId branch,
-                                       bool commit, Timestamp commit_ts,
-                                       std::function<void()> finish_one) {
-  auto handler = [this, dn_index, branch, commit, commit_ts](
-                     NodeId to, std::function<void(RpcReply)> reply) {
-    DnNode* dn = dns_[dn_index].get();
-    if (to != dn->serving_node) {
-      reply(RpcReply{Status::NotLeader("dn leader moved")});
-      return;
-    }
-    dn->server->Execute(config_.dn_op_us, [this, dn_index, branch, commit,
-                                           commit_ts, to, reply] {
-      DnNode* dn = dns_[dn_index].get();
-      if (to != dn->serving_node) {
-        reply(RpcReply{Status::NotLeader("dn leader moved")});
-        return;
-      }
-      // Commit/Abort are idempotent, so a branch the (revived) coordinator
-      // or an earlier sweep already resolved replies Ok.
-      Status s = commit ? dn->engine->Commit(branch, commit_ts)
-                        : dn->engine->Abort(branch);
-      if (!s.ok()) {
-        reply(RpcReply{s});
-        return;
-      }
-      ReplyWhenDurable(dn, RpcReply{}, reply,
-                       "resolution lost to log truncation");
-    });
-  };
-  CnRpc(
-      cn_index, inc,
-      [this, dn_index] {
-        auto ep = gms_.DnEndpoint(uint32_t(dn_index));
-        return ep.ok() ? *ep : dns_[dn_index]->serving_node;
-      },
-      96, 64, /*resolve_via_gms=*/true, handler,
-      [this, commit, finish_one](RpcReply r) {
-        if (r.status.ok()) {
-          if (commit) {
-            ++stats_.recovery_resolved_commits;
-          } else {
-            ++stats_.recovery_resolved_aborts;
-          }
-        }
-        finish_one();
+        recovery_in_flight_ = false;
       });
 }
 
@@ -1171,8 +800,8 @@ void SimCluster::HandleNodeRestart(NodeId node) {
     // registered and unheartbeated — it must keep showing up as expired
     // until recovery has resolved every transaction it left behind, and
     // only recovery reaps it.
-    cn.coordinator_id = gms_.RegisterCoordinator(cn.dc, sched_->Now());
-    cn.next_global = 1;
+    StartCoordinator(it->second,
+                     gms_.RegisterCoordinator(cn.dc, sched_->Now()));
     // Fresh coalescer: grants queued by the previous incarnation die with
     // the old instance (their requesters are gone).
     InstallTsoCoalescer(it->second);

@@ -15,10 +15,13 @@
 // Survivability layer (chaos experiments): every CN-originated RPC goes
 // through a retry loop (capped exponential backoff with deterministic
 // jitter, per-attempt timeout, overall deadline — src/common/retry.h),
-// re-resolving the DN leader through GMS on kNotLeader/timeouts. CNs hold
-// GMS leases; when a coordinator's lease lapses, a surviving CN resolves
-// its in-doubt prepared branches through the commit-point decision registry
-// (src/txn/engine.h, src/txn/recovery.h describe the protocol). DN leader
+// re-resolving the DN leader through GMS on kNotLeader/timeouts.
+//
+// 2PC and in-doubt recovery are not implemented here: each CN runs the
+// TxnCoordinator state machine (src/txn/distributed.h) and, when another
+// coordinator's GMS lease lapses, the InDoubtResolver (src/txn/recovery.h),
+// both over this cluster's TxnParticipants transport, which sends every
+// participant call as one retried RPC to the DN's serving leader. DN leader
 // crashes are detected by a failover monitor that promotes the newly
 // elected Paxos leader: catalog and transaction state are rebuilt from its
 // replicated redo log (RedoApplier + TxnEngine::RecoverState) and the GMS
@@ -28,7 +31,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "src/clock/hlc.h"
@@ -47,15 +49,6 @@
 #include "src/workload/sysbench.h"
 
 namespace polarx {
-
-/// 2PC step boundaries reported to SimClusterConfig::commit_step_hook —
-/// the exact instants chaos tests kill coordinators at.
-enum class CommitStep : int {
-  kBeforePrepare = 1,   // write txn entering 2PC, nothing sent yet
-  kAllPrepared = 2,     // every branch ACKed prepare; decision not recorded
-  kDecided = 3,         // commit point durable; no commit fanned out yet
-  kFirstCommitAcked = 4 // one branch committed, others still prepared
-};
 
 struct SimClusterConfig {
   int num_dcs = 3;
@@ -119,7 +112,6 @@ struct SimClusterStats {
   uint64_t leader_failovers = 0;      // DN serving-leader promotions
   uint64_t recovery_resolved_commits = 0;  // branches committed by recovery
   uint64_t recovery_resolved_aborts = 0;   // branches aborted by recovery
-  uint64_t recovery_decide_races = 0;      // DecideAbort lost to a commit
   Histogram latency_us;
 };
 
@@ -161,7 +153,7 @@ class SimCluster {
   NodeId cn_node(int cn_index) const { return cns_[cn_index].node; }
   bool cn_alive(int cn_index) const { return cns_[cn_index].alive; }
   uint32_t cn_coordinator_id(int cn_index) const {
-    return cns_[cn_index].coordinator_id;
+    return cns_[cn_index].coord->coordinator_id();
   }
   /// All network nodes of DN group `dn_index` (leader + followers).
   std::vector<NodeId> dn_member_nodes(int dn_index) const;
@@ -205,13 +197,15 @@ class SimCluster {
     /// Bumped on restart: continuations captured before a crash check this
     /// and drop themselves (a restarted CN has no memory of old txns).
     uint64_t incarnation = 1;
-    uint32_t coordinator_id = 0;
-    uint64_t next_global = 1;
     Rng rng{0};  // retry jitter seeds (reseeded in ctor)
     /// TSO-SI: shares one in-flight batched timestamp fetch across this
     /// CN's concurrent requesters. Recreated on restart (queued grants
     /// from the previous incarnation are dropped with the old instance).
     std::unique_ptr<TsoCoalescer> tso;
+    /// This incarnation's transport and 2PC coordinator. A restart creates
+    /// new ones under a NEW coordinator id.
+    std::unique_ptr<TxnParticipants> participants;
+    std::unique_ptr<TxnCoordinator> coord;
   };
   struct DnNode {
     DcId dc;
@@ -245,35 +239,29 @@ class SimCluster {
     std::unique_ptr<sim::Server> server;
   };
 
-  /// In-flight distributed transaction state (coordinator side).
+  class CnParticipants;
+
+  /// One sysbench transaction in flight on its CN.
   struct TxnState {
     int cn;
     uint64_t cn_incarnation = 0;
-    GlobalTxnId gid = kInvalidGlobalTxnId;
     SysbenchTxn txn;
     size_t next_op = 0;
-    Timestamp snapshot_ts = 0;
-    std::map<int, TxnId> branches;  // dn index -> branch txn
-    Timestamp max_prepare_ts = 0;
-    Timestamp commit_ts = 0;
-    size_t pending_acks = 0;
-    size_t commit_acks = 0;
-    bool failed = false;
+    bool failed = false;  // a statement failed: abort instead of commit
     sim::SimTime start_time = 0;
     std::function<void(bool, sim::SimTime)> done;
+    DistributedTxn dtxn;  // global id, snapshot, branches
   };
   using TxnPtr = std::shared_ptr<TxnState>;
 
   /// Wire format of an RPC reply (passed by value through the network
-  /// closures; fields used depend on the RPC).
-  struct RpcReply {
-    Status status;
-    Timestamp ts = 0;
-    uint32_t ts_count = 1;  // batched TSO fetch: size of the granted range
+  /// closures): a participant reply, plus the branch a statement ran on.
+  struct RpcReply : ParticipantReply {
+    using ParticipantReply::ParticipantReply;
+    RpcReply() = default;
+    RpcReply(ParticipantReply r)  // NOLINT(runtime/explicit)
+        : ParticipantReply(std::move(r)) {}
     TxnId branch = kInvalidTxnId;
-    bool has_decision = false;
-    CommitDecision decision;
-    std::vector<TxnInfo> in_doubt;  // recovery: prepared-branch listing
   };
   /// Runs server-side at the addressed node; must call the continuation
   /// exactly once (possibly asynchronously, e.g. after a DLSN advance).
@@ -295,13 +283,25 @@ class SimCluster {
     return cns_[cn_index].alive &&
            cns_[cn_index].incarnation == incarnation;
   }
-  void StepHook(TxnPtr txn, CommitStep step);
+  /// Creates CN `cn_index`'s transport and coordinator for its current
+  /// incarnation (ctor / restart).
+  void StartCoordinator(int cn_index, uint32_t coordinator_id);
+  /// GMS's endpoint for DN `dn_index` (its serving leader as last known).
+  NodeId DnEndpoint(int dn_index);
+  /// One participant call from CN `cn_index` to DN `dn_index`: a CnRpc
+  /// whose handler checks the serving leader on arrival and after the
+  /// dn_op_us service time, runs ServeParticipantCall on the serving
+  /// engine, and replies once any logged record is durable. A coordinator
+  /// call after the commit point is re-driven every 4 rpc timeouts until
+  /// it lands (with retries enabled); otherwise the final failure is
+  /// handed back.
+  void CallDn(int cn_index, uint64_t incarnation, int dn_index,
+              ParticipantCall call, ReplyFn done);
 
-  /// Fetches one TSO timestamp for `txn` — through the CN's coalescer
-  /// when enabled, else a dedicated round trip. `done` runs only if the
-  /// CN is still the same incarnation.
-  void RequestTsoTimestamp(TxnPtr txn,
-                           std::function<void(Status, Timestamp)> done);
+  /// Fetches one TSO timestamp — through the CN's coalescer when enabled,
+  /// else a dedicated round trip. `done` runs only if the CN is still the
+  /// same incarnation.
+  void RequestTsoTimestamp(int cn_index, uint64_t incarnation, ReplyFn done);
   /// Installs the serving engine's durability hook and TsoCoalescer for a
   /// freshly created CN (ctor / restart).
   void InstallTsoCoalescer(int cn_index);
@@ -309,19 +309,12 @@ class SimCluster {
   /// majority-durable (the asynchronous-commit wait), or replies
   /// immediately when `wait_commit_durability` is off (guard mode).
   void ReplyWhenDurable(DnNode* dn, RpcReply ok,
-                        std::function<void(RpcReply)> reply,
-                        const char* lost_what);
+                        std::function<void(RpcReply)> reply);
 
-  void AcquireSnapshot(TxnPtr txn);
   void ExecuteNextOp(TxnPtr txn);
   void RunOpOnDn(TxnPtr txn, int dn_index, SysbenchOp op);
   void BeginCommit(TxnPtr txn);
-  void SendPrepares(TxnPtr txn);
-  void SendDecide(TxnPtr txn);
-  void SendCommits(TxnPtr txn);
-  void SendCommitTo(TxnPtr txn, int dn_index, TxnId branch);
-  void AbortAll(TxnPtr txn);
-  void SendAbortTo(TxnPtr txn, int dn_index, TxnId branch);
+  void AbortTxn(TxnPtr txn);
   void Finish(TxnPtr txn, bool ok);
 
   // ---- background daemons (direct scheduler ticks; they draw no network
@@ -332,14 +325,6 @@ class SimCluster {
   void MaybePromote(int dn_index);
   void Promote(int dn_index, PaxosMember* member);
   void RecoveryTick();
-  struct RecoverySweep;
-  void RecoveryCollect(int cn_index, uint64_t inc,
-                       std::shared_ptr<RecoverySweep> sweep);
-  void RecoveryResolveGlobals(int cn_index, uint64_t inc,
-                              std::shared_ptr<RecoverySweep> sweep);
-  void RecoveryResolveBranch(int cn_index, uint64_t inc, int dn_index,
-                             TxnId branch, bool commit, Timestamp commit_ts,
-                             std::function<void()> finish_one);
   int FirstAliveCn() const;
 
   sim::Scheduler* sched_;

@@ -16,45 +16,367 @@ constexpr int kMaxPreparedWaitRetries = 64;
 /// sharing an engine must never collide in its BeginBranch dedup map. Auto
 /// ids start high to stay clear of registry-assigned ids.
 std::atomic<uint32_t> g_auto_coordinator_id{1u << 20};
+
+using Op = ParticipantCall::Op;
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Participant side
+// ---------------------------------------------------------------------------
+
+ParticipantReply ServeParticipantCall(TxnEngine* engine,
+                                      const ParticipantCall& call) {
+  ParticipantReply r;
+  switch (call.op) {
+    case Op::kPrepare: {
+      // Idempotent: re-preparing a PREPARED branch returns its prepare_ts.
+      // A branch lost to a failover fails here (recovery presumed it
+      // aborted) and the transaction aborts.
+      Result<Timestamp> prep = engine->Prepare(call.branch, call.commit_owner);
+      r.status = prep.status();
+      if (prep.ok()) r.ts = *prep;
+      break;
+    }
+    case Op::kDecideCommit: {
+      // Commit point: first-writer-wins against an in-doubt resolver that
+      // presumed the coordinator dead. Aborted means the resolver won.
+      Result<Timestamp> decided =
+          engine->DecideCommit(call.global_id, call.commit_ts);
+      r.status = decided.status();
+      if (decided.ok()) r.ts = *decided;
+      break;
+    }
+    case Op::kCommit:
+      r.status = engine->Commit(call.branch, call.commit_ts);  // idempotent
+      break;
+    case Op::kAbort:
+      r.status = engine->Abort(call.branch);  // idempotent
+      // The branch died unprepared with a failed-over leader: nothing
+      // durable to undo.
+      if (r.status.IsNotFound()) return ParticipantReply{};
+      break;
+    case Op::kListUnresolved:
+      // Unresolved branches of the dead coordinator incarnations: prepared
+      // ones are in doubt, active ones hold row locks that their (dead)
+      // coordinator will never release.
+      for (TxnInfo& info : engine->TxnsSnapshot()) {
+        if (info.global_id == kInvalidGlobalTxnId) continue;
+        if (info.state != TxnState::kActive &&
+            info.state != TxnState::kPrepared) {
+          continue;
+        }
+        if (call.dead_coordinators.count(info.coordinator) == 0) continue;
+        r.unresolved.push_back(std::move(info));
+      }
+      return r;
+    case Op::kDecisionOrPresumeAbort: {
+      // Follow an existing decision, else durably record presumed-abort
+      // BEFORE any branch is touched — if the "dead" coordinator is merely
+      // partitioned and races us with DecideCommit, exactly one side wins
+      // the registry and the other follows.
+      Result<CommitDecision> existing = engine->DecisionOf(call.global_id);
+      if (existing.ok()) {
+        r.decision = *existing;
+        return r;
+      }
+      r.status = engine->DecideAbort(call.global_id);
+      if (r.status.IsConflict()) {
+        // Lost the race to a concurrent DecideCommit: follow it.
+        Result<CommitDecision> won = engine->DecisionOf(call.global_id);
+        r.status = won.status();
+        if (won.ok()) r.decision = *won;
+        return r;
+      }
+      break;  // r.decision defaults to abort
+    }
+  }
+  r.await_durable = r.status.ok();
+  return r;
+}
+
+LocalParticipants::LocalParticipants(TsoService* tso,
+                                     const std::vector<TxnEngine*>& engines)
+    : tso_(tso) {
+  for (TxnEngine* e : engines) Add(e);
+}
+
+std::vector<uint32_t> LocalParticipants::participant_ids() const {
+  std::vector<uint32_t> ids;
+  for (const auto& [id, engine] : engines_) ids.push_back(id);
+  return ids;
+}
+
+void LocalParticipants::Call(uint32_t participant, ParticipantCall call,
+                             ReplyFn done) {
+  auto it = engines_.find(participant);
+  if (it == engines_.end()) {
+    done(ParticipantReply{Status::NotFound("participant unreachable")});
+    return;
+  }
+  done(ServeParticipantCall(it->second, call));
+}
+
+void LocalParticipants::FetchTso(ReplyFn done) {
+  ParticipantReply r;
+  r.ts = tso_->Next();
+  done(std::move(r));
+}
+
+// ---------------------------------------------------------------------------
+// Coordinator: the 2PC state machine
+// ---------------------------------------------------------------------------
+
+/// One CommitAsync/AbortAsync in flight, shared by its continuations.
+struct TxnCoordinator::Run {
+  Run(DistributedTxn* t, std::function<void(Status)> d)
+      : txn(t), done(std::move(d)) {}
+  DistributedTxn* txn;
+  std::function<void(Status)> done;
+  size_t pending = 0;  // replies outstanding in the current fan-out
+  size_t commit_acks = 0;
+  Timestamp max_prepare_ts = 0;
+  Status failure;  // first failure, reported by `done`
+};
 
 TxnCoordinator::TxnCoordinator(TsScheme scheme, Hlc* cn_hlc, TsoService* tso,
                                uint32_t coordinator_id)
-    : scheme_(scheme),
+    : TxnCoordinator(nullptr, scheme, cn_hlc, coordinator_id) {
+  assert(scheme_ == TsScheme::kTsoSi ? tso != nullptr : cn_hlc_ != nullptr);
+  local_ = std::make_unique<LocalParticipants>(tso);
+  participants_ = local_.get();
+}
+
+TxnCoordinator::TxnCoordinator(TxnParticipants* participants,
+                               TsScheme scheme, Hlc* cn_hlc,
+                               uint32_t coordinator_id)
+    : participants_(participants),
+      scheme_(scheme),
       cn_hlc_(cn_hlc),
-      tso_(tso),
       coordinator_id_(coordinator_id != 0
                           ? coordinator_id
-                          : g_auto_coordinator_id.fetch_add(1)) {
-  assert(scheme_ == TsScheme::kTsoSi ? tso_ != nullptr : cn_hlc_ != nullptr);
-}
+                          : g_auto_coordinator_id.fetch_add(1)) {}
 
-Timestamp TxnCoordinator::AcquireSnapshotTs() {
-  if (scheme_ == TsScheme::kTsoSi) {
-    ++stats_.tso_calls;
-    return tso_->Next();
-  }
-  return cn_hlc_->Now();  // §IV step 1: ClockNow, no logical-space cost
-}
-
-DistributedTxn TxnCoordinator::Begin() {
+DistributedTxn TxnCoordinator::NewTxn() {
   DistributedTxn txn;
-  txn.snapshot_ts_ = AcquireSnapshotTs();
   txn.global_id_ = (static_cast<GlobalTxnId>(coordinator_id_) << 32) |
                    next_global_++;
-  ++stats_.started;
   return txn;
 }
 
+void TxnCoordinator::FetchTso(ReplyFn done) {
+  ++stats_.tso_calls;
+  participants_->FetchTso(std::move(done));
+}
+
+void TxnCoordinator::AcquireSnapshot(DistributedTxn* txn,
+                                     std::function<void(Status)> done) {
+  if (scheme_ == TsScheme::kTsoSi) {
+    FetchTso([txn, done](ParticipantReply r) {
+      if (r.status.ok()) txn->snapshot_ts_ = r.ts;
+      done(r.status);
+    });
+    return;
+  }
+  txn->snapshot_ts_ = cn_hlc_->Now();  // §IV step 1: ClockNow, no network
+  done(Status::Ok());
+}
+
+void TxnCoordinator::CommitAsync(DistributedTxn* txn,
+                                 std::function<void(Status)> done) {
+  if (txn->resolved_) {
+    done(Status::InvalidArgument("txn already resolved"));
+    return;
+  }
+  if (txn->branches_.empty()) {
+    txn->resolved_ = true;
+    ++stats_.committed;
+    done(Status::Ok());
+    return;
+  }
+  if (!Step(CommitStep::kBeforePrepare)) return;
+  PrepareBranches(std::make_shared<Run>(txn, std::move(done)));
+}
+
+void TxnCoordinator::AbortAsync(DistributedTxn* txn,
+                                std::function<void(Status)> done) {
+  if (txn->resolved_) {
+    done(Status::InvalidArgument("txn already resolved"));
+    return;
+  }
+  AbortBranches(std::make_shared<Run>(txn, std::move(done)));
+}
+
+void TxnCoordinator::PrepareBranches(RunPtr run) {
+  // Phase 1: prepare every branch, then decide once all replies are in.
+  // The first branch's DN doubles as the commit-point participant ("commit
+  // owner"): its decision registry is where the outcome becomes durable.
+  run->pending = run->txn->branches_.size();
+  const uint32_t owner = run->txn->branches_.begin()->first;
+  for (const auto& [participant, branch] : run->txn->branches_) {
+    ParticipantCall call{Op::kPrepare};
+    call.branch = branch;
+    call.commit_owner = owner;
+    participants_->Call(participant, std::move(call),
+                        [this, run](ParticipantReply r) {
+      if (r.status.ok()) {
+        run->txn->prepare_started_ = true;
+        run->max_prepare_ts = std::max(run->max_prepare_ts, r.ts);
+      } else if (run->failure.ok()) {
+        run->failure = r.status;
+      }
+      if (--run->pending != 0) return;
+      if (!run->failure.ok()) {
+        AbortBranches(run);
+        return;
+      }
+      if (!Step(CommitStep::kAllPrepared)) return;
+      if (scheme_ == TsScheme::kHlcSi) {
+        // §IV step 5: commit_ts = max(prepare_ts); the coordinator updates
+        // its clock ONCE with the max instead of per-participant
+        // (optimization 2).
+        run->txn->commit_ts_ = run->max_prepare_ts;
+        cn_hlc_->Update(run->max_prepare_ts);
+        Decide(run);
+        return;
+      }
+      // TSO-SI: one more timestamp fetch. The branches are prepared but no
+      // decision exists yet, so a TSO outage here still aborts cleanly.
+      FetchTso([this, run](ParticipantReply t) {
+        if (!t.status.ok()) {
+          run->failure = t.status;
+          AbortBranches(run);
+          return;
+        }
+        run->txn->commit_ts_ = t.ts;
+        Decide(run);
+      });
+    });
+  }
+}
+
+void TxnCoordinator::Decide(RunPtr run) {
+  // Commit point: durably record the decision at the owner before any
+  // branch commits.
+  ParticipantCall call{Op::kDecideCommit};
+  call.global_id = run->txn->global_id_;
+  call.commit_ts = run->txn->commit_ts_;
+  participants_->Call(run->txn->branches_.begin()->first, std::move(call),
+                      [this, run](ParticipantReply r) {
+    if (r.status.ok()) {
+      run->txn->commit_ts_ = r.ts;
+      if (!Step(CommitStep::kDecided)) return;
+      CommitBranches(run);
+      return;
+    }
+    run->failure = r.status;
+    if (r.status.IsAborted()) {
+      // An in-doubt resolver presumed us dead and won the commit point with
+      // an abort decision; follow it.
+      AbortBranches(run);
+      return;
+    }
+    // Outcome unknown and the transport gave up: the decision may be
+    // durable at the owner, so aborting could split the transaction. Leave
+    // it in doubt for the resolver.
+    run->txn->resolved_ = true;
+    run->done(r.status);
+  });
+}
+
+void TxnCoordinator::CommitBranches(RunPtr run) {
+  // Phase 2: the decision is durable, so every branch must commit; the
+  // transaction succeeds only when every branch acks.
+  run->pending = run->txn->branches_.size();
+  for (const auto& [participant, branch] : run->txn->branches_) {
+    ParticipantCall call{Op::kCommit};
+    call.branch = branch;
+    call.commit_ts = run->txn->commit_ts_;
+    participants_->Call(participant, std::move(call),
+                        [this, run](ParticipantReply r) {
+      if (r.status.ok()) {
+        if (++run->commit_acks == 1 && !Step(CommitStep::kFirstCommitAcked)) {
+          return;
+        }
+      } else if (run->failure.ok()) {
+        run->failure = r.status;
+      }
+      if (--run->pending != 0) return;
+      run->txn->resolved_ = true;
+      ++stats_.committed;
+      run->done(run->failure);
+    });
+  }
+}
+
+void TxnCoordinator::AbortBranches(RunPtr run) {
+  // Presumed abort: no commit decision was (or can any longer be) written
+  // for this transaction, so every branch is aborted.
+  auto finish = [this, run] {
+    run->txn->resolved_ = true;
+    ++stats_.aborted;
+    if (run->txn->prepare_started_) {
+      ++stats_.aborts_after_prepare;
+    } else {
+      ++stats_.aborts_before_prepare;
+    }
+    run->done(run->failure);
+  };
+  if (run->txn->branches_.empty()) {
+    finish();
+    return;
+  }
+  run->pending = run->txn->branches_.size();
+  for (const auto& [participant, branch] : run->txn->branches_) {
+    ParticipantCall call{Op::kAbort};
+    call.branch = branch;
+    participants_->Call(participant, std::move(call),
+                        [run, finish](ParticipantReply r) {
+      // Aborting a COMMITTED branch is refused by the engine: some branch
+      // already applied a commit decision, so "aborting" the rest would
+      // tear the transaction. Surface it instead of swallowing it — the
+      // caller is reporting an abort that did not fully happen.
+      if (r.status.code() == StatusCode::kInvalidArgument &&
+          run->failure.ok()) {
+        run->failure = r.status;
+      }
+      if (--run->pending == 0) finish();
+    });
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Synchronous in-process API
+// ---------------------------------------------------------------------------
+
+DistributedTxn TxnCoordinator::Begin() {
+  DistributedTxn txn = NewTxn();
+  AcquireSnapshot(&txn, [](Status) {});  // inline; a local fetch cannot fail
+  return txn;
+}
+
+Status TxnCoordinator::Commit(DistributedTxn* txn) {
+  Status result = Status::Unavailable("coordinator stopped mid-commit");
+  CommitAsync(txn, [&result](Status s) { result = std::move(s); });
+  return result;
+}
+
+Status TxnCoordinator::Abort(DistributedTxn* txn) {
+  Status result = Status::Unavailable("coordinator stopped mid-abort");
+  AbortAsync(txn, [&result](Status s) { result = std::move(s); });
+  return result;
+}
+
 TxnId TxnCoordinator::BranchFor(DistributedTxn* txn, TxnEngine* engine) {
-  auto it = txn->branches_.find(engine);
+  assert(local_ != nullptr);
+  auto it = txn->branches_.find(engine->engine_id());
   if (it != txn->branches_.end()) return it->second;
   // §IV step 3: shipping snapshot_ts to the participant implicitly performs
   // ClockUpdate(snapshot_ts) on its node clock.
   if (scheme_ == TsScheme::kHlcSi) engine->hlc()->Update(txn->snapshot_ts_);
   TxnId id = engine->BeginBranch(txn->snapshot_ts_, txn->global_id_,
                                  coordinator_id_);
-  txn->branches_.emplace(engine, id);
+  local_->Add(engine);
+  txn->branches_.emplace(engine->engine_id(), id);
   return id;
 }
 
@@ -66,20 +388,6 @@ Status TxnCoordinator::Read(DistributedTxn* txn, TxnEngine* engine,
     Status s = engine->Read(branch, table, key, out, &blocker);
     if (!s.IsBusy()) return s;
     // Prepared-wait (§IV case 2): block until the writer resolves.
-    if (blocker != kInvalidTxnId) engine->WaitResolved(blocker);
-  }
-  return Status::TimedOut("prepared-wait retries exhausted");
-}
-
-Status TxnCoordinator::Scan(
-    DistributedTxn* txn, TxnEngine* engine, TableId table,
-    const EncodedKey& from, const EncodedKey& to,
-    const std::function<bool(const EncodedKey&, const Row&)>& fn) {
-  TxnId branch = BranchFor(txn, engine);
-  for (int attempt = 0; attempt < kMaxPreparedWaitRetries; ++attempt) {
-    TxnId blocker = kInvalidTxnId;
-    Status s = engine->ScanVisible(branch, table, from, to, fn, &blocker);
-    if (!s.IsBusy()) return s;
     if (blocker != kInvalidTxnId) engine->WaitResolved(blocker);
   }
   return Status::TimedOut("prepared-wait retries exhausted");
@@ -103,102 +411,6 @@ Status TxnCoordinator::Update(DistributedTxn* txn, TxnEngine* engine,
 Status TxnCoordinator::Delete(DistributedTxn* txn, TxnEngine* engine,
                               TableId table, const EncodedKey& key) {
   return engine->Delete(BranchFor(txn, engine), table, key);
-}
-
-Status TxnCoordinator::Commit(DistributedTxn* txn) {
-  if (txn->resolved_) return Status::InvalidArgument("txn already resolved");
-  if (txn->branches_.empty()) {
-    txn->resolved_ = true;
-    ++stats_.committed;
-    return Status::Ok();
-  }
-
-  // 1PC fast path: a single participant commits locally without the second
-  // round (its prepare_ts is the commit_ts).
-  if (txn->branches_.size() == 1 && scheme_ == TsScheme::kHlcSi) {
-    auto& [engine, branch] = *txn->branches_.begin();
-    Result<Timestamp> cts = engine->CommitLocal(branch);
-    if (!cts.ok()) {
-      Abort(txn);
-      return cts.status();
-    }
-    txn->commit_ts_ = *cts;
-    cn_hlc_->Update(*cts);
-    txn->resolved_ = true;
-    ++stats_.committed;
-    ++stats_.one_shard_commits;
-    return Status::Ok();
-  }
-
-  // Phase 1: prepare everywhere, collecting prepare timestamps. The first
-  // branch's engine doubles as the commit-point participant ("commit
-  // owner"): its decision registry is where the outcome becomes durable.
-  TxnEngine* owner = txn->branches_.begin()->first;
-  Timestamp max_prepare_ts = 0;
-  for (auto& [engine, branch] : txn->branches_) {
-    Result<Timestamp> prep = engine->Prepare(branch, owner->engine_id());
-    if (!prep.ok()) {
-      Abort(txn);
-      return prep.status();
-    }
-    txn->prepare_started_ = true;
-    max_prepare_ts = std::max(max_prepare_ts, *prep);
-  }
-
-  // Choose commit_ts.
-  if (scheme_ == TsScheme::kTsoSi) {
-    ++stats_.tso_calls;
-    txn->commit_ts_ = tso_->Next();
-  } else {
-    // §IV step 5: commit_ts = max(prepare_ts); the coordinator updates its
-    // clock ONCE with the max instead of per-participant (optimization 2).
-    txn->commit_ts_ = max_prepare_ts;
-    cn_hlc_->Update(max_prepare_ts);
-  }
-
-  // Commit point: durably record the decision at the owner before any
-  // branch commits. If an in-doubt resolver already presumed us dead and
-  // won the race with an abort decision, we must follow it.
-  Result<Timestamp> decided = owner->DecideCommit(txn->global_id_,
-                                                  txn->commit_ts_);
-  if (!decided.ok()) {
-    Abort(txn);
-    return decided.status();
-  }
-
-  // Phase 2: commit everywhere. The decision is durable, so a branch-level
-  // failure here is a protocol violation, not something to swallow.
-  Status phase2 = Status::Ok();
-  for (auto& [engine, branch] : txn->branches_) {
-    Status s = engine->Commit(branch, txn->commit_ts_);
-    if (!s.ok() && phase2.ok()) phase2 = s;
-  }
-  txn->resolved_ = true;
-  ++stats_.committed;
-  return phase2;
-}
-
-Status TxnCoordinator::Abort(DistributedTxn* txn) {
-  if (txn->resolved_) return Status::InvalidArgument("txn already resolved");
-  Status violation = Status::Ok();
-  for (auto& [engine, branch] : txn->branches_) {
-    Status s = engine->Abort(branch);
-    // Aborting a COMMITTED branch is refused by the engine: some branch
-    // already applied a commit decision, so "aborting" the rest would
-    // tear the transaction. Surface it instead of swallowing it — the
-    // caller is reporting an abort that did not fully happen.
-    if (s.code() == StatusCode::kInvalidArgument && violation.ok()) {
-      violation = s;
-    }
-  }
-  txn->resolved_ = true;
-  ++stats_.aborted;
-  if (txn->prepare_started_) {
-    ++stats_.aborts_after_prepare;
-  } else {
-    ++stats_.aborts_before_prepare;
-  }
-  return violation;
 }
 
 }  // namespace polarx

@@ -8,20 +8,23 @@
 //    commit_ts out to participants, whose engines ClockUpdate on commit.
 //
 //  - TSO-SI (Percolator/TiDB baseline): snapshot_ts and commit_ts are both
-//    fetched from the central TsoService. In the simulated cluster each
-//    fetch costs a network round trip to the TSO's datacenter; in this
-//    synchronous in-process coordinator the cost can be modeled with an
-//    injectable `tso_delay` hook (the E1 bench uses the sim actors instead).
+//    fetched from the central TsoService.
 //
-// This coordinator is synchronous and is used by the partition/CN layers,
-// integration tests, and examples. The discrete-event variant for the
-// cross-DC experiments lives in src/cn/sim_cluster.h.
+// The 2PC state machine is written once, in continuation-passing style,
+// against the TxnParticipants interface, and so is the DN side of every
+// call (ServeParticipantCall). Two transports implement the interface:
+// LocalParticipants calls TxnEngines in-process and completes every call
+// inline (the synchronous Begin/Commit/Abort below), and SimCluster
+// (src/cn/sim_cluster.h) sends each call as a retried RPC over the
+// simulated network, where every TSO fetch is a round trip to the TSO's
+// datacenter. The in-doubt resolver (src/txn/recovery.h) runs over the
+// same interface.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
+#include <set>
 #include <vector>
 
 #include "src/clock/hlc.h"
@@ -34,14 +37,105 @@ namespace polarx {
 /// Which snapshot-isolation timestamping scheme a coordinator uses.
 enum class TsScheme { kHlcSi, kTsoSi };
 
+/// 2PC step boundaries at which the coordinator fires its step hook — the
+/// exact instants chaos tests kill coordinators at.
+enum class CommitStep : int {
+  kBeforePrepare = 1,   // write txn entering 2PC, nothing sent yet
+  kAllPrepared = 2,     // every branch ACKed prepare; decision not recorded
+  kDecided = 3,         // commit point durable; no commit fanned out yet
+  kFirstCommitAcked = 4 // one branch committed, others still prepared
+};
+
+/// One coordinator or resolver call to a participant DN.
+struct ParticipantCall {
+  enum class Op {
+    kPrepare,
+    kDecideCommit,
+    kCommit,
+    kAbort,
+    kListUnresolved,
+    kDecisionOrPresumeAbort,
+  };
+  explicit ParticipantCall(Op o) : op(o) {}
+  Op op;
+  TxnId branch = kInvalidTxnId;                  // prepare, commit, abort
+  GlobalTxnId global_id = kInvalidGlobalTxnId;   // decide, decision
+  Timestamp commit_ts = kInvalidTimestamp;       // decide, commit
+  uint32_t commit_owner = 0;                     // prepare
+  std::set<uint32_t> dead_coordinators;          // list-unresolved
+  /// Issued by the in-doubt resolver, whose failed calls are retried by
+  /// its next sweep, rather than by a coordinator, whose calls after the
+  /// commit point must land.
+  bool resolving = false;
+};
+
+/// A participant's answer to one call (fields used depend on the call).
+struct ParticipantReply {
+  ParticipantReply() = default;
+  ParticipantReply(Status s, Timestamp t = 0)  // NOLINT(runtime/explicit)
+      : status(std::move(s)), ts(t) {}
+  Status status;
+  Timestamp ts = 0;  // prepare_ts, recorded commit_ts, or a TSO timestamp
+  CommitDecision decision;          // decision-or-presume-abort
+  std::vector<TxnInfo> unresolved;  // list-unresolved: branch metadata
+  /// DN side only: the answer reports a record this call logged, so a
+  /// replicated DN holds it until its log is majority-durable.
+  bool await_durable = false;
+};
+using ReplyFn = std::function<void(ParticipantReply)>;
+
+/// What a participant DN does for `call` — the one DN-side implementation
+/// every transport runs.
+ParticipantReply ServeParticipantCall(TxnEngine* engine,
+                                      const ParticipantCall& call);
+
+/// The participants (named by engine id) and the TSO, as the coordinator
+/// and the resolver reach them. Every callback fires exactly once, or never
+/// if the calling CN died.
+class TxnParticipants {
+ public:
+  virtual ~TxnParticipants() = default;
+  /// Every participant's engine id, ascending.
+  virtual std::vector<uint32_t> participant_ids() const = 0;
+  virtual void Call(uint32_t participant, ParticipantCall call,
+                    ReplyFn done) = 0;
+  /// One timestamp from the TSO (TSO-SI).
+  virtual void FetchTso(ReplyFn done) = 0;
+};
+
+/// In-process transport: calls the engines directly, so every callback
+/// fires inline.
+class LocalParticipants : public TxnParticipants {
+ public:
+  explicit LocalParticipants(TsoService* tso = nullptr,
+                             const std::vector<TxnEngine*>& engines = {});
+  void Add(TxnEngine* engine) { engines_[engine->engine_id()] = engine; }
+
+  std::vector<uint32_t> participant_ids() const override;
+  void Call(uint32_t participant, ParticipantCall call,
+            ReplyFn done) override;
+  void FetchTso(ReplyFn done) override;
+
+ private:
+  TsoService* tso_;
+  std::map<uint32_t, TxnEngine*> engines_;
+};
+
 /// Coordinator-side state of one distributed transaction.
 class DistributedTxn {
  public:
   Timestamp snapshot_ts() const { return snapshot_ts_; }
   Timestamp commit_ts() const { return commit_ts_; }
   bool resolved() const { return resolved_; }
-  size_t num_participants() const { return branches_.size(); }
   GlobalTxnId global_id() const { return global_id_; }
+  /// Participant engine id -> branch id, ascending; the first participant
+  /// is the commit owner.
+  const std::map<uint32_t, TxnId>& branches() const { return branches_; }
+  /// Records the branch a statement ran on (statement execution belongs to
+  /// the transport).
+  void SetBranch(uint32_t participant, TxnId branch) {
+    branches_[participant] = branch;
+  }
 
  private:
   friend class TxnCoordinator;
@@ -50,13 +144,11 @@ class DistributedTxn {
   GlobalTxnId global_id_ = kInvalidGlobalTxnId;
   bool resolved_ = false;
   bool prepare_started_ = false;  // at least one branch reached PREPARED
-  /// Participant engines -> branch transaction ids.
-  std::map<TxnEngine*, TxnId> branches_;
+  std::map<uint32_t, TxnId> branches_;
 };
 
 /// Aggregate coordinator statistics.
 struct CoordinatorStats {
-  uint64_t started = 0;
   uint64_t committed = 0;
   uint64_t aborted = 0;
   /// Split of `aborted` by where in 2PC the abort happened: before any
@@ -64,26 +156,47 @@ struct CoordinatorStats {
   /// in-doubt window recovery exists for).
   uint64_t aborts_before_prepare = 0;
   uint64_t aborts_after_prepare = 0;
-  /// Transactions of this coordinator whose outcome was driven by the
-  /// in-doubt resolver instead of the coordinator itself (see
-  /// NoteRecoveryResolved).
-  uint64_t recovery_resolved = 0;
-  uint64_t one_shard_commits = 0;  // 1PC fast path (single participant)
   uint64_t tso_calls = 0;
 };
 
-/// Synchronous distributed transaction coordinator.
+/// Distributed transaction coordinator: the 2PC state machine over a
+/// TxnParticipants transport.
 class TxnCoordinator {
  public:
-  /// For kHlcSi, `cn_hlc` is this CN's clock and `tso` may be null.
-  /// For kTsoSi, `tso` must be non-null. `coordinator_id` identifies this
-  /// coordinator incarnation in prepare records (what in-doubt recovery
-  /// matches dead coordinators against) and namespaces global txn ids.
+  /// Fired at each CommitStep; returns false if the coordinator died
+  /// there, which stops the machine (its callbacks then never fire).
+  using StepHook = std::function<bool(CommitStep)>;
+
+  /// In-process coordinator over LocalParticipants. For kHlcSi, `cn_hlc`
+  /// is this CN's clock and `tso` may be null. For kTsoSi, `tso` must be
+  /// non-null. `coordinator_id` identifies this coordinator incarnation in
+  /// prepare records (what in-doubt recovery matches dead coordinators
+  /// against) and namespaces global txn ids.
   TxnCoordinator(TsScheme scheme, Hlc* cn_hlc, TsoService* tso,
                  uint32_t coordinator_id = 0);
+  /// Coordinator over any transport. Statements run through the transport
+  /// itself, so the statement methods below are unavailable.
+  TxnCoordinator(TxnParticipants* participants, TsScheme scheme, Hlc* cn_hlc,
+                 uint32_t coordinator_id);
 
-  TsScheme scheme() const { return scheme_; }
   uint32_t coordinator_id() const { return coordinator_id_; }
+  void set_step_hook(StepHook hook) { step_hook_ = std::move(hook); }
+
+  // ---- the state machine (any transport) ----
+
+  /// Mints a transaction's global id; its snapshot comes separately.
+  DistributedTxn NewTxn();
+  /// Takes snapshot_ts: ClockNow under HLC-SI (inline), one TSO fetch
+  /// under TSO-SI.
+  void AcquireSnapshot(DistributedTxn* txn, std::function<void(Status)> done);
+  /// Two-phase commit across every branch. `done` fires once with the
+  /// outcome: Ok only if every branch committed; on a failed prepare or a
+  /// lost commit point the branches are aborted first.
+  void CommitAsync(DistributedTxn* txn, std::function<void(Status)> done);
+  /// Presumed abort: aborts every branch, then fires `done`.
+  void AbortAsync(DistributedTxn* txn, std::function<void(Status)> done);
+
+  // ---- synchronous in-process API ----
 
   /// Starts a distributed transaction (acquires snapshot_ts).
   DistributedTxn Begin();
@@ -92,11 +205,6 @@ class TxnCoordinator {
   /// Retries internally if blocked by a PREPARED writer (bounded).
   Status Read(DistributedTxn* txn, TxnEngine* engine, TableId table,
               const EncodedKey& key, Row* out);
-
-  /// Range scan on one participant.
-  Status Scan(DistributedTxn* txn, TxnEngine* engine, TableId table,
-              const EncodedKey& from, const EncodedKey& to,
-              const std::function<bool(const EncodedKey&, const Row&)>& fn);
 
   Status Insert(DistributedTxn* txn, TxnEngine* engine, TableId table,
                 const Row& row);
@@ -107,31 +215,34 @@ class TxnCoordinator {
   Status Delete(DistributedTxn* txn, TxnEngine* engine, TableId table,
                 const EncodedKey& key);
 
-  /// Two-phase commit across all touched participants (1PC fast path when
-  /// only one participant is involved). On any prepare failure the
-  /// transaction is aborted everywhere and the failure returned.
+  /// CommitAsync/AbortAsync run to completion. If the step hook stopped
+  /// the coordinator, returns Unavailable with the branches left as they
+  /// were for the in-doubt resolver.
   Status Commit(DistributedTxn* txn);
-
   Status Abort(DistributedTxn* txn);
-
-  /// Records that `n` of this coordinator's transactions were resolved by
-  /// the in-doubt resolver (called by the recovery path after it decides
-  /// globals belonging to this coordinator incarnation).
-  void NoteRecoveryResolved(uint64_t n) { stats_.recovery_resolved += n; }
 
   CoordinatorStats stats() const { return stats_; }
 
  private:
+  struct Run;
+  using RunPtr = std::shared_ptr<Run>;
+
   /// Ensures `engine` has a branch for this transaction; returns its id.
   TxnId BranchFor(DistributedTxn* txn, TxnEngine* engine);
+  bool Step(CommitStep step) { return !step_hook_ || step_hook_(step); }
+  void FetchTso(ReplyFn done);
+  void PrepareBranches(RunPtr run);
+  void Decide(RunPtr run);
+  void CommitBranches(RunPtr run);
+  void AbortBranches(RunPtr run);
 
-  Timestamp AcquireSnapshotTs();
-
+  std::unique_ptr<LocalParticipants> local_;  // in-process transport
+  TxnParticipants* participants_;
   TsScheme scheme_;
   Hlc* cn_hlc_;
-  TsoService* tso_;
   const uint32_t coordinator_id_;
   uint64_t next_global_ = 1;
+  StepHook step_hook_;
   CoordinatorStats stats_;
 };
 

@@ -124,15 +124,6 @@ TxnInfo CopyMeta(const TxnInfo& info) {
 }
 }  // namespace
 
-std::vector<TxnInfo> TxnEngine::PreparedBranches() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TxnInfo> out;
-  for (const auto& [id, info] : txns_) {
-    if (info->state == TxnState::kPrepared) out.push_back(CopyMeta(*info));
-  }
-  return out;
-}
-
 std::vector<TxnInfo> TxnEngine::TxnsSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<TxnInfo> out;

@@ -183,10 +183,6 @@ class TxnEngine {
   Result<TxnState> StateOf(TxnId txn) const;
   Result<TxnInfo> InfoOf(TxnId txn) const;
 
-  /// All branches currently in PREPARED (the in-doubt set a recovery
-  /// resolver asks a participant for). Metadata only, no write refs.
-  std::vector<TxnInfo> PreparedBranches() const;
-
   /// Metadata snapshot of every transaction the engine remembers (tests /
   /// invariant checkers). No write refs.
   std::vector<TxnInfo> TxnsSnapshot() const;

