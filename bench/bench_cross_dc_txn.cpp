@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_flags.h"
@@ -22,11 +23,22 @@
 namespace polarx {
 namespace {
 
+/// Mean commit-path stages of the committed write transactions, in ms.
+/// The first three are the client's path and sum to its mean latency; the
+/// phase-2 tail runs after the acknowledgement.
+struct Breakdown {
+  double statements_ms = 0;
+  double prepare_ms = 0;
+  double decide_ms = 0;
+  double phase2_tail_ms = 0;
+};
+
 struct Sample {
   int clients;
   double tps;
   double mean_latency_ms;
   double p95_latency_ms;
+  Breakdown stages;
 };
 
 /// Write-path knobs for one run: group commit on/off and the Paxos
@@ -109,6 +121,10 @@ Sample RunOne(TsScheme scheme, SysbenchMode mode, int clients,
   s.tps = double(stats.committed) / (double(duration_us) / 1e6);
   s.mean_latency_ms = stats.latency_us.Mean() / 1000.0;
   s.p95_latency_ms = stats.latency_us.Percentile(0.95) / 1000.0;
+  s.stages.statements_ms = stats.statements_us.Mean() / 1000.0;
+  s.stages.prepare_ms = stats.prepare_us.Mean() / 1000.0;
+  s.stages.decide_ms = stats.decide_us.Mean() / 1000.0;
+  s.stages.phase2_tail_ms = stats.phase2_tail_us.Mean() / 1000.0;
   return s;
 }
 
@@ -136,7 +152,7 @@ std::string WritePathAblation(const BenchFlags& flags) {
   }
   // The top client count drives the cluster past the serialized-flush
   // capacity of the non-batched path; the ablation gap opens at saturation
-  // (intrinsic 2PC latency is ~11 ms, so saturating a ~60k tps write path
+  // (intrinsic 2PC latency is ~9 ms, so saturating a ~60k tps write path
   // takes north of a thousand closed-loop clients).
   std::vector<int> client_counts =
       flags.smoke ? std::vector<int>{8}
@@ -175,7 +191,11 @@ std::string WritePathAblation(const BenchFlags& flags) {
            << ", \"pipeline\": " << c.knobs.pipeline
            << ", \"clients\": " << clients << ", \"tps\": " << s.tps
            << ", \"mean_latency_ms\": " << s.mean_latency_ms
-           << ", \"p95_latency_ms\": " << s.p95_latency_ms << "}";
+           << ", \"p95_latency_ms\": " << s.p95_latency_ms
+           << ", \"breakdown\": {\"statements_ms\": " << s.stages.statements_ms
+           << ", \"prepare_ms\": " << s.stages.prepare_ms
+           << ", \"decide_ms\": " << s.stages.decide_ms
+           << ", \"phase2_tail_ms\": " << s.stages.phase2_tail_ms << "}}";
     }
     std::printf("\n");
   }
@@ -200,11 +220,13 @@ void RunSweep(SysbenchMode mode, const char* mode_name) {
               "tps ratio", "winner");
   const int kClientCounts[] = {16, 48, 96, 192, 384};
   double hlc_peak = 0, tso_peak = 0;
+  std::vector<std::pair<Sample, Sample>> rows;
   for (int clients : kClientCounts) {
     Sample hlc = RunOne(TsScheme::kHlcSi, mode, clients,
                         1500 * sim::kUsPerMs);
     Sample tso = RunOne(TsScheme::kTsoSi, mode, clients,
                         1500 * sim::kUsPerMs);
+    rows.emplace_back(hlc, tso);
     hlc_peak = std::max(hlc_peak, hlc.tps);
     tso_peak = std::max(tso_peak, tso.tps);
     std::printf("%-10d %10.0f %12.2f %12.0f %12.2f %12.3f %12s\n", clients,
@@ -215,6 +237,19 @@ void RunSweep(SysbenchMode mode, const char* mode_name) {
   std::printf("peak throughput: HLC-SI %.0f vs TSO-SI %.0f  (+%.1f%%)\n",
               hlc_peak, tso_peak,
               100.0 * (hlc_peak - tso_peak) / std::max(1.0, tso_peak));
+  if (mode == SysbenchMode::kReadOnly) return;  // no 2PC, no stages
+  std::printf("commit-path stages, mean ms: statements / prepare / decide "
+              "(client path) | phase-2 tail (after the ack)\n");
+  std::printf("%-10s %-34s %-34s\n", "clients", "HLC-SI", "TSO-SI");
+  for (const auto& [hlc, tso] : rows) {
+    std::printf("%-10d", hlc.clients);
+    for (const Sample* s : {&hlc, &tso}) {
+      std::printf(" %6.2f / %6.2f / %6.2f | %6.2f ", s->stages.statements_ms,
+                  s->stages.prepare_ms, s->stages.decide_ms,
+                  s->stages.phase2_tail_ms);
+    }
+    std::printf("\n");
+  }
 }
 
 }  // namespace

@@ -36,6 +36,24 @@ for b in bench_replication bench_paxos_ablation bench_cross_dc_txn \
     exit 1
   fi
 done
+# Every E5 cell of bench_cross_dc_txn carries its commit-path breakdown,
+# and the client-path stages (statements, which include the CN overhead,
+# prepare and decide) account for the cell's mean latency within 2%.
+python3 - "${PREFIX}/bench/out/bench_cross_dc_txn_smoke.json" <<'EOF'
+import json, sys
+cells = json.load(open(sys.argv[1]))["grid"]
+for c in cells:
+    b = c.get("breakdown")
+    if b is None:
+        sys.exit("bench-smoke: cell without a breakdown: %s" % c)
+    path = b["statements_ms"] + b["prepare_ms"] + b["decide_ms"]
+    mean = c["mean_latency_ms"]
+    if abs(path - mean) > 0.02 * mean:
+        sys.exit("bench-smoke: stages sum to %.4f ms, mean latency is "
+                 "%.4f ms: %s" % (path, mean, c))
+print("bench-smoke: breakdown accounts for the mean latency in %d cells"
+      % len(cells))
+EOF
 
 echo "==> asan: configure + build (${PREFIX}-asan)"
 cmake -B "${PREFIX}-asan" "${GENERATOR_ARGS[@]}" \

@@ -221,9 +221,9 @@ void SimCluster::CnRpc(int cn_index, uint64_t incarnation,
         call->send_attempt();
         return;
       }
-      net_->Send(cn_node, gms_node_, 64, [this, call, cn_node] {
+      SendRpcMessage(cn_node, gms_node_, 64, [this, call, cn_node] {
         gms_server_->Execute(config_.tso_service_us, [this, call, cn_node] {
-          net_->Send(gms_node_, cn_node, 64, [call] {
+          SendRpcMessage(gms_node_, cn_node, 64, [call] {
             if (call->completed || !call->send_attempt) return;
             call->send_attempt();
           });
@@ -240,18 +240,24 @@ void SimCluster::CnRpc(int cn_index, uint64_t incarnation,
     sched_->ScheduleAfter(config_.rpc_timeout_us, [outcome, attempt] {
       outcome(attempt, RpcReply{Status::TimedOut("rpc attempt timed out")});
     });
-    net_->Send(from, to, req_bytes,
-               [this, to, from, resp_bytes, handler, outcome, attempt] {
-                 handler(to, [this, to, from, resp_bytes, outcome,
-                              attempt](RpcReply reply) {
-                   net_->Send(to, from, resp_bytes, [outcome, attempt,
-                                                     reply] {
-                     outcome(attempt, reply);
-                   });
-                 });
-               });
+    SendRpcMessage(from, to, req_bytes, [this, to, from, resp_bytes, handler,
+                                         outcome, attempt] {
+      handler(to, [this, to, from, resp_bytes, outcome,
+                   attempt](RpcReply reply) {
+        SendRpcMessage(to, from, resp_bytes, [outcome, attempt, reply] {
+          outcome(attempt, reply);
+        });
+      });
+    });
   };
   call->send_attempt();
+}
+
+void SimCluster::SendRpcMessage(NodeId from, NodeId to, size_t bytes,
+                                std::function<void()> deliver) {
+  ++stats_.rpc_messages;
+  stats_.rpc_bytes += bytes;
+  net_->Send(from, to, bytes, std::move(deliver));
 }
 
 void SimCluster::InstallTsoCoalescer(int cn_index) {
@@ -344,6 +350,10 @@ class SimCluster::CnParticipants : public TxnParticipants {
   void FetchTso(ReplyFn done) override {
     cluster_->RequestTsoTimestamp(cn_, incarnation_, std::move(done));
   }
+  bool IsLocal(uint32_t participant) const override {
+    const DnNode& dn = *cluster_->dns_[participant - 1];
+    return cluster_->net_->DcOf(dn.serving_node) == cluster_->cns_[cn_].dc;
+  }
 
  private:
   SimCluster* cluster_;
@@ -357,11 +367,14 @@ void SimCluster::StartCoordinator(int cn_index, uint32_t coordinator_id) {
   cn.participants = std::make_unique<CnParticipants>(this, cn_index, inc);
   cn.coord = std::make_unique<TxnCoordinator>(
       cn.participants.get(), config_.scheme, cn.hlc.get(), coordinator_id);
-  cn.coord->set_step_hook([this, cn_index, inc](CommitStep step) {
+  cn.coord->set_step_hook([this, cn_index, inc](CommitStep step,
+                                                 GlobalTxnId gid) {
     if (config_.commit_step_hook) {
       config_.commit_step_hook(cn_index, int(step));
     }
-    return CnLive(cn_index, inc);
+    if (!CnLive(cn_index, inc)) return false;
+    MarkCommitStep(step, gid);
+    return true;
   });
 }
 
@@ -635,8 +648,36 @@ void SimCluster::BeginCommit(TxnPtr txn) {
     Finish(txn, true);
     return;
   }
-  cns_[txn->cn].coord->CommitAsync(
-      &txn->dtxn, [this, txn](Status s) { Finish(txn, s.ok()); });
+  txn->commit_start = sched_->Now();
+  cns_[txn->cn].coord->CommitAsync(&txn->dtxn, [this, txn](Status s) {
+    if (s.ok()) {
+      RecordAckedStages(*txn);
+    } else {
+      stage_marks_.erase(txn->dtxn.global_id());
+    }
+    Finish(txn, s.ok());
+  });
+}
+
+void SimCluster::MarkCommitStep(CommitStep step, GlobalTxnId gid) {
+  if (step == CommitStep::kAllPrepared) {
+    stage_marks_[gid] = sched_->Now();
+  } else if (step == CommitStep::kPhaseTwoDone) {
+    auto it = stage_marks_.find(gid);
+    if (it == stage_marks_.end()) return;
+    stats_.phase2_tail_us.Record(double(sched_->Now() - it->second));
+    stage_marks_.erase(it);
+  }
+}
+
+void SimCluster::RecordAckedStages(const TxnState& txn) {
+  auto it = stage_marks_.find(txn.dtxn.global_id());
+  if (it == stage_marks_.end()) return;  // no branch, so no 2PC ran
+  const sim::SimTime now = sched_->Now();
+  stats_.statements_us.Record(double(txn.commit_start - txn.start_time));
+  stats_.prepare_us.Record(double(it->second - txn.commit_start));
+  stats_.decide_us.Record(double(now - it->second));
+  it->second = now;  // the phase-2 tail starts at the acknowledgement
 }
 
 void SimCluster::AbortTxn(TxnPtr txn) {
@@ -787,6 +828,11 @@ void SimCluster::HandleNodeCrash(NodeId node) {
     // cluster-level action here: the Paxos group re-elects underneath and
     // the failover monitor switches the serving side.
     cns_[it->second].alive = false;
+    // Its transactions will never pass another commit step.
+    const uint32_t coord = cns_[it->second].coord->coordinator_id();
+    std::erase_if(stage_marks_, [coord](const auto& entry) {
+      return (entry.first >> 32) == coord;
+    });
   }
 }
 

@@ -31,6 +31,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "src/clock/hlc.h"
@@ -110,9 +111,23 @@ struct SimClusterStats {
   uint64_t aborted = 0;
   uint64_t rpc_retries = 0;           // retry attempts beyond the first
   uint64_t leader_failovers = 0;      // DN serving-leader promotions
+  /// CN RPC messages handed to the network (requests, replies and GMS
+  /// re-resolutions; DN-to-DN replication is not counted) and their bytes.
+  uint64_t rpc_messages = 0;
+  uint64_t rpc_bytes = 0;
   uint64_t recovery_resolved_commits = 0;  // branches committed by recovery
   uint64_t recovery_resolved_aborts = 0;   // branches aborted by recovery
   Histogram latency_us;
+  /// Commit-path stages of committed write (2PC) transactions, on the
+  /// virtual clock. The first three are the client's path and sum to its
+  /// latency: statements (submit -> 2PC begins), prepare (-> every branch
+  /// prepared), decide (-> decision durable at the commit owner, which is
+  /// the acknowledgement). The phase-2 tail (ack -> last commit answered)
+  /// runs after the client has its answer.
+  Histogram statements_us;
+  Histogram prepare_us;
+  Histogram decide_us;
+  Histogram phase2_tail_us;
 };
 
 class SimCluster {
@@ -249,6 +264,7 @@ class SimCluster {
     size_t next_op = 0;
     bool failed = false;  // a statement failed: abort instead of commit
     sim::SimTime start_time = 0;
+    sim::SimTime commit_start = 0;  // BeginCommit of a write transaction
     std::function<void(bool, sim::SimTime)> done;
     DistributedTxn dtxn;  // global id, snapshot, branches
   };
@@ -278,6 +294,10 @@ class SimCluster {
              std::function<NodeId()> target, size_t req_bytes,
              size_t resp_bytes, bool resolve_via_gms, RpcHandler handler,
              std::function<void(RpcReply)> done);
+
+  /// Sends one CnRpc message, counting it in the stats.
+  void SendRpcMessage(NodeId from, NodeId to, size_t bytes,
+                      std::function<void()> deliver);
 
   bool CnLive(int cn_index, uint64_t incarnation) const {
     return cns_[cn_index].alive &&
@@ -314,6 +334,10 @@ class SimCluster {
   void ExecuteNextOp(TxnPtr txn);
   void RunOpOnDn(TxnPtr txn, int dn_index, SysbenchOp op);
   void BeginCommit(TxnPtr txn);
+  /// Records the commit-path stage that ends at `step` of 2PC `gid`.
+  void MarkCommitStep(CommitStep step, GlobalTxnId gid);
+  /// Records the client-path stages of `txn`, acknowledged just now.
+  void RecordAckedStages(const TxnState& txn);
   void AbortTxn(TxnPtr txn);
   void Finish(TxnPtr txn, bool ok);
 
@@ -341,6 +365,10 @@ class SimCluster {
   std::unique_ptr<sim::Server> tso_server_;
   std::unique_ptr<sim::Server> gms_server_;
   SimClusterStats stats_;
+  /// Global id -> virtual time of the last commit-path boundary the 2PC
+  /// passed (every branch prepared, then the acknowledgement), for the
+  /// stage histograms. Entries end with the transaction.
+  std::unordered_map<GlobalTxnId, sim::SimTime> stage_marks_;
   TableId table_id_ = 1;
   bool recovery_in_flight_ = false;
   int recovery_cn_ = -1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <utility>
 
 namespace polarx {
 
@@ -129,13 +130,20 @@ void LocalParticipants::FetchTso(ReplyFn done) {
 /// One CommitAsync/AbortAsync in flight, shared by its continuations.
 struct TxnCoordinator::Run {
   Run(DistributedTxn* t, std::function<void(Status)> d)
-      : txn(t), done(std::move(d)) {}
+      : txn(t), done(std::move(d)), global_id(t->global_id_) {}
+  /// The caller's transaction, until the commit is acknowledged: the
+  /// caller may destroy it then, so phase 2 runs on `branches` and
+  /// `commit_ts` below instead.
   DistributedTxn* txn;
   std::function<void(Status)> done;
+  const GlobalTxnId global_id;
+  uint32_t owner = 0;  // commit owner: where the decision becomes durable
   size_t pending = 0;  // replies outstanding in the current fan-out
   size_t commit_acks = 0;
   Timestamp max_prepare_ts = 0;
   Status failure;  // first failure, reported by `done`
+  std::map<uint32_t, TxnId> branches;  // phase 2's copy
+  Timestamp commit_ts = 0;
 };
 
 TxnCoordinator::TxnCoordinator(TsScheme scheme, Hlc* cn_hlc, TsoService* tso,
@@ -193,7 +201,7 @@ void TxnCoordinator::CommitAsync(DistributedTxn* txn,
     done(Status::Ok());
     return;
   }
-  if (!Step(CommitStep::kBeforePrepare)) return;
+  if (!Step(CommitStep::kBeforePrepare, txn->global_id_)) return;
   PrepareBranches(std::make_shared<Run>(txn, std::move(done)));
 }
 
@@ -208,14 +216,23 @@ void TxnCoordinator::AbortAsync(DistributedTxn* txn,
 
 void TxnCoordinator::PrepareBranches(RunPtr run) {
   // Phase 1: prepare every branch, then decide once all replies are in.
-  // The first branch's DN doubles as the commit-point participant ("commit
+  // One branch's DN doubles as the commit-point participant ("commit
   // owner"): its decision registry is where the outcome becomes durable.
-  run->pending = run->txn->branches_.size();
-  const uint32_t owner = run->txn->branches_.begin()->first;
-  for (const auto& [participant, branch] : run->txn->branches_) {
+  // The first branch served from this coordinator's own datacenter is
+  // chosen, so the decide round trip stays local; else the first branch.
+  const std::map<uint32_t, TxnId>& branches = run->txn->branches_;
+  run->owner = branches.begin()->first;
+  for (const auto& [participant, branch] : branches) {
+    if (participants_->IsLocal(participant)) {
+      run->owner = participant;
+      break;
+    }
+  }
+  run->pending = branches.size();
+  for (const auto& [participant, branch] : branches) {
     ParticipantCall call{Op::kPrepare};
     call.branch = branch;
-    call.commit_owner = owner;
+    call.commit_owner = run->owner;
     participants_->Call(participant, std::move(call),
                         [this, run](ParticipantReply r) {
       if (r.status.ok()) {
@@ -229,7 +246,7 @@ void TxnCoordinator::PrepareBranches(RunPtr run) {
         AbortBranches(run);
         return;
       }
-      if (!Step(CommitStep::kAllPrepared)) return;
+      if (!Step(CommitStep::kAllPrepared, run->global_id)) return;
       if (scheme_ == TsScheme::kHlcSi) {
         // §IV step 5: commit_ts = max(prepare_ts); the coordinator updates
         // its clock ONCE with the max instead of per-participant
@@ -258,13 +275,21 @@ void TxnCoordinator::Decide(RunPtr run) {
   // Commit point: durably record the decision at the owner before any
   // branch commits.
   ParticipantCall call{Op::kDecideCommit};
-  call.global_id = run->txn->global_id_;
+  call.global_id = run->global_id;
   call.commit_ts = run->txn->commit_ts_;
-  participants_->Call(run->txn->branches_.begin()->first, std::move(call),
+  participants_->Call(run->owner, std::move(call),
                       [this, run](ParticipantReply r) {
     if (r.status.ok()) {
       run->txn->commit_ts_ = r.ts;
-      if (!Step(CommitStep::kDecided)) return;
+      if (!Step(CommitStep::kDecided, run->global_id)) return;
+      // The outcome is durable and can no longer change: acknowledge now,
+      // then run phase 2 off the caller's path.
+      run->branches = run->txn->branches_;
+      run->commit_ts = r.ts;
+      run->txn->resolved_ = true;
+      run->txn = nullptr;
+      ++stats_.committed;
+      std::exchange(run->done, nullptr)(Status::Ok());
       CommitBranches(run);
       return;
     }
@@ -284,26 +309,24 @@ void TxnCoordinator::Decide(RunPtr run) {
 }
 
 void TxnCoordinator::CommitBranches(RunPtr run) {
-  // Phase 2: the decision is durable, so every branch must commit; the
-  // transaction succeeds only when every branch acks.
-  run->pending = run->txn->branches_.size();
-  for (const auto& [participant, branch] : run->txn->branches_) {
+  // Phase 2, after the acknowledgement: the decision is durable, so every
+  // branch must commit. A failed commit cannot be reported any more; the
+  // transport re-drives it, and the in-doubt resolver finishes what a dead
+  // coordinator left, so it is only counted.
+  run->pending = run->branches.size();
+  for (const auto& [participant, branch] : run->branches) {
     ParticipantCall call{Op::kCommit};
     call.branch = branch;
-    call.commit_ts = run->txn->commit_ts_;
+    call.commit_ts = run->commit_ts;
     participants_->Call(participant, std::move(call),
                         [this, run](ParticipantReply r) {
-      if (r.status.ok()) {
-        if (++run->commit_acks == 1 && !Step(CommitStep::kFirstCommitAcked)) {
-          return;
-        }
-      } else if (run->failure.ok()) {
-        run->failure = r.status;
+      if (!r.status.ok()) {
+        ++stats_.commit_failures_after_ack;
+      } else if (++run->commit_acks == 1 &&
+                 !Step(CommitStep::kFirstCommitAcked, run->global_id)) {
+        return;
       }
-      if (--run->pending != 0) return;
-      run->txn->resolved_ = true;
-      ++stats_.committed;
-      run->done(run->failure);
+      if (--run->pending == 0) Step(CommitStep::kPhaseTwoDone, run->global_id);
     });
   }
 }

@@ -38,12 +38,17 @@ namespace polarx {
 enum class TsScheme { kHlcSi, kTsoSi };
 
 /// 2PC step boundaries at which the coordinator fires its step hook — the
-/// exact instants chaos tests kill coordinators at.
+/// exact instants chaos tests kill coordinators at. A write transaction is
+/// acknowledged right after kDecided passes: from then on the outcome is
+/// fixed, and a coordinator killed at a later step has died after
+/// acknowledging, so the in-doubt resolver must follow its durable commit
+/// decision.
 enum class CommitStep : int {
-  kBeforePrepare = 1,   // write txn entering 2PC, nothing sent yet
-  kAllPrepared = 2,     // every branch ACKed prepare; decision not recorded
-  kDecided = 3,         // commit point durable; no commit fanned out yet
-  kFirstCommitAcked = 4 // one branch committed, others still prepared
+  kBeforePrepare = 1,     // write txn entering 2PC, nothing sent yet
+  kAllPrepared = 2,       // every branch ACKed prepare; decision not recorded
+  kDecided = 3,           // commit point durable; client not yet acked
+  kFirstCommitAcked = 4,  // acked; one branch committed, others prepared
+  kPhaseTwoDone = 5       // every phase-2 commit answered
 };
 
 /// One coordinator or resolver call to a participant DN.
@@ -101,6 +106,10 @@ class TxnParticipants {
                     ReplyFn done) = 0;
   /// One timestamp from the TSO (TSO-SI).
   virtual void FetchTso(ReplyFn done) = 0;
+  /// Whether `participant` is served from the caller's own datacenter. The
+  /// coordinator prefers such a branch as commit owner, so the commit-point
+  /// round trip stays inside the datacenter.
+  virtual bool IsLocal(uint32_t /*participant*/) const { return false; }
 };
 
 /// In-process transport: calls the engines directly, so every callback
@@ -128,8 +137,7 @@ class DistributedTxn {
   Timestamp commit_ts() const { return commit_ts_; }
   bool resolved() const { return resolved_; }
   GlobalTxnId global_id() const { return global_id_; }
-  /// Participant engine id -> branch id, ascending; the first participant
-  /// is the commit owner.
+  /// Participant engine id -> branch id, ascending.
   const std::map<uint32_t, TxnId>& branches() const { return branches_; }
   /// Records the branch a statement ran on (statement execution belongs to
   /// the transport).
@@ -157,15 +165,20 @@ struct CoordinatorStats {
   uint64_t aborts_before_prepare = 0;
   uint64_t aborts_after_prepare = 0;
   uint64_t tso_calls = 0;
+  /// Phase-2 commits that failed after the transaction was acknowledged.
+  /// The decision is durable, so the transport re-drives them or the
+  /// in-doubt resolver finishes the branch; the caller never hears of it.
+  uint64_t commit_failures_after_ack = 0;
 };
 
 /// Distributed transaction coordinator: the 2PC state machine over a
 /// TxnParticipants transport.
 class TxnCoordinator {
  public:
-  /// Fired at each CommitStep; returns false if the coordinator died
-  /// there, which stops the machine (its callbacks then never fire).
-  using StepHook = std::function<bool(CommitStep)>;
+  /// Fired at each CommitStep of the transaction `global_id`; returns false
+  /// if the coordinator died there, which stops the machine (its callbacks
+  /// then never fire).
+  using StepHook = std::function<bool(CommitStep, GlobalTxnId global_id)>;
 
   /// In-process coordinator over LocalParticipants. For kHlcSi, `cn_hlc`
   /// is this CN's clock and `tso` may be null. For kTsoSi, `tso` must be
@@ -190,8 +203,10 @@ class TxnCoordinator {
   /// under TSO-SI.
   void AcquireSnapshot(DistributedTxn* txn, std::function<void(Status)> done);
   /// Two-phase commit across every branch. `done` fires once with the
-  /// outcome: Ok only if every branch committed; on a failed prepare or a
-  /// lost commit point the branches are aborted first.
+  /// outcome. Ok fires as soon as the commit decision is durable at the
+  /// commit owner; phase 2 then runs off the caller's path, and the caller
+  /// may destroy `txn` once `done` returns. On a failed prepare or a lost
+  /// commit point the branches are aborted first.
   void CommitAsync(DistributedTxn* txn, std::function<void(Status)> done);
   /// Presumed abort: aborts every branch, then fires `done`.
   void AbortAsync(DistributedTxn* txn, std::function<void(Status)> done);
@@ -216,8 +231,8 @@ class TxnCoordinator {
                 const EncodedKey& key);
 
   /// CommitAsync/AbortAsync run to completion. If the step hook stopped
-  /// the coordinator, returns Unavailable with the branches left as they
-  /// were for the in-doubt resolver.
+  /// the coordinator before it acknowledged, returns Unavailable with the
+  /// branches left as they were for the in-doubt resolver.
   Status Commit(DistributedTxn* txn);
   Status Abort(DistributedTxn* txn);
 
@@ -229,7 +244,9 @@ class TxnCoordinator {
 
   /// Ensures `engine` has a branch for this transaction; returns its id.
   TxnId BranchFor(DistributedTxn* txn, TxnEngine* engine);
-  bool Step(CommitStep step) { return !step_hook_ || step_hook_(step); }
+  bool Step(CommitStep step, GlobalTxnId global_id) {
+    return !step_hook_ || step_hook_(step, global_id);
+  }
   void FetchTso(ReplyFn done);
   void PrepareBranches(RunPtr run);
   void Decide(RunPtr run);

@@ -384,10 +384,10 @@ INSTANTIATE_TEST_SUITE_P(
     FixedSeed, RecoveryFootprintTest,
     ::testing::Values(
         RecoveryFootprintCase{"KillAtAllPrepared", CommitStep::kAllPrepared,
-                              false, {16, 0, 0, 2, 0, 2578, 5182}},
+                              false, {16, 0, 0, 2, 0, 2606, 5224}},
         RecoveryFootprintCase{"KillAtDecidedWithLeaderFlap",
                               CommitStep::kDecided, true,
-                              {16, 0, 2, 0, 19, 2524, 5159}}),
+                              {16, 0, 2, 0, 26, 2560, 5229}}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // ---- TSO outage: TSO-SI transactions retry with backoff then fail

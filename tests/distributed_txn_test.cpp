@@ -4,8 +4,11 @@
 // coordinator stopped at every 2PC step.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "src/clock/hlc.h"
 #include "src/clock/tso.h"
@@ -382,7 +385,9 @@ TEST(CoordinatorStatsTest, AbortsSplitByPreparePhase) {
 
 // The in-process twin of the simulated cluster's coordinator-kill sweep:
 // stop the coordinator at each 2PC step boundary, let the in-doubt resolver
-// finish its transaction over the same engines, and check atomicity.
+// finish its transaction over the same engines, and check atomicity. From
+// kFirstCommitAcked on the coordinator has already acknowledged the commit,
+// so the resolver must follow the durable decision.
 class StepHookTest : public ::testing::TestWithParam<CommitStep> {};
 
 TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
@@ -390,7 +395,8 @@ TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
   constexpr uint32_t kCoordinatorId = 77;
   Cluster c(3);
   TxnCoordinator coord(TsScheme::kHlcSi, &c.cn_hlc, &c.tso, kCoordinatorId);
-  coord.set_step_hook([stop_at](CommitStep step) { return step != stop_at; });
+  coord.set_step_hook(
+      [stop_at](CommitStep step, GlobalTxnId) { return step != stop_at; });
 
   DistributedTxn txn = coord.Begin();
   for (size_t i = 0; i < 3; ++i) {
@@ -398,7 +404,9 @@ TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
         coord.Upsert(&txn, c.engine(i), kTable, {int64_t(i), int64_t(7)})
             .ok());
   }
-  EXPECT_FALSE(coord.Commit(&txn).ok()) << "coordinator was not stopped";
+  const bool acked = stop_at >= CommitStep::kFirstCommitAcked;
+  EXPECT_EQ(coord.Commit(&txn).ok(), acked)
+      << "acknowledged exactly when the step follows the commit point";
 
   InDoubtResolver resolver({c.engine(0), c.engine(1), c.engine(2)});
   resolver.Resolve({kCoordinatorId});
@@ -430,7 +438,8 @@ TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
 INSTANTIATE_TEST_SUITE_P(
     EveryStep, StepHookTest,
     ::testing::Values(CommitStep::kBeforePrepare, CommitStep::kAllPrepared,
-                      CommitStep::kDecided, CommitStep::kFirstCommitAcked),
+                      CommitStep::kDecided, CommitStep::kFirstCommitAcked,
+                      CommitStep::kPhaseTwoDone),
     [](const auto& info) {
       switch (info.param) {
         case CommitStep::kBeforePrepare:
@@ -441,9 +450,141 @@ INSTANTIATE_TEST_SUITE_P(
           return "Decided";
         case CommitStep::kFirstCommitAcked:
           return "FirstCommitAcked";
+        case CommitStep::kPhaseTwoDone:
+          return "PhaseTwoDone";
       }
       return "Unknown";
     });
+
+// The in-process engines behind a transport that parks every phase-2
+// commit until Release() and reports one participant as local to the
+// caller.
+class ParkedCommitParticipants : public TxnParticipants {
+ public:
+  ParkedCommitParticipants(TsoService* tso,
+                           const std::vector<TxnEngine*>& engines,
+                           uint32_t local)
+      : inner_(tso, engines), local_(local) {}
+
+  std::vector<uint32_t> participant_ids() const override {
+    return inner_.participant_ids();
+  }
+  void Call(uint32_t participant, ParticipantCall call,
+            ReplyFn done) override {
+    if (call.op != ParticipantCall::Op::kCommit) {
+      inner_.Call(participant, std::move(call), std::move(done));
+      return;
+    }
+    parked_.push_back([this, participant, call, done] {
+      inner_.Call(participant, call, done);
+    });
+  }
+  void FetchTso(ReplyFn done) override { inner_.FetchTso(std::move(done)); }
+  bool IsLocal(uint32_t participant) const override {
+    return participant == local_;
+  }
+
+  size_t parked() const { return parked_.size(); }
+  void Release() {
+    std::vector<std::function<void()>> calls = std::move(parked_);
+    parked_.clear();
+    for (auto& call : calls) call();
+  }
+
+ private:
+  LocalParticipants inner_;
+  uint32_t local_;
+  std::vector<std::function<void()>> parked_;
+};
+
+// The commit is acknowledged once its decision is durable at the commit
+// owner, before any branch commits. An acknowledged write is never
+// invisible: until phase 2 lands, a later snapshot waits on the PREPARED
+// branch instead of reading past it.
+TEST(AckAtCommitPointTest, AckedWriteIsWaitedOnUntilPhaseTwoLands) {
+  constexpr uint32_t kCoordinatorId = 91;
+  constexpr uint32_t kLocalEngine = 3;
+  Cluster c(3);
+  ParkedCommitParticipants transport(
+      &c.tso, {c.engine(0), c.engine(1), c.engine(2)}, kLocalEngine);
+  TxnCoordinator coord(&transport, TsScheme::kHlcSi, &c.cn_hlc,
+                       kCoordinatorId);
+
+  // The caller owns its transaction only until the acknowledgement.
+  auto txn = std::make_unique<DistributedTxn>(coord.NewTxn());
+  Status snapshot = Status::Unavailable("no snapshot");
+  coord.AcquireSnapshot(txn.get(), [&snapshot](Status s) { snapshot = s; });
+  ASSERT_TRUE(snapshot.ok());
+  for (size_t i = 0; i < 3; ++i) {
+    TxnEngine* e = c.engine(i);
+    e->hlc()->Update(txn->snapshot_ts());
+    TxnId branch = e->BeginBranch(txn->snapshot_ts(), txn->global_id(),
+                                  kCoordinatorId);
+    ASSERT_TRUE(e->Upsert(branch, kTable, {int64_t(i), int64_t(42)}).ok());
+    txn->SetBranch(e->engine_id(), branch);
+  }
+  Status acked = Status::Unavailable("not acknowledged");
+  coord.CommitAsync(txn.get(), [&acked](Status s) { acked = s; });
+  ASSERT_TRUE(acked.ok()) << acked.ToString();
+  EXPECT_EQ(coord.stats().committed, 1u);
+  ASSERT_EQ(transport.parked(), 3u);
+  const std::map<uint32_t, TxnId> branches = txn->branches();
+  const Timestamp commit_ts = txn->commit_ts();
+  const GlobalTxnId global_id = txn->global_id();
+  txn.reset();
+
+  // Every branch is still PREPARED, naming the local participant as the
+  // owner, whose decision record already holds the outcome.
+  for (const auto& [engine_id, branch] : branches) {
+    Result<TxnInfo> info = c.engine(engine_id - 1)->InfoOf(branch);
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->state, TxnState::kPrepared) << "engine " << engine_id;
+    EXPECT_EQ(info->commit_owner, kLocalEngine) << "engine " << engine_id;
+  }
+  Result<CommitDecision> decision =
+      c.engine(kLocalEngine - 1)->DecisionOf(global_id);
+  ASSERT_TRUE(decision.ok());
+  EXPECT_TRUE(decision->commit);
+  EXPECT_EQ(decision->commit_ts, commit_ts);
+
+  // A snapshot above commit_ts is blocked by each writer's branch.
+  c.TickAll();
+  TxnCoordinator next(TsScheme::kHlcSi, &c.cn_hlc, &c.tso);
+  DistributedTxn reader = next.Begin();
+  ASSERT_GT(reader.snapshot_ts(), commit_ts);
+  std::map<uint32_t, TxnId> reads;
+  for (const auto& [engine_id, branch] : branches) {
+    TxnEngine* e = c.engine(engine_id - 1);
+    e->hlc()->Update(reader.snapshot_ts());
+    reads[engine_id] = e->BeginBranch(reader.snapshot_ts(),
+                                      reader.global_id(),
+                                      next.coordinator_id());
+    Row row;
+    TxnId blocker = kInvalidTxnId;
+    EXPECT_TRUE(e->Read(reads[engine_id], kTable,
+                        EncodeKey({int64_t(engine_id - 1)}), &row, &blocker)
+                    .IsBusy())
+        << "engine " << engine_id;
+    EXPECT_EQ(blocker, branch) << "engine " << engine_id;
+  }
+
+  // Phase 2 lands; the same snapshot now reads the write.
+  transport.Release();
+  EXPECT_EQ(coord.stats().commit_failures_after_ack, 0u);
+  for (const auto& [engine_id, branch] : branches) {
+    TxnEngine* e = c.engine(engine_id - 1);
+    Result<TxnInfo> info = e->InfoOf(branch);
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->state, TxnState::kCommitted) << "engine " << engine_id;
+    EXPECT_EQ(info->commit_ts, commit_ts) << "engine " << engine_id;
+    Row row;
+    ASSERT_TRUE(e->Read(reads[engine_id], kTable,
+                        EncodeKey({int64_t(engine_id - 1)}), &row)
+                    .ok())
+        << "engine " << engine_id;
+    EXPECT_EQ(std::get<int64_t>(row[1]), 42);
+  }
+}
 
 INSTANTIATE_TEST_SUITE_P(
     SchemesSeedsSkews, DistributedBankTest,
