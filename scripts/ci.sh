@@ -69,14 +69,14 @@ for seed in 7 19 43; do
     ctest --test-dir "${PREFIX}-asan" -L chaos --output-on-failure
 done
 
-echo "==> asan: runtime-filter / column-join / 2PC units"
+echo "==> asan: executor / runtime-filter / column-join / 2PC units"
 # The bloom filter and the column hash join lean on raw hashing and
-# selection-vector slicing, and ColumnAggOp's group table indexes flat
-# arrays by computed slots; the 2PC coordinator and in-doubt resolver carry
-# shared transaction state between continuations. Run their unit suites
-# under ASan+UBSan too.
+# selection-vector slicing, and the key-word group table that HashAggOp and
+# ColumnAggOp share indexes flat arrays by computed slots; the 2PC
+# coordinator and in-doubt resolver carry shared transaction state between
+# continuations. Run their unit suites under ASan+UBSan too.
 ctest --test-dir "${PREFIX}-asan" \
-  -R 'runtime_filter_test|colindex_test|column_agg_test|distributed_txn_test|txn_recovery_test' \
+  -R 'exec_test|runtime_filter_test|colindex_test|column_agg_test|distributed_txn_test|txn_recovery_test' \
   --output-on-failure
 
 echo "==> tsan: configure + build (${PREFIX}-tsan)"

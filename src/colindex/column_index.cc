@@ -8,6 +8,7 @@
 #include <string_view>
 #include <type_traits>
 
+#include "src/exec/key_word_table.h"
 #include "src/storage/key_codec.h"
 
 namespace polarx {
@@ -808,52 +809,6 @@ uint32_t NextMatch(const ColumnIndex& index, const JoinHashTable& table,
   return JoinHashTable::kNoRow;
 }
 
-/// Open-addressed table of keys of `width` 64-bit words, numbering each
-/// distinct key in first-insertion order. Callers supply each key's hash.
-class KeyWordTable {
- public:
-  explicit KeyWordTable(size_t width) : width_(width), slots_(1024, 0) {}
-
-  /// The id of `key`, inserting it as the next id if it is new.
-  uint32_t FindOrInsert(const uint64_t* key, uint64_t hash, bool* inserted) {
-    const size_t mask = slots_.size() - 1;
-    for (size_t pos = hash & mask;; pos = (pos + 1) & mask) {
-      const uint32_t slot = slots_[pos];
-      if (slot == 0) {
-        const uint32_t id = uint32_t(hashes_.size());
-        keys_.insert(keys_.end(), key, key + width_);
-        hashes_.push_back(hash);
-        slots_[pos] = id + 1;
-        if (hashes_.size() * 2 > slots_.size()) Grow();
-        *inserted = true;
-        return id;
-      }
-      if (hashes_[slot - 1] == hash &&
-          std::equal(key, key + width_, &keys_[(slot - 1) * width_])) {
-        *inserted = false;
-        return slot - 1;
-      }
-    }
-  }
-
- private:
-  void Grow() {
-    std::vector<uint32_t> grown(slots_.size() * 2, 0);
-    const size_t mask = grown.size() - 1;
-    for (uint32_t id = 0; id < hashes_.size(); ++id) {
-      size_t pos = hashes_[id] & mask;
-      while (grown[pos] != 0) pos = (pos + 1) & mask;
-      grown[pos] = id + 1;
-    }
-    slots_.swap(grown);
-  }
-
-  const size_t width_;
-  std::vector<uint32_t> slots_;   // id + 1 per slot, 0 when empty
-  std::vector<uint64_t> keys_;    // width_ words per id
-  std::vector<uint64_t> hashes_;  // per id
-};
-
 }  // namespace
 
 ColumnAggOp::ColumnAggOp(const ColumnIndex* index, Timestamp snapshot_ts,
@@ -901,35 +856,32 @@ Status ColumnAggOp::Open() {
     selection.swap(kept);
   }
 
-  // Group id per selected row, numbered in first-seen order. A row's key
-  // is one 64-bit code word per group column (int64: the value; double:
-  // its bits; string: its bytes if short, else a code from a dictionary
-  // built here), then one NULL flag bit per column. Each column holds one
-  // type, so equal words mean equal EncodeValue keys: the groups are
-  // HashAggOp's. Codes and key hashes are computed a column at a time, so
-  // the rows' hash chains overlap instead of running one after another.
+  // Group id per selected row, numbered in first-seen order by the
+  // executor's key-word table. A column holds one type, so its tag is
+  // constant but for NULLs. Words and key hashes are computed a column at a
+  // time, so the rows' hash chains overlap instead of running one after
+  // another; the tag words are folded in last, as KeyWordTable::Hash does.
   const size_t ncols = group_cols_.size();
   std::vector<uint32_t> row_group(selection.size(), 0);
   std::vector<uint32_t> group_first;  // first selected row of each group
   if (ncols == 0) {
     group_first.push_back(0);  // the global aggregate's one row
   } else {
-    const size_t width = ncols + (ncols + 63) / 64;
+    KeyWordTable table(ncols);
+    const size_t width = table.width();
     std::vector<uint64_t> keys(selection.size() * width, 0);
     std::vector<uint64_t> hashes(selection.size(), kKeyHashSeed);
     for (size_t k = 0; k < ncols; ++k) {
       const ColumnVector& col = index_->column(group_cols_[k]);
-      auto encode = [&](auto code) {
+      auto encode = [&](auto word) {
         for (size_t i = 0; i < selection.size(); ++i) {
           const uint32_t r = selection[i];
           uint64_t* key = &keys[i * width];
-          if (col.nulls[r]) {
-            key[ncols + k / 64] |= uint64_t{1} << (k % 64);
-            hashes[i] = HashCombine(hashes[i], kHashTagNull);
-          } else {
-            key[k] = code(r);
-            hashes[i] = HashCombine(hashes[i], key[k]);
+          if (!col.nulls[r]) {
+            key[k] = word(r);
+            table.SetTag(key, k, col.type);
           }
+          hashes[i] = HashCombine(hashes[i], key[k]);
         }
       };
       if (col.type == ValueType::kInt64) {
@@ -941,30 +893,13 @@ Status ColumnAggOp::Open() {
           return bits;
         });
       } else {
-        // A string of up to 7 bytes is its own code: the bytes, and its
-        // length in the top byte. Longer strings take dictionary codes with
-        // the top bit set (find before emplace: libstdc++'s emplace
-        // allocates a node first).
-        std::unordered_map<std::string_view, uint64_t> dict;
-        encode([&](uint32_t r) {
-          const std::string_view v = col.strings[r];
-          if (v.size() < 8) {
-            uint64_t code = uint64_t(v.size()) << 56;
-            for (size_t b = 0; b < v.size(); ++b) {
-              code |= uint64_t(uint8_t(v[b])) << (8 * b);
-            }
-            return code;
-          }
-          auto it = dict.find(v);
-          if (it == dict.end()) {
-            it = dict.emplace(v, (uint64_t{1} << 63) | dict.size()).first;
-          }
-          return it->second;
-        });
+        encode([&](uint32_t r) { return table.StringWord(k, col.strings[r]); });
       }
     }
-    KeyWordTable table(width);
     for (size_t i = 0; i < selection.size(); ++i) {
+      for (size_t w = ncols; w < width; ++w) {
+        hashes[i] = HashCombine(hashes[i], keys[i * width + w]);
+      }
       bool inserted = false;
       row_group[i] =
           table.FindOrInsert(&keys[i * width], hashes[i], &inserted);

@@ -187,14 +187,12 @@ class ColumnIndex {
 /// Aggregation pushed down into the column index (§VI-E: "table-scan and
 /// filter ... and the first phase of aggregation are offloaded"): computes
 /// group-by aggregates directly over the typed column vectors, without
-/// materializing rows. Group ids come from one 64-bit code word per group
-/// column (int64 value, double bits, a short string's bytes or a longer
-/// one's per-Open dictionary code, NULL flag) in an open-addressed table,
-/// so groups equal HashAggOp's (EncodeValue equality: type-strict, doubles
-/// bit-exact) and are emitted in first-seen order. NULL aggregate inputs
-/// are skipped, as HashAggOp skips them. Output layout matches HashAggOp
-/// for the same specs, so it drops into plans as a replacement for
-/// Agg(Scan(...)).
+/// materializing rows. Group ids come from HashAggOp's grouping table
+/// (KeyWordTable), fed a column at a time from the typed arrays, so the
+/// groups and their first-seen output order are HashAggOp's over the same
+/// selection. NULL aggregate inputs are skipped, as HashAggOp skips them.
+/// Output layout matches HashAggOp for the same specs, so it drops into
+/// plans as a replacement for Agg(Scan(...)); min/max are not supported.
 class ColumnAggOp : public Operator {
  public:
   /// Aggregates the rows of `range` only (an MPP task's slice).

@@ -341,107 +341,34 @@ HashAggOp::HashAggOp(OperatorPtr child, std::vector<ExprPtr> group_by,
     : child_(std::move(child)),
       group_by_(std::move(group_by)),
       aggs_(std::move(aggs)),
-      mode_(mode) {}
+      mode_(mode),
+      table_(group_by_.size()),
+      key_buf_(table_.width()) {}
 
 Status HashAggOp::Open() {
   POLARX_RETURN_NOT_OK(child_->Open());
   consumed_ = false;
+  table_ = KeyWordTable(group_by_.size());
   groups_.clear();
-  fast_vals_.clear();
-  fast_nulls_.clear();
-  fast_states_.clear();
-  fast_slots_.clear();
-  fast_group_count_ = 0;
-  results_.clear();
+  states_.clear();
   out_pos_ = 0;
   return Status::Ok();
 }
 
-uint64_t HashAggOp::FastHash(const uint64_t* vals, uint64_t nulls) const {
-  uint64_t h = MixHash64(kKeyHashSeed ^ nulls);
-  for (size_t i = 0; i < group_by_.size(); ++i) {
-    h = HashCombine(h, MixHash64(vals[i]));
+HashAggOp::AggState* HashAggOp::GroupStates(const Value* group) {
+  table_.Encode(group, key_buf_.data());
+  bool inserted = false;
+  const uint32_t id = table_.FindOrInsert(
+      key_buf_.data(), table_.Hash(key_buf_.data()), &inserted);
+  if (inserted) {
+    // Room for the aggregates Finalize appends (two columns for a partial
+    // avg), so emitting the group does not reallocate its row.
+    Row& values = groups_.emplace_back();
+    values.reserve(group_by_.size() + 2 * aggs_.size());
+    values.assign(group, group + group_by_.size());
+    states_.resize(states_.size() + aggs_.size());
   }
-  return h;
-}
-
-void HashAggOp::FastRehash() {
-  std::vector<uint32_t> grown(fast_slots_.size() * 2, 0);
-  const size_t mask = grown.size() - 1;
-  const size_t n = group_by_.size();
-  for (size_t idx = 0; idx < fast_group_count_; ++idx) {
-    size_t pos =
-        size_t(FastHash(fast_vals_.data() + idx * n, fast_nulls_[idx])) & mask;
-    while (grown[pos] != 0) pos = (pos + 1) & mask;
-    grown[pos] = uint32_t(idx) + 1;
-  }
-  fast_slots_ = std::move(grown);
-}
-
-HashAggOp::AggState* HashAggOp::FastFindOrInsert(const uint64_t* vals,
-                                                 uint64_t nulls) {
-  if (fast_slots_.empty()) fast_slots_.assign(1024, 0);
-  const size_t n = group_by_.size();
-  const size_t mask = fast_slots_.size() - 1;
-  size_t pos = size_t(FastHash(vals, nulls)) & mask;
-  for (;;) {
-    const uint32_t slot = fast_slots_[pos];
-    if (slot == 0) {
-      const size_t idx = fast_group_count_++;
-      fast_vals_.insert(fast_vals_.end(), vals, vals + n);
-      fast_nulls_.push_back(nulls);
-      fast_states_.resize(fast_states_.size() + aggs_.size());
-      fast_slots_[pos] = uint32_t(idx) + 1;
-      // Keep load under 70%; the returned pointer is recomputed after any
-      // arena growth so it stays valid for the caller's fold.
-      if (fast_group_count_ * 10 >= fast_slots_.size() * 7) FastRehash();
-      return fast_states_.data() + idx * aggs_.size();
-    }
-    const size_t idx = slot - 1;
-    if (fast_nulls_[idx] == nulls &&
-        std::equal(vals, vals + n, fast_vals_.data() + idx * n)) {
-      return fast_states_.data() + idx * aggs_.size();
-    }
-    pos = (pos + 1) & mask;
-  }
-}
-
-HashAggOp::AggState* HashAggOp::TryFastStates(const Value* group, size_t n) {
-  if (n > kFastMaxGroupCols) return nullptr;
-  uint64_t vals[kFastMaxGroupCols] = {0, 0, 0, 0};
-  uint64_t nulls = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (const auto* k = std::get_if<int64_t>(&group[i])) {
-      vals[i] = static_cast<uint64_t>(*k);
-    } else if (IsNull(group[i])) {
-      nulls |= uint64_t{1} << i;
-    } else {
-      return nullptr;
-    }
-  }
-  return FastFindOrInsert(vals, nulls);
-}
-
-void HashAggOp::Accumulate(const Row& row) {
-  group_buf_.clear();
-  group_buf_.reserve(group_by_.size());
-  for (const auto& g : group_by_) group_buf_.push_back(g->Eval(row));
-  AggState* states = TryFastStates(group_buf_.data(), group_buf_.size());
-  if (states == nullptr) {
-    key_buf_.clear();
-    for (const auto& v : group_buf_) EncodeValue(v, &key_buf_);
-    auto it = groups_.find(key_buf_);
-    if (it == groups_.end()) {
-      it = groups_
-               .emplace(key_buf_,
-                        std::make_pair(std::move(group_buf_),
-                                       std::vector<AggState>(aggs_.size())))
-               .first;
-      group_buf_.clear();
-    }
-    states = it->second.second.data();
-  }
-  Fold(row, states);
+  return states_.data() + size_t(id) * aggs_.size();
 }
 
 void HashAggOp::Fold(const Row& row, AggState* states) {
@@ -479,30 +406,9 @@ void HashAggOp::Fold(const Row& row, AggState* states) {
   }
 }
 
-void HashAggOp::MergeState(const Row& row) {
+void HashAggOp::FoldMerged(const Row& row, AggState* states) {
   // Input layout: group columns, then states (sum,count per avg; single
   // column otherwise) in agg order.
-  AggState* states = TryFastStates(row.data(), group_by_.size());
-  if (states == nullptr) {
-    key_buf_.clear();
-    for (size_t i = 0; i < group_by_.size(); ++i) {
-      EncodeValue(row[i], &key_buf_);
-    }
-    auto it = groups_.find(key_buf_);
-    if (it == groups_.end()) {
-      it = groups_
-               .emplace(key_buf_,
-                        std::make_pair(
-                            Row(row.begin(), row.begin() + group_by_.size()),
-                            std::vector<AggState>(aggs_.size())))
-               .first;
-    }
-    states = it->second.second.data();
-  }
-  FoldMerged(row, states);
-}
-
-void HashAggOp::FoldMerged(const Row& row, AggState* states) {
   size_t col = group_by_.size();
   for (size_t i = 0; i < aggs_.size(); ++i) {
     AggState& st = states[i];
@@ -521,19 +427,16 @@ void HashAggOp::FoldMerged(const Row& row, AggState* states) {
         col += 2;
         break;
       case AggOp::kMin: {
-        const Value& v = row[col];
-        if (!IsNull(v) && (!st.any || CompareValues(v, st.min) < 0)) {
-          st.min = v;
-        }
-        ++col;
+        // A NULL state is a partial that saw no non-NULL input.
+        const Value& v = row[col++];
+        if (IsNull(v)) continue;
+        if (!st.any || CompareValues(v, st.min) < 0) st.min = v;
         break;
       }
       case AggOp::kMax: {
-        const Value& v = row[col];
-        if (!IsNull(v) && (!st.any || CompareValues(v, st.max) > 0)) {
-          st.max = v;
-        }
-        ++col;
+        const Value& v = row[col++];
+        if (IsNull(v)) continue;
+        if (!st.any || CompareValues(v, st.max) > 0) st.max = v;
         break;
       }
     }
@@ -541,31 +444,10 @@ void HashAggOp::FoldMerged(const Row& row, AggState* states) {
   }
 }
 
-Row HashAggOp::Finalize(const Row& group, AggState* states) const {
-  Row out = group;
+Row HashAggOp::Finalize(Row group, const AggState* states) const {
+  Row out = std::move(group);
   for (size_t i = 0; i < aggs_.size(); ++i) {
-    AggState& st = states[i];
-    if (mode_ == AggMode::kPartial) {
-      switch (aggs_[i].op) {
-        case AggOp::kCount:
-          out.push_back(st.count);
-          break;
-        case AggOp::kSum:
-          out.push_back(st.sum);
-          break;
-        case AggOp::kAvg:
-          out.push_back(st.sum);
-          out.push_back(st.count);
-          break;
-        case AggOp::kMin:
-          out.push_back(st.any ? st.min : Value{});
-          break;
-        case AggOp::kMax:
-          out.push_back(st.any ? st.max : Value{});
-          break;
-      }
-      continue;
-    }
+    const AggState& st = states[i];
     switch (aggs_[i].op) {
       case AggOp::kCount:
         out.push_back(st.count);
@@ -574,7 +456,12 @@ Row HashAggOp::Finalize(const Row& group, AggState* states) const {
         out.push_back(st.sum);
         break;
       case AggOp::kAvg:
-        out.push_back(st.count == 0 ? Value{} : Value{st.sum / st.count});
+        if (mode_ == AggMode::kPartial) {
+          out.push_back(st.sum);
+          out.push_back(st.count);
+        } else {
+          out.push_back(st.count == 0 ? Value{} : Value{st.sum / st.count});
+        }
         break;
       case AggOp::kMin:
         out.push_back(st.any ? st.min : Value{});
@@ -596,44 +483,25 @@ Status HashAggOp::Next(Batch* out) {
       if (in.empty()) break;
       for (const auto& row : in.rows) {
         if (mode_ == AggMode::kFinal) {
-          MergeState(row);
-        } else {
-          Accumulate(row);
+          FoldMerged(row, GroupStates(row.data()));
+          continue;
         }
+        group_buf_.clear();
+        for (const auto& g : group_by_) group_buf_.push_back(g->Eval(row));
+        Fold(row, GroupStates(group_buf_.data()));
       }
     }
     // Global aggregation (no GROUP BY) yields one row even on empty input.
-    if (groups_.empty() && fast_group_count_ == 0 && group_by_.empty()) {
-      std::vector<AggState> states(aggs_.size());
-      results_.push_back(Finalize({}, states.data()));
+    if (groups_.empty() && group_by_.empty()) {
+      groups_.emplace_back();
+      states_.resize(aggs_.size());
     }
-    Row group;
-    for (size_t idx = 0; idx < fast_group_count_; ++idx) {
-      group.clear();
-      for (size_t c = 0; c < group_by_.size(); ++c) {
-        if ((fast_nulls_[idx] >> c) & 1) {
-          group.push_back(Value{});
-        } else {
-          group.push_back(
-              static_cast<int64_t>(fast_vals_[idx * group_by_.size() + c]));
-        }
-      }
-      results_.push_back(
-          Finalize(group, fast_states_.data() + idx * aggs_.size()));
-    }
-    for (auto& [key, entry] : groups_) {
-      results_.push_back(Finalize(entry.first, entry.second.data()));
-    }
-    groups_.clear();
-    fast_vals_.clear();
-    fast_nulls_.clear();
-    fast_states_.clear();
-    fast_slots_.clear();
-    fast_group_count_ = 0;
     consumed_ = true;
   }
-  while (out_pos_ < results_.size() && out->rows.size() < kExecBatchSize) {
-    out->rows.push_back(std::move(results_[out_pos_++]));
+  while (out_pos_ < groups_.size() && out->rows.size() < kExecBatchSize) {
+    const size_t g = out_pos_++;
+    out->rows.push_back(Finalize(std::move(groups_[g]),
+                                 states_.data() + g * aggs_.size()));
   }
   rows_produced_ += out->rows.size();
   return Status::Ok();

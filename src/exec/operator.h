@@ -5,13 +5,13 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/exec/expr.h"
 #include "src/exec/join_table.h"
+#include "src/exec/key_word_table.h"
 #include "src/exec/runtime_filter.h"
 #include "src/storage/key_codec.h"
 #include "src/storage/table.h"
@@ -249,7 +249,7 @@ struct AggSpec {
 enum class AggMode { kComplete, kPartial, kFinal };
 
 /// Hash aggregation. Output: group-by values, then one column per aggregate
-/// (two for avg in partial mode).
+/// (two for avg in partial mode), one row per group in first-seen order.
 class HashAggOp : public Operator {
  public:
   HashAggOp(OperatorPtr child, std::vector<ExprPtr> group_by,
@@ -267,41 +267,23 @@ class HashAggOp : public Operator {
     Value min, max;
   };
 
-  void Accumulate(const Row& row);
-  void MergeState(const Row& row);
+  AggState* GroupStates(const Value* group);
   void Fold(const Row& row, AggState* states);
   void FoldMerged(const Row& row, AggState* states);
-  Row Finalize(const Row& group, AggState* states) const;
-
-  // Allocation-free path for groups whose key values are all int64/NULL
-  // (the dominant shape of kFinal merges and FK-grouped partials): keys
-  // live packed in an arena indexed by an open-addressed slot table, so
-  // neither lookups nor inserts allocate per row. Groups with any other
-  // value type fall back to the encoded-string map below; the two paths
-  // can never hold the same group because group equality is type-strict.
-  AggState* TryFastStates(const Value* group, size_t n);
-  AggState* FastFindOrInsert(const uint64_t* vals, uint64_t nulls);
-  uint64_t FastHash(const uint64_t* vals, uint64_t nulls) const;
-  void FastRehash();
-  static constexpr size_t kFastMaxGroupCols = 4;
+  Row Finalize(Row group, const AggState* states) const;
 
   OperatorPtr child_;
   std::vector<ExprPtr> group_by_;
   std::vector<AggSpec> aggs_;
   AggMode mode_;
-  std::unordered_map<std::string, std::pair<Row, std::vector<AggState>>>
-      groups_;
-  std::vector<uint64_t> fast_vals_;    // group_by_.size() words per group
-  std::vector<uint64_t> fast_nulls_;   // one NULL bitmask per group
-  std::vector<AggState> fast_states_;  // aggs_.size() states per group
-  std::vector<uint32_t> fast_slots_;   // open addressing; 0 empty, idx + 1
-  size_t fast_group_count_ = 0;
-  // Reused per input row so existing groups are found without allocating a
-  // key string or a group Row.
-  EncodedKey key_buf_;
+  // Group g is id g of `table_`; its key values are groups_[g] and its
+  // states aggs_.size() entries of `states_` from g * aggs_.size().
+  KeyWordTable table_;
+  std::vector<Row> groups_;
+  std::vector<AggState> states_;
+  std::vector<uint64_t> key_buf_;  // reused per input row
   Row group_buf_;
   bool consumed_ = false;
-  std::vector<Row> results_;
   size_t out_pos_ = 0;
 };
 

@@ -1,8 +1,9 @@
 // PolarFS model (§II-A): a durable, horizontally scalable shared storage
 // service. Volumes are carved into chunks (10 GB in production; configurable
 // here), provisioned on demand across chunk servers; each chunk keeps three
-// replicas inside one datacenter, kept linearizable by ParallelRaft — a Raft
-// derivative that acks appends out of order (see parallel_raft.h).
+// replicas inside one datacenter, and a write lands on every replica of its
+// chunk synchronously. PolarFS's ParallelRaft, which acks replica appends
+// out of order, is not modeled.
 //
 // Each DN owns one volume; the buffer pool's PageStore writes land on the
 // chunk that owns the page. PolarDB-X's cross-DC durability is NOT built

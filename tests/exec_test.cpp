@@ -1,5 +1,5 @@
 // Tests for the executor: expressions, operators, MPP parallel fragments,
-// the time-slicing scheduler with TP/AP isolation, and memory regions.
+// and the time-slicing scheduler with TP/AP isolation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "src/clock/hlc.h"
 #include "src/exec/expr.h"
 #include "src/exec/join_table.h"
-#include "src/exec/memory.h"
 #include "src/exec/mpp.h"
 #include "src/exec/operator.h"
 #include "src/exec/scheduler.h"
@@ -512,6 +511,117 @@ TEST(OperatorTest, PartialFinalAggEqualsComplete) {
   }
 }
 
+// HashAggOp's groups are the EncodeKey-distinct key tuples, for keys
+// mixing int64 1, double 1.0, string "1" and NULL, both zeros, 7- and
+// 8-byte strings with a common prefix and strings with embedded '\0', over
+// 1 to 6 key columns, in complete mode and as kPartial -> kFinal (where a
+// partial min over only NULLs must not hide another partial's value);
+// groups come out in first-seen order.
+TEST(OperatorTest, HashAggGroupsMixedTypeKeysLikeEncodedKeys) {
+  using namespace std::string_literals;
+  const std::vector<Value> pool = {
+      Value{},      int64_t{1}, 1.0,         "1"s,        int64_t{0},
+      0.0,          -0.0,       "abcdefg"s,  "abcdefgh"s, "abcdefgh1"s,
+      "a\0b"s,      "a\0c"s,    "a\0"s,      "a"s,        ""s,
+      "\0\0\0\0\0\0\0\0x"s, "\0\0\0\0\0\0\0\0y"s};
+  std::mt19937_64 rng(16);
+  // Key tuples: tuple i < pool.size() leads with pool[i], so one key column
+  // yields exactly pool.size() groups.
+  std::vector<Row> tuples;
+  for (size_t i = 0; i < 60; ++i) {
+    Row t;
+    for (size_t c = 0; c < 6; ++c) t.push_back(pool[rng() % pool.size()]);
+    if (i < pool.size()) t[0] = pool[i];
+    tuples.push_back(std::move(t));
+  }
+  // Rows: 6 key columns, then int64 i and double i/2 (NULL every 7th row).
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 600; ++i) {
+    Row row = tuples[rng() % tuples.size()];
+    row.push_back(i);
+    row.push_back(i % 7 == 0 ? Value{} : Value{0.5 * double(i)});
+    rows.push_back(std::move(row));
+  }
+  auto aggs = [](bool final) {
+    auto col = [&](int c) { return final ? nullptr : Expr::Col(c); };
+    return std::vector<AggSpec>{
+        {AggOp::kCount, nullptr}, {AggOp::kSum, col(6)},
+        {AggOp::kAvg, col(7)},    {AggOp::kMin, col(7)},
+        {AggOp::kMax, col(6)},    {AggOp::kCount, col(7)}};
+  };
+  for (size_t ncols = 1; ncols <= 6; ++ncols) {
+    auto group_by = [&] {
+      std::vector<ExprPtr> g;
+      for (size_t c = 0; c < ncols; ++c) g.push_back(Expr::Col(int(c)));
+      return g;
+    };
+    // The oracle: one entry per EncodeKey of the key columns.
+    struct Group {
+      Row key;
+      int64_t count = 0, nonnull = 0;
+      double sum = 0, dsum = 0;
+      Value min, max;
+    };
+    std::map<EncodedKey, Group> groups;
+    std::vector<EncodedKey> first_seen;
+    for (const Row& row : rows) {
+      Row key(row.begin(), row.begin() + ncols);
+      auto [it, added] = groups.try_emplace(EncodeKey(key));
+      if (added) {
+        first_seen.push_back(it->first);
+        it->second.key = key;
+      }
+      Group& g = it->second;
+      ++g.count;
+      g.sum += double(std::get<int64_t>(row[6]));
+      g.max = row[6];
+      if (IsNull(row[7])) continue;
+      ++g.nonnull;
+      g.dsum += std::get<double>(row[7]);
+      if (IsNull(g.min)) g.min = row[7];
+    }
+    std::vector<Row> expected;
+    for (const auto& [key, g] : groups) {
+      Row want = g.key;
+      want.insert(want.end(),
+                  {g.count, g.sum,
+                   g.nonnull == 0 ? Value{} : Value{g.dsum / g.nonnull}, g.min,
+                   g.max, g.nonnull});
+      expected.push_back(std::move(want));
+    }
+    if (ncols == 1) ASSERT_EQ(groups.size(), pool.size());
+
+    HashAggOp complete(std::make_unique<ValuesOp>(rows), group_by(),
+                       aggs(false));
+    auto got = Collect(&complete);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(Canonical(*got), Canonical(expected)) << ncols << " columns";
+    std::vector<EncodedKey> emitted;
+    for (const Row& row : *got) {
+      emitted.push_back(EncodeKey(Row(row.begin(), row.begin() + ncols)));
+    }
+    EXPECT_EQ(emitted, first_seen) << ncols << " columns";
+
+    // Three partial aggregations over interleaved thirds, then the merge.
+    std::vector<Row> partials;
+    for (size_t part = 0; part < 3; ++part) {
+      std::vector<Row> slice;
+      for (size_t i = part; i < rows.size(); i += 3) slice.push_back(rows[i]);
+      HashAggOp partial(std::make_unique<ValuesOp>(std::move(slice)),
+                        group_by(), aggs(false), AggMode::kPartial);
+      auto states = Collect(&partial);
+      ASSERT_TRUE(states.ok()) << states.status().ToString();
+      partials.insert(partials.end(), states->begin(), states->end());
+    }
+    HashAggOp merged(std::make_unique<ValuesOp>(std::move(partials)),
+                     group_by(), aggs(true), AggMode::kFinal);
+    auto final_rows = Collect(&merged);
+    ASSERT_TRUE(final_rows.ok()) << final_rows.status().ToString();
+    EXPECT_EQ(Canonical(*final_rows), Canonical(expected))
+        << ncols << " columns, partial -> final";
+  }
+}
+
 TEST(OperatorTest, SortAscDescAndTopN) {
   auto make_values = [] {
     return std::make_unique<ValuesOp>(std::vector<Row>{
@@ -876,43 +986,6 @@ TEST(SchedulerTest, OperatorJobCollectsRows) {
   h->Wait();
   EXPECT_TRUE(job->status().ok());
   EXPECT_EQ(job->rows().size(), 300u);
-}
-
-// ---------- memory ----------
-
-TEST(MemoryTest, RegionsEnforceLimits) {
-  MemoryConfig cfg;
-  cfg.total_bytes = 8ULL << 30;
-  cfg.reserved_bytes = 1ULL << 30;
-  cfg.other_bytes = 1ULL << 30;
-  cfg.tp_min = 2ULL << 30;
-  cfg.ap_min = 2ULL << 30;  // headroom = 2GB
-  MemoryBroker broker(cfg);
-  EXPECT_EQ(broker.headroom_bytes(), 2ULL << 30);
-  EXPECT_TRUE(broker.Reserve(MemRegion::kOther, 1ULL << 30).ok());
-  EXPECT_TRUE(broker.Reserve(MemRegion::kOther, 1).IsResourceExhausted());
-}
-
-TEST(MemoryTest, TpPreemptsApHeadroom) {
-  MemoryConfig cfg;
-  cfg.total_bytes = 8ULL << 30;
-  cfg.reserved_bytes = 1ULL << 30;
-  cfg.other_bytes = 1ULL << 30;
-  cfg.tp_min = 2ULL << 30;
-  cfg.ap_min = 2ULL << 30;
-  MemoryBroker broker(cfg);
-  // AP grabs its min + all 2GB headroom.
-  ASSERT_TRUE(broker.Reserve(MemRegion::kAp, 4ULL << 30).ok());
-  // TP needs beyond its min: must succeed by preempting AP headroom.
-  ASSERT_TRUE(broker.Reserve(MemRegion::kTp, 3ULL << 30).ok());
-  EXPECT_EQ(broker.tp_preempted_bytes(), 1ULL << 30);
-  EXPECT_LT(broker.used(MemRegion::kAp), 4ULL << 30)
-      << "AP must have released preempted memory immediately";
-  // AP cannot reclaim while TP holds the headroom.
-  EXPECT_TRUE(broker.Reserve(MemRegion::kAp, 2ULL << 30).IsResourceExhausted());
-  // When TP releases (query completion), AP can grow again.
-  broker.Release(MemRegion::kTp, 3ULL << 30);
-  EXPECT_TRUE(broker.Reserve(MemRegion::kAp, 1ULL << 30).ok());
 }
 
 // ---------- optimizer ----------

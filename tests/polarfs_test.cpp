@@ -1,9 +1,7 @@
 // Tests for the PolarFS model: chunk provisioning/placement, volume writes
-// fanning to replicas, the PageStore adapter, and ParallelRaft's
-// out-of-order acknowledgment rules.
+// fanning to replicas, and the PageStore adapter.
 #include <gtest/gtest.h>
 
-#include "src/polarfs/parallel_raft.h"
 #include "src/polarfs/polarfs.h"
 
 namespace polarx {
@@ -109,106 +107,6 @@ TEST(PolarFsTest, PageStoreAdapterWritesVolume) {
   pool.FlushUpTo(1000);
   EXPECT_EQ(store.pages_written(), 1u);
   EXPECT_GT(fs.total_bytes_written(), 0u);
-}
-
-// ---------- ParallelRaft ----------
-
-TEST(ParallelRaftTest, InOrderDeliveryAcksImmediately) {
-  ParallelRaftLeader leader;
-  uint64_t i1 = leader.Append(0, 8);
-  uint64_t i2 = leader.Append(100, 8);
-  EXPECT_TRUE(leader.IsCommitted(i1));
-  EXPECT_TRUE(leader.IsCommitted(i2));
-  EXPECT_EQ(leader.follower(0)->in_order_acks(), 2u);
-  EXPECT_EQ(leader.follower(0)->out_of_order_acks(), 0u);
-}
-
-TEST(ParallelRaftTest, OutOfOrderNonOverlappingAcks) {
-  // Drop entry 1 to follower 0; entry 2 (disjoint LBA) must still be acked
-  // out of order — the heart of ParallelRaft.
-  ParallelRaftLeader leader;
-  std::vector<PrEntry> held;
-  bool drop_next = true;
-  leader.SetDelivery(0, [&](const PrEntry& e) {
-    if (drop_next) {
-      drop_next = false;
-      held.push_back(e);
-      return false;
-    }
-    return leader.follower(0)->Receive(e);
-  });
-  uint64_t i1 = leader.Append(0, 8);     // dropped to follower 0
-  uint64_t i2 = leader.Append(1000, 8);  // disjoint: acked out of order
-  EXPECT_TRUE(leader.follower(0)->Has(i2));
-  EXPECT_FALSE(leader.follower(0)->Has(i1));
-  EXPECT_EQ(leader.follower(0)->out_of_order_acks(), 1u);
-  // Both committed: follower 1 plus leader form a majority for i1; i2 has
-  // all three.
-  EXPECT_TRUE(leader.IsCommitted(i1));
-  EXPECT_TRUE(leader.IsCommitted(i2));
-  // Late redelivery of the hole.
-  EXPECT_TRUE(leader.follower(0)->Receive(held[0]));
-  EXPECT_EQ(leader.follower(0)->contiguous_index(), 2u);
-}
-
-TEST(ParallelRaftTest, OverlappingHoleBlocksAck) {
-  // Entry 2 overlaps missing entry 1's blocks: follower must NOT ack it
-  // until the hole is filled.
-  ParallelRaftLeader leader;
-  std::vector<PrEntry> held;
-  bool drop_next = true;
-  leader.SetDelivery(0, [&](const PrEntry& e) {
-    if (drop_next) {
-      drop_next = false;
-      held.push_back(e);
-      return false;
-    }
-    return leader.follower(0)->Receive(e);
-  });
-  uint64_t i1 = leader.Append(0, 8);  // dropped
-  uint64_t i2 = leader.Append(4, 8);  // overlaps blocks [4,8) of entry 1
-  EXPECT_FALSE(leader.follower(0)->Has(i2)) << "conflicting hole must block";
-  // Filling the hole releases the pending entry automatically.
-  EXPECT_TRUE(leader.follower(0)->Receive(held[0]));
-  EXPECT_TRUE(leader.follower(0)->Has(i1));
-  EXPECT_TRUE(leader.follower(0)->Has(i2));
-  EXPECT_EQ(leader.follower(0)->contiguous_index(), 2u);
-}
-
-TEST(ParallelRaftTest, LookBehindWindowBoundsReordering) {
-  ParallelRaftOptions opts;
-  opts.look_behind = 2;
-  ParallelRaftLeader leader(opts);
-  int dropped = 0;
-  std::vector<PrEntry> held;
-  leader.SetDelivery(0, [&](const PrEntry& e) {
-    if (dropped < 3) {
-      ++dropped;
-      held.push_back(e);
-      return false;
-    }
-    return leader.follower(0)->Receive(e);
-  });
-  for (int i = 0; i < 3; ++i) leader.Append(uint64_t(i) * 100, 8);
-  // Entry 4 is 3 positions beyond the contiguous point with window 2:
-  // cannot validate, must be refused.
-  uint64_t i4 = leader.Append(9999, 8);
-  EXPECT_FALSE(leader.follower(0)->Has(i4));
-}
-
-TEST(ParallelRaftTest, MajorityCommitWithOneFollowerDown) {
-  ParallelRaftLeader leader;
-  leader.SetDelivery(1, [](const PrEntry&) { return false; });  // f1 dead
-  uint64_t idx = leader.Append(0, 8);
-  EXPECT_TRUE(leader.IsCommitted(idx)) << "leader + follower 0 = majority";
-}
-
-TEST(ParallelRaftTest, NoCommitWithoutMajority) {
-  ParallelRaftLeader leader;
-  leader.SetDelivery(0, [](const PrEntry&) { return false; });
-  leader.SetDelivery(1, [](const PrEntry&) { return false; });
-  uint64_t idx = leader.Append(0, 8);
-  EXPECT_FALSE(leader.IsCommitted(idx));
 }
 
 }  // namespace
