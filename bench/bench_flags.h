@@ -1,4 +1,4 @@
-// Shared command-line knobs for the benchmarks (E4/E5 ablations):
+// Shared command-line knobs for the benchmarks (E3-E5):
 //
 //   --group_commit=off|on   leader-side redo group commit (default: on)
 //   --pipeline=N            max in-flight AppendFrames per follower; 1 means

@@ -1,299 +1,368 @@
 // Experiment E3 (Fig. 9): resource isolation and scalable RO nodes under a
-// mixed TPC-C + analytics load.
+// mixed TPC-C + analytics load, run through the library's HTAP path.
 //
-// One RW engine runs TPC-C-lite continuously on a dedicated TP thread.
-// Analytical queries (heavy scan/join/aggregate plans over the TPC-C
-// tables) run per configuration, as in §VII-C:
-//   1. isolation OFF, analytics on the RW node (same tables, unrestricted
-//      threads): TP suffers deep jitters from CPU and row-store lock
-//      contention;
-//   2. isolation ON, analytics still on the RW node but capped to one AP
-//      thread (the CPU quota): mild interference;
-//   3-6. analytics rerouted to 1..4 dedicated RO replicas. In the paper
-//      these are separate machines, so TP is physically unaffected; this
-//      2-core host reproduces that by time-multiplexing: tpmC is measured
-//      with analytics absent (they run elsewhere), and AP latency is
-//      measured with the critical-path model (per-RO fragments timed
-//      serially, latency = max over ROs; see DESIGN.md substitutions).
+// Each config loads a fresh RW node (TPC-C-lite, 12 warehouses, 4000
+// preloaded NewOrders) and runs one closed-loop TPC-C client whose
+// transactions are TP jobs on the RW's QueryScheduler (2 workers, AP quota
+// 1): the CN's TP pool of §VI-D. The analytical query counts units and
+// order lines per item over order_line JOIN stock (scan + join + partial
+// aggregation per warehouse range), then ranks items in a coordinator stage.
+//   1-2. Two AP clients plan with HtapRouter::PlanScan and run with
+//      HtapRouter::Execute in the RW scheduler's AP pool. The configs differ
+//      only in SetIsolationEnabled(false/true).
+//   3-6. One AP client runs the query on 1..4 RoReplicas fed by the RW's redo
+//      through MppExecutor::RunPartialFinal, one ThreadPool thread and task
+//      per RO; the merge runs the coordinator stage. The RO threads share
+//      this host's cores with the RW (the paper's ROs are machines).
 //
-// Expected shape: config 1 shows deep tpmC jitters; config 2 mild and a
-// slightly slower TPC-H; configs 3-6 stable tpmC with AP latency dropping
-// steeply 1->2 ROs, less for 3, ~flat at 4 (coordinator/row-store bound).
+// tpmC is counted per 500 ms bucket (the first is warm-up); a jitter is a
+// bucket below 75% of the median. AP latency is the median query time, the
+// ROs' redo catch-up included. Each RO config ends by checking its rows
+// against one RO's at one snapshot (exit 1 if they differ).
+// --smoke shrinks the run to a CI canary; --json=PATH writes the results.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <deque>
+#include <functional>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_flags.h"
 #include "src/clock/hlc.h"
+#include "src/common/thread_pool.h"
+#include "src/exec/mpp.h"
 #include "src/exec/operator.h"
+#include "src/exec/scheduler.h"
+#include "src/htap/router.h"
 #include "src/replication/rw_ro.h"
 #include "src/storage/buffer_pool.h"
-#include "src/txn/engine.h"
 #include "src/storage/key_codec.h"
+#include "src/txn/engine.h"
 #include "src/workload/tpcc.h"
 
 namespace polarx {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-constexpr int kWarehouses = 12;
-constexpr int kPreloadNewOrders = 4000;
-constexpr int kDurationMs = 6000;
+using Rows = std::vector<Row>;
 
-struct Rw {
+constexpr int kApClientsOnRw = 2;
+
+struct Shape {
+  int warehouses = 12;
+  int preload_new_orders = 4000;
+  int duration_ms = 6000;
+  int bucket_ms = 500;
+};
+
+void CheckOk(const Status& s, const char* what) {
+  if (s.ok()) return;
+  std::fprintf(stderr, "%s: %s\n", what, s.ToString().c_str());
+  std::exit(1);
+}
+
+double MsSince(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
+double Quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  return v[std::min(v.size() - 1, size_t(q * double(v.size())))];
+}
+
+/// The RW node: TPC-C on one engine and the CN's scheduler.
+struct RwNode {
   TableCatalog catalog;
-  Hlc hlc;
+  Hlc hlc{SystemClockMs()};
   RedoLog log;
   CountingPageStore store;
-  BufferPool pool;
-  TxnEngine engine;
+  BufferPool pool{&store};
+  TxnEngine engine{1, &catalog, &hlc, &log, &pool};
   TpccDb tpcc;
+  QueryScheduler scheduler{
+      SchedulerOptions{.num_workers = 2, .ap_max_concurrency = 1}};
 
-  Rw()
-      : hlc(SystemClockMs()),
-        pool(&store),
-        engine(1, &catalog, &hlc, &log, &pool),
-        tpcc(&engine, TpccConfig{.warehouses = kWarehouses,
+  explicit RwNode(const Shape& shape)
+      : tpcc(&engine, TpccConfig{.warehouses = shape.warehouses,
                                  .districts_per_warehouse = 10,
                                  .customers_per_district = 60,
-                                 .items = 500}) {}
+                                 .items = 500}) {
+    Rng rng(99);
+    CheckOk(tpcc.Load(&rng), "TPC-C load");
+    for (int i = 0; i < shape.preload_new_orders; ++i) {
+      CheckOk(tpcc.NewOrder(&rng), "preload NewOrder");
+    }
+  }
 };
 
-/// A heavy analytical pass over TPC-C tables: scan order_line for a
-/// warehouse range, join stock, aggregate revenue per item.
-double RunAnalyticsMs(TableCatalog* catalog, const TpccDb& tpcc,
-                      Timestamp snapshot, int64_t w_lo, int64_t w_hi) {
-  auto start = Clock::now();
-  TableStore* order_line = catalog->FindTable(tpcc.order_line_table());
-  TableStore* stock = catalog->FindTable(tpcc.stock_table());
-  if (order_line == nullptr || stock == nullptr) return 0;
-  auto scan = std::make_unique<TableScanOp>(
-      std::vector<TableStore*>{order_line}, snapshot);
-  scan->SetKeyRange(EncodeKey({w_lo}), EncodeKey({w_hi + 1}));
-  auto stock_scan = std::make_unique<TableScanOp>(
-      std::vector<TableStore*>{stock}, snapshot);
-  stock_scan->SetKeyRange(EncodeKey({w_lo}), EncodeKey({w_hi + 1}));
-  auto j = std::make_unique<HashJoinOp>(
-      std::move(scan), std::move(stock_scan), std::vector<int>{0, 4},
+// ---- the analytical query ----
+
+/// Sums of integers, so partials merge to the same values in any order.
+std::vector<AggSpec> UnitsAggs() {
+  return {{AggOp::kSum, Expr::Col(6)}, {AggOp::kCount, nullptr}};
+}
+
+/// Partial units and line count per item over order_line JOIN stock on
+/// (w_id, i_id). Output: i_id, units, lines.
+OperatorPtr PartialUnits(OperatorPtr order_line, OperatorPtr stock) {
+  auto join = std::make_unique<HashJoinOp>(
+      std::move(order_line), std::move(stock), std::vector<int>{0, 4},
       std::vector<int>{0, 1});
-  auto agg = std::make_unique<HashAggOp>(
-      std::move(j), std::vector<ExprPtr>{Expr::Col(4)},
-      std::vector<AggSpec>{{AggOp::kSum, Expr::Col(7)},
-                           {AggOp::kCount, nullptr}});
-  auto rows = Collect(agg.get());
-  (void)rows;
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                               start)
-             .count() /
-         1000.0;
+  return std::make_unique<HashAggOp>(std::move(join),
+                                     std::vector<ExprPtr>{Expr::Col(4)},
+                                     UnitsAggs(), AggMode::kPartial);
 }
 
-struct ConfigResult {
-  std::string name;
-  double avg_tpm = 0;
-  double min_bucket_tpm = 0;
-  int jitters = 0;
-  double ap_latency_ms = 0;
-  int ap_runs = 0;
+/// The coordinator stage: merges the partials per item and ranks items.
+OperatorPtr CoordinatorStage(OperatorPtr partials) {
+  return std::make_unique<SortOp>(
+      std::make_unique<HashAggOp>(std::move(partials),
+                                  std::vector<ExprPtr>{Expr::Col(0)},
+                                  UnitsAggs(), AggMode::kFinal),
+      std::vector<SortKey>{{1, false}, {0, true}});
+}
+
+/// Runs the query on the RW through the HTAP entry point: `router` plans
+/// both scans and runs the plan in the scheduler's AP pool.
+Result<Rows> RunOnRw(RwNode* rw, HtapRouter* router) {
+  const QueryProfile profile{.rows_scanned = 5e5, .rows_processed = 5e5,
+                             .num_joins = 1, .has_aggregation = true};
+  Timestamp snap = rw->hlc.Now();
+  RouteDecision d;  // the same profile routes both scans alike
+  POLARX_ASSIGN_OR_RETURN(
+      OperatorPtr ol, router->PlanScan(profile, rw->tpcc.order_line_table(),
+                                       nullptr, snap, &d));
+  POLARX_ASSIGN_OR_RETURN(
+      OperatorPtr stock, router->PlanScan(profile, rw->tpcc.stock_table(),
+                                          nullptr, snap, &d));
+  if (d.workload != WorkloadClass::kAp) {
+    return Status::Internal("analytical query not routed to the AP pool");
+  }
+  return router->Execute(
+      CoordinatorStage(PartialUnits(std::move(ol), std::move(stock))), d);
+}
+
+OperatorPtr WarehouseScan(RoReplica* ro, TableId table, Timestamp snap,
+                          int64_t w_lo, int64_t w_hi) {
+  auto scan = std::make_unique<TableScanOp>(
+      std::vector<TableStore*>{ro->catalog()->FindTable(table)}, snap);
+  scan->SetKeyRange(EncodeKey({w_lo}), EncodeKey({w_hi + 1}));
+  return scan;
+}
+
+/// Runs the query as one MPP plan: task r on `ros[r]` over its share of
+/// the warehouses, the coordinator stage in the merge.
+Result<Rows> RunOnRos(MppExecutor* mpp, const TpccDb& tpcc,
+                      const std::vector<RoReplica*>& ros, Timestamp snap) {
+  const int64_t warehouses = tpcc.config().warehouses;
+  return mpp->RunPartialFinal(
+      int(ros.size()),
+      [&](int task, int tasks) {
+        int64_t lo = 1 + task * warehouses / tasks;
+        int64_t hi = (task + 1) * warehouses / tasks;
+        RoReplica* ro = ros[size_t(task)];
+        return PartialUnits(
+            WarehouseScan(ro, tpcc.order_line_table(), snap, lo, hi),
+            WarehouseScan(ro, tpcc.stock_table(), snap, lo, hi));
+      },
+      CoordinatorStage);
+}
+
+// ---- clients and measurement ----
+
+/// One TPC-C transaction of the standard mix.
+class TpccTxnJob : public SlicedJob {
+ public:
+  TpccTxnJob(TpccDb* tpcc, Rng* rng) : tpcc_(tpcc), rng_(rng) {}
+  bool RunSlice() override {
+    tpcc_->RunNext(rng_);
+    return true;
+  }
+
+ private:
+  TpccDb* tpcc_;
+  Rng* rng_;
 };
 
-/// Final (non-parallelizable) stage of the analytics: an aggregation over
-/// customer balances assembled at the coordinator. This portion does not
-/// shrink with more RO nodes — it is what flattens Fig. 9(b)'s curve.
-double RunCoordinatorStageMs(TableCatalog* catalog, const TpccDb& tpcc,
-                             Timestamp snapshot) {
-  auto start = Clock::now();
-  TableStore* customer = catalog->FindTable(tpcc.customer_table());
-  if (customer == nullptr) return 0;
-  auto agg = std::make_unique<HashAggOp>(
-      std::make_unique<TableScanOp>(std::vector<TableStore*>{customer},
-                                    snapshot),
-      std::vector<ExprPtr>{Expr::Col(0)},
-      std::vector<AggSpec>{{AggOp::kSum, Expr::Col(3)},
-                           {AggOp::kAvg, Expr::Col(4)},
-                           {AggOp::kCount, nullptr}});
-  auto rows = Collect(agg.get());
-  (void)rows;
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                               start)
-             .count() /
-         1000.0;
-}
+/// One closed-loop AP client runs one query after another.
+using ApClient = std::function<Result<Rows>()>;
 
-/// Measures tpmC over `duration_ms` with `ap_threads` concurrent analytics
-/// threads hammering the RW catalog (0 = TP alone). `throttled` emulates
-/// the cgroups CPU quota: each AP thread runs at a ~50% duty cycle.
-ConfigResult MeasureTp(Rw* rw, const std::string& name, int ap_threads,
-                       bool throttled = false) {
+/// Runs the TPC-C client beside `clients` for the window; prints and
+/// returns the config's JSON object.
+std::string Measure(const std::string& name, int ro_nodes, RwNode* rw,
+                    const Shape& shape, const std::vector<ApClient>& clients) {
   std::atomic<bool> stop{false};
-  std::vector<uint64_t> buckets;
-  std::mutex bucket_mu;
-
+  std::vector<uint64_t> buckets;  // committed NewOrders per bucket
+  std::vector<double> tp_ms;
   std::thread tp([&] {
     Rng rng(7);
-    auto start = Clock::now();
-    uint64_t last_orders = rw->tpcc.stats().new_orders;
-    size_t bucket = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      rw->tpcc.RunNext(&rng);
-      auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                         Clock::now() - start)
-                         .count();
-      size_t want = size_t(elapsed / 500);
-      if (want > bucket) {
+    auto job = std::make_shared<TpccTxnJob>(&rw->tpcc, &rng);
+    Clock::time_point start = Clock::now();
+    uint64_t last = rw->tpcc.stats().new_orders;
+    while (!stop.load()) {
+      Clock::time_point t0 = Clock::now();
+      rw->scheduler.Submit(job, QueryClass::kTp)->Wait();
+      tp_ms.push_back(MsSince(t0));
+      while (buckets.size() < size_t(MsSince(start) / shape.bucket_ms)) {
         uint64_t orders = rw->tpcc.stats().new_orders;
-        std::lock_guard<std::mutex> lock(bucket_mu);
-        while (bucket < want) {
-          buckets.push_back(orders - last_orders);
-          last_orders = orders;
-          ++bucket;
-        }
+        buckets.push_back(orders - last);
+        last = orders;
       }
     }
   });
-
-  std::atomic<uint64_t> ap_total_us{0};
-  std::atomic<int> ap_runs{0};
+  std::vector<Status> ap_status(clients.size());
+  std::mutex ap_mu;
+  std::vector<double> ap_ms, ap_lines, ap_ms_per_10k;  // guarded by ap_mu
   std::vector<std::thread> ap;
-  for (int t = 0; t < ap_threads; ++t) {
-    ap.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        double ms = RunAnalyticsMs(&rw->catalog, rw->tpcc, rw->hlc.Now(), 1,
-                                   kWarehouses);
-        ms += RunCoordinatorStageMs(&rw->catalog, rw->tpcc, rw->hlc.Now());
-        ap_total_us.fetch_add(uint64_t(ms * 1000));
-        ap_runs.fetch_add(1);
-        if (throttled) {
-          // cpu.cfs_quota at ~50%: sleep as long as the slice ran.
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(int64_t(ms * 1000)));
-        }
+  for (size_t c = 0; c < clients.size(); ++c) {
+    ap.emplace_back([&, c] {
+      while (!stop.load()) {
+        Clock::time_point t0 = Clock::now();
+        Result<Rows> rows = clients[c]();
+        ap_status[c] = rows.status();
+        if (!rows.ok()) return;
+        double ms = MsSince(t0), lines = 0;  // each line has its stock row
+        for (const Row& row : *rows) lines += double(std::get<int64_t>(row[2]));
+        std::lock_guard<std::mutex> lock(ap_mu);
+        ap_ms.push_back(ms);
+        ap_lines.push_back(lines);
+        ap_ms_per_10k.push_back(ms / lines * 1e4);
       }
     });
   }
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(kDurationMs));
+  std::this_thread::sleep_for(std::chrono::milliseconds(shape.duration_ms));
   stop.store(true);
   tp.join();
-  for (auto& t : ap) t.join();
+  for (std::thread& t : ap) t.join();
 
-  ConfigResult result;
-  result.name = name;
-  std::lock_guard<std::mutex> lock(bucket_mu);
-  if (buckets.size() > 2) {
-    std::vector<uint64_t> steady(buckets.begin() + 1, buckets.end());
-    std::vector<uint64_t> sorted = steady;
-    std::sort(sorted.begin(), sorted.end());
-    double median = double(sorted[sorted.size() / 2]);
-    uint64_t sum = 0, min_bucket = UINT64_MAX;
-    for (uint64_t b : steady) {
-      sum += b;
-      min_bucket = std::min(min_bucket, b);
-      if (double(b) < 0.75 * median) ++result.jitters;
-    }
-    result.avg_tpm = double(sum) / double(steady.size()) * 120;
-    result.min_bucket_tpm = double(min_bucket) * 120;
+  for (const Status& s : ap_status) CheckOk(s, "AP query");
+  std::vector<double> steady(buckets.begin() + 1, buckets.end());
+  double median = Quantile(steady, 0.5), sum = 0;
+  int jitters = 0;
+  for (double b : steady) {
+    sum += b;
+    jitters += b < 0.75 * median;
   }
-  int runs = ap_runs.load();
-  result.ap_runs = runs;
-  result.ap_latency_ms =
-      runs > 0 ? double(ap_total_us.load()) / runs / 1000.0 : 0;
-  return result;
+  const double per_min = 60000.0 / shape.bucket_ms;
+  char json[768];
+  std::snprintf(
+      json, sizeof(json),
+      "{\"name\": \"%s\", \"isolation\": %s, \"ro_nodes\": %d, "
+      "\"avg_tpmc\": %.0f, \"min_bucket_tpmc\": %.0f, \"jitter_buckets\": "
+      "%d, \"buckets\": %zu, \"tp_txns\": %zu, \"tp_p50_ms\": %.3f, "
+      "\"tp_p99_ms\": %.3f, \"ap_queries\": %zu, \"ap_latency_ms\": %.2f, "
+      "\"ap_order_lines\": %.0f, \"ap_ms_per_10k_lines\": %.3f}",
+      name.c_str(), rw->scheduler.isolation_enabled() ? "true" : "false",
+      ro_nodes, sum / double(steady.size()) * per_min,
+      Quantile(steady, 0) * per_min, jitters, steady.size(), tp_ms.size(),
+      Quantile(tp_ms, 0.5), Quantile(tp_ms, 0.99), ap_ms.size(),
+      Quantile(ap_ms, 0.5), Quantile(ap_lines, 0.5),
+      Quantile(ap_ms_per_10k, 0.5));
+  std::printf("%s\n", json);
+  return json;
 }
 
-/// AP latency on `ro_nodes` dedicated replicas, critical-path model:
-/// warehouses split across ROs; latency = max per-RO fragment time.
-double MeasureApOnRos(Rw* rw, int ro_nodes, int reps) {
-  RwRoReplication repl(&rw->log);
-  std::vector<std::unique_ptr<RoReplica>> ros;
-  for (int r = 0; r < ro_nodes; ++r) {
-    auto ro = std::make_unique<RoReplica>(uint32_t(r));
-    for (TableStore* t : rw->catalog.AllTables()) {
-      ro->MirrorTable(t->id(), t->name(), t->schema(), t->tenant());
-    }
-    repl.AddReplica(ro.get());
-    ros.push_back(std::move(ro));
+/// Configs 1-2: the analytics run on the RW through HtapRouter.
+std::string MeasureApOnRw(const Shape& shape, bool isolation) {
+  RwNode rw(shape);
+  rw.scheduler.SetIsolationEnabled(isolation);
+  // One router per AP client session (a router is not shared between
+  // threads); all of them submit to the one scheduler.
+  std::deque<HtapRouter> routers;
+  std::vector<ApClient> clients;
+  for (int c = 0; c < kApClientsOnRw; ++c) {
+    HtapRouter* router = &routers.emplace_back(&rw.engine, &rw.scheduler);
+    clients.push_back([&rw, router] { return RunOnRw(&rw, router); });
   }
-  repl.SyncAll();
-  Timestamp snap = ros[0]->SnapshotTs();
+  return Measure(isolation ? "2: isolation ON, AP on RW"
+                           : "1: isolation OFF, AP on RW",
+                 0, &rw, shape, clients);
+}
 
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    double critical = 0;
-    for (int r = 0; r < ro_nodes; ++r) {
-      int64_t per = std::max(1, kWarehouses / ro_nodes);
-      int64_t lo = 1 + r * per;
-      int64_t hi = (r == ro_nodes - 1) ? kWarehouses : lo + per - 1;
-      if (lo > kWarehouses) break;
-      critical = std::max(critical, RunAnalyticsMs(ros[size_t(r)]->catalog(),
-                                                   rw->tpcc, snap, lo, hi));
+/// Configs 3-6: the analytics run as MPP over `ro_nodes` dedicated ROs.
+std::string MeasureApOnRos(const Shape& shape, int ro_nodes) {
+  RwNode rw(shape);
+  std::deque<RoReplica> owned;
+  std::vector<RoReplica*> ros;
+  for (int i = 0; i < ro_nodes; ++i) {
+    ros.push_back(&owned.emplace_back(uint32_t(i + 1)));
+    for (TableStore* t : rw.catalog.AllTables()) {
+      CheckOk(ros.back()->MirrorTable(t->id(), t->name(), t->schema(),
+                                      t->tenant()),
+              "RO mirror");
     }
-    // The coordinator's final stage runs once regardless of RO count.
-    critical += RunCoordinatorStageMs(ros[0]->catalog(), rw->tpcc, snap);
-    best = std::min(best, critical);
   }
-  return best;
+  ThreadPool pool(size_t(ro_nodes), "ro");
+  MppExecutor mpp(&pool);
+  // Each query starts with every RO pulling the RW's redo on its own thread
+  // (session consistency, as HtapRouter::PlanScan does for one replica),
+  // then reads at a snapshot all of them applied.
+  Timestamp snap = kMaxTimestamp;
+  ApClient client = [&]() -> Result<Rows> {
+    std::vector<Status> pulled(ros.size());
+    for (size_t i = 0; i < ros.size(); ++i) {
+      auto pull = [&, i] { pulled[i] = ros[i]->PullFrom(rw.log).status(); };
+      if (!pool.Submit(pull)) pull();
+    }
+    pool.Wait();
+    snap = kMaxTimestamp;
+    for (size_t i = 0; i < ros.size(); ++i) {
+      POLARX_RETURN_NOT_OK(pulled[i]);
+      snap = std::min(snap, ros[i]->SnapshotTs());
+    }
+    return RunOnRos(&mpp, rw.tpcc, ros, snap);
+  };
+  CheckOk(client().status(), "RO warm-up query");
+  std::string name = std::to_string(2 + ro_nodes) + ": " +
+                     std::to_string(ro_nodes) + " dedicated RO node(s)";
+  std::string json = Measure(name, ro_nodes, &rw, shape, {client});
+
+  Result<Rows> all = client();
+  Result<Rows> one = RunOnRos(&mpp, rw.tpcc, {ros[0]}, snap);
+  CheckOk(all.status(), "MPP check query");
+  CheckOk(one.status(), "1-RO check query");
+  if (*all != *one) {
+    std::fprintf(stderr, "%s: MPP rows differ from one RO's (%zu vs %zu)\n",
+                 name.c_str(), all->size(), one->size());
+    std::exit(1);
+  }
+  return json;
 }
 
 }  // namespace
 }  // namespace polarx
 
-int main() {
+int main(int argc, char** argv) {
   using namespace polarx;
+  BenchFlags flags = ParseBenchFlags(argc, argv);
+  Shape shape;
+  if (flags.smoke) {
+    shape = {.warehouses = 4, .preload_new_orders = 200, .duration_ms = 300,
+             .bucket_ms = 50};
+  }
   std::printf("E3 / Fig.9 — HTAP: resource isolation and scalable RO nodes\n");
-  std::printf(
-      "paper: isolation off => tpmC jitters >40%%; isolation on => mild; "
-      "dedicated ROs => tpmC stable; AP latency -39%% for 2 ROs, -10%% "
-      "more for 3, ~flat at 4\n\n");
 
-  std::vector<ConfigResult> results;
-  {
-    Rw rw;
-    Rng rng(99);
-    rw.tpcc.Load(&rng);
-    for (int i = 0; i < kPreloadNewOrders; ++i) rw.tpcc.NewOrder(&rng);
-    results.push_back(MeasureTp(&rw, "1: isolation OFF, AP on RW", 2));
-  }
-  {
-    Rw rw;
-    Rng rng(99);
-    rw.tpcc.Load(&rng);
-    for (int i = 0; i < kPreloadNewOrders; ++i) rw.tpcc.NewOrder(&rng);
-    results.push_back(
-        MeasureTp(&rw, "2: isolation ON, AP on RW", 1, /*throttled=*/true));
-  }
-  // Configs 3-6: TP runs with analytics on physically separate ROs; tpmC
-  // measured with AP absent, AP latency measured per RO count.
-  {
-    Rw rw;
-    Rng rng(99);
-    rw.tpcc.Load(&rng);
-    for (int i = 0; i < kPreloadNewOrders; ++i) rw.tpcc.NewOrder(&rng);
-    ConfigResult tp_only = MeasureTp(&rw, "", 0);
-    for (int ro = 1; ro <= 4; ++ro) {
-      ConfigResult r = tp_only;
-      r.name = std::to_string(2 + ro) + ": " + std::to_string(ro) +
-               " dedicated RO node(s)";
-      r.ap_latency_ms = MeasureApOnRos(&rw, ro, 3);
-      r.ap_runs = 3;
-      results.push_back(r);
-    }
-  }
-
-  std::printf("%-28s %10s %12s %8s %14s\n", "config", "avg tpmC",
-              "min bucket", "jitters", "AP latency(ms)");
-  for (const auto& r : results) {
-    std::printf("%-28s %10.0f %12.0f %8d %14.1f\n", r.name.c_str(),
-                r.avg_tpm, r.min_bucket_tpm, r.jitters, r.ap_latency_ms);
-  }
-  double base = results[2].ap_latency_ms;
-  std::printf("\nAP latency vs RO count (relative to 1 RO): ");
+  std::string configs = MeasureApOnRw(shape, /*isolation=*/false);
+  configs += ",\n    " + MeasureApOnRw(shape, /*isolation=*/true);
   for (int ro = 1; ro <= 4; ++ro) {
-    double lat = results[size_t(1 + ro)].ap_latency_ms;
-    std::printf("%dRO %+.0f%%  ", ro, 100.0 * (lat - base) / base);
+    configs += ",\n    " + MeasureApOnRos(shape, ro);
   }
-  std::printf("\n");
+  char head[256];
+  std::snprintf(head, sizeof(head),
+                "{\n  \"bench\": \"bench_htap_isolation\",\n  \"setup\": "
+                "{\"warehouses\": %d, \"duration_ms\": %d, \"host_threads\": "
+                "%u, \"smoke\": %s},\n  \"configs\": [\n    ",
+                shape.warehouses, shape.duration_ms,
+                std::thread::hardware_concurrency(),
+                flags.smoke ? "true" : "false");
+  WriteBenchJson(flags, head + configs + "\n  ]\n}\n");
   return 0;
 }

@@ -24,12 +24,12 @@ ctest --test-dir "${PREFIX}" --output-on-failure
 
 echo "==> bench-smoke: ablation knobs + JSON emission"
 # Each bench runs its grid in --smoke shape (seconds of virtual time, or a
-# tiny TPC-H scale for the AP bench); a crash, a rejected flag, or an
+# tiny TPC-H/TPC-C scale for the AP benches); a crash, a rejected flag, or an
 # unwritable JSON fails the test, and an empty JSON artifact fails the
 # check below.
 ctest --test-dir "${PREFIX}" -L bench-smoke --output-on-failure
 for b in bench_replication bench_paxos_ablation bench_cross_dc_txn \
-         bench_mpp_colindex; do
+         bench_mpp_colindex bench_htap_isolation; do
   f="${PREFIX}/bench/out/${b}_smoke.json"
   if [ ! -s "${f}" ]; then
     echo "bench-smoke: ${f} missing or empty" >&2

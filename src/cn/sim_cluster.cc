@@ -261,7 +261,7 @@ void SimCluster::SendRpcMessage(NodeId from, NodeId to, size_t bytes,
 }
 
 void SimCluster::InstallTsoCoalescer(int cn_index) {
-  if (config_.scheme != TsScheme::kTsoSi || !config_.tso_coalescing) return;
+  if (config_.scheme != TsScheme::kTsoSi) return;
   cns_[cn_index].tso = std::make_unique<TsoCoalescer>(
       [this, cn_index](uint32_t count, TsoCoalescer::FetchCallback cb) {
         // The incarnation read here is the one the coalescer was created
@@ -286,29 +286,14 @@ void SimCluster::InstallTsoCoalescer(int cn_index) {
 
 void SimCluster::RequestTsoTimestamp(int cn_index, uint64_t incarnation,
                                      ReplyFn done) {
-  CnNode& cn = cns_[cn_index];
-  if (cn.tso != nullptr) {
-    // Coalesced: ride (or start) the CN's shared batched fetch. FIFO
-    // hand-out of strictly-increasing ranges keeps per-CN timestamps
-    // strictly monotonic, same as dedicated round trips.
-    cn.tso->Request([this, cn_index, incarnation, done](Status s,
-                                                        Timestamp ts) {
-      if (!CnLive(cn_index, incarnation)) return;
-      done(ParticipantReply{s, ts});
-    });
-    return;
-  }
-  CnRpc(
-      cn_index, incarnation, [this] { return tso_node_; }, 32, 32,
-      /*resolve_via_gms=*/false,
-      [this](NodeId, std::function<void(RpcReply)> reply) {
-        tso_server_->Execute(config_.tso_service_us, [this, reply] {
-          RpcReply r;
-          r.ts = tso_service_->Next();
-          reply(r);
-        });
-      },
-      std::move(done));
+  // Ride (or start) the CN's shared batched fetch (every TSO-SI CN has
+  // one). FIFO hand-out of strictly-increasing ranges keeps per-CN
+  // timestamps strictly monotonic, same as dedicated round trips.
+  cns_[cn_index].tso->Request(
+      [this, cn_index, incarnation, done](Status s, Timestamp ts) {
+        if (!CnLive(cn_index, incarnation)) return;
+        done(ParticipantReply{s, ts});
+      });
 }
 
 void SimCluster::ReplyWhenDurable(DnNode* dn, RpcReply ok,

@@ -69,9 +69,6 @@ struct SimClusterConfig {
   /// default; `enabled = false` reverts to one serialized flush per
   /// commit request (the ablation baseline, modeling per-commit fsync).
   GroupCommitConfig group_commit;
-  /// CN-side TSO request coalescing: concurrent timestamp requests on one
-  /// CN share a single in-flight batched fetch (TSO-SI only).
-  bool tso_coalescing = true;
   uint64_t seed = 7;
 
   // ---- survivability knobs ----
@@ -193,8 +190,7 @@ class SimCluster {
   int DnOfKey(int64_t key) const;
 
   /// Telemetry: serving group-commit driver of DN `dn_index` (batching
-  /// counters) and CN `cn_index`'s TSO coalescer (null in HLC-SI mode or
-  /// with coalescing disabled).
+  /// counters) and CN `cn_index`'s TSO coalescer (null in HLC-SI mode).
   const GroupCommitDriver* dn_group_commit(int dn_index) const {
     return dns_[dn_index]->gc;
   }
@@ -318,9 +314,8 @@ class SimCluster {
   void CallDn(int cn_index, uint64_t incarnation, int dn_index,
               ParticipantCall call, ReplyFn done);
 
-  /// Fetches one TSO timestamp — through the CN's coalescer when enabled,
-  /// else a dedicated round trip. `done` runs only if the CN is still the
-  /// same incarnation.
+  /// Fetches one TSO timestamp through the CN's coalescer (TSO-SI). `done`
+  /// runs only if the CN is still the same incarnation.
   void RequestTsoTimestamp(int cn_index, uint64_t incarnation, ReplyFn done);
   /// Installs the serving engine's durability hook and TsoCoalescer for a
   /// freshly created CN (ctor / restart).

@@ -823,38 +823,11 @@ ColumnAggOp::ColumnAggOp(const ColumnIndex* index, Timestamp snapshot_ts,
       mode_(mode),
       range_(range) {}
 
-void ColumnAggOp::SetSemiJoin(OperatorPtr build, std::vector<int> build_keys,
-                              std::vector<int> probe_cols) {
-  semi_build_ = std::move(build);
-  semi_build_keys_ = std::move(build_keys);
-  semi_probe_cols_ = std::move(probe_cols);
-}
-
 Status ColumnAggOp::Open() {
   results_.clear();
   pos_ = 0;
   std::vector<uint32_t> selection;
   index_->BuildSelection(snapshot_ts_, filter_, &selection, range_);
-
-  if (semi_build_ != nullptr) {
-    // Exact membership in the hash joins' build table, never a bloom test.
-    JoinHashTable table;
-    POLARX_RETURN_NOT_OK(
-        table.Build(semi_build_.get(), semi_build_keys_, false));
-    std::vector<uint64_t> hashes;
-    uint64_t tested = 0, dropped = 0;
-    index_->HashAndFilterSelection(semi_probe_cols_, nullptr, &selection,
-                                   &hashes, &tested, &dropped);
-    std::vector<uint32_t> kept;
-    kept.reserve(selection.size());
-    for (size_t i = 0; i < selection.size(); ++i) {
-      if (NextMatch(*index_, table, semi_probe_cols_, selection[i], hashes[i],
-                    table.First(hashes[i])) != JoinHashTable::kNoRow) {
-        kept.push_back(selection[i]);
-      }
-    }
-    selection.swap(kept);
-  }
 
   // Group id per selected row, numbered in first-seen order by the
   // executor's key-word table. A column holds one type, so its tag is

@@ -201,16 +201,6 @@ class ColumnAggOp : public Operator {
               std::vector<AggSpec> aggs, AggMode mode = AggMode::kComplete,
               RowRange range = {});
 
-  /// Fuses a left-semi join into the selection phase: Open() drains
-  /// `build` into a JoinHashTable, then keeps only selected rows whose key
-  /// (`probe_cols` of the index) appears among the build rows' `build_keys`
-  /// — an exact match (HashJoinOp semantics), not a bloom test. The
-  /// aggregation then runs over the surviving selection without ever
-  /// materializing a probe row (the column store's semi-join + first-phase
-  /// aggregation pipeline, the Q21 shape).
-  void SetSemiJoin(OperatorPtr build, std::vector<int> build_keys,
-                   std::vector<int> probe_cols);
-
   Status Open() override;
   Status Next(Batch* out) override;
 
@@ -222,8 +212,6 @@ class ColumnAggOp : public Operator {
   std::vector<AggSpec> aggs_;
   AggMode mode_;
   RowRange range_;
-  OperatorPtr semi_build_;
-  std::vector<int> semi_build_keys_, semi_probe_cols_;
   std::vector<Row> results_;
   size_t pos_ = 0;
 };

@@ -326,10 +326,10 @@ void PaxosMember::HandleAppend(NodeId from, const AppendFrame& frame) {
   // with bytes the leader has not yet compared against its own stream.
   ack.persisted_lsn = fail ? rewind_to : std::min(new_end, frame.meta.range_end);
 
-  // DLSN can only cover what we locally hold — and only once this frame
-  // verified that our copy matches the leader's stream; on a failed
-  // consistency check our suffix may differ from what the leader counted.
-  if (!fail) AdvanceDlsn(std::min(frame.leader_dlsn, new_end));
+  // DLSN can only cover bytes this frame verified against the leader's
+  // stream: past range_end our log may hold a dead leader's unreplicated
+  // tail, and a DLSN over it would refuse the truncation that discards it.
+  if (!fail) AdvanceDlsn(std::min(frame.leader_dlsn, ack.persisted_lsn));
 
   // Persist to PolarFS (flush latency), then ack. The ack claims the bytes
   // up to new_end are durable here — if another leader truncated our log
@@ -914,18 +914,9 @@ void GroupCommitDriver::Submit(Lsn end_lsn) {
   }
   pending_end_ = std::max(pending_end_, end_lsn);
   ++pending_count_;
-  if (!flush_in_flight_) {
-    StartFlush();
-  } else if (!window_timer_armed_ && cfg_.max_group_wait_us > 0) {
-    // Liveness backstop: no request waits longer than max_group_wait_us
-    // for its group flush to start, even if the in-flight flush's
-    // completion path somehow never reopens the window.
-    window_timer_armed_ = true;
-    scheduler_->ScheduleAfter(cfg_.max_group_wait_us, [this] {
-      window_timer_armed_ = false;
-      if (!flush_in_flight_) StartFlush();
-    });
-  }
+  // Idle: flush now. Loaded: the in-flight flush's FinishFlush starts the
+  // next group, which covers this request.
+  if (!flush_in_flight_) StartFlush();
 }
 
 void GroupCommitDriver::StartFlush() {

@@ -413,12 +413,6 @@ struct GroupCommitConfig {
   /// A single group flush covers at most this many log bytes; larger
   /// backlogs are split at an MTR boundary across several flushes.
   size_t max_group_bytes = 1 << 20;
-  /// Upper bound on how long a pending request may wait for its group
-  /// flush to start. The adaptive window normally closes on its own —
-  /// idle: the first request starts a flush immediately; loaded: the
-  /// in-flight flush's completion starts the next group — so this timer
-  /// is a liveness backstop, not the steady-state batching clock.
-  sim::SimTime max_group_wait_us = 200;
   /// Simulated PolarFS append latency per leader-side flush.
   sim::SimTime flush_latency_us = 40;
 };
@@ -458,7 +452,6 @@ class GroupCommitDriver {
   GroupCommitConfig cfg_;
 
   bool flush_in_flight_ = false;
-  bool window_timer_armed_ = false;
   /// Bumped when the member truncates its log; flushes started before a
   /// truncation must not complete (same discipline as PaxosMember's
   /// truncations_ counter).

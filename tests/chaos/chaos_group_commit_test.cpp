@@ -14,7 +14,10 @@
 //       exactly these;
 //   G2  boundary alignment: no member's log has a flush watermark inside
 //       an MTR, and every log parses cleanly to its end — a partially
-//       flushed group must never be replayed past its last complete MTR.
+//       flushed group must never be replayed past its last complete MTR;
+//   G3  catch-up: once faults heal, every member's log is byte-identical
+//       to its serving leader's — a restarted member that never converges
+//       leaves its DN without a spare replica.
 //
 // A guard run with the durability wait disabled (acks sent before the
 // group flush replicates) must violate G1 under the same leader crash.
@@ -22,9 +25,11 @@
 // A failing seed is replayable with POLARX_CHAOS_SEED=<seed>.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/cn/sim_cluster.h"
@@ -159,6 +164,32 @@ struct GroupCommitFixture {
       }
     }
   }
+
+  /// G3: every member log of every DN holds exactly the serving leader's
+  /// bytes.
+  void CheckMembersCaughtUp() {
+    for (int d = 0; d < cluster->num_dns(); ++d) {
+      std::vector<NodeId> nodes = cluster->dn_member_nodes(d);
+      auto serving = std::find(nodes.begin(), nodes.end(),
+                               cluster->dn_serving_node(d));
+      ASSERT_NE(serving, nodes.end()) << "dn " << d;
+      RedoLog* leader =
+          cluster->dn_member_log(d, int(serving - nodes.begin()));
+      std::string want;
+      leader->ReadBytes(leader->purged_before(), leader->current_lsn(), &want);
+      for (int m = 0; m < cluster->dn_member_count(d); ++m) {
+        RedoLog* log = cluster->dn_member_log(d, m);
+        std::string got;
+        log->ReadBytes(leader->purged_before(), log->current_lsn(), &got);
+        EXPECT_EQ(log->current_lsn(), leader->current_lsn())
+            << "dn " << d << " member " << m
+            << " did not catch up with its leader (G3)";
+        EXPECT_TRUE(got == want)
+            << "dn " << d << " member " << m
+            << " log differs from its leader's (G3)";
+      }
+    }
+  }
 };
 
 // ---- main sweep: DN leader killed while group-commit windows are hot ----
@@ -219,6 +250,7 @@ void RunGroupCommitChaos(uint64_t seed, SweepTotals* totals) {
       << "an acknowledged commit vanished in the leader crash (G1); a "
          "group-commit waiter was released before its group was durable";
   f.CheckBoundaryAlignment();
+  f.CheckMembersCaughtUp();
 }
 
 TEST(ChaosGroupCommitTest, LeaderCrashMidGroupCommitSweep) {

@@ -387,7 +387,7 @@ INSTANTIATE_TEST_SUITE_P(
                               false, {16, 0, 0, 2, 0, 2606, 5224}},
         RecoveryFootprintCase{"KillAtDecidedWithLeaderFlap",
                               CommitStep::kDecided, true,
-                              {16, 0, 2, 0, 26, 2560, 5229}}),
+                              {16, 0, 2, 0, 26, 2560, 5227}}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // ---- TSO outage: TSO-SI transactions retry with backoff then fail

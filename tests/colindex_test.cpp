@@ -721,48 +721,6 @@ TEST(ColumnHashJoinTest, MatchesRowHashJoinAcrossJoinTypes) {
   for (const auto& r : *rows) EXPECT_EQ(r.size(), 4u);
 }
 
-TEST(ColumnAggTest, SemiJoinFusedIntoSelectionMatchesRowPath) {
-  // ColumnAggOp::SetSemiJoin fuses an exact left-semi join into the
-  // selection phase before the vectorized aggregation. Compare against the
-  // unfused composition: HashAggOp over HashJoinOp(kLeftSemi) over a
-  // column scan.
-  ColumnIndex idx(TestSchema());
-  std::vector<RedoRecord> ops;
-  for (int64_t i = 0; i < 1200; ++i) {
-    ops.push_back(Ins(i, double(i % 11), "tag" + std::to_string(i % 4)));
-  }
-  idx.ApplyCommit(100, ops);
-
-  auto filter = [] { return Expr::ColCmp(CmpOp::kLt, 0, int64_t{800}); };
-  std::vector<Row> build;
-  for (int64_t i = 0; i < 1200; i += 3) build.push_back({Value{i}});
-  std::vector<AggSpec> aggs;
-  aggs.push_back({AggOp::kCount, nullptr});
-  aggs.push_back({AggOp::kSum, Expr::Col(1)});
-
-  ColumnAggOp fused(&idx, 100, filter(), /*group_cols=*/{2}, aggs);
-  fused.SetSemiJoin(std::make_unique<ValuesOp>(build),
-                    /*build_keys=*/{0}, /*probe_cols=*/{0});
-  auto fused_rows = Collect(&fused);
-  ASSERT_TRUE(fused_rows.ok()) << fused_rows.status().ToString();
-
-  std::vector<ExprPtr> gb;
-  gb.push_back(Expr::Col(2));
-  HashAggOp unfused(
-      std::make_unique<HashJoinOp>(
-          std::make_unique<ColumnScanOp>(&idx, 100, filter()),
-          std::make_unique<ValuesOp>(build), std::vector<int>{0},
-          std::vector<int>{0}, JoinType::kLeftSemi),
-      std::move(gb), aggs);
-  auto unfused_rows = Collect(&unfused);
-  ASSERT_TRUE(unfused_rows.ok()) << unfused_rows.status().ToString();
-
-  // 800 rows pass the filter, every third id passes the semi join; 4 tag
-  // groups survive either way.
-  EXPECT_EQ(fused_rows->size(), 4u);
-  EXPECT_EQ(RowSet(*fused_rows), RowSet(*unfused_rows));
-}
-
 TEST(ColumnHashJoinTest, RuntimeFilterFlagDoesNotChangeResults) {
   ColumnIndex idx(TestSchema());
   std::vector<RedoRecord> ops;

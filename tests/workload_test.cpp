@@ -405,19 +405,19 @@ INSTANTIATE_TEST_SUITE_P(
         FootprintCase{"HlcSi_WriteOnly", TsScheme::kHlcSi,
                       SysbenchMode::kWriteOnly,
                       {117, 3, 6456.7319702675359, 8325,
-                       6555.2991452991455, 5460, 456480, 9867, 0}},
+                       6555.2991452991455, 5460, 456480, 9831, 0}},
         FootprintCase{"HlcSi_ReadWrite", TsScheme::kHlcSi,
                       SysbenchMode::kReadWrite,
                       {117, 3, 15356.783197415381, 19915.283882608273,
-                       16053.675213675213, 9917, 1171328, 18799, 0}},
+                       16053.675213675213, 9917, 1171328, 18751, 0}},
         FootprintCase{"TsoSi_WriteOnly", TsScheme::kTsoSi,
                       SysbenchMode::kWriteOnly,
                       {119, 1, 7678.3915987076907, 10329,
-                       8041.6134453781515, 6198, 488024, 11340, 239}},
+                       8041.6134453781515, 6198, 488024, 11306, 239}},
         FootprintCase{"TsoSi_ReadWrite", TsScheme::kTsoSi,
                       SysbenchMode::kReadWrite,
                       {116, 4, 17488.130171639164, 21717.771072208096,
-                       17810.948275862069, 10505, 1192928, 19953, 236}}),
+                       17810.948275862069, 10505, 1192928, 19924, 236}}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
