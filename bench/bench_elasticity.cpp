@@ -1,295 +1,405 @@
-// Experiment E2 (Fig. 8): scaling a PolarDB-X cluster by tenant migration
-// (PolarDB-MT, shared storage — no data copy) vs the traditional
-// data-transfer method (row copy between shared-nothing nodes).
+// Experiment E2 (Fig. 8): scaling a PolarDB-MT cluster by tenant transfer
+// (shared storage, no data copy) vs row copy, both through src/mt on the
+// simulated clock. As in §VII-B, 64 tenants (one sysbench table of a few
+// thousand real rows each, scaled to a 160M-row volume) serve 3000
+// closed-loop clients while three scalings double the RWs 4 -> 8 -> 16 -> 32.
 //
-// Modeled workload mirrors §VII-B: 160M rows / 40 GB spread over 64
-// tenants; a sysbench oltp-read-write background load from 3000 closed-loop
-// clients; three scaling operations double the DN count 4 -> 8 -> 16 -> 32.
-//
-// The tenant-transfer state machine is the library's (pause -> drain ->
-// flush dirty pages -> rebind -> open); its per-step costs and the row-copy
-// rate of the baseline are the simulation's parameters. The measured
-// quantities are (a) the wall time of each scaling operation and (b) the
-// background throughput timeline.
+// Every transaction is routed by MtCluster::Route (a client that gets Busy
+// parks until its tenant's move completes), bracketed by NoteWriteBegin/End
+// on the owner RW, served by sim::Servers, and must still hold its tenant
+// lease when it completes (else the bench exits 1). A scaling takes its plan
+// from PlanRebalance over the binding table and runs each (src, dst) pair's
+// moves in sequence, the pairs in parallel. A move pauses the tenant, waits
+// on the sim clock until the source has no in-flight write (the measured
+// drain), then calls TransferTenant, or CopyTenantBaseline after the tenant
+// stayed live for its rows' copy time. Every other step time is a named
+// per-unit cost below times a count the library returned.
+// --smoke shrinks the run to a CI canary; --json=PATH writes the results.
+#include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "bench/bench_flags.h"
 #include "src/common/rng.h"
+#include "src/gms/gms.h"
+#include "src/mt/polardb_mt.h"
 #include "src/sim/resource.h"
 #include "src/sim/scheduler.h"
+#include "src/workload/sysbench.h"
 
 namespace polarx {
 namespace {
 
 using sim::kUsPerMs;
 using sim::kUsPerSec;
-using sim::Scheduler;
-using sim::Server;
 using sim::SimTime;
 
-constexpr int kTenants = 64;
-constexpr uint64_t kTotalRows = 160'000'000;
-constexpr uint64_t kRowsPerTenant = kTotalRows / kTenants;
-constexpr int kClients = 3000;
+constexpr TenantId kTenants = 64;
+constexpr uint32_t kInitialRws = 4;
+constexpr int kScalings = 3;
 
-// Service times (8-core DNs; 8 CN servers x 16 cores as one pool).
+// Service times (8-core RWs; 8 CN servers x 16 cores as one pool).
 constexpr SimTime kCnServiceUs = 250;  // 8 CNs x 16 cores cap ~512k tps
 constexpr uint32_t kCnCores = 128;
-constexpr SimTime kDnServiceUs = 400;
-constexpr uint32_t kDnCores = 8;
+constexpr SimTime kRwServiceUs = 400;
+constexpr uint32_t kRwCores = 8;
 
-// PolarDB-MT transfer step costs (§V): pause+drain, flush dirty pages,
-// binding update, destination open/warm-up.
-constexpr SimTime kPauseDrainUs = 120 * kUsPerMs;
-constexpr SimTime kFlushUs = 180 * kUsPerMs;
-constexpr SimTime kRebindUs = 30 * kUsPerMs;
-constexpr SimTime kOpenWarmUs = 200 * kUsPerMs;
+// Per-unit costs of the move steps the sim clock does not run (§V): flush
+// each dirty page the source reports (one synchronous 3-replica PolarFS page
+// write), rebind each table in the binding table, open each table on the
+// destination (files, metadata, warm-up), and, in the copy arm, dump + load
+// each modeled row (40k rows/s per pair).
+constexpr SimTime kFlushUsPerPage = 100;
+constexpr SimTime kRebindUsPerTable = 30 * kUsPerMs;
+constexpr SimTime kOpenUsPerTable = 200 * kUsPerMs;
+constexpr double kCopyUsPerRow = 25;
+// How often a paused tenant's source is checked for in-flight writes.
+constexpr SimTime kDrainPollUs = 100;
 
-// Traditional migration: logical row copy (dump + load + catch-up). The
-// copier must also apply the writes the live tenant keeps receiving, so its
-// effective rate drops as the background write throughput grows.
-constexpr double kCopyRowsPerSec = 40'000;
-constexpr double kWriteRowsPerTxn = 2.0;
+struct Shape {
+  int clients;
+  int loaded_rows;      // real rows per tenant table
+  double modeled_rows;  // the data volume all loaded rows stand for
+  SimTime settle_us;    // throughput window before/after each scaling
 
-struct E2Sim {
-  Scheduler sched;
-  std::vector<std::unique_ptr<Server>> dns;
-  Server cn_pool;
-  std::vector<int> tenant_dn;       // tenant -> dn index
-  std::vector<bool> tenant_paused;  // requests held during cutover
-  std::vector<std::vector<std::function<void()>>> paused_queue;
-  uint64_t completed = 0;
-  std::map<uint64_t, uint64_t> per_second;  // second -> completed txns
-  Rng rng{20220507};
-
-  E2Sim() : cn_pool(&sched, kCnCores) {
-    for (int i = 0; i < 4; ++i) AddDn();
-    tenant_dn.resize(kTenants);
-    tenant_paused.assign(kTenants, false);
-    paused_queue.resize(kTenants);
-    for (int t = 0; t < kTenants; ++t) tenant_dn[t] = t % 4;
+  double rows_scale() const {
+    return modeled_rows / (double(kTenants) * double(loaded_rows));
   }
+};
+constexpr Shape kFullShape{3000, 2000, 160e6, 5 * kUsPerSec};
+constexpr Shape kSmokeShape{256, 200, 1.6e6, 1 * kUsPerSec};
 
-  void AddDn() {
-    dns.push_back(std::make_unique<Server>(&sched, kDnCores));
-  }
+// The steps of a tenant move, in order.
+enum Step { kCopy, kDrain, kFlush, kRebind, kOpen, kNumSteps };
+constexpr const char* kStepNames[kNumSteps] = {"copy", "drain", "flush",
+                                               "rebind", "open"};
 
-  void SubmitTxn(int client) {
-    int tenant = int(rng.Uniform(kTenants));
-    RunOnTenant(client, tenant);
-  }
+/// Step times of one or more tenant moves (sim clock, us) and the library
+/// counts they were derived from.
+struct MoveSteps {
+  std::array<SimTime, kNumSteps> us{};
+  uint64_t pages_flushed = 0;
+  uint64_t tables_moved = 0;
+  uint64_t rows_copied = 0;
 
-  void RunOnTenant(int client, int tenant) {
-    if (tenant_paused[tenant]) {
-      // §V: the proxy/CN holds the connection and pauses the transaction
-      // until migration completes.
-      paused_queue[tenant].push_back(
-          [this, client, tenant] { RunOnTenant(client, tenant); });
-      return;
-    }
-    cn_pool.Execute(kCnServiceUs, [this, client, tenant] {
-      int dn = tenant_dn[tenant];
-      dns[dn]->Execute(kDnServiceUs, [this, client] {
-        ++completed;
-        ++per_second[sched.Now() / kUsPerSec];
-        SubmitTxn(client);  // closed loop, no think time
-      });
-    });
-  }
-
-  void PauseTenant(int tenant) { tenant_paused[tenant] = true; }
-  void ResumeTenant(int tenant) {
-    tenant_paused[tenant] = false;
-    auto queued = std::move(paused_queue[tenant]);
-    paused_queue[tenant].clear();
-    for (auto& fn : queued) fn();
-  }
-
-  double TpsBetween(SimTime from, SimTime to) const {
-    uint64_t sum = 0;
-    for (uint64_t s = from / kUsPerSec; s < to / kUsPerSec; ++s) {
-      auto it = per_second.find(s);
-      if (it != per_second.end()) sum += it->second;
-    }
-    double secs = double(to - from) / double(kUsPerSec);
-    return secs > 0 ? double(sum) / secs : 0;
+  void Add(const MoveSteps& o) {
+    for (int i = 0; i < kNumSteps; ++i) us[i] += o.us[i];
+    pages_flushed += o.pages_flushed;
+    tables_moved += o.tables_moved;
+    rows_copied += o.rows_copied;
   }
 };
 
-/// One scaling operation via PolarDB-MT tenant transfer. Doubles the DN
-/// count; per (src, dst) pair, tenants migrate sequentially; distinct pairs
-/// run in parallel (§V). Calls `done(elapsed_us)` when every move finished.
-void ScaleWithMt(E2Sim* sim, std::function<void(SimTime)> done) {
-  size_t old_dns = sim->dns.size();
-  for (size_t i = 0; i < old_dns; ++i) sim->AddDn();
-  SimTime start = sim->sched.Now();
+/// The moves from one source RW to one destination RW, run in sequence.
+struct PairRun {
+  uint32_t src = 0;
+  uint32_t dst = 0;
+  std::deque<TenantId> queue;
+  MoveSteps steps;
+};
 
-  // Plan: each old DN sends half of its tenants to one new DN.
-  auto remaining = std::make_shared<int>(0);
-  std::map<int, std::deque<int>> moves;  // src dn -> tenants to move
-  for (int t = 0; t < kTenants; ++t) {
-    int dn = sim->tenant_dn[t];
-    if (dn < int(old_dns)) moves[dn].push_back(t);
-  }
-  for (auto& [src, tenants] : moves) {
-    size_t keep = tenants.size() / 2;
-    while (tenants.size() > keep) tenants.pop_front();
-    // what's left in `tenants` moves to dst = src + old_dns
-    *remaining += int(tenants.size());
-  }
-  auto run_pair = std::make_shared<std::function<void(int)>>();
-  auto moves_ptr = std::make_shared<std::map<int, std::deque<int>>>(moves);
-  *run_pair = [sim, run_pair, moves_ptr, remaining, old_dns, start,
-               done](int src) {
-    auto& queue = (*moves_ptr)[src];
-    if (queue.empty()) return;
-    int tenant = queue.front();
-    queue.pop_front();
-    int dst = src + int(old_dns);
-    // pause -> drain -> flush -> rebind -> open -> resume
-    sim->PauseTenant(tenant);
-    sim->sched.ScheduleAfter(
-        kPauseDrainUs + kFlushUs + kRebindUs + kOpenWarmUs,
-        [sim, run_pair, remaining, tenant, dst, src, start, done] {
-          sim->tenant_dn[tenant] = dst;
-          sim->ResumeTenant(tenant);
-          if (--*remaining == 0) {
-            done(sim->sched.Now() - start);
-          } else {
-            (*run_pair)(src);
-          }
-        });
-    // note: only the migrating tenant pauses; others keep running.
-  };
-  for (auto& [src, queue] : moves) (*run_pair)(src);
+struct ScalingResult {
+  size_t rws_before = 0;
+  size_t rws_after = 0;
+  SimTime elapsed_us = 0;
+  double tps_before = 0;
+  double tps_after = 0;
+  MoveSteps steps;  // summed over every move
+  std::map<std::pair<uint32_t, uint32_t>, PairRun> pairs;
+};
+
+struct ArmResult {
+  const char* name = "";
+  uint64_t lease_violations = 0;
+  std::vector<ScalingResult> scalings;
+};
+
+void Check(const Status& s, const char* what) {
+  if (s.ok()) return;
+  std::fprintf(stderr, "%s: %s\n", what, s.ToString().c_str());
+  std::exit(1);
 }
 
-/// One scaling operation via traditional data transfer: rows copy at
-/// kCopyRowsPerSec per (src,dst) pair; the tenant cuts over at the end.
-void ScaleWithCopy(E2Sim* sim, std::function<void(SimTime)> done) {
-  size_t old_dns = sim->dns.size();
-  for (size_t i = 0; i < old_dns; ++i) sim->AddDn();
-  SimTime start = sim->sched.Now();
+class E2Sim {
+ public:
+  E2Sim(bool copy_arm, const Shape& shape)
+      : copy_arm_(copy_arm),
+        shape_(shape),
+        cluster_([this] { return 1 + sched_.Now() / kUsPerMs; }),
+        cn_pool_(&sched_, kCnCores) {}
 
-  auto remaining = std::make_shared<int>(0);
-  std::map<int, std::deque<int>> moves;
-  for (int t = 0; t < kTenants; ++t) {
-    int dn = sim->tenant_dn[t];
-    if (dn < int(old_dns)) moves[dn].push_back(t);
-  }
-  for (auto& [src, tenants] : moves) {
-    size_t keep = tenants.size() / 2;
-    while (tenants.size() > keep) tenants.pop_front();
-    *remaining += int(tenants.size());
-  }
-  auto run_pair = std::make_shared<std::function<void(int)>>();
-  auto moves_ptr = std::make_shared<std::map<int, std::deque<int>>>(moves);
-  *run_pair = [sim, run_pair, moves_ptr, remaining, old_dns, start,
-               done](int src) {
-    auto& queue = (*moves_ptr)[src];
-    if (queue.empty()) return;
-    int tenant = queue.front();
-    queue.pop_front();
-    int dst = src + int(old_dns);
-    // Catch-up: the tenant keeps writing during the copy at its share of
-    // the current throughput; the effective copy rate shrinks accordingly.
-    SimTime window = 2 * kUsPerSec;
-    SimTime now = sim->sched.Now();
-    double tenant_write_rate =
-        sim->TpsBetween(now > window ? now - window : 0, now) / kTenants *
-        kWriteRowsPerTxn;
-    double rate = std::max(kCopyRowsPerSec * 0.2,
-                           kCopyRowsPerSec - tenant_write_rate);
-    SimTime copy_us =
-        SimTime(double(kRowsPerTenant) / rate * double(kUsPerSec));
-    // The tenant stays live on the source during the copy; only a short
-    // cutover pause at the end.
-    sim->sched.ScheduleAfter(copy_us, [sim, run_pair, remaining, tenant,
-                                       dst, src, start, done] {
-      sim->PauseTenant(tenant);
-      sim->sched.ScheduleAfter(
-          kPauseDrainUs + kRebindUs,
-          [sim, run_pair, remaining, tenant, dst, src, start, done] {
-            sim->tenant_dn[tenant] = dst;
-            sim->ResumeTenant(tenant);
-            if (--*remaining == 0) {
-              done(sim->sched.Now() - start);
-            } else {
-              (*run_pair)(src);
-            }
-          });
-    });
-  };
-  for (auto& [src, queue] : moves) (*run_pair)(src);
-}
-
-template <typename ScaleFn>
-void RunScenario(const char* name, ScaleFn scale, SimTime settle_us) {
-  std::printf("\n=== Fig.8 %s ===\n", name);
-  E2Sim sim;
-  for (int c = 0; c < kClients; ++c) sim.SubmitTxn(c);
-
-  std::vector<SimTime> durations;
-  std::vector<double> tps_levels;
-
-  auto measure = [&](SimTime from, SimTime to) {
-    while (sim.sched.Now() < to && sim.sched.Step()) {
+  /// Loads the tenants, starts the background load and runs the scalings.
+  ArmResult Run() {
+    ArmResult res;
+    res.name = copy_arm_ ? "copy" : "mt";
+    Load();
+    for (int c = 0; c < shape_.clients; ++c) Submit();
+    double tps = Measure();
+    for (int i = 0; i < kScalings; ++i) {
+      ScalingResult r = Scale();
+      r.tps_before = tps;
+      r.tps_after = tps = Measure();
+      res.scalings.push_back(std::move(r));
     }
-    return sim.TpsBetween(from, to);
-  };
+    res.lease_violations = lease_violations_;
+    return res;
+  }
 
-  // Baseline throughput at 4 DNs.
-  tps_levels.push_back(measure(0, settle_us));
+ private:
+  void AddRw() {
+    cluster_.AddRwNode();
+    rw_servers_.push_back(std::make_unique<sim::Server>(&sched_, kRwCores));
+  }
 
-  for (int round = 0; round < 3; ++round) {
-    SimTime scale_done = 0;
-    bool finished = false;
-    if constexpr (true) {
-      scale(&sim, [&](SimTime elapsed) {
-        scale_done = elapsed;
-        finished = true;
+  void Load() {
+    for (uint32_t i = 0; i < kInitialRws; ++i) AddRw();
+    for (TenantId t = 0; t < kTenants; ++t) {
+      Check(cluster_.CreateTenant(t, t % kInitialRws), "CreateTenant");
+      auto table = cluster_.CreateTable(t, "sbtest" + std::to_string(t),
+                                        Sysbench::TableSchema());
+      Check(table.status(), "CreateTable");
+      TxnEngine* engine = cluster_.rw(t % kInitialRws)->engine();
+      TxnId txn = engine->Begin();
+      for (int64_t id = 1; id <= shape_.loaded_rows; ++id) {
+        Check(engine->Insert(txn, (*table)->id(), Sysbench::MakeRow(id, &rng_)),
+              "Insert");
+      }
+      Check(engine->CommitLocal(txn).status(), "CommitLocal");
+    }
+  }
+
+  /// A closed-loop client's next transaction, on a uniformly drawn tenant.
+  void Submit() { RunTxn(TenantId(rng_.Uniform(kTenants))); }
+
+  void RunTxn(TenantId tenant) {
+    auto routed = cluster_.Route(tenant);
+    if (routed.status().IsBusy()) {
+      ++parked_[tenant];  // §V: the CN holds the transaction during the move
+      return;
+    }
+    Check(routed.status(), "Route");
+    (*routed)->NoteWriteBegin(tenant);
+    // (RW id, tenant) in 8 bytes keeps each continuation within
+    // std::function's inline storage: no allocation per transaction.
+    struct Txn {
+      uint32_t rw;
+      TenantId tenant;
+    } txn{(*routed)->id(), tenant};
+    cn_pool_.Execute(kCnServiceUs, [this, txn] {
+      rw_servers_[txn.rw]->Execute(kRwServiceUs, [this, txn] {
+        MtRwNode* rw = cluster_.rw(txn.rw);
+        if (!rw->RenewTenantLease(txn.tenant, *cluster_.bindings()).ok()) {
+          ++lease_violations_;
+        }
+        rw->NoteWriteEnd(txn.tenant);
+        ++completed_;
+        Submit();
       });
-    }
-    while (!finished && sim.sched.Step()) {
-    }
-    durations.push_back(scale_done);
-    SimTime from = sim.sched.Now();
-    tps_levels.push_back(measure(from, from + settle_us));
+    });
   }
 
-  std::printf("%-22s %14s %14s %12s\n", "phase", "scaling time(s)",
-              "sysbench tps", "tps gain");
-  std::printf("%-22s %14s %14.0f %12s\n", "4 DNs (initial)", "-",
-              tps_levels[0], "-");
-  const char* names[3] = {"1st scaling (to 8)", "2nd scaling (to 16)",
-                          "3rd scaling (to 32)"};
-  for (int i = 0; i < 3; ++i) {
-    std::printf("%-22s %14.1f %14.0f %+11.0f%%\n", names[i],
-                double(durations[i]) / double(kUsPerSec),
-                tps_levels[i + 1],
-                100.0 * (tps_levels[i + 1] - tps_levels[i]) /
-                    tps_levels[i]);
+  double Measure() {
+    uint64_t before = completed_;
+    sched_.RunUntil(sched_.Now() + shape_.settle_us);
+    return double(completed_ - before) * double(kUsPerSec) /
+           double(shape_.settle_us);
   }
+
+  /// Doubles the RW count and moves tenants per GMS's plan: one sequence of
+  /// moves per (src, dst) pair, the pairs in parallel.
+  ScalingResult Scale() {
+    ScalingResult r;
+    r.rws_before = cluster_.num_rws();
+    for (size_t i = 0; i < r.rws_before; ++i) AddRw();
+    r.rws_after = cluster_.num_rws();
+    std::vector<uint32_t> nodes(r.rws_after);
+    std::iota(nodes.begin(), nodes.end(), 0u);
+    for (const MigrationStep& step :
+         PlanRebalance(cluster_.bindings()->Placement(), nodes)) {
+      PairRun& pair = r.pairs[{step.src_dn, step.dst_dn}];
+      pair.src = step.src_dn;
+      pair.dst = step.dst_dn;
+      pair.queue.push_back(step.tenant);
+    }
+    SimTime start = sched_.Now();
+    pairs_running_ = r.pairs.size();
+    for (auto& [key, pair] : r.pairs) MoveNext(&pair);
+    while (pairs_running_ > 0 && sched_.Step()) {
+    }
+    r.elapsed_us = sched_.Now() - start;
+    for (const auto& [key, pair] : r.pairs) r.steps.Add(pair.steps);
+    return r;
+  }
+
+  /// Starts the pair's next move; each move starts the one after it when
+  /// its tenant serves on the destination again.
+  void MoveNext(PairRun* pair) {
+    if (pair->queue.empty()) {
+      --pairs_running_;
+      return;
+    }
+    TenantId tenant = pair->queue.front();
+    pair->queue.pop_front();
+    auto steps = std::make_shared<MoveSteps>();
+    if (copy_arm_) {
+      // The tenant stays live on the source while its rows are copied.
+      for (TableStore* table :
+           cluster_.rw(pair->src)->catalog()->TablesOfTenant(tenant)) {
+        steps->rows_copied += table->ApproxRows();
+      }
+      steps->us[kCopy] = SimTime(double(steps->rows_copied) *
+                                 shape_.rows_scale() * kCopyUsPerRow);
+    }
+    sched_.ScheduleAfter(steps->us[kCopy], [=, this] {
+      cluster_.bindings()->SetMigrating(tenant, true);
+      SimTime paused_at = sched_.Now();
+      WhenDrained(cluster_.rw(pair->src), tenant, [=, this] {
+        steps->us[kDrain] = sched_.Now() - paused_at;
+        Cutover(tenant, pair->dst, steps.get());
+        SimTime rest =
+            steps->us[kFlush] + steps->us[kRebind] + steps->us[kOpen];
+        sched_.ScheduleAfter(rest, [=, this] {
+          cluster_.bindings()->SetMigrating(tenant, false);
+          int waiting = parked_[tenant];
+          parked_.erase(tenant);
+          for (int i = 0; i < waiting; ++i) RunTxn(tenant);
+          pair->steps.Add(*steps);
+          MoveNext(pair);
+        });
+      });
+    });
+  }
+
+  void WhenDrained(MtRwNode* src, TenantId tenant, std::function<void()> fn) {
+    if (src->InflightWrites(tenant) == 0) return fn();
+    sched_.ScheduleAfter(kDrainPollUs,
+                         [=, this] { WhenDrained(src, tenant, fn); });
+  }
+
+  /// The library call of the move, with the tenant paused and drained.
+  void Cutover(TenantId tenant, uint32_t dst, MoveSteps* steps) {
+    auto moved = copy_arm_ ? cluster_.CopyTenantBaseline(tenant, dst)
+                           : cluster_.TransferTenant(tenant, dst);
+    Check(moved.status(), "tenant move");
+    if (moved->rows_copied != steps->rows_copied) {
+      Check(Status::Internal("rows copied differ from the tenant's rows"),
+            "CopyTenantBaseline");
+    }
+    steps->pages_flushed = moved->pages_flushed;
+    steps->tables_moved = moved->tables_moved;
+    steps->us[kFlush] = moved->pages_flushed * kFlushUsPerPage;
+    steps->us[kRebind] = moved->tables_moved * kRebindUsPerTable;
+    steps->us[kOpen] = moved->tables_moved * kOpenUsPerTable;
+  }
+
+  bool copy_arm_;
+  Shape shape_;
+  sim::Scheduler sched_;
+  MtCluster cluster_;
+  sim::Server cn_pool_;
+  std::vector<std::unique_ptr<sim::Server>> rw_servers_;  // by RW id
+  std::map<TenantId, int> parked_;  // clients held while their tenant moves
+  size_t pairs_running_ = 0;
+  uint64_t completed_ = 0;
+  uint64_t lease_violations_ = 0;
+  Rng rng_{20220507};
+};
+
+double Ms(SimTime us) { return double(us) / double(kUsPerMs); }
+double Secs(SimTime us) { return double(us) / double(kUsPerSec); }
+
+void JsonSteps(std::ostringstream& json, const MoveSteps& s) {
+  for (int i = 0; i < kNumSteps; ++i) {
+    json << "\"" << kStepNames[i] << "_ms\": " << Ms(s.us[i]) << ", ";
+  }
+  json << "\"pages_flushed\": " << s.pages_flushed
+       << ", \"tables_moved\": " << s.tables_moved
+       << ", \"rows_copied\": " << s.rows_copied;
+}
+
+std::string ToJson(const BenchFlags& flags, const Shape& shape,
+                   const std::vector<ArmResult>& arms) {
+  std::ostringstream json;
+  json.setf(std::ios::fixed);
+  json.precision(3);
+  json << "{\n  \"bench\": \"elasticity\",\n  \"mode\": \""
+       << (flags.smoke ? "smoke" : "full")
+       << "\",\n  \"setup\": {\"tenants\": " << kTenants
+       << ", \"clients\": " << shape.clients
+       << ", \"loaded_rows_per_tenant\": " << shape.loaded_rows
+       << ", \"modeled_rows\": " << shape.modeled_rows
+       << ", \"settle_s\": " << Secs(shape.settle_us)
+       << ", \"flush_us_per_page\": " << kFlushUsPerPage
+       << ", \"rebind_ms_per_table\": " << Ms(kRebindUsPerTable)
+       << ", \"open_ms_per_table\": " << Ms(kOpenUsPerTable)
+       << ", \"copy_us_per_row\": " << kCopyUsPerRow << "},\n  \"arms\": [";
+  for (const ArmResult& arm : arms) {
+    json << (&arm == &arms[0] ? "" : ",") << "\n    {\"arm\": \"" << arm.name
+         << "\", \"lease_violations\": " << arm.lease_violations
+         << ", \"scalings\": [";
+    for (const ScalingResult& r : arm.scalings) {
+      json << (&r == &arm.scalings[0] ? "" : ",")
+           << "\n      {\"rws_before\": " << r.rws_before
+           << ", \"rws_after\": " << r.rws_after
+           << ", \"scaling_s\": " << Secs(r.elapsed_us)
+           << ", \"tps_before\": " << r.tps_before
+           << ", \"tps_after\": " << r.tps_after << ", ";
+      JsonSteps(json, r.steps);
+      json << ",\n       \"pairs\": [";
+      const char* sep = "";
+      for (const auto& [key, pair] : r.pairs) {
+        json << sep << "{\"src\": " << pair.src << ", \"dst\": " << pair.dst
+             << ", ";
+        JsonSteps(json, pair.steps);
+        json << "}";
+        sep = ",\n                 ";
+      }
+      json << "]}";
+    }
+    json << "]}";
+  }
+  json << "\n  ]\n}\n";
+  return json.str();
 }
 
 }  // namespace
 }  // namespace polarx
 
-int main() {
+int main(int argc, char** argv) {
+  using namespace polarx;
+  BenchFlags flags = ParseBenchFlags(argc, argv);
+  const Shape& shape = flags.smoke ? kSmokeShape : kFullShape;
   std::printf(
-      "E2 / Fig.8 — Elasticity: %d tenants, %llu rows (40 GB modeled), "
-      "%d background sysbench clients\n",
-      polarx::kTenants,
-      static_cast<unsigned long long>(polarx::kTotalRows), polarx::kClients);
+      "E2 / Fig.8 — Elasticity: %u tenants x %d loaded rows standing for "
+      "%.0f rows, %d background sysbench clients\n",
+      kTenants, shape.loaded_rows, shape.modeled_rows, shape.clients);
   std::printf("paper: MT scalings complete in 4.2/4.5/4.6 s; data transfer "
               "takes 489/527/660 s (116-143x longer)\n");
-  polarx::RunScenario("(a) PolarDB-MT tenant migration", polarx::ScaleWithMt,
-                      5 * polarx::kUsPerSec);
-  polarx::RunScenario("(b) traditional data transfer", polarx::ScaleWithCopy,
-                      5 * polarx::kUsPerSec);
+  std::vector<ArmResult> arms = {E2Sim(false, shape).Run(),
+                                 E2Sim(true, shape).Run()};
+  for (const ArmResult& arm : arms) {
+    for (const ScalingResult& r : arm.scalings) {
+      std::printf("%-4s %2zu -> %-2zu RWs: %7.2f s, tps %6.0f -> %6.0f\n",
+                  arm.name, r.rws_before, r.rws_after, Secs(r.elapsed_us),
+                  r.tps_before, r.tps_after);
+    }
+  }
+  WriteBenchJson(flags, ToJson(flags, shape, arms));
+  for (const ArmResult& arm : arms) {
+    if (arm.lease_violations == 0) continue;
+    std::fprintf(stderr,
+                 "%s: %llu transactions completed without their tenant lease\n",
+                 arm.name,
+                 static_cast<unsigned long long>(arm.lease_violations));
+    return 1;
+  }
   return 0;
 }

@@ -25,8 +25,6 @@ Schema OrdersSchema() {
 int main() {
   std::printf("== SaaS elasticity demo (PolarDB-MT) ==\n\n");
   MtCluster cluster(SystemClockMs());
-  Gms gms;
-  uint32_t dn0 = gms.RegisterDn(0);
   cluster.AddRwNode();
 
   // Six SaaS subscribers, each with an orders table and some data.
@@ -34,7 +32,6 @@ int main() {
   std::map<TenantId, TableId> tenant_tables;
   for (TenantId t = 1; t <= kTenants; ++t) {
     cluster.CreateTenant(t, 0);
-    gms.BindTenant(t, dn0);
     auto table = cluster.CreateTable(
         t, "orders_t" + std::to_string(t), OrdersSchema());
     tenant_tables[t] = (*table)->id();
@@ -49,25 +46,24 @@ int main() {
   }
   std::printf("%d tenants on RW0, 1000 orders each\n\n", kTenants);
 
-  // Traffic surge! Add an RW node and let GMS plan the rebalance.
-  uint32_t dn1 = gms.RegisterDn(0);
+  // Traffic surge! Add an RW node and let GMS plan the rebalance from the
+  // binding table; each transfer rebinds its tenant there.
   uint32_t rw1 = cluster.AddRwNode();
-  (void)dn1;
-  auto plan = gms.PlanRebalance();
+  auto plan = PlanRebalance(cluster.bindings()->Placement(), {0, rw1});
   std::printf("GMS migration plan: %zu tenant moves\n", plan.size());
 
   for (const auto& step : plan) {
-    auto metrics = cluster.TransferTenant(step.tenant, rw1);
+    auto metrics = cluster.TransferTenant(step.tenant, step.dst_dn);
     if (!metrics.ok()) {
       std::printf("  transfer of tenant %u failed: %s\n", step.tenant,
                   metrics.status().ToString().c_str());
-      continue;
+      return 1;
     }
-    gms.CommitMigration(step);
     std::printf(
         "  tenant %u -> RW%u: %zu table(s) re-bound, %zu dirty pages "
         "flushed, ZERO rows copied\n",
-        step.tenant, rw1, metrics->tables_moved, metrics->pages_flushed);
+        step.tenant, step.dst_dn, metrics->tables_moved,
+        metrics->pages_flushed);
   }
 
   std::printf("\nplacement after scale-out:\n");

@@ -29,7 +29,7 @@ echo "==> bench-smoke: ablation knobs + JSON emission"
 # check below.
 ctest --test-dir "${PREFIX}" -L bench-smoke --output-on-failure
 for b in bench_replication bench_paxos_ablation bench_cross_dc_txn \
-         bench_mpp_colindex bench_htap_isolation; do
+         bench_mpp_colindex bench_htap_isolation bench_elasticity; do
   f="${PREFIX}/bench/out/${b}_smoke.json"
   if [ ! -s "${f}" ]; then
     echo "bench-smoke: ${f} missing or empty" >&2
@@ -53,6 +53,32 @@ for c in cells:
                  "%.4f ms: %s" % (path, mean, c))
 print("bench-smoke: breakdown accounts for the mean latency in %d cells"
       % len(cells))
+EOF
+# E2 runs on virtual time, so a second smoke run must write the same bytes.
+# Each scaling's time must equal its slowest (src, dst) pair's summed
+# per-move step times within 1%, and no arm may report a transaction that
+# completed without its tenant lease.
+E2_SMOKE="${PREFIX}/bench/out/bench_elasticity_smoke.json"
+"${PREFIX}/bench/bench_elasticity" --smoke \
+  --json="${PREFIX}/bench/out/bench_elasticity_smoke_rerun.json" >/dev/null
+cmp "${E2_SMOKE}" "${PREFIX}/bench/out/bench_elasticity_smoke_rerun.json"
+python3 - "${E2_SMOKE}" <<'EOF'
+import json, sys
+arms = json.load(open(sys.argv[1]))["arms"]
+steps = ("copy_ms", "drain_ms", "flush_ms", "rebind_ms", "open_ms")
+for arm in arms:
+    if arm["lease_violations"] != 0:
+        sys.exit("bench-smoke: %s arm has lease violations" % arm["arm"])
+    for s in arm["scalings"]:
+        slowest = max(sum(p[k] for k in steps) for p in s["pairs"])
+        total = s["scaling_s"] * 1000
+        if abs(slowest - total) > 0.01 * total:
+            sys.exit("bench-smoke: %s scaling %d->%d takes %.3f ms, its "
+                     "slowest pair's steps sum to %.3f ms"
+                     % (arm["arm"], s["rws_before"], s["rws_after"], total,
+                        slowest))
+print("bench-smoke: E2 scaling times match their slowest pair in %d scalings"
+      % sum(len(a["scalings"]) for a in arms))
 EOF
 
 echo "==> asan: configure + build (${PREFIX}-asan)"

@@ -13,7 +13,7 @@ Result<TableDef> Gms::CreateTable(const std::string& name,
   if (table_names_.count(name) != 0) {
     return Status::InvalidArgument("table " + name + " exists");
   }
-  if (dns_.empty()) {
+  if (dn_dcs_.empty()) {
     return Status::ResourceExhausted("no DN registered");
   }
   TableDef def = MakeTableDef(next_table_++, name, std::move(columns),
@@ -21,7 +21,7 @@ Result<TableDef> Gms::CreateTable(const std::string& name,
   def.table_group = table_group;
   POLARX_RETURN_NOT_OK(table_groups_.Register(def));
   // Place shards: co-located with the table group if any, else round-robin
-  // over alive DNs.
+  // over the registered DNs.
   for (ShardId shard = 0; shard < def.num_shards; ++shard) {
     uint32_t dn = PickDnForShardLocked(table_group, shard);
     shard_placement_[{def.id, shard}] = dn;
@@ -40,12 +40,7 @@ uint32_t Gms::PickDnForShardLocked(const std::string& table_group,
     auto it = group_placement_.find({table_group, shard});
     if (it != group_placement_.end()) return it->second;
   }
-  // Round-robin over alive DNs.
-  std::vector<uint32_t> alive;
-  for (const auto& dn : dns_) {
-    if (dn.alive) alive.push_back(dn.id);
-  }
-  return alive[shard % alive.size()];
+  return static_cast<uint32_t>(shard % dn_dcs_.size());
 }
 
 Result<TableDef> Gms::FindTable(const std::string& name) const {
@@ -53,20 +48,6 @@ Result<TableDef> Gms::FindTable(const std::string& name) const {
   auto it = table_names_.find(name);
   if (it == table_names_.end()) return Status::NotFound("table " + name);
   return tables_.at(it->second);
-}
-
-Result<TableDef> Gms::FindTableById(TableId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tables_.find(id);
-  if (it == tables_.end()) return Status::NotFound("table id");
-  return it->second;
-}
-
-std::vector<TableDef> Gms::AllTables() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TableDef> out;
-  for (const auto& [id, def] : tables_) out.push_back(def);
-  return out;
 }
 
 Result<GlobalIndexDef> Gms::AddGlobalIndex(const std::string& table,
@@ -93,28 +74,8 @@ int64_t Gms::NextSequence(TableId table) {
 
 uint32_t Gms::RegisterDn(DcId dc) {
   std::lock_guard<std::mutex> lock(mu_);
-  DnInfo info;
-  info.id = static_cast<uint32_t>(dns_.size());
-  info.dc = dc;
-  dns_.push_back(info);
-  return info.id;
-}
-
-void Gms::SetDnAlive(uint32_t dn, bool alive) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (dn < dns_.size()) dns_[dn].alive = alive;
-}
-
-std::vector<DnInfo> Gms::Dns() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto dns = dns_;
-  for (auto& dn : dns) {
-    dn.tenant_count = 0;
-    for (const auto& [tenant, owner] : tenant_placement_) {
-      if (owner == dn.id) ++dn.tenant_count;
-    }
-  }
-  return dns;
+  dn_dcs_.push_back(dc);
+  return static_cast<uint32_t>(dn_dcs_.size() - 1);
 }
 
 void Gms::SetDnEndpoint(uint32_t dn, NodeId node) {
@@ -165,14 +126,6 @@ std::vector<uint32_t> Gms::ExpiredCoordinators(uint64_t now_us,
   return out;
 }
 
-std::vector<CoordinatorInfo> Gms::Coordinators() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<CoordinatorInfo> out;
-  out.reserve(coordinators_.size());
-  for (const auto& [id, info] : coordinators_) out.push_back(info);
-  return out;
-}
-
 Result<uint32_t> Gms::DnOfShard(TableId table, ShardId shard) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = shard_placement_.find({table, shard});
@@ -180,73 +133,41 @@ Result<uint32_t> Gms::DnOfShard(TableId table, ShardId shard) const {
   return it->second;
 }
 
-Status Gms::BindTenant(TenantId tenant, uint32_t dn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (dn >= dns_.size() || !dns_[dn].alive) {
-    return Status::InvalidArgument("dn not alive");
+std::vector<MigrationStep> PlanRebalance(
+    const std::map<TenantId, uint32_t>& placement,
+    const std::vector<uint32_t>& nodes) {
+  // Current tenants per node.
+  std::map<uint32_t, std::vector<TenantId>> by_node;
+  for (uint32_t node : nodes) by_node[node];
+  size_t total = 0;
+  for (const auto& [tenant, node] : placement) {
+    auto it = by_node.find(node);
+    if (it == by_node.end()) continue;
+    it->second.push_back(tenant);
+    ++total;
   }
-  tenant_placement_[tenant] = dn;
-  return Status::Ok();
-}
+  if (by_node.empty()) return {};
+  size_t target_floor = total / by_node.size();
+  size_t remainder = total % by_node.size();
 
-Result<uint32_t> Gms::DnOfTenant(TenantId tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tenant_placement_.find(tenant);
-  if (it == tenant_placement_.end()) {
-    return Status::NotFound("tenant unbound");
-  }
-  return it->second;
-}
-
-std::vector<TenantId> Gms::TenantsOn(uint32_t dn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TenantId> out;
-  for (const auto& [tenant, owner] : tenant_placement_) {
-    if (owner == dn) out.push_back(tenant);
-  }
-  return out;
-}
-
-void Gms::ReportLoad(uint32_t dn, uint64_t row_count, double write_qps) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (dn >= dns_.size()) return;
-  dns_[dn].row_count = row_count;
-  dns_[dn].write_qps = write_qps;
-}
-
-std::vector<MigrationStep> Gms::PlanRebalance() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Current tenant counts per alive DN.
-  std::map<uint32_t, std::vector<TenantId>> by_dn;
-  for (const auto& dn : dns_) {
-    if (dn.alive) by_dn[dn.id];
-  }
-  for (const auto& [tenant, dn] : tenant_placement_) {
-    auto it = by_dn.find(dn);
-    if (it != by_dn.end()) it->second.push_back(tenant);
-  }
-  if (by_dn.empty()) return {};
-  size_t total = tenant_placement_.size();
-  size_t target_floor = total / by_dn.size();
-  size_t remainder = total % by_dn.size();
-
-  // Donors carry more than their target; recipients less.
-  std::vector<MigrationStep> plan;
-  std::vector<std::pair<uint32_t, std::vector<TenantId>>> donors, takers;
+  // Donors carry more than their target; takers less.
+  std::vector<std::pair<uint32_t, std::vector<TenantId>>> donors;
+  std::vector<std::pair<uint32_t, size_t>> takers;
   size_t i = 0;
-  for (auto& [dn, tenants] : by_dn) {
+  for (auto& [node, tenants] : by_node) {
     size_t target = target_floor + (i < remainder ? 1 : 0);
     ++i;
     if (tenants.size() > target) {
-      std::vector<TenantId> extra(tenants.begin() + target, tenants.end());
-      donors.emplace_back(dn, std::move(extra));
+      donors.emplace_back(node, std::vector<TenantId>(
+                                    tenants.begin() + target, tenants.end()));
     } else if (tenants.size() < target) {
-      takers.emplace_back(dn, std::vector<TenantId>(target - tenants.size()));
+      takers.emplace_back(node, target - tenants.size());
     }
   }
+  std::vector<MigrationStep> plan;
   size_t di = 0, dj = 0;
-  for (auto& [dst, want] : takers) {
-    for (size_t w = 0; w < want.size(); ++w) {
+  for (const auto& [dst, want] : takers) {
+    for (size_t w = 0; w < want; ++w) {
       while (di < donors.size() && dj >= donors[di].second.size()) {
         ++di;
         dj = 0;
@@ -258,16 +179,6 @@ std::vector<MigrationStep> Gms::PlanRebalance() const {
     }
   }
   return plan;
-}
-
-Status Gms::CommitMigration(const MigrationStep& step) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tenant_placement_.find(step.tenant);
-  if (it == tenant_placement_.end() || it->second != step.src_dn) {
-    return Status::Conflict("tenant not on expected source");
-  }
-  it->second = step.dst_dn;
-  return Status::Ok();
 }
 
 }  // namespace polarx

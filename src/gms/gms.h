@@ -1,8 +1,9 @@
 // Global Meta Service (§II-A): the control plane. Holds the logical catalog
 // (table definitions, partition rules, table groups), cluster membership,
-// shard/tenant placement, load statistics, and produces migration plans for
-// scale-out (§V "Scale PolarDB-X cluster"). In production GMS is itself a
-// 3-AZ PolarDB; here it is an in-process authority.
+// shard placement and coordinator leases, and produces migration plans for
+// scale-out (§V "Scale PolarDB-X cluster") from PolarDB-MT's tenant
+// bindings. In production GMS is itself a 3-AZ PolarDB; here it is an
+// in-process authority.
 #pragma once
 
 #include <cstdint>
@@ -18,23 +19,22 @@
 
 namespace polarx {
 
-/// A registered DN (PolarDB instance) and its reported load.
-struct DnInfo {
-  uint32_t id = 0;
-  DcId dc = 0;
-  bool alive = true;
-  /// Reported load statistics (refreshed by heartbeats).
-  uint64_t tenant_count = 0;
-  uint64_t row_count = 0;
-  double write_qps = 0;
-};
-
 /// One step of a scale-out plan: move `tenant` from `src` to `dst`.
 struct MigrationStep {
   TenantId tenant = 0;
   uint32_t src_dn = 0;
   uint32_t dst_dn = 0;
 };
+
+/// Scale-out planning (§V): balances tenant counts across `nodes`, given the
+/// current tenant -> node placement (PolarDB-MT's binding table, the only
+/// record of it). Tenants move from the most-loaded nodes to the
+/// least-loaded (typically freshly added) ones; tenants on nodes outside
+/// `nodes` are ignored. Steps with distinct (src, dst) pairs can run in
+/// parallel.
+std::vector<MigrationStep> PlanRebalance(
+    const std::map<TenantId, uint32_t>& placement,
+    const std::vector<uint32_t>& nodes);
 
 /// A registered coordinator (CN) incarnation and its lease state. A CN that
 /// restarts registers a NEW incarnation; the old id stays expired forever,
@@ -62,8 +62,6 @@ class Gms {
                                const std::string& table_group = "");
 
   Result<TableDef> FindTable(const std::string& name) const;
-  Result<TableDef> FindTableById(TableId id) const;
-  std::vector<TableDef> AllTables() const;
 
   /// Adds a global secondary index to a table (backed by a hidden table id).
   Result<GlobalIndexDef> AddGlobalIndex(const std::string& table,
@@ -78,8 +76,6 @@ class Gms {
 
   /// Registers a DN; returns its id.
   uint32_t RegisterDn(DcId dc);
-  void SetDnAlive(uint32_t dn, bool alive);
-  std::vector<DnInfo> Dns() const;
 
   /// Current serving endpoint (Paxos leader node) of a DN group. CNs route
   /// writes here and re-resolve after kNotLeader / timeouts; failover code
@@ -100,31 +96,11 @@ class Gms {
   /// dead coordinators whose prepared branches recovery must resolve.
   std::vector<uint32_t> ExpiredCoordinators(uint64_t now_us,
                                             uint64_t lease_us) const;
-  std::vector<CoordinatorInfo> Coordinators() const;
 
   /// Placement of a shard: which DN hosts (table, shard). Co-located for
   /// table-group members.
   Result<uint32_t> DnOfShard(TableId table, ShardId shard) const;
 
-  /// Tenant placement (PolarDB-MT mode): which DN/RW owns a tenant.
-  Status BindTenant(TenantId tenant, uint32_t dn);
-  Result<uint32_t> DnOfTenant(TenantId tenant) const;
-  std::vector<TenantId> TenantsOn(uint32_t dn) const;
-
-  /// Updates load stats from a DN heartbeat.
-  void ReportLoad(uint32_t dn, uint64_t row_count, double write_qps);
-
-  // ---- scale-out planning (§V) ----
-
-  /// Produces a plan that balances tenant counts across alive DNs: tenants
-  /// move from the most-loaded DNs to the least-loaded (typically freshly
-  /// added) ones. Steps with distinct (src, dst) pairs can run in parallel.
-  std::vector<MigrationStep> PlanRebalance() const;
-
-  /// Applies a completed step to the placement map.
-  Status CommitMigration(const MigrationStep& step);
-
-  TableGroupRegistry* table_groups() { return &table_groups_; }
 
  private:
   uint32_t PickDnForShardLocked(const std::string& table_group,
@@ -136,7 +112,7 @@ class Gms {
   std::map<std::string, TableId> table_names_;
   std::map<TableId, Sequence> sequences_;
   TableGroupRegistry table_groups_;
-  std::vector<DnInfo> dns_;
+  std::vector<DcId> dn_dcs_;  // DC of each registered DN, by DN id
   std::map<uint32_t, NodeId> dn_endpoints_;
   uint32_t next_coordinator_ = 1;
   std::map<uint32_t, CoordinatorInfo> coordinators_;
@@ -144,7 +120,6 @@ class Gms {
   std::map<std::pair<TableId, ShardId>, uint32_t> shard_placement_;
   /// table_group -> shard -> dn (authoritative for grouped tables)
   std::map<std::pair<std::string, ShardId>, uint32_t> group_placement_;
-  std::map<TenantId, uint32_t> tenant_placement_;
 };
 
 }  // namespace polarx

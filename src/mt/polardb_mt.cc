@@ -8,10 +8,7 @@ namespace polarx {
 
 // ------------------------------------------------------- binding table --
 
-uint64_t BindingTable::version() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return version_;
-}
+uint64_t BindingTable::version() const { return version_.load(); }
 
 Status BindingTable::Bind(TenantId tenant, uint32_t rw) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -36,6 +33,11 @@ std::vector<TenantId> BindingTable::TenantsOf(uint32_t rw) const {
   return out;
 }
 
+std::map<TenantId, uint32_t> BindingTable::Placement() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return bindings_;
+}
+
 void BindingTable::SetMigrating(TenantId tenant, bool migrating) {
   std::lock_guard<std::mutex> lock(mu_);
   if (migrating) {
@@ -57,11 +59,6 @@ MtRwNode::MtRwNode(uint32_t id, PhysicalClockMs clock, PageStore* page_store)
       hlc_(std::move(clock)),
       pool_(page_store),
       engine_(id + 1, &catalog_, &hlc_, &log_, &pool_) {}
-
-bool MtRwNode::OwnsTenant(TenantId tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return owned_.count(tenant) != 0;
-}
 
 void MtRwNode::RefreshBindings(const BindingTable& bindings) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -88,6 +85,14 @@ Status MtRwNode::CheckTenantLease(TenantId tenant,
   }
   // Cache stale: the lease has lapsed; the caller must refresh and retry.
   return Status::LeaseExpired("binding info changed");
+}
+
+Status MtRwNode::RenewTenantLease(TenantId tenant,
+                                  const BindingTable& bindings) {
+  Status lease = CheckTenantLease(tenant, bindings);
+  if (!lease.IsLeaseExpired()) return lease;
+  RefreshBindings(bindings);
+  return CheckTenantLease(tenant, bindings);
 }
 
 Status MtRwNode::OpenTenant(TenantId tenant,
@@ -152,7 +157,6 @@ Status DataDictionary::ApplyDdl(uint32_t requester_rw,
   }
   std::lock_guard<std::mutex> lock(mu_);  // MDL: exclusive for the DDL
   tables_[meta.id] = std::move(meta);
-  ++ddl_count_;
   return Status::Ok();
 }
 
@@ -161,16 +165,6 @@ Result<DataDictionary::TableMeta> DataDictionary::Lookup(TableId id) const {
   auto it = tables_.find(id);
   if (it == tables_.end()) return Status::NotFound("table meta");
   return it->second;
-}
-
-std::vector<DataDictionary::TableMeta> DataDictionary::TablesOfTenant(
-    TenantId tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TableMeta> out;
-  for (const auto& [id, meta] : tables_) {
-    if (meta.tenant == tenant) out.push_back(meta);
-  }
-  return out;
 }
 
 // ------------------------------------------------------------- cluster --
@@ -219,42 +213,83 @@ Result<MtRwNode*> MtCluster::Route(TenantId tenant) {
   }
   POLARX_ASSIGN_OR_RETURN(uint32_t owner, bindings_.OwnerOf(tenant));
   MtRwNode* rw = rws_[owner].get();
-  Status lease = rw->CheckTenantLease(tenant, bindings_);
-  if (lease.IsLeaseExpired()) {
-    rw->RefreshBindings(bindings_);
-    lease = rw->CheckTenantLease(tenant, bindings_);
-  }
-  POLARX_RETURN_NOT_OK(lease);
+  POLARX_RETURN_NOT_OK(rw->RenewTenantLease(tenant, bindings_));
   return rw;
 }
 
 Result<TransferMetrics> MtCluster::TransferTenant(TenantId tenant,
                                                   uint32_t dst_rw) {
+  return MoveTenant(tenant, dst_rw, /*copy_rows=*/false);
+}
+
+Result<TransferMetrics> MtCluster::CopyTenantBaseline(TenantId tenant,
+                                                      uint32_t dst_rw) {
+  return MoveTenant(tenant, dst_rw, /*copy_rows=*/true);
+}
+
+namespace {
+
+/// A fresh physical table holding the latest committed version of every row
+/// of `table` (a production system would also ship a binlog tail; the
+/// volume term dominates).
+std::shared_ptr<TableStore> CopyRows(const TableStore& table,
+                                     uint64_t* rows_copied) {
+  auto copy = std::make_shared<TableStore>(table.id(), table.name(),
+                                           table.schema(), table.tenant());
+  table.rows().ScanAll([&](const EncodedKey& key, const VersionPtr& head) {
+    for (const Version* v = head.get(); v != nullptr; v = v->prev.get()) {
+      Timestamp ts = v->commit_ts.load(std::memory_order_acquire);
+      if (ts == kInvalidTimestamp) continue;
+      if (!v->deleted) {
+        auto row = std::make_shared<Version>(v->txn_id, false, v->row);
+        row->commit_ts.store(ts, std::memory_order_release);
+        copy->rows().Push(key, std::move(row));
+        ++*rows_copied;
+      }
+      break;
+    }
+    return true;
+  });
+  return copy;
+}
+
+}  // namespace
+
+Result<TransferMetrics> MtCluster::MoveTenant(TenantId tenant,
+                                              uint32_t dst_rw,
+                                              bool copy_rows) {
   if (dst_rw >= rws_.size()) return Status::InvalidArgument("rw unknown");
   POLARX_ASSIGN_OR_RETURN(uint32_t src_rw, bindings_.OwnerOf(tenant));
   if (src_rw == dst_rw) return Status::InvalidArgument("already there");
   MtRwNode* src = rws_[src_rw].get();
   MtRwNode* dst = rws_[dst_rw].get();
 
-  // 1. Pause new transactions to the tenant (proxy/CN stops forwarding).
+  // 1. Pause new transactions to the tenant (proxy/CN stops forwarding),
+  //    unless the caller already did.
+  bool resume = !bindings_.IsMigrating(tenant);
   bindings_.SetMigrating(tenant, true);
+  auto fail = [&](Status s) {
+    if (resume) bindings_.SetMigrating(tenant, false);
+    return s;
+  };
 
-  // 2. Drain: wait for in-flight statements on the source to finish. In
-  //    this synchronous implementation callers have returned before
-  //    TransferTenant is invoked, so a non-zero count is a caller bug.
+  // 2. Drain: in-flight statements on the source must have finished. The
+  //    caller waits for that (InflightWrites), so a non-zero count is a
+  //    caller bug.
   if (src->InflightWrites(tenant) != 0) {
-    bindings_.SetMigrating(tenant, false);
-    return Status::Busy("tenant has in-flight writes");
+    return fail(Status::Busy("tenant has in-flight writes"));
   }
 
   // 3. Source: flush dirty pages, drop cached metadata, close resources.
+  //    The shared-nothing baseline cannot hand the tables over; it rebuilds
+  //    each one on the destination row by row.
   TransferMetrics metrics;
-  auto detached = src->CloseTenant(tenant, &metrics.pages_flushed);
-  if (!detached.ok()) {
-    bindings_.SetMigrating(tenant, false);
-    return detached.status();
+  auto tables = src->CloseTenant(tenant, &metrics.pages_flushed);
+  if (!tables.ok()) return fail(tables.status());
+  metrics.tables_moved = tables->size();
+  if (copy_rows) {
+    for (auto& table : *tables) table = CopyRows(*table, &metrics.rows_copied);
   }
-  metrics.tables_moved = detached->size();
 
   // 4. Update the binding system table (bumps the version; other RWs'
   //    caches become stale and refresh lazily).
@@ -265,65 +300,13 @@ Result<TransferMetrics> MtCluster::TransferTenant(TenantId tenant,
   //    the source clock so snapshots taken there see the tenant's latest
   //    commits (ClockUpdate, §IV).
   dst->hlc()->Update(src->hlc()->Now());
-  POLARX_RETURN_NOT_OK(dst->OpenTenant(tenant, std::move(*detached)));
+  POLARX_RETURN_NOT_OK(dst->OpenTenant(tenant, std::move(*tables)));
   dst->RefreshBindings(bindings_);
   src->RefreshBindings(bindings_);
 
   // 6. Resume traffic.
-  bindings_.SetMigrating(tenant, false);
-  metrics.binding_version = bindings_.version();
+  if (resume) bindings_.SetMigrating(tenant, false);
   return metrics;
-}
-
-Result<uint64_t> MtCluster::CopyTenantBaseline(TenantId tenant,
-                                               uint32_t dst_rw) {
-  if (dst_rw >= rws_.size()) return Status::InvalidArgument("rw unknown");
-  POLARX_ASSIGN_OR_RETURN(uint32_t src_rw, bindings_.OwnerOf(tenant));
-  MtRwNode* src = rws_[src_rw].get();
-  MtRwNode* dst = rws_[dst_rw].get();
-  bindings_.SetMigrating(tenant, true);
-
-  uint64_t rows_copied = 0;
-  for (TableStore* table : src->catalog()->TablesOfTenant(tenant)) {
-    auto created = dst->catalog()->CreateTable(table->id(), table->name(),
-                                               table->schema(), tenant);
-    if (!created.ok()) {
-      bindings_.SetMigrating(tenant, false);
-      return created.status();
-    }
-    // Copy the latest committed version of every row (a production system
-    // would also ship a binlog tail; the volume term dominates).
-    table->rows().ScanAll([&](const EncodedKey& key, const VersionPtr& head) {
-      for (const Version* v = head.get(); v != nullptr; v = v->prev.get()) {
-        if (v->commit_ts.load(std::memory_order_acquire) !=
-            kInvalidTimestamp) {
-          if (!v->deleted) {
-            auto copy = std::make_shared<Version>(v->txn_id, false, v->row);
-            copy->commit_ts.store(
-                v->commit_ts.load(std::memory_order_acquire),
-                std::memory_order_release);
-            (*created)->rows().Push(key, std::move(copy));
-            ++rows_copied;
-          }
-          break;
-        }
-      }
-      return true;
-    });
-    src->buffer_pool()->FlushAndDropTable(table->id());
-    src->catalog()->DropTable(table->id());
-  }
-  {
-    size_t unused = 0;
-    src->CloseTenant(tenant, &unused);  // drop ownership bookkeeping
-  }
-  POLARX_RETURN_NOT_OK(bindings_.Bind(tenant, dst_rw));
-  dst->hlc()->Update(src->hlc()->Now());
-  POLARX_RETURN_NOT_OK(dst->OpenTenant(tenant, {}));
-  dst->RefreshBindings(bindings_);
-  src->RefreshBindings(bindings_);
-  bindings_.SetMigrating(tenant, false);
-  return rows_copied;
 }
 
 }  // namespace polarx

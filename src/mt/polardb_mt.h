@@ -10,9 +10,11 @@
 // goes through MDL + master validation. Tenant transfer is the §V state
 // machine: pause -> drain -> flush&close on source -> rebind -> open on
 // destination -> resume; no table data is copied. The traditional
-// data-transfer baseline (copy every row) is provided for experiment E2.
+// data-transfer baseline (copy every row) is provided for experiment E2,
+// whose bench drives both on a simulated clock.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -41,6 +43,8 @@ class BindingTable {
   Status Bind(TenantId tenant, uint32_t rw);
   Result<uint32_t> OwnerOf(TenantId tenant) const;
   std::vector<TenantId> TenantsOf(uint32_t rw) const;
+  /// Every binding, tenant -> RW (the input of GMS's PlanRebalance).
+  std::map<TenantId, uint32_t> Placement() const;
 
   /// Marks a tenant as migrating: routing pauses (§V "pause new
   /// transactions").
@@ -49,7 +53,7 @@ class BindingTable {
 
  private:
   mutable std::mutex mu_;
-  uint64_t version_ = 1;
+  std::atomic<uint64_t> version_{1};  // read lock-free by every lease check
   std::map<TenantId, uint32_t> bindings_;
   std::set<TenantId> migrating_;
 };
@@ -66,9 +70,8 @@ class MtRwNode {
   BufferPool* buffer_pool() { return &pool_; }
   Hlc* hlc() { return &hlc_; }
 
-  /// Tenants this node believes it owns, and the binding version at which
-  /// that belief was formed.
-  bool OwnsTenant(TenantId tenant) const;
+  /// The binding version at which this node's belief about the tenants it
+  /// owns was formed.
   uint64_t cached_binding_version() const { return cached_version_; }
 
   /// Refreshes the binding cache from the system table; tenants that moved
@@ -80,6 +83,10 @@ class MtRwNode {
   /// whether all related tables are bound to the node and retains the
   /// lease").
   Status CheckTenantLease(TenantId tenant, const BindingTable& bindings) const;
+
+  /// CheckTenantLease, first refreshing a lapsed binding cache once: a
+  /// binding change elsewhere expires the lease without moving `tenant`.
+  Status RenewTenantLease(TenantId tenant, const BindingTable& bindings);
 
   /// Opens (attaches) a tenant's tables on this node.
   Status OpenTenant(TenantId tenant,
@@ -130,23 +137,18 @@ class DataDictionary {
                   TableMeta meta);
 
   Result<TableMeta> Lookup(TableId id) const;
-  std::vector<TableMeta> TablesOfTenant(TenantId tenant) const;
-
-  /// MDL statistics (contention diagnostics).
-  uint64_t ddl_count() const { return ddl_count_; }
 
  private:
   mutable std::mutex mu_;
   uint32_t master_ = 0;
   std::map<TableId, TableMeta> tables_;
-  uint64_t ddl_count_ = 0;
 };
 
-/// Outcome metrics of one tenant transfer, for tests and the E2 bench.
+/// Outcome metrics of one tenant move, for tests and the E2 bench.
 struct TransferMetrics {
   size_t tables_moved = 0;
   size_t pages_flushed = 0;
-  uint64_t binding_version = 0;
+  uint64_t rows_copied = 0;  // CopyTenantBaseline only
 };
 
 /// The multi-tenant PolarDB instance: RW nodes over one shared PolarFS.
@@ -162,7 +164,6 @@ class MtCluster {
   size_t num_rws() const { return rws_.size(); }
   BindingTable* bindings() { return &bindings_; }
   DataDictionary* dictionary() { return &dict_; }
-  PolarFs* polarfs() { return &fs_; }
 
   /// Creates a tenant bound to `rw`.
   Status CreateTenant(TenantId tenant, uint32_t rw);
@@ -176,15 +177,20 @@ class MtCluster {
   Result<MtRwNode*> Route(TenantId tenant);
 
   /// §V live tenant transfer: pause -> drain -> flush/close on source ->
-  /// rebind -> open on destination -> resume. No row data is copied.
+  /// rebind -> open on destination -> resume. No row data is copied. A
+  /// caller that paused the tenant itself (SetMigrating) to drain it on its
+  /// own clock keeps it paused and resumes it when it chooses.
   Result<TransferMetrics> TransferTenant(TenantId tenant, uint32_t dst_rw);
 
-  /// Traditional shared-nothing migration baseline: copies every row of the
-  /// tenant's tables into fresh tables on the destination. Returns rows
-  /// copied (the E2 bench converts this to transfer time).
-  Result<uint64_t> CopyTenantBaseline(TenantId tenant, uint32_t dst_rw);
+  /// Traditional shared-nothing migration baseline: the same steps, but
+  /// every row of the tenant's tables is copied into fresh tables on the
+  /// destination (rows_copied; the E2 bench converts it to transfer time).
+  Result<TransferMetrics> CopyTenantBaseline(TenantId tenant, uint32_t dst_rw);
 
  private:
+  Result<TransferMetrics> MoveTenant(TenantId tenant, uint32_t dst_rw,
+                                     bool copy_rows);
+
   PhysicalClockMs clock_;
   PolarFs fs_;
   uint32_t volume_ = 0;

@@ -145,31 +145,49 @@ TEST(GmsTest, SequencesAreMonotonicPerTable) {
 }
 
 TEST(GmsTest, RebalancePlanEqualizesTenantCounts) {
-  Gms gms;
-  uint32_t dn0 = gms.RegisterDn(0);
-  for (TenantId t = 0; t < 8; ++t) {
-    ASSERT_TRUE(gms.BindTenant(t, dn0).ok());
+  using Pairs = std::map<std::pair<uint32_t, uint32_t>, int>;
+  struct Case {
+    TenantId tenants;
+    uint32_t old_nodes;
+    std::vector<uint32_t> nodes;
+    Pairs moves;  // (src, dst) -> tenants moved
+  };
+  // One node gives half its tenants to a new one. E2's first scaling: 64
+  // tenants round-robin on 4 nodes, 4 added; each old node src sends
+  // exactly 8 tenants to src + 4, so the bench runs the pairs in parallel.
+  const Case cases[] = {
+      {8, 1, {0, 1}, {{{0, 1}, 4}}},
+      {64, 4, {0, 1, 2, 3, 4, 5, 6, 7},
+       {{{0, 4}, 8}, {{1, 5}, 8}, {{2, 6}, 8}, {{3, 7}, 8}}},
+  };
+  for (const Case& c : cases) {
+    BindingTable bindings;
+    for (TenantId t = 0; t < c.tenants; ++t) {
+      ASSERT_TRUE(bindings.Bind(t, t % c.old_nodes).ok());
+    }
+    Pairs moves;
+    for (const auto& step : PlanRebalance(bindings.Placement(), c.nodes)) {
+      EXPECT_EQ(*bindings.OwnerOf(step.tenant), step.src_dn);
+      ++moves[{step.src_dn, step.dst_dn}];
+      ASSERT_TRUE(bindings.Bind(step.tenant, step.dst_dn).ok());
+    }
+    EXPECT_EQ(moves, c.moves) << c.tenants << " tenants";
+    for (uint32_t node : c.nodes) {
+      EXPECT_EQ(bindings.TenantsOf(node).size(), c.tenants / c.nodes.size());
+    }
+    EXPECT_TRUE(PlanRebalance(bindings.Placement(), c.nodes).empty())
+        << "already balanced";
   }
-  uint32_t dn1 = gms.RegisterDn(1);
-  auto plan = gms.PlanRebalance();
-  ASSERT_EQ(plan.size(), 4u) << "half the tenants move to the new DN";
-  for (const auto& step : plan) {
-    EXPECT_EQ(step.src_dn, dn0);
-    EXPECT_EQ(step.dst_dn, dn1);
-    ASSERT_TRUE(gms.CommitMigration(step).ok());
-  }
-  EXPECT_EQ(gms.TenantsOn(dn0).size(), 4u);
-  EXPECT_EQ(gms.TenantsOn(dn1).size(), 4u);
-  EXPECT_TRUE(gms.PlanRebalance().empty()) << "already balanced";
 }
 
-TEST(GmsTest, CommitMigrationValidatesSource) {
+TEST(GmsTest, CreateTableNeedsARegisteredDn) {
   Gms gms;
-  uint32_t dn0 = gms.RegisterDn(0);
-  uint32_t dn1 = gms.RegisterDn(0);
-  ASSERT_TRUE(gms.BindTenant(1, dn0).ok());
-  MigrationStep wrong{1, dn1, dn0};
-  EXPECT_TRUE(gms.CommitMigration(wrong).IsConflict());
+  EXPECT_TRUE(gms.CreateTable("t", {{"id", ValueType::kInt64, false}}, {0}, 2)
+                  .status()
+                  .IsResourceExhausted());
+  gms.RegisterDn(0);
+  EXPECT_TRUE(
+      gms.CreateTable("t", {{"id", ValueType::kInt64, false}}, {0}, 2).ok());
 }
 
 // ---------- PolarDB-MT ----------
@@ -266,11 +284,29 @@ TEST(MtTest, RoutingPausedDuringMigration) {
   EXPECT_TRUE(f.cluster.Route(1).ok());
 }
 
+TEST(MtTest, TransferKeepsCallerPause) {
+  // A caller that pauses the tenant itself (to drain on its own clock)
+  // resumes it; the transfer in between leaves the pause in place.
+  MtFixture f;
+  f.Setup(1, 0, "kv", 10);
+  f.cluster.bindings()->SetMigrating(1, true);
+  ASSERT_TRUE(f.cluster.TransferTenant(1, 1).ok());
+  EXPECT_TRUE(f.cluster.Route(1).status().IsBusy());
+  ASSERT_TRUE(f.cluster.CopyTenantBaseline(1, 0).ok());
+  EXPECT_TRUE(f.cluster.Route(1).status().IsBusy());
+  f.cluster.bindings()->SetMigrating(1, false);
+  auto rw = f.cluster.Route(1);
+  ASSERT_TRUE(rw.ok());
+  EXPECT_EQ((*rw)->id(), 0u);
+}
+
 TEST(MtTest, TransferRefusedWithInflightWrites) {
   MtFixture f;
   f.Setup(1, 0, "kv", 10);
   f.cluster.rw(0)->NoteWriteBegin(1);
   EXPECT_TRUE(f.cluster.TransferTenant(1, 1).status().IsBusy());
+  EXPECT_TRUE(f.cluster.CopyTenantBaseline(1, 1).status().IsBusy());
+  EXPECT_FALSE(f.cluster.bindings()->IsMigrating(1)) << "refusal resumes";
   f.cluster.rw(0)->NoteWriteEnd(1);
   EXPECT_TRUE(f.cluster.TransferTenant(1, 1).ok());
 }
@@ -313,9 +349,9 @@ TEST(MtTest, CopyBaselineMovesEveryRow) {
   MtFixture f;
   TableStore* table = f.Setup(1, 0, "kv", 300);
   TableId tid = table->id();
-  auto rows = f.cluster.CopyTenantBaseline(1, 1);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(*rows, 300u) << "baseline must copy the data volume";
+  auto metrics = f.cluster.CopyTenantBaseline(1, 1);
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(metrics->rows_copied, 300u) << "baseline must copy the data volume";
   TableStore* dst_table = f.cluster.rw(1)->catalog()->FindTable(tid);
   ASSERT_NE(dst_table, nullptr);
   EXPECT_NE(dst_table, table) << "baseline creates a fresh physical table";
@@ -327,24 +363,21 @@ TEST(MtTest, CopyBaselineMovesEveryRow) {
 
 TEST(MtTest, MtScaleOutViaGmsPlan) {
   // End-to-end §V scale-out: 1 RW with 6 tenants -> add an RW -> GMS plans
-  // -> transfers execute -> both RWs serve their halves.
+  // from the binding table -> transfers execute -> both RWs serve their
+  // halves. The transfers are the only placement update.
   MtFixture f;  // 2 RWs already; use rw0 only initially
-  Gms gms;
-  uint32_t dn0 = gms.RegisterDn(0);
   std::map<TenantId, TableId> tenant_tables;
   for (TenantId t = 10; t < 16; ++t) {
     TableStore* ts = f.Setup(t, 0, "kv" + std::to_string(t), 20);
     tenant_tables[t] = ts->id();
-    ASSERT_TRUE(gms.BindTenant(t, dn0).ok());
   }
-  uint32_t dn1 = gms.RegisterDn(0);
-  (void)dn1;
-  auto plan = gms.PlanRebalance();
+  auto plan = PlanRebalance(f.cluster.bindings()->Placement(), {0, 1});
   ASSERT_EQ(plan.size(), 3u);
   for (const auto& step : plan) {
-    ASSERT_TRUE(f.cluster.TransferTenant(step.tenant, 1).ok());
-    ASSERT_TRUE(gms.CommitMigration(step).ok());
+    EXPECT_EQ(step.src_dn, 0u);
+    ASSERT_TRUE(f.cluster.TransferTenant(step.tenant, step.dst_dn).ok());
   }
+  EXPECT_TRUE(PlanRebalance(f.cluster.bindings()->Placement(), {0, 1}).empty());
   EXPECT_EQ(f.cluster.bindings()->TenantsOf(0).size(), 3u);
   EXPECT_EQ(f.cluster.bindings()->TenantsOf(1).size(), 3u);
   // Every tenant still serves reads from its new home.
