@@ -21,13 +21,25 @@ void Server::StartNext() {
     queue_.pop_front();
     ++busy_;
     busy_time_us_ += item.service_us;
-    sched_->ScheduleAfter(item.service_us,
-                          [this, done = std::move(item.done)] {
-                            --busy_;
-                            done();
-                            StartNext();
-                          });
+    uint32_t slot;
+    if (free_running_.empty()) {
+      slot = uint32_t(running_.size());
+      running_.push_back(std::move(item.done));
+    } else {
+      slot = free_running_.back();
+      free_running_.pop_back();
+      running_[slot] = std::move(item.done);
+    }
+    sched_->ScheduleAfter(item.service_us, [this, slot] { Complete(slot); });
   }
+}
+
+void Server::Complete(uint32_t slot) {
+  std::function<void()> done = std::move(running_[slot]);
+  free_running_.push_back(slot);
+  --busy_;
+  done();
+  StartNext();
 }
 
 }  // namespace polarx::sim

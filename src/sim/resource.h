@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <vector>
 
 #include "src/sim/scheduler.h"
 
@@ -34,12 +35,18 @@ class Server {
   };
 
   void StartNext();
+  /// Completion event of the item running in `running_[slot]`.
+  void Complete(uint32_t slot);
 
   Scheduler* sched_;
   uint32_t cores_;
   uint32_t busy_ = 0;
   uint64_t busy_time_us_ = 0;
   std::deque<Item> queue_;
+  /// Callbacks of the items on a core. The completion event carries only
+  /// (this, slot), which std::function stores without allocating.
+  std::vector<std::function<void()>> running_;
+  std::vector<uint32_t> free_running_;
 };
 
 }  // namespace polarx::sim

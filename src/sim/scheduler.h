@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace polarx::sim {
@@ -46,16 +45,18 @@ class Scheduler {
   void RunUntil(SimTime deadline);
 
   /// Number of pending events.
-  size_t PendingEvents() const { return queue_.size(); }
+  size_t PendingEvents() const { return heap_.size(); }
 
   /// Total events executed since construction (for sanity checks).
   uint64_t executed_events() const { return executed_; }
 
  private:
+  /// A heap entry stays three words: the callback waits in `slots_`, so
+  /// sifting the heap never moves a std::function.
   struct Event {
     SimTime at;
-    uint64_t seq;  // tie-break for stable ordering
-    std::function<void()> fn;
+    uint64_t seq;   // tie-break for stable ordering
+    uint32_t slot;  // index into slots_
   };
   struct EventCompare {
     bool operator()(const Event& a, const Event& b) const {
@@ -67,7 +68,9 @@ class Scheduler {
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventCompare> queue_;
+  std::vector<Event> heap_;  // min-heap on (at, seq) under EventCompare
+  std::vector<std::function<void()>> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace polarx::sim
