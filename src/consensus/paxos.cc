@@ -199,9 +199,11 @@ void PaxosMember::ReplicateTo(NodeId follower) {
     ++frames_sent_;
     NodeId self = node_;
     PaxosGroup* group = group_;
-    // 64 bytes of MLOG_PAXOS framing plus the MTR payload (§III).
+    // 64 bytes of MLOG_PAXOS framing plus the MTR payload (§III), sized
+    // before the lambda capture below moves the payload out of `frame`.
+    const size_t wire_bytes = 64 + frame.payload.size();
     group_->network()->Send(
-        node_, follower, 64 + frame.payload.size(),
+        node_, follower, wire_bytes,
         [group, self, follower, frame = std::move(frame)]() mutable {
           PaxosMember* m = group->member(follower);
           if (m != nullptr) m->HandleAppend(self, frame);
