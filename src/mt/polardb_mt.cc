@@ -148,7 +148,7 @@ void MtRwNode::NoteWriteEnd(TenantId tenant) {
 Status DataDictionary::ApplyDdl(uint32_t requester_rw,
                                 const BindingTable& bindings,
                                 TableMeta meta) {
-  // §V: the owner RW initiates, the master validates ownership.
+  // §V: only the tenant's owner RW may change its tables' metadata.
   auto owner = bindings.OwnerOf(meta.tenant);
   if (!owner.ok()) return owner.status();
   if (*owner != requester_rw) {
@@ -179,7 +179,6 @@ MtCluster::MtCluster(PhysicalClockMs clock) : clock_(std::move(clock)) {
 uint32_t MtCluster::AddRwNode() {
   uint32_t id = static_cast<uint32_t>(rws_.size());
   rws_.push_back(std::make_unique<MtRwNode>(id, clock_, page_store_.get()));
-  if (id == 0) dict_.SetMaster(0);  // first RW is the dictionary master
   rws_[id]->RefreshBindings(bindings_);
   return id;
 }

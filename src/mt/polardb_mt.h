@@ -6,8 +6,11 @@
 // (modeled by shared-ownership TableStore handles + a PolarFS volume per
 // node for page flushes).
 //
-// The shared data dictionary is mastered by one RW (the leaseholder); DDL
-// goes through MDL + master validation. Tenant transfer is the §V state
+// DDL on the shared data dictionary is accepted only from the RW that owns
+// the table's tenant in the binding table, and runs under the table's MDL.
+// (In the paper one RW also masters the dictionary; this model keeps no
+// master, because the ownership check is the only validation it does.)
+// Tenant transfer is the §V state
 // machine: pause -> drain -> flush&close on source -> rebind -> open on
 // destination -> resume; no table data is copied. The traditional
 // data-transfer baseline (copy every row) is provided for experiment E2,
@@ -116,7 +119,7 @@ class MtRwNode {
   std::map<TenantId, int64_t> inflight_writes_;
 };
 
-/// The shared data dictionary with a master-RW lease and MDL (§V).
+/// The shared data dictionary: owner-checked DDL under MDL (§V).
 class DataDictionary {
  public:
   struct TableMeta {
@@ -126,13 +129,8 @@ class DataDictionary {
     TenantId tenant;
   };
 
-  /// The master RW (leaseholder) validates and applies all modifications.
-  void SetMaster(uint32_t rw) { master_ = rw; }
-  uint32_t master() const { return master_; }
-
-  /// Executes a DDL: only the tenant's owner may modify its tables, and the
-  /// request is validated by the master (§V). Takes the table's MDL
-  /// exclusively for the duration.
+  /// Executes a DDL: only the tenant's owner in `bindings` may modify its
+  /// tables (§V). Takes the table's MDL exclusively for the duration.
   Status ApplyDdl(uint32_t requester_rw, const BindingTable& bindings,
                   TableMeta meta);
 
@@ -140,7 +138,6 @@ class DataDictionary {
 
  private:
   mutable std::mutex mu_;
-  uint32_t master_ = 0;
   std::map<TableId, TableMeta> tables_;
 };
 
@@ -168,7 +165,7 @@ class MtCluster {
   /// Creates a tenant bound to `rw`.
   Status CreateTenant(TenantId tenant, uint32_t rw);
 
-  /// Creates a table under a tenant (DDL through the dictionary master).
+  /// Creates a table under a tenant (DDL by the tenant's owner RW).
   Result<TableStore*> CreateTable(TenantId tenant, const std::string& name,
                                   Schema schema);
 
