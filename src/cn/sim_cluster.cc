@@ -375,6 +375,7 @@ std::pair<size_t, size_t> WireBytes(const ParticipantCall& call) {
   using Op = ParticipantCall::Op;
   switch (call.op) {
     case Op::kPrepare:
+    case Op::kCommitOnePhase:
       return {128, 64};
     case Op::kDecideCommit:
       return {96, 64};
@@ -385,20 +386,23 @@ std::pair<size_t, size_t> WireBytes(const ParticipantCall& call) {
     case Op::kListUnresolved:
       return {64, 512};
     case Op::kDecisionOrPresumeAbort:
+    case Op::kFence:
       return {64, 64};
   }
   return {64, 64};
 }
 
 /// Whether a coordinator call that failed with `s` must be re-driven: the
-/// commit point and every phase-2 commit may already be durable, and a
-/// PREPARED branch must not outlive its live coordinator's abort.
+/// commit point (a decision or a one-phase commit) and every phase-2
+/// commit may already be durable, and a PREPARED branch must not outlive
+/// its live coordinator's abort.
 bool MustRedrive(const ParticipantCall& call, const Status& s) {
   using Op = ParticipantCall::Op;
   if (s.ok() || call.resolving) return false;
   switch (call.op) {
     case Op::kDecideCommit:
       return !s.IsAborted();  // Aborted: a resolver's abort decision won
+    case Op::kCommitOnePhase:
     case Op::kCommit:
       return !s.IsAborted() && !s.IsNotFound();
     case Op::kAbort:
@@ -436,6 +440,9 @@ void SimCluster::CallDn(int cn_index, uint64_t incarnation, int dn_index,
       // Commit-path records must be durable on a majority of datacenters
       // before the reply (§III). Asynchronous commit: no DN thread blocks.
       if (r.await_durable) {
+        // A resolver's read may report records whose flush nobody has
+        // requested yet (a statement's redo, say): request it.
+        if (p->call.resolving) dn->gc->Submit(dn->leader->log()->current_lsn());
         ReplyWhenDurable(dn, std::move(r), reply);
       } else {
         reply(std::move(r));
@@ -661,7 +668,15 @@ void SimCluster::RecordAckedStages(const TxnState& txn) {
   const sim::SimTime now = sched_->Now();
   stats_.statements_us.Record(double(txn.commit_start - txn.start_time));
   stats_.prepare_us.Record(double(it->second - txn.commit_start));
-  stats_.decide_us.Record(double(now - it->second));
+  if (txn.dtxn.one_phase()) {
+    ++stats_.one_phase_commits;  // committed in the prepare stage
+    stage_marks_.erase(it);
+    return;
+  }
+  // HLC-SI acknowledges the moment every branch is prepared.
+  if (config_.scheme == TsScheme::kTsoSi) {
+    stats_.decide_us.Record(double(now - it->second));
+  }
   it->second = now;  // the phase-2 tail starts at the acknowledgement
 }
 

@@ -115,12 +115,16 @@ struct SimClusterStats {
   uint64_t recovery_resolved_commits = 0;  // branches committed by recovery
   uint64_t recovery_resolved_aborts = 0;   // branches aborted by recovery
   Histogram latency_us;
+  /// Write transactions committed by one one-phase call (HLC-SI, every
+  /// write on one DN).
+  uint64_t one_phase_commits = 0;
   /// Commit-path stages of committed write (2PC) transactions, on the
   /// virtual clock. The first three are the client's path and sum to its
   /// latency: statements (submit -> 2PC begins), prepare (-> every branch
-  /// prepared), decide (-> decision durable at the commit owner, which is
-  /// the acknowledgement). The phase-2 tail (ack -> last commit answered)
-  /// runs after the client has its answer.
+  /// prepared, or the one-phase commit done), decide (TSO-SI only: ->
+  /// decision durable at the commit owner). The acknowledgement follows
+  /// the last of them. The phase-2 tail (ack -> last commit answered) runs
+  /// after the client has its answer; one-phase commits have none.
   Histogram statements_us;
   Histogram prepare_us;
   Histogram decide_us;

@@ -161,6 +161,10 @@ void EncodeRedoRecord(const RedoRecord& rec, std::string* out) {
       PutU64(out, rec.global_txn);
       PutU32(out, rec.coordinator);
       PutU32(out, rec.commit_owner);
+      if (!rec.participants.empty()) {
+        PutU32(out, uint32_t(rec.participants.size()));
+        for (uint32_t p : rec.participants) PutU32(out, p);
+      }
       break;
     case RedoType::kTxnCommit:
     case RedoType::kCheckpoint:
@@ -216,6 +220,12 @@ Status DecodeRedoBody(const std::string& body, RedoRecord* rec) {
       rec->global_txn = r.U64();
       rec->coordinator = r.U32();
       rec->commit_owner = r.U32();
+      if (r.ok && r.pos < body.size()) {
+        uint32_t n = r.U32();
+        if (r.ok && n > (body.size() - r.pos) / 4) r.ok = false;  // corrupt
+        if (r.ok) rec->participants.resize(n);
+        for (uint32_t& p : rec->participants) p = r.U32();
+      }
       break;
     case RedoType::kTxnCommit:
     case RedoType::kCheckpoint:

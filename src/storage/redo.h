@@ -62,10 +62,13 @@ struct RedoRecord {
   /// 2PC branch identity (kTxnPrepare, kTxnCommitPoint, kTxnAbortPoint):
   /// the distributed transaction this branch belongs to, the coordinator
   /// incarnation that owns it, and the engine id of the commit-point
-  /// participant holding the decision record.
+  /// participant holding the decision record (explicit decision, TSO-SI)
+  /// or, under implicit commit (HLC-SI), the engine id of every
+  /// participant. A prepare encodes `participants` only when non-empty.
   GlobalTxnId global_txn = kInvalidGlobalTxnId;
   uint32_t coordinator = 0;
   uint32_t commit_owner = 0;
+  std::vector<uint32_t> participants;
   PaxosMeta paxos;      // kPaxos only
   std::string ddl_blob; // kDdl only
 

@@ -46,10 +46,13 @@ struct TxnInfo {
   Timestamp commit_ts = 0;
   /// 2PC branch identity: the distributed transaction this branch belongs
   /// to (0 for purely local transactions), the coordinator incarnation
-  /// driving it, and the engine id of the commit-point participant.
+  /// driving it, and, from prepare on, either the engine id of the
+  /// commit-point participant (explicit decision, TSO-SI) or the engine id
+  /// of every participant (implicit commit, HLC-SI).
   GlobalTxnId global_id = kInvalidGlobalTxnId;
   uint32_t coordinator = 0;
   uint32_t commit_owner = 0;
+  std::vector<uint32_t> participants;
   /// Writes installed by this transaction, for commit stamping / abort undo.
   struct WriteRef {
     TableId table;
@@ -139,12 +142,20 @@ class TxnEngine {
 
   /// First 2PC phase: validates and transitions to PREPARED, obtaining
   /// prepare_ts from ClockAdvance(). On success also durably logs the
-  /// prepare record (carrying the branch's global id, coordinator, and
-  /// `commit_owner`, the engine id of the commit-point participant — what
-  /// in-doubt recovery needs to resolve this branch after a crash).
+  /// prepare record (carrying the branch's global id, coordinator,
+  /// `commit_owner` and `participants` — what in-doubt recovery needs to
+  /// resolve this branch after a crash). Refuses (Aborted) a branch whose
+  /// global id already has an abort decision here: the resolver's fence.
   /// Idempotent: re-preparing a PREPARED branch returns its prepare_ts
   /// without logging again.
-  Result<Timestamp> Prepare(TxnId txn, uint32_t commit_owner = 0);
+  Result<Timestamp> Prepare(TxnId txn, uint32_t commit_owner = 0,
+                            std::vector<uint32_t> participants = {});
+
+  /// One-phase commit of a distributed transaction's only branch: prepares
+  /// and commits in one MTR at prepare_ts = ClockAdvance(). That commit
+  /// record is the transaction's decision. Refused like Prepare; idempotent
+  /// for a COMMITTED branch (returns its commit_ts).
+  Result<Timestamp> CommitOnePhase(TxnId txn);
 
   // ---- 2PC decision registry (commit-point participant role) ----
   //
@@ -168,6 +179,14 @@ class TxnEngine {
 
   /// The recorded decision for `global_id`, or NotFound if none yet.
   Result<CommitDecision> DecisionOf(GlobalTxnId global_id) const;
+
+  /// The in-doubt resolver's fence (implicit commit). Reports the branch of
+  /// `global_id` here if it is PREPARED or COMMITTED (a committed branch
+  /// Vacuum forgot reports its recorded commit_ts); otherwise durably
+  /// records an abort decision first, so any later Prepare or
+  /// CommitOnePhase of the global is refused, and reports kAborted. The id
+  /// is kInvalidTxnId when no branch is known here.
+  Result<TxnInfo> FenceUnprepared(GlobalTxnId global_id);
 
   /// Second 2PC phase: stamps commit_ts (the coordinator's max prepare_ts)
   /// onto all written versions, logs the commit, wakes waiters, and calls
@@ -252,7 +271,9 @@ class TxnEngine {
   // ---- maintenance ----
 
   /// Removes versions invisible to any snapshot >= `before_ts` and forgets
-  /// resolved transactions older than it.
+  /// resolved transactions older than it. A forgotten committed branch of a
+  /// distributed transaction leaves its commit_ts in the decision registry,
+  /// so the resolver never mistakes it for a missing branch.
   size_t Vacuum(Timestamp before_ts);
 
   TxnEngineStats stats() const;
@@ -274,6 +295,11 @@ class TxnEngine {
 
   Status ResolveLocked(std::unique_lock<std::mutex>& lock, TxnInfo* info,
                        bool commit, Timestamp commit_ts);
+
+  /// Records an abort decision for `global_id` (no decision may exist yet).
+  void RecordAbortDecisionLocked(GlobalTxnId global_id);
+  /// Whether `info`'s global transaction has an abort decision here.
+  bool FencedLocked(const TxnInfo& info) const;
 
   /// Routes a commit-path durability request: the hook when installed
   /// (group commit), else a synchronous MarkFlushed when the operation
@@ -300,7 +326,9 @@ class TxnEngine {
   std::unordered_map<TxnId, std::vector<std::function<void()>>> waiters_;
   /// global txn id -> local branch (BeginBranch dedup, recovery lookups).
   std::unordered_map<GlobalTxnId, TxnId> branches_;
-  /// Commit-point registry for globals whose commit owner is this engine.
+  /// Decision registry: commit points of globals whose commit owner is
+  /// this engine, the resolver's abort fences, and the commit_ts of
+  /// committed branches Vacuum forgot.
   std::unordered_map<GlobalTxnId, CommitDecision> decisions_;
   std::function<void(Lsn)> durability_hook_;
   TxnEngineStats stats_;

@@ -5,18 +5,28 @@
 // coordinator knew the outcome; active ones hold row locks nobody will
 // release. GMS detects the dead coordinator via lease expiry; a surviving
 // CN then lists every participant's unresolved branches of dead
-// coordinators, groups them by global transaction, and resolves each one:
+// coordinators, groups them by global transaction, and resolves each one.
 //
-//   no prepared branch           -> abort every branch directly: the
-//                                   coordinator decides only after every
-//                                   branch acked prepare, so no decision
-//                                   can exist anywhere;
+// Explicit decision (TSO-SI: the prepare records name a commit owner):
 //   commit-point record present  -> follow it on every branch;
 //   no record                    -> presumed abort, but FIRST durably win
 //                                   the DecideAbort race at the owner, so a
 //                                   partitioned-but-alive coordinator that
 //                                   wakes up later cannot commit what we
 //                                   aborted (split-brain safety).
+//
+// Implicit commit (HLC-SI: the prepare records name every participant),
+// and any global none of whose listed branches is prepared: every
+// participant whose branch is not listed PREPARED is fenced (see
+// TxnEngine::FenceUnprepared), which reports a PREPARED or COMMITTED branch
+// as it is and otherwise records an abort decision that refuses any later
+// prepare. Then:
+//   some branch COMMITTED        -> commit every branch at its commit_ts;
+//   some fence recorded an abort -> abort every branch;
+//   every participant PREPARED   -> commit at max(prepare_ts);
+//   participants still unknown   -> left for the next sweep, whose listing
+//                                   shows the branch that was found
+//                                   prepared, with its prepare record.
 //
 // The resolver runs over the TxnParticipants interface (distributed.h):
 // in-process over LocalParticipants, and in SimCluster over simulated RPCs.

@@ -91,7 +91,7 @@ struct GroupCommitFixture {
   /// spanning DNs, so it runs full 2PC). On commit ack, the keys join
   /// acked_keys — the rows G1 demands back after the crash. With
   /// target_dn >= 0, only keys hashing to that DN are used, pinning the
-  /// whole transaction (prepare, decide, commit records) to one leader
+  /// whole transaction (a one-phase commit under HLC-SI) to one leader
   /// log. on_ack, if set, runs after each successful commit ack.
   void StartUniqueKeyClient(int cn, int txns, int width, int target_dn = -1,
                             std::function<void()> on_ack = nullptr) {
@@ -290,7 +290,9 @@ TEST(ChaosGroupCommitTest, GuardAckBeforeDurabilityLosesAckedCommits) {
     GroupCommitFixture f(cfg);
 
     // DN victim's leader shares a DC with CN victim_dn, so the whole
-    // transaction (ops, prepare, decide, commit) is intra-DC and fast.
+    // transaction (its statement and one-phase commit) is intra-DC and
+    // fast: 4 chains of 60 keep the burst running through the fault
+    // window.
     const int victim_dn = int(seed % 3);
     std::vector<NodeId> members = f.cluster->dn_member_nodes(victim_dn);
     GroupCommitFixture* fp = &f;
@@ -310,7 +312,7 @@ TEST(ChaosGroupCommitTest, GuardAckBeforeDurabilityLosesAckedCommits) {
     });
 
     for (int chain = 0; chain < 4; ++chain) {
-      f.StartUniqueKeyClient(victim_dn, /*txns=*/20, /*width=*/1, victim_dn);
+      f.StartUniqueKeyClient(victim_dn, /*txns=*/60, /*width=*/1, victim_dn);
     }
     f.RunUntil(6000 * kMs);
     lost_total += f.MissingAckedKeys();

@@ -4,9 +4,12 @@
 // coordinator stopped at every 2PC step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -368,14 +371,12 @@ TEST(CoordinatorStatsTest, AbortsSplitByPreparePhase) {
   EXPECT_EQ(coord.stats().aborts_after_prepare, 0u);
 
   // Abort after prepare: an in-doubt resolver presumed this coordinator
-  // dead and won the commit-point race with an abort decision, so Commit
-  // prepares both branches and then loses at DecideCommit. Record the abort
-  // at both engines since either can be the commit owner.
+  // dead and fenced its second branch with an abort decision, so Commit
+  // prepares the first branch and then has the second prepare refused.
   c.TickAll();
   DistributedTxn t2 = coord.Begin();
   ASSERT_TRUE(coord.Upsert(&t2, c.engine(0), kTable, {int64_t{3}, int64_t{3}}).ok());
   ASSERT_TRUE(coord.Upsert(&t2, c.engine(1), kTable, {int64_t{4}, int64_t{4}}).ok());
-  ASSERT_TRUE(c.engine(0)->DecideAbort(t2.global_id()).ok());
   ASSERT_TRUE(c.engine(1)->DecideAbort(t2.global_id()).ok());
   EXPECT_TRUE(coord.Commit(&t2).IsAborted());
   EXPECT_EQ(coord.stats().aborted, 2u);
@@ -384,17 +385,28 @@ TEST(CoordinatorStatsTest, AbortsSplitByPreparePhase) {
 }
 
 // The in-process twin of the simulated cluster's coordinator-kill sweep:
-// stop the coordinator at each 2PC step boundary, let the in-doubt resolver
-// finish its transaction over the same engines, and check atomicity. From
-// kFirstCommitAcked on the coordinator has already acknowledged the commit,
-// so the resolver must follow the durable decision.
-class StepHookTest : public ::testing::TestWithParam<CommitStep> {};
+// stop the coordinator at each 2PC step boundary its scheme fires, let the
+// in-doubt resolver finish its transaction over the same engines, and check
+// atomicity. From the scheme's commit point on (kAllPrepared under HLC-SI,
+// kDecided under TSO-SI) the transaction is committed, and from
+// kFirstCommitAcked on the coordinator has already acknowledged it.
+struct StepCase {
+  TsScheme scheme;
+  CommitStep stop_at;
+};
+
+void PrintTo(const StepCase& c, std::ostream* os) {
+  *os << (c.scheme == TsScheme::kHlcSi ? "HlcSi/" : "TsoSi/")
+      << int(c.stop_at);
+}
+
+class StepHookTest : public ::testing::TestWithParam<StepCase> {};
 
 TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
-  const CommitStep stop_at = GetParam();
+  const auto [scheme, stop_at] = GetParam();
   constexpr uint32_t kCoordinatorId = 77;
   Cluster c(3);
-  TxnCoordinator coord(TsScheme::kHlcSi, &c.cn_hlc, &c.tso, kCoordinatorId);
+  TxnCoordinator coord(scheme, &c.cn_hlc, &c.tso, kCoordinatorId);
   coord.set_step_hook(
       [stop_at](CommitStep step, GlobalTxnId) { return step != stop_at; });
 
@@ -404,6 +416,9 @@ TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
         coord.Upsert(&txn, c.engine(i), kTable, {int64_t(i), int64_t(7)})
             .ok());
   }
+  const CommitStep commit_point = scheme == TsScheme::kHlcSi
+                                      ? CommitStep::kAllPrepared
+                                      : CommitStep::kDecided;
   const bool acked = stop_at >= CommitStep::kFirstCommitAcked;
   EXPECT_EQ(coord.Commit(&txn).ok(), acked)
       << "acknowledged exactly when the step follows the commit point";
@@ -411,20 +426,20 @@ TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
   InDoubtResolver resolver({c.engine(0), c.engine(1), c.engine(2)});
   resolver.Resolve({kCoordinatorId});
 
-  const bool decided = stop_at >= CommitStep::kDecided;
+  const bool committed = stop_at >= commit_point;
   for (size_t i = 0; i < 3; ++i) {
     Result<TxnInfo> info =
         c.engine(i)->InfoOf(txn.branches().at(c.engine(i)->engine_id()));
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info->state,
-              decided ? TxnState::kCommitted : TxnState::kAborted)
+              committed ? TxnState::kCommitted : TxnState::kAborted)
         << "shard " << i;
   }
 
   // Every row is writable again: no intent of the stopped coordinator is
   // left behind.
   c.TickAll();
-  TxnCoordinator next(TsScheme::kHlcSi, &c.cn_hlc, &c.tso);
+  TxnCoordinator next(scheme, &c.cn_hlc, &c.tso);
   DistributedTxn writer = next.Begin();
   for (size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(
@@ -435,36 +450,52 @@ TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
   ASSERT_TRUE(next.Commit(&writer).ok());
 }
 
+const char* StepName(CommitStep step) {
+  switch (step) {
+    case CommitStep::kBeforePrepare:
+      return "BeforePrepare";
+    case CommitStep::kSomePrepared:
+      return "SomePrepared";
+    case CommitStep::kAllPrepared:
+      return "AllPrepared";
+    case CommitStep::kDecided:
+      return "Decided";
+    case CommitStep::kFirstCommitAcked:
+      return "FirstCommitAcked";
+    case CommitStep::kPhaseTwoDone:
+      return "PhaseTwoDone";
+  }
+  return "Unknown";
+}
+
+// Every step each scheme fires: HLC-SI has no kDecided.
 INSTANTIATE_TEST_SUITE_P(
     EveryStep, StepHookTest,
-    ::testing::Values(CommitStep::kBeforePrepare, CommitStep::kAllPrepared,
-                      CommitStep::kDecided, CommitStep::kFirstCommitAcked,
-                      CommitStep::kPhaseTwoDone),
+    ::testing::Values(
+        StepCase{TsScheme::kHlcSi, CommitStep::kBeforePrepare},
+        StepCase{TsScheme::kHlcSi, CommitStep::kSomePrepared},
+        StepCase{TsScheme::kHlcSi, CommitStep::kAllPrepared},
+        StepCase{TsScheme::kHlcSi, CommitStep::kFirstCommitAcked},
+        StepCase{TsScheme::kHlcSi, CommitStep::kPhaseTwoDone},
+        StepCase{TsScheme::kTsoSi, CommitStep::kBeforePrepare},
+        StepCase{TsScheme::kTsoSi, CommitStep::kSomePrepared},
+        StepCase{TsScheme::kTsoSi, CommitStep::kAllPrepared},
+        StepCase{TsScheme::kTsoSi, CommitStep::kDecided},
+        StepCase{TsScheme::kTsoSi, CommitStep::kFirstCommitAcked},
+        StepCase{TsScheme::kTsoSi, CommitStep::kPhaseTwoDone}),
     [](const auto& info) {
-      switch (info.param) {
-        case CommitStep::kBeforePrepare:
-          return "BeforePrepare";
-        case CommitStep::kAllPrepared:
-          return "AllPrepared";
-        case CommitStep::kDecided:
-          return "Decided";
-        case CommitStep::kFirstCommitAcked:
-          return "FirstCommitAcked";
-        case CommitStep::kPhaseTwoDone:
-          return "PhaseTwoDone";
-      }
-      return "Unknown";
+      return std::string(info.param.scheme == TsScheme::kHlcSi ? "HlcSi_"
+                                                                : "TsoSi_") +
+             StepName(info.param.stop_at);
     });
 
 // The in-process engines behind a transport that parks every phase-2
-// commit until Release() and reports one participant as local to the
-// caller.
+// commit until Release().
 class ParkedCommitParticipants : public TxnParticipants {
  public:
   ParkedCommitParticipants(TsoService* tso,
-                           const std::vector<TxnEngine*>& engines,
-                           uint32_t local)
-      : inner_(tso, engines), local_(local) {}
+                           const std::vector<TxnEngine*>& engines)
+      : inner_(tso, engines) {}
 
   std::vector<uint32_t> participant_ids() const override {
     return inner_.participant_ids();
@@ -480,9 +511,6 @@ class ParkedCommitParticipants : public TxnParticipants {
     });
   }
   void FetchTso(ReplyFn done) override { inner_.FetchTso(std::move(done)); }
-  bool IsLocal(uint32_t participant) const override {
-    return participant == local_;
-  }
 
   size_t parked() const { return parked_.size(); }
   void Release() {
@@ -493,20 +521,20 @@ class ParkedCommitParticipants : public TxnParticipants {
 
  private:
   LocalParticipants inner_;
-  uint32_t local_;
   std::vector<std::function<void()>> parked_;
 };
 
-// The commit is acknowledged once its decision is durable at the commit
-// owner, before any branch commits. An acknowledged write is never
+// Under HLC-SI the commit is acknowledged once every branch is PREPARED,
+// before any branch commits, and no decision record is written: the
+// prepare records, each naming every participant, are the decision. An
+// acknowledged write is never
 // invisible: until phase 2 lands, a later snapshot waits on the PREPARED
 // branch instead of reading past it.
 TEST(AckAtCommitPointTest, AckedWriteIsWaitedOnUntilPhaseTwoLands) {
   constexpr uint32_t kCoordinatorId = 91;
-  constexpr uint32_t kLocalEngine = 3;
   Cluster c(3);
   ParkedCommitParticipants transport(
-      &c.tso, {c.engine(0), c.engine(1), c.engine(2)}, kLocalEngine);
+      &c.tso, {c.engine(0), c.engine(1), c.engine(2)});
   TxnCoordinator coord(&transport, TsScheme::kHlcSi, &c.cn_hlc,
                        kCoordinatorId);
 
@@ -533,19 +561,22 @@ TEST(AckAtCommitPointTest, AckedWriteIsWaitedOnUntilPhaseTwoLands) {
   const GlobalTxnId global_id = txn->global_id();
   txn.reset();
 
-  // Every branch is still PREPARED, naming the local participant as the
-  // owner, whose decision record already holds the outcome.
+  // Every branch is still PREPARED and names every participant; no engine
+  // holds a decision record, and commit_ts is the largest prepare_ts.
+  Timestamp max_prepare_ts = 0;
   for (const auto& [engine_id, branch] : branches) {
     Result<TxnInfo> info = c.engine(engine_id - 1)->InfoOf(branch);
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info->state, TxnState::kPrepared) << "engine " << engine_id;
-    EXPECT_EQ(info->commit_owner, kLocalEngine) << "engine " << engine_id;
+    EXPECT_EQ(info->commit_owner, 0u) << "engine " << engine_id;
+    EXPECT_EQ(info->participants, (std::vector<uint32_t>{1, 2, 3}))
+        << "engine " << engine_id;
+    EXPECT_TRUE(
+        c.engine(engine_id - 1)->DecisionOf(global_id).status().IsNotFound())
+        << "engine " << engine_id;
+    max_prepare_ts = std::max(max_prepare_ts, info->prepare_ts);
   }
-  Result<CommitDecision> decision =
-      c.engine(kLocalEngine - 1)->DecisionOf(global_id);
-  ASSERT_TRUE(decision.ok());
-  EXPECT_TRUE(decision->commit);
-  EXPECT_EQ(decision->commit_ts, commit_ts);
+  EXPECT_EQ(commit_ts, max_prepare_ts);
 
   // A snapshot above commit_ts is blocked by each writer's branch.
   c.TickAll();

@@ -1,9 +1,11 @@
 // Unit tests for in-doubt transaction resolution (src/txn/recovery.h): the
 // participant-led recovery protocol that resolves the unresolved branches
 // of dead coordinators, via the commit-point participant's decision
-// registry.
+// registry (explicit decision) or the prepare records plus fences
+// (implicit commit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <vector>
@@ -83,6 +85,36 @@ struct MiniCluster {
       EXPECT_TRUE(pts.ok());
       if (pts.ok() && *pts > max_prepare) max_prepare = *pts;
       if (branches_out) branches_out->push_back(b);
+    }
+    return max_prepare;
+  }
+
+  /// Implicit commit: one branch with a row written per engine in
+  /// `participants`, of which the first `prepared` are PREPARED with every
+  /// participant's engine id, plus the engine ids in `unreached`, in their
+  /// prepare record. The rest are still ACTIVE: their prepares are in
+  /// flight. Returns max prepare_ts.
+  Timestamp PrepareImplicit(GlobalTxnId gid,
+                            const std::vector<size_t>& participants,
+                            size_t prepared, std::vector<TxnId>* branches,
+                            const std::vector<uint32_t>& unreached = {}) {
+    Timestamp snapshot = cn_hlc.Now();
+    std::vector<uint32_t> ids;
+    for (size_t p : participants) ids.push_back(engine(p)->engine_id());
+    ids.insert(ids.end(), unreached.begin(), unreached.end());
+    Timestamp max_prepare = 0;
+    for (size_t i = 0; i < participants.size(); ++i) {
+      TxnEngine* e = engine(participants[i]);
+      TxnId b = e->BeginBranch(snapshot, gid, kDeadCoord);
+      EXPECT_TRUE(
+          e->Upsert(b, kTable, {int64_t(100 + participants[i]), int64_t(i)})
+              .ok());
+      if (i < prepared) {
+        Result<Timestamp> pts = e->Prepare(b, /*commit_owner=*/0, ids);
+        EXPECT_TRUE(pts.ok());
+        if (pts.ok()) max_prepare = std::max(max_prepare, *pts);
+      }
+      branches->push_back(b);
     }
     return max_prepare;
   }
@@ -219,9 +251,10 @@ TEST(InDoubtResolverTest, AbortsActiveBranchHoldingRowLock) {
   EXPECT_TRUE(c.engine(0)->CommitLocal(w2).ok());
 }
 
-TEST(InDoubtResolverTest, UnpreparedGlobalAbortsWithoutDecisionRecord) {
-  // No branch ever prepared, so no commit point can exist: the resolver
-  // aborts the branches directly instead of consulting a registry.
+TEST(InDoubtResolverTest, UnpreparedGlobalIsFencedThenAborted) {
+  // No branch is prepared, so nothing can have committed yet: the resolver
+  // fences every branch with an abort decision, so a prepare still in
+  // flight is refused, then aborts them.
   MiniCluster c(2);
   GlobalTxnId gid = Gid(kDeadCoord, 1);
   Timestamp snapshot = c.cn_hlc.Now();
@@ -241,9 +274,93 @@ TEST(InDoubtResolverTest, UnpreparedGlobalAbortsWithoutDecisionRecord) {
     Result<TxnState> st = c.engine(i)->StateOf(branches[i]);
     ASSERT_TRUE(st.ok());
     EXPECT_EQ(*st, TxnState::kAborted) << "branch " << i;
-    EXPECT_TRUE(c.engine(i)->DecisionOf(gid).status().IsNotFound())
-        << "engine " << i << " gained a decision record";
+    Result<CommitDecision> fence = c.engine(i)->DecisionOf(gid);
+    ASSERT_TRUE(fence.ok()) << "engine " << i << " was not fenced";
+    EXPECT_FALSE(fence->commit);
   }
+}
+
+TEST(InDoubtResolverTest, ImplicitCommitWhenEveryParticipantPrepared) {
+  // HLC-SI: every prepare record names all participants, and all are
+  // PREPARED, so the transaction is committed at max(prepare_ts) without
+  // any decision record.
+  MiniCluster c(3);
+  GlobalTxnId gid = Gid(kDeadCoord, 1);
+  std::vector<TxnId> branches;
+  Timestamp max_prepare = c.PrepareImplicit(gid, {0, 1, 2}, 3, &branches);
+
+  InDoubtResolver resolver(c.engines());
+  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  EXPECT_EQ(stats.globals_resolved, 1u);
+  EXPECT_EQ(stats.branches_committed, 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    Result<TxnInfo> info = c.engine(i)->InfoOf(branches[i]);
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->state, TxnState::kCommitted) << "branch " << i;
+    EXPECT_EQ(info->commit_ts, max_prepare) << "branch " << i;
+    EXPECT_TRUE(c.engine(i)->DecisionOf(gid).status().IsNotFound())
+        << "engine " << i;
+  }
+}
+
+TEST(InDoubtResolverTest, FencesBranchWhosePrepareIsInFlight) {
+  // Participants 1-3: engine 1 PREPARED, engine 2's branch ACTIVE (its
+  // prepare is in flight), engine 3 has no branch yet (its statement is in
+  // flight). The resolver must not commit: it fences engines 2 and 3, then
+  // aborts. The late prepares are refused, so the transaction can never
+  // reach "all prepared".
+  MiniCluster c(3);
+  GlobalTxnId gid = Gid(kDeadCoord, 1);
+  std::vector<TxnId> branches;
+  c.PrepareImplicit(gid, {0, 1}, 1, &branches, /*unreached=*/{3});
+  InDoubtResolver resolver(c.engines());
+  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  EXPECT_EQ(stats.branches_found, 2u);
+  EXPECT_EQ(stats.branches_aborted, 2u);
+  EXPECT_EQ(stats.branches_committed, 0u);
+  for (size_t i = 0; i < 2; ++i) {
+    Result<TxnState> st = c.engine(i)->StateOf(branches[i]);
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(*st, TxnState::kAborted) << "branch " << i;
+  }
+  // The in-flight messages arrive after the fences: engine 2's prepare is
+  // refused, and so is a branch engine 3 starts only now.
+  EXPECT_TRUE(
+      c.engine(1)->Prepare(branches[1], 0, {1, 2, 3}).status().IsAborted());
+  TxnId late = c.engine(2)->BeginBranch(c.cn_hlc.Now(), gid, kDeadCoord);
+  ASSERT_TRUE(c.engine(2)->Upsert(late, kTable, {int64_t{102}, int64_t{2}})
+                  .ok());
+  EXPECT_TRUE(
+      c.engine(2)->Prepare(late, 0, {1, 2, 3}).status().IsAborted());
+  EXPECT_TRUE(c.engine(2)->CommitOnePhase(late).status().IsAborted());
+}
+
+TEST(InDoubtResolverTest, CommittedVacuumedBranchIsNeverFenced) {
+  // Both branches were PREPARED and the dead coordinator's phase 2
+  // committed engine 1's before it died; Vacuum then forgot that branch.
+  // The resolver must read it as committed, not missing: fencing it would
+  // abort engine 2's branch of a committed transaction.
+  MiniCluster c(2);
+  GlobalTxnId gid = Gid(kDeadCoord, 1);
+  std::vector<TxnId> branches;
+  Timestamp commit_ts = c.PrepareImplicit(gid, {0, 1}, 2, &branches);
+  ASSERT_TRUE(c.engine(0)->Commit(branches[0], commit_ts).ok());
+  c.now_ms += 1000;
+  c.engine(0)->Vacuum(c.engine(0)->hlc()->Now());
+  ASSERT_TRUE(c.engine(0)->StateOf(branches[0]).status().IsNotFound());
+
+  InDoubtResolver resolver(c.engines());
+  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  EXPECT_EQ(stats.branches_found, 1u);
+  EXPECT_EQ(stats.branches_committed, 1u);
+  EXPECT_EQ(stats.branches_aborted, 0u);
+  Result<TxnInfo> info = c.engine(1)->InfoOf(branches[1]);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->state, TxnState::kCommitted);
+  EXPECT_EQ(info->commit_ts, commit_ts);
+  Result<CommitDecision> recorded = c.engine(0)->DecisionOf(gid);
+  ASSERT_TRUE(recorded.ok());
+  EXPECT_TRUE(recorded->commit) << "the committed branch was fenced";
 }
 
 /// Forwards to LocalParticipants, except that one participant's listing
