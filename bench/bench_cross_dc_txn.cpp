@@ -24,13 +24,16 @@ namespace polarx {
 namespace {
 
 /// Mean commit-path stages of the committed write transactions, in ms.
-/// The first three are the client's path and sum to its mean latency; the
-/// phase-2 tail runs after the acknowledgement.
+/// The first three are the client's path and sum to its mean latency
+/// (decide is 0 under HLC-SI, which acknowledges once every branch is
+/// prepared); the phase-2 tail runs after the acknowledgement. Also the
+/// share of those writes committed in one phase (HLC-SI, one DN).
 struct Breakdown {
   double statements_ms = 0;
   double prepare_ms = 0;
   double decide_ms = 0;
   double phase2_tail_ms = 0;
+  double one_phase_share = 0;
 };
 
 struct Sample {
@@ -125,7 +128,21 @@ Sample RunOne(TsScheme scheme, SysbenchMode mode, int clients,
   s.stages.prepare_ms = stats.prepare_us.Mean() / 1000.0;
   s.stages.decide_ms = stats.decide_us.Mean() / 1000.0;
   s.stages.phase2_tail_ms = stats.phase2_tail_us.Mean() / 1000.0;
+  s.stages.one_phase_share =
+      double(stats.one_phase_commits) /
+      double(std::max<uint64_t>(1, stats.statements_us.count()));
   return s;
+}
+
+/// One cell's stages as a JSON object.
+std::string BreakdownJson(const Breakdown& b) {
+  std::ostringstream json;
+  json << "{\"statements_ms\": " << b.statements_ms
+       << ", \"prepare_ms\": " << b.prepare_ms
+       << ", \"decide_ms\": " << b.decide_ms
+       << ", \"phase2_tail_ms\": " << b.phase2_tail_ms
+       << ", \"one_phase_share\": " << b.one_phase_share << "}";
+  return json.str();
 }
 
 /// E5 — write-path ablation: group commit {off,on} x pipeline depth {1,4}
@@ -192,12 +209,33 @@ std::string WritePathAblation(const BenchFlags& flags) {
            << ", \"clients\": " << clients << ", \"tps\": " << s.tps
            << ", \"mean_latency_ms\": " << s.mean_latency_ms
            << ", \"p95_latency_ms\": " << s.p95_latency_ms
-           << ", \"breakdown\": {\"statements_ms\": " << s.stages.statements_ms
-           << ", \"prepare_ms\": " << s.stages.prepare_ms
-           << ", \"decide_ms\": " << s.stages.decide_ms
-           << ", \"phase2_tail_ms\": " << s.stages.phase2_tail_ms << "}}";
+           << ", \"breakdown\": " << BreakdownJson(s.stages) << "}";
     }
     std::printf("\n");
+  }
+  // Both schemes on the default write path (group commit on, library
+  // pipeline depth) at one load, so the scheme's commit path shows in the
+  // stages: HLC-SI has no decide stage and commits single-DN writes in one
+  // phase.
+  const int scheme_clients = flags.smoke ? 8 : 192;
+  json << "\n  ],\n  \"schemes\": [\n";
+  first = true;
+  for (TsScheme scheme : {TsScheme::kHlcSi, TsScheme::kTsoSi}) {
+    Sample s = RunOne(scheme, SysbenchMode::kWriteOnly, scheme_clients,
+                      duration, WritePathKnobs{}, /*dn_op_us=*/10);
+    const char* name = scheme == TsScheme::kHlcSi ? "hlc_si" : "tso_si";
+    std::printf("%s, %d clients: %.0f tps, stages %.2f / %.2f / %.2f | "
+                "%.2f ms, one-phase share %.3f\n",
+                name, scheme_clients, s.tps, s.stages.statements_ms,
+                s.stages.prepare_ms, s.stages.decide_ms,
+                s.stages.phase2_tail_ms, s.stages.one_phase_share);
+    if (!first) json << ",\n";
+    first = false;
+    json << "    {\"scheme\": \"" << name << "\", \"clients\": "
+         << scheme_clients << ", \"tps\": " << s.tps
+         << ", \"mean_latency_ms\": " << s.mean_latency_ms
+         << ", \"p95_latency_ms\": " << s.p95_latency_ms
+         << ", \"breakdown\": " << BreakdownJson(s.stages) << "}";
   }
   double speedup = on4_peak / std::max(1.0, off1_peak);
   if (!flags.single_config()) {
@@ -239,14 +277,16 @@ void RunSweep(SysbenchMode mode, const char* mode_name) {
               100.0 * (hlc_peak - tso_peak) / std::max(1.0, tso_peak));
   if (mode == SysbenchMode::kReadOnly) return;  // no 2PC, no stages
   std::printf("commit-path stages, mean ms: statements / prepare / decide "
-              "(client path) | phase-2 tail (after the ack)\n");
-  std::printf("%-10s %-34s %-34s\n", "clients", "HLC-SI", "TSO-SI");
+              "(client path) | phase-2 tail (after the ack) | one-phase "
+              "share\n");
+  std::printf("%-10s %-41s %-41s\n", "clients", "HLC-SI", "TSO-SI");
   for (const auto& [hlc, tso] : rows) {
     std::printf("%-10d", hlc.clients);
     for (const Sample* s : {&hlc, &tso}) {
-      std::printf(" %6.2f / %6.2f / %6.2f | %6.2f ", s->stages.statements_ms,
-                  s->stages.prepare_ms, s->stages.decide_ms,
-                  s->stages.phase2_tail_ms);
+      std::printf(" %6.2f / %6.2f / %6.2f | %6.2f | %4.2f ",
+                  s->stages.statements_ms, s->stages.prepare_ms,
+                  s->stages.decide_ms, s->stages.phase2_tail_ms,
+                  s->stages.one_phase_share);
     }
     std::printf("\n");
   }

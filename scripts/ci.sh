@@ -54,6 +54,27 @@ for c in cells:
 print("bench-smoke: breakdown accounts for the mean latency in %d cells"
       % len(cells))
 EOF
+# Its per-scheme cells show each scheme's commit point: HLC-SI acknowledges
+# once every branch is prepared (no decide stage) and commits single-DN
+# writes in one phase; TSO-SI keeps its decide stage and never does.
+python3 - "${PREFIX}/bench/out/bench_cross_dc_txn_smoke.json" <<'EOF'
+import json, sys
+cells = {c["scheme"]: c for c in json.load(open(sys.argv[1]))["schemes"]}
+for name, c in sorted(cells.items()):
+    b = c["breakdown"]
+    path = b["statements_ms"] + b["prepare_ms"] + b["decide_ms"]
+    if abs(path - c["mean_latency_ms"]) > 0.02 * c["mean_latency_ms"]:
+        sys.exit("bench-smoke: %s stages sum to %.4f ms: %s" % (name, path, c))
+hlc, tso = cells["hlc_si"]["breakdown"], cells["tso_si"]["breakdown"]
+if hlc["decide_ms"] != 0 or not hlc["one_phase_share"] > 0:
+    sys.exit("bench-smoke: HLC-SI must have decide_ms == 0 and one-phase "
+             "commits: %s" % hlc)
+if not tso["decide_ms"] > 0 or tso["one_phase_share"] != 0:
+    sys.exit("bench-smoke: TSO-SI must keep its decide stage and no "
+             "one-phase commits: %s" % tso)
+print("bench-smoke: HLC-SI decide 0 ms, one-phase share %.3f; TSO-SI "
+      "decide %.3f ms" % (hlc["one_phase_share"], tso["decide_ms"]))
+EOF
 # E2 runs on virtual time, so a second smoke run must write the same bytes.
 # Each scaling's time must equal its slowest (src, dst) pair's summed
 # per-move step times within 1%, and no arm may report a transaction that

@@ -542,5 +542,41 @@ TEST(TxnEngineTest, RebuiltEngineNeverReissuesTxnIdsFromPreviousLife) {
   }
 }
 
+TEST(TxnEngineTest, RecoveryKeepsParticipantsFencesAndOnePhaseCommits) {
+  // What implicit-commit recovery reads must survive a rebuild from redo:
+  // a prepare's participant set, a one-phase commit's global identity (or
+  // the resolver would take the committed branch for a missing one), and
+  // a fence, which must keep refusing a late prepare.
+  EngineFixture f;
+  TxnId prepared = f.engine.BeginBranch(0, GlobalTxnId(11), 7);
+  ASSERT_TRUE(f.engine.Upsert(prepared, f.table_id, f.MakeRow(1, "a")).ok());
+  ASSERT_TRUE(f.engine.Prepare(prepared, 0, {1, 2, 3}).ok());
+  TxnId one_phase = f.engine.BeginBranch(0, GlobalTxnId(12), 7);
+  ASSERT_TRUE(f.engine.Upsert(one_phase, f.table_id, f.MakeRow(2, "b")).ok());
+  Result<Timestamp> committed = f.engine.CommitOnePhase(one_phase);
+  ASSERT_TRUE(committed.ok());
+  ASSERT_EQ(f.engine.FenceUnprepared(GlobalTxnId(13))->state,
+            TxnState::kAborted);
+
+  std::vector<RedoRecord> recs;
+  ASSERT_TRUE(f.log.ReadRecords(1, f.log.current_lsn(), &recs).ok());
+  TxnEngineOptions opts;
+  opts.id_epoch = 1;
+  TxnEngine rebuilt(1, &f.catalog, &f.hlc, &f.log, &f.pool, opts);
+  ASSERT_TRUE(rebuilt.RecoverState(recs).ok());
+
+  Result<TxnInfo> info = rebuilt.InfoOf(prepared);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->state, TxnState::kPrepared);
+  EXPECT_EQ(info->participants, (std::vector<uint32_t>{1, 2, 3}));
+  Result<TxnInfo> report = rebuilt.FenceUnprepared(GlobalTxnId(12));
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->state, TxnState::kCommitted);
+  EXPECT_EQ(report->commit_ts, *committed);
+  TxnId late = rebuilt.BeginBranch(0, GlobalTxnId(13), 7);
+  ASSERT_TRUE(rebuilt.Upsert(late, f.table_id, f.MakeRow(3, "c")).ok());
+  EXPECT_TRUE(rebuilt.Prepare(late, 0, {1}).status().IsAborted());
+}
+
 }  // namespace
 }  // namespace polarx
