@@ -53,10 +53,7 @@ struct WritePathKnobs {
 
 void ApplyKnobs(SimClusterConfig* cfg, const WritePathKnobs& k) {
   cfg->group_commit.enabled = k.group_commit;
-  if (k.pipeline > 0) {
-    cfg->paxos.pipelining = k.pipeline > 1;
-    cfg->paxos.max_inflight = size_t(k.pipeline);
-  }
+  if (k.pipeline > 0) cfg->paxos.max_inflight = size_t(k.pipeline);
 }
 
 Sample RunOne(TsScheme scheme, SysbenchMode mode, int clients,

@@ -28,8 +28,8 @@ struct BenchFlags {
   /// True when --group_commit was passed explicitly: the bench then runs
   /// only that configuration instead of the full ablation grid.
   bool group_commit_set = false;
-  /// 0: leave PaxosConfig defaults untouched. 1: stop-and-wait. N>=2:
-  /// pipelining with at most N outstanding frames per follower.
+  /// 0: leave PaxosConfig defaults untouched. N>=1: at most N outstanding
+  /// frames per follower (PaxosConfig::max_inflight); 1 is stop-and-wait.
   int pipeline = 0;
   /// Runtime-filter pushdown for the AP benches (ScanOptions default: on).
   bool runtime_filters = true;

@@ -106,13 +106,16 @@ double RunBlocking(int threads, int txns_per_thread, size_t payload) {
   return double(total) / (double(g.sched.Now()) / 1e6);
 }
 
-/// Replication throughput for a batch-size setting: how fast a burst of
-/// small MTRs becomes durable.
+/// The default per-follower window; stop-and-wait is a window of 1.
+const size_t kPipelined = PaxosConfig{}.max_inflight;
+
+/// Replication throughput for a batch-size setting and window: how fast a
+/// burst of small MTRs becomes durable.
 double RunBatching(size_t max_batch, int mtrs, size_t payload,
-                   bool pipelining) {
+                   size_t max_inflight) {
   PaxosConfig cfg;
   cfg.max_batch_bytes = max_batch;
-  cfg.pipelining = pipelining;
+  cfg.max_inflight = max_inflight;
   Group g(cfg);
   for (int i = 0; i < mtrs; ++i) {
     g.leader->Append({MakeRecord(i, payload)});
@@ -130,10 +133,7 @@ double RunBatching(size_t max_batch, int mtrs, size_t payload,
 double RunWritePath(bool group_commit, int pipeline, int mtrs,
                     size_t payload) {
   PaxosConfig cfg;
-  if (pipeline > 0) {
-    cfg.pipelining = pipeline > 1;
-    cfg.max_inflight = size_t(pipeline);
-  }
+  if (pipeline > 0) cfg.max_inflight = size_t(pipeline);
   Group g(cfg);
   GroupCommitConfig gcc;
   gcc.enabled = group_commit;
@@ -227,12 +227,12 @@ int main(int argc, char** argv) {
   std::printf("%-16s %16s\n", "batch bytes", "mtrs/sec");
   for (size_t batch : {256u, 1024u, 4096u, 16384u, 65536u}) {
     std::printf("%-16zu %16.0f\n", size_t(batch),
-                RunBatching(batch, 4096, 120, true));
+                RunBatching(batch, 4096, 120, kPipelined));
   }
 
   std::printf("\npipelining (4096 small MTRs, 16KB batches):\n");
-  double piped = RunBatching(16384, 4096, 120, true);
-  double stop_wait = RunBatching(16384, 4096, 120, false);
+  double piped = RunBatching(16384, 4096, 120, kPipelined);
+  double stop_wait = RunBatching(16384, 4096, 120, 1);
   std::printf("pipelined: %.0f mtrs/sec, stop-and-wait: %.0f mtrs/sec "
               "(%.1fx)\n",
               piped, stop_wait, piped / stop_wait);

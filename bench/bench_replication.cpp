@@ -208,10 +208,7 @@ struct RwGroup {
           return nc;
         }()) {
     PaxosConfig pcfg;
-    if (pipeline > 0) {
-      pcfg.pipelining = pipeline > 1;
-      pcfg.max_inflight = size_t(pipeline);
-    }
+    if (pipeline > 0) pcfg.max_inflight = size_t(pipeline);
     group = std::make_unique<PaxosGroup>(&net, pcfg);
     leader =
         group->AddMember(net.AddNode(0, "L"), PaxosRole::kLeader, &logs[0]);

@@ -4,7 +4,8 @@
 # (one representative schedule per suite keeps the ASan pass fast while
 # still exercising every fault path; the full 50-seed sweeps run in the
 # regular build above), then a ThreadSanitizer build running the suites
-# whose code shares state between real threads.
+# whose code shares state between real threads. Between the regular build
+# and ASan, the E4 bench's work counters must equal its committed JSON.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]   (default: build)
 set -euo pipefail
@@ -102,6 +103,39 @@ print("bench-smoke: E2 scaling times match their slowest pair in %d scalings"
       % sum(len(a["scalings"]) for a in arms))
 EOF
 
+echo "==> e4-counters: E4 work counters equal the committed JSON"
+# The AP path's deterministic work counters (rows reaching a join probe,
+# rows a runtime filter pruned at a scan) for every TPC-H query, single-node
+# row and column plans, at the committed scale with runtime filters on and
+# off. Timings vary by host; these counts may only change together with a
+# regenerated bench/out/BENCH_mpp_colindex.json (scripts/bench_ap_path.sh).
+for rf in on off; do
+  "${PREFIX}/bench/bench_mpp_colindex" --reps=1 --runtime_filters="${rf}" \
+    --json="${PREFIX}/bench/out/e4_counters_rf_${rf}.json" >/dev/null
+done
+python3 - bench/out/BENCH_mpp_colindex.json \
+  "${PREFIX}/bench/out/e4_counters_rf_on.json" \
+  "${PREFIX}/bench/out/e4_counters_rf_off.json" <<'EOF'
+import json, sys
+ref = json.load(open(sys.argv[1]))
+counters = ("single_join_probe_rows", "single_scan_rows_dropped",
+            "column_join_probe_rows", "column_scan_rows_dropped")
+checked = 0
+for rf, path in (("on", sys.argv[2]), ("off", sys.argv[3])):
+    want = {q["q"]: q for q in ref["runtime_filters_" + rf]["queries"]}
+    got = {q["q"]: q for q in json.load(open(path))["queries"]}
+    if sorted(got) != sorted(want):
+        sys.exit("e4-counters: rf=%s ran queries %s, committed %s"
+                 % (rf, sorted(got), sorted(want)))
+    for q in sorted(want):
+        for c in counters:
+            if got[q][c] != want[q][c]:
+                sys.exit("e4-counters: rf=%s Q%d %s is %d, committed %d"
+                         % (rf, q, c, got[q][c], want[q][c]))
+            checked += 1
+print("e4-counters: %d work counters equal the committed E4 JSON" % checked)
+EOF
+
 echo "==> asan: configure + build (${PREFIX}-asan)"
 cmake -B "${PREFIX}-asan" "${GENERATOR_ARGS[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPOLARX_SANITIZE=ON
@@ -118,8 +152,8 @@ done
 
 echo "==> asan: executor / runtime-filter / column-join / 2PC units"
 # The bloom filter and the column hash join lean on raw hashing and
-# selection-vector slicing, and the key-word group table that HashAggOp and
-# ColumnAggOp share indexes flat arrays by computed slots; the 2PC
+# selection-vector slicing, and the key table that joins and aggregations
+# share (KeyWordTable) indexes flat arrays by computed slots; the 2PC
 # coordinator and in-doubt resolver carry shared transaction state between
 # continuations. Run their unit suites under ASan+UBSan too.
 ctest --test-dir "${PREFIX}-asan" \
@@ -133,9 +167,11 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target \
   exec_test tpch_test colindex_test htap_router_test
 
 echo "==> tsan: executor, MPP, column index and HTAP routing"
-# MppExecutor and QueryScheduler run operators on pool threads, and MPP
-# fragments read one ColumnIndex concurrently under its shared lock; a
-# data race in any of them fails these suites under TSan.
+# MppExecutor and QueryScheduler run operators on pool threads, MPP
+# fragments read one ColumnIndex concurrently under its shared lock, and
+# the joins of a broadcast site probe one shared JoinHashTable (exec_test's
+# SharedJoinTableBuildsOnceForAllTasks); a data race in any of them fails
+# these suites under TSan.
 ctest --test-dir "${PREFIX}-tsan" \
   -R '^(exec_test|tpch_test|colindex_test|htap_router_test)$' \
   --output-on-failure

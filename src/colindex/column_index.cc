@@ -728,88 +728,115 @@ bool ColumnIndex::EvalBoolVector(const Expr& expr,
   return EvalBoolVec(data_, expr, selection, out);
 }
 
-void ColumnIndex::HashAndFilterSelection(const std::vector<int>& key_cols,
-                                         const RuntimeFilter* rf,
-                                         std::vector<uint32_t>* selection,
-                                         std::vector<uint64_t>* hashes,
-                                         uint64_t* tested,
-                                         uint64_t* dropped) const {
-  std::shared_lock lock(mu_);
-  std::vector<uint32_t> kept;
-  kept.reserve(selection->size());
-  std::vector<uint64_t> kept_hashes;
-  if (hashes != nullptr) kept_hashes.reserve(selection->size());
-  uint64_t n_tested = 0, n_dropped = 0;
-  const bool single_int =
-      key_cols.size() == 1 && data_[key_cols[0]].type == ValueType::kInt64;
-  if (single_int) {
-    const ColumnVector& col = data_[key_cols[0]];
-    for (uint32_t r : *selection) {
-      const bool null = col.nulls[r];
-      const uint64_t h =
-          HashCombine(kKeyHashSeed, null ? MixHash64(kHashTagNull)
-                                         : Int64CellHash(col.ints[r]));
-      if (rf != nullptr) {
-        ++n_tested;
-        // NULL keys skip the min/max bounds (they carry no int value).
-        const bool pass = null ? rf->TestHash(h) : rf->TestKey(col.ints[r], h);
-        if (!pass) {
-          ++n_dropped;
-          continue;
-        }
-      }
-      kept.push_back(r);
-      if (hashes != nullptr) kept_hashes.push_back(h);
-    }
-  } else {
-    for (uint32_t r : *selection) {
-      uint64_t h = kKeyHashSeed;
-      for (int c : key_cols) h = HashCombine(h, CellHash(data_[c].Get(r)));
-      if (rf != nullptr) {
-        ++n_tested;
-        if (!rf->TestHash(h)) {
-          ++n_dropped;
-          continue;
-        }
-      }
-      kept.push_back(r);
-      if (hashes != nullptr) kept_hashes.push_back(h);
+namespace {
+
+/// Sets `hashes` to the RowKeyHash of `key_cols` of each selected row,
+/// folding a column at a time, so the rows' hash chains overlap instead of
+/// running one after another.
+void HashKeyColumns(const std::vector<ColumnVector>& data,
+                    const std::vector<int>& key_cols,
+                    const std::vector<uint32_t>& selection,
+                    std::vector<uint64_t>* hashes) {
+  hashes->assign(selection.size(), kKeyHashSeed);
+  for (int c : key_cols) {
+    const ColumnVector& col = data[c];
+    for (size_t i = 0; i < selection.size(); ++i) {
+      const uint32_t r = selection[i];
+      const uint64_t cell =
+          col.nulls[r]                     ? kNullCellHash
+          : col.type == ValueType::kInt64  ? Int64CellHash(col.ints[r])
+          : col.type == ValueType::kDouble ? DoubleCellHash(col.doubles[r])
+                                           : StringCellHash(col.strings[r]);
+      (*hashes)[i] = HashCombine((*hashes)[i], cell);
     }
   }
-  selection->swap(kept);
-  if (hashes != nullptr) hashes->swap(kept_hashes);
-  if (tested != nullptr) *tested = n_tested;
-  if (dropped != nullptr) *dropped = n_dropped;
+}
+
+/// Sets `keys` to the words of `key_cols` of each selected row as keys of
+/// `table`, table.width() per row, and `hashes` to their RowKeyHash, a
+/// column at a time. A const `table` is probed: a long string missing from
+/// its dictionary gets a word no key holds.
+template <typename Table>
+void EncodeKeyColumns(const std::vector<ColumnVector>& data,
+                      const std::vector<int>& key_cols,
+                      const std::vector<uint32_t>& selection, Table& table,
+                      std::vector<uint64_t>* keys,
+                      std::vector<uint64_t>* hashes) {
+  const size_t width = table.width();
+  keys->assign(selection.size() * width, 0);
+  hashes->assign(selection.size(), kKeyHashSeed);
+  for (size_t k = 0; k < key_cols.size(); ++k) {
+    const ColumnVector& col = data[key_cols[k]];
+    for (size_t i = 0; i < selection.size(); ++i) {
+      const uint32_t r = selection[i];
+      uint64_t* key = keys->data() + i * width;
+      uint64_t cell = kNullCellHash;  // a NULL's word and tag stay 0
+      if (!col.nulls[r]) {
+        if (col.type == ValueType::kInt64) {
+          key[k] = uint64_t(col.ints[r]);
+          cell = Int64CellHash(col.ints[r]);
+        } else if (col.type == ValueType::kDouble) {
+          std::memcpy(&key[k], &col.doubles[r], sizeof(double));
+          cell = DoubleCellHash(col.doubles[r]);
+        } else {
+          if constexpr (std::is_const_v<Table>) {
+            key[k] = table.ProbeStringWord(k, col.strings[r]);
+          } else {
+            key[k] = table.StringWord(k, col.strings[r]);
+          }
+          cell = StringCellHash(col.strings[r]);
+        }
+        table.SetTag(key, k, col.type);
+      }
+      (*hashes)[i] = HashCombine((*hashes)[i], cell);
+    }
+  }
+}
+
+}  // namespace
+
+void ColumnIndex::EncodeKeys(const std::vector<int>& key_cols,
+                             const std::vector<uint32_t>& selection,
+                             KeyWordTable* table, std::vector<uint64_t>* keys,
+                             std::vector<uint64_t>* hashes) const {
+  std::shared_lock lock(mu_);
+  EncodeKeyColumns(data_, key_cols, selection, *table, keys, hashes);
+}
+
+void ColumnIndex::EncodeKeys(const std::vector<int>& key_cols,
+                             const std::vector<uint32_t>& selection,
+                             const KeyWordTable& table,
+                             std::vector<uint64_t>* keys,
+                             std::vector<uint64_t>* hashes) const {
+  std::shared_lock lock(mu_);
+  EncodeKeyColumns(data_, key_cols, selection, table, keys, hashes);
 }
 
 void ColumnIndex::FilterSelection(const RuntimeFilter& rf,
                                   const std::vector<int>& key_cols,
                                   std::vector<uint32_t>* selection,
                                   uint64_t* tested, uint64_t* dropped) const {
-  HashAndFilterSelection(key_cols, &rf, selection, nullptr, tested, dropped);
-}
-
-namespace {
-
-/// Walks `table`'s chain for key hash `hash` from candidate `i` to the
-/// first build row whose key equals the `probe_cols` of index row `rowid`
-/// (CellEquals semantics); kNoRow if none.
-uint32_t NextMatch(const ColumnIndex& index, const JoinHashTable& table,
-                   const std::vector<int>& probe_cols, uint32_t rowid,
-                   uint64_t hash, uint32_t i) {
-  for (; i != JoinHashTable::kNoRow; i = table.Next(i, hash)) {
-    const Row& built = table.row(i);
-    bool equal = true;
-    for (size_t k = 0; k < probe_cols.size() && equal; ++k) {
-      equal = CellEquals(index.column(probe_cols[k]).Get(rowid),
-                         built[table.build_keys()[k]]);
-    }
-    if (equal) return i;
+  std::shared_lock lock(mu_);
+  std::vector<uint64_t> hashes;
+  HashKeyColumns(data_, key_cols, *selection, &hashes);
+  // Only a single int64 key column meets the bounds; NULL keys skip them
+  // (they carry no int value).
+  const ColumnVector* ints =
+      key_cols.size() == 1 && data_[key_cols[0]].type == ValueType::kInt64
+          ? &data_[key_cols[0]]
+          : nullptr;
+  size_t kept = 0;
+  for (size_t i = 0; i < selection->size(); ++i) {
+    const uint32_t r = (*selection)[i];
+    const bool pass = ints != nullptr && !ints->nulls[r]
+                          ? rf.TestKey(ints->ints[r], hashes[i])
+                          : rf.TestHash(hashes[i]);
+    if (pass) (*selection)[kept++] = r;
   }
-  return JoinHashTable::kNoRow;
+  *tested = selection->size();
+  *dropped = selection->size() - kept;
+  selection->resize(kept);
 }
-
-}  // namespace
 
 ColumnAggOp::ColumnAggOp(const ColumnIndex* index, Timestamp snapshot_ts,
                          ExprPtr filter, std::vector<int> group_cols,
@@ -830,55 +857,21 @@ Status ColumnAggOp::Open() {
   index_->BuildSelection(snapshot_ts_, filter_, &selection, range_);
 
   // Group id per selected row, numbered in first-seen order by the
-  // executor's key-word table. A column holds one type, so its tag is
-  // constant but for NULLs. Words and key hashes are computed a column at a
-  // time, so the rows' hash chains overlap instead of running one after
-  // another; the tag words are folded in last, as KeyWordTable::Hash does.
-  const size_t ncols = group_cols_.size();
-  std::vector<uint32_t> row_group(selection.size(), 0);
+  // executor's key table, whose keys the index encodes a column at a time.
+  KeyWordTable table(group_cols_.size());
+  std::vector<uint64_t> keys, hashes;
+  index_->EncodeKeys(group_cols_, selection, &table, &keys, &hashes);
+  std::vector<uint32_t> row_group(selection.size());
   std::vector<uint32_t> group_first;  // first selected row of each group
-  if (ncols == 0) {
-    group_first.push_back(0);  // the global aggregate's one row
-  } else {
-    KeyWordTable table(ncols);
-    const size_t width = table.width();
-    std::vector<uint64_t> keys(selection.size() * width, 0);
-    std::vector<uint64_t> hashes(selection.size(), kKeyHashSeed);
-    for (size_t k = 0; k < ncols; ++k) {
-      const ColumnVector& col = index_->column(group_cols_[k]);
-      auto encode = [&](auto word) {
-        for (size_t i = 0; i < selection.size(); ++i) {
-          const uint32_t r = selection[i];
-          uint64_t* key = &keys[i * width];
-          if (!col.nulls[r]) {
-            key[k] = word(r);
-            table.SetTag(key, k, col.type);
-          }
-          hashes[i] = HashCombine(hashes[i], key[k]);
-        }
-      };
-      if (col.type == ValueType::kInt64) {
-        encode([&](uint32_t r) { return uint64_t(col.ints[r]); });
-      } else if (col.type == ValueType::kDouble) {
-        encode([&](uint32_t r) {
-          uint64_t bits;
-          std::memcpy(&bits, &col.doubles[r], sizeof(bits));
-          return bits;
-        });
-      } else {
-        encode([&](uint32_t r) { return table.StringWord(k, col.strings[r]); });
-      }
-    }
-    for (size_t i = 0; i < selection.size(); ++i) {
-      for (size_t w = ncols; w < width; ++w) {
-        hashes[i] = HashCombine(hashes[i], keys[i * width + w]);
-      }
-      bool inserted = false;
-      row_group[i] =
-          table.FindOrInsert(&keys[i * width], hashes[i], &inserted);
-      if (inserted) group_first.push_back(selection[i]);
-    }
+  for (size_t i = 0; i < selection.size(); ++i) {
+    bool inserted = false;
+    row_group[i] = table.FindOrInsert(keys.data() + i * table.width(),
+                                      hashes[i], &inserted);
+    if (inserted) group_first.push_back(selection[i]);
   }
+  // A global aggregate (no group columns: one key) has its row even when
+  // no row is selected.
+  if (group_cols_.empty() && group_first.empty()) group_first.push_back(0);
 
   const size_t ngroups = group_first.size();
   // Accumulate each aggregate vectorized.
@@ -1018,7 +1011,6 @@ ColumnHashJoinOp::ColumnHashJoinOp(const ColumnIndex* index,
       snapshot_ts_(snapshot_ts),
       probe_filter_(std::move(probe_filter)),
       projection_(std::move(projection)),
-      probe_keys_(std::move(probe_keys)),
       build_(std::move(build)),
       build_keys_(std::move(build_keys)),
       type_(type),
@@ -1026,8 +1018,8 @@ ColumnHashJoinOp::ColumnHashJoinOp(const ColumnIndex* index,
       range_(range),
       table_(shared != nullptr ? std::move(shared)
                                : std::make_shared<JoinHashTable>()) {
-  probe_key_cols_.reserve(probe_keys_.size());
-  for (int k : probe_keys_) {
+  probe_key_cols_.reserve(probe_keys.size());
+  for (int k : probe_keys) {
     probe_key_cols_.push_back(projection_.empty() ? k : projection_[k]);
   }
 }
@@ -1046,11 +1038,22 @@ Status ColumnHashJoinOp::Open() {
   POLARX_RETURN_NOT_OK(table_->Build(build_.get(), build_keys_, prune));
 
   index_->BuildSelection(snapshot_ts_, probe_filter_, &selection_, range_);
-  uint64_t tested = 0, dropped = 0;
-  index_->HashAndFilterSelection(
-      probe_key_cols_, prune ? table_->filter().get() : nullptr, &selection_,
-      &probe_hashes_, &tested, &dropped);
-  AddScanFilterStats(tested, dropped);
+  const JoinHashTable& table = *table_;
+  std::vector<uint64_t> keys, hashes;
+  if (prune && table.filter() != nullptr) {
+    // Filtering on the hashes first spares the dropped rows their words.
+    uint64_t tested = 0, dropped = 0;
+    index_->FilterSelection(*table.filter(), probe_key_cols_, &selection_,
+                            &tested, &dropped);
+    AddScanFilterStats(tested, dropped);
+  }
+  index_->EncodeKeys(probe_key_cols_, selection_, table.keys(), &keys,
+                     &hashes);
+  matches_.resize(selection_.size());
+  for (size_t i = 0; i < selection_.size(); ++i) {
+    matches_[i] =
+        table.First(keys.data() + i * table.keys().width(), hashes[i]);
+  }
   return Status::Ok();
 }
 
@@ -1069,15 +1072,11 @@ Status ColumnHashJoinOp::Next(Batch* out) {
   const JoinHashTable& table = *table_;
   while (pos_ < selection_.size() && hits_.size() < kExecBatchSize) {
     const uint32_t rowid = selection_[pos_];
-    const uint64_t hash = probe_hashes_[pos_];
+    uint32_t match = matches_[pos_];
     ++pos_;
     ++probed;
-    uint32_t match = NextMatch(*index_, table, probe_key_cols_, rowid, hash,
-                               table.First(hash));
     if (type_ == JoinType::kInner) {
-      for (; match != JoinHashTable::kNoRow;
-           match = NextMatch(*index_, table, probe_key_cols_, rowid, hash,
-                             table.Next(match, hash))) {
+      for (; match != JoinHashTable::kNoRow; match = table.Next(match)) {
         hits_.push_back(rowid);
         hit_build_.push_back(match);
       }
@@ -1102,7 +1101,7 @@ Status ColumnHashJoinOp::Next(Batch* out) {
 
 void ColumnHashJoinOp::Close() {
   selection_.clear();
-  probe_hashes_.clear();
+  matches_.clear();
 }
 
 }  // namespace polarx

@@ -142,18 +142,24 @@ class ColumnIndex {
                       const std::vector<uint32_t>& selection,
                       std::vector<uint8_t>* out) const;
 
-  /// Computes the join-key hash of every selected row (`key_cols` are
-  /// positions in the indexed column subset), vectorized over the typed
-  /// arrays. When `rf` is non-null, rows failing the filter are dropped,
-  /// compacting `selection` (and `hashes`, if non-null) in lockstep;
-  /// `tested`/`dropped` report the pruning for the ablation counters.
-  void HashAndFilterSelection(const std::vector<int>& key_cols,
-                              const RuntimeFilter* rf,
-                              std::vector<uint32_t>* selection,
-                              std::vector<uint64_t>* hashes,
-                              uint64_t* tested, uint64_t* dropped) const;
+  /// Encodes `key_cols` (positions in the indexed column subset) of the
+  /// selected rows as keys of `table`, a column at a time over the typed
+  /// arrays: `keys` gets table->width() words per row and `hashes` each
+  /// row's RowKeyHash, as KeyWordTable::Encode gives them for the row.
+  void EncodeKeys(const std::vector<int>& key_cols,
+                  const std::vector<uint32_t>& selection, KeyWordTable* table,
+                  std::vector<uint64_t>* keys,
+                  std::vector<uint64_t>* hashes) const;
+  /// EncodeKeys for probes of `table`, which stays unchanged (as with
+  /// KeyWordTable::EncodeProbe).
+  void EncodeKeys(const std::vector<int>& key_cols,
+                  const std::vector<uint32_t>& selection,
+                  const KeyWordTable& table, std::vector<uint64_t>* keys,
+                  std::vector<uint64_t>* hashes) const;
 
-  /// Applies a pushed-down runtime filter to `selection` in place.
+  /// Drops the selected rows whose `key_cols` fail `rf` (int64 bounds, then
+  /// bloom on the RowKeyHash) from `selection`, hashing a column at a time;
+  /// `tested`/`dropped` count them for the ablation counters.
   void FilterSelection(const RuntimeFilter& rf,
                        const std::vector<int>& key_cols,
                        std::vector<uint32_t>* selection, uint64_t* tested,
@@ -187,10 +193,10 @@ class ColumnIndex {
 /// Aggregation pushed down into the column index (§VI-E: "table-scan and
 /// filter ... and the first phase of aggregation are offloaded"): computes
 /// group-by aggregates directly over the typed column vectors, without
-/// materializing rows. Group ids come from HashAggOp's grouping table
-/// (KeyWordTable), fed a column at a time from the typed arrays, so the
-/// groups and their first-seen output order are HashAggOp's over the same
-/// selection. NULL aggregate inputs are skipped, as HashAggOp skips them.
+/// materializing rows. Group ids come from HashAggOp's key table
+/// (KeyWordTable), fed a column at a time by ColumnIndex::EncodeKeys, so
+/// the groups and their first-seen output order are HashAggOp's over the
+/// same selection. NULL aggregate inputs are skipped, as HashAggOp skips them.
 /// Output layout matches HashAggOp for the same specs, so it drops into
 /// plans as a replacement for Agg(Scan(...)); min/max are not supported.
 class ColumnAggOp : public Operator {
@@ -248,11 +254,13 @@ class ColumnScanOp : public Operator, public RuntimeFilterTarget {
 
 /// Vectorized hash join probing a column index natively (§VI-E, the column
 /// store's "built-in" hash join): the build child is consumed into a
-/// JoinHashTable (64-bit key hashes, exact key equality re-verified on each
-/// candidate, so hash collisions cannot fabricate matches), and the probe
-/// side runs over the index's selection vector — visibility + pushed-down
-/// filter + (for inner/semi joins) the build side's own runtime filter —
-/// in batches, materializing only the projected columns of surviving rows.
+/// JoinHashTable, and the probe side runs over the index's selection vector
+/// — visibility + pushed-down filter + (for inner/semi joins) the build
+/// side's own runtime filter. Probe keys are encoded a column at a time
+/// into the build table's key format (ColumnIndex::EncodeKeys): the
+/// filter tests the hash the lookup uses, and a key id names exactly its
+/// matching build rows. Survivors materialize in batches, projected
+/// columns only.
 /// Output layout matches HashJoinOp: projected probe columns, then build
 /// columns (inner joins); probe columns only (semi/anti).
 class ColumnHashJoinOp : public Operator {
@@ -282,8 +290,7 @@ class ColumnHashJoinOp : public Operator {
   Timestamp snapshot_ts_;
   ExprPtr probe_filter_;
   std::vector<int> projection_;
-  std::vector<int> probe_keys_;      // positions in projected output
-  std::vector<int> probe_key_cols_;  // same keys as index column positions
+  std::vector<int> probe_key_cols_;  // probe keys as index column positions
   OperatorPtr build_;
   std::vector<int> build_keys_;
   JoinType type_;
@@ -291,7 +298,7 @@ class ColumnHashJoinOp : public Operator {
   RowRange range_;
   std::shared_ptr<JoinHashTable> table_;
   std::vector<uint32_t> selection_;
-  std::vector<uint64_t> probe_hashes_;
+  std::vector<uint32_t> matches_;  // first matching build row per selected row
   size_t pos_ = 0;
   // Per-batch scratch: surviving probe row ids and (inner joins) the
   // matched build-row index for each survivor.

@@ -171,8 +171,7 @@ void PaxosMember::ReplicateTo(NodeId follower) {
   if (it == peers_.end()) return;
   PeerProgress& p = it->second;
 
-  size_t window = cfg.pipelining ? cfg.max_inflight : 1;
-  while (p.inflight < window) {
+  while (p.inflight < cfg.max_inflight) {
     Lsn end = log_->current_lsn();
     if (p.next_lsn >= end) break;
     Lsn chunk_end = log_->ChunkEnd(p.next_lsn, cfg.max_batch_bytes);

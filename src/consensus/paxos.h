@@ -54,9 +54,8 @@ std::string_view PaxosRoleName(PaxosRole role);
 struct PaxosConfig {
   /// Max MTR payload bytes per MLOG_PAXOS frame (§III: 16 KB).
   size_t max_batch_bytes = 16 * 1024;
-  /// If false, each frame waits for the previous frame's ack (A2 ablation).
-  bool pipelining = true;
-  /// Max frames in flight per follower when pipelining.
+  /// Max frames in flight per follower; 1 is stop-and-wait, each frame
+  /// waiting for the previous frame's ack (A2 ablation).
   size_t max_inflight = 64;
   /// Simulated local PolarFS append latency for persisting received log.
   sim::SimTime flush_latency_us = 40;

@@ -228,12 +228,6 @@ bool Expr::EvalBool(const Row& row) const {
   return false;
 }
 
-int Expr::MaxColumn() const {
-  int max_col = kind_ == Kind::kColumn ? column_ : -1;
-  for (const auto& c : children_) max_col = std::max(max_col, c->MaxColumn());
-  return max_col;
-}
-
 void Expr::CollectColumns(std::vector<int>* out) const {
   if (kind_ == Kind::kColumn) out->push_back(column_);
   for (const auto& c : children_) c->CollectColumns(out);

@@ -79,9 +79,6 @@ class Expr {
   /// Boolean evaluation: NULL/absent treated as false.
   bool EvalBool(const Row& row) const;
 
-  /// Max column index referenced (for projection pruning); -1 if none.
-  int MaxColumn() const;
-
   /// All column indices referenced.
   void CollectColumns(std::vector<int>* out) const;
 

@@ -1,6 +1,6 @@
 #include "src/exec/join_table.h"
 
-#include <bit>
+#include <optional>
 
 #include "src/exec/operator.h"
 
@@ -10,14 +10,14 @@ Status JoinHashTable::Build(Operator* build,
                             const std::vector<int>& build_keys,
                             bool with_filter, size_t filter_keys) {
   std::call_once(once_, [&] {
-    build_keys_ = build_keys;
-    status_ = Fill(build, with_filter, filter_keys);
+    status_ = Fill(build, build_keys, with_filter, filter_keys);
   });
   return status_;
 }
 
-Status JoinHashTable::Fill(Operator* build, bool with_filter,
-                           size_t filter_keys) {
+Status JoinHashTable::Fill(Operator* build,
+                           const std::vector<int>& build_keys,
+                           bool with_filter, size_t filter_keys) {
   POLARX_RETURN_NOT_OK(build->Open());
   Batch batch;
   for (;;) {
@@ -31,38 +31,28 @@ Status JoinHashTable::Fill(Operator* build, bool with_filter,
   }
 
   const uint32_t n = uint32_t(rows_.size());
-  heads_.assign(std::bit_ceil(std::max<size_t>(n, 1)), kNoRow);
-  mask_ = heads_.size() - 1;
-  hashes_.resize(n);
+  keys_ = KeyWordTable(build_keys.size(), n);
   next_.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    hashes_[i] = RowKeyHash(rows_[i], build_keys_);
-  }
-  // Prepend in reverse so every bucket chain lists its rows in build order.
+  first_.reserve(n);
+  std::optional<RuntimeFilterBuilder> rf;
+  if (with_filter) rf.emplace(filter_keys == 0 ? n : filter_keys, kKeyHashSeed);
+  std::vector<uint64_t> key(keys_.width());
+  // Prepend in reverse so every key's rows are linked in build order.
   for (uint32_t i = n; i-- > 0;) {
-    uint32_t& head = heads_[hashes_[i] & mask_];
-    next_[i] = head;
-    head = i;
-  }
-  if (with_filter) {
-    RuntimeFilterBuilder rf(filter_keys == 0 ? n : filter_keys,
-                            kKeyHashSeed);
-    for (const Row& row : rows_) rf.AddKey(row, build_keys_);
-    filter_ = rf.Finish();
-  }
-  return Status::Ok();
-}
-
-bool JoinHashTable::KeyEquals(const Row& probe,
-                              const std::vector<int>& probe_keys,
-                              uint32_t i) const {
-  const Row& built = rows_[i];
-  for (size_t k = 0; k < probe_keys.size(); ++k) {
-    if (!CellEquals(probe[probe_keys[k]], built[build_keys_[k]])) {
-      return false;
+    const uint64_t hash = keys_.Encode(rows_[i], build_keys, key.data());
+    bool inserted = false;
+    const uint32_t id = keys_.FindOrInsert(key.data(), hash, &inserted);
+    if (inserted) first_.push_back(kNoRow);
+    next_[i] = first_[id];
+    first_[id] = i;
+    if (rf) {
+      rf->AddKey(hash, build_keys.size() == 1
+                           ? std::get_if<int64_t>(&rows_[i][build_keys[0]])
+                           : nullptr);
     }
   }
-  return true;
+  if (rf) filter_ = rf->Finish();
+  return Status::Ok();
 }
 
 }  // namespace polarx

@@ -1,7 +1,10 @@
 // The build side of a hash join (§VI-C), shared by the row-store
-// HashJoinOp and the column index's ColumnHashJoinOp: the build rows, a
-// RowKeyHash -> row-index chain table over them and, for inner/semi joins,
-// the runtime filter summarizing their keys.
+// HashJoinOp and the column index's ColumnHashJoinOp: the build rows in
+// build order, a KeyWordTable that numbers their distinct keys, and, for
+// inner/semi joins, the runtime filter summarizing those keys. Each key id
+// keeps its first build row and each row links to the next row with the
+// same key, so a probe walks exactly its matches, in build order, with no
+// candidate to verify.
 //
 // A table is built at most once and is read-only afterwards, so one table
 // can serve many probers. The MPP plan builder hands the same table to the
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/exec/key_word_table.h"
 #include "src/exec/runtime_filter.h"
 #include "src/storage/value.h"
 
@@ -38,7 +42,6 @@ class JoinHashTable {
 
   // ---- read-only after Build() returned Ok ----
 
-  const std::vector<int>& build_keys() const { return build_keys_; }
   const Row& row(uint32_t i) const { return rows_[i]; }
   size_t size() const { return rows_.size(); }
 
@@ -47,38 +50,26 @@ class JoinHashTable {
     return filter_;
   }
 
-  /// Build rows whose key hash equals `hash`, in build order: iterate
-  /// `for (i = First(h); i != kNoRow; i = Next(i, h))`. Equal hashes do
-  /// not imply equal keys; callers verify each candidate with CellEquals
-  /// (KeyEquals does it for row probes).
-  uint32_t First(uint64_t hash) const {
-    return Skip(heads_.empty() ? kNoRow : heads_[hash & mask_], hash);
+  /// The build keys' table. A probe encodes its key with keys().EncodeProbe
+  /// (or ColumnIndex::EncodeKeys) and walks its matching build rows in
+  /// build order: `for (i = First(key, h); i != kNoRow; i = Next(i))`.
+  const KeyWordTable& keys() const { return keys_; }
+  uint32_t First(const uint64_t* key, uint64_t hash) const {
+    const uint32_t id = keys_.Find(key, hash);
+    return id == KeyWordTable::kNotFound ? kNoRow : first_[id];
   }
-  uint32_t Next(uint32_t i, uint64_t hash) const {
-    return Skip(next_[i], hash);
-  }
-
-  /// Join-key equality of `probe_keys` of `probe` with build row `i`:
-  /// type-strict, NULL equals NULL, doubles bit-exact (CellEquals). Empty
-  /// keys are equal, which makes an empty-key join a cross join.
-  bool KeyEquals(const Row& probe, const std::vector<int>& probe_keys,
-                 uint32_t i) const;
+  uint32_t Next(uint32_t i) const { return next_[i]; }
 
  private:
-  Status Fill(Operator* build, bool with_filter, size_t filter_keys);
-  uint32_t Skip(uint32_t i, uint64_t hash) const {
-    while (i != kNoRow && hashes_[i] != hash) i = next_[i];
-    return i;
-  }
+  Status Fill(Operator* build, const std::vector<int>& build_keys,
+              bool with_filter, size_t filter_keys);
 
   std::once_flag once_;
   Status status_;
-  std::vector<int> build_keys_;
   std::vector<Row> rows_;
-  std::vector<uint64_t> hashes_;  // RowKeyHash of each build row
-  std::vector<uint32_t> heads_;   // first row of each bucket, or kNoRow
-  std::vector<uint32_t> next_;    // next row in the same bucket, or kNoRow
-  uint64_t mask_ = 0;
+  KeyWordTable keys_{0};
+  std::vector<uint32_t> first_;  // first build row of each key id
+  std::vector<uint32_t> next_;   // next build row with the same key, or kNoRow
   std::shared_ptr<const RuntimeFilter> filter_;
 };
 

@@ -97,7 +97,7 @@ class Exchange {
                                 const ProducerFactory& producer);
 
   /// The bucket of a row with key hash `hash` among `num_tasks`: the high
-  /// 32 bits pick it, so the low bits that JoinHashTable chains on stay
+  /// 32 bits pick it, so the low bits that KeyWordTable slots on stay
   /// uniform inside one bucket.
   static int Bucket(uint64_t hash, int num_tasks) {
     return int(((hash >> 32) * uint64_t(num_tasks)) >> 32);

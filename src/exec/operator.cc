@@ -1,6 +1,7 @@
 #include "src/exec/operator.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/storage/mvcc.h"
 
@@ -204,6 +205,7 @@ Status HashJoinOp::Open() {
   // Publish before opening the probe: the probe-side scan reads the slot
   // at its own Open()/Next(), strictly after this point.
   if (emit_rf) rf_slot_->filter = table_->filter();
+  probe_key_.resize(table_->keys().width());
   return probe_->Open();
 }
 
@@ -219,16 +221,9 @@ Status HashJoinOp::Next(Batch* out) {
     }
     Row& probe_row = pending_probe_.rows[probe_pos_++];
     ++probed;
-    const uint64_t hash = RowKeyHash(probe_row, probe_keys_);
-    // Hash candidates in build order, skipping collisions.
-    auto matching = [&](uint32_t i) {
-      while (i != JoinHashTable::kNoRow &&
-             !table.KeyEquals(probe_row, probe_keys_, i)) {
-        i = table.Next(i, hash);
-      }
-      return i;
-    };
-    uint32_t match = matching(table.First(hash));
+    const uint64_t hash =
+        table.keys().EncodeProbe(probe_row, probe_keys_, probe_key_.data());
+    uint32_t match = table.First(probe_key_.data(), hash);
     switch (type_) {
       case JoinType::kInner:
       case JoinType::kLeftOuter:
@@ -240,8 +235,7 @@ Status HashJoinOp::Next(Batch* out) {
           out->rows.push_back(std::move(probe_row));
           break;
         }
-        for (; match != JoinHashTable::kNoRow;
-             match = matching(table.Next(match, hash))) {
+        for (; match != JoinHashTable::kNoRow; match = table.Next(match)) {
           const Row& built = table.row(match);
           Row joined;
           joined.reserve(probe_row.size() + built.size());
@@ -343,7 +337,10 @@ HashAggOp::HashAggOp(OperatorPtr child, std::vector<ExprPtr> group_by,
       aggs_(std::move(aggs)),
       mode_(mode),
       table_(group_by_.size()),
-      key_buf_(table_.width()) {}
+      group_cols_(group_by_.size()),
+      key_buf_(table_.width()) {
+  std::iota(group_cols_.begin(), group_cols_.end(), 0);
+}
 
 Status HashAggOp::Open() {
   POLARX_RETURN_NOT_OK(child_->Open());
@@ -355,17 +352,16 @@ Status HashAggOp::Open() {
   return Status::Ok();
 }
 
-HashAggOp::AggState* HashAggOp::GroupStates(const Value* group) {
-  table_.Encode(group, key_buf_.data());
+HashAggOp::AggState* HashAggOp::GroupStates(const Row& row) {
+  const uint64_t hash = table_.Encode(row, group_cols_, key_buf_.data());
   bool inserted = false;
-  const uint32_t id = table_.FindOrInsert(
-      key_buf_.data(), table_.Hash(key_buf_.data()), &inserted);
+  const uint32_t id = table_.FindOrInsert(key_buf_.data(), hash, &inserted);
   if (inserted) {
     // Room for the aggregates Finalize appends (two columns for a partial
     // avg), so emitting the group does not reallocate its row.
     Row& values = groups_.emplace_back();
     values.reserve(group_by_.size() + 2 * aggs_.size());
-    values.assign(group, group + group_by_.size());
+    values.assign(row.begin(), row.begin() + group_by_.size());
     states_.resize(states_.size() + aggs_.size());
   }
   return states_.data() + size_t(id) * aggs_.size();
@@ -483,12 +479,12 @@ Status HashAggOp::Next(Batch* out) {
       if (in.empty()) break;
       for (const auto& row : in.rows) {
         if (mode_ == AggMode::kFinal) {
-          FoldMerged(row, GroupStates(row.data()));
+          FoldMerged(row, GroupStates(row));
           continue;
         }
         group_buf_.clear();
         for (const auto& g : group_by_) group_buf_.push_back(g->Eval(row));
-        Fold(row, GroupStates(group_buf_.data()));
+        Fold(row, GroupStates(group_buf_));
       }
     }
     // Global aggregation (no GROUP BY) yields one row even on empty input.

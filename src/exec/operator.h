@@ -182,6 +182,7 @@ class HashJoinOp : public Operator {
   std::shared_ptr<RuntimeFilterSlot> rf_slot_;
   size_t rf_expected_keys_ = 0;
   std::shared_ptr<JoinHashTable> table_;
+  std::vector<uint64_t> probe_key_;  // reused per probe row
   // carry-over state when one probe row matches many build rows
   Batch pending_probe_;
   size_t probe_pos_ = 0;
@@ -267,7 +268,9 @@ class HashAggOp : public Operator {
     Value min, max;
   };
 
-  AggState* GroupStates(const Value* group);
+  /// The states of the group whose values are the first group_by_.size()
+  /// cells of `row`.
+  AggState* GroupStates(const Row& row);
   void Fold(const Row& row, AggState* states);
   void FoldMerged(const Row& row, AggState* states);
   Row Finalize(Row group, const AggState* states) const;
@@ -279,6 +282,7 @@ class HashAggOp : public Operator {
   // Group g is id g of `table_`; its key values are groups_[g] and its
   // states aggs_.size() entries of `states_` from g * aggs_.size().
   KeyWordTable table_;
+  std::vector<int> group_cols_;  // 0 .. group_by_.size() - 1
   std::vector<Row> groups_;
   std::vector<AggState> states_;
   std::vector<uint64_t> key_buf_;  // reused per input row

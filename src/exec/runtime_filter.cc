@@ -2,49 +2,20 @@
 
 #include <atomic>
 #include <bit>
-#include <cstring>
 
 namespace polarx {
 
 uint64_t CellHash(const Value& v) {
   if (const auto* i = std::get_if<int64_t>(&v)) return Int64CellHash(*i);
-  if (const auto* d = std::get_if<double>(&v)) {
-    uint64_t bits;
-    std::memcpy(&bits, d, sizeof(bits));
-    return MixHash64(bits ^ kHashTagDouble);
-  }
-  if (const auto* s = std::get_if<std::string>(&v)) {
-    // FNV-1a over the bytes, finalized with the string tag.
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : *s) h = (h ^ c) * 0x100000001b3ULL;
-    return MixHash64(h ^ kHashTagString);
-  }
-  return MixHash64(kHashTagNull);
+  if (const auto* d = std::get_if<double>(&v)) return DoubleCellHash(*d);
+  if (const auto* s = std::get_if<std::string>(&v)) return StringCellHash(*s);
+  return kNullCellHash;
 }
 
 uint64_t RowKeyHash(const Row& row, const std::vector<int>& cols) {
   uint64_t h = kKeyHashSeed;
   for (int c : cols) h = HashCombine(h, CellHash(row[c]));
   return h;
-}
-
-bool CellEquals(const Value& a, const Value& b) {
-  if (a.index() != b.index()) return false;
-  if (const auto* i = std::get_if<int64_t>(&a)) {
-    return *i == std::get<int64_t>(b);
-  }
-  if (const auto* d = std::get_if<double>(&a)) {
-    // Bit-exact, matching the injective memcomparable encoding (so -0.0
-    // and 0.0 stay distinct here exactly as they do in EncodeValue).
-    uint64_t ab, bb;
-    std::memcpy(&ab, d, sizeof(ab));
-    std::memcpy(&bb, &std::get<double>(b), sizeof(bb));
-    return ab == bb;
-  }
-  if (const auto* s = std::get_if<std::string>(&a)) {
-    return *s == std::get<std::string>(b);
-  }
-  return true;  // both null
 }
 
 BloomFilter::BloomFilter(size_t expected_keys, uint64_t seed) : seed_(seed) {
@@ -76,12 +47,10 @@ bool BloomFilter::MightContain(uint64_t key_hash) const {
 
 bool RuntimeFilter::TestRow(const Row& row, const std::vector<int>& cols)
     const {
-  if (has_bounds && cols.size() == 1) {
-    if (const auto* k = std::get_if<int64_t>(&row[cols[0]])) {
-      if (*k < min_key || *k > max_key) return false;
-    }
-  }
-  return bloom.MightContain(RowKeyHash(row, cols));
+  const auto* k = cols.size() == 1 ? std::get_if<int64_t>(&row[cols[0]])
+                                   : nullptr;
+  const uint64_t hash = RowKeyHash(row, cols);
+  return k != nullptr ? TestKey(*k, hash) : TestHash(hash);
 }
 
 RuntimeFilterBuilder::RuntimeFilterBuilder(size_t expected_keys,
@@ -90,27 +59,19 @@ RuntimeFilterBuilder::RuntimeFilterBuilder(size_t expected_keys,
   filter_->bloom = BloomFilter(expected_keys, seed);
 }
 
-void RuntimeFilterBuilder::AddKey(const Row& row,
-                                  const std::vector<int>& cols) {
-  filter_->bloom.Add(RowKeyHash(row, cols));
+void RuntimeFilterBuilder::AddKey(uint64_t key_hash, const int64_t* int_key) {
+  filter_->bloom.Add(key_hash);
   ++filter_->num_build_keys;
   // Min/max bounds only stay valid for pure single-int64 key sets; any
-  // other cell type disables them (never risk a false negative).
-  if (cols.size() != 1) {
+  // other key disables them (never risk a false negative).
+  if (int_key == nullptr) {
     single_int_key_ = false;
-    return;
-  }
-  const auto* k = std::get_if<int64_t>(&row[cols[0]]);
-  if (k == nullptr) {
-    single_int_key_ = false;
-    return;
-  }
-  if (!filter_->has_bounds) {
+  } else if (!filter_->has_bounds) {
     filter_->has_bounds = true;
-    filter_->min_key = filter_->max_key = *k;
+    filter_->min_key = filter_->max_key = *int_key;
   } else {
-    filter_->min_key = std::min(filter_->min_key, *k);
-    filter_->max_key = std::max(filter_->max_key, *k);
+    filter_->min_key = std::min(filter_->min_key, *int_key);
+    filter_->max_key = std::max(filter_->max_key, *int_key);
   }
 }
 

@@ -9,11 +9,18 @@
 // forbidden. A filter only ever shrinks intermediate row sets of an
 // inner/semi join probe side, so plan results are bit-identical with
 // filters on or off; `tpch_test` asserts this for all 22 queries.
+//
+// This header also defines the executor's one key hash, RowKeyHash: the
+// fold of type-tagged cell hashes that join and group tables
+// (KeyWordTable), bloom filters and Exchange buckets share, so a join's
+// build hashes each row once for its table and its filter.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/storage/value.h"
@@ -21,7 +28,7 @@
 namespace polarx {
 
 /// splitmix64 finalizer: cheap, well-distributed 64-bit mixing.
-inline uint64_t MixHash64(uint64_t x) {
+constexpr uint64_t MixHash64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -29,20 +36,46 @@ inline uint64_t MixHash64(uint64_t x) {
 }
 
 // Type-tagged cell hashing. The tags keep int64/double/string/null hash
-// spaces disjoint, mirroring the type-strict key equality (CellEquals)
-// every hash join verifies matches with (an int64 and a double never
-// compare equal there, so they must not alias here either).
+// spaces disjoint, mirroring the type-strict key equality of every hash
+// join and group (an int64 and a double are never the same key, so they
+// must not alias here either).
 inline constexpr uint64_t kHashTagNull = 0x6b4f1d2c9a8e7035ULL;
 inline constexpr uint64_t kHashTagInt = 0x2545f4914f6cdd1dULL;
 inline constexpr uint64_t kHashTagDouble = 0x9e6c63d0876a9a4bULL;
 inline constexpr uint64_t kHashTagString = 0xc3a5c85c97cb3127ULL;
 
+inline constexpr uint64_t kNullCellHash = MixHash64(kHashTagNull);
+
 inline uint64_t Int64CellHash(int64_t v) {
   return MixHash64(static_cast<uint64_t>(v) ^ kHashTagInt);
 }
 
-/// Hash of one Value cell, consistent between the row path (Value cells)
-/// and the vectorized column path (raw typed arrays).
+/// Hashes the bits, so -0.0 and 0.0 differ, as they do as keys.
+inline uint64_t DoubleCellHash(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return MixHash64(bits ^ kHashTagDouble);
+}
+
+/// The bytes eight at a time, folded with MixHash64 from the string tag;
+/// the last word holds the remaining bytes and the length in its top byte.
+inline uint64_t StringCellHash(std::string_view s) {
+  uint64_t h = kHashTagString;
+  size_t i = 0;
+  for (; i + 8 <= s.size(); i += 8) {
+    uint64_t word;
+    std::memcpy(&word, s.data() + i, sizeof(word));
+    h = MixHash64(h ^ word);
+  }
+  uint64_t last = uint64_t(s.size()) << 56;
+  for (size_t b = i; b < s.size(); ++b) {
+    last |= uint64_t(uint8_t(s[b])) << (8 * (b - i));
+  }
+  return MixHash64(h ^ last);
+}
+
+/// Hash of one Value cell: the typed hash above for its type, so the row
+/// path (Value cells) and the column path (raw typed arrays) agree.
 uint64_t CellHash(const Value& v);
 
 inline uint64_t HashCombine(uint64_t h, uint64_t v) {
@@ -51,13 +84,10 @@ inline uint64_t HashCombine(uint64_t h, uint64_t v) {
 
 inline constexpr uint64_t kKeyHashSeed = 0x8f3a91c24b77d2e5ULL;
 
-/// Join-key hash of `cols` of `row` (seeded fold of per-cell hashes).
+/// The executor's key hash: the HashCombine fold of the CellHash of `cols`
+/// of `row`, from kKeyHashSeed. Join and group tables (KeyWordTable), bloom
+/// filters and Exchange buckets all use it.
 uint64_t RowKeyHash(const Row& row, const std::vector<int>& cols);
-
-/// Cell equality with the row-side join semantics: type-strict (int64 5
-/// never equals double 5.0), NULL == NULL, doubles bit-exact — exactly the
-/// pairs whose memcomparable encodings are equal.
-bool CellEquals(const Value& a, const Value& b);
 
 /// Seeded blocked-free bloom filter sized at ~10 bits/key (power-of-two
 /// bit count), probed with double hashing. Deterministic for a given
@@ -108,7 +138,9 @@ class RuntimeFilterBuilder {
  public:
   RuntimeFilterBuilder(size_t expected_keys, uint64_t seed);
 
-  void AddKey(const Row& row, const std::vector<int>& cols);
+  /// Adds a build key by its RowKeyHash. `int_key` is the key's value when
+  /// it is a single int64 column, else null, which disables the bounds.
+  void AddKey(uint64_t key_hash, const int64_t* int_key);
   std::shared_ptr<const RuntimeFilter> Finish();
 
  private:

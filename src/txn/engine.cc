@@ -543,9 +543,9 @@ Status TxnEngine::ResolveLocked(std::unique_lock<std::mutex>& lock,
     waiters_.erase(wit);
   }
   // Secondary index maintenance and abort undo touch table locks; do them
-  // outside the engine lock.
-  std::vector<TxnInfo::WriteRef> writes = info->writes;
-  if (!commit) info->writes.clear();
+  // outside the engine lock. Nothing reads a resolved transaction's writes,
+  // so its remembered TxnInfo pins none of its versions.
+  std::vector<TxnInfo::WriteRef> writes = std::move(info->writes);
   lock.unlock();
 
   if (commit) {

@@ -719,6 +719,67 @@ TEST(ColumnHashJoinTest, MatchesRowHashJoinAcrossJoinTypes) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 3u);
   for (const auto& r : *rows) EXPECT_EQ(r.size(), 4u);
+
+  // Double, short and long string, NULL and two-column probe keys, against
+  // build cells of mixed types: int64 5 never matches double 5.0 or "5",
+  // -0.0 (probe side only) never matches 0.0, NULL matches NULL, and a
+  // long string only one side has never matches.
+  const std::vector<Value> ints = {Value{}, int64_t{0}, int64_t{3},
+                                   int64_t{5}, int64_t{12}};
+  const std::vector<Value> doubles = {Value{}, 0.0, -0.0, 2.5, 5.0, 7.25};
+  const std::vector<Value> strings = {
+      Value{},           std::string(""),  std::string("a"),
+      std::string("5"),  std::string("exactly8"),
+      std::string("a long string key"),
+      std::string("a long string only the probe side has")};
+  ColumnIndex mixed(MixedSchema());
+  std::vector<RedoRecord> mixed_ops;
+  for (int64_t i = 0; i < 420; ++i) {
+    mixed_ops.push_back(InsRow({i, ints[i % 5], Value{i}, doubles[i % 6],
+                                Value{double(i)}, strings[i % 7],
+                                Value{"t" + std::to_string(i)}}));
+  }
+  mixed.ApplyCommit(100, mixed_ops);
+  const std::vector<Value> build_ints = {Value{}, int64_t{3}, int64_t{5},
+                                         5.0, std::string("5")};
+  const std::vector<Value> build_doubles = {Value{}, 0.0, 5.0, 7.25,
+                                            int64_t{7}};
+  const std::vector<Value> build_strings = {
+      Value{}, std::string(""), std::string("5"), std::string("exactly8"),
+      std::string("a long string key"),
+      std::string("a long string only the build side has"), int64_t{1}};
+  std::vector<Row> build;
+  for (int64_t j = 0; j < 70; ++j) {
+    build.push_back({build_ints[j % 5], build_doubles[(j * 3) % 5],
+                     build_strings[(j * 5) % 7], int64_t{1000 + j}});
+  }
+  // Projection (id, a, x, s): probe key positions 1, 2, 3 of the output.
+  const std::vector<int> projection = {0, 1, 3, 5};
+  const std::vector<std::pair<std::vector<int>, std::vector<int>>> keys = {
+      {{1}, {0}}, {{2}, {1}}, {{3}, {2}}, {{1, 3}, {0, 2}}, {{3, 2}, {2, 1}}};
+  for (const auto& [probe_keys, build_keys] : keys) {
+    for (JoinType type :
+         {JoinType::kInner, JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+      HashJoinOp row_join(
+          std::make_unique<ColumnScanOp>(&mixed, 100, nullptr, projection),
+          std::make_unique<ValuesOp>(build), probe_keys, build_keys, type);
+      auto want = Collect(&row_join);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      if (type == JoinType::kInner) {
+        EXPECT_FALSE(want->empty());
+      }
+      for (bool rf : {true, false}) {
+        ColumnHashJoinOp col_join(&mixed, 100, nullptr, projection,
+                                  probe_keys, std::make_unique<ValuesOp>(build),
+                                  build_keys, type, rf);
+        auto got = Collect(&col_join);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(RowSet(*got), RowSet(*want))
+            << "probe keys " << probe_keys.size() << " first "
+            << probe_keys[0] << " type " << int(type) << " rf " << rf;
+      }
+    }
+  }
 }
 
 TEST(ColumnHashJoinTest, RuntimeFilterFlagDoesNotChangeResults) {

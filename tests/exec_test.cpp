@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <random>
@@ -14,6 +15,7 @@
 #include "src/clock/hlc.h"
 #include "src/exec/expr.h"
 #include "src/exec/join_table.h"
+#include "src/exec/key_word_table.h"
 #include "src/exec/mpp.h"
 #include "src/exec/operator.h"
 #include "src/exec/scheduler.h"
@@ -266,30 +268,46 @@ std::vector<Row> NestedLoopJoin(const std::vector<Row>& probe,
   return out;
 }
 
-// HashJoinOp (hash -> row-index buckets verified with CellEquals) must
-// produce exactly the nested-loop join under the encoded-key semantics for
-// every join type, over keys mixing int64, double, string and NULL cells —
-// including the near-misses 5 vs 5.0 and -0.0 vs 0.0, which must not match.
+// HashJoinOp (a KeyWordTable over the build keys) must produce exactly the
+// nested-loop join under the encoded-key semantics for every join type,
+// over keys mixing int64, double, string and NULL cells — including the
+// near-misses 5 vs 5.0 and -0.0 vs 0.0, which must not match, and strings
+// of 8 bytes or more, which the table keeps in a dictionary; one of those
+// appears only on the probe side, so a probe cannot find it there.
 TEST(OperatorTest, HashJoinMatchesNestedLoopOracle) {
   const std::vector<Value> pool = {
       Value{},           int64_t{5},        5.0,
       0.0,               -0.0,              int64_t{0},
       int64_t{-1},       2.5,               std::string("5"),
-      std::string(""),   std::string("a"),  int64_t{7}};
+      std::string(""),   std::string("a"),  int64_t{7},
+      std::string("eight888"),              std::string("a long join key")};
+  std::vector<Value> probe_pool = pool;
+  probe_pool.push_back(std::string("only the probe side has this key"));
   std::mt19937_64 rng(20221);
-  auto random_rows = [&](size_t n, int64_t tag) {
+  auto random_rows = [&](const std::vector<Value>& from, size_t n,
+                         int64_t tag) {
     std::vector<Row> rows;
     for (size_t i = 0; i < n; ++i) {
-      rows.push_back({pool[rng() % pool.size()], pool[rng() % pool.size()],
+      rows.push_back({from[rng() % from.size()], from[rng() % from.size()],
                       tag * 1000 + int64_t(i)});
     }
     return rows;
   };
+  // One hash serves the join table, bloom filters and Exchange buckets.
+  KeyWordTable table(2);
+  std::vector<uint64_t> key(table.width());
+  for (const Value& a : probe_pool) {
+    for (const Value& b : probe_pool) {
+      const Row row = {a, b};
+      EXPECT_EQ(table.Encode(row, {0, 1}, key.data()), RowKeyHash(row, {0, 1}))
+          << ValueToString(a) << ", " << ValueToString(b);
+    }
+  }
   const std::vector<std::pair<std::vector<int>, std::vector<int>>> keys = {
       {{0}, {0}}, {{0, 1}, {0, 1}}, {{1, 0}, {0, 1}}, {{}, {}}};
   for (int round = 0; round < 8; ++round) {
-    std::vector<Row> probe = random_rows(60, 1);
-    std::vector<Row> build = random_rows(round == 0 ? 0 : 40, 2);
+    std::vector<Row> probe = random_rows(probe_pool, 60, 1);
+    std::vector<Row> build = random_rows(pool, round == 0 ? 0 : 40, 2);
     for (const auto& [pk, bk] : keys) {
       for (JoinType type : {JoinType::kInner, JoinType::kLeftSemi,
                             JoinType::kLeftAnti, JoinType::kLeftOuter}) {
@@ -340,49 +358,57 @@ class CountingValuesOp : public ValuesOp {
 // Seven joins sharing one JoinHashTable on a four-thread pool, the shape
 // of a broadcast join site in a 7-task MPP plan: the build child is opened
 // by exactly one join, every join publishes the same runtime filter into
-// its own slot, and each join's output equals a private-build join's.
+// its own slot, and each join's output equals a private-build join's. The
+// keys are int64s, then strings of 8 bytes or more, two thirds of which
+// the build lacks: probes look those up in the shared dictionary
+// concurrently and must neither find nor add them.
 TEST(OperatorTest, SharedJoinTableBuildsOnceForAllTasks) {
   constexpr int kTasks = 7;
-  std::vector<Row> build;
-  for (int64_t k = 0; k < 500; k += 3) build.push_back({k, k * 10});
-  auto probe_of = [](int task) {
-    std::vector<Row> rows;
-    for (int64_t k = task; k < 600; k += kTasks) rows.push_back({k});
-    return rows;
-  };
-  for (JoinType type : {JoinType::kInner, JoinType::kLeftSemi,
-                        JoinType::kLeftAnti, JoinType::kLeftOuter}) {
-    auto shared = std::make_shared<JoinHashTable>();
-    std::atomic<int> opens{0};
-    std::vector<std::shared_ptr<RuntimeFilterSlot>> slots(kTasks);
-    std::vector<Result<std::vector<Row>>> got(kTasks, std::vector<Row>{});
-    ThreadPool pool(4);
-    for (int t = 0; t < kTasks; ++t) {
-      pool.Submit([&, t] {
-        slots[t] = std::make_shared<RuntimeFilterSlot>();
-        slots[t]->key_cols = {0};
-        HashJoinOp join(std::make_unique<ValuesOp>(probe_of(t)),
-                        std::make_unique<CountingValuesOp>(build, &opens),
-                        {0}, {0}, type, /*build_width=*/2, shared);
-        join.SetRuntimeFilterSource(slots[t], build.size());
-        got[t] = Collect(&join);
-      });
-    }
-    pool.Wait();
-    EXPECT_EQ(opens.load(), 1) << "type " << int(type);
-    const bool filtered =
-        type == JoinType::kInner || type == JoinType::kLeftSemi;
-    EXPECT_EQ(shared->filter() != nullptr, filtered);
-    for (int t = 0; t < kTasks; ++t) {
-      ASSERT_TRUE(got[t].ok()) << got[t].status().ToString();
-      EXPECT_EQ(slots[t]->filter, filtered ? shared->filter() : nullptr);
-      HashJoinOp private_join(std::make_unique<ValuesOp>(probe_of(t)),
-                              std::make_unique<ValuesOp>(build), {0}, {0},
-                              type, 2);
-      auto want = Collect(&private_join);
-      ASSERT_TRUE(want.ok());
-      EXPECT_EQ(Canonical(*got[t]), Canonical(*want))
-          << "task " << t << " type " << int(type);
+  const std::vector<std::function<Value(int64_t)>> key_kinds = {
+      [](int64_t k) { return Value{k}; },
+      [](int64_t k) { return Value{"long join key " + std::to_string(k)}; }};
+  for (const auto& key_of : key_kinds) {
+    std::vector<Row> build;
+    for (int64_t k = 0; k < 500; k += 3) build.push_back({key_of(k), k * 10});
+    auto probe_of = [&](int task) {
+      std::vector<Row> rows;
+      for (int64_t k = task; k < 600; k += kTasks) rows.push_back({key_of(k)});
+      return rows;
+    };
+    for (JoinType type : {JoinType::kInner, JoinType::kLeftSemi,
+                          JoinType::kLeftAnti, JoinType::kLeftOuter}) {
+      auto shared = std::make_shared<JoinHashTable>();
+      std::atomic<int> opens{0};
+      std::vector<std::shared_ptr<RuntimeFilterSlot>> slots(kTasks);
+      std::vector<Result<std::vector<Row>>> got(kTasks, std::vector<Row>{});
+      ThreadPool pool(4);
+      for (int t = 0; t < kTasks; ++t) {
+        pool.Submit([&, t] {
+          slots[t] = std::make_shared<RuntimeFilterSlot>();
+          slots[t]->key_cols = {0};
+          HashJoinOp join(std::make_unique<ValuesOp>(probe_of(t)),
+                          std::make_unique<CountingValuesOp>(build, &opens),
+                          {0}, {0}, type, /*build_width=*/2, shared);
+          join.SetRuntimeFilterSource(slots[t], build.size());
+          got[t] = Collect(&join);
+        });
+      }
+      pool.Wait();
+      EXPECT_EQ(opens.load(), 1) << "type " << int(type);
+      const bool filtered =
+          type == JoinType::kInner || type == JoinType::kLeftSemi;
+      EXPECT_EQ(shared->filter() != nullptr, filtered);
+      for (int t = 0; t < kTasks; ++t) {
+        ASSERT_TRUE(got[t].ok()) << got[t].status().ToString();
+        EXPECT_EQ(slots[t]->filter, filtered ? shared->filter() : nullptr);
+        HashJoinOp private_join(std::make_unique<ValuesOp>(probe_of(t)),
+                                std::make_unique<ValuesOp>(build), {0}, {0},
+                                type, 2);
+        auto want = Collect(&private_join);
+        ASSERT_TRUE(want.ok());
+        EXPECT_EQ(Canonical(*got[t]), Canonical(*want))
+            << "task " << t << " type " << int(type);
+      }
     }
   }
 }

@@ -167,9 +167,9 @@ TEST(PaxosTest, LargeMtrBatchedInto16KbFrames) {
 TEST(PaxosTest, PipeliningBeatsStopAndWait) {
   // With ~1ms RTT, pipelined replication of N MTRs should converge much
   // faster than one-frame-at-a-time.
-  auto run = [](bool pipelining) {
+  auto run = [](size_t max_inflight) {
     PaxosConfig cfg;
-    cfg.pipelining = pipelining;
+    cfg.max_inflight = max_inflight;
     cfg.max_batch_bytes = 256;  // force many frames
     GroupFixture g(cfg);
     for (int i = 0; i < 50; ++i) g.leader->Append({TestRecord(1, i)});
@@ -179,8 +179,8 @@ TEST(PaxosTest, PipeliningBeatsStopAndWait) {
     }
     return g.sched.Now();
   };
-  sim::SimTime pipelined = run(true);
-  sim::SimTime stop_and_wait = run(false);
+  sim::SimTime pipelined = run(PaxosConfig{}.max_inflight);
+  sim::SimTime stop_and_wait = run(1);
   EXPECT_LT(pipelined * 3, stop_and_wait)
       << "pipelining must hide propagation delay";
 }

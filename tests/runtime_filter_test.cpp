@@ -56,15 +56,15 @@ TEST(BloomFilterTest, DefaultPassesAllSizedEmptyPassesNone) {
 
 TEST(CellHashTest, TypesNeverAlias) {
   // int64 5, double 5.0, string "5", and NULL must occupy disjoint hash
-  // values (their memcomparable encodings differ, so equality is false).
+  // values (their memcomparable encodings differ, so they are not one key),
+  // and so must the two zeros.
   Value i = int64_t{5}, d = 5.0, s = std::string("5"), n = Value{};
   EXPECT_NE(CellHash(i), CellHash(d));
   EXPECT_NE(CellHash(i), CellHash(s));
   EXPECT_NE(CellHash(i), CellHash(n));
   EXPECT_NE(CellHash(d), CellHash(s));
-  EXPECT_FALSE(CellEquals(i, d));
-  EXPECT_TRUE(CellEquals(n, Value{}));  // NULL == NULL, as in HashJoinOp
-  EXPECT_TRUE(CellEquals(i, Value{int64_t{5}}));
+  EXPECT_NE(CellHash(0.0), CellHash(-0.0));
+  EXPECT_EQ(CellHash(n), kNullCellHash);
 }
 
 TEST(RuntimeFilterTest, BoundsRejectBeforeBloom) {
@@ -88,7 +88,7 @@ TEST(RuntimeFilterTest, BoundsRejectBeforeBloom) {
 TEST(RuntimeFilterBuilderTest, SingleIntKeysGetBounds) {
   RuntimeFilterBuilder builder(8, kKeyHashSeed);
   for (int64_t k : {42, -7, 300}) {
-    builder.AddKey({Value{k}}, {0});
+    builder.AddKey(RowKeyHash({Value{k}}, {0}), &k);
   }
   auto rf = builder.Finish();
   EXPECT_TRUE(rf->has_bounds);
@@ -102,21 +102,23 @@ TEST(RuntimeFilterBuilderTest, SingleIntKeysGetBounds) {
 TEST(RuntimeFilterBuilderTest, BoundsDisabledWhenNotPureInt64) {
   // String key: no bounds, bloom still exact for inserted keys.
   RuntimeFilterBuilder strings(8, kKeyHashSeed);
-  strings.AddKey({Value{std::string("x")}}, {0});
+  strings.AddKey(RowKeyHash({Value{std::string("x")}}, {0}), nullptr);
   auto rf_s = strings.Finish();
   EXPECT_FALSE(rf_s->has_bounds);
   EXPECT_TRUE(rf_s->TestRow({Value{std::string("x")}}, {0}));
 
   // Multi-column key: no bounds.
   RuntimeFilterBuilder multi(8, kKeyHashSeed);
-  multi.AddKey({Value{int64_t{1}}, Value{int64_t{2}}}, {0, 1});
+  multi.AddKey(RowKeyHash({Value{int64_t{1}}, Value{int64_t{2}}}, {0, 1}),
+               nullptr);
   EXPECT_FALSE(multi.Finish()->has_bounds);
 
   // A NULL among int64 keys: bounds must be dropped (the NULL carries no
   // order), but the NULL key itself must still pass the bloom.
   RuntimeFilterBuilder with_null(8, kKeyHashSeed);
-  with_null.AddKey({Value{int64_t{5}}}, {0});
-  with_null.AddKey({Value{}}, {0});
+  const int64_t five = 5;
+  with_null.AddKey(RowKeyHash({Value{five}}, {0}), &five);
+  with_null.AddKey(RowKeyHash({Value{}}, {0}), nullptr);
   auto rf_n = with_null.Finish();
   EXPECT_FALSE(rf_n->has_bounds);
   EXPECT_TRUE(rf_n->TestRow({Value{}}, {0}));

@@ -334,6 +334,24 @@ TEST(TxnEngineTest, VacuumForgetsOldTransactionsButKeepsData) {
   EXPECT_EQ(f.Get(1), "b");
 }
 
+// A resolved transaction pins none of its versions: once a newer version
+// supersedes one, MvccTable::Vacuum frees it while the engine still
+// remembers the transaction that wrote it.
+TEST(TxnEngineTest, ResolvedTxnPinsNoVersions) {
+  EngineFixture f;
+  TxnId first = f.engine.Begin();
+  ASSERT_TRUE(f.engine.Upsert(first, f.table_id, f.MakeRow(1, "a")).ok());
+  ASSERT_TRUE(f.engine.CommitLocal(first).ok());
+  MvccTable& rows = f.catalog.FindTable(f.table_id)->rows();
+  std::weak_ptr<Version> superseded = rows.Head(f.Key(1));
+  f.now_ms += 100;
+  f.Put(1, "b");
+  ASSERT_TRUE(f.engine.InfoOf(first).ok());
+  EXPECT_EQ(rows.Vacuum(f.hlc.Now()), 1u);
+  EXPECT_TRUE(superseded.expired());
+  EXPECT_EQ(f.Get(1), "b");
+}
+
 TEST(TxnEngineTest, RedoStreamRecordsOperations) {
   EngineFixture f;
   f.Put(1, "a");
