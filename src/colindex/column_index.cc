@@ -753,10 +753,10 @@ void HashKeyColumns(const std::vector<ColumnVector>& data,
 }
 
 /// Sets `keys` to the words of `key_cols` of each selected row as keys of
-/// `table`, table.width() per row, and `hashes` to their RowKeyHash, a
-/// column at a time. A const `table` is probed: a long string missing from
-/// its dictionary gets a word no key holds.
-template <typename Table>
+/// `table`, table.width() per row, and (if kHash) `hashes` to their
+/// RowKeyHash, a column at a time. A const `table` is probed: a long string
+/// missing from its dictionary gets a word no key holds.
+template <bool kHash, typename Table>
 void EncodeKeyColumns(const std::vector<ColumnVector>& data,
                       const std::vector<int>& key_cols,
                       const std::vector<uint32_t>& selection, Table& table,
@@ -764,7 +764,7 @@ void EncodeKeyColumns(const std::vector<ColumnVector>& data,
                       std::vector<uint64_t>* hashes) {
   const size_t width = table.width();
   keys->assign(selection.size() * width, 0);
-  hashes->assign(selection.size(), kKeyHashSeed);
+  if (kHash) hashes->assign(selection.size(), kKeyHashSeed);
   for (size_t k = 0; k < key_cols.size(); ++k) {
     const ColumnVector& col = data[key_cols[k]];
     for (size_t i = 0; i < selection.size(); ++i) {
@@ -774,21 +774,21 @@ void EncodeKeyColumns(const std::vector<ColumnVector>& data,
       if (!col.nulls[r]) {
         if (col.type == ValueType::kInt64) {
           key[k] = uint64_t(col.ints[r]);
-          cell = Int64CellHash(col.ints[r]);
+          if (kHash) cell = Int64CellHash(col.ints[r]);
         } else if (col.type == ValueType::kDouble) {
           std::memcpy(&key[k], &col.doubles[r], sizeof(double));
-          cell = DoubleCellHash(col.doubles[r]);
+          if (kHash) cell = DoubleCellHash(col.doubles[r]);
         } else {
           if constexpr (std::is_const_v<Table>) {
             key[k] = table.ProbeStringWord(k, col.strings[r]);
           } else {
             key[k] = table.StringWord(k, col.strings[r]);
           }
-          cell = StringCellHash(col.strings[r]);
+          if (kHash) cell = StringCellHash(col.strings[r]);
         }
         table.SetTag(key, k, col.type);
       }
-      (*hashes)[i] = HashCombine((*hashes)[i], cell);
+      if (kHash) (*hashes)[i] = HashCombine((*hashes)[i], cell);
     }
   }
 }
@@ -800,22 +800,28 @@ void ColumnIndex::EncodeKeys(const std::vector<int>& key_cols,
                              KeyWordTable* table, std::vector<uint64_t>* keys,
                              std::vector<uint64_t>* hashes) const {
   std::shared_lock lock(mu_);
-  EncodeKeyColumns(data_, key_cols, selection, *table, keys, hashes);
+  EncodeKeyColumns<true>(data_, key_cols, selection, *table, keys, hashes);
 }
 
 void ColumnIndex::EncodeKeys(const std::vector<int>& key_cols,
                              const std::vector<uint32_t>& selection,
                              const KeyWordTable& table,
                              std::vector<uint64_t>* keys,
-                             std::vector<uint64_t>* hashes) const {
+                             std::vector<uint64_t>* hashes,
+                             bool hashed) const {
   std::shared_lock lock(mu_);
-  EncodeKeyColumns(data_, key_cols, selection, table, keys, hashes);
+  if (hashed) {
+    EncodeKeyColumns<false>(data_, key_cols, selection, table, keys, hashes);
+  } else {
+    EncodeKeyColumns<true>(data_, key_cols, selection, table, keys, hashes);
+  }
 }
 
 void ColumnIndex::FilterSelection(const RuntimeFilter& rf,
                                   const std::vector<int>& key_cols,
                                   std::vector<uint32_t>* selection,
-                                  uint64_t* tested, uint64_t* dropped) const {
+                                  uint64_t* tested, uint64_t* dropped,
+                                  std::vector<uint64_t>* kept_hashes) const {
   std::shared_lock lock(mu_);
   std::vector<uint64_t> hashes;
   HashKeyColumns(data_, key_cols, *selection, &hashes);
@@ -831,11 +837,18 @@ void ColumnIndex::FilterSelection(const RuntimeFilter& rf,
     const bool pass = ints != nullptr && !ints->nulls[r]
                           ? rf.TestKey(ints->ints[r], hashes[i])
                           : rf.TestHash(hashes[i]);
-    if (pass) (*selection)[kept++] = r;
+    if (pass) {
+      (*selection)[kept] = r;
+      hashes[kept++] = hashes[i];
+    }
   }
   *tested = selection->size();
   *dropped = selection->size() - kept;
   selection->resize(kept);
+  if (kept_hashes != nullptr) {
+    hashes.resize(kept);
+    kept_hashes->swap(hashes);
+  }
 }
 
 ColumnAggOp::ColumnAggOp(const ColumnIndex* index, Timestamp snapshot_ts,
@@ -1003,10 +1016,9 @@ ColumnHashJoinOp::ColumnHashJoinOp(const ColumnIndex* index,
                                    Timestamp snapshot_ts, ExprPtr probe_filter,
                                    std::vector<int> projection,
                                    std::vector<int> probe_keys,
-                                   OperatorPtr build,
+                                   JoinBuild build,
                                    std::vector<int> build_keys, JoinType type,
-                                   bool use_runtime_filter, RowRange range,
-                                   std::shared_ptr<JoinHashTable> shared)
+                                   bool use_runtime_filter, RowRange range)
     : index_(index),
       snapshot_ts_(snapshot_ts),
       probe_filter_(std::move(probe_filter)),
@@ -1015,9 +1027,7 @@ ColumnHashJoinOp::ColumnHashJoinOp(const ColumnIndex* index,
       build_keys_(std::move(build_keys)),
       type_(type),
       use_runtime_filter_(use_runtime_filter),
-      range_(range),
-      table_(shared != nullptr ? std::move(shared)
-                               : std::make_shared<JoinHashTable>()) {
+      range_(range) {
   probe_key_cols_.reserve(probe_keys.size());
   for (int k : probe_keys) {
     probe_key_cols_.push_back(projection_.empty() ? k : projection_[k]);
@@ -1035,20 +1045,23 @@ Status ColumnHashJoinOp::Open() {
   const bool prune =
       use_runtime_filter_ &&
       (type_ == JoinType::kInner || type_ == JoinType::kLeftSemi);
-  POLARX_RETURN_NOT_OK(table_->Build(build_.get(), build_keys_, prune));
+  JoinHashTable& table = *build_.table;
+  POLARX_RETURN_NOT_OK(table.Build(build_.num_slices, build_.slice,
+                                   build_keys_, prune));
 
   index_->BuildSelection(snapshot_ts_, probe_filter_, &selection_, range_);
-  const JoinHashTable& table = *table_;
   std::vector<uint64_t> keys, hashes;
-  if (prune && table.filter() != nullptr) {
-    // Filtering on the hashes first spares the dropped rows their words.
+  const bool filtered = prune && table.filter() != nullptr;
+  if (filtered) {
+    // Filtering on the hashes first spares the dropped rows their words;
+    // the survivors keep their hashes for the lookups.
     uint64_t tested = 0, dropped = 0;
     index_->FilterSelection(*table.filter(), probe_key_cols_, &selection_,
-                            &tested, &dropped);
+                            &tested, &dropped, &hashes);
     AddScanFilterStats(tested, dropped);
   }
   index_->EncodeKeys(probe_key_cols_, selection_, table.keys(), &keys,
-                     &hashes);
+                     &hashes, /*hashed=*/filtered);
   matches_.resize(selection_.size());
   for (size_t i = 0; i < selection_.size(); ++i) {
     matches_[i] =
@@ -1069,7 +1082,7 @@ Status ColumnHashJoinOp::Next(Batch* out) {
   // slots).
   hits_.clear();
   hit_build_.clear();
-  const JoinHashTable& table = *table_;
+  const JoinHashTable& table = *build_.table;
   while (pos_ < selection_.size() && hits_.size() < kExecBatchSize) {
     const uint32_t rowid = selection_[pos_];
     uint32_t match = matches_[pos_];

@@ -151,19 +151,22 @@ class ColumnIndex {
                   std::vector<uint64_t>* keys,
                   std::vector<uint64_t>* hashes) const;
   /// EncodeKeys for probes of `table`, which stays unchanged (as with
-  /// KeyWordTable::EncodeProbe).
+  /// KeyWordTable::EncodeProbe). With `hashed` set, `hashes` already holds
+  /// each selected row's RowKeyHash (FilterSelection's) and is kept.
   void EncodeKeys(const std::vector<int>& key_cols,
                   const std::vector<uint32_t>& selection,
                   const KeyWordTable& table, std::vector<uint64_t>* keys,
-                  std::vector<uint64_t>* hashes) const;
+                  std::vector<uint64_t>* hashes, bool hashed = false) const;
 
   /// Drops the selected rows whose `key_cols` fail `rf` (int64 bounds, then
   /// bloom on the RowKeyHash) from `selection`, hashing a column at a time;
-  /// `tested`/`dropped` count them for the ablation counters.
+  /// `tested`/`dropped` count them for the ablation counters. When given,
+  /// `kept_hashes` gets the RowKeyHash of each row kept, in selection order.
   void FilterSelection(const RuntimeFilter& rf,
                        const std::vector<int>& key_cols,
                        std::vector<uint32_t>* selection, uint64_t* tested,
-                       uint64_t* dropped) const;
+                       uint64_t* dropped,
+                       std::vector<uint64_t>* kept_hashes = nullptr) const;
 
   const ColumnVector& column(int i) const { return data_[i]; }
 
@@ -271,15 +274,13 @@ class ColumnHashJoinOp : public Operator {
   /// `use_runtime_filter` is set (inner/semi only), the build side's bloom
   /// + min/max bounds prune the probe selection before materialization.
   /// Only index rows in `range` are probed; the build side is read whole.
-  /// `shared` is a build table shared with the joins of the other MPP
-  /// tasks, as for HashJoinOp; null gives the join a private one.
+  /// `build` is one operator or a shared table's slices, as for HashJoinOp.
   ColumnHashJoinOp(const ColumnIndex* index, Timestamp snapshot_ts,
                    ExprPtr probe_filter, std::vector<int> projection,
-                   std::vector<int> probe_keys, OperatorPtr build,
+                   std::vector<int> probe_keys, JoinBuild build,
                    std::vector<int> build_keys,
                    JoinType type = JoinType::kInner,
-                   bool use_runtime_filter = true, RowRange range = {},
-                   std::shared_ptr<JoinHashTable> shared = nullptr);
+                   bool use_runtime_filter = true, RowRange range = {});
 
   Status Open() override;
   Status Next(Batch* out) override;
@@ -291,12 +292,11 @@ class ColumnHashJoinOp : public Operator {
   ExprPtr probe_filter_;
   std::vector<int> projection_;
   std::vector<int> probe_key_cols_;  // probe keys as index column positions
-  OperatorPtr build_;
+  JoinBuild build_;
   std::vector<int> build_keys_;
   JoinType type_;
   bool use_runtime_filter_;
   RowRange range_;
-  std::shared_ptr<JoinHashTable> table_;
   std::vector<uint32_t> selection_;
   std::vector<uint32_t> matches_;  // first matching build row per selected row
   size_t pos_ = 0;

@@ -1,33 +1,48 @@
 #include "src/exec/join_table.h"
 
+#include <iterator>
 #include <optional>
 
 #include "src/exec/operator.h"
 
 namespace polarx {
 
-Status JoinHashTable::Build(Operator* build,
+Status JoinHashTable::Build(int num_slices, const BuildSliceFactory& slice,
                             const std::vector<int>& build_keys,
                             bool with_filter, size_t filter_keys) {
-  std::call_once(once_, [&] {
-    status_ = Fill(build, build_keys, with_filter, filter_keys);
-  });
-  return status_;
+  return slices_.Run(
+      num_slices,
+      [&](int s, std::vector<Row>* chunk) {
+        OperatorPtr build = slice(s);
+        POLARX_RETURN_NOT_OK(build->Open());
+        Batch batch;
+        for (;;) {
+          POLARX_RETURN_NOT_OK(build->Next(&batch));
+          if (batch.empty()) break;
+          for (auto& row : batch.rows) chunk->push_back(std::move(row));
+        }
+        build->Close();
+        return Status::Ok();
+      },
+      [&](std::vector<std::vector<Row>>* chunks) {
+        return Fill(chunks, build_keys, with_filter, filter_keys);
+      });
 }
 
-Status JoinHashTable::Fill(Operator* build,
+Status JoinHashTable::Fill(std::vector<std::vector<Row>>* chunks,
                            const std::vector<int>& build_keys,
                            bool with_filter, size_t filter_keys) {
-  POLARX_RETURN_NOT_OK(build->Open());
-  Batch batch;
-  for (;;) {
-    POLARX_RETURN_NOT_OK(build->Next(&batch));
-    if (batch.empty()) break;
-    for (auto& row : batch.rows) rows_.push_back(std::move(row));
-  }
-  build->Close();
-  if (rows_.size() >= kNoRow) {
+  size_t total = 0;
+  for (const auto& chunk : *chunks) total += chunk.size();
+  if (total >= kNoRow) {
     return Status::NotSupported("JoinHashTable: build side too large");
+  }
+  rows_ = std::move(chunks->front());
+  rows_.reserve(total);
+  for (size_t c = 1; c < chunks->size(); ++c) {
+    std::vector<Row> chunk = std::move((*chunks)[c]);
+    rows_.insert(rows_.end(), std::make_move_iterator(chunk.begin()),
+                 std::make_move_iterator(chunk.end()));
   }
 
   const uint32_t n = uint32_t(rows_.size());

@@ -6,19 +6,23 @@
 // same key, so a probe walks exactly its matches, in build order, with no
 // candidate to verify.
 //
-// A table is built at most once and is read-only afterwards, so one table
-// can serve many probers. The MPP plan builder hands the same table to the
-// join of every task of a broadcast join site (DESIGN.md §9): the first task
-// to open the join drains its build child into the table while the other
-// tasks wait, then all of them probe it concurrently without locks.
+// A table is built from S slices of its build side, at most once, and is
+// read-only afterwards, so one table can serve many probers. The MPP plan
+// builder hands the same table to the join of every task of a broadcast
+// join site, with S = the number of tasks (DESIGN.md §9): each task that
+// opens the join drains the slices nobody has claimed yet, waits for the
+// ones other tasks are draining, and then all of them probe the table
+// concurrently without locks. A private join is the same code with one
+// slice.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/exec/cooperative_runs.h"
 #include "src/exec/key_word_table.h"
 #include "src/exec/runtime_filter.h"
 #include "src/storage/value.h"
@@ -27,18 +31,30 @@ namespace polarx {
 
 class Operator;
 
+/// Makes slice `slice` of a join's build side. The slices of one build
+/// side are disjoint, and in slice order they are the whole build side in
+/// build order.
+using BuildSliceFactory =
+    std::function<std::unique_ptr<Operator>(int slice)>;
+
 class JoinHashTable {
  public:
   static constexpr uint32_t kNoRow = UINT32_MAX;
 
-  /// Drains `build` (Open, Next until empty, Close) into the table on the
-  /// first call; every other call, from any thread, waits for that build
-  /// and returns its Status without touching its own `build`. A failed
-  /// build's Status is kept and returned to every caller. `with_filter`
-  /// also summarizes the `build_keys` of every row into a runtime filter
-  /// whose bloom is sized for `filter_keys` keys (0 = the build row count).
-  Status Build(Operator* build, const std::vector<int>& build_keys,
-               bool with_filter, size_t filter_keys = 0);
+  /// Fills the table from `num_slices` slices of the build side, once.
+  /// Each caller, from any thread, claims the slices nobody has claimed,
+  /// makes each with `slice` and drains it (Open, Next until empty, Close)
+  /// into the slice's row chunk, then waits for the slices other callers
+  /// claimed. The caller that drains the last slice numbers the keys over
+  /// the chunks in slice order, so the table equals a one-slice build of
+  /// the same rows. A failed slice's Status is kept and returned to every
+  /// caller, now and later. `with_filter` also summarizes the `build_keys`
+  /// of every row into a runtime filter whose bloom is sized for
+  /// `filter_keys` keys (0 = the build row count). All callers pass the
+  /// same arguments, and `slice` factories that make the same slices.
+  Status Build(int num_slices, const BuildSliceFactory& slice,
+               const std::vector<int>& build_keys, bool with_filter,
+               size_t filter_keys = 0);
 
   // ---- read-only after Build() returned Ok ----
 
@@ -61,11 +77,11 @@ class JoinHashTable {
   uint32_t Next(uint32_t i) const { return next_[i]; }
 
  private:
-  Status Fill(Operator* build, const std::vector<int>& build_keys,
-              bool with_filter, size_t filter_keys);
+  Status Fill(std::vector<std::vector<Row>>* chunks,
+              const std::vector<int>& build_keys, bool with_filter,
+              size_t filter_keys);
 
-  std::once_flag once_;
-  Status status_;
+  CooperativeRuns<std::vector<Row>> slices_;  // one row chunk per slice
   std::vector<Row> rows_;
   KeyWordTable keys_{0};
   std::vector<uint32_t> first_;  // first build row of each key id

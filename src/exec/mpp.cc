@@ -65,41 +65,17 @@ std::vector<TableStore*> MppExecutor::ShardsForTask(
 
 Result<std::vector<Row>> Exchange::Take(int task, int num_tasks,
                                         const ProducerFactory& producer) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (num_tasks_ == 0) {
-      num_tasks_ = num_tasks;
-      out_.resize(size_t(num_tasks));
-    } else if (num_tasks != num_tasks_) {
-      return Status::InvalidArgument("Exchange: consumers disagree on N");
-    }
-  }
-  // Claim and run producers until none is left unclaimed.
-  for (;;) {
-    int p;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (next_producer_ == num_tasks_) break;
-      p = next_producer_++;
-    }
-    std::vector<std::vector<Row>> buckets(static_cast<size_t>(num_tasks));
-    OperatorPtr fragment = producer(p);
-    Status s = Produce(fragment.get(), num_tasks, &buckets);
-    fragment.reset();
-    std::lock_guard<std::mutex> lock(mu_);
-    out_[size_t(p)] = std::move(buckets);
-    if (!s.ok() && status_.ok()) status_ = std::move(s);
-    if (++done_producers_ == num_tasks_) done_cv_.notify_all();
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return done_producers_ == num_tasks_; });
-    if (!status_.ok()) return status_;
-  }
-  // out_ is final now; each consumer moves out only its own bucket.
-  std::vector<Row> rows = std::move(out_[0][size_t(task)]);
-  for (size_t p = 1; p < out_.size(); ++p) {
-    std::vector<Row>& bucket = out_[p][size_t(task)];
+  POLARX_RETURN_NOT_OK(producers_.Run(
+      num_tasks, [&](int p, std::vector<std::vector<Row>>* buckets) {
+        buckets->resize(size_t(num_tasks));
+        OperatorPtr fragment = producer(p);
+        return Produce(fragment.get(), num_tasks, buckets);
+      }));
+  // Every producer ran; each consumer moves out only its own bucket.
+  auto& out = producers_.outputs();
+  std::vector<Row> rows = std::move(out[0][size_t(task)]);
+  for (size_t p = 1; p < out.size(); ++p) {
+    std::vector<Row>& bucket = out[p][size_t(task)];
     rows.insert(rows.end(), std::make_move_iterator(bucket.begin()),
                 std::make_move_iterator(bucket.end()));
   }

@@ -14,6 +14,7 @@
 
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
+#include "src/exec/cooperative_runs.h"
 #include "src/exec/operator.h"
 
 namespace polarx {
@@ -49,7 +50,8 @@ class MppExecutor {
   /// What does cross task boundaries is read-only after publish: a join
   /// whose build side every task reads in full may share one
   /// JoinHashTable, and with it the runtime filter, with the same join in
-  /// the other tasks; the first task builds it, the rest wait and probe.
+  /// the other tasks; the tasks drain its build slices between them, then
+  /// all probe it.
   /// Pruning shrinks the per-task output gathered here (see
   /// last_gathered_rows()), not just join-local work.
   Result<std::vector<Row>> RunPartialFinal(
@@ -79,8 +81,8 @@ using ProducerFactory = std::function<OperatorPtr(int producer)>;
 /// so rows with equal keys, from any producer, meet in one task.
 ///
 /// There are no dedicated producer threads. Each consumer's Take() first
-/// claims unclaimed producer indices from a shared counter and runs them
-/// inline, then waits until every producer is done. A consumer only ever
+/// claims unclaimed producer indices and runs them inline, then waits
+/// until every producer is done (CooperativeRuns). A consumer only ever
 /// waits on producers that a running consumer claimed, so N consumers on
 /// a pool of fewer threads cannot deadlock (a barrier across the consumers
 /// would). One exchange serves one execution of one plan.
@@ -108,13 +110,8 @@ class Exchange {
                  std::vector<std::vector<Row>>* buckets) const;
 
   const std::vector<int> keys_;
-  std::mutex mu_;
-  std::condition_variable done_cv_;
-  int num_tasks_ = 0;      // fixed by the first Take()
-  int next_producer_ = 0;  // next unclaimed producer index
-  int done_producers_ = 0;
-  Status status_;  // first producer failure
-  std::vector<std::vector<std::vector<Row>>> out_;  // [producer][bucket]
+  // Producer p's output: its rows by bucket.
+  CooperativeRuns<std::vector<std::vector<Row>>> producers_;
 };
 
 /// Leaf of a final stage: emits bucket `task` of `exchange` in batches.

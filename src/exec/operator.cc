@@ -180,19 +180,21 @@ Status ProjectOp::Next(Batch* out) {
 
 // ------------------------------------------------------------- HashJoin --
 
-HashJoinOp::HashJoinOp(OperatorPtr probe, OperatorPtr build,
+BuildSliceFactory JoinBuild::OneSlice(OperatorPtr build) {
+  auto only = std::make_shared<OperatorPtr>(std::move(build));
+  return [only](int) { return std::move(*only); };
+}
+
+HashJoinOp::HashJoinOp(OperatorPtr probe, JoinBuild build,
                        std::vector<int> probe_keys,
                        std::vector<int> build_keys, JoinType type,
-                       size_t build_width,
-                       std::shared_ptr<JoinHashTable> shared)
+                       size_t build_width)
     : probe_(std::move(probe)),
       build_(std::move(build)),
       probe_keys_(std::move(probe_keys)),
       build_keys_(std::move(build_keys)),
       type_(type),
-      build_width_(build_width),
-      table_(shared != nullptr ? std::move(shared)
-                               : std::make_shared<JoinHashTable>()) {}
+      build_width_(build_width) {}
 
 Status HashJoinOp::Open() {
   // Runtime filters never attach to anti/outer probes: a pruned probe row
@@ -200,18 +202,19 @@ Status HashJoinOp::Open() {
   const bool emit_rf =
       rf_slot_ != nullptr &&
       (type_ == JoinType::kInner || type_ == JoinType::kLeftSemi);
-  POLARX_RETURN_NOT_OK(
-      table_->Build(build_.get(), build_keys_, emit_rf, rf_expected_keys_));
+  JoinHashTable& table = *build_.table;
+  POLARX_RETURN_NOT_OK(table.Build(build_.num_slices, build_.slice,
+                                   build_keys_, emit_rf, rf_expected_keys_));
   // Publish before opening the probe: the probe-side scan reads the slot
   // at its own Open()/Next(), strictly after this point.
-  if (emit_rf) rf_slot_->filter = table_->filter();
-  probe_key_.resize(table_->keys().width());
+  if (emit_rf) rf_slot_->filter = table.filter();
+  probe_key_.resize(table.keys().width());
   return probe_->Open();
 }
 
 Status HashJoinOp::Next(Batch* out) {
   out->rows.clear();
-  const JoinHashTable& table = *table_;
+  const JoinHashTable& table = *build_.table;
   uint64_t probed = 0;
   while (out->rows.size() < kExecBatchSize) {
     if (probe_pos_ >= pending_probe_.rows.size()) {
@@ -273,6 +276,13 @@ LookupJoinOp::LookupJoinOp(OperatorPtr probe,
       snapshot_ts_(snapshot_ts),
       type_(type) {}
 
+Status LookupJoinOp::Open() {
+  if (type_ == JoinType::kLeftOuter) {
+    return Status::NotSupported("LookupJoinOp: left outer join");
+  }
+  return probe_->Open();
+}
+
 Status LookupJoinOp::Next(Batch* out) {
   out->rows.clear();
   Batch in;
@@ -302,6 +312,8 @@ Status LookupJoinOp::Next(Batch* out) {
           break;
         case JoinType::kLeftAnti:
           if (!found) out->rows.push_back(std::move(probe_row));
+          break;
+        case JoinType::kLeftOuter:  // refused by Open()
           break;
       }
     }

@@ -144,20 +144,43 @@ class ProjectOp : public Operator {
 
 enum class JoinType { kInner, kLeftSemi, kLeftAnti, kLeftOuter };
 
+/// The build side of one hash join: the table the join fills and probes,
+/// and the slices that fill it (JoinHashTable::Build).
+struct JoinBuild {
+  /// A build side read by this join alone: a private table and one slice,
+  /// `build` itself.
+  template <typename Op>
+  JoinBuild(std::unique_ptr<Op> build)  // NOLINT: implicit on purpose
+      : table(std::make_shared<JoinHashTable>()),
+        num_slices(1),
+        slice(OneSlice(std::move(build))) {}
+  /// A build side in `num_slices` slices made by `slice`, into `table`,
+  /// which the joins of every task of one MPP join site share.
+  JoinBuild(std::shared_ptr<JoinHashTable> table, int num_slices,
+            BuildSliceFactory slice)
+      : table(std::move(table)),
+        num_slices(num_slices),
+        slice(std::move(slice)) {}
+
+  std::shared_ptr<JoinHashTable> table;
+  int num_slices;
+  BuildSliceFactory slice;
+
+ private:
+  static BuildSliceFactory OneSlice(OperatorPtr build);
+};
+
 /// In-memory hash join: builds on the right child, probes with the left.
 /// Output rows are probe columns followed by build columns (inner/outer
 /// joins). Empty key vectors make this a cross/scalar join (all rows match).
 class HashJoinOp : public Operator {
  public:
   /// `build_width` is required for kLeftOuter (NULL-pad width when the
-  /// build side has no match); ignored otherwise. `shared` is the build
-  /// table of a join site whose build side every MPP task reads in full:
-  /// the first join to open builds it from its own `build` child, the
-  /// others wait and probe it. Null gives the join a private table.
-  HashJoinOp(OperatorPtr probe, OperatorPtr build,
+  /// build side has no match); ignored otherwise. `build` is one operator
+  /// (a private table) or the sliced build side of a shared table.
+  HashJoinOp(OperatorPtr probe, JoinBuild build,
              std::vector<int> probe_keys, std::vector<int> build_keys,
-             JoinType type = JoinType::kInner, size_t build_width = 0,
-             std::shared_ptr<JoinHashTable> shared = nullptr);
+             JoinType type = JoinType::kInner, size_t build_width = 0);
 
   /// Makes this join the source of a runtime filter: Open() summarizes
   /// every build-side key into a bloom + bounds filter and publishes it on
@@ -175,13 +198,13 @@ class HashJoinOp : public Operator {
   void Close() override { probe_->Close(); }
 
  private:
-  OperatorPtr probe_, build_;
+  OperatorPtr probe_;
+  JoinBuild build_;
   std::vector<int> probe_keys_, build_keys_;
   JoinType type_;
   size_t build_width_;
   std::shared_ptr<RuntimeFilterSlot> rf_slot_;
   size_t rf_expected_keys_ = 0;
-  std::shared_ptr<JoinHashTable> table_;
   std::vector<uint64_t> probe_key_;  // reused per probe row
   // carry-over state when one probe row matches many build rows
   Batch pending_probe_;
@@ -203,7 +226,8 @@ class LookupJoinOp : public Operator {
       : LookupJoinOp(std::move(probe), std::vector<TableStore*>{inner},
                      std::move(key_exprs), snapshot_ts, type) {}
 
-  Status Open() override { return probe_->Open(); }
+  /// Refuses kLeftOuter, which it does not implement.
+  Status Open() override;
   Status Next(Batch* out) override;
   void Close() override { probe_->Close(); }
 

@@ -104,6 +104,7 @@ class BloomFilter {
   bool MightContain(uint64_t key_hash) const;
 
   size_t bit_count() const { return words_.size() * 64; }
+  bool operator==(const BloomFilter&) const = default;
 
  private:
   std::vector<uint64_t> words_;

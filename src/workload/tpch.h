@@ -139,9 +139,9 @@ struct ScanOptions {
 /// their merge only concatenates, merges top-N lists or runs a small join.
 /// Column-index slice boundaries are read when the plan is built, so all
 /// fragments of one plan share them. So are the build tables of its
-/// broadcast joins (each is built by the first fragment to open that join
-/// and probed read-only by the rest) and its exchanges, which makes a plan
-/// good for one execution with one set of ScanOptions.
+/// broadcast joins (the fragments that open such a join drain its build
+/// slices between them, then all probe it read-only) and its exchanges,
+/// which makes a plan good for one execution with one set of ScanOptions.
 struct TpchPlan {
   std::function<OperatorPtr(const ScanOptions&)> fragment;
   std::function<OperatorPtr(OperatorPtr)> merge;

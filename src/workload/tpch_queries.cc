@@ -15,12 +15,17 @@
 // merge only concatenates, merges top-N lists or runs a small join. With
 // one task the exchange passes its one producer's rows straight through.
 //
-// Every fragment join whose build side reads only broadcast scans gets a
+// Every fragment join whose build side each task would read in full gets a
 // build table (SharedBuild) created with the plan and captured by its
-// fragment factory, so the join's hash table and runtime filter are built
-// once per query and probed read-only by every task. A join whose build
-// side reads the task's partition (Q4's semi-join) keeps a private table.
-// Exchanges are created and captured the same way.
+// fragment factory. The build side is cut into one slice per task, the way
+// an exchange has one producer per task: slice s is the build subtree run
+// with the ScanOptions of task s, whose driving scan reads task s's share
+// of its table (QB::SlicedBuild). Every task that opens the join drains the
+// slices nobody has claimed yet, so the tasks build the join's hash table
+// and runtime filter together, once per query, and then all probe it
+// read-only. A join whose build side is the task's own partition (Q4's
+// semi-join) keeps a private one-slice table. Exchanges are created and
+// captured the same way.
 #include <cassert>
 
 #include "src/optimizer/cost.h"
@@ -128,14 +133,12 @@ struct QB {
   ///    filter into the probe scan through a shared RuntimeFilterSlot.
   /// `probe_keys` index the projected scan output; `build_rows_est` is the
   /// build side's estimated cardinality after its own filters and
-  /// `build_base_rows` its base-table row count (0 when unknown). `shared`
-  /// is the join site's build table (`build` reads only broadcast scans).
+  /// `build_base_rows` its base-table row count (0 when unknown).
   OperatorPtr ScanJoin(Table t, const ScanOptions& o, ExprPtr scan_filter,
                        std::vector<int> proj, std::vector<int> probe_keys,
-                       OperatorPtr build, std::vector<int> build_keys,
+                       JoinBuild build, std::vector<int> build_keys,
                        JoinType type, double build_rows_est,
-                       double build_base_rows,
-                       const SharedBuild& shared) const {
+                       double build_base_rows) const {
     double probe_rows_est = double(db->row_count(t)) / o.num_tasks;
     const bool attach =
         o.runtime_filters &&
@@ -147,7 +150,7 @@ struct QB {
       return std::make_unique<ColumnHashJoinOp>(
           db->column_index(t), snap, std::move(scan_filter), std::move(proj),
           std::move(probe_keys), std::move(build), std::move(build_keys),
-          type, attach, Slice(t, o, /*partition=*/true), shared);
+          type, attach, Slice(t, o, /*partition=*/true));
     }
     auto scan = Scan(t, o, /*partition=*/true, std::move(scan_filter),
                      std::move(proj));
@@ -163,7 +166,7 @@ struct QB {
     }
     auto join = std::make_unique<HashJoinOp>(
         std::move(scan), std::move(build), std::move(probe_keys),
-        std::move(build_keys), type, /*build_width=*/0, shared);
+        std::move(build_keys), type);
     if (slot != nullptr) {
       join->SetRuntimeFilterSource(std::move(slot),
                                    size_t(build_rows_est) + 16);
@@ -185,25 +188,41 @@ struct QB {
           return producer(po);
         });
   }
+
+  /// Task `o`'s handle on the build side of a shared join site: `table`,
+  /// filled from one slice per task, slice s being `slice` run with the
+  /// ScanOptions of task s, as Shuffle runs its producers. `slice` scans
+  /// its driving table with `partition` set, so the slices split the build
+  /// side; a join inside it keeps its build side whole (a join's probe side
+  /// distributes over a union), and shares it through its own table.
+  JoinBuild SlicedBuild(
+      const SharedBuild& table, const ScanOptions& o,
+      std::function<OperatorPtr(const ScanOptions&)> slice) const {
+    return JoinBuild(table, o.num_tasks,
+                     [o, slice = std::move(slice)](int s) {
+                       ScanOptions so = o;
+                       so.task = s;
+                       return slice(so);
+                     });
+  }
+
+  /// SlicedBuild of a scan of `t`.
+  JoinBuild ScanBuild(const SharedBuild& table, const ScanOptions& o, Table t,
+                      ExprPtr filter = nullptr,
+                      std::vector<int> proj = {}) const {
+    return SlicedBuild(table, o,
+                       [qb = *this, t, filter, proj](const ScanOptions& so) {
+                         return qb.Scan(t, so, true, filter, proj);
+                       });
+  }
 };
 
-OperatorPtr Join(OperatorPtr probe, OperatorPtr build,
-                 std::vector<int> pk, std::vector<int> bk,
-                 JoinType type = JoinType::kInner, size_t build_width = 0) {
+OperatorPtr Join(OperatorPtr probe, JoinBuild build, std::vector<int> pk,
+                 std::vector<int> bk, JoinType type = JoinType::kInner,
+                 size_t build_width = 0) {
   return std::make_unique<HashJoinOp>(std::move(probe), std::move(build),
                                       std::move(pk), std::move(bk), type,
                                       build_width);
-}
-
-/// Fragment hash join probing `shared`, which every task of the plan builds
-/// once from its own copy of the broadcast `build` side.
-OperatorPtr SharedJoin(const SharedBuild& shared, OperatorPtr probe,
-                       OperatorPtr build, std::vector<int> pk,
-                       std::vector<int> bk,
-                       JoinType type = JoinType::kInner) {
-  return std::make_unique<HashJoinOp>(std::move(probe), std::move(build),
-                                      std::move(pk), std::move(bk), type,
-                                      /*build_width=*/0, shared);
 }
 
 OperatorPtr Agg(OperatorPtr child, std::vector<ExprPtr> groups,
@@ -309,19 +328,23 @@ class HavingMaxOp : public Operator {
 
 Value S(const char* s) { return Value{std::string(s)}; }
 
-// Nation joined with a region filter, projected to (n_nationkey, n_name).
-OperatorPtr NationOfRegion(const QB& qb, const ScanOptions& o,
-                           const char* region, const SharedBuild& shared) {
-  // nation(nk, name, rk) JOIN region(rk) => width 4
-  auto joined = SharedJoin(
-      shared,
-      qb.Scan(kNation, o, false, nullptr,
-              {col::n_nationkey, col::n_name, col::n_regionkey}),
-      qb.Scan(kRegion, o, false,
-              E::ColCmp(CmpOp::kEq, col::r_name, S(region)),
-              {col::r_regionkey}),
-      {2}, {0});
-  return Project(std::move(joined), {E::Col(0), E::Col(1)});
+// The build side "nation joined with a region filter", projected to
+// (n_nationkey, n_name), sliced by nation into `nation_b`.
+JoinBuild NationOfRegion(const QB& qb, const SharedBuild& nation_b,
+                         const ScanOptions& o, const char* region,
+                         const SharedBuild& region_b) {
+  return qb.SlicedBuild(
+      nation_b, o, [qb, region, region_b](const ScanOptions& so) {
+        // nation(nk, name, rk) JOIN region(rk) => width 4
+        auto joined = Join(
+            qb.Scan(kNation, so, true, nullptr,
+                    {col::n_nationkey, col::n_name, col::n_regionkey}),
+            qb.ScanBuild(region_b, so, kRegion,
+                         E::ColCmp(CmpOp::kEq, col::r_name, S(region)),
+                         {col::r_regionkey}),
+            {2}, {0});
+        return Project(std::move(joined), {E::Col(0), E::Col(1)});
+      });
 }
 
 // ============================ queries =================================
@@ -368,20 +391,20 @@ TpchPlan Q2(const QB& qb) {
   //      s_comment8
   plan.fragment = [qb, part_b, supp_b, europe_b,
                    region_b](const ScanOptions& o) {
-    auto part = qb.Scan(
-        kPart, o, false,
+    auto part = qb.ScanBuild(
+        part_b, o, kPart,
         E::And(E::ColCmp(CmpOp::kEq, col::p_size, int64_t{15}),
                E::Contains(E::Col(col::p_type), "BRASS")),
         {col::p_partkey, col::p_mfgr});
     // partsupp(pk0 sk1 qty2 cost3) x part(p_pk4 mfgr5)
-    auto j1 = SharedJoin(part_b, qb.Scan(kPartSupp, o, true),
-                         std::move(part), {0}, {0});
+    auto j1 = Join(qb.Scan(kPartSupp, o, true), std::move(part), {0}, {0});
     // + supplier at 6..12
-    auto j2 = SharedJoin(supp_b, std::move(j1), qb.Scan(kSupplier, o, false),
-                         {1}, {0});
+    auto j2 =
+        Join(std::move(j1), qb.ScanBuild(supp_b, o, kSupplier), {1}, {0});
     // + nation(EUROPE) at 13,14
-    auto j3 = SharedJoin(europe_b, std::move(j2),
-                         NationOfRegion(qb, o, "EUROPE", region_b), {9}, {0});
+    auto j3 = Join(std::move(j2),
+                   NationOfRegion(qb, europe_b, o, "EUROPE", region_b), {9},
+                   {0});
     return Project(std::move(j3),
                    {E::Col(0), E::Col(3), E::Col(11), E::Col(7), E::Col(14),
                     E::Col(5), E::Col(8), E::Col(10), E::Col(12)});
@@ -414,16 +437,19 @@ TpchPlan Q3(const QB& qb) {
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(1, 2)}};
   SharedBuild cust_b = NewSharedBuild(), orders_b = NewSharedBuild();
   plan.fragment = [qb, date, aggs, cust_b, orders_b](const ScanOptions& o) {
-    auto cust = qb.Scan(kCustomer, o, false,
-                        E::ColCmp(CmpOp::kEq, col::c_mktsegment,
-                                  S("BUILDING")),
-                        {col::c_custkey});
-    auto orders = qb.Scan(kOrders, o, false,
-                          E::ColCmp(CmpOp::kLt, col::o_orderdate, date),
-                          {col::o_orderkey, col::o_custkey,
-                           col::o_orderdate, col::o_shippriority});
     // oc: ok0 ck1 odate2 prio3 cck4
-    auto oc = SharedJoin(cust_b, std::move(orders), std::move(cust), {1}, {0});
+    auto oc = qb.SlicedBuild(
+        orders_b, o, [qb, date, cust_b](const ScanOptions& so) {
+          auto orders = qb.Scan(kOrders, so, true,
+                                E::ColCmp(CmpOp::kLt, col::o_orderdate, date),
+                                {col::o_orderkey, col::o_custkey,
+                                 col::o_orderdate, col::o_shippriority});
+          auto cust = qb.ScanBuild(cust_b, so, kCustomer,
+                                   E::ColCmp(CmpOp::kEq, col::c_mktsegment,
+                                             S("BUILDING")),
+                                   {col::c_custkey});
+          return Join(std::move(orders), std::move(cust), {1}, {0});
+        });
     // j: lok0 ext1 disc2 ok3 ck4 odate5 prio6 cck7
     // build = BUILDING customers' pre-date orders (~1/5 segment x ~48%).
     auto j = qb.ScanJoin(kLineItem, o,
@@ -432,7 +458,7 @@ TpchPlan Q3(const QB& qb) {
                           col::l_discount},
                          {0}, std::move(oc), {0}, JoinType::kInner,
                          double(qb.db->row_count(kOrders)) * 0.096,
-                         double(qb.db->row_count(kOrders)), orders_b);
+                         double(qb.db->row_count(kOrders)));
     return Agg(std::move(j), {E::Col(0), E::Col(5), E::Col(6)}, aggs,
                AggMode::kPartial);
   };
@@ -493,14 +519,18 @@ TpchPlan Q5(const QB& qb) {
               region_b = NewSharedBuild();
   plan.fragment = [qb, lo, hi, aggs, cust_b, orders_b, supp_b, asia_b,
                    region_b](const ScanOptions& o) {
-    auto orders = qb.Scan(kOrders, o, false,
-                          E::And(E::ColCmp(CmpOp::kGe, col::o_orderdate, lo),
-                                 E::ColCmp(CmpOp::kLt, col::o_orderdate, hi)),
-                          {col::o_orderkey, col::o_custkey});
-    auto cust = qb.Scan(kCustomer, o, false, nullptr,
-                        {col::c_custkey, col::c_nationkey});
     // oc: ok0 ck1 cck2 cnk3
-    auto oc = SharedJoin(cust_b, std::move(orders), std::move(cust), {1}, {0});
+    auto oc = qb.SlicedBuild(
+        orders_b, o, [qb, lo, hi, cust_b](const ScanOptions& so) {
+          auto orders = qb.Scan(
+              kOrders, so, true,
+              E::And(E::ColCmp(CmpOp::kGe, col::o_orderdate, lo),
+                     E::ColCmp(CmpOp::kLt, col::o_orderdate, hi)),
+              {col::o_orderkey, col::o_custkey});
+          auto cust = qb.ScanBuild(cust_b, so, kCustomer, nullptr,
+                                   {col::c_custkey, col::c_nationkey});
+          return Join(std::move(orders), std::move(cust), {1}, {0});
+        });
     // j: lok0 lsk1 ext2 disc3 ok4 ck5 cck6 cnk7
     // build = one year of orders (~1/7 of the date range).
     auto j = qb.ScanJoin(kLineItem, o, nullptr,
@@ -508,15 +538,14 @@ TpchPlan Q5(const QB& qb) {
                           col::l_extendedprice, col::l_discount},
                          {0}, std::move(oc), {0}, JoinType::kInner,
                          double(qb.db->row_count(kOrders)) / 7.0,
-                         double(qb.db->row_count(kOrders)), orders_b);
-    auto supp = qb.Scan(kSupplier, o, false, nullptr,
-                        {col::s_suppkey, col::s_nationkey});
+                         double(qb.db->row_count(kOrders)));
+    auto supp = qb.ScanBuild(supp_b, o, kSupplier, nullptr,
+                             {col::s_suppkey, col::s_nationkey});
     // j2: + ssk8 snk9 ; join requires s_nationkey == c_nationkey
-    auto j2 = SharedJoin(supp_b, std::move(j), std::move(supp), {1, 7},
-                         {0, 1});
+    auto j2 = Join(std::move(j), std::move(supp), {1, 7}, {0, 1});
     // j3: + nk10 nname11
-    auto j3 = SharedJoin(asia_b, std::move(j2),
-                         NationOfRegion(qb, o, "ASIA", region_b), {9}, {0});
+    auto j3 = Join(std::move(j2),
+                   NationOfRegion(qb, asia_b, o, "ASIA", region_b), {9}, {0});
     return Agg(std::move(j3), {E::Col(11)}, aggs, AggMode::kPartial);
   };
   plan.merge = [aggs](OperatorPtr gathered) {
@@ -561,25 +590,25 @@ TpchPlan Q7(const QB& qb) {
     auto nations_filter = E::Or(
         E::ColCmp(CmpOp::kEq, col::n_name, S("FRANCE")),
         E::ColCmp(CmpOp::kEq, col::n_name, S("GERMANY")));
-    // sn: ssk0 snk1 nk2 nname3
-    auto sn = SharedJoin(supp_nation_b,
-                         qb.Scan(kSupplier, o, false, nullptr,
-                                 {col::s_suppkey, col::s_nationkey}),
-                         qb.Scan(kNation, o, false, nations_filter,
-                                 {col::n_nationkey, col::n_name}),
-                         {1}, {0});
-    // cn: ck0 cnk1 nk2 nname3
-    auto cn = SharedJoin(cust_nation_b,
-                         qb.Scan(kCustomer, o, false, nullptr,
-                                 {col::c_custkey, col::c_nationkey}),
-                         qb.Scan(kNation, o, false, nations_filter,
-                                 {col::n_nationkey, col::n_name}),
-                         {1}, {0});
     // ocn: ok0 ck1 + cn 2..5 (cck2 cnk3 nk4 cnname5)
-    auto ocn = SharedJoin(cust_b,
-                          qb.Scan(kOrders, o, false, nullptr,
-                                  {col::o_orderkey, col::o_custkey}),
-                          std::move(cn), {1}, {0});
+    auto ocn = qb.SlicedBuild(orders_b, o, [qb, nations_filter, cust_b,
+                                            cust_nation_b](
+                                               const ScanOptions& so) {
+      // cn: ck0 cnk1 nk2 nname3
+      auto cn = qb.SlicedBuild(
+          cust_b, so,
+          [qb, nations_filter, cust_nation_b](const ScanOptions& cso) {
+            return Join(qb.Scan(kCustomer, cso, true, nullptr,
+                                {col::c_custkey, col::c_nationkey}),
+                        qb.ScanBuild(cust_nation_b, cso, kNation,
+                                     nations_filter,
+                                     {col::n_nationkey, col::n_name}),
+                        {1}, {0});
+          });
+      return Join(qb.Scan(kOrders, so, true, nullptr,
+                          {col::o_orderkey, col::o_custkey}),
+                  std::move(cn), {1}, {0});
+    });
     // j: lok0 lsk1 ext2 disc3 sdate4 + ocn 5..10 (cnname at 10)
     // build = orders of FRANCE/GERMANY customers (2/25 nations).
     auto j = qb.ScanJoin(
@@ -589,9 +618,18 @@ TpchPlan Q7(const QB& qb) {
          col::l_discount, col::l_shipdate},
         {0}, std::move(ocn), {0}, JoinType::kInner,
         double(qb.db->row_count(kOrders)) * 0.08,
-        double(qb.db->row_count(kOrders)), orders_b);
+        double(qb.db->row_count(kOrders)));
+    // sn: ssk0 snk1 nk2 nname3
+    auto sn = qb.SlicedBuild(
+        supp_b, o, [qb, nations_filter, supp_nation_b](const ScanOptions& so) {
+          return Join(qb.Scan(kSupplier, so, true, nullptr,
+                              {col::s_suppkey, col::s_nationkey}),
+                      qb.ScanBuild(supp_nation_b, so, kNation, nations_filter,
+                                   {col::n_nationkey, col::n_name}),
+                      {1}, {0});
+        });
     // j2: + sn 11..14 (snname at 14)
-    auto j2 = SharedJoin(supp_b, std::move(j), std::move(sn), {1}, {0});
+    auto j2 = Join(std::move(j), std::move(sn), {1}, {0});
     auto cross = Filter(
         std::move(j2),
         E::Or(E::And(E::ColCmp(CmpOp::kEq, 14, S("FRANCE")),
@@ -625,10 +663,10 @@ TpchPlan Q8(const QB& qb) {
               nation_b = NewSharedBuild();
   plan.fragment = [qb, aggs, part_b, orders_b, america_b, region_b, cust_b,
                    supp_b, nation_b](const ScanOptions& o) {
-    auto part = qb.Scan(kPart, o, false,
-                        E::ColCmp(CmpOp::kEq, col::p_type,
-                                  S("ECONOMY ANODIZED STEEL")),
-                        {col::p_partkey});
+    auto part = qb.ScanBuild(part_b, o, kPart,
+                             E::ColCmp(CmpOp::kEq, col::p_type,
+                                       S("ECONOMY ANODIZED STEEL")),
+                             {col::p_partkey});
     // lp: lok0 lpk1 lsk2 ext3 disc4 ppk5
     // build = one of 150 part types: the textbook runtime-filter join
     // (~0.7% of lineitems survive the partkey filter).
@@ -637,35 +675,36 @@ TpchPlan Q8(const QB& qb) {
                            col::l_extendedprice, col::l_discount},
                           {1}, std::move(part), {0}, JoinType::kInner,
                           double(qb.db->row_count(kPart)) / 150.0,
-                          double(qb.db->row_count(kPart)), part_b);
-    auto orders = qb.Scan(
-        kOrders, o, false,
+                          double(qb.db->row_count(kPart)));
+    auto orders = qb.ScanBuild(
+        orders_b, o, kOrders,
         E::Between(col::o_orderdate, Days(1995, 1, 1), Days(1996, 12, 31)),
         {col::o_orderkey, col::o_custkey, col::o_orderdate});
     // lpo: +ook6 ock7 odate8
-    auto lpo = SharedJoin(orders_b, std::move(lp), std::move(orders), {0},
-                          {0});
+    auto lpo = Join(std::move(lp), std::move(orders), {0}, {0});
     // cnr: ck0 cnk1 nk2 nname3 (nation of AMERICA)
-    auto cnr = SharedJoin(america_b,
-                          qb.Scan(kCustomer, o, false, nullptr,
-                                  {col::c_custkey, col::c_nationkey}),
-                          NationOfRegion(qb, o, "AMERICA", region_b), {1},
-                          {0});
+    auto cnr = qb.SlicedBuild(
+        cust_b, o, [qb, america_b, region_b](const ScanOptions& so) {
+          return Join(qb.Scan(kCustomer, so, true, nullptr,
+                              {col::c_custkey, col::c_nationkey}),
+                      NationOfRegion(qb, america_b, so, "AMERICA", region_b),
+                      {1}, {0});
+        });
     // j: +ck9 cnk10 nk11 nname12
-    auto j = SharedJoin(cust_b, std::move(lpo), std::move(cnr), {7}, {0});
+    auto j = Join(std::move(lpo), std::move(cnr), {7}, {0});
     // supplier: +ssk13 snk14
-    auto j2 = SharedJoin(supp_b, std::move(j),
-                         qb.Scan(kSupplier, o, false, nullptr,
-                                 {col::s_suppkey, col::s_nationkey}),
-                         {2}, {0});
+    auto j2 = Join(std::move(j),
+                   qb.ScanBuild(supp_b, o, kSupplier, nullptr,
+                                {col::s_suppkey, col::s_nationkey}),
+                   {2}, {0});
     // nation2 (supplier nation): +nk15... wait cols: width 15 now; +nk15
     // nname2_16? Column math: j2 width = 13 + 2 = 15 (cols 13,14). Join
     // nation2 => cols 15 (n_nationkey), 16 (n_name)... but the agg case
     // expression references col 17. Add region too? No: project instead.
-    auto j3 = SharedJoin(nation_b, std::move(j2),
-                         qb.Scan(kNation, o, false, nullptr,
-                                 {col::n_nationkey, col::n_name}),
-                         {14}, {0});
+    auto j3 = Join(std::move(j2),
+                   qb.ScanBuild(nation_b, o, kNation, nullptr,
+                                {col::n_nationkey, col::n_name}),
+                   {14}, {0});
     // j3: width 17, supp-nation name at col 16. Pad to match agg exprs:
     // project to keep odate8, ext3, disc4, nname16 at stable positions.
     // For clarity rebuild positions: we keep full row; aggs reference
@@ -702,9 +741,9 @@ TpchPlan Q9(const QB& qb) {
               nation_b = NewSharedBuild();
   plan.fragment = [qb, part_b, partsupp_b, supp_b, orders_b,
                    nation_b](const ScanOptions& o) {
-    auto part = qb.Scan(kPart, o, false,
-                        E::Contains(E::Col(col::p_name), "green"),
-                        {col::p_partkey});
+    auto part = qb.ScanBuild(part_b, o, kPart,
+                             E::Contains(E::Col(col::p_name), "green"),
+                             {col::p_partkey});
     // lp: lok0 lpk1 lsk2 qty3 ext4 disc5 ppk6
     // build = "green" parts (~1/17 of part names).
     auto lp = qb.ScanJoin(kLineItem, o, nullptr,
@@ -713,28 +752,27 @@ TpchPlan Q9(const QB& qb) {
                            col::l_discount},
                           {1}, std::move(part), {0}, JoinType::kInner,
                           double(qb.db->row_count(kPart)) * 0.06,
-                          double(qb.db->row_count(kPart)), part_b);
-    auto ps = qb.Scan(kPartSupp, o, false, nullptr,
-                      {col::ps_partkey, col::ps_suppkey,
-                       col::ps_supplycost});
+                          double(qb.db->row_count(kPart)));
+    auto ps = qb.ScanBuild(partsupp_b, o, kPartSupp, nullptr,
+                           {col::ps_partkey, col::ps_suppkey,
+                            col::ps_supplycost});
     // j2: +pspk7 pssk8 cost9
-    auto j2 = SharedJoin(partsupp_b, std::move(lp), std::move(ps), {1, 2},
-                         {0, 1});
+    auto j2 = Join(std::move(lp), std::move(ps), {1, 2}, {0, 1});
     // j3: +ssk10 snk11
-    auto j3 = SharedJoin(supp_b, std::move(j2),
-                         qb.Scan(kSupplier, o, false, nullptr,
-                                 {col::s_suppkey, col::s_nationkey}),
-                         {2}, {0});
+    auto j3 = Join(std::move(j2),
+                   qb.ScanBuild(supp_b, o, kSupplier, nullptr,
+                                {col::s_suppkey, col::s_nationkey}),
+                   {2}, {0});
     // j4: +ook12 odate13
-    auto j4 = SharedJoin(orders_b, std::move(j3),
-                         qb.Scan(kOrders, o, false, nullptr,
-                                 {col::o_orderkey, col::o_orderdate}),
-                         {0}, {0});
+    auto j4 = Join(std::move(j3),
+                   qb.ScanBuild(orders_b, o, kOrders, nullptr,
+                                {col::o_orderkey, col::o_orderdate}),
+                   {0}, {0});
     // j5: +nk14 nname15
-    auto j5 = SharedJoin(nation_b, std::move(j4),
-                         qb.Scan(kNation, o, false, nullptr,
-                                 {col::n_nationkey, col::n_name}),
-                         {11}, {0});
+    auto j5 = Join(std::move(j4),
+                   qb.ScanBuild(nation_b, o, kNation, nullptr,
+                                {col::n_nationkey, col::n_name}),
+                   {11}, {0});
     std::vector<AggSpec> aggs = {
         {AggOp::kSum,
          E::Arith(ArithOp::kSub, Vol(4, 5),
@@ -761,13 +799,17 @@ TpchPlan Q10(const QB& qb) {
   SharedExchange by_customer = NewExchange({0});
   auto partial = [qb, lo, hi, aggs, cust_b, orders_b,
                   nation_b](const ScanOptions& o) {
-    auto orders = qb.Scan(kOrders, o, false,
-                          E::And(E::ColCmp(CmpOp::kGe, col::o_orderdate, lo),
-                                 E::ColCmp(CmpOp::kLt, col::o_orderdate, hi)),
-                          {col::o_orderkey, col::o_custkey});
     // oc: ok0 ck1 + customer 2..9
-    auto oc = SharedJoin(cust_b, std::move(orders),
-                         qb.Scan(kCustomer, o, false), {1}, {0});
+    auto oc = qb.SlicedBuild(
+        orders_b, o, [qb, lo, hi, cust_b](const ScanOptions& so) {
+          auto orders = qb.Scan(
+              kOrders, so, true,
+              E::And(E::ColCmp(CmpOp::kGe, col::o_orderdate, lo),
+                     E::ColCmp(CmpOp::kLt, col::o_orderdate, hi)),
+              {col::o_orderkey, col::o_custkey});
+          return Join(std::move(orders), qb.ScanBuild(cust_b, so, kCustomer),
+                      {1}, {0});
+        });
     // j: lok0 ext1 disc2 ok3 ck4 c_ck5 c_name6 c_addr7 c_nk8 c_phone9
     //    c_acct10 c_seg11 c_comm12
     // build = one quarter of orders (~3.8%).
@@ -777,12 +819,12 @@ TpchPlan Q10(const QB& qb) {
                           col::l_discount},
                          {0}, std::move(oc), {0}, JoinType::kInner,
                          double(qb.db->row_count(kOrders)) * 0.038,
-                         double(qb.db->row_count(kOrders)), orders_b);
+                         double(qb.db->row_count(kOrders)));
     // j2: +nk13 nname14
-    auto j2 = SharedJoin(nation_b, std::move(j),
-                         qb.Scan(kNation, o, false, nullptr,
-                                 {col::n_nationkey, col::n_name}),
-                         {8}, {0});
+    auto j2 = Join(std::move(j),
+                   qb.ScanBuild(nation_b, o, kNation, nullptr,
+                                {col::n_nationkey, col::n_name}),
+                   {8}, {0});
     return Agg(std::move(j2),
                {E::Col(5), E::Col(6), E::Col(10), E::Col(9), E::Col(14),
                 E::Col(7), E::Col(12)},
@@ -809,17 +851,19 @@ TpchPlan Q11(const QB& qb) {
       {AggOp::kSum, E::Arith(ArithOp::kMul, E::Col(3), E::Col(2))}};
   SharedBuild nation_b = NewSharedBuild(), supp_b = NewSharedBuild();
   plan.fragment = [qb, aggs, nation_b, supp_b](const ScanOptions& o) {
-    auto sn = SharedJoin(
-        nation_b,
-        qb.Scan(kSupplier, o, false, nullptr,
-                {col::s_suppkey, col::s_nationkey}),
-        qb.Scan(kNation, o, false,
-                E::ColCmp(CmpOp::kEq, col::n_name, S("GERMANY")),
-                {col::n_nationkey}),
-        {1}, {0});
+    auto sn = qb.SlicedBuild(
+        supp_b, o, [qb, nation_b](const ScanOptions& so) {
+          return Join(qb.Scan(kSupplier, so, true, nullptr,
+                              {col::s_suppkey, col::s_nationkey}),
+                      qb.ScanBuild(nation_b, so, kNation,
+                                   E::ColCmp(CmpOp::kEq, col::n_name,
+                                             S("GERMANY")),
+                                   {col::n_nationkey}),
+                      {1}, {0});
+        });
     // ps(pk0 sk1 qty2 cost3) semi-join German suppliers
-    auto j = SharedJoin(supp_b, qb.Scan(kPartSupp, o, true), std::move(sn),
-                        {1}, {0}, JoinType::kLeftSemi);
+    auto j = Join(qb.Scan(kPartSupp, o, true), std::move(sn), {1}, {0},
+                  JoinType::kLeftSemi);
     return Agg(std::move(j), {E::Col(0)}, aggs, AggMode::kPartial);
   };
   plan.merge = [aggs, fraction](OperatorPtr gathered) {
@@ -858,11 +902,12 @@ TpchPlan Q12(const QB& qb) {
     // runtime filter, but the column-native join still applies.
     auto j = qb.ScanJoin(kLineItem, o, std::move(filter),
                          {col::l_orderkey, col::l_shipmode}, {0},
-                         qb.Scan(kOrders, o, false, nullptr,
-                                 {col::o_orderkey, col::o_orderpriority}),
+                         qb.ScanBuild(orders_b, o, kOrders, nullptr,
+                                      {col::o_orderkey,
+                                       col::o_orderpriority}),
                          {0}, JoinType::kInner,
                          double(qb.db->row_count(kOrders)),
-                         double(qb.db->row_count(kOrders)), orders_b);
+                         double(qb.db->row_count(kOrders)));
     return Agg(std::move(j), {E::Col(1)}, aggs, AggMode::kPartial);
   };
   plan.merge = [aggs](OperatorPtr gathered) {
@@ -975,8 +1020,8 @@ TpchPlan Q16(const QB& qb) {
   SharedExchange by_brand_type_size = NewExchange({0, 1, 2});
   auto partial = [qb, count_aggs, part_b,
                   complaints_b](const ScanOptions& o) {
-    auto part = qb.Scan(
-        kPart, o, false,
+    auto part = qb.ScanBuild(
+        part_b, o, kPart,
         E::And(E::And(E::Not(E::ColCmp(CmpOp::kEq, col::p_brand,
                                        S("Brand#45"))),
                       E::Not(E::StartsWith(E::Col(col::p_type),
@@ -990,13 +1035,13 @@ TpchPlan Q16(const QB& qb) {
     auto ps = qb.Scan(kPartSupp, o, true, nullptr,
                       {col::ps_partkey, col::ps_suppkey});
     // j: pspk0 pssk1 ppk2 brand3 type4 size5
-    auto j = SharedJoin(part_b, std::move(ps), std::move(part), {0}, {0});
-    auto bad = qb.Scan(kSupplier, o, false,
-                       E::Contains(E::Col(col::s_comment),
-                                   "Customer Complaints"),
-                       {col::s_suppkey});
-    auto cleaned = SharedJoin(complaints_b, std::move(j), std::move(bad), {1},
-                              {0}, JoinType::kLeftAnti);
+    auto j = Join(std::move(ps), std::move(part), {0}, {0});
+    auto bad = qb.ScanBuild(complaints_b, o, kSupplier,
+                            E::Contains(E::Col(col::s_comment),
+                                        "Customer Complaints"),
+                            {col::s_suppkey});
+    auto cleaned =
+        Join(std::move(j), std::move(bad), {1}, {0}, JoinType::kLeftAnti);
     // distinct (brand,type,size,suppkey)
     return Agg(std::move(cleaned),
                {E::Col(3), E::Col(4), E::Col(5), E::Col(1)}, count_aggs,
@@ -1023,8 +1068,8 @@ TpchPlan Q17(const QB& qb) {
   plan.tables = {kLineItem, kPart};
   SharedBuild part_b = NewSharedBuild();
   plan.fragment = [qb, part_b](const ScanOptions& o) {
-    auto part = qb.Scan(
-        kPart, o, false,
+    auto part = qb.ScanBuild(
+        part_b, o, kPart,
         E::And(E::ColCmp(CmpOp::kEq, col::p_brand, S("Brand#23")),
                E::ColCmp(CmpOp::kEq, col::p_container, S("MED BOX"))),
         {col::p_partkey});
@@ -1035,7 +1080,7 @@ TpchPlan Q17(const QB& qb) {
                         col::l_extendedprice},
                        {0}, std::move(part), {0}, JoinType::kInner,
                        double(qb.db->row_count(kPart)) * 0.001,
-                       double(qb.db->row_count(kPart)), part_b);
+                       double(qb.db->row_count(kPart)));
   };
   plan.merge = [](OperatorPtr gathered) {
     return std::make_unique<SubplanOp>(
@@ -1114,11 +1159,11 @@ TpchPlan Q19(const QB& qb) {
         {col::l_partkey, col::l_quantity, col::l_extendedprice,
          col::l_discount},
         {0},
-        qb.Scan(kPart, o, false, nullptr,
-                {col::p_partkey, col::p_brand, col::p_size,
-                 col::p_container}),
+        qb.ScanBuild(part_b, o, kPart, nullptr,
+                     {col::p_partkey, col::p_brand, col::p_size,
+                      col::p_container}),
         {0}, JoinType::kInner, double(qb.db->row_count(kPart)),
-        double(qb.db->row_count(kPart)), part_b);
+        double(qb.db->row_count(kPart)));
     auto branch = [](const char* brand, std::vector<Value> containers,
                      double qlo, double qhi, int64_t smax) {
       return E::And(
@@ -1171,18 +1216,17 @@ TpchPlan Q20(const QB& qb) {
     auto qty = Agg(qb.Shuffle(by_part_supp, o, partial), GroupCols(2), aggs,
                    AggMode::kFinal);
     // j: qty 0..2 + partsupp: pspk3 pssk4 avail5 cost6
-    auto j = SharedJoin(partsupp_b, std::move(qty),
-                        qb.Scan(kPartSupp, o, false), {0, 1}, {0, 1});
+    auto j = Join(std::move(qty), qb.ScanBuild(partsupp_b, o, kPartSupp),
+                  {0, 1}, {0, 1});
     auto enough = Filter(
         std::move(j),
         E::Cmp(CmpOp::kGt, E::Col(5),
                E::Arith(ArithOp::kMul, E::Lit(0.5), E::Col(2))));
-    auto forest = qb.Scan(kPart, o, false,
-                          E::StartsWith(E::Col(col::p_name), "forest"),
-                          {col::p_partkey});
-    auto candidates = SharedJoin(forest_b, std::move(enough),
-                                 std::move(forest), {0}, {0},
-                                 JoinType::kLeftSemi);
+    auto forest = qb.ScanBuild(forest_b, o, kPart,
+                               E::StartsWith(E::Col(col::p_name), "forest"),
+                               {col::p_partkey});
+    auto candidates = Join(std::move(enough), std::move(forest), {0}, {0},
+                           JoinType::kLeftSemi);
     return Project(std::move(candidates), {E::Col(1)});
   };
   // gathered: candidate sk0 (duplicates across parts)
@@ -1218,16 +1262,16 @@ TpchPlan Q21(const QB& qb) {
     // nearly all distinct at this scale, so a partial agg would not
     // compress the shuffle; the stage emits raw (ok, sk, late_sk_or_NULL)
     // rows and leaves the single per-order grouping to the final stage.
-    auto orders_f = qb.Scan(kOrders, o, false,
-                            E::ColCmp(CmpOp::kEq, col::o_orderstatus, S("F")),
-                            {col::o_orderkey});
+    auto orders_f = qb.ScanBuild(
+        orders_b, o, kOrders,
+        E::ColCmp(CmpOp::kEq, col::o_orderstatus, S("F")), {col::o_orderkey});
     auto semi = qb.ScanJoin(
         kLineItem, o, nullptr,
         {col::l_orderkey, col::l_suppkey, col::l_commitdate,
          col::l_receiptdate},
         {0}, std::move(orders_f), {0}, JoinType::kLeftSemi,
         double(qb.db->row_count(kOrders)) * 0.49,
-        double(qb.db->row_count(kOrders)), orders_b);
+        double(qb.db->row_count(kOrders)));
     // projected positions: commit=2, receipt=3
     auto late = E::Cmp(CmpOp::kGt, E::Col(3), E::Col(2));
     return Project(std::move(semi),
@@ -1257,16 +1301,19 @@ TpchPlan Q21(const QB& qb) {
                           E::And(E::Cmp(CmpOp::kNe, E::Col(1), E::Col(2)),
                                  E::Cmp(CmpOp::kEq, E::Col(3), E::Col(4))));
     // suppliers in SAUDI ARABIA: s_sk0 s_name1 s_nk2 nk3
-    auto sn = SharedJoin(
-        saudi_b,
-        qb.Scan(kSupplier, o, false, nullptr,
-                {col::s_suppkey, col::s_name, col::s_nationkey}),
-        qb.Scan(kNation, o, false,
-                E::ColCmp(CmpOp::kEq, col::n_name, S("SAUDI ARABIA")),
-                {col::n_nationkey}),
-        {2}, {0});
+    auto sn = qb.SlicedBuild(
+        supp_b, o, [qb, saudi_b](const ScanOptions& so) {
+          return Join(qb.Scan(kSupplier, so, true, nullptr,
+                              {col::s_suppkey, col::s_name,
+                               col::s_nationkey}),
+                      qb.ScanBuild(saudi_b, so, kNation,
+                                   E::ColCmp(CmpOp::kEq, col::n_name,
+                                             S("SAUDI ARABIA")),
+                                   {col::n_nationkey}),
+                      {2}, {0});
+        });
     // j2: waiting 0..4 + sn 5..8 (s_name = 6)
-    auto j2 = SharedJoin(supp_b, std::move(waiting), std::move(sn), {3}, {0});
+    auto j2 = Join(std::move(waiting), std::move(sn), {3}, {0});
     return Agg(std::move(j2), {E::Col(6)}, {{AggOp::kCount, nullptr}},
                AggMode::kPartial);
   };

@@ -355,13 +355,30 @@ class CountingValuesOp : public ValuesOp {
   Status fail_;
 };
 
+/// The build side of the shared-table tests in `kSlices` contiguous
+/// slices: slice s of `rows` counts its opens in `opens[s]` and fails its
+/// first Next() with `fail` when s == `failing`.
+template <size_t kSlices>
+BuildSliceFactory CountedSlices(const std::vector<Row>& rows,
+                                std::array<std::atomic<int>, kSlices>* opens,
+                                int failing = -1,
+                                Status fail = Status::Ok()) {
+  return [&rows, opens, failing, fail](int s) -> OperatorPtr {
+    const size_t n = rows.size();
+    std::vector<Row> slice(rows.begin() + n * s / kSlices,
+                           rows.begin() + n * (s + 1) / kSlices);
+    return std::make_unique<CountingValuesOp>(
+        std::move(slice), &(*opens)[s], s == failing ? fail : Status::Ok());
+  };
+}
+
 // Seven joins sharing one JoinHashTable on a four-thread pool, the shape
-// of a broadcast join site in a 7-task MPP plan: the build child is opened
-// by exactly one join, every join publishes the same runtime filter into
-// its own slot, and each join's output equals a private-build join's. The
-// keys are int64s, then strings of 8 bytes or more, two thirds of which
-// the build lacks: probes look those up in the shared dictionary
-// concurrently and must neither find nor add them.
+// of a broadcast join site in a 7-task MPP plan: each of the seven build
+// slices is opened by exactly one join, every join publishes the same
+// runtime filter into its own slot, and each join's output equals a
+// private-build join's. The keys are int64s, then strings of 8 bytes or
+// more, two thirds of which the build lacks: probes look those up in the
+// shared dictionary concurrently and must neither find nor add them.
 TEST(OperatorTest, SharedJoinTableBuildsOnceForAllTasks) {
   constexpr int kTasks = 7;
   const std::vector<std::function<Value(int64_t)>> key_kinds = {
@@ -378,7 +395,8 @@ TEST(OperatorTest, SharedJoinTableBuildsOnceForAllTasks) {
     for (JoinType type : {JoinType::kInner, JoinType::kLeftSemi,
                           JoinType::kLeftAnti, JoinType::kLeftOuter}) {
       auto shared = std::make_shared<JoinHashTable>();
-      std::atomic<int> opens{0};
+      std::array<std::atomic<int>, kTasks> opens{};
+      const BuildSliceFactory slices = CountedSlices(build, &opens);
       std::vector<std::shared_ptr<RuntimeFilterSlot>> slots(kTasks);
       std::vector<Result<std::vector<Row>>> got(kTasks, std::vector<Row>{});
       ThreadPool pool(4);
@@ -387,14 +405,16 @@ TEST(OperatorTest, SharedJoinTableBuildsOnceForAllTasks) {
           slots[t] = std::make_shared<RuntimeFilterSlot>();
           slots[t]->key_cols = {0};
           HashJoinOp join(std::make_unique<ValuesOp>(probe_of(t)),
-                          std::make_unique<CountingValuesOp>(build, &opens),
-                          {0}, {0}, type, /*build_width=*/2, shared);
+                          JoinBuild(shared, kTasks, slices), {0}, {0}, type,
+                          /*build_width=*/2);
           join.SetRuntimeFilterSource(slots[t], build.size());
           got[t] = Collect(&join);
         });
       }
       pool.Wait();
-      EXPECT_EQ(opens.load(), 1) << "type " << int(type);
+      for (int s = 0; s < kTasks; ++s) {
+        EXPECT_EQ(opens[s].load(), 1) << "slice " << s << " type " << int(type);
+      }
       const bool filtered =
           type == JoinType::kInner || type == JoinType::kLeftSemi;
       EXPECT_EQ(shared->filter() != nullptr, filtered);
@@ -413,29 +433,159 @@ TEST(OperatorTest, SharedJoinTableBuildsOnceForAllTasks) {
   }
 }
 
-// A failed shared build is not retried: every task sharing the table gets
-// the builder's Status.
+// A table built cooperatively from seven slices by seven callers on four
+// threads equals the table one caller builds from the whole build side in
+// one slice: the same rows in the same order, each key's matches in build
+// order, and a bit-identical runtime filter. Keys repeat within and across
+// slices, and long strings go through the table's dictionary.
+TEST(OperatorTest, SlicedJoinTableEqualsOneSliceBuild) {
+  constexpr int kTasks = 7;
+  std::vector<Row> build;
+  for (int64_t i = 0; i < 3000; ++i) {
+    build.push_back({i % 211, "a long build key " + std::to_string(i % 97), i});
+  }
+  for (const std::vector<int>& keys :
+       std::vector<std::vector<int>>{{0}, {1}, {0, 1}}) {
+    JoinHashTable sliced, whole;
+    std::array<std::atomic<int>, kTasks> opens{};
+    const BuildSliceFactory slices = CountedSlices(build, &opens);
+    std::vector<Status> got(kTasks);
+    ThreadPool pool(4);
+    for (int t = 0; t < kTasks; ++t) {
+      pool.Submit([&, t] {
+        got[t] = sliced.Build(kTasks, slices, keys, /*with_filter=*/true);
+      });
+    }
+    pool.Wait();
+    for (int t = 0; t < kTasks; ++t) {
+      ASSERT_TRUE(got[t].ok()) << got[t].ToString();
+      EXPECT_EQ(opens[t].load(), 1) << "slice " << t;
+    }
+    ASSERT_TRUE(whole
+                    .Build(1, [&](int) -> OperatorPtr {
+                      return std::make_unique<ValuesOp>(build);
+                    }, keys, /*with_filter=*/true)
+                    .ok());
+
+    ASSERT_EQ(sliced.size(), whole.size());
+    for (uint32_t i = 0; i < whole.size(); ++i) {
+      ASSERT_EQ(sliced.row(i), whole.row(i)) << "row " << i;
+    }
+    std::vector<uint64_t> key(whole.keys().width());
+    for (const Row& probe : build) {
+      const uint64_t hash =
+          whole.keys().EncodeProbe(probe, keys, key.data());
+      std::vector<uint32_t> want;
+      for (uint32_t i = whole.First(key.data(), hash);
+           i != JoinHashTable::kNoRow; i = whole.Next(i)) {
+        want.push_back(i);
+      }
+      sliced.keys().EncodeProbe(probe, keys, key.data());
+      std::vector<uint32_t> matches;
+      for (uint32_t i = sliced.First(key.data(), hash);
+           i != JoinHashTable::kNoRow; i = sliced.Next(i)) {
+        matches.push_back(i);
+      }
+      ASSERT_FALSE(want.empty());
+      ASSERT_EQ(matches, want) << "key of row " << ValueToString(probe[2]);
+    }
+    const RuntimeFilter& a = *sliced.filter();
+    const RuntimeFilter& b = *whole.filter();
+    EXPECT_TRUE(a.bloom == b.bloom);
+    EXPECT_EQ(a.has_bounds, b.has_bounds);
+    EXPECT_EQ(a.min_key, b.min_key);
+    EXPECT_EQ(a.max_key, b.max_key);
+    EXPECT_EQ(a.num_build_keys, b.num_build_keys);
+  }
+}
+
+// A failed slice fails the build for everyone: each slice is still opened
+// exactly once, no task hangs, and every task sharing the table gets the
+// failing slice's Status, including the ones that did not drain it.
 TEST(OperatorTest, SharedJoinTableFailureReachesEveryTask) {
   constexpr int kTasks = 7;
   auto shared = std::make_shared<JoinHashTable>();
-  std::atomic<int> opens{0};
+  std::array<std::atomic<int>, kTasks> opens{};
+  std::vector<Row> build;
+  for (int64_t k = 0; k < 70; ++k) build.push_back({k});
+  const BuildSliceFactory slices = CountedSlices(
+      build, &opens, /*failing=*/3, Status::Busy("build side failed"));
   std::vector<Status> got(kTasks);
   ThreadPool pool(4);
   for (int t = 0; t < kTasks; ++t) {
     pool.Submit([&, t] {
       std::vector<Row> one = {{int64_t{1}}};
       HashJoinOp join(std::make_unique<ValuesOp>(one),
-                      std::make_unique<CountingValuesOp>(
-                          one, &opens, Status::Busy("build side failed")),
-                      {0}, {0}, JoinType::kInner, 0, shared);
+                      JoinBuild(shared, kTasks, slices), {0}, {0});
       got[t] = Collect(&join).status();
     });
   }
   pool.Wait();
-  EXPECT_EQ(opens.load(), 1);
+  for (int s = 0; s < kTasks; ++s) EXPECT_EQ(opens[s].load(), 1) << s;
   for (const Status& s : got) {
     EXPECT_EQ(s.code(), StatusCode::kBusy) << s.ToString();
   }
+}
+
+// A shared build whose slices are joins against another shared build, as
+// in Q3 (orders slices joined with the customer table): seven tasks on
+// four threads drain the outer table's slices, each of which opens the
+// inner join and helps drain the inner table. Every slice of either table
+// is opened once, and each task's output equals a join against the
+// privately built outer side.
+TEST(OperatorTest, NestedSharedBuildInsideASlice) {
+  constexpr int kTasks = 7;
+  // outer: {ok, ck}; inner: {ck, name}; probe: {ok}
+  std::vector<Row> outer, inner;
+  for (int64_t ok = 0; ok < 700; ++ok) outer.push_back({ok, ok % 50});
+  for (int64_t ck = 0; ck < 50; ck += 2) {
+    inner.push_back({ck, "customer name " + std::to_string(ck)});
+  }
+  auto probe_of = [&](int task) {
+    std::vector<Row> rows;
+    for (int64_t ok = task; ok < 800; ok += kTasks) rows.push_back({ok});
+    return rows;
+  };
+  auto outer_table = std::make_shared<JoinHashTable>();
+  auto inner_table = std::make_shared<JoinHashTable>();
+  std::array<std::atomic<int>, kTasks> outer_opens{}, inner_opens{};
+  const BuildSliceFactory inner_slices = CountedSlices(inner, &inner_opens);
+  const BuildSliceFactory outer_rows = CountedSlices(outer, &outer_opens);
+  // Outer slice s: outer rows of slice s joined with the whole inner side.
+  const BuildSliceFactory outer_slices = [&](int s) -> OperatorPtr {
+    return std::make_unique<HashJoinOp>(
+        outer_rows(s), JoinBuild(inner_table, kTasks, inner_slices),
+        std::vector<int>{1}, std::vector<int>{0});
+  };
+  std::vector<Result<std::vector<Row>>> got(kTasks, std::vector<Row>{});
+  ThreadPool pool(4);
+  for (int t = 0; t < kTasks; ++t) {
+    pool.Submit([&, t] {
+      HashJoinOp join(std::make_unique<ValuesOp>(probe_of(t)),
+                      JoinBuild(outer_table, kTasks, outer_slices), {0}, {0});
+      got[t] = Collect(&join);
+    });
+  }
+  pool.Wait();
+  for (int s = 0; s < kTasks; ++s) {
+    EXPECT_EQ(outer_opens[s].load(), 1) << "outer slice " << s;
+    EXPECT_EQ(inner_opens[s].load(), 1) << "inner slice " << s;
+  }
+  HashJoinOp outer_join(std::make_unique<ValuesOp>(outer),
+                        std::make_unique<ValuesOp>(inner), {1}, {0});
+  auto whole_outer = Collect(&outer_join);
+  ASSERT_TRUE(whole_outer.ok());
+  size_t total = 0;
+  for (int t = 0; t < kTasks; ++t) {
+    ASSERT_TRUE(got[t].ok()) << got[t].status().ToString();
+    HashJoinOp want_join(std::make_unique<ValuesOp>(probe_of(t)),
+                         std::make_unique<ValuesOp>(*whole_outer), {0}, {0});
+    auto want = Collect(&want_join);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(Canonical(*got[t]), Canonical(*want)) << "task " << t;
+    total += got[t]->size();
+  }
+  EXPECT_EQ(total, 350u);  // the orders of even customers
 }
 
 TEST(OperatorTest, LookupJoinFetchesByPrimaryKey) {
@@ -449,6 +599,16 @@ TEST(OperatorTest, LookupJoinFetchesByPrimaryKey) {
   ASSERT_EQ(rows->size(), 2u);  // 500 misses
   EXPECT_EQ(std::get<std::string>((*rows)[0][3]), "name5");
   EXPECT_EQ(join.lookups(), 3u);
+}
+
+// The lookup join has no left outer form; it says so instead of running
+// as another join type.
+TEST(OperatorTest, LookupJoinRefusesLeftOuter) {
+  ExecFixture f(5);
+  LookupJoinOp join(
+      std::make_unique<ValuesOp>(std::vector<Row>{{int64_t{1}}}), f.table,
+      {Expr::Col(0)}, f.snapshot, JoinType::kLeftOuter);
+  EXPECT_EQ(join.Open().code(), StatusCode::kNotSupported);
 }
 
 TEST(OperatorTest, HashAggComplete) {
