@@ -126,7 +126,7 @@ void SessionConsistencyCost() {
   Rng rng(5);
   for (int i = 0; i < 200; ++i) {
     TxnId txn = rw.engine.Begin();
-    rw.engine.Upsert(txn, kTable,
+    rw.engine.Update(txn, kTable,
                      {int64_t(rng.Uniform(kRows)), std::string("w")});
     rw.engine.CommitLocal(txn);
     Lsn rw_lsn = rw.log.current_lsn();
@@ -161,7 +161,7 @@ void KickoutDemo() {
   Rng rng(9);
   for (int i = 0; i < 2000; ++i) {
     TxnId txn = rw.engine.Begin();
-    rw.engine.Upsert(txn, kTable,
+    rw.engine.Update(txn, kTable,
                      {int64_t(rng.Uniform(kRows)), rng.AlphaString(40)});
     rw.engine.CommitLocal(txn);
   }

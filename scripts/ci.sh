@@ -150,14 +150,15 @@ for seed in 7 19 43; do
     ctest --test-dir "${PREFIX}-asan" -L chaos --output-on-failure
 done
 
-echo "==> asan: executor / runtime-filter / column-join / 2PC units"
+echo "==> asan: executor / runtime-filter / column-join / 2PC / SimCluster units"
 # The bloom filter and the column hash join lean on raw hashing and
 # selection-vector slicing, and the key table that joins and aggregations
 # share (KeyWordTable) indexes flat arrays by computed slots; the 2PC
 # coordinator and in-doubt resolver carry shared transaction state between
-# continuations. Run their unit suites under ASan+UBSan too.
+# continuations, and SimCluster's footprint tests (workload_test) run them
+# over simulated RPCs. Run their unit suites under ASan+UBSan too.
 ctest --test-dir "${PREFIX}-asan" \
-  -R 'exec_test|runtime_filter_test|colindex_test|column_agg_test|distributed_txn_test|txn_recovery_test' \
+  -R 'exec_test|runtime_filter_test|colindex_test|column_agg_test|distributed_txn_test|txn_recovery_test|workload_test' \
   --output-on-failure
 
 echo "==> tsan: configure + build (${PREFIX}-tsan)"

@@ -169,25 +169,27 @@ std::vector<NodeId> SimCluster::dn_member_nodes(int dn_index) const {
 void SimCluster::CnRpc(int cn_index, uint64_t incarnation,
                        std::function<NodeId()> target, size_t req_bytes,
                        size_t resp_bytes, bool resolve_via_gms,
-                       RpcHandler handler,
-                       std::function<void(RpcReply)> done) {
+                       RpcHandler handler, ReplyFn done) {
   struct Call {
     RetryState retry;
     uint64_t attempt = 0;
     uint64_t handled = 0;
     bool completed = false;
-    std::function<void()> send_attempt;
+    /// Sends the next attempt. It is handed the call rather than capturing
+    /// it, so a call in flight is owned only by its pending events and is
+    /// freed with them.
+    std::function<void(const std::shared_ptr<Call>&)> send_attempt;
     Call(const RetryPolicy& p, uint64_t now, uint64_t seed)
         : retry(p, now, seed) {}
   };
+  using CallPtr = std::shared_ptr<Call>;
   auto call = std::make_shared<Call>(config_.rpc_retry, sched_->Now(),
                                      cns_[cn_index].rng.Next());
   // Resolves one attempt (reply or timeout, whichever fires first — the
-  // loser is dropped by the attempt/handled guards). Only ever runs from
-  // scheduled events, never inside send_attempt, so clearing send_attempt
-  // here cannot destroy an executing closure.
-  auto outcome = [this, cn_index, incarnation, call, done, resolve_via_gms](
-                     uint64_t attempt, RpcReply reply) {
+  // loser is dropped by the attempt/handled guards).
+  auto outcome = [this, cn_index, incarnation, done, resolve_via_gms](
+                     const CallPtr& call, uint64_t attempt,
+                     ParticipantReply reply) {
     if (call->completed || attempt != call->attempt ||
         call->handled >= attempt) {
       return;
@@ -195,14 +197,12 @@ void SimCluster::CnRpc(int cn_index, uint64_t incarnation,
     call->handled = attempt;
     if (!CnLive(cn_index, incarnation)) {
       call->completed = true;
-      call->send_attempt = nullptr;  // break the self-reference cycle
       return;  // the CN died; nobody is waiting for this reply
     }
     bool retry = !reply.status.ok() && config_.enable_retry &&
                  call->retry.ShouldRetry(reply.status, sched_->Now());
     if (!retry) {
       call->completed = true;
-      call->send_attempt = nullptr;
       done(std::move(reply));
       return;
     }
@@ -216,41 +216,41 @@ void SimCluster::CnRpc(int cn_index, uint64_t incarnation,
     NodeId cn_node = cns_[cn_index].node;
     sched_->ScheduleAfter(sim::SimTime(backoff), [this, call, refresh,
                                                   cn_node] {
-      if (call->completed || !call->send_attempt) return;
+      if (call->completed) return;
       if (!refresh) {
-        call->send_attempt();
+        call->send_attempt(call);
         return;
       }
       SendRpcMessage(cn_node, gms_node_, 64, [this, call, cn_node] {
         gms_server_->Execute(config_.tso_service_us, [this, call, cn_node] {
           SendRpcMessage(gms_node_, cn_node, 64, [call] {
-            if (call->completed || !call->send_attempt) return;
-            call->send_attempt();
+            if (!call->completed) call->send_attempt(call);
           });
         });
       });
     });
   };
-  call->send_attempt = [this, cn_index, incarnation, call, target, req_bytes,
-                        resp_bytes, handler, outcome] {
+  call->send_attempt = [this, cn_index, incarnation, target, req_bytes,
+                        resp_bytes, handler, outcome](const CallPtr& call) {
     if (call->completed || !CnLive(cn_index, incarnation)) return;
     uint64_t attempt = ++call->attempt;
     NodeId from = cns_[cn_index].node;
     NodeId to = target();
-    sched_->ScheduleAfter(config_.rpc_timeout_us, [outcome, attempt] {
-      outcome(attempt, RpcReply{Status::TimedOut("rpc attempt timed out")});
+    sched_->ScheduleAfter(config_.rpc_timeout_us, [outcome, call, attempt] {
+      outcome(call, attempt,
+              ParticipantReply{Status::TimedOut("rpc attempt timed out")});
     });
     SendRpcMessage(from, to, req_bytes, [this, to, from, resp_bytes, handler,
-                                         outcome, attempt] {
-      handler(to, [this, to, from, resp_bytes, outcome,
-                   attempt](RpcReply reply) {
-        SendRpcMessage(to, from, resp_bytes, [outcome, attempt, reply] {
-          outcome(attempt, reply);
+                                         outcome, call, attempt] {
+      handler(to, [this, to, from, resp_bytes, outcome, call,
+                   attempt](ParticipantReply reply) {
+        SendRpcMessage(to, from, resp_bytes, [outcome, call, attempt, reply] {
+          outcome(call, attempt, reply);
         });
       });
     });
   };
-  call->send_attempt();
+  call->send_attempt(call);
 }
 
 void SimCluster::SendRpcMessage(NodeId from, NodeId to, size_t bytes,
@@ -272,15 +272,15 @@ void SimCluster::InstallTsoCoalescer(int cn_index) {
         CnRpc(
             cn_index, inc, [this] { return tso_node_; }, 32,
             32 + size_t(8) * count, /*resolve_via_gms=*/false,
-            [this, count](NodeId, std::function<void(RpcReply)> reply) {
+            [this, count](NodeId, ReplyFn reply) {
               tso_server_->Execute(
                   config_.tso_service_us, [this, count, reply] {
-                    RpcReply r;
+                    ParticipantReply r;
                     r.ts = tso_service_->NextBatch(count);
                     reply(r);
                   });
             },
-            [cb, count](RpcReply r) { cb(r.status, r.ts, count); });
+            [cb, count](ParticipantReply r) { cb(r.status, r.ts, count); });
       });
 }
 
@@ -296,8 +296,8 @@ void SimCluster::RequestTsoTimestamp(int cn_index, uint64_t incarnation,
       });
 }
 
-void SimCluster::ReplyWhenDurable(DnNode* dn, RpcReply ok,
-                                  std::function<void(RpcReply)> reply) {
+void SimCluster::ReplyWhenDurable(DnNode* dn, ParticipantReply ok,
+                                  ReplyFn reply) {
   if (!config_.wait_commit_durability) {
     reply(std::move(ok));  // guard mode: ack before durability (unsafe)
     return;
@@ -308,7 +308,9 @@ void SimCluster::ReplyWhenDurable(DnNode* dn, RpcReply ok,
   // change truncates the log underneath it.
   dn->committer->Submit(
       dn->leader->log()->current_lsn(), [reply, ok] { reply(ok); },
-      [reply] { reply(RpcReply{Status::Unavailable("lost to truncation")}); });
+      [reply] {
+        reply(ParticipantReply{Status::Unavailable("lost to truncation")});
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -374,6 +376,8 @@ namespace {
 std::pair<size_t, size_t> WireBytes(const ParticipantCall& call) {
   using Op = ParticipantCall::Op;
   switch (call.op) {
+    case Op::kStatement:
+      return {256, 128};
     case Op::kPrepare:
     case Op::kCommitOnePhase:
       return {128, 64};
@@ -416,43 +420,21 @@ bool MustRedrive(const ParticipantCall& call, const Status& s) {
 void SimCluster::CallDn(int cn_index, uint64_t incarnation, int dn_index,
                         ParticipantCall call, ReplyFn done) {
   auto [req_bytes, resp_bytes] = WireBytes(call);
-  // Shared, so the closures the RPC layer copies per attempt stay small.
-  struct Pending {
-    ParticipantCall call;
-    ReplyFn done;
-  };
-  auto p = std::make_shared<const Pending>(
-      Pending{std::move(call), std::move(done)});
-  auto handler = [this, dn_index, p](NodeId to,
-                                     std::function<void(RpcReply)> reply) {
+  auto p = std::make_shared<const PendingCall>(
+      PendingCall{std::move(call), std::move(done)});
+  auto handler = [this, dn_index, p](NodeId to, ReplyFn reply) {
     if (to != dns_[dn_index]->serving_node) {
-      reply(RpcReply{Status::NotLeader("dn leader moved")});
+      reply(ParticipantReply{Status::NotLeader("dn leader moved")});
       return;
     }
-    dns_[dn_index]->server->Execute(config_.dn_op_us, [this, dn_index, p, to,
-                                                       reply] {
-      DnNode* dn = dns_[dn_index].get();
-      if (to != dn->serving_node) {
-        reply(RpcReply{Status::NotLeader("dn leader moved")});
-        return;
-      }
-      RpcReply r{ServeParticipantCall(dn->engine.get(), p->call)};
-      // Commit-path records must be durable on a majority of datacenters
-      // before the reply (§III). Asynchronous commit: no DN thread blocks.
-      if (r.await_durable) {
-        // A resolver's read may report records whose flush nobody has
-        // requested yet (a statement's redo, say): request it.
-        if (p->call.resolving) dn->gc->Submit(dn->leader->log()->current_lsn());
-        ReplyWhenDurable(dn, std::move(r), reply);
-      } else {
-        reply(std::move(r));
-      }
-    });
+    dns_[dn_index]->server->Execute(
+        config_.dn_op_us,
+        [this, dn_index, to, p, reply] { ServeOnDn(dn_index, to, p, reply); });
   };
   CnRpc(
       cn_index, incarnation, [this, dn_index] { return DnEndpoint(dn_index); },
       req_bytes, resp_bytes, /*resolve_via_gms=*/true, handler,
-      [this, cn_index, incarnation, dn_index, p](RpcReply r) {
+      [this, cn_index, incarnation, dn_index, p](ParticipantReply r) {
         if (!config_.enable_retry || !MustRedrive(p->call, r.status)) {
           p->done(std::move(r));
           return;
@@ -466,6 +448,39 @@ void SimCluster::CallDn(int cn_index, uint64_t incarnation, int dn_index,
               }
             });
       });
+}
+
+void SimCluster::ServeOnDn(int dn_index, NodeId to, PendingPtr p,
+                           ReplyFn reply) {
+  DnNode* dn = dns_[dn_index].get();
+  if (to != dn->serving_node) {
+    reply(ParticipantReply{Status::NotLeader("dn leader moved")});
+    return;
+  }
+  ParticipantReply r = ServeParticipantCall(dn->engine.get(), p->call);
+  if (r.blocker != kInvalidTxnId) {
+    // Prepared-wait (§IV case 2): serve the read again once the writer
+    // resolves. If a failover destroys the engine (and with it this
+    // waiter), the CN-side attempt timeout re-drives the call on the new
+    // leader.
+    dn->engine->OnResolved(r.blocker, [this, dn_index, to, p, reply] {
+      dns_[dn_index]->server->Execute(config_.dn_op_us, [this, dn_index, to,
+                                                         p, reply] {
+        ServeOnDn(dn_index, to, p, reply);
+      });
+    });
+    return;
+  }
+  // Commit-path records must be durable on a majority of datacenters
+  // before the reply (§III). Asynchronous commit: no DN thread blocks.
+  if (r.await_durable) {
+    // A resolver's read may report records whose flush nobody has
+    // requested yet (a statement's redo, say): request it.
+    if (p->call.resolving) dn->gc->Submit(dn->leader->log()->current_lsn());
+    ReplyWhenDurable(dn, std::move(r), reply);
+  } else {
+    reply(std::move(r));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -508,125 +523,36 @@ void SimCluster::ExecuteNextOp(TxnPtr txn) {
     BeginCommit(txn);
     return;
   }
-  SysbenchOp op = txn->txn.ops[txn->next_op++];
-  RunOpOnDn(txn, DnOfKey(op.key), op);
-}
-
-void SimCluster::RunOpOnDn(TxnPtr txn, int dn_index, SysbenchOp op) {
-  uint64_t vseed = uint64_t(op.key) * 1315423911ULL + txn->next_op;
-  GlobalTxnId gid = txn->dtxn.global_id();
-  Timestamp snapshot_ts = txn->dtxn.snapshot_ts();
-  uint32_t coord = cns_[txn->cn].coord->coordinator_id();
-  // The branch id the CN knows, captured once so every retry attempt of
-  // this statement carries the same view. Invalid means the branch may not
-  // exist yet — the DN dedups BeginBranch by global id, so a retried first
-  // statement cannot fork a second branch.
-  const uint32_t participant = dns_[dn_index]->engine_id;
-  auto known = txn->dtxn.branches().find(participant);
-  TxnId known_branch =
-      known == txn->dtxn.branches().end() ? kInvalidTxnId : known->second;
-
-  auto handler = [this, dn_index, op, vseed, gid, snapshot_ts, coord,
-                  known_branch](NodeId to,
-                                std::function<void(RpcReply)> reply) {
-    // Self-re-runnable op closure: prepared-wait re-executes it when the
-    // blocking writer resolves. The stored function holds only a weak
-    // self-reference; whoever schedules a run holds the strong one.
-    auto run_op = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak = run_op;
-    *run_op = [this, dn_index, op, vseed, gid, snapshot_ts, coord,
-               known_branch, to, reply, weak] {
-      DnNode* dn = dns_[dn_index].get();
-      if (to != dn->serving_node) {
-        reply(RpcReply{Status::NotLeader("dn leader moved")});
-        return;
-      }
-      TxnId branch = known_branch;
-      if (branch == kInvalidTxnId) {
-        // First statement on this participant starts the branch; shipping
-        // snapshot_ts performs ClockUpdate on the DN (§IV step 3).
-        if (config_.scheme == TsScheme::kHlcSi) {
-          dn->hlc->Update(snapshot_ts);
+  const SysbenchOp op = txn->txn.ops[txn->next_op++];
+  Statement st{.table = table_id_, .key = EncodeKey({op.key})};
+  switch (op.type) {
+    case SysbenchOp::Type::kPointRead:
+      st.kind = Statement::Kind::kRead;
+      break;
+    case SysbenchOp::Type::kRangeRead:
+      st.kind = Statement::Kind::kScan;
+      st.end = EncodeKey({op.key + op.range_len});
+      break;
+    case SysbenchOp::Type::kDelete:
+      st.kind = Statement::Kind::kDelete;
+      break;
+    default: {  // updates and inserts write the whole row
+      // Seeded by the key and the statement's position, so a run's rows do
+      // not depend on the order in which its transactions interleave.
+      Rng value_rng(uint64_t(op.key) * 1315423911ULL + txn->next_op);
+      st.kind = Statement::Kind::kUpdate;
+      st.row = Sysbench::MakeRow(op.key, &value_rng);
+    }
+  }
+  const uint32_t participant = dns_[DnOfKey(op.key)]->engine_id;
+  cns_[txn->cn].coord->ExecuteAsync(
+      &txn->dtxn, participant, std::move(st),
+      [this, txn, read = op.type == SysbenchOp::Type::kPointRead](
+          ParticipantReply r) {
+        // A point read that finds no row (it was deleted) succeeds.
+        if (!r.status.ok() && !(read && r.status.IsNotFound())) {
+          txn->failed = true;
         }
-        branch = dn->engine->BeginBranch(snapshot_ts, gid, coord);
-      } else {
-        // The CN already holds acked writes on this branch. If a failover
-        // lost it (recovery presumed it aborted), those writes are gone:
-        // the transaction must abort, never silently restart on a fresh
-        // branch with half its writes missing.
-        auto cur = dn->engine->BranchOf(gid);
-        if (!cur.ok() || *cur != branch) {
-          reply(RpcReply{Status::Aborted("branch lost in dn failover")});
-          return;
-        }
-      }
-
-      Status s = Status::Ok();
-      Rng value_rng(vseed);
-      switch (op.type) {
-        case SysbenchOp::Type::kPointRead: {
-          Row row;
-          TxnId blocker = kInvalidTxnId;
-          s = dn->engine->Read(branch, table_id_, EncodeKey({op.key}), &row,
-                               &blocker);
-          if (s.IsBusy() && blocker != kInvalidTxnId) {
-            // Prepared-wait: re-run once the blocker resolves. If a
-            // failover destroys the engine (and with it this waiter), the
-            // CN-side attempt timeout re-drives the op on the new leader.
-            auto self = weak.lock();
-            dn->engine->OnResolved(blocker, [this, dn_index, self] {
-              dns_[dn_index]->server->Execute(config_.dn_op_us,
-                                              [self] { (*self)(); });
-            });
-            return;  // resumed later
-          }
-          if (s.IsNotFound()) s = Status::Ok();  // deleted row: fine
-          break;
-        }
-        case SysbenchOp::Type::kRangeRead: {
-          int count = 0;
-          s = dn->engine->ScanVisible(
-              branch, table_id_, EncodeKey({op.key}),
-              EncodeKey({op.key + op.range_len}),
-              [&count](const EncodedKey&, const Row&) {
-                ++count;
-                return true;
-              });
-          if (s.IsBusy()) s = Status::Ok();  // lite: skip blocked ranges
-          break;
-        }
-        case SysbenchOp::Type::kUpdateIndexed:
-        case SysbenchOp::Type::kUpdateNonIndexed: {
-          Row row = Sysbench::MakeRow(op.key, &value_rng);
-          s = dn->engine->Upsert(branch, table_id_, row);
-          break;
-        }
-        case SysbenchOp::Type::kDelete:
-          s = dn->engine->Delete(branch, table_id_, EncodeKey({op.key}));
-          break;
-        case SysbenchOp::Type::kInsert: {
-          Row row = Sysbench::MakeRow(op.key, &value_rng);
-          s = dn->engine->Upsert(branch, table_id_, row);
-          break;
-        }
-      }
-      RpcReply r;
-      r.status = s;
-      r.branch = branch;
-      reply(r);
-    };
-    dns_[dn_index]->server->Execute(config_.dn_op_us,
-                                    [run_op] { (*run_op)(); });
-  };
-
-  CnRpc(
-      txn->cn, txn->cn_incarnation,
-      [this, dn_index] { return DnEndpoint(dn_index); }, 256, 128,
-      /*resolve_via_gms=*/true, handler, [this, txn, participant](RpcReply r) {
-        if (r.branch != kInvalidTxnId) {
-          txn->dtxn.SetBranch(participant, r.branch);
-        }
-        if (!r.status.ok()) txn->failed = true;
         ExecuteNextOp(txn);
       });
 }

@@ -17,11 +17,14 @@
 // jitter, per-attempt timeout, overall deadline — src/common/retry.h),
 // re-resolving the DN leader through GMS on kNotLeader/timeouts.
 //
-// 2PC and in-doubt recovery are not implemented here: each CN runs the
-// TxnCoordinator state machine (src/txn/distributed.h) and, when another
+// Statements, 2PC and in-doubt recovery are not implemented here: each CN
+// runs the TxnCoordinator (src/txn/distributed.h) and, when another
 // coordinator's GMS lease lapses, the InDoubtResolver (src/txn/recovery.h),
 // both over this cluster's TxnParticipants transport, which sends every
-// participant call as one retried RPC to the DN's serving leader. DN leader
+// participant call as one retried RPC to the DN's serving leader, where
+// ServeParticipantCall answers it. The transport's only statement logic is
+// the prepared-wait: a point read blocked by a PREPARED writer is parked
+// until the writer resolves, then served again. DN leader
 // crashes are detected by a failover monitor that promotes the newly
 // elected Paxos leader: catalog and transaction state are rebuilt from its
 // replicated redo log (RedoApplier + TxnEngine::RecoverState) and the GMS
@@ -167,7 +170,6 @@ class SimCluster {
   void HandleNodeRestart(NodeId node);
 
   NodeId cn_node(int cn_index) const { return cns_[cn_index].node; }
-  bool cn_alive(int cn_index) const { return cns_[cn_index].alive; }
   uint32_t cn_coordinator_id(int cn_index) const {
     return cns_[cn_index].coord->coordinator_id();
   }
@@ -186,20 +188,13 @@ class SimCluster {
   }
   /// The engine currently serving DN `dn_index` (invariant checks).
   TxnEngine* dn_engine(int dn_index) { return dns_[dn_index]->engine.get(); }
-  TableCatalog* dn_catalog(int dn_index) {
-    return dns_[dn_index]->catalog.get();
-  }
   NodeId tso_node() const { return tso_node_; }
-  NodeId gms_node() const { return gms_node_; }
   int DnOfKey(int64_t key) const;
 
   /// Telemetry: serving group-commit driver of DN `dn_index` (batching
-  /// counters) and CN `cn_index`'s TSO coalescer (null in HLC-SI mode).
+  /// counters).
   const GroupCommitDriver* dn_group_commit(int dn_index) const {
     return dns_[dn_index]->gc;
-  }
-  const TsoCoalescer* cn_tso_coalescer(int cn_index) const {
-    return cns_[cn_index].tso.get();
   }
 
  private:
@@ -270,19 +265,17 @@ class SimCluster {
   };
   using TxnPtr = std::shared_ptr<TxnState>;
 
-  /// Wire format of an RPC reply (passed by value through the network
-  /// closures): a participant reply, plus the branch a statement ran on.
-  struct RpcReply : ParticipantReply {
-    using ParticipantReply::ParticipantReply;
-    RpcReply() = default;
-    RpcReply(ParticipantReply r)  // NOLINT(runtime/explicit)
-        : ParticipantReply(std::move(r)) {}
-    TxnId branch = kInvalidTxnId;
-  };
   /// Runs server-side at the addressed node; must call the continuation
-  /// exactly once (possibly asynchronously, e.g. after a DLSN advance).
-  using RpcHandler =
-      std::function<void(NodeId target, std::function<void(RpcReply)>)>;
+  /// exactly once (possibly asynchronously, e.g. after a DLSN advance). The
+  /// reply is passed by value through the network closures.
+  using RpcHandler = std::function<void(NodeId target, ReplyFn)>;
+  /// One participant call in flight, shared so the closures the RPC layer
+  /// copies per attempt stay small.
+  struct PendingCall {
+    ParticipantCall call;
+    ReplyFn done;
+  };
+  using PendingPtr = std::shared_ptr<const PendingCall>;
 
   /// One CN-originated RPC with timeout + retry + leader re-resolution.
   /// `target()` is re-evaluated per attempt (so a failover between
@@ -293,7 +286,7 @@ class SimCluster {
   void CnRpc(int cn_index, uint64_t incarnation,
              std::function<NodeId()> target, size_t req_bytes,
              size_t resp_bytes, bool resolve_via_gms, RpcHandler handler,
-             std::function<void(RpcReply)> done);
+             ReplyFn done);
 
   /// Sends one CnRpc message, counting it in the stats.
   void SendRpcMessage(NodeId from, NodeId to, size_t bytes,
@@ -309,14 +302,17 @@ class SimCluster {
   /// GMS's endpoint for DN `dn_index` (its serving leader as last known).
   NodeId DnEndpoint(int dn_index);
   /// One participant call from CN `cn_index` to DN `dn_index`: a CnRpc
-  /// whose handler checks the serving leader on arrival and after the
-  /// dn_op_us service time, runs ServeParticipantCall on the serving
-  /// engine, and replies once any logged record is durable. A coordinator
-  /// call after the commit point is re-driven every 4 rpc timeouts until
-  /// it lands (with retries enabled); otherwise the final failure is
-  /// handed back.
+  /// whose handler checks the serving leader on arrival, then ServeOnDn
+  /// after the dn_op_us service time. A coordinator call after the commit
+  /// point is re-driven every 4 rpc timeouts until it lands (with retries
+  /// enabled); otherwise the final failure is handed back.
   void CallDn(int cn_index, uint64_t incarnation, int dn_index,
               ParticipantCall call, ReplyFn done);
+  /// Serves `p`'s call on DN `dn_index` if `to` still serves it: runs
+  /// ServeParticipantCall on the serving engine and replies once any
+  /// logged record is durable. A point read blocked by a PREPARED writer
+  /// is served again dn_op_us after the writer resolves.
+  void ServeOnDn(int dn_index, NodeId to, PendingPtr p, ReplyFn reply);
 
   /// Fetches one TSO timestamp through the CN's coalescer (TSO-SI). `done`
   /// runs only if the CN is still the same incarnation.
@@ -327,11 +323,11 @@ class SimCluster {
   /// Parks `reply` until every byte currently in the DN's serving log is
   /// majority-durable (the asynchronous-commit wait), or replies
   /// immediately when `wait_commit_durability` is off (guard mode).
-  void ReplyWhenDurable(DnNode* dn, RpcReply ok,
-                        std::function<void(RpcReply)> reply);
+  void ReplyWhenDurable(DnNode* dn, ParticipantReply ok, ReplyFn reply);
 
+  /// Runs the transaction's next statement on its DN, or ends the
+  /// transaction once every statement ran or one failed.
   void ExecuteNextOp(TxnPtr txn);
-  void RunOpOnDn(TxnPtr txn, int dn_index, SysbenchOp op);
   void BeginCommit(TxnPtr txn);
   /// Records the commit-path stage that ends at `step` of 2PC `gid`.
   void MarkCommitStep(CommitStep step, GlobalTxnId gid);

@@ -983,19 +983,6 @@ ColumnScanOp::ColumnScanOp(const ColumnIndex* index, Timestamp snapshot_ts,
 
 Status ColumnScanOp::Open() {
   index_->BuildSelection(snapshot_ts_, filter_, &selection_, range_);
-  if (rf_slot_ != nullptr && rf_slot_->filter != nullptr) {
-    // Map the slot's projected-output key positions back to index columns,
-    // then prune the selection before any row is materialized.
-    std::vector<int> key_cols;
-    key_cols.reserve(rf_slot_->key_cols.size());
-    for (int k : rf_slot_->key_cols) {
-      key_cols.push_back(projection_.empty() ? k : projection_[k]);
-    }
-    uint64_t tested = 0, dropped = 0;
-    index_->FilterSelection(*rf_slot_->filter, key_cols, &selection_, &tested,
-                            &dropped);
-    AddScanFilterStats(tested, dropped);
-  }
   pos_ = 0;
   return Status::Ok();
 }

@@ -226,20 +226,15 @@ class ColumnAggOp : public Operator {
 };
 
 /// Scan operator over a column index at a snapshot: applies the (vectorized)
-/// filter and yields projected rows. A pushed-down runtime filter prunes the
-/// selection vector before any row is materialized.
-class ColumnScanOp : public Operator, public RuntimeFilterTarget {
+/// filter and yields projected rows. Joins probe the index natively
+/// (ColumnHashJoinOp), so runtime filters apply there, not here.
+class ColumnScanOp : public Operator {
  public:
   /// `projection` indexes into the index's column subset (empty = all);
   /// only rows in `range` are scanned.
   ColumnScanOp(const ColumnIndex* index, Timestamp snapshot_ts,
                ExprPtr filter = nullptr, std::vector<int> projection = {},
                RowRange range = {});
-
-  /// Slot key columns refer to this scan's *projected* output positions.
-  void SetRuntimeFilter(std::shared_ptr<RuntimeFilterSlot> slot) override {
-    rf_slot_ = std::move(slot);
-  }
 
   Status Open() override;
   Status Next(Batch* out) override;
@@ -250,7 +245,6 @@ class ColumnScanOp : public Operator, public RuntimeFilterTarget {
   ExprPtr filter_;
   std::vector<int> projection_;
   RowRange range_;
-  std::shared_ptr<RuntimeFilterSlot> rf_slot_;
   std::vector<uint32_t> selection_;
   size_t pos_ = 0;
 };

@@ -35,11 +35,6 @@ void ThreadPool::Wait() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-size_t ThreadPool::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

@@ -34,13 +34,12 @@ class ThreadPool {
   void Wait();
 
   size_t num_threads() const { return workers_.size(); }
-  size_t QueueDepth() const;
 
  private:
   void WorkerLoop();
 
   std::string name_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable task_cv_;
   std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;

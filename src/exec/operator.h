@@ -48,7 +48,7 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// Scans the committed-visible rows of one or more table shards at a
 /// snapshot, with optional pushed-down filter and projection (§VI-B
 /// operator push-down: the filter runs "inside the scan").
-class TableScanOp : public Operator, public RuntimeFilterTarget {
+class TableScanOp : public Operator {
  public:
   TableScanOp(std::vector<TableStore*> shards, Timestamp snapshot_ts,
               ExprPtr filter = nullptr, std::vector<int> projection = {});
@@ -63,7 +63,7 @@ class TableScanOp : public Operator, public RuntimeFilterTarget {
   /// Attaches a runtime-filter slot: projected output rows are tested
   /// against the join build side's filter (once the join publishes it) and
   /// dropped at the scan instead of flowing to the join.
-  void SetRuntimeFilter(std::shared_ptr<RuntimeFilterSlot> slot) override {
+  void SetRuntimeFilter(std::shared_ptr<RuntimeFilterSlot> slot) {
     rf_slot_ = std::move(slot);
   }
 

@@ -162,14 +162,6 @@ struct RuntimeFilterSlot {
   std::shared_ptr<const RuntimeFilter> filter;  // null until build completes
 };
 
-/// Implemented by scan operators that can apply a pushed-down runtime
-/// filter (TableScanOp, ColumnScanOp).
-class RuntimeFilterTarget {
- public:
-  virtual ~RuntimeFilterTarget() = default;
-  virtual void SetRuntimeFilter(std::shared_ptr<RuntimeFilterSlot> slot) = 0;
-};
-
 /// Process-global ablation counters (reset/read around a measured run;
 /// relaxed atomics, flushed once per batch on the hot paths).
 struct RuntimeFilterStats {

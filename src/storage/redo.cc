@@ -441,10 +441,4 @@ uint64_t RedoLog::flush_advances() const {
   return flush_advances_;
 }
 
-MtrHandle MiniTransaction::Commit() {
-  MtrHandle h = log_->AppendMtr(records_);
-  records_.clear();
-  return h;
-}
-
 }  // namespace polarx

@@ -160,20 +160,4 @@ class RedoLog {
   uint64_t flush_advances_ = 0;
 };
 
-/// Convenience builder that accumulates records and appends them as one MTR.
-class MiniTransaction {
- public:
-  explicit MiniTransaction(RedoLog* log) : log_(log) {}
-
-  void Add(RedoRecord rec) { records_.push_back(std::move(rec)); }
-  size_t size() const { return records_.size(); }
-
-  /// Appends all accumulated records atomically; returns the MTR handle.
-  MtrHandle Commit();
-
- private:
-  RedoLog* log_;
-  std::vector<RedoRecord> records_;
-};
-
 }  // namespace polarx

@@ -8,8 +8,8 @@
 namespace polarx {
 
 namespace {
-/// Bounded retry loop for reads blocked by PREPARED writers: wait for the
-/// blocker to resolve, then retry the read.
+/// How often LocalParticipants serves a point read that a PREPARED writer
+/// blocks: it waits for the blocker to resolve between attempts.
 constexpr int kMaxPreparedWaitRetries = 64;
 
 /// Coordinators that are not given an explicit id still need distinct ones:
@@ -29,6 +29,53 @@ ParticipantReply ServeParticipantCall(TxnEngine* engine,
                                       const ParticipantCall& call) {
   ParticipantReply r;
   switch (call.op) {
+    case Op::kStatement: {
+      // Its reply never waits for durability: the branch's writes become
+      // durable with its prepare or one-phase commit.
+      r.branch = call.branch;
+      if (r.branch == kInvalidTxnId) {
+        // The first statement on this participant starts the branch;
+        // shipping snapshot_ts performs ClockUpdate on the DN (§IV step 3).
+        // A retried first statement finds its branch through BeginBranch's
+        // dedup.
+        if (call.clock_update) engine->hlc()->Update(call.snapshot_ts);
+        r.branch = engine->BeginBranch(call.snapshot_ts, call.global_id,
+                                       call.coordinator);
+      } else {
+        // The coordinator already holds acked writes on this branch. If a
+        // failover lost it (recovery presumed it aborted), those writes are
+        // gone: the transaction must abort, never silently restart on a
+        // fresh branch with half its writes missing.
+        Result<TxnId> current = engine->BranchOf(call.global_id);
+        if (!current.ok() || *current != r.branch) {
+          return ParticipantReply{
+              Status::Aborted("branch lost in dn failover")};
+        }
+      }
+      const Statement& st = call.statement;
+      switch (st.kind) {
+        case Statement::Kind::kRead:
+          r.status =
+              engine->Read(r.branch, st.table, st.key, &r.row, &r.blocker);
+          break;
+        case Statement::Kind::kScan:
+          r.status = engine->ScanVisible(
+              r.branch, st.table, st.key, st.end,
+              [](const EncodedKey&, const Row&) { return true; });
+          if (r.status.IsBusy()) r.status = Status::Ok();  // skip blocked rows
+          break;
+        case Statement::Kind::kInsert:
+          r.status = engine->Insert(r.branch, st.table, st.row);
+          break;
+        case Statement::Kind::kUpdate:
+          r.status = engine->Update(r.branch, st.table, st.row);
+          break;
+        case Statement::Kind::kDelete:
+          r.status = engine->Delete(r.branch, st.table, st.key);
+          break;
+      }
+      return r;
+    }
     case Op::kPrepare: {
       // Idempotent: re-preparing a PREPARED branch returns its prepare_ts.
       // A branch lost to a failover fails here (recovery presumed it
@@ -128,7 +175,18 @@ void LocalParticipants::Call(uint32_t participant, ParticipantCall call,
     done(ParticipantReply{Status::NotFound("participant unreachable")});
     return;
   }
-  done(ServeParticipantCall(it->second, call));
+  ParticipantReply r = ServeParticipantCall(it->second, call);
+  // Prepared-wait (§IV case 2): block until the writer resolves, then
+  // serve the read again.
+  for (int attempt = 1; r.blocker != kInvalidTxnId; ++attempt) {
+    if (attempt == kMaxPreparedWaitRetries) {
+      r.status = Status::TimedOut("prepared-wait retries exhausted");
+      break;
+    }
+    it->second->WaitResolved(r.blocker);
+    r = ServeParticipantCall(it->second, call);
+  }
+  done(std::move(r));
 }
 
 void LocalParticipants::FetchTso(ReplyFn done) {
@@ -202,6 +260,24 @@ void TxnCoordinator::AcquireSnapshot(DistributedTxn* txn,
   }
   txn->snapshot_ts_ = cn_hlc_->Now();  // §IV step 1: ClockNow, no network
   done(Status::Ok());
+}
+
+void TxnCoordinator::ExecuteAsync(DistributedTxn* txn, uint32_t participant,
+                                  Statement statement, ReplyFn done) {
+  ParticipantCall call{Op::kStatement};
+  call.statement = std::move(statement);
+  call.global_id = txn->global_id_;
+  call.coordinator = coordinator_id_;
+  call.snapshot_ts = txn->snapshot_ts_;
+  call.clock_update = scheme_ == TsScheme::kHlcSi;
+  auto known = txn->branches_.find(participant);
+  if (known != txn->branches_.end()) call.branch = known->second;
+  participants_->Call(participant, std::move(call),
+                      [txn, participant,
+                       done = std::move(done)](ParticipantReply r) {
+    if (r.branch != kInvalidTxnId) txn->branches_[participant] = r.branch;
+    done(std::move(r));
+  });
 }
 
 void TxnCoordinator::CommitAsync(DistributedTxn* txn,
@@ -455,51 +531,42 @@ Status TxnCoordinator::Abort(DistributedTxn* txn) {
   return result;
 }
 
-TxnId TxnCoordinator::BranchFor(DistributedTxn* txn, TxnEngine* engine) {
-  assert(local_ != nullptr);
-  auto it = txn->branches_.find(engine->engine_id());
-  if (it != txn->branches_.end()) return it->second;
-  // §IV step 3: shipping snapshot_ts to the participant implicitly performs
-  // ClockUpdate(snapshot_ts) on its node clock.
-  if (scheme_ == TsScheme::kHlcSi) engine->hlc()->Update(txn->snapshot_ts_);
-  TxnId id = engine->BeginBranch(txn->snapshot_ts_, txn->global_id_,
-                                 coordinator_id_);
-  local_->Add(engine);
-  txn->branches_.emplace(engine->engine_id(), id);
-  return id;
+Status TxnCoordinator::Execute(DistributedTxn* txn, TxnEngine* engine,
+                               Statement statement, Row* out) {
+  if (local_ != nullptr) local_->Add(engine);
+  ParticipantReply reply{Status::Unavailable("statement not answered")};
+  ExecuteAsync(txn, engine->engine_id(), std::move(statement),
+               [&reply](ParticipantReply r) { reply = std::move(r); });
+  if (out != nullptr && reply.status.ok()) *out = std::move(reply.row);
+  return reply.status;
 }
 
 Status TxnCoordinator::Read(DistributedTxn* txn, TxnEngine* engine,
                             TableId table, const EncodedKey& key, Row* out) {
-  TxnId branch = BranchFor(txn, engine);
-  for (int attempt = 0; attempt < kMaxPreparedWaitRetries; ++attempt) {
-    TxnId blocker = kInvalidTxnId;
-    Status s = engine->Read(branch, table, key, out, &blocker);
-    if (!s.IsBusy()) return s;
-    // Prepared-wait (§IV case 2): block until the writer resolves.
-    if (blocker != kInvalidTxnId) engine->WaitResolved(blocker);
-  }
-  return Status::TimedOut("prepared-wait retries exhausted");
+  return Execute(txn, engine,
+                 {.kind = Statement::Kind::kRead, .table = table, .key = key},
+                 out);
 }
 
 Status TxnCoordinator::Insert(DistributedTxn* txn, TxnEngine* engine,
                               TableId table, const Row& row) {
-  return engine->Insert(BranchFor(txn, engine), table, row);
-}
-
-Status TxnCoordinator::Upsert(DistributedTxn* txn, TxnEngine* engine,
-                              TableId table, const Row& row) {
-  return engine->Upsert(BranchFor(txn, engine), table, row);
+  return Execute(
+      txn, engine,
+      {.kind = Statement::Kind::kInsert, .table = table, .row = row});
 }
 
 Status TxnCoordinator::Update(DistributedTxn* txn, TxnEngine* engine,
                               TableId table, const Row& row) {
-  return engine->Update(BranchFor(txn, engine), table, row);
+  return Execute(
+      txn, engine,
+      {.kind = Statement::Kind::kUpdate, .table = table, .row = row});
 }
 
 Status TxnCoordinator::Delete(DistributedTxn* txn, TxnEngine* engine,
                               TableId table, const EncodedKey& key) {
-  return engine->Delete(BranchFor(txn, engine), table, key);
+  return Execute(
+      txn, engine,
+      {.kind = Statement::Kind::kDelete, .table = table, .key = key});
 }
 
 }  // namespace polarx

@@ -18,13 +18,18 @@
 //
 // The 2PC state machine is written once, in continuation-passing style,
 // against the TxnParticipants interface, and so is the DN side of every
-// call (ServeParticipantCall). Two transports implement the interface:
-// LocalParticipants calls TxnEngines in-process and completes every call
-// inline (the synchronous Begin/Commit/Abort below), and SimCluster
+// call (ServeParticipantCall). A statement is one more call: it carries
+// the branch context the coordinator holds, and the branch's first
+// statement ships snapshot_ts to the DN, which starts the branch there
+// (§IV step 3). Two transports implement the interface: LocalParticipants
+// calls TxnEngines in-process and completes every call inline (the
+// synchronous Begin/Read/.../Commit/Abort below), and SimCluster
 // (src/cn/sim_cluster.h) sends each call as a retried RPC over the
 // simulated network, where every TSO fetch is a round trip to the TSO's
-// datacenter. The in-doubt resolver (src/txn/recovery.h) runs over the
-// same interface.
+// datacenter. The only statement logic a transport adds is the
+// prepared-wait: a point read blocked by a PREPARED writer is served again
+// once the writer resolves. The in-doubt resolver (src/txn/recovery.h)
+// runs over the same interface.
 #pragma once
 
 #include <functional>
@@ -60,9 +65,21 @@ enum class CommitStep : int {
   kPhaseTwoDone = 6       // every phase-2 commit answered
 };
 
+/// One statement of a transaction branch. Writes install versions without
+/// an existence check, except Insert, which refuses a visible key.
+struct Statement {
+  enum class Kind { kRead, kScan, kInsert, kUpdate, kDelete };
+  Kind kind = Kind::kRead;
+  TableId table = 0;
+  EncodedKey key{};  // read, delete; the start of a scan
+  EncodedKey end{};  // scan: exclusive end (empty = unbounded)
+  Row row{};         // insert, update
+};
+
 /// One coordinator or resolver call to a participant DN.
 struct ParticipantCall {
   enum class Op {
+    kStatement,
     kPrepare,
     kCommitOnePhase,
     kDecideCommit,
@@ -74,12 +91,20 @@ struct ParticipantCall {
   };
   explicit ParticipantCall(Op o) : op(o) {}
   Op op;
-  TxnId branch = kInvalidTxnId;  // prepare, one-phase, commit, abort
-  GlobalTxnId global_id = kInvalidGlobalTxnId;   // decide, decision, fence
+  /// Prepare, one-phase, commit, abort; a statement's known branch, or
+  /// none before its first statement on this participant.
+  TxnId branch = kInvalidTxnId;
+  GlobalTxnId global_id = kInvalidGlobalTxnId;  // statement, decide, fence
   Timestamp commit_ts = kInvalidTimestamp;       // decide, commit
   uint32_t commit_owner = 0;                     // prepare (TSO-SI)
   std::vector<uint32_t> participants;            // prepare (HLC-SI)
   std::set<uint32_t> dead_coordinators;          // list-unresolved
+  Statement statement;                           // statement
+  Timestamp snapshot_ts = kInvalidTimestamp;     // statement
+  uint32_t coordinator = 0;                      // statement
+  /// Statement (HLC-SI): the DN clock takes ClockUpdate(snapshot_ts)
+  /// before it starts the branch.
+  bool clock_update = false;
   /// Issued by the in-doubt resolver, whose failed calls are retried by
   /// its next sweep, rather than by a coordinator, whose calls after the
   /// commit point must land.
@@ -96,6 +121,10 @@ struct ParticipantReply {
   CommitDecision decision;          // decision-or-presume-abort
   std::vector<TxnInfo> unresolved;  // list-unresolved: branch metadata
   TxnInfo info;                     // fence: the global's branch, as it is
+  TxnId branch = kInvalidTxnId;     // statement: the branch it ran on
+  Row row;                          // point read: the row read
+  /// Point read answered Busy: the PREPARED writer it must wait for.
+  TxnId blocker = kInvalidTxnId;
   /// DN side only: the answer reports state or a record this call logged,
   /// so a replicated DN holds it until its log is majority-durable.
   bool await_durable = false;
@@ -126,7 +155,8 @@ class TxnParticipants {
 };
 
 /// In-process transport: calls the engines directly, so every callback
-/// fires inline.
+/// fires inline. A point read blocked by a PREPARED writer blocks the
+/// calling thread until the writer resolves, then runs again (bounded).
 class LocalParticipants : public TxnParticipants {
  public:
   explicit LocalParticipants(TsoService* tso = nullptr,
@@ -154,11 +184,6 @@ class DistributedTxn {
   bool one_phase() const { return one_phase_; }
   /// Participant engine id -> branch id, ascending.
   const std::map<uint32_t, TxnId>& branches() const { return branches_; }
-  /// Records the branch a statement ran on (statement execution belongs to
-  /// the transport).
-  void SetBranch(uint32_t participant, TxnId branch) {
-    branches_[participant] = branch;
-  }
 
  private:
   friend class TxnCoordinator;
@@ -203,8 +228,8 @@ class TxnCoordinator {
   /// against) and namespaces global txn ids.
   TxnCoordinator(TsScheme scheme, Hlc* cn_hlc, TsoService* tso,
                  uint32_t coordinator_id = 0);
-  /// Coordinator over any transport. Statements run through the transport
-  /// itself, so the statement methods below are unavailable.
+  /// Coordinator over any transport. The synchronous statement methods
+  /// below need one that answers inline.
   TxnCoordinator(TxnParticipants* participants, TsScheme scheme, Hlc* cn_hlc,
                  uint32_t coordinator_id);
 
@@ -218,6 +243,11 @@ class TxnCoordinator {
   /// Takes snapshot_ts: ClockNow under HLC-SI (inline), one TSO fetch
   /// under TSO-SI.
   void AcquireSnapshot(DistributedTxn* txn, std::function<void(Status)> done);
+  /// Runs `statement` on `participant`'s branch of `txn`; the first
+  /// statement there starts the branch. `done` gets the reply (the row of
+  /// a point read) once the branch it ran on is recorded in `txn`.
+  void ExecuteAsync(DistributedTxn* txn, uint32_t participant,
+                    Statement statement, ReplyFn done);
   /// Commits across every branch. `done` fires once with the outcome. Ok
   /// fires at the commit point: every branch PREPARED (HLC-SI), the single
   /// branch committed (HLC-SI, one branch), or the decision durable at the
@@ -233,14 +263,11 @@ class TxnCoordinator {
   /// Starts a distributed transaction (acquires snapshot_ts).
   DistributedTxn Begin();
 
-  /// Point read through the transaction's snapshot on a participant engine.
-  /// Retries internally if blocked by a PREPARED writer (bounded).
+  /// ExecuteAsync run to completion on `engine`'s branch. A point read
+  /// blocked by a PREPARED writer waits for it (bounded).
   Status Read(DistributedTxn* txn, TxnEngine* engine, TableId table,
               const EncodedKey& key, Row* out);
-
   Status Insert(DistributedTxn* txn, TxnEngine* engine, TableId table,
-                const Row& row);
-  Status Upsert(DistributedTxn* txn, TxnEngine* engine, TableId table,
                 const Row& row);
   Status Update(DistributedTxn* txn, TxnEngine* engine, TableId table,
                 const Row& row);
@@ -259,8 +286,10 @@ class TxnCoordinator {
   struct Run;
   using RunPtr = std::shared_ptr<Run>;
 
-  /// Ensures `engine` has a branch for this transaction; returns its id.
-  TxnId BranchFor(DistributedTxn* txn, TxnEngine* engine);
+  /// ExecuteAsync on `engine`'s branch, run to completion; fills `out`
+  /// with the row a point read returns.
+  Status Execute(DistributedTxn* txn, TxnEngine* engine, Statement statement,
+                 Row* out = nullptr);
   bool Step(CommitStep step, GlobalTxnId global_id) {
     return !step_hook_ || step_hook_(step, global_id);
   }

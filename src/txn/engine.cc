@@ -388,10 +388,6 @@ Status TxnEngine::Update(TxnId txn, TableId table, const Row& row) {
   return Write(txn, table, key, row, /*deleted=*/false, RedoType::kUpdate);
 }
 
-Status TxnEngine::Upsert(TxnId txn, TableId table, const Row& row) {
-  return Update(txn, table, row);
-}
-
 Status TxnEngine::Delete(TxnId txn, TableId table, const EncodedKey& key) {
   return Write(txn, table, key, Row{}, /*deleted=*/true, RedoType::kDelete);
 }

@@ -254,9 +254,8 @@ class TxnEngine {
   /// versions of this call are unwound and nothing is logged.
   Status BulkLoad(TxnId txn, TableId table, const std::vector<Row>& rows);
 
+  /// Inserts or updates without an existence check.
   Status Update(TxnId txn, TableId table, const Row& row);
-  /// Inserts or updates without existence check (sysbench-style upsert).
-  Status Upsert(TxnId txn, TableId table, const Row& row);
   Status Delete(TxnId txn, TableId table, const EncodedKey& key);
 
   // ---- waiting ----

@@ -122,10 +122,6 @@ struct ScanOptions {
   /// table's index (boundaries fixed when the plan is built); broadcast
   /// tables are read in full by every task.
   bool use_column_index = false;
-  /// Probe hash joins directly against the column index (ColumnHashJoinOp)
-  /// where the plan shape allows it; off falls back to ColumnScanOp +
-  /// HashJoinOp. Only applies when use_column_index is set.
-  bool column_join = true;
   /// Publish join build sides as bloom/min-max runtime filters into probe
   /// scans (DESIGN.md §9). Never changes results, only intermediate sizes.
   bool runtime_filters = true;

@@ -93,6 +93,13 @@ struct QB {
           db->column_index(t), snap, std::move(filter), std::move(proj),
           Slice(t, o, partition));
     }
+    return RowScan(t, o, partition, std::move(filter), std::move(proj));
+  }
+
+  /// Scan's row-store path.
+  std::unique_ptr<TableScanOp> RowScan(Table t, const ScanOptions& o,
+                                       bool partition, ExprPtr filter,
+                                       std::vector<int> proj) const {
     std::vector<TableStore*> shards = db->shards(t);
     if (partition && o.num_tasks > 1) {
       shards = MppExecutor::ShardsForTask(shards, o.task, o.num_tasks);
@@ -126,11 +133,12 @@ struct QB {
   /// hang off this helper:
   ///  - column-native join: with a column index available, the probe runs
   ///    as ColumnHashJoinOp over the task's slice of the index's selection
-  ///    vector instead of ColumnScanOp + HashJoinOp;
+  ///    vector (a left outer join probes a ColumnScanOp through HashJoinOp);
   ///  - runtime filter: when the cost model approves
   ///    (ShouldAttachRuntimeFilter on the build estimates vs the probe
   ///    table size), the join's build side is published as a bloom+bounds
-  ///    filter into the probe scan through a shared RuntimeFilterSlot.
+  ///    filter into the probe: ColumnHashJoinOp applies it to its selection
+  ///    vector, a row-store scan gets it through a shared RuntimeFilterSlot.
   /// `probe_keys` index the projected scan output; `build_rows_est` is the
   /// build side's estimated cardinality after its own filters and
   /// `build_base_rows` its base-table row count (0 when unknown).
@@ -145,24 +153,26 @@ struct QB {
         (type == JoinType::kInner || type == JoinType::kLeftSemi) &&
         PlanCostModel().ShouldAttachRuntimeFilter(
             build_rows_est, build_base_rows, probe_rows_est);
-    if (o.use_column_index && o.column_join &&
-        db->column_index(t) != nullptr && type != JoinType::kLeftOuter) {
+    if (o.use_column_index && db->column_index(t) != nullptr &&
+        type != JoinType::kLeftOuter) {
       return std::make_unique<ColumnHashJoinOp>(
           db->column_index(t), snap, std::move(scan_filter), std::move(proj),
           std::move(probe_keys), std::move(build), std::move(build_keys),
           type, attach, Slice(t, o, /*partition=*/true));
     }
-    auto scan = Scan(t, o, /*partition=*/true, std::move(scan_filter),
-                     std::move(proj));
+    // Only inner and semi joins attach, so a filtered probe is a row scan.
+    OperatorPtr scan;
     std::shared_ptr<RuntimeFilterSlot> slot;
     if (attach) {
       slot = std::make_shared<RuntimeFilterSlot>();
       slot->key_cols = probe_keys;
-      if (auto* target = dynamic_cast<RuntimeFilterTarget*>(scan.get())) {
-        target->SetRuntimeFilter(slot);
-      } else {
-        slot = nullptr;  // scan type can't apply filters; skip publishing
-      }
+      auto row_scan = RowScan(t, o, /*partition=*/true,
+                              std::move(scan_filter), std::move(proj));
+      row_scan->SetRuntimeFilter(slot);
+      scan = std::move(row_scan);
+    } else {
+      scan = Scan(t, o, /*partition=*/true, std::move(scan_filter),
+                  std::move(proj));
     }
     auto join = std::make_unique<HashJoinOp>(
         std::move(scan), std::move(build), std::move(probe_keys),

@@ -117,7 +117,7 @@ struct TwoPcHarness {
       TxnId txn = dn->engine->Begin();
       for (int a = 0; a < kAccountsPerDn; ++a) {
         EXPECT_TRUE(
-            dn->engine->Upsert(txn, kTable, {AccountId(d, a), kInitialBalance})
+            dn->engine->Update(txn, kTable, {AccountId(d, a), kInitialBalance})
                 .ok());
         model[{d, AccountId(d, a)}] = kInitialBalance;
       }
@@ -223,10 +223,10 @@ void Run2PcChaos(uint64_t seed) {
               dn2->engine->Read(b2, kTable, EncodeKey({k2}), &r2).ok();
     ok = ok &&
          dn1->engine
-             ->Upsert(b1, kTable, {k1, std::get<int64_t>(r1[1]) - amount})
+             ->Update(b1, kTable, {k1, std::get<int64_t>(r1[1]) - amount})
              .ok() &&
          dn2->engine
-             ->Upsert(b2, kTable, {k2, std::get<int64_t>(r2[1]) + amount})
+             ->Update(b2, kTable, {k2, std::get<int64_t>(r2[1]) + amount})
              .ok();
 
     // Crash point 1: participant dies before prepare — nothing durable,

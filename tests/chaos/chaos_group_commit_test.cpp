@@ -25,11 +25,9 @@
 // A failing seed is replayable with POLARX_CHAOS_SEED=<seed>.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/cn/sim_cluster.h"
@@ -38,6 +36,7 @@
 #include "src/storage/key_codec.h"
 #include "src/workload/sysbench.h"
 #include "tests/chaos/chaos_util.h"
+#include "tests/chaos/sim_cluster_checks.h"
 
 namespace polarx {
 namespace {
@@ -164,32 +163,6 @@ struct GroupCommitFixture {
       }
     }
   }
-
-  /// G3: every member log of every DN holds exactly the serving leader's
-  /// bytes.
-  void CheckMembersCaughtUp() {
-    for (int d = 0; d < cluster->num_dns(); ++d) {
-      std::vector<NodeId> nodes = cluster->dn_member_nodes(d);
-      auto serving = std::find(nodes.begin(), nodes.end(),
-                               cluster->dn_serving_node(d));
-      ASSERT_NE(serving, nodes.end()) << "dn " << d;
-      RedoLog* leader =
-          cluster->dn_member_log(d, int(serving - nodes.begin()));
-      std::string want;
-      leader->ReadBytes(leader->purged_before(), leader->current_lsn(), &want);
-      for (int m = 0; m < cluster->dn_member_count(d); ++m) {
-        RedoLog* log = cluster->dn_member_log(d, m);
-        std::string got;
-        log->ReadBytes(leader->purged_before(), log->current_lsn(), &got);
-        EXPECT_EQ(log->current_lsn(), leader->current_lsn())
-            << "dn " << d << " member " << m
-            << " did not catch up with its leader (G3)";
-        EXPECT_TRUE(got == want)
-            << "dn " << d << " member " << m
-            << " log differs from its leader's (G3)";
-      }
-    }
-  }
 };
 
 // ---- main sweep: DN leader killed while group-commit windows are hot ----
@@ -250,7 +223,7 @@ void RunGroupCommitChaos(uint64_t seed, SweepTotals* totals) {
       << "an acknowledged commit vanished in the leader crash (G1); a "
          "group-commit waiter was released before its group was durable";
   f.CheckBoundaryAlignment();
-  f.CheckMembersCaughtUp();
+  chaos::CheckMembersCaughtUp(f.cluster.get());
 }
 
 TEST(ChaosGroupCommitTest, LeaderCrashMidGroupCommitSweep) {

@@ -166,10 +166,10 @@ struct HlcSiHarness {
       TxnId txn = e->Begin();
       for (int a = 0; a < kAccountsPerShard; ++a) {
         EXPECT_TRUE(
-            e->Upsert(txn, kTable, {AccountId(s, a), kInitialBalance}).ok());
+            e->Update(txn, kTable, {AccountId(s, a), kInitialBalance}).ok());
       }
       if (s == 0) {
-        EXPECT_TRUE(e->Upsert(txn, kTable, {kCounterKey, int64_t(0)}).ok());
+        EXPECT_TRUE(e->Update(txn, kTable, {kCounterKey, int64_t(0)}).ok());
       }
       EXPECT_TRUE(e->CommitLocal(txn).ok());
     }
@@ -219,11 +219,11 @@ void RunHlcSiChaos(uint64_t seed) {
                 .ok();
         ok = ok &&
              h.coord
-                 .Upsert(&txn, h.engine(s1), kTable,
+                 .Update(&txn, h.engine(s1), kTable,
                          {k1, std::get<int64_t>(r1[1]) - amount})
                  .ok() &&
              h.coord
-                 .Upsert(&txn, h.engine(s2), kTable,
+                 .Update(&txn, h.engine(s2), kTable,
                          {k2, std::get<int64_t>(r2[1]) + amount})
                  .ok();
         if (ok) {
@@ -273,7 +273,7 @@ void RunHlcSiChaos(uint64_t seed) {
                              EncodeKey({kCounterKey}), &r2)
                        .ok();
         ok1 = ok1 && h.coord
-                         .Upsert(&t1, h.engine(0), kTable,
+                         .Update(&t1, h.engine(0), kTable,
                                  {kCounterKey, std::get<int64_t>(r1[1]) + 1})
                          .ok();
         ok1 = ok1 && h.coord.Commit(&t1).ok();
@@ -281,7 +281,7 @@ void RunHlcSiChaos(uint64_t seed) {
         // t2 read the same version t1 just replaced: SI first-committer-
         // wins must refuse the second write instead of losing t1's update.
         ok2 = ok2 && h.coord
-                         .Upsert(&t2, h.engine(0), kTable,
+                         .Update(&t2, h.engine(0), kTable,
                                  {kCounterKey, std::get<int64_t>(r2[1]) + 1})
                          .ok();
         ok2 = ok2 && h.coord.Commit(&t2).ok();

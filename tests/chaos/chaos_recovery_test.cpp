@@ -16,7 +16,9 @@
 //       and a committed transaction whose branches name their participants
 //       (implicit commit) has a committed branch on every one of them;
 //   R4  committed branches satisfy commit_ts >= prepare_ts (HLC-SI
-//       monotonicity survives recovery and failover).
+//       monotonicity survives recovery and failover);
+//   G3  once the flapped DN leader has rejoined, every member's log equals
+//       its serving leader's (checked after the post-chaos probe).
 //
 // A guard run with retries and recovery disabled must violate R1 — the
 // violation the survivability layer exists to prevent.
@@ -38,6 +40,7 @@
 #include "src/sim/scheduler.h"
 #include "src/workload/sysbench.h"
 #include "tests/chaos/chaos_util.h"
+#include "tests/chaos/sim_cluster_checks.h"
 
 namespace polarx {
 namespace {
@@ -268,6 +271,8 @@ void RunRecoveryChaos(uint64_t seed, SweepTotals* totals) {
   EXPECT_GT(f.cluster->stats().committed, committed_before)
       << "post-chaos probe committed nothing";
   CheckSurvivabilityInvariants(f.cluster.get(), *dead_coordinator);
+  // The flapped leader rejoined at 700ms: by now it holds its leader's log.
+  chaos::CheckMembersCaughtUp(f.cluster.get());
 
   const SimClusterStats& stats = f.cluster->stats();
   totals->rpc_retries += stats.rpc_retries;

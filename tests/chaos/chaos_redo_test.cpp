@@ -86,7 +86,7 @@ void RunRedoChaos(uint64_t seed) {
         // Deleting a missing row is a no-op failure; ignore the status.
         engine.Delete(txn, kTable, EncodeKey({key}));
       } else {
-        ok = engine.Upsert(txn, kTable, {key, int64_t(rng.Uniform(1000))})
+        ok = engine.Update(txn, kTable, {key, int64_t(rng.Uniform(1000))})
                  .ok();
       }
     }

@@ -627,15 +627,16 @@ TEST(RuntimeFilterPushdownTest, SaturatedBloomHasNoFalseNegatives) {
   }
 }
 
-TEST(RuntimeFilterPushdownTest, SaturatedFilterScanKeepsAllQualifyingRows) {
+TEST(RuntimeFilterPushdownTest, SaturatedFilterSelectionKeepsQualifyingRows) {
   ColumnIndex idx(TestSchema());
   std::vector<RedoRecord> ops;
   for (int64_t i = 0; i < 4096; ++i) ops.push_back(Ins(i, double(i), "t"));
   idx.ApplyCommit(100, ops);
 
   // Crafted high-FP filter: drastically undersized bloom holding every
-  // 16th id. The pushed-down scan may keep non-qualifying rows (false
-  // positives), but must never drop a qualifying one.
+  // 16th id. Filtering a selection with it (as ColumnHashJoinOp does) may
+  // keep non-qualifying rows (false positives), but must never drop a
+  // qualifying one.
   auto rf = std::make_shared<RuntimeFilter>();
   rf->bloom = BloomFilter(4, kKeyHashSeed);
   std::set<int64_t> qualifying;
@@ -648,16 +649,17 @@ TEST(RuntimeFilterPushdownTest, SaturatedFilterScanKeepsAllQualifyingRows) {
   rf->max_key = 4080;
   rf->num_build_keys = qualifying.size();
 
-  auto slot = std::make_shared<RuntimeFilterSlot>();
-  slot->key_cols = {0};
-  slot->filter = rf;
-  ColumnScanOp scan(&idx, 100);
-  scan.SetRuntimeFilter(slot);
-  auto rows = Collect(&scan);
-  ASSERT_TRUE(rows.ok());
+  std::vector<uint32_t> selection;
+  idx.BuildSelection(100, nullptr, &selection);
+  uint64_t tested = 0, dropped = 0;
+  idx.FilterSelection(*rf, {0}, &selection, &tested, &dropped);
+  EXPECT_EQ(tested, 4096u);
+  EXPECT_EQ(tested - dropped, selection.size());
+  std::vector<Row> rows;
+  idx.MaterializeBatch(selection, 0, selection.size(), {}, &rows);
 
   std::set<int64_t> seen;
-  for (const auto& r : *rows) seen.insert(std::get<int64_t>(r[0]));
+  for (const auto& r : rows) seen.insert(std::get<int64_t>(r[0]));
   for (int64_t q : qualifying) {
     EXPECT_TRUE(seen.count(q)) << "bloom false negative dropped id " << q;
   }

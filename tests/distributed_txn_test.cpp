@@ -127,10 +127,10 @@ TEST_P(SchemeTest, PrepareConflictAbortsEverywhere) {
   TxnCoordinator coord(scheme(), &c.cn_hlc, &c.tso);
   // t1 writes shard0 key 1; t2 writes shard1 key 2 then conflicts on shard0.
   DistributedTxn t1 = coord.Begin();
-  ASSERT_TRUE(coord.Upsert(&t1, c.engine(0), kTable, {int64_t{1}, int64_t{10}}).ok());
+  ASSERT_TRUE(coord.Update(&t1, c.engine(0), kTable, {int64_t{1}, int64_t{10}}).ok());
   DistributedTxn t2 = coord.Begin();
-  ASSERT_TRUE(coord.Upsert(&t2, c.engine(1), kTable, {int64_t{2}, int64_t{20}}).ok());
-  EXPECT_TRUE(coord.Upsert(&t2, c.engine(0), kTable, {int64_t{1}, int64_t{99}})
+  ASSERT_TRUE(coord.Update(&t2, c.engine(1), kTable, {int64_t{2}, int64_t{20}}).ok());
+  EXPECT_TRUE(coord.Update(&t2, c.engine(0), kTable, {int64_t{1}, int64_t{99}})
                   .IsConflict());
   ASSERT_TRUE(coord.Abort(&t2).ok());
   ASSERT_TRUE(coord.Commit(&t1).ok());
@@ -252,7 +252,7 @@ TEST(HlcSiTest, VisibilityRuleMatchesPaperProof) {
   ASSERT_TRUE(coord.Read(&t2, c.engine(0), kTable, EncodeKey({int64_t{1}}), &row).ok());
   EXPECT_EQ(std::get<int64_t>(row[1]), 0) << "ACTIVE T1 must be invisible";
   // Force a second participant so commit runs full 2PC.
-  ASSERT_TRUE(coord.Upsert(&t1, c.engine(1), kTable, {int64_t{9}, int64_t{9}}).ok());
+  ASSERT_TRUE(coord.Update(&t1, c.engine(1), kTable, {int64_t{9}, int64_t{9}}).ok());
   ASSERT_TRUE(coord.Commit(&t1).ok());
   EXPECT_GT(t1.commit_ts(), t2.snapshot_ts())
       << "paper invariant: T1.commit_ts > T2.snapshot_ts";
@@ -265,8 +265,8 @@ TEST(TsoSiTest, EveryTxnCallsTso) {
   for (int i = 0; i < 5; ++i) {
     c.TickAll();
     DistributedTxn txn = coord.Begin();
-    ASSERT_TRUE(coord.Upsert(&txn, c.engine(0), kTable, {int64_t{1}, int64_t(i)}).ok());
-    ASSERT_TRUE(coord.Upsert(&txn, c.engine(1), kTable, {int64_t{2}, int64_t(i)}).ok());
+    ASSERT_TRUE(coord.Update(&txn, c.engine(0), kTable, {int64_t{1}, int64_t(i)}).ok());
+    ASSERT_TRUE(coord.Update(&txn, c.engine(1), kTable, {int64_t{2}, int64_t(i)}).ok());
     ASSERT_TRUE(coord.Commit(&txn).ok());
   }
   // snapshot + commit per transaction.
@@ -363,8 +363,8 @@ TEST(CoordinatorStatsTest, AbortsSplitByPreparePhase) {
 
   // Abort before any branch prepared: the cheap case, nothing in doubt.
   DistributedTxn t1 = coord.Begin();
-  ASSERT_TRUE(coord.Upsert(&t1, c.engine(0), kTable, {int64_t{1}, int64_t{1}}).ok());
-  ASSERT_TRUE(coord.Upsert(&t1, c.engine(1), kTable, {int64_t{2}, int64_t{2}}).ok());
+  ASSERT_TRUE(coord.Update(&t1, c.engine(0), kTable, {int64_t{1}, int64_t{1}}).ok());
+  ASSERT_TRUE(coord.Update(&t1, c.engine(1), kTable, {int64_t{2}, int64_t{2}}).ok());
   ASSERT_TRUE(coord.Abort(&t1).ok());
   EXPECT_EQ(coord.stats().aborted, 1u);
   EXPECT_EQ(coord.stats().aborts_before_prepare, 1u);
@@ -375,8 +375,8 @@ TEST(CoordinatorStatsTest, AbortsSplitByPreparePhase) {
   // prepares the first branch and then has the second prepare refused.
   c.TickAll();
   DistributedTxn t2 = coord.Begin();
-  ASSERT_TRUE(coord.Upsert(&t2, c.engine(0), kTable, {int64_t{3}, int64_t{3}}).ok());
-  ASSERT_TRUE(coord.Upsert(&t2, c.engine(1), kTable, {int64_t{4}, int64_t{4}}).ok());
+  ASSERT_TRUE(coord.Update(&t2, c.engine(0), kTable, {int64_t{3}, int64_t{3}}).ok());
+  ASSERT_TRUE(coord.Update(&t2, c.engine(1), kTable, {int64_t{4}, int64_t{4}}).ok());
   ASSERT_TRUE(c.engine(1)->DecideAbort(t2.global_id()).ok());
   EXPECT_TRUE(coord.Commit(&t2).IsAborted());
   EXPECT_EQ(coord.stats().aborted, 2u);
@@ -413,7 +413,7 @@ TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
   DistributedTxn txn = coord.Begin();
   for (size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(
-        coord.Upsert(&txn, c.engine(i), kTable, {int64_t(i), int64_t(7)})
+        coord.Update(&txn, c.engine(i), kTable, {int64_t(i), int64_t(7)})
             .ok());
   }
   const CommitStep commit_point = scheme == TsScheme::kHlcSi
@@ -443,7 +443,7 @@ TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
   DistributedTxn writer = next.Begin();
   for (size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(
-        next.Upsert(&writer, c.engine(i), kTable, {int64_t(i), int64_t(8)})
+        next.Update(&writer, c.engine(i), kTable, {int64_t(i), int64_t(8)})
             .ok())
         << "shard " << i;
   }
@@ -544,12 +544,10 @@ TEST(AckAtCommitPointTest, AckedWriteIsWaitedOnUntilPhaseTwoLands) {
   coord.AcquireSnapshot(txn.get(), [&snapshot](Status s) { snapshot = s; });
   ASSERT_TRUE(snapshot.ok());
   for (size_t i = 0; i < 3; ++i) {
-    TxnEngine* e = c.engine(i);
-    e->hlc()->Update(txn->snapshot_ts());
-    TxnId branch = e->BeginBranch(txn->snapshot_ts(), txn->global_id(),
-                                  kCoordinatorId);
-    ASSERT_TRUE(e->Upsert(branch, kTable, {int64_t(i), int64_t(42)}).ok());
-    txn->SetBranch(e->engine_id(), branch);
+    ASSERT_TRUE(coord
+                    .Update(txn.get(), c.engine(i), kTable,
+                            {int64_t(i), int64_t(42)})
+                    .ok());
   }
   Status acked = Status::Unavailable("not acknowledged");
   coord.CommitAsync(txn.get(), [&acked](Status s) { acked = s; });
@@ -578,25 +576,29 @@ TEST(AckAtCommitPointTest, AckedWriteIsWaitedOnUntilPhaseTwoLands) {
   }
   EXPECT_EQ(commit_ts, max_prepare_ts);
 
-  // A snapshot above commit_ts is blocked by each writer's branch.
+  // A snapshot above commit_ts is blocked by each writer's branch: the
+  // DN answers the reader's first statement Busy, naming the writer, on
+  // the branch that statement started.
   c.TickAll();
   TxnCoordinator next(TsScheme::kHlcSi, &c.cn_hlc, &c.tso);
   DistributedTxn reader = next.Begin();
   ASSERT_GT(reader.snapshot_ts(), commit_ts);
   std::map<uint32_t, TxnId> reads;
   for (const auto& [engine_id, branch] : branches) {
-    TxnEngine* e = c.engine(engine_id - 1);
-    e->hlc()->Update(reader.snapshot_ts());
-    reads[engine_id] = e->BeginBranch(reader.snapshot_ts(),
-                                      reader.global_id(),
-                                      next.coordinator_id());
-    Row row;
-    TxnId blocker = kInvalidTxnId;
-    EXPECT_TRUE(e->Read(reads[engine_id], kTable,
-                        EncodeKey({int64_t(engine_id - 1)}), &row, &blocker)
-                    .IsBusy())
-        << "engine " << engine_id;
-    EXPECT_EQ(blocker, branch) << "engine " << engine_id;
+    ParticipantCall read{ParticipantCall::Op::kStatement};
+    read.statement = {.kind = Statement::Kind::kRead,
+                      .table = kTable,
+                      .key = EncodeKey({int64_t(engine_id - 1)})};
+    read.global_id = reader.global_id();
+    read.coordinator = next.coordinator_id();
+    read.snapshot_ts = reader.snapshot_ts();
+    read.clock_update = true;
+    ParticipantReply r = ServeParticipantCall(c.engine(engine_id - 1), read);
+    EXPECT_TRUE(r.status.IsBusy()) << "engine " << engine_id;
+    EXPECT_EQ(r.blocker, branch) << "engine " << engine_id;
+    EXPECT_FALSE(r.await_durable) << "engine " << engine_id;
+    ASSERT_NE(r.branch, kInvalidTxnId) << "engine " << engine_id;
+    reads[engine_id] = r.branch;
   }
 
   // Phase 2 lands; the same snapshot now reads the write.
@@ -615,6 +617,30 @@ TEST(AckAtCommitPointTest, AckedWriteIsWaitedOnUntilPhaseTwoLands) {
         << "engine " << engine_id;
     EXPECT_EQ(std::get<int64_t>(row[1]), 42);
   }
+}
+
+// The DN side of a statement: the first statement on a participant starts
+// the branch, and a retry of it finds the same branch (BeginBranch dedups
+// by global id); a statement on a branch the DN no longer has is refused,
+// so a transaction never continues with half its writes missing.
+TEST(StatementCallTest, FirstStatementStartsTheBranchOnce) {
+  Cluster c(1);
+  ParticipantCall call{ParticipantCall::Op::kStatement};
+  call.statement = {.kind = Statement::Kind::kUpdate,
+                    .table = kTable,
+                    .row = {int64_t{1}, int64_t{1}}};
+  call.global_id = 77;
+  call.coordinator = 5;
+  call.snapshot_ts = c.cn_hlc.Now();
+  ParticipantReply first = ServeParticipantCall(c.engine(0), call);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_FALSE(first.await_durable);
+  ParticipantReply retry = ServeParticipantCall(c.engine(0), call);
+  ASSERT_TRUE(retry.status.ok()) << retry.status.ToString();
+  EXPECT_EQ(retry.branch, first.branch);
+
+  call.branch = first.branch + 1;  // not this global's branch
+  EXPECT_TRUE(ServeParticipantCall(c.engine(0), call).status.IsAborted());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -92,7 +92,7 @@ TEST(RecoveryTest, RandomHistoryReplaysExactly) {
         ok = node.engine.Delete(txn, kTable, EncodeKey({key})).ok();
       } else {
         ok = node.engine
-                 .Upsert(txn, kTable, {key, rng.AlphaString(8)})
+                 .Update(txn, kTable, {key, rng.AlphaString(8)})
                  .ok();
       }
     }
@@ -116,7 +116,7 @@ TEST(RecoveryTest, RecoveredSnapshotsMatchAtEveryCommit) {
     node.now_ms += 1;
     TxnId txn = node.engine.Begin();
     ASSERT_TRUE(node.engine
-                    .Upsert(txn, kTable,
+                    .Update(txn, kTable,
                             {int64_t(i % 5), "v" + std::to_string(i)})
                     .ok());
     auto cts = node.engine.CommitLocal(txn);
@@ -137,7 +137,7 @@ TEST(RecoveryTest, CheckpointPurgeKeepsRecoverableSuffix) {
     node.now_ms += 1;
     TxnId txn = node.engine.Begin();
     ASSERT_TRUE(
-        node.engine.Upsert(txn, kTable, {int64_t(i), std::string("old")})
+        node.engine.Update(txn, kTable, {int64_t(i), std::string("old")})
             .ok());
     ASSERT_TRUE(node.engine.CommitLocal(txn).ok());
   }
@@ -153,7 +153,7 @@ TEST(RecoveryTest, CheckpointPurgeKeepsRecoverableSuffix) {
     node.now_ms += 1;
     TxnId txn = node.engine.Begin();
     ASSERT_TRUE(
-        node.engine.Upsert(txn, kTable, {int64_t(i), std::string("new")})
+        node.engine.Update(txn, kTable, {int64_t(i), std::string("new")})
             .ok());
     ASSERT_TRUE(node.engine.CommitLocal(txn).ok());
   }
@@ -186,7 +186,7 @@ TEST(RecoveryTest, MinDirtyLsnBoundsCheckpoint) {
     node.now_ms += 1;
     TxnId txn = node.engine.Begin();
     ASSERT_TRUE(
-        node.engine.Upsert(txn, kTable, {int64_t(i), std::string("x")})
+        node.engine.Update(txn, kTable, {int64_t(i), std::string("x")})
             .ok());
     ASSERT_TRUE(node.engine.CommitLocal(txn).ok());
   }

@@ -42,7 +42,7 @@ struct RwFixture {
 
   Timestamp Put(int64_t id, const std::string& val) {
     TxnId txn = engine.Begin();
-    EXPECT_TRUE(engine.Upsert(txn, kTable, {id, val}).ok());
+    EXPECT_TRUE(engine.Update(txn, kTable, {id, val}).ok());
     auto cts = engine.CommitLocal(txn);
     EXPECT_TRUE(cts.ok());
     return *cts;
@@ -70,7 +70,7 @@ TEST(ReplicationTest, ReplicaDoesNotSeeUncommittedWrites) {
   RwFixture f;
   auto ro = f.NewReplica(1);
   TxnId txn = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(txn, kTable, {int64_t{1}, std::string("x")}).ok());
+  ASSERT_TRUE(f.engine.Update(txn, kTable, {int64_t{1}, std::string("x")}).ok());
   // Flush the row record (but no commit yet) and sync.
   f.log.MarkFlushed(f.log.current_lsn());
   f.repl.SyncAll();
@@ -86,7 +86,7 @@ TEST(ReplicationTest, AbortedTxnNeverVisibleOnReplica) {
   RwFixture f;
   auto ro = f.NewReplica(1);
   TxnId txn = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(txn, kTable, {int64_t{1}, std::string("x")}).ok());
+  ASSERT_TRUE(f.engine.Update(txn, kTable, {int64_t{1}, std::string("x")}).ok());
   ASSERT_TRUE(f.engine.Abort(txn).ok());
   f.log.MarkFlushed(f.log.current_lsn());
   f.repl.SyncAll();
@@ -231,8 +231,8 @@ TEST(ReplicationTest, CommitHookObservesTransactions) {
         commits.emplace_back(txn, ops.size());
       });
   TxnId txn = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(txn, kTable, {int64_t{1}, std::string("a")}).ok());
-  ASSERT_TRUE(f.engine.Upsert(txn, kTable, {int64_t{2}, std::string("b")}).ok());
+  ASSERT_TRUE(f.engine.Update(txn, kTable, {int64_t{1}, std::string("a")}).ok());
+  ASSERT_TRUE(f.engine.Update(txn, kTable, {int64_t{2}, std::string("b")}).ok());
   ASSERT_TRUE(f.engine.CommitLocal(txn).ok());
   f.repl.SyncAll();
   ASSERT_EQ(commits.size(), 1u);

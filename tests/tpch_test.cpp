@@ -282,8 +282,7 @@ TEST_P(QuerySweep, ColumnIndexMatchesRowStore) {
 
 // The full execution grid must be result-identical: runtime filters may
 // only shrink intermediates (false positives pass through the exact join;
-// false negatives are forbidden), and ColumnHashJoinOp must be a drop-in
-// for ColumnScanOp + HashJoinOp. The column grid runs single-node and as
+// false negatives are forbidden). The column grid runs single-node and as
 // MPP over row-id slices of the column index at 3, 4 and 7 tasks (7
 // exceeds the pool's threads and cuts the smaller partitioned tables into
 // slices of a few hundred rows). Also covers row-store MPP with filters
@@ -297,25 +296,18 @@ TEST_P(QuerySweep, FilterJoinGridMatchesBaseline) {
   ThreadPool pool(4);
   for (int tasks : {1, 3, 4, 7}) {
     for (bool rf : {false, true}) {
-      for (bool cj : {false, true}) {
-        ScanOptions o;
-        o.use_column_index = true;
-        o.column_join = cj;
-        o.runtime_filters = rf;
-        auto got =
-            tasks == 1
-                ? RunQuerySingleNode(q, *db_, db_->load_ts(), o)
-                : RunQueryMpp(q, *db_, db_->load_ts(), tasks, &pool, o);
-        ASSERT_TRUE(got.ok()) << "Q" << q << " tasks=" << tasks
-                              << " rf=" << rf << " cj=" << cj << ": "
-                              << got.status().ToString();
-        ASSERT_EQ(got->size(), baseline->size())
-            << "Q" << q << " tasks=" << tasks << " rf=" << rf
-            << " cj=" << cj;
-        EXPECT_NEAR(SetFingerprint(*got), want, tol)
-            << "Q" << q << " tasks=" << tasks << " rf=" << rf
-            << " cj=" << cj;
-      }
+      ScanOptions o;
+      o.use_column_index = true;
+      o.runtime_filters = rf;
+      auto got = tasks == 1
+                     ? RunQuerySingleNode(q, *db_, db_->load_ts(), o)
+                     : RunQueryMpp(q, *db_, db_->load_ts(), tasks, &pool, o);
+      ASSERT_TRUE(got.ok()) << "Q" << q << " tasks=" << tasks << " rf=" << rf
+                            << ": " << got.status().ToString();
+      ASSERT_EQ(got->size(), baseline->size())
+          << "Q" << q << " tasks=" << tasks << " rf=" << rf;
+      EXPECT_NEAR(SetFingerprint(*got), want, tol)
+          << "Q" << q << " tasks=" << tasks << " rf=" << rf;
     }
   }
   ScanOptions row_no_rf;

@@ -43,7 +43,7 @@ struct EngineFixture {
   // Commits a single-row write in an autocommit transaction.
   Timestamp Put(int64_t id, const std::string& val) {
     TxnId txn = engine.Begin();
-    EXPECT_TRUE(engine.Upsert(txn, table_id, MakeRow(id, val)).ok());
+    EXPECT_TRUE(engine.Update(txn, table_id, MakeRow(id, val)).ok());
     auto ts = engine.CommitLocal(txn);
     EXPECT_TRUE(ts.ok());
     return *ts;
@@ -130,8 +130,8 @@ TEST(TxnEngineTest, WriteWriteConflictOnUncommitted) {
   EngineFixture f;
   TxnId t1 = f.engine.Begin();
   TxnId t2 = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(t1, f.table_id, f.MakeRow(1, "a")).ok());
-  Status s = f.engine.Upsert(t2, f.table_id, f.MakeRow(1, "b"));
+  ASSERT_TRUE(f.engine.Update(t1, f.table_id, f.MakeRow(1, "a")).ok());
+  Status s = f.engine.Update(t2, f.table_id, f.MakeRow(1, "b"));
   EXPECT_TRUE(s.IsConflict());
   EXPECT_EQ(f.engine.stats().conflicts, 1u);
 }
@@ -141,10 +141,10 @@ TEST(TxnEngineTest, FirstCommitterWins) {
   f.Put(1, "base");
   TxnId t1 = f.engine.Begin();
   TxnId t2 = f.engine.Begin();  // same snapshot era
-  ASSERT_TRUE(f.engine.Upsert(t1, f.table_id, f.MakeRow(1, "a")).ok());
+  ASSERT_TRUE(f.engine.Update(t1, f.table_id, f.MakeRow(1, "a")).ok());
   ASSERT_TRUE(f.engine.CommitLocal(t1).ok());
   // t2's snapshot predates t1's commit: lost-update prevention.
-  Status s = f.engine.Upsert(t2, f.table_id, f.MakeRow(1, "b"));
+  Status s = f.engine.Update(t2, f.table_id, f.MakeRow(1, "b"));
   EXPECT_TRUE(s.IsConflict());
 }
 
@@ -152,8 +152,8 @@ TEST(TxnEngineTest, AbortRollsBackWritesAndIndexes) {
   EngineFixture f;
   f.Put(1, "keep");
   TxnId txn = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(txn, f.table_id, f.MakeRow(1, "scrap")).ok());
-  ASSERT_TRUE(f.engine.Upsert(txn, f.table_id, f.MakeRow(2, "scrap2")).ok());
+  ASSERT_TRUE(f.engine.Update(txn, f.table_id, f.MakeRow(1, "scrap")).ok());
+  ASSERT_TRUE(f.engine.Update(txn, f.table_id, f.MakeRow(2, "scrap2")).ok());
   ASSERT_TRUE(f.engine.Abort(txn).ok());
   EXPECT_EQ(f.Get(1), "keep");
   EXPECT_EQ(f.Get(2), std::nullopt);
@@ -164,8 +164,8 @@ TEST(TxnEngineTest, AbortUnwindsRepeatedWritesToSameKey) {
   EngineFixture f;
   f.Put(1, "base");
   TxnId txn = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(txn, f.table_id, f.MakeRow(1, "x")).ok());
-  ASSERT_TRUE(f.engine.Upsert(txn, f.table_id, f.MakeRow(1, "y")).ok());
+  ASSERT_TRUE(f.engine.Update(txn, f.table_id, f.MakeRow(1, "x")).ok());
+  ASSERT_TRUE(f.engine.Update(txn, f.table_id, f.MakeRow(1, "y")).ok());
   ASSERT_TRUE(f.engine.Abort(txn).ok());
   EXPECT_EQ(f.Get(1), "base");
 }
@@ -174,7 +174,7 @@ TEST(TxnEngineTest, PreparedBlocksReaderWithLaterSnapshot) {
   EngineFixture f;
   f.Put(1, "old");
   TxnId writer = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(writer, f.table_id, f.MakeRow(1, "new")).ok());
+  ASSERT_TRUE(f.engine.Update(writer, f.table_id, f.MakeRow(1, "new")).ok());
   auto prep = f.engine.Prepare(writer);
   ASSERT_TRUE(prep.ok());
   // Reader whose snapshot >= prepare_ts cannot decide visibility: Busy.
@@ -198,7 +198,7 @@ TEST(TxnEngineTest, PreparedDoesNotBlockEarlierSnapshot) {
   Timestamp early_snapshot = f.hlc.Now();
   f.now_ms += 5;
   TxnId writer = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(writer, f.table_id, f.MakeRow(1, "new")).ok());
+  ASSERT_TRUE(f.engine.Update(writer, f.table_id, f.MakeRow(1, "new")).ok());
   ASSERT_TRUE(f.engine.Prepare(writer).ok());
   Row row;
   Status s = f.engine.ReadAt(early_snapshot, f.table_id, f.Key(1), &row);
@@ -210,7 +210,7 @@ TEST(TxnEngineTest, PreparedDoesNotBlockEarlierSnapshot) {
 TEST(TxnEngineTest, WaitResolvedUnblocksOnCommit) {
   EngineFixture f;
   TxnId writer = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(writer, f.table_id, f.MakeRow(1, "v")).ok());
+  ASSERT_TRUE(f.engine.Update(writer, f.table_id, f.MakeRow(1, "v")).ok());
   auto prep = f.engine.Prepare(writer);
   ASSERT_TRUE(prep.ok());
   std::thread committer([&] {
@@ -227,7 +227,7 @@ TEST(TxnEngineTest, WaitResolvedUnblocksOnCommit) {
 TEST(TxnEngineTest, OnResolvedFiresOnceOnAbort) {
   EngineFixture f;
   TxnId writer = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(writer, f.table_id, f.MakeRow(1, "v")).ok());
+  ASSERT_TRUE(f.engine.Update(writer, f.table_id, f.MakeRow(1, "v")).ok());
   int fired = 0;
   f.engine.OnResolved(writer, [&] { ++fired; });
   EXPECT_EQ(fired, 0);
@@ -241,7 +241,7 @@ TEST(TxnEngineTest, OnResolvedFiresOnceOnAbort) {
 TEST(TxnEngineTest, CommitIsIdempotent) {
   EngineFixture f;
   TxnId txn = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(txn, f.table_id, f.MakeRow(1, "v")).ok());
+  ASSERT_TRUE(f.engine.Update(txn, f.table_id, f.MakeRow(1, "v")).ok());
   auto prep = f.engine.Prepare(txn);
   ASSERT_TRUE(prep.ok());
   ASSERT_TRUE(f.engine.Commit(txn, *prep).ok());
@@ -252,15 +252,15 @@ TEST(TxnEngineTest, CommitIsIdempotent) {
 TEST(TxnEngineTest, CannotWriteAfterPrepare) {
   EngineFixture f;
   TxnId txn = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(txn, f.table_id, f.MakeRow(1, "v")).ok());
+  ASSERT_TRUE(f.engine.Update(txn, f.table_id, f.MakeRow(1, "v")).ok());
   ASSERT_TRUE(f.engine.Prepare(txn).ok());
-  EXPECT_FALSE(f.engine.Upsert(txn, f.table_id, f.MakeRow(2, "w")).ok());
+  EXPECT_FALSE(f.engine.Update(txn, f.table_id, f.MakeRow(2, "w")).ok());
 }
 
 TEST(TxnEngineTest, CannotAbortCommitted) {
   EngineFixture f;
   TxnId txn = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(txn, f.table_id, f.MakeRow(1, "v")).ok());
+  ASSERT_TRUE(f.engine.Update(txn, f.table_id, f.MakeRow(1, "v")).ok());
   ASSERT_TRUE(f.engine.CommitLocal(txn).ok());
   EXPECT_FALSE(f.engine.Abort(txn).ok());
 }
@@ -270,7 +270,7 @@ TEST(TxnEngineTest, CommitTsGoesThroughNodeClock) {
   // order after the commit even if the local physical clock lags.
   EngineFixture f;
   TxnId txn = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(txn, f.table_id, f.MakeRow(1, "v")).ok());
+  ASSERT_TRUE(f.engine.Update(txn, f.table_id, f.MakeRow(1, "v")).ok());
   ASSERT_TRUE(f.engine.Prepare(txn).ok());
   Timestamp remote_commit = hlc_layout::Pack(999999, 3);  // far-future commit
   ASSERT_TRUE(f.engine.Commit(txn, remote_commit).ok());
@@ -340,7 +340,7 @@ TEST(TxnEngineTest, VacuumForgetsOldTransactionsButKeepsData) {
 TEST(TxnEngineTest, ResolvedTxnPinsNoVersions) {
   EngineFixture f;
   TxnId first = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(first, f.table_id, f.MakeRow(1, "a")).ok());
+  ASSERT_TRUE(f.engine.Update(first, f.table_id, f.MakeRow(1, "a")).ok());
   ASSERT_TRUE(f.engine.CommitLocal(first).ok());
   MvccTable& rows = f.catalog.FindTable(f.table_id)->rows();
   std::weak_ptr<Version> superseded = rows.Head(f.Key(1));
@@ -482,7 +482,7 @@ TEST(TxnEngineTest, BulkLoadConflictInstallsNothing) {
   // A concurrent ACTIVE writer holds key 50: the bulk load hits a
   // write-write conflict partway through and must unwind rows 48-49.
   TxnId writer = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Upsert(writer, f.table_id, f.MakeRow(50, "w")).ok());
+  ASSERT_TRUE(f.engine.Update(writer, f.table_id, f.MakeRow(50, "w")).ok());
   TxnId txn = f.engine.Begin();
   std::vector<Row> rows;
   for (int64_t i = 48; i <= 51; ++i) rows.push_back(f.MakeRow(i, "bulk"));
@@ -567,10 +567,10 @@ TEST(TxnEngineTest, RecoveryKeepsParticipantsFencesAndOnePhaseCommits) {
   // a fence, which must keep refusing a late prepare.
   EngineFixture f;
   TxnId prepared = f.engine.BeginBranch(0, GlobalTxnId(11), 7);
-  ASSERT_TRUE(f.engine.Upsert(prepared, f.table_id, f.MakeRow(1, "a")).ok());
+  ASSERT_TRUE(f.engine.Update(prepared, f.table_id, f.MakeRow(1, "a")).ok());
   ASSERT_TRUE(f.engine.Prepare(prepared, 0, {1, 2, 3}).ok());
   TxnId one_phase = f.engine.BeginBranch(0, GlobalTxnId(12), 7);
-  ASSERT_TRUE(f.engine.Upsert(one_phase, f.table_id, f.MakeRow(2, "b")).ok());
+  ASSERT_TRUE(f.engine.Update(one_phase, f.table_id, f.MakeRow(2, "b")).ok());
   Result<Timestamp> committed = f.engine.CommitOnePhase(one_phase);
   ASSERT_TRUE(committed.ok());
   ASSERT_EQ(f.engine.FenceUnprepared(GlobalTxnId(13))->state,
@@ -592,7 +592,7 @@ TEST(TxnEngineTest, RecoveryKeepsParticipantsFencesAndOnePhaseCommits) {
   EXPECT_EQ(report->state, TxnState::kCommitted);
   EXPECT_EQ(report->commit_ts, *committed);
   TxnId late = rebuilt.BeginBranch(0, GlobalTxnId(13), 7);
-  ASSERT_TRUE(rebuilt.Upsert(late, f.table_id, f.MakeRow(3, "c")).ok());
+  ASSERT_TRUE(rebuilt.Update(late, f.table_id, f.MakeRow(3, "c")).ok());
   EXPECT_TRUE(rebuilt.Prepare(late, 0, {1}).status().IsAborted());
 }
 

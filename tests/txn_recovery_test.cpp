@@ -80,7 +80,7 @@ struct MiniCluster {
       // globals never contend.
       int64_t key = int64_t(((gid >> 32) & 0xff) * 1000 +
                             (gid & 0xff) * 10 + p);
-      EXPECT_TRUE(engine(p)->Upsert(b, kTable, {key, int64_t(p)}).ok());
+      EXPECT_TRUE(engine(p)->Update(b, kTable, {key, int64_t(p)}).ok());
       Result<Timestamp> pts = engine(p)->Prepare(b, owner);
       EXPECT_TRUE(pts.ok());
       if (pts.ok() && *pts > max_prepare) max_prepare = *pts;
@@ -107,7 +107,7 @@ struct MiniCluster {
       TxnEngine* e = engine(participants[i]);
       TxnId b = e->BeginBranch(snapshot, gid, kDeadCoord);
       EXPECT_TRUE(
-          e->Upsert(b, kTable, {int64_t(100 + participants[i]), int64_t(i)})
+          e->Update(b, kTable, {int64_t(100 + participants[i]), int64_t(i)})
               .ok());
       if (i < prepared) {
         Result<Timestamp> pts = e->Prepare(b, /*commit_owner=*/0, ids);
@@ -203,14 +203,14 @@ TEST(InDoubtResolverTest, AbortReleasesLocksForNewWriters) {
   GlobalTxnId gid = Gid(kDeadCoord, 1);
   Timestamp snapshot = c.cn_hlc.Now();
   TxnId b = c.engine(0)->BeginBranch(snapshot, gid, kDeadCoord);
-  ASSERT_TRUE(c.engine(0)->Upsert(b, kTable, {int64_t{7}, int64_t{1}}).ok());
+  ASSERT_TRUE(c.engine(0)->Update(b, kTable, {int64_t{7}, int64_t{1}}).ok());
   ASSERT_TRUE(c.engine(0)->Prepare(b, 1).ok());
 
   // The prepared branch holds a write intent on key 7: a new writer
   // conflicts against it.
   c.now_ms += 10;
   TxnId w1 = c.engine(0)->Begin();
-  EXPECT_FALSE(c.engine(0)->Upsert(w1, kTable, {int64_t{7}, int64_t{2}}).ok());
+  EXPECT_FALSE(c.engine(0)->Update(w1, kTable, {int64_t{7}, int64_t{2}}).ok());
   ASSERT_TRUE(c.engine(0)->Abort(w1).ok());
 
   InDoubtResolver resolver(c.engines());
@@ -220,7 +220,7 @@ TEST(InDoubtResolverTest, AbortReleasesLocksForNewWriters) {
   // Resolution released the intent: the key is writable again.
   c.now_ms += 10;
   TxnId w2 = c.engine(0)->Begin();
-  EXPECT_TRUE(c.engine(0)->Upsert(w2, kTable, {int64_t{7}, int64_t{3}}).ok());
+  EXPECT_TRUE(c.engine(0)->Update(w2, kTable, {int64_t{7}, int64_t{3}}).ok());
   EXPECT_TRUE(c.engine(0)->CommitLocal(w2).ok());
 }
 
@@ -230,11 +230,11 @@ TEST(InDoubtResolverTest, AbortsActiveBranchHoldingRowLock) {
   MiniCluster c(2);
   GlobalTxnId gid = Gid(kDeadCoord, 1);
   TxnId b = c.engine(0)->BeginBranch(c.cn_hlc.Now(), gid, kDeadCoord);
-  ASSERT_TRUE(c.engine(0)->Upsert(b, kTable, {int64_t{7}, int64_t{1}}).ok());
+  ASSERT_TRUE(c.engine(0)->Update(b, kTable, {int64_t{7}, int64_t{1}}).ok());
 
   c.now_ms += 10;
   TxnId w1 = c.engine(0)->Begin();
-  EXPECT_FALSE(c.engine(0)->Upsert(w1, kTable, {int64_t{7}, int64_t{2}}).ok());
+  EXPECT_FALSE(c.engine(0)->Update(w1, kTable, {int64_t{7}, int64_t{2}}).ok());
   ASSERT_TRUE(c.engine(0)->Abort(w1).ok());
 
   InDoubtResolver resolver(c.engines());
@@ -247,7 +247,7 @@ TEST(InDoubtResolverTest, AbortsActiveBranchHoldingRowLock) {
 
   c.now_ms += 10;
   TxnId w2 = c.engine(0)->Begin();
-  EXPECT_TRUE(c.engine(0)->Upsert(w2, kTable, {int64_t{7}, int64_t{3}}).ok());
+  EXPECT_TRUE(c.engine(0)->Update(w2, kTable, {int64_t{7}, int64_t{3}}).ok());
   EXPECT_TRUE(c.engine(0)->CommitLocal(w2).ok());
 }
 
@@ -262,7 +262,7 @@ TEST(InDoubtResolverTest, UnpreparedGlobalIsFencedThenAborted) {
   for (size_t i = 0; i < 2; ++i) {
     TxnId b = c.engine(i)->BeginBranch(snapshot, gid, kDeadCoord);
     ASSERT_TRUE(
-        c.engine(i)->Upsert(b, kTable, {int64_t(10 + i), int64_t(i)}).ok());
+        c.engine(i)->Update(b, kTable, {int64_t(10 + i), int64_t(i)}).ok());
     branches.push_back(b);
   }
 
@@ -328,7 +328,7 @@ TEST(InDoubtResolverTest, FencesBranchWhosePrepareIsInFlight) {
   EXPECT_TRUE(
       c.engine(1)->Prepare(branches[1], 0, {1, 2, 3}).status().IsAborted());
   TxnId late = c.engine(2)->BeginBranch(c.cn_hlc.Now(), gid, kDeadCoord);
-  ASSERT_TRUE(c.engine(2)->Upsert(late, kTable, {int64_t{102}, int64_t{2}})
+  ASSERT_TRUE(c.engine(2)->Update(late, kTable, {int64_t{102}, int64_t{2}})
                   .ok());
   EXPECT_TRUE(
       c.engine(2)->Prepare(late, 0, {1, 2, 3}).status().IsAborted());

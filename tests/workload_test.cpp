@@ -194,14 +194,19 @@ struct SimFixture {
     Sysbench bench({.mode = mode, .table_size = 2000});
     auto rng = std::make_shared<Rng>(seed);
     auto remaining = std::make_shared<int>(clients * txns_per_client);
+    // Client loops; each refers to itself weakly, so this vector is their
+    // only owner and frees them.
+    std::vector<std::shared_ptr<std::function<void(int)>>> loops;
     for (int c = 0; c < clients; ++c) {
       auto submit = std::make_shared<std::function<void(int)>>();
-      *submit = [this, c, bench, rng, submit, remaining](int left) {
+      loops.push_back(submit);
+      std::weak_ptr<std::function<void(int)>> self = submit;
+      *submit = [this, c, bench, rng, self, remaining](int left) {
         if (left <= 0) return;
         cluster->SubmitTxn(c, bench.NextTxn(rng.get()),
-                           [submit, left, remaining](bool, sim::SimTime) {
+                           [self, left, remaining](bool, sim::SimTime) {
                              --*remaining;
-                             (*submit)(left - 1);
+                             if (auto next = self.lock()) (*next)(left - 1);
                            });
       };
       (*submit)(txns_per_client);
