@@ -165,16 +165,17 @@ echo "==> tsan: configure + build (${PREFIX}-tsan)"
 cmake -B "${PREFIX}-tsan" "${GENERATOR_ARGS[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPOLARX_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target \
-  exec_test tpch_test colindex_test htap_router_test
+  exec_test tpch_test colindex_test column_agg_test htap_router_test
 
 echo "==> tsan: executor, MPP, column index and HTAP routing"
 # MppExecutor and QueryScheduler run operators on pool threads, MPP
-# fragments read one ColumnIndex concurrently under its shared lock, and
-# the joins of a broadcast site probe one shared JoinHashTable (exec_test's
-# SharedJoinTableBuildsOnceForAllTasks); a data race in any of them fails
-# these suites under TSan.
+# fragments read one ColumnIndex concurrently under its shared lock, the
+# joins of a broadcast site probe one shared JoinHashTable (exec_test's
+# SharedJoinTableBuildsOnceForAllTasks), and column_agg_test aggregates
+# over an index while another thread commits to it; a data race in any of
+# them fails these suites under TSan.
 ctest --test-dir "${PREFIX}-tsan" \
-  -R '^(exec_test|tpch_test|colindex_test|htap_router_test)$' \
+  -R '^(exec_test|tpch_test|colindex_test|column_agg_test|htap_router_test)$' \
   --output-on-failure
 
 echo "==> ci.sh: all green"

@@ -711,6 +711,7 @@ bool ColumnIndex::EvalNumericVector(const Expr& expr,
                                     const std::vector<uint32_t>& selection,
                                     std::vector<double>* out,
                                     std::vector<uint8_t>* nulls) const {
+  std::shared_lock lock(mu_);
   TypedVector v;
   if (!EvalTyped(data_, expr, selection, &v) || !v.numeric()) return false;
   ToDoubles(&v);
@@ -725,6 +726,7 @@ bool ColumnIndex::EvalNumericVector(const Expr& expr,
 bool ColumnIndex::EvalBoolVector(const Expr& expr,
                                  const std::vector<uint32_t>& selection,
                                  std::vector<uint8_t>* out) const {
+  std::shared_lock lock(mu_);
   return EvalBoolVec(data_, expr, selection, out);
 }
 
@@ -926,13 +928,17 @@ Status ColumnAggOp::Open() {
     }
   }
 
-  // Emit in HashAggOp-compatible layout. Min/max are not vectorized here;
-  // plans that need them over a column index use ColumnScanOp + HashAggOp.
+  // Emit in HashAggOp-compatible layout, each group's cells read under the
+  // index lock. Min/max are not vectorized here; plans that need them over
+  // a column index use ColumnScanOp + HashAggOp.
+  std::vector<Row> groups;
+  if (group_cols_.empty()) {
+    groups.resize(ngroups);
+  } else {
+    index_->MaterializeBatch(group_first, 0, ngroups, group_cols_, &groups);
+  }
   for (size_t g = 0; g < ngroups; ++g) {
-    Row row;
-    for (int c : group_cols_) {
-      row.push_back(index_->column(c).Get(group_first[g]));
-    }
+    Row row = std::move(groups[g]);
     for (size_t a = 0; a < aggs_.size(); ++a) {
       switch (aggs_[a].op) {
         case AggOp::kCount:

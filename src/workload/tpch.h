@@ -128,11 +128,13 @@ struct ScanOptions {
 };
 
 /// One TPC-H query: a fragment factory (per MPP task) plus a merge stage
-/// run on the gathered fragment outputs. Single-node execution is
-/// fragment(0, 1) piped into merge. Some fragments are two-stage: a final
-/// stage over the task's bucket of a hash-repartition Exchange, whose
-/// producers are the per-task partial stage (Q10, Q16, Q18, Q20, Q21);
-/// their merge only concatenates, merges top-N lists or runs a small join.
+/// run on the gathered fragment outputs; the merge reads no base table
+/// except Q15's primary-key lookup of its top supplier. Single-node
+/// execution is fragment(0, 1) piped into merge. Some fragments are
+/// two-stage: a final stage over the task's bucket of a hash-repartition
+/// Exchange, whose producers are the per-task partial stage (Q10, Q13,
+/// Q16, Q18, Q20, Q21, Q22); their merge only concatenates, merges top-N
+/// lists, finishes an aggregate or drops duplicates.
 /// Column-index slice boundaries are read when the plan is built, so all
 /// fragments of one plan share them. So are the build tables of its
 /// broadcast joins (the fragments that open such a join drain its build

@@ -3,17 +3,24 @@
 // Each query is a TpchPlan: a per-task fragment (scans of the query's
 // driving table are restricted to the task's share of it: its shard subset
 // on the row store, its row-id slice of the column index; small tables are
-// scanned in full, i.e. broadcast) plus a merge stage on the coordinator
-// (final aggregation, having/top-n, and any multi-pass join-backs via
-// SubplanOp). Single-node execution is fragment({0,1}) | merge.
+// scanned in full, i.e. broadcast) plus a merge stage on the coordinator.
+// The merge reads only the gathered rows: final aggregation, having/top-n,
+// sorting, and for Q2 and Q17 a join of the gathered rows with their own
+// per-key minimum or average (SubplanOp); no merge scans a base table
+// (Q15's merge looks up its one top supplier by primary key). Single-node
+// execution is fragment({0,1}) | merge.
 //
-// Where the partials do not compress (Q10, Q16, Q18, Q20, Q21), the
-// fragment has two stages: the partial stage becomes the producer of a
-// hash-repartition Exchange keyed on the final stage's group/join key, and
-// the fragment is the final stage over the task's bucket (QB::Shuffle), so
-// the final aggregation, filters and join-backs run in every task and the
-// merge only concatenates, merges top-N lists or runs a small join. With
-// one task the exchange passes its one producer's rows straight through.
+// Where the partials do not compress or the final stage joins other
+// tables (Q10, Q13, Q16, Q18, Q20, Q21, Q22), the fragment has two stages:
+// the partial stage becomes the producer of a hash-repartition Exchange
+// keyed on the final stage's group/join key, and the fragment is the final
+// stage over the task's bucket (QB::Shuffle), so the final aggregation,
+// filters and joins run in every task and the merge only concatenates,
+// merges top-N lists, finishes an aggregate or drops duplicates. Q13 and
+// Q22 shuffle two inputs on custkey (the orders' partial counts and the
+// task's customer slice), so each customer meets its orders' counts in
+// exactly one task. With one task an exchange passes its one producer's
+// rows straight through.
 //
 // Every fragment join whose build side each task would read in full gets a
 // build table (SharedBuild) created with the plan and captured by its
@@ -24,9 +31,12 @@
 // slices nobody has claimed yet, so the tasks build the join's hash table
 // and runtime filter together, once per query, and then all probe it
 // read-only. A join whose build side is the task's own partition (Q4's
-// semi-join) keeps a private one-slice table. Exchanges are created and
+// semi-join) or its exchange bucket (Q13's outer join, Q22's anti-join)
+// keeps a private one-slice table. Exchanges are created and
 // captured the same way.
+#include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "src/optimizer/cost.h"
 #include "src/workload/tpch.h"
@@ -120,9 +130,21 @@ struct QB {
           std::move(group_cols), std::move(aggs), mode,
           Slice(t, o, /*partition=*/true));
     }
+    // The row scan copies only the columns up to the last one the groups
+    // and aggregates read, so their full-schema ids stay valid without
+    // copying the wide trailing columns (o_comment, ...).
+    std::vector<int> used = group_cols;
+    for (const AggSpec& a : aggs) {
+      if (a.expr != nullptr) a.expr->CollectColumns(&used);
+    }
+    int width = 1;
+    for (int c : used) width = std::max(width, c + 1);
+    std::vector<int> proj(width);
+    std::iota(proj.begin(), proj.end(), 0);
     std::vector<ExprPtr> group_exprs;
     for (int c : group_cols) group_exprs.push_back(Expr::Col(c));
-    auto scan = Scan(t, o, /*partition=*/true, std::move(filter), {});
+    auto scan =
+        Scan(t, o, /*partition=*/true, std::move(filter), std::move(proj));
     return std::make_unique<HashAggOp>(std::move(scan),
                                        std::move(group_exprs),
                                        std::move(aggs), mode);
@@ -419,7 +441,7 @@ TpchPlan Q2(const QB& qb) {
                    {E::Col(0), E::Col(3), E::Col(11), E::Col(7), E::Col(14),
                     E::Col(5), E::Col(8), E::Col(10), E::Col(12)});
   };
-  plan.merge = [qb](OperatorPtr gathered) {
+  plan.merge = [](OperatorPtr gathered) {
     return std::make_unique<SubplanOp>(
         std::move(gathered), [](std::vector<Row> rows) -> OperatorPtr {
           auto mins = Agg(std::make_unique<ValuesOp>(rows),
@@ -932,27 +954,35 @@ TpchPlan Q13(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kCustomer, kOrders};
   std::vector<AggSpec> count_aggs = {{AggOp::kCount, nullptr}};
-  plan.fragment = [qb, count_aggs](const ScanOptions& o) {
-    auto orders = qb.Scan(
-        kOrders, o, true,
-        E::Not(E::Contains(E::Col(col::o_comment), "special")),
-        {col::o_custkey});
-    return Agg(std::move(orders), {E::Col(0)}, count_aggs,
-               AggMode::kPartial);
+  SharedExchange counts_by_customer = NewExchange({0}),
+                 customers_by_key = NewExchange({0});
+  auto order_counts = [qb, count_aggs](const ScanOptions& o) {
+    return qb.AggScan(kOrders, o,
+                      E::Not(E::Contains(E::Col(col::o_comment), "special")),
+                      {col::o_custkey}, count_aggs, AggMode::kPartial);
   };
-  plan.merge = [qb, count_aggs](OperatorPtr gathered) {
-    auto counts =
-        Agg(std::move(gathered), GroupCols(1), count_aggs, AggMode::kFinal);
-    ScanOptions single;
-    auto cust = qb.Scan(kCustomer, single, false, nullptr, {col::c_custkey});
+  auto customers = [qb](const ScanOptions& o) {
+    return qb.Scan(kCustomer, o, true, nullptr, {col::c_custkey});
+  };
+  // Order counts and customers shuffled by custkey: each customer lands in
+  // one task, with all of its orders' counts, so the outer join and the
+  // per-customer count run in every task.
+  plan.fragment = [qb, count_aggs, counts_by_customer, customers_by_key,
+                   order_counts, customers](const ScanOptions& o) {
+    auto counts = Agg(qb.Shuffle(counts_by_customer, o, order_counts),
+                      GroupCols(1), count_aggs, AggMode::kFinal);
     // left outer: ck0 ck1(null) cnt2(null)
-    auto oj = Join(std::move(cust), std::move(counts), {0}, {0},
-                   JoinType::kLeftOuter, 2);
+    auto oj = Join(qb.Shuffle(customers_by_key, o, customers),
+                   std::move(counts), {0}, {0}, JoinType::kLeftOuter, 2);
     auto c_count = Project(
         std::move(oj),
         {E::Case(E::IsNull(E::Col(2)), E::Lit(int64_t{0}), E::Col(2))});
-    auto dist = Agg(std::move(c_count), {E::Col(0)},
-                    {{AggOp::kCount, nullptr}});
+    return Agg(std::move(c_count), {E::Col(0)}, count_aggs,
+               AggMode::kPartial);
+  };
+  plan.merge = [count_aggs](OperatorPtr gathered) {
+    auto dist =
+        Agg(std::move(gathered), GroupCols(1), count_aggs, AggMode::kFinal);
     return Sort(std::move(dist), {{1, false}, {0, false}});
   };
   return plan;
@@ -962,28 +992,28 @@ TpchPlan Q14(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kLineItem, kPart};
   int64_t lo = Days(1995, 9, 1), hi = Days(1995, 10, 1);
-  plan.fragment = [qb, lo, hi](const ScanOptions& o) {
-    // Only the (heavy) lineitem scan is distributed; the join with part and
-    // the two-sum aggregate run at the coordinator over the ~1% of rows
-    // that survive the one-month shipdate filter.
-    return qb.Scan(kLineItem, o, true,
-                   E::And(E::ColCmp(CmpOp::kGe, col::l_shipdate, lo),
-                          E::ColCmp(CmpOp::kLt, col::l_shipdate, hi)),
-                   {col::l_partkey, col::l_extendedprice,
-                    col::l_discount});
+  // j: lpk0 ext1 disc2 ppk3 type4
+  std::vector<AggSpec> aggs = {
+      {AggOp::kSum, E::Case(E::StartsWith(E::Col(4), "PROMO"), Vol(1, 2),
+                            E::Lit(0.0))},
+      {AggOp::kSum, Vol(1, 2)}};
+  SharedBuild part_b = NewSharedBuild();
+  plan.fragment = [qb, lo, hi, aggs, part_b](const ScanOptions& o) {
+    // build = ALL parts: no runtime filter, but the column-native join
+    // applies (Q19's shape).
+    auto j = qb.ScanJoin(
+        kLineItem, o,
+        E::And(E::ColCmp(CmpOp::kGe, col::l_shipdate, lo),
+               E::ColCmp(CmpOp::kLt, col::l_shipdate, hi)),
+        {col::l_partkey, col::l_extendedprice, col::l_discount}, {0},
+        qb.ScanBuild(part_b, o, kPart, nullptr,
+                     {col::p_partkey, col::p_type}),
+        {0}, JoinType::kInner, double(qb.db->row_count(kPart)),
+        double(qb.db->row_count(kPart)));
+    return Agg(std::move(j), {}, aggs, AggMode::kPartial);
   };
-  plan.merge = [qb](OperatorPtr gathered) {
-    ScanOptions single;
-    // j: lpk0 ext1 disc2 ppk3 type4
-    auto j = Join(std::move(gathered),
-                  qb.Scan(kPart, single, false, nullptr,
-                          {col::p_partkey, col::p_type}),
-                  {0}, {0});
-    std::vector<AggSpec> aggs = {
-        {AggOp::kSum, E::Case(E::StartsWith(E::Col(4), "PROMO"),
-                              Vol(1, 2), E::Lit(0.0))},
-        {AggOp::kSum, Vol(1, 2)}};
-    auto agg = Agg(std::move(j), {}, aggs);
+  plan.merge = [aggs](OperatorPtr gathered) {
+    auto agg = Agg(std::move(gathered), {}, aggs, AggMode::kFinal);
     return Project(std::move(agg),
                    {E::Arith(ArithOp::kDiv,
                              E::Arith(ArithOp::kMul, E::Lit(100.0),
@@ -1005,14 +1035,14 @@ TpchPlan Q15(const QB& qb) {
                              E::ColCmp(CmpOp::kLt, col::l_shipdate, hi)),
                       {col::l_suppkey}, aggs, AggMode::kPartial);
   };
-  plan.merge = [qb, aggs](OperatorPtr gathered) {
+  plan.merge = [aggs, suppliers = qb.db->shards(kSupplier),
+                snap = qb.snap](OperatorPtr gathered) {
     auto revenue =
         Agg(std::move(gathered), GroupCols(1), aggs, AggMode::kFinal);
     auto top = std::make_unique<HavingMaxOp>(std::move(revenue), 1);
     // §VII-C: supplier's primary key looked up via index nested-loop join.
     auto j = std::make_unique<LookupJoinOp>(
-        std::move(top), qb.db->shards(kSupplier),
-        std::vector<ExprPtr>{E::Col(0)}, qb.snap);
+        std::move(top), suppliers, std::vector<ExprPtr>{E::Col(0)}, snap);
     // cols: sk0 rev1 s...2..8
     auto projected = Project(std::move(j),
                              {E::Col(0), E::Col(3), E::Col(4), E::Col(6),
@@ -1207,7 +1237,8 @@ TpchPlan Q20(const QB& qb) {
   plan.tables = {kLineItem, kPartSupp, kPart, kSupplier, kNation};
   int64_t lo = Days(1994, 1, 1), hi = Days(1995, 1, 1);
   std::vector<AggSpec> aggs = {{AggOp::kSum, E::Col(2)}};
-  SharedBuild partsupp_b = NewSharedBuild(), forest_b = NewSharedBuild();
+  SharedBuild partsupp_b = NewSharedBuild(), forest_b = NewSharedBuild(),
+              canada_b = NewSharedBuild(), supp_b = NewSharedBuild();
   SharedExchange by_part_supp = NewExchange({0, 1});
   auto partial = [qb, lo, hi, aggs](const ScanOptions& o) {
     auto line = qb.Scan(kLineItem, o, true,
@@ -1219,9 +1250,9 @@ TpchPlan Q20(const QB& qb) {
   };
   // Partials shuffled by (partkey, suppkey): each task finishes its pairs'
   // shipped quantity, checks them against partsupp and the forest parts,
-  // and emits the suppkeys that qualify.
-  plan.fragment = [qb, aggs, partsupp_b, forest_b, by_part_supp,
-                   partial](const ScanOptions& o) {
+  // and joins the suppkeys that qualify with the suppliers in CANADA.
+  plan.fragment = [qb, aggs, partsupp_b, forest_b, canada_b, supp_b,
+                   by_part_supp, partial](const ScanOptions& o) {
     // qty: pk0 sk1 sum2
     auto qty = Agg(qb.Shuffle(by_part_supp, o, partial), GroupCols(2), aggs,
                    AggMode::kFinal);
@@ -1237,20 +1268,28 @@ TpchPlan Q20(const QB& qb) {
                                {col::p_partkey});
     auto candidates = Join(std::move(enough), std::move(forest), {0}, {0},
                            JoinType::kLeftSemi);
-    return Project(std::move(candidates), {E::Col(1)});
+    // The task's qualifying suppkeys, once each: sk0.
+    auto sks = Agg(std::move(candidates), {E::Col(1)}, {});
+    // suppliers in CANADA: s_sk0 s_name1 s_addr2 s_nk3 nk4
+    auto canada = qb.SlicedBuild(
+        supp_b, o, [qb, canada_b](const ScanOptions& so) {
+          return Join(qb.Scan(kSupplier, so, true, nullptr,
+                              {col::s_suppkey, col::s_name, col::s_address,
+                               col::s_nationkey}),
+                      qb.ScanBuild(canada_b, so, kNation,
+                                   E::ColCmp(CmpOp::kEq, col::n_name,
+                                             S("CANADA")),
+                                   {col::n_nationkey}),
+                      {3}, {0});
+        });
+    // j2: sk0 + canada 1..5
+    auto j2 = Join(std::move(sks), std::move(canada), {0}, {0});
+    return Project(std::move(j2), {E::Col(0), E::Col(2), E::Col(3)});
   };
-  // gathered: candidate sk0 (duplicates across parts)
-  plan.merge = [qb](OperatorPtr gathered) {
-    ScanOptions single;
-    // suppliers in CANADA whose suppkey is among candidates
-    auto sn = Join(qb.Scan(kSupplier, single, false),
-                   qb.Scan(kNation, single, false,
-                           E::ColCmp(CmpOp::kEq, col::n_name, S("CANADA")),
-                           {col::n_nationkey}),
-                   {col::s_nationkey}, {0});
-    auto result = Join(std::move(sn), std::move(gathered), {0}, {0},
-                       JoinType::kLeftSemi);
-    auto projected = Project(std::move(result), {E::Col(1), E::Col(2)});
+  // gathered: sk0 name1 addr2, a supplier once per task that qualified it.
+  plan.merge = [](OperatorPtr gathered) {
+    auto distinct = Agg(std::move(gathered), GroupCols(3), {});
+    auto projected = Project(std::move(distinct), {E::Col(1), E::Col(2)});
     return Sort(std::move(projected), {{0, true}});
   };
   return plan;
@@ -1338,49 +1377,49 @@ TpchPlan Q21(const QB& qb) {
 TpchPlan Q22(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kCustomer, kOrders};
-  std::vector<AggSpec> count_aggs = {{AggOp::kCount, nullptr}};
-  plan.fragment = [qb, count_aggs](const ScanOptions& o) {
-    auto orders = qb.Scan(kOrders, o, true, nullptr, {col::o_custkey});
-    return Agg(std::move(orders), {E::Col(0)}, count_aggs,
-               AggMode::kPartial);
+  auto in_codes = E::In(E::Substr(E::Col(col::c_phone), 0, 2),
+                        {S("13"), S("31"), S("23"), S("29"), S("30"),
+                         S("18"), S("17")});
+  std::vector<AggSpec> aggs = {{AggOp::kCount, nullptr},
+                               {AggOp::kSum, E::Col(2)}};
+  SharedExchange buyers_by_customer = NewExchange({0}),
+                 customers_by_key = NewExchange({0});
+  auto buyers = [qb](const ScanOptions& o) {
+    return qb.AggScan(kOrders, o, nullptr, {col::o_custkey},
+                      {{AggOp::kCount, nullptr}}, AggMode::kPartial);
   };
-  plan.merge = [qb, count_aggs](OperatorPtr gathered) {
-    auto buyers =
-        Agg(std::move(gathered), GroupCols(1), count_aggs, AggMode::kFinal);
-    return std::make_unique<SubplanOp>(
-        std::move(buyers), [qb](std::vector<Row> buyer_rows) -> OperatorPtr {
-          ScanOptions single;
-          std::vector<Value> codes = {S("13"), S("31"), S("23"), S("29"),
-                                      S("30"), S("18"), S("17")};
-          auto cust_scan = [&]() {
-            auto scan = qb.Scan(kCustomer, single, false, nullptr,
-                                {col::c_custkey, col::c_phone,
-                                 col::c_acctbal});
-            // project: ck0 code1 acct2
-            return Project(std::move(scan),
-                           {E::Col(0), E::Substr(E::Col(1), 0, 2),
-                            E::Col(2)});
-          };
-          auto in_codes = E::In(E::Col(1), codes);
-          // scalar avg over positive balances in the code set
-          auto avg = Agg(Filter(cust_scan(),
-                                E::And(in_codes,
-                                       E::ColCmp(CmpOp::kGt, 2, 0.0))),
-                         {}, {{AggOp::kAvg, E::Col(2)}});
-          // cross join customers with the 1-row avg: ck0 code1 acct2 avg3
-          auto crossed = Join(Filter(cust_scan(), in_codes), std::move(avg),
-                              {}, {});
-          auto rich = Filter(std::move(crossed),
-                             E::Cmp(CmpOp::kGt, E::Col(2), E::Col(3)));
-          auto no_orders =
-              Join(std::move(rich),
-                   std::make_unique<ValuesOp>(std::move(buyer_rows)), {0},
-                   {0}, JoinType::kLeftAnti);
-          auto grouped = Agg(std::move(no_orders), {E::Col(1)},
-                             {{AggOp::kCount, nullptr},
-                              {AggOp::kSum, E::Col(2)}});
-          return Sort(std::move(grouped), {{0, true}});
-        });
+  // ck0 code1 acct2 of the task's customers in the code set
+  auto customers = [qb, in_codes](const ScanOptions& o) {
+    return Project(qb.Scan(kCustomer, o, true, in_codes,
+                           {col::c_custkey, col::c_phone, col::c_acctbal}),
+                   {E::Col(0), E::Substr(E::Col(1), 0, 2), E::Col(2)});
+  };
+  // Buyers and customers shuffled by custkey: each task anti-joins its
+  // customers with their orders. The average balance is a scalar over all
+  // customers, so every task computes it from the whole table in scan
+  // order, and every task compares against the same value.
+  plan.fragment = [qb, in_codes, aggs, buyers_by_customer, customers_by_key,
+                   buyers, customers](const ScanOptions& o) {
+    auto avg = Agg(qb.Scan(kCustomer, o, false,
+                           E::And(in_codes, E::ColCmp(CmpOp::kGt,
+                                                      col::c_acctbal, 0.0)),
+                           {col::c_acctbal}),
+                   {}, {{AggOp::kAvg, E::Col(0)}});
+    // cross join the customers with the 1-row avg: ck0 code1 acct2 avg3
+    auto crossed = Join(qb.Shuffle(customers_by_key, o, customers),
+                        std::move(avg), {}, {});
+    auto rich = Filter(std::move(crossed),
+                       E::Cmp(CmpOp::kGt, E::Col(2), E::Col(3)));
+    // A customer's partial counts may come from several producers; the
+    // anti-join needs only that one exists.
+    auto no_orders = Join(std::move(rich),
+                          qb.Shuffle(buyers_by_customer, o, buyers), {0}, {0},
+                          JoinType::kLeftAnti);
+    return Agg(std::move(no_orders), {E::Col(1)}, aggs, AggMode::kPartial);
+  };
+  plan.merge = [aggs](OperatorPtr gathered) {
+    return Sort(Agg(std::move(gathered), GroupCols(1), aggs, AggMode::kFinal),
+                {{0, true}});
   };
   return plan;
 }

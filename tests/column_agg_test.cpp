@@ -3,9 +3,11 @@
 // HashAggOp on identical data.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "src/colindex/column_index.h"
 #include "src/common/rng.h"
@@ -314,6 +316,47 @@ TEST(EvalNumericVectorTest, UnsupportedShapesFallBack) {
   // Contains: unsupported kind.
   EXPECT_FALSE(idx.EvalNumericVector(
       *Expr::Contains(Expr::Col(1), "A"), sel, &values));
+}
+
+// A live index takes commits while AP queries read it: ApplyCommit appends
+// to (and reallocates) the column vectors a concurrent ColumnAggOp reads.
+// Every read must hold the index lock; TSan reports one that does not. The
+// reader's snapshot predates every commit, so its result never changes.
+TEST(ColumnAggTest, AggregatesWhileCommitsAppend) {
+  Rng rng(23);
+  auto idx = MakeIndex(1000, &rng);
+  const auto filter = Expr::ColCmp(CmpOp::kLt, 2, 40.0);
+  const std::vector<AggSpec> aggs = {
+      {AggOp::kCount, nullptr},
+      {AggOp::kSum, Expr::Arith(ArithOp::kMul, Expr::Col(2), Expr::Col(3))}};
+  ColumnAggOp first(idx.get(), 100, filter, {1}, aggs);
+  auto want = Collect(&first);
+  ASSERT_TRUE(want.ok());
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int64_t i = 1000; i < 20000; ++i) {
+      RedoRecord rec;
+      rec.type = RedoType::kInsert;
+      rec.key = EncodeKey({i});
+      rec.row = {i, std::string(i % 2 == 0 ? "A" : "B"), double(i % 50),
+                 1.0};
+      idx->ApplyCommit(100 + Timestamp(i), {rec});
+    }
+    done = true;
+  });
+  // No ASSERT in the loop: returning early would leave `writer` joinable.
+  do {
+    ColumnAggOp agg(idx.get(), 100, filter, {1}, aggs);
+    auto got = Collect(&agg);
+    EXPECT_TRUE(got.ok() && *got == *want);
+    std::vector<uint32_t> sel;
+    idx->BuildSelection(100, nullptr, &sel);
+    std::vector<uint8_t> mask;
+    EXPECT_TRUE(idx->EvalBoolVector(*filter, sel, &mask));
+  } while (!done.load());
+  writer.join();
+  EXPECT_EQ(idx->total_versions(), 20000u);
 }
 
 }  // namespace
