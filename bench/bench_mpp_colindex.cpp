@@ -15,9 +15,10 @@
 //
 // Each mode is measured as the median of --reps timed runs after one
 // untimed warmup. Runtime-filter counters (rows reaching join probes, rows
-// pruned at scans) are captured per query/mode so the --runtime_filters
-// on/off ablation can report how much the filters shrink the rows shuffled
-// into join fragments.
+// pruned at scans) are captured per query in every mode, so the
+// --runtime_filters on/off ablation can report how much the filters shrink
+// the rows shuffled into join fragments. The counters are summed over all
+// tasks of an MPP run and do not depend on thread timing.
 //
 // Reported: per-query latency for each mode and the improvement ratios
 // ("MPP gain" = single/mpp - 1, "column gain" = single/column - 1,
@@ -176,7 +177,14 @@ int main(int argc, char** argv) {
                  << ", \"column_join_probe_rows\": "
                  << column.stats.join_probe_rows
                  << ", \"column_scan_rows_dropped\": "
-                 << column.stats.scan_rows_dropped << "}";
+                 << column.stats.scan_rows_dropped
+                 << ", \"mpp_join_probe_rows\": " << mpp.stats.join_probe_rows
+                 << ", \"mpp_scan_rows_dropped\": "
+                 << mpp.stats.scan_rows_dropped
+                 << ", \"mpp_column_join_probe_rows\": "
+                 << mpp_col.stats.join_probe_rows
+                 << ", \"mpp_column_scan_rows_dropped\": "
+                 << mpp_col.stats.scan_rows_dropped << "}";
   }
   std::printf(
       "\ntotal %11.2f %11.2f %11.2f %11.2f %+9.0f%% %+9.0f%% %+11.0f%%\n",

@@ -105,10 +105,11 @@ EOF
 
 echo "==> e4-counters: E4 work counters equal the committed JSON"
 # The AP path's deterministic work counters (rows reaching a join probe,
-# rows a runtime filter pruned at a scan) for every TPC-H query, single-node
-# row and column plans, at the committed scale with runtime filters on and
-# off. Timings vary by host; these counts may only change together with a
-# regenerated bench/out/BENCH_mpp_colindex.json (scripts/bench_ap_path.sh).
+# rows a runtime filter pruned at a scan) for every TPC-H query, in all four
+# E4 modes (single-node row and column, MPP row and column, the MPP ones
+# summed over the tasks), at the committed scale with runtime filters on
+# and off. Timings vary by host; these counts may only change together with
+# a regenerated bench/out/BENCH_mpp_colindex.json (scripts/bench_ap_path.sh).
 for rf in on off; do
   "${PREFIX}/bench/bench_mpp_colindex" --reps=1 --runtime_filters="${rf}" \
     --json="${PREFIX}/bench/out/e4_counters_rf_${rf}.json" >/dev/null
@@ -119,7 +120,9 @@ python3 - bench/out/BENCH_mpp_colindex.json \
 import json, sys
 ref = json.load(open(sys.argv[1]))
 counters = ("single_join_probe_rows", "single_scan_rows_dropped",
-            "column_join_probe_rows", "column_scan_rows_dropped")
+            "column_join_probe_rows", "column_scan_rows_dropped",
+            "mpp_join_probe_rows", "mpp_scan_rows_dropped",
+            "mpp_column_join_probe_rows", "mpp_column_scan_rows_dropped")
 checked = 0
 for rf, path in (("on", sys.argv[2]), ("off", sys.argv[3])):
     want = {q["q"]: q for q in ref["runtime_filters_" + rf]["queries"]}

@@ -868,6 +868,13 @@ ColumnAggOp::ColumnAggOp(const ColumnIndex* index, Timestamp snapshot_ts,
 Status ColumnAggOp::Open() {
   results_.clear();
   pos_ = 0;
+  // Min/max are not vectorized here; plans that need them over a column
+  // index use ColumnScanOp + HashAggOp.
+  for (const AggSpec& spec : aggs_) {
+    if (spec.op == AggOp::kMin || spec.op == AggOp::kMax) {
+      return Status::NotSupported("min/max not supported by ColumnAggOp");
+    }
+  }
   std::vector<uint32_t> selection;
   index_->BuildSelection(snapshot_ts_, filter_, &selection, range_);
 
@@ -888,21 +895,17 @@ Status ColumnAggOp::Open() {
   // no row is selected.
   if (group_cols_.empty() && group_first.empty()) group_first.push_back(0);
 
-  const size_t ngroups = group_first.size();
-  // Accumulate each aggregate vectorized.
-  struct Acc {
-    std::vector<double> sum;
-    std::vector<int64_t> count;
-  };
-  std::vector<Acc> accs(aggs_.size());
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    accs[a].sum.assign(ngroups, 0);
-    accs[a].count.assign(ngroups, 0);
+  // Accumulate each aggregate vectorized, into HashAggOp's accumulators:
+  // group g's state of aggregate a is accs[g * naggs + a].
+  const size_t ngroups = group_first.size(), naggs = aggs_.size();
+  std::vector<AggAcc> accs(ngroups * naggs);
+  for (size_t a = 0; a < naggs; ++a) {
+    auto acc = [&](size_t i) -> AggAcc& {
+      return accs[row_group[i] * naggs + a];
+    };
     const AggSpec& spec = aggs_[a];
     if (spec.op == AggOp::kCount && spec.expr == nullptr) {
-      for (size_t i = 0; i < selection.size(); ++i) {
-        ++accs[a].count[row_group[i]];
-      }
+      for (size_t i = 0; i < selection.size(); ++i) ++acc(i).count;
       continue;
     }
     // NULL values are skipped, as HashAggOp folds them.
@@ -911,8 +914,8 @@ Status ColumnAggOp::Open() {
     if (index_->EvalNumericVector(*spec.expr, selection, &values, &nulls)) {
       for (size_t i = 0; i < selection.size(); ++i) {
         if (nulls[i]) continue;
-        accs[a].sum[row_group[i]] += values[i];
-        ++accs[a].count[row_group[i]];
+        acc(i).sum += values[i];
+        ++acc(i).count;
       }
     } else {
       // Fallback: row-at-a-time.
@@ -921,16 +924,15 @@ Status ColumnAggOp::Open() {
         if (IsNull(v)) continue;
         auto d = ValueAsDouble(v);
         if (spec.op == AggOp::kCount || d.ok()) {
-          accs[a].sum[row_group[i]] += d.ValueOr(0);
-          ++accs[a].count[row_group[i]];
+          acc(i).sum += d.ValueOr(0);
+          ++acc(i).count;
         }
       }
     }
   }
 
-  // Emit in HashAggOp-compatible layout, each group's cells read under the
-  // index lock. Min/max are not vectorized here; plans that need them over
-  // a column index use ColumnScanOp + HashAggOp.
+  // Emit through HashAggOp's emit path, each group's cells read under the
+  // index lock.
   std::vector<Row> groups;
   if (group_cols_.empty()) {
     groups.resize(ngroups);
@@ -938,34 +940,9 @@ Status ColumnAggOp::Open() {
     index_->MaterializeBatch(group_first, 0, ngroups, group_cols_, &groups);
   }
   for (size_t g = 0; g < ngroups; ++g) {
-    Row row = std::move(groups[g]);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      switch (aggs_[a].op) {
-        case AggOp::kCount:
-          row.push_back(accs[a].count[g]);
-          break;
-        case AggOp::kSum:
-          row.push_back(accs[a].sum[g]);
-          break;
-        case AggOp::kAvg:
-          if (mode_ == AggMode::kPartial) {
-            row.push_back(accs[a].sum[g]);
-            row.push_back(accs[a].count[g]);
-          } else {
-            row.push_back(accs[a].count[g] == 0
-                              ? Value{}
-                              : Value{accs[a].sum[g] /
-                                      double(accs[a].count[g])});
-          }
-          break;
-        case AggOp::kMin:
-        case AggOp::kMax:
-          return Status::NotSupported(
-              "min/max not supported by ColumnAggOp");
-      }
-    }
-    results_.push_back(std::move(row));
+    AppendAggregates(aggs_, mode_, &accs[g * naggs], nullptr, &groups[g]);
   }
+  results_ = std::move(groups);
   return Status::Ok();
 }
 

@@ -199,9 +199,12 @@ class ColumnIndex {
 /// materializing rows. Group ids come from HashAggOp's key table
 /// (KeyWordTable), fed a column at a time by ColumnIndex::EncodeKeys, so
 /// the groups and their first-seen output order are HashAggOp's over the
-/// same selection. NULL aggregate inputs are skipped, as HashAggOp skips them.
-/// Output layout matches HashAggOp for the same specs, so it drops into
-/// plans as a replacement for Agg(Scan(...)); min/max are not supported.
+/// same selection. Each aggregate folds a column at a time into HashAggOp's
+/// per-group {sum, count} accumulators (AggAcc), skipping NULL inputs as
+/// HashAggOp does, and the groups are emitted through HashAggOp's emit path
+/// (AppendAggregates), so the output is HashAggOp's for the same specs and
+/// the operator drops into plans as a replacement for Agg(Scan(...)).
+/// Min/max are not supported: Open() refuses them.
 class ColumnAggOp : public Operator {
  public:
   /// Aggregates the rows of `range` only (an MPP task's slice).

@@ -17,6 +17,14 @@ Row ProjectRow(const Row& row, const std::vector<int>& projection) {
   return out;
 }
 
+/// Folds `v` into min/max slot `slot`, which is NULL until the first
+/// non-NULL input; NULL inputs are skipped.
+void FoldExtreme(AggOp op, const Value& v, Value* slot) {
+  if (IsNull(v)) return;
+  const int c = IsNull(*slot) ? 0 : CompareValues(v, *slot);
+  if (IsNull(*slot) || (op == AggOp::kMin ? c < 0 : c > 0)) *slot = v;
+}
+
 }  // namespace
 
 Result<std::vector<Row>> Collect(Operator* op) {
@@ -342,16 +350,66 @@ void SubplanOp::Close() {
 
 // -------------------------------------------------------------- HashAgg --
 
+void AppendAggregates(const std::vector<AggSpec>& aggs, AggMode mode,
+                      const AggAcc* accs, Value* extremes, Row* out) {
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    const AggAcc& acc = accs[i];
+    switch (aggs[i].op) {
+      case AggOp::kCount:
+        out->push_back(acc.count);
+        break;
+      case AggOp::kSum:
+        out->push_back(acc.sum);
+        break;
+      case AggOp::kAvg:
+        if (mode == AggMode::kPartial) {
+          out->push_back(acc.sum);
+          out->push_back(acc.count);
+        } else {
+          out->push_back(acc.count == 0 ? Value{}
+                                        : Value{acc.sum / double(acc.count)});
+        }
+        break;
+      case AggOp::kMin:
+      case AggOp::kMax:
+        out->push_back(std::move(*extremes++));
+        break;
+    }
+  }
+}
+
 HashAggOp::HashAggOp(OperatorPtr child, std::vector<ExprPtr> group_by,
                      std::vector<AggSpec> aggs, AggMode mode)
     : child_(std::move(child)),
       group_by_(std::move(group_by)),
       aggs_(std::move(aggs)),
       mode_(mode),
-      table_(group_by_.size()),
+      input_cols_(aggs_.size(), -1),
+      extreme_of_(aggs_.size()),
       group_cols_(group_by_.size()),
+      table_(group_by_.size()),
       key_buf_(table_.width()) {
   std::iota(group_cols_.begin(), group_cols_.end(), 0);
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    const ExprPtr& e = aggs_[i].expr;
+    if (e != nullptr && e->kind() == Expr::Kind::kColumn) {
+      input_cols_[i] = e->column();
+    }
+    if (aggs_[i].op == AggOp::kMin || aggs_[i].op == AggOp::kMax) {
+      extreme_of_[i] = num_extremes_++;
+    }
+  }
+  if (mode_ == AggMode::kFinal) {
+    key_cols_ = group_cols_;
+    return;
+  }
+  for (const auto& g : group_by_) {
+    if (g->kind() != Expr::Kind::kColumn) {
+      key_cols_.clear();
+      return;
+    }
+    key_cols_.push_back(g->column());
+  }
 }
 
 Status HashAggOp::Open() {
@@ -359,127 +417,94 @@ Status HashAggOp::Open() {
   consumed_ = false;
   table_ = KeyWordTable(group_by_.size());
   groups_.clear();
-  states_.clear();
+  accs_.clear();
+  extremes_.clear();
   out_pos_ = 0;
   return Status::Ok();
 }
 
-HashAggOp::AggState* HashAggOp::GroupStates(const Row& row) {
-  const uint64_t hash = table_.Encode(row, group_cols_, key_buf_.data());
+size_t HashAggOp::GroupOf(const Row& row, const std::vector<int>& cols) {
+  const uint64_t hash = table_.Encode(row, cols, key_buf_.data());
   bool inserted = false;
   const uint32_t id = table_.FindOrInsert(key_buf_.data(), hash, &inserted);
   if (inserted) {
-    // Room for the aggregates Finalize appends (two columns for a partial
-    // avg), so emitting the group does not reallocate its row.
+    // Room for the aggregates AppendAggregates adds (two columns for a
+    // partial avg), so emitting the group does not reallocate its row.
     Row& values = groups_.emplace_back();
-    values.reserve(group_by_.size() + 2 * aggs_.size());
-    values.assign(row.begin(), row.begin() + group_by_.size());
-    states_.resize(states_.size() + aggs_.size());
+    values.reserve(cols.size() + 2 * aggs_.size());
+    for (int c : cols) values.push_back(row[c]);
+    accs_.resize(accs_.size() + aggs_.size());
+    extremes_.resize(extremes_.size() + num_extremes_);
   }
-  return states_.data() + size_t(id) * aggs_.size();
+  return id;
 }
 
-void HashAggOp::Fold(const Row& row, AggState* states) {
+void HashAggOp::Fold(const Row& row, size_t g) {
+  AggAcc* accs = accs_.data() + g * aggs_.size();
+  Value computed;
   for (size_t i = 0; i < aggs_.size(); ++i) {
-    AggState& st = states[i];
     const AggSpec& spec = aggs_[i];
-    if (spec.op == AggOp::kCount && spec.expr == nullptr) {
-      ++st.count;
-      st.any = true;
+    if (spec.expr == nullptr) {  // COUNT(*)
+      ++accs[i].count;
       continue;
     }
-    Value v = spec.expr->Eval(row);
-    if (IsNull(v)) continue;
+    const Value* v = &computed;
+    if (input_cols_[i] >= 0) {
+      v = &row[input_cols_[i]];
+    } else {
+      computed = spec.expr->Eval(row);
+    }
     switch (spec.op) {
       case AggOp::kCount:
-        ++st.count;
+        accs[i].count += !IsNull(*v);
         break;
       case AggOp::kSum:
-      case AggOp::kAvg: {
-        auto d = ValueAsDouble(v);
-        if (d.ok()) {
-          st.sum += *d;
-          ++st.count;
+      case AggOp::kAvg:
+        // Numbers only: NULLs and strings are skipped.
+        if (const auto* d = std::get_if<double>(v)) {
+          accs[i].sum += *d;
+        } else if (const auto* n = std::get_if<int64_t>(v)) {
+          accs[i].sum += double(*n);
+        } else {
+          break;
         }
+        ++accs[i].count;
         break;
-      }
       case AggOp::kMin:
-        if (!st.any || CompareValues(v, st.min) < 0) st.min = v;
-        break;
       case AggOp::kMax:
-        if (!st.any || CompareValues(v, st.max) > 0) st.max = v;
+        FoldExtreme(spec.op, *v,
+                    &extremes_[g * num_extremes_ + extreme_of_[i]]);
         break;
     }
-    st.any = true;
   }
 }
 
-void HashAggOp::FoldMerged(const Row& row, AggState* states) {
+void HashAggOp::FoldMerged(const Row& row, size_t g) {
   // Input layout: group columns, then states (sum,count per avg; single
-  // column otherwise) in agg order.
+  // column otherwise) in agg order, as AppendAggregates writes them.
+  AggAcc* accs = accs_.data() + g * aggs_.size();
   size_t col = group_by_.size();
   for (size_t i = 0; i < aggs_.size(); ++i) {
-    AggState& st = states[i];
     switch (aggs_[i].op) {
       case AggOp::kCount:
-        st.count += ValueAsInt(row[col]).ValueOr(0);
-        ++col;
+        accs[i].count += ValueAsInt(row[col++]).ValueOr(0);
         break;
       case AggOp::kSum:
-        st.sum += ValueAsDouble(row[col]).ValueOr(0);
-        ++col;
+        accs[i].sum += ValueAsDouble(row[col++]).ValueOr(0);
         break;
       case AggOp::kAvg:
-        st.sum += ValueAsDouble(row[col]).ValueOr(0);
-        st.count += ValueAsInt(row[col + 1]).ValueOr(0);
+        accs[i].sum += ValueAsDouble(row[col]).ValueOr(0);
+        accs[i].count += ValueAsInt(row[col + 1]).ValueOr(0);
         col += 2;
         break;
-      case AggOp::kMin: {
-        // A NULL state is a partial that saw no non-NULL input.
-        const Value& v = row[col++];
-        if (IsNull(v)) continue;
-        if (!st.any || CompareValues(v, st.min) < 0) st.min = v;
-        break;
-      }
-      case AggOp::kMax: {
-        const Value& v = row[col++];
-        if (IsNull(v)) continue;
-        if (!st.any || CompareValues(v, st.max) > 0) st.max = v;
-        break;
-      }
-    }
-    st.any = true;
-  }
-}
-
-Row HashAggOp::Finalize(Row group, const AggState* states) const {
-  Row out = std::move(group);
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    const AggState& st = states[i];
-    switch (aggs_[i].op) {
-      case AggOp::kCount:
-        out.push_back(st.count);
-        break;
-      case AggOp::kSum:
-        out.push_back(st.sum);
-        break;
-      case AggOp::kAvg:
-        if (mode_ == AggMode::kPartial) {
-          out.push_back(st.sum);
-          out.push_back(st.count);
-        } else {
-          out.push_back(st.count == 0 ? Value{} : Value{st.sum / st.count});
-        }
-        break;
       case AggOp::kMin:
-        out.push_back(st.any ? st.min : Value{});
-        break;
       case AggOp::kMax:
-        out.push_back(st.any ? st.max : Value{});
+        // A NULL state is a partial that saw no non-NULL input.
+        FoldExtreme(aggs_[i].op, row[col++],
+                    &extremes_[g * num_extremes_ + extreme_of_[i]]);
         break;
     }
   }
-  return out;
 }
 
 Status HashAggOp::Next(Batch* out) {
@@ -491,31 +516,30 @@ Status HashAggOp::Next(Batch* out) {
       if (in.empty()) break;
       for (const auto& row : in.rows) {
         if (mode_ == AggMode::kFinal) {
-          FoldMerged(row, GroupStates(row));
-          continue;
+          FoldMerged(row, GroupOf(row, key_cols_));
+        } else if (key_cols_.size() == group_by_.size()) {
+          Fold(row, GroupOf(row, key_cols_));
+        } else {
+          group_buf_.clear();
+          for (const auto& g : group_by_) group_buf_.push_back(g->Eval(row));
+          Fold(row, GroupOf(group_buf_, group_cols_));
         }
-        group_buf_.clear();
-        for (const auto& g : group_by_) group_buf_.push_back(g->Eval(row));
-        Fold(row, GroupStates(group_buf_));
       }
     }
     // Global aggregation (no GROUP BY) yields one row even on empty input.
-    if (groups_.empty() && group_by_.empty()) {
-      groups_.emplace_back();
-      states_.resize(aggs_.size());
-    }
+    if (groups_.empty() && group_by_.empty()) GroupOf(Row{}, group_cols_);
     consumed_ = true;
   }
   while (out_pos_ < groups_.size() && out->rows.size() < kExecBatchSize) {
     const size_t g = out_pos_++;
-    out->rows.push_back(Finalize(std::move(groups_[g]),
-                                 states_.data() + g * aggs_.size()));
+    Row row = std::move(groups_[g]);
+    AppendAggregates(aggs_, mode_, accs_.data() + g * aggs_.size(),
+                     extremes_.data() + g * num_extremes_, &row);
+    out->rows.push_back(std::move(row));
   }
   rows_produced_ += out->rows.size();
   return Status::Ok();
 }
-
-void HashAggOp::Close() { child_->Close(); }
 
 // ----------------------------------------------------------------- Sort --
 

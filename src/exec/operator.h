@@ -273,8 +273,30 @@ struct AggSpec {
 /// merges partial states (input columns: groups then states).
 enum class AggMode { kComplete, kPartial, kFinal };
 
+/// One group's running state of one aggregate: the sum and the count of
+/// its numeric inputs (COUNT keeps the count of its non-NULL inputs only).
+/// Min/max keep a Value of their own instead, NULL until an input arrives.
+struct AggAcc {
+  double sum = 0;
+  int64_t count = 0;
+};
+
+/// Appends one group's aggregate columns to `out`, one per aggregate of
+/// `aggs` (two, sum and count, for avg in kPartial mode): each from its
+/// entry of `accs`, or, for min/max, moved from the next of `extremes`.
+/// HashAggOp and ColumnAggOp both emit through this, so it alone defines
+/// the partial-state layout that kFinal reads.
+void AppendAggregates(const std::vector<AggSpec>& aggs, AggMode mode,
+                      const AggAcc* accs, Value* extremes, Row* out);
+
 /// Hash aggregation. Output: group-by values, then one column per aggregate
 /// (two for avg in partial mode), one row per group in first-seen order.
+///
+/// A group's state is one AggAcc per aggregate, in one flat groups x
+/// aggregates array, plus one Value slot per min/max aggregate in a second
+/// groups x min/max array. Group-by and aggregate inputs that are column
+/// references are read in place from the input row; only computed ones go
+/// through Expr::Eval.
 class HashAggOp : public Operator {
  public:
   HashAggOp(OperatorPtr child, std::vector<ExprPtr> group_by,
@@ -282,35 +304,39 @@ class HashAggOp : public Operator {
 
   Status Open() override;
   Status Next(Batch* out) override;
-  void Close() override;
+  void Close() override { child_->Close(); }
 
  private:
-  struct AggState {
-    double sum = 0;
-    int64_t count = 0;
-    bool any = false;
-    Value min, max;
-  };
-
-  /// The states of the group whose values are the first group_by_.size()
-  /// cells of `row`.
-  AggState* GroupStates(const Row& row);
-  void Fold(const Row& row, AggState* states);
-  void FoldMerged(const Row& row, AggState* states);
-  Row Finalize(Row group, const AggState* states) const;
+  /// The id of the group whose key is cells `cols` of `row`, made (its key
+  /// values copied, its state zeroed) when new.
+  size_t GroupOf(const Row& row, const std::vector<int>& cols);
+  void Fold(const Row& row, size_t g);
+  void FoldMerged(const Row& row, size_t g);
 
   OperatorPtr child_;
   std::vector<ExprPtr> group_by_;
   std::vector<AggSpec> aggs_;
   AggMode mode_;
-  // Group g is id g of `table_`; its key values are groups_[g] and its
-  // states aggs_.size() entries of `states_` from g * aggs_.size().
-  KeyWordTable table_;
+  // Per aggregate: the column it reads in place (-1: its input is computed,
+  // or absent for COUNT(*)), and for min/max its index among the group's
+  // extremes_ slots.
+  std::vector<int> input_cols_;
+  std::vector<size_t> extreme_of_;
+  size_t num_extremes_ = 0;
+  // The cells of an input row that are its key: the group-by columns when
+  // every group-by is a column reference (and 0 .. n-1 for kFinal);
+  // otherwise empty, and the key is computed into group_buf_.
+  std::vector<int> key_cols_;
   std::vector<int> group_cols_;  // 0 .. group_by_.size() - 1
-  std::vector<Row> groups_;
-  std::vector<AggState> states_;
-  std::vector<uint64_t> key_buf_;  // reused per input row
   Row group_buf_;
+  // Group g is id g of `table_`; its key values are groups_[g], its
+  // accumulators aggs_.size() entries of accs_ from g * aggs_.size(), its
+  // min/max slots num_extremes_ entries of extremes_ from g * num_extremes_.
+  KeyWordTable table_;
+  std::vector<Row> groups_;
+  std::vector<AggAcc> accs_;
+  std::vector<Value> extremes_;
+  std::vector<uint64_t> key_buf_;  // reused per input row
   bool consumed_ = false;
   size_t out_pos_ = 0;
 };

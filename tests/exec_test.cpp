@@ -808,6 +808,185 @@ TEST(OperatorTest, HashAggGroupsMixedTypeKeysLikeEncodedKeys) {
   }
 }
 
+// HashAggOp reads column-reference keys and aggregate inputs in place and
+// computes the others with Expr::Eval; both must equal an oracle that
+// evaluates every key and input with Eval. Covered: column keys off the
+// leading cells, computed keys (Substr, Arith) mixed with column keys, a
+// global aggregate, computed inputs, min/max over a column mixing int64,
+// double, string and NULL, SUM/AVG over that column (strings skipped), and
+// min/max slots that stay NULL; in complete mode and as kPartial -> kFinal,
+// including a global aggregate over empty partials.
+TEST(OperatorTest, HashAggInPlaceAndComputedInputsMatchEvalOracle) {
+  using namespace std::string_literals;
+  const std::vector<Value> strings = {"alpha"s, "alps"s, "beta"s, "bet"s,
+                                      "b"s,     ""s,     "gamma-delta-long"s};
+  const std::vector<Value> mixed = {Value{}, int64_t{3}, int64_t{-2}, 2.5,
+                                    -0.75,   "x"s,       "abc"s};
+  std::mt19937_64 rng(24);
+  // Columns: int64 k, string s, mixed m, double x (NULL every 5th row and
+  // whenever k is 3), int64 y. Doubles are quarters, so sums are exact in
+  // any order.
+  std::vector<Row> rows;
+  for (int i = 0; i < 400; ++i) {
+    const int64_t k = int64_t(rng() % 4);
+    rows.push_back({k, strings[rng() % strings.size()],
+                    mixed[rng() % mixed.size()],
+                    i % 5 == 0 || k == 3 ? Value{}
+                                         : Value{0.25 * double(rng() % 64) - 4},
+                    int64_t(rng() % 3)});
+  }
+  using E = Expr;
+  const std::vector<AggSpec> aggs = {
+      {AggOp::kCount, nullptr},
+      {AggOp::kCount, E::Col(2)},
+      {AggOp::kSum, E::Col(2)},
+      {AggOp::kAvg, E::Col(2)},
+      {AggOp::kMin, E::Col(2)},
+      {AggOp::kMax, E::Col(2)},
+      {AggOp::kSum, E::Arith(ArithOp::kMul, E::Col(3), E::Col(4))},
+      {AggOp::kAvg, E::Col(3)},
+      {AggOp::kMin, E::Col(3)},
+      {AggOp::kMax, E::Substr(E::Col(1), 1, 3)}};
+  std::vector<AggSpec> final_aggs;
+  for (const AggSpec& spec : aggs) final_aggs.push_back({spec.op, nullptr});
+
+  // The oracle: every key cell and aggregate input through Eval, groups in
+  // first-seen order.
+  auto oracle = [&](const std::vector<Row>& input,
+                    const std::vector<ExprPtr>& group_by) {
+    std::map<EncodedKey, size_t> ids;
+    std::vector<Row> keys;
+    std::vector<std::vector<const Row*>> members;
+    for (const Row& row : input) {
+      Row key;
+      for (const auto& g : group_by) key.push_back(g->Eval(row));
+      auto [it, added] = ids.try_emplace(EncodeKey(key), keys.size());
+      if (added) {
+        keys.push_back(key);
+        members.emplace_back();
+      }
+      members[it->second].push_back(&row);
+    }
+    if (group_by.empty() && keys.empty()) {
+      keys.emplace_back();
+      members.emplace_back();
+    }
+    std::vector<Row> out;
+    for (size_t g = 0; g < keys.size(); ++g) {
+      Row want = keys[g];
+      for (const AggSpec& spec : aggs) {
+        int64_t count = 0;
+        double sum = 0;
+        Value best;
+        for (const Row* m : members[g]) {
+          const Value v = spec.expr ? spec.expr->Eval(*m) : Value{int64_t{1}};
+          if (IsNull(v)) continue;
+          if (spec.op == AggOp::kMin || spec.op == AggOp::kMax) {
+            const int c = CompareValues(v, best);
+            if (IsNull(best) || (spec.op == AggOp::kMin ? c < 0 : c > 0)) {
+              best = v;
+            }
+          } else if (spec.op == AggOp::kCount) {
+            ++count;
+          } else if (auto d = ValueAsDouble(v); d.ok()) {
+            sum += *d;
+            ++count;
+          }
+        }
+        switch (spec.op) {
+          case AggOp::kCount:
+            want.push_back(count);
+            break;
+          case AggOp::kSum:
+            want.push_back(sum);
+            break;
+          case AggOp::kAvg:
+            want.push_back(count == 0 ? Value{} : Value{sum / count});
+            break;
+          case AggOp::kMin:
+          case AggOp::kMax:
+            want.push_back(best);
+            break;
+        }
+      }
+      out.push_back(std::move(want));
+    }
+    return out;
+  };
+  // Rows in order, each memcomparable-encoded: bit-exact, type-strict.
+  auto encoded = [](const std::vector<Row>& rs) {
+    std::vector<EncodedKey> out;
+    for (const Row& row : rs) {
+      EncodedKey key;
+      for (const Value& v : row) EncodeValue(v, &key);
+      out.push_back(std::move(key));
+    }
+    return out;
+  };
+
+  const std::vector<std::vector<ExprPtr>> groupings = {
+      {E::Col(2), E::Col(0)},
+      {E::Col(0), E::Substr(E::Col(1), 0, 2),
+       E::Arith(ArithOp::kSub, E::Col(4), E::Col(0))},
+      {E::Col(4), E::Substr(E::Col(1), 0, 1)},
+      {}};
+  for (size_t gi = 0; gi < groupings.size(); ++gi) {
+    const auto& group_by = groupings[gi];
+    const std::vector<Row> expected = oracle(rows, group_by);
+    HashAggOp complete(std::make_unique<ValuesOp>(rows), group_by, aggs);
+    auto got = Collect(&complete);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(encoded(*got), encoded(expected)) << "grouping " << gi;
+
+    // Partials over interleaved quarters, one of them empty, then the
+    // merge, whose keys are the partials' leading cells.
+    std::vector<Row> partials;
+    for (size_t part = 0; part < 4; ++part) {
+      std::vector<Row> slice;
+      for (size_t i = part; part < 3 && i < rows.size(); i += 3) {
+        slice.push_back(rows[i]);
+      }
+      HashAggOp partial(std::make_unique<ValuesOp>(std::move(slice)),
+                        group_by, aggs, AggMode::kPartial);
+      auto states = Collect(&partial);
+      ASSERT_TRUE(states.ok()) << states.status().ToString();
+      partials.insert(partials.end(), states->begin(), states->end());
+    }
+    std::vector<ExprPtr> final_keys;
+    for (size_t c = 0; c < group_by.size(); ++c) {
+      final_keys.push_back(E::Col(int(c)));
+    }
+    HashAggOp merged(std::make_unique<ValuesOp>(std::move(partials)),
+                     final_keys, final_aggs, AggMode::kFinal);
+    auto final_rows = Collect(&merged);
+    ASSERT_TRUE(final_rows.ok()) << final_rows.status().ToString();
+    EXPECT_EQ(Canonical(*final_rows), Canonical(expected))
+        << "grouping " << gi << ", partial -> final";
+  }
+
+  // A global aggregate over no rows, and over partials of no rows: counts
+  // and sums are 0, avg, min and max NULL.
+  const std::vector<Row> empty_expected = oracle({}, {});
+  for (size_t partials = 0; partials <= 2; ++partials) {
+    std::vector<Row> states;
+    for (size_t p = 0; p < partials; ++p) {
+      HashAggOp partial(std::make_unique<ValuesOp>(std::vector<Row>{}), {},
+                        aggs, AggMode::kPartial);
+      auto got = Collect(&partial);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      states.insert(states.end(), got->begin(), got->end());
+    }
+    HashAggOp merged(std::make_unique<ValuesOp>(std::move(states)), {},
+                     final_aggs, AggMode::kFinal);
+    auto got = Collect(&merged);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(encoded(*got), encoded(empty_expected))
+        << partials << " empty partials";
+  }
+  ASSERT_EQ(empty_expected.size(), 1u);
+  EXPECT_TRUE(IsNull(empty_expected[0][4]) && IsNull(empty_expected[0][5]));
+}
+
 TEST(OperatorTest, SortAscDescAndTopN) {
   auto make_values = [] {
     return std::make_unique<ValuesOp>(std::vector<Row>{
