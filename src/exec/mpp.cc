@@ -54,11 +54,9 @@ Result<std::vector<Row>> MppExecutor::RunPartialFinal(
 
 std::vector<TableStore*> MppExecutor::ShardsForTask(
     const std::vector<TableStore*>& shards, int task, int num_tasks) {
-  std::vector<TableStore*> mine;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    if (static_cast<int>(i % num_tasks) == task) mine.push_back(shards[i]);
-  }
-  return mine;
+  auto [first, last] = ShardBlock(shards.size(), task, num_tasks);
+  return std::vector<TableStore*>(shards.begin() + first,
+                                  shards.begin() + last);
 }
 
 // -------------------------------------------------------------- Exchange --

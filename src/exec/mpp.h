@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -62,8 +63,18 @@ class MppExecutor {
   /// merge (the "shuffled into the coordinator" count).
   uint64_t last_gathered_rows() const { return last_gathered_rows_; }
 
-  /// Splits `shards` into the subset owned by `task` (round-robin), the
-  /// standard data-locality assignment for scan fragments.
+  /// The block of shards [first, last) that `task` owns among `num_shards`:
+  /// [S·t/N, S·(t+1)/N), so each task owns whole partitions, consecutive
+  /// ones, and the blocks cover every shard once. The data-locality
+  /// assignment of scan fragments: tables of one table group give a task
+  /// the same partitions.
+  static std::pair<size_t, size_t> ShardBlock(size_t num_shards, int task,
+                                              int num_tasks) {
+    return {num_shards * size_t(task) / size_t(num_tasks),
+            num_shards * size_t(task + 1) / size_t(num_tasks)};
+  }
+
+  /// The shards of `shards` in `task`'s ShardBlock.
   static std::vector<TableStore*> ShardsForTask(
       const std::vector<TableStore*>& shards, int task, int num_tasks);
 

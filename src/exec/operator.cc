@@ -276,10 +276,11 @@ Status HashJoinOp::Next(Batch* out) {
 
 LookupJoinOp::LookupJoinOp(OperatorPtr probe,
                            std::vector<TableStore*> inner_shards,
-                           std::vector<ExprPtr> key_exprs,
+                           PartitionRule rule, std::vector<ExprPtr> key_exprs,
                            Timestamp snapshot_ts, JoinType type)
     : probe_(std::move(probe)),
       inner_(std::move(inner_shards)),
+      rule_(rule),
       key_exprs_(std::move(key_exprs)),
       snapshot_ts_(snapshot_ts),
       type_(type) {}
@@ -303,8 +304,7 @@ Status LookupJoinOp::Next(Batch* out) {
       for (const auto& e : key_exprs_) key_values.push_back(e->Eval(probe_row));
       EncodedKey pk = EncodeKey(key_values);
       ++lookups_;
-      TableStore* shard =
-          inner_[ShardOf(pk, static_cast<uint32_t>(inner_.size()))];
+      TableStore* shard = inner_[rule_.ShardOfPk(key_values, pk)];
       const Version* v = LatestVisible(shard->rows().Head(pk), snapshot_ts_);
       bool found = v != nullptr && !v->deleted;
       switch (type_) {

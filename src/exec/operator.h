@@ -13,6 +13,7 @@
 #include "src/exec/join_table.h"
 #include "src/exec/key_word_table.h"
 #include "src/exec/runtime_filter.h"
+#include "src/partition/partition.h"
 #include "src/storage/key_codec.h"
 #include "src/storage/table.h"
 
@@ -213,18 +214,19 @@ class HashJoinOp : public Operator {
 
 /// Index nested-loop join: for each probe row, computes a primary key and
 /// looks it up in the inner table's shards (the plan shape PolarDB-X picks
-/// when the probe side is small, §VII-C). Lookups route to the owning hash
-/// shard.
+/// when the probe side is small, §VII-C). `rule`, the inner table's
+/// partition rule, routes each lookup to the owning shard.
 class LookupJoinOp : public Operator {
  public:
   LookupJoinOp(OperatorPtr probe, std::vector<TableStore*> inner_shards,
-               std::vector<ExprPtr> key_exprs, Timestamp snapshot_ts,
-               JoinType type = JoinType::kInner);
+               PartitionRule rule, std::vector<ExprPtr> key_exprs,
+               Timestamp snapshot_ts, JoinType type = JoinType::kInner);
   LookupJoinOp(OperatorPtr probe, TableStore* inner,
                std::vector<ExprPtr> key_exprs, Timestamp snapshot_ts,
                JoinType type = JoinType::kInner)
       : LookupJoinOp(std::move(probe), std::vector<TableStore*>{inner},
-                     std::move(key_exprs), snapshot_ts, type) {}
+                     PartitionRule(1), std::move(key_exprs), snapshot_ts,
+                     type) {}
 
   /// Refuses kLeftOuter, which it does not implement.
   Status Open() override;
@@ -236,6 +238,7 @@ class LookupJoinOp : public Operator {
  private:
   OperatorPtr probe_;
   std::vector<TableStore*> inner_;
+  PartitionRule rule_;
   std::vector<ExprPtr> key_exprs_;
   Timestamp snapshot_ts_;
   JoinType type_;

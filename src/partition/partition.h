@@ -1,6 +1,6 @@
-// Partitioning metadata (§II-B): hash partitioning on the primary key,
-// implicit primary keys, table groups / partition groups, and local/global
-// secondary index definitions.
+// Partitioning metadata (§II-B): hash partitioning on a partition key (a
+// prefix of the primary key), implicit primary keys, table groups /
+// partition groups, and local/global secondary index definitions.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +16,36 @@
 #include "src/storage/value.h"
 
 namespace polarx {
+
+/// Routing of keys/rows to shards: a hash of the partition key, which is
+/// the first `key_prefix` primary-key columns (0: the whole primary key).
+class PartitionRule {
+ public:
+  explicit PartitionRule(uint32_t num_shards, size_t key_prefix = 0)
+      : num_shards_(num_shards), key_prefix_(key_prefix) {}
+
+  uint32_t num_shards() const { return num_shards_; }
+
+  /// Shard of an encoded partition key.
+  ShardId ShardOfKey(const EncodedKey& key) const {
+    return ShardOf(key, num_shards_);
+  }
+
+  /// Shard of the primary key whose values are `pk` and whose encoding is
+  /// `encoded_pk` (EncodeKey(pk)); the encoding is the partition key's
+  /// when the partition key is the whole primary key.
+  ShardId ShardOfPk(const Row& pk, const EncodedKey& encoded_pk) const;
+
+  /// Shard of a full row under `schema` (extracts the key first).
+  ShardId ShardOfRow(const Schema& schema, const Row& row) const {
+    Row pk = schema.ExtractKey(row);
+    return ShardOfPk(pk, EncodeKey(pk));
+  }
+
+ private:
+  uint32_t num_shards_;
+  size_t key_prefix_;
+};
 
 /// A global secondary index (§II-B): partitioned by the indexed columns and
 /// stored as a hidden table. Clustered variants carry all columns so reads
@@ -34,6 +64,9 @@ struct TableDef {
   std::string name;
   Schema schema;
   uint32_t num_shards = 4;
+  /// Partition-key columns: a prefix of the primary key's columns. Empty
+  /// means the whole primary key.
+  std::vector<uint32_t> partition_key;
   /// Optional table group: tables in one group share the partition rule and
   /// placement (shard i of every member lives on the same DN).
   std::string table_group;
@@ -42,6 +75,13 @@ struct TableDef {
   bool implicit_pk = false;
   std::vector<GlobalIndexDef> global_indexes;
   std::vector<std::pair<std::string, std::vector<uint32_t>>> local_indexes;
+
+  /// The partition-key columns, resolving the empty default.
+  const std::vector<uint32_t>& PartitionColumns() const {
+    return partition_key.empty() ? schema.key_columns() : partition_key;
+  }
+  /// The rule that routes this table's rows to its shards.
+  PartitionRule rule() const;
 };
 
 /// Builds a TableDef from user columns. If `key_columns` is empty, an
@@ -52,27 +92,6 @@ TableDef MakeTableDef(TableId id, const std::string& name,
                       std::vector<uint32_t> key_columns,
                       uint32_t num_shards);
 
-/// Routing of keys/rows to shards.
-class PartitionRule {
- public:
-  explicit PartitionRule(uint32_t num_shards) : num_shards_(num_shards) {}
-
-  uint32_t num_shards() const { return num_shards_; }
-
-  /// Shard of an encoded partition key.
-  ShardId ShardOfKey(const EncodedKey& key) const {
-    return ShardOf(key, num_shards_);
-  }
-
-  /// Shard of a full row under `schema` (extracts the key first).
-  ShardId ShardOfRow(const Schema& schema, const Row& row) const {
-    return ShardOfKey(EncodeKey(schema.ExtractKey(row)));
-  }
-
- private:
-  uint32_t num_shards_;
-};
-
 /// A partition group: the co-located shard set (one shard from each table
 /// of a table group). The unit of migration/resharding (§II-B, §V).
 struct PartitionGroup {
@@ -82,10 +101,11 @@ struct PartitionGroup {
 };
 
 /// Table-group registry: enforces that member tables agree on shard count
-/// and yields partition groups.
+/// and partition-key types, and yields partition groups.
 class TableGroupRegistry {
  public:
   /// Registers `def` into its table group (no-op if def.table_group empty).
+  /// Fails if its partition key is not a prefix of its primary key.
   Status Register(const TableDef& def);
 
   /// All partition groups of a table group.
@@ -95,9 +115,18 @@ class TableGroupRegistry {
   /// single-shard transactions apply, §II-B).
   bool Colocated(TableId a, TableId b) const;
 
+  /// Whether an equi-join of `a` and `b` on a_cols[i] = b_cols[i] runs
+  /// inside each partition: both tables are in one table group, and the
+  /// join pairs each partition-key column of `a` with the one of `b` in the
+  /// same position, so matching rows hash to the same shard.
+  bool PartitionWise(const TableDef& a, const std::vector<uint32_t>& a_cols,
+                     const TableDef& b,
+                     const std::vector<uint32_t>& b_cols) const;
+
  private:
   struct GroupInfo {
     uint32_t num_shards = 0;
+    std::vector<ValueType> key_types;
     std::vector<TableId> tables;
   };
   std::map<std::string, GroupInfo> groups_;

@@ -1,5 +1,6 @@
 #include "src/workload/tpch.h"
 
+#include <cassert>
 #include <cmath>
 
 #include "src/clock/hlc.h"
@@ -151,22 +152,39 @@ Schema TableSchema(Table t) {
   }
 }
 
-TpchDb::TpchDb(TpchConfig config) : config_(config) {}
+TpchDb::TpchDb(TpchConfig config) : config_(config) {
+  for (int t = 0; t < kNumTables; ++t) {
+    Schema schema = TableSchema(Table(t));
+    defs_[t] = MakeTableDef(TableId(t), TableName(Table(t)), schema.columns(),
+                            schema.key_columns(), config_.shards_per_table);
+  }
+  // One table group on orderkey (§II-B): lineitem is partitioned on the
+  // l_orderkey prefix of its primary key, so each order's lines share the
+  // order's shard number, and joins and groupings on orderkey run inside
+  // each partition.
+  defs_[kOrders].table_group = defs_[kLineItem].table_group = "orderkey";
+  defs_[kLineItem].partition_key = {uint32_t(col::l_orderkey)};
+  for (const TableDef& def : defs_) {
+    [[maybe_unused]] Status s = table_groups_.Register(def);
+    assert(s.ok());
+  }
+}
 
 void TpchDb::LoadTable(Table t, std::vector<Row> rows) {
-  Schema schema = TableSchema(t);
-  uint32_t nshards = config_.shards_per_table;
+  const TableDef& def = defs_[t];
+  const PartitionRule rule = def.rule();
   if (shards_[t].empty()) {
-    for (uint32_t s = 0; s < nshards; ++s) {
+    for (uint32_t s = 0; s < def.num_shards; ++s) {
       shards_[t].push_back(std::make_shared<TableStore>(
           static_cast<TableId>(t * 100 + s),
-          std::string(TableName(t)) + "#" + std::to_string(s), schema, 0));
+          def.name + "#" + std::to_string(s), def.schema, 0));
       shard_ptrs_[t].push_back(shards_[t].back().get());
     }
   }
   for (auto& row : rows) {
-    EncodedKey key = EncodeKey(schema.ExtractKey(row));
-    uint32_t shard = ShardOf(key, nshards);
+    Row pk = def.schema.ExtractKey(row);
+    EncodedKey key = EncodeKey(pk);
+    uint32_t shard = rule.ShardOfPk(pk, key);
     auto version = std::make_shared<Version>(1, false, std::move(row));
     version->commit_ts.store(load_ts_, std::memory_order_release);
     shards_[t][shard]->rows().Push(key, version);
@@ -318,7 +336,10 @@ Timestamp TpchDb::Load() {
 void TpchDb::BuildColumnIndex(Table t) {
   auto index = std::make_unique<ColumnIndex>(TableSchema(t));
   // Bulk-build from committed rows (in production this is the logical-log
-  // capture path on an RO replica; bulk build is the initial sync).
+  // capture path on an RO replica; bulk build is the initial sync), one
+  // shard after another, so each shard's rows take one row-id range.
+  std::vector<size_t>& bounds = shard_row_bounds_[t];
+  bounds.assign(1, 0);
   for (TableStore* shard : shard_ptrs_[t]) {
     shard->rows().ScanAll([&](const EncodedKey& key, const VersionPtr& head) {
       const Version* v = LatestVisible(head, load_ts_);
@@ -331,8 +352,19 @@ void TpchDb::BuildColumnIndex(Table t) {
       }
       return true;
     });
+    bounds.push_back(index->total_versions());
   }
   col_indexes_[t] = std::move(index);
+}
+
+RowRange TpchDb::TaskRows(Table t, int task, int num_tasks) const {
+  const std::vector<size_t>& bounds = shard_row_bounds_[t];
+  if (bounds.empty()) return RowRange{};  // no column index
+  auto [first, last] =
+      MppExecutor::ShardBlock(bounds.size() - 1, task, num_tasks);
+  RowRange range{bounds[first], bounds[last]};
+  if (task + 1 == num_tasks) range.end = RowRange::kToEnd;
+  return range;
 }
 
 }  // namespace polarx::tpch

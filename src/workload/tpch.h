@@ -18,6 +18,7 @@
 #include "src/common/status.h"
 #include "src/exec/mpp.h"
 #include "src/exec/operator.h"
+#include "src/partition/partition.h"
 #include "src/storage/table.h"
 
 namespace polarx::tpch {
@@ -82,6 +83,11 @@ struct TpchConfig {
 /// A generated, sharded TPC-H database: data is loaded directly into
 /// committed MVCC table shards (commit_ts = load_ts), ready for scans at
 /// any snapshot >= load_ts. Optional column indexes per table (§VI-E).
+///
+/// Every table is hash-partitioned by its TableDef's rule (§II-B). orders
+/// and lineitem form one table group partitioned on orderkey, so an
+/// order's lines live in the order's shard; every other table is
+/// partitioned on its whole primary key.
 class TpchDb {
  public:
   explicit TpchDb(TpchConfig config = TpchConfig{});
@@ -92,24 +98,44 @@ class TpchDb {
   const std::vector<TableStore*>& shards(Table t) const {
     return shard_ptrs_[t];
   }
+  const TableDef& table_def(Table t) const { return defs_[t]; }
+  /// Whether joining `a` and `b` on a.a_col = b.b_col (full-schema column
+  /// ids) runs inside each partition (TableGroupRegistry::PartitionWise).
+  bool PartitionWise(Table a, int a_col, Table b, int b_col) const {
+    return table_groups_.PartitionWise(defs_[a], {uint32_t(a_col)}, defs_[b],
+                                       {uint32_t(b_col)});
+  }
   uint64_t row_count(Table t) const { return row_counts_[t]; }
   Timestamp load_ts() const { return load_ts_; }
   const TpchConfig& config() const { return config_; }
 
-  /// Builds an in-memory column index over every shard of `t` (merged).
+  /// Builds an in-memory column index over every shard of `t` (merged),
+  /// appending shard by shard and recording each shard's row-id range.
   void BuildColumnIndex(Table t);
   const ColumnIndex* column_index(Table t) const {
     return col_indexes_[t].get();
   }
+  /// The row ids of `t`'s column index that MPP task `task` of `num_tasks`
+  /// scans: the union of the ranges its shards (MppExecutor::ShardBlock)
+  /// bulk-built, one contiguous range since the build appends shard by
+  /// shard. So a task's column slice and its row-store shards hold the
+  /// same rows. The last task's range runs to the index's end at scan time,
+  /// so rows appended after the bulk build fall to exactly one task (a
+  /// single task's range is the whole index).
+  RowRange TaskRows(Table t, int task, int num_tasks) const;
 
  private:
   void LoadTable(Table t, std::vector<Row> rows);
 
   TpchConfig config_;
+  std::array<TableDef, kNumTables> defs_;
+  TableGroupRegistry table_groups_;
   std::array<std::vector<std::shared_ptr<TableStore>>, kNumTables> shards_;
   std::array<std::vector<TableStore*>, kNumTables> shard_ptrs_;
   std::array<uint64_t, kNumTables> row_counts_{};
   std::array<std::unique_ptr<ColumnIndex>, kNumTables> col_indexes_;
+  // Shard s bulk-built row ids [bounds[s], bounds[s + 1]) of t's index.
+  std::array<std::vector<size_t>, kNumTables> shard_row_bounds_;
   Timestamp load_ts_ = 0;
 };
 
@@ -118,9 +144,10 @@ struct ScanOptions {
   int task = 0;        // MPP task id
   int num_tasks = 1;   // 1 = single-node execution
   /// Use the in-memory column index for tables that have one. In an MPP
-  /// plan each task scans a contiguous row-id slice of the partitioned
-  /// table's index (boundaries fixed when the plan is built); broadcast
-  /// tables are read in full by every task.
+  /// plan each task scans the row ids its shards bulk-built into the
+  /// partitioned table's index, so the column slice and the row-store
+  /// shards of a task hold the same rows; broadcast tables are read in
+  /// full by every task.
   bool use_column_index = false;
   /// Publish join build sides as bloom/min-max runtime filters into probe
   /// scans (DESIGN.md §9). Never changes results, only intermediate sizes.
@@ -130,21 +157,27 @@ struct ScanOptions {
 /// One TPC-H query: a fragment factory (per MPP task) plus a merge stage
 /// run on the gathered fragment outputs; the merge reads no base table
 /// except Q15's primary-key lookup of its top supplier. Single-node
-/// execution is fragment(0, 1) piped into merge. Some fragments are
-/// two-stage: a final stage over the task's bucket of a hash-repartition
-/// Exchange, whose producers are the per-task partial stage (Q10, Q13,
-/// Q16, Q18, Q20, Q21, Q22); their merge only concatenates, merges top-N
-/// lists, finishes an aggregate or drops duplicates.
-/// Column-index slice boundaries are read when the plan is built, so all
-/// fragments of one plan share them. So are the build tables of its
-/// broadcast joins (the fragments that open such a join drain its build
-/// slices between them, then all probe it read-only) and its exchanges,
-/// which makes a plan good for one execution with one set of ScanOptions.
+/// execution is fragment(0, 1) piped into merge. A task owns whole
+/// partitions, so joins and groupings on orderkey run inside each task
+/// (Q3–Q5, Q7–Q10, Q12, Q18, Q21). Some fragments are two-stage: a final
+/// stage over the task's bucket of a hash-repartition Exchange, whose
+/// producers are the per-task partial stage (Q10, Q13, Q16, Q20, Q22, all
+/// keyed on something other than orderkey); their merge only
+/// concatenates, merges top-N lists, finishes an aggregate or drops
+/// duplicates.
+/// The build tables of its broadcast joins (the fragments that open such a
+/// join drain its build slices between them, then all probe it read-only)
+/// and its exchanges are created with the plan, which makes a plan good
+/// for one execution with one set of ScanOptions.
 struct TpchPlan {
   std::function<OperatorPtr(const ScanOptions&)> fragment;
   std::function<OperatorPtr(OperatorPtr)> merge;
   /// Which tables this query reads (for stats / routing).
   std::vector<Table> tables;
+  /// What the tasks of one MPP execution share: the driving table of each
+  /// shared join build side, and the number of exchanges.
+  std::vector<Table> shared_builds;
+  int exchanges = 0;
 };
 
 /// Builds the plan for query `q` in [1, 22] at `snapshot`.

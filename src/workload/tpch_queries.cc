@@ -1,39 +1,43 @@
 // Plan builders for all 22 TPC-H queries (experiment E4 / Fig. 10).
 //
 // Each query is a TpchPlan: a per-task fragment (scans of the query's
-// driving table are restricted to the task's share of it: its shard subset
-// on the row store, its row-id slice of the column index; small tables are
-// scanned in full, i.e. broadcast) plus a merge stage on the coordinator.
-// The merge reads only the gathered rows: final aggregation, having/top-n,
-// sorting, and for Q2 and Q17 a join of the gathered rows with their own
-// per-key minimum or average (SubplanOp); no merge scans a base table
-// (Q15's merge looks up its one top supplier by primary key). Single-node
-// execution is fragment({0,1}) | merge.
+// driving table are restricted to the task's partitions: its block of
+// shards on the row store, the row ids those shards bulk-built into the
+// column index; small tables are scanned in full, i.e. broadcast) plus a
+// merge stage on the coordinator. The merge reads only the gathered rows:
+// final aggregation, having/top-n, sorting, and for Q2 and Q17 a join of
+// the gathered rows with their own per-key minimum or average (SubplanOp);
+// no merge scans a base table (Q15's merge looks up its one top supplier
+// by primary key). Single-node execution is fragment({0,1}) | merge.
 //
-// Where the partials do not compress or the final stage joins other
-// tables (Q10, Q13, Q16, Q18, Q20, Q21, Q22), the fragment has two stages:
-// the partial stage becomes the producer of a hash-repartition Exchange
-// keyed on the final stage's group/join key, and the fragment is the final
-// stage over the task's bucket (QB::Shuffle), so the final aggregation,
-// filters and joins run in every task and the merge only concatenates,
-// merges top-N lists, finishes an aggregate or drops duplicates. Q13 and
-// Q22 shuffle two inputs on custkey (the orders' partial counts and the
-// task's customer slice), so each customer meets its orders' counts in
-// exactly one task. With one task an exchange passes its one producer's
-// rows straight through.
+// orders and lineitem are one table group on orderkey, so a task's
+// partitions of both hold the same orders, and work on orderkey stays in
+// the task: joins of its lineitems with orders build privately from its
+// orders (QB::PartitionBuild, decided from the catalog), Q4 semi-joins its
+// orders with its lineitems, Q18 and Q21 group its lineitems by order.
 //
-// Every fragment join whose build side each task would read in full gets a
-// build table (SharedBuild) created with the plan and captured by its
-// fragment factory. The build side is cut into one slice per task, the way
-// an exchange has one producer per task: slice s is the build subtree run
-// with the ScanOptions of task s, whose driving scan reads task s's share
-// of its table (QB::SlicedBuild). Every task that opens the join drains the
-// slices nobody has claimed yet, so the tasks build the join's hash table
-// and runtime filter together, once per query, and then all probe it
-// read-only. A join whose build side is the task's own partition (Q4's
-// semi-join) or its exchange bucket (Q13's outer join, Q22's anti-join)
-// keeps a private one-slice table. Exchanges are created and
-// captured the same way.
+// Where the final grouping or join is on another key (Q10, Q13, Q16, Q20,
+// Q22), the partial stage becomes the producer of a hash-repartition
+// Exchange keyed on it, and the fragment is the final stage over the
+// task's bucket (QB::Shuffle), so the merge only concatenates, merges
+// top-N lists, finishes an aggregate or drops duplicates. Q13 and Q22
+// shuffle two inputs on custkey (the orders' partial counts and the task's
+// customer slice), so each customer meets its orders' counts in exactly
+// one task. With one task an exchange passes its one producer's rows
+// straight through.
+//
+// Every other fragment join whose build side each task would read in full
+// gets a build table (SharedBuild) created with the plan and captured by
+// its fragment factory. The build side is cut into one slice per task, the
+// way an exchange has one producer per task: slice s is the build subtree
+// run with the ScanOptions of task s, whose driving scan reads task s's
+// share of its table (QB::SlicedBuild). Every task that opens the join
+// drains the slices nobody has claimed yet, so the tasks build the join's
+// hash table and runtime filter together, once per query, and then all
+// probe it read-only. A join whose build side is the task's own partition
+// or its exchange bucket (Q13's outer join, Q22's anti-join) keeps a
+// private one-slice table. Exchanges are created and captured the same
+// way.
 #include <algorithm>
 #include <cassert>
 #include <numeric>
@@ -57,12 +61,24 @@ const CostModel& PlanCostModel() {
 /// One join site's build table, shared by all tasks of one plan.
 using SharedBuild = std::shared_ptr<JoinHashTable>;
 
-SharedBuild NewSharedBuild() { return std::make_shared<JoinHashTable>(); }
+/// Shared build tables for `plan`, one per build side, whose driving
+/// tables are `tables`.
+template <size_t N>
+std::array<SharedBuild, N> NewSharedBuilds(TpchPlan* plan,
+                                           const Table (&tables)[N]) {
+  std::array<SharedBuild, N> builds;
+  for (size_t i = 0; i < N; ++i) {
+    plan->shared_builds.push_back(tables[i]);
+    builds[i] = std::make_shared<JoinHashTable>();
+  }
+  return builds;
+}
 
 /// One repartitioning point between a plan's two stages, shared likewise.
 using SharedExchange = std::shared_ptr<Exchange>;
 
-SharedExchange NewExchange(std::vector<int> keys) {
+SharedExchange NewExchange(TpchPlan* plan, std::vector<int> keys) {
+  ++plan->exchanges;
   return std::make_shared<Exchange>(std::move(keys));
 }
 
@@ -70,24 +86,11 @@ SharedExchange NewExchange(std::vector<int> keys) {
 struct QB {
   const TpchDb* db;
   Timestamp snap;
-  /// Per-table column-index size read once when the plan is built: every
-  /// task of one plan derives its slice boundaries from the same count.
-  std::array<size_t, kNumTables> index_rows{};
 
-  /// The task's row-id slice of `t`'s column index: [W·t/N, W·(t+1)/N) for
-  /// W = index_rows[t]. The last slice runs to the index's end at scan
-  /// time, so rows appended after the plan was built fall to exactly one
-  /// task (a single-task plan's one slice is the whole index). Broadcast
-  /// scans (`partition` unset) read the whole index.
+  /// The task's row-id slice of `t`'s column index (TpchDb::TaskRows);
+  /// broadcast scans (`partition` unset) read the whole index.
   RowRange Slice(Table t, const ScanOptions& o, bool partition) const {
-    RowRange range;
-    if (!partition) return range;
-    const size_t w = index_rows[t];
-    range.begin = w * size_t(o.task) / size_t(o.num_tasks);
-    if (o.task + 1 < o.num_tasks) {
-      range.end = w * size_t(o.task + 1) / size_t(o.num_tasks);
-    }
-    return range;
+    return partition ? db->TaskRows(t, o.task, o.num_tasks) : RowRange{};
   }
 
   /// Scans table `t`. If `partition` is set the scan is restricted to the
@@ -162,19 +165,26 @@ struct QB {
   ///    filter into the probe: ColumnHashJoinOp applies it to its selection
   ///    vector, a row-store scan gets it through a shared RuntimeFilterSlot.
   /// `probe_keys` index the projected scan output; `build_rows_est` is the
-  /// build side's estimated cardinality after its own filters and
+  /// whole build side's estimated cardinality after its own filters and
   /// `build_base_rows` its base-table row count (0 when unknown).
   OperatorPtr ScanJoin(Table t, const ScanOptions& o, ExprPtr scan_filter,
                        std::vector<int> proj, std::vector<int> probe_keys,
                        JoinBuild build, std::vector<int> build_keys,
                        JoinType type, double build_rows_est,
                        double build_base_rows) const {
-    double probe_rows_est = double(db->row_count(t)) / o.num_tasks;
+    // Both sides at the scope the join has: a shared build (one slice per
+    // task) holds the whole build side and meets every task's probe, so
+    // the whole probe table; a private build here comes from
+    // PartitionBuild, which is partition-wise for every TPC-H join, so it
+    // meets the task's share of the probe.
+    const double share = build.num_slices > 1 ? 1.0 : 1.0 / o.num_tasks;
+    build_rows_est *= share;
     const bool attach =
         o.runtime_filters &&
         (type == JoinType::kInner || type == JoinType::kLeftSemi) &&
         PlanCostModel().ShouldAttachRuntimeFilter(
-            build_rows_est, build_base_rows, probe_rows_est);
+            build_rows_est, build_base_rows * share,
+            double(db->row_count(t)) * share);
     if (o.use_column_index && db->column_index(t) != nullptr &&
         type != JoinType::kLeftOuter) {
       return std::make_unique<ColumnHashJoinOp>(
@@ -236,6 +246,45 @@ struct QB {
                        so.task = s;
                        return slice(so);
                      });
+  }
+
+  /// Private build side of a join whose probe rows come from the task's
+  /// partition of `probe`, on `probe_col` = `build`'s `build_col`
+  /// (full-schema ids). `slice` runs the build subtree, driven by a
+  /// partitioned scan of `build`, under the ScanOptions it is given. The
+  /// catalog decides which: when the join is partition-wise (one table
+  /// group, partitioned on these columns), the task's own, so the table
+  /// holds the task's partition of `build`; otherwise one task's, so it
+  /// holds all of `build`.
+  JoinBuild PartitionBuild(
+      const ScanOptions& o, Table probe, int probe_col, Table build,
+      int build_col,
+      const std::function<OperatorPtr(const ScanOptions&)>& slice) const {
+    ScanOptions so = o;
+    if (!db->PartitionWise(probe, probe_col, build, build_col)) {
+      so.task = 0;
+      so.num_tasks = 1;
+    }
+    return JoinBuild(slice(so));
+  }
+
+  /// PartitionBuild of a scan of `build`.
+  JoinBuild PartitionScanBuild(const ScanOptions& o, Table probe,
+                               int probe_col, Table build, int build_col,
+                               ExprPtr filter, std::vector<int> proj) const {
+    return PartitionBuild(
+        o, probe, probe_col, build, build_col,
+        [&](const ScanOptions& so) {
+          return Scan(build, so, true, std::move(filter), std::move(proj));
+        });
+  }
+
+  /// Index nested-loop join of `probe` with `t` on `t`'s primary key, read
+  /// from `probe`'s column `key_col`, routed by `t`'s partition rule.
+  OperatorPtr Lookup(OperatorPtr probe, Table t, int key_col) const {
+    return std::make_unique<LookupJoinOp>(
+        std::move(probe), db->shards(t), db->table_def(t).rule(),
+        std::vector<ExprPtr>{E::Col(key_col)}, snap);
   }
 
   /// SlicedBuild of a scan of `t`.
@@ -415,8 +464,8 @@ TpchPlan Q1(const QB& qb) {
 TpchPlan Q2(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kPart, kPartSupp, kSupplier, kNation, kRegion};
-  SharedBuild part_b = NewSharedBuild(), supp_b = NewSharedBuild(),
-              europe_b = NewSharedBuild(), region_b = NewSharedBuild();
+  auto [part_b, supp_b, europe_b, region_b] =
+      NewSharedBuilds(&plan, {kPart, kSupplier, kNation, kRegion});
   // The full Q2 join, projected to the columns the query outputs plus the
   // (ps_partkey, ps_supplycost) pair used for the min-cost correlation:
   // out: ps_pk0 cost1 s_acctbal2 s_name3 n_name4 p_mfgr5 s_addr6 s_phone7
@@ -467,11 +516,12 @@ TpchPlan Q3(const QB& qb) {
   plan.tables = {kCustomer, kOrders, kLineItem};
   int64_t date = Days(1995, 3, 15);
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(1, 2)}};
-  SharedBuild cust_b = NewSharedBuild(), orders_b = NewSharedBuild();
-  plan.fragment = [qb, date, aggs, cust_b, orders_b](const ScanOptions& o) {
+  auto [cust_b] = NewSharedBuilds(&plan, {kCustomer});
+  plan.fragment = [qb, date, aggs, cust_b](const ScanOptions& o) {
     // oc: ok0 ck1 odate2 prio3 cck4
-    auto oc = qb.SlicedBuild(
-        orders_b, o, [qb, date, cust_b](const ScanOptions& so) {
+    auto oc = qb.PartitionBuild(
+        o, kLineItem, col::l_orderkey, kOrders, col::o_orderkey,
+        [qb, date, cust_b](const ScanOptions& so) {
           auto orders = qb.Scan(kOrders, so, true,
                                 E::ColCmp(CmpOp::kLt, col::o_orderdate, date),
                                 {col::o_orderkey, col::o_custkey,
@@ -511,32 +561,27 @@ TpchPlan Q4(const QB& qb) {
   int64_t lo = Days(1993, 7, 1), hi = Days(1993, 10, 1);
   std::vector<AggSpec> count = {{AggOp::kCount, nullptr}};
   plan.fragment = [qb, lo, hi, count](const ScanOptions& o) {
-    // The big lineitem scan is the partitioned side; the date-filtered
-    // orders are small and broadcast. Each task emits the distinct
-    // (orderkey, priority) pairs matched by ITS lineitems; the merge
-    // deduplicates across tasks. The build side is the task's own
-    // lineitem share, so this join's table is private to the task.
-    auto line = qb.Scan(
-        kLineItem, o, true,
-        E::Cmp(CmpOp::kLt, E::Col(col::l_commitdate),
-               E::Col(col::l_receiptdate)),
-        {col::l_orderkey});
+    // The task's qualifying orders semi-join its late lineitems, a
+    // partition-wise join: each order meets all of its lines in one task,
+    // so the task counts its orders by priority.
     auto orders = qb.Scan(
-        kOrders, o, false,
+        kOrders, o, true,
         E::And(E::ColCmp(CmpOp::kGe, col::o_orderdate, lo),
                E::ColCmp(CmpOp::kLt, col::o_orderdate, hi)),
         {col::o_orderkey, col::o_orderpriority});
+    auto line = qb.PartitionScanBuild(
+        o, kOrders, col::o_orderkey, kLineItem, col::l_orderkey,
+        E::Cmp(CmpOp::kLt, E::Col(col::l_commitdate),
+               E::Col(col::l_receiptdate)),
+        {col::l_orderkey});
     auto semi = Join(std::move(orders), std::move(line), {0}, {0},
                      JoinType::kLeftSemi);
-    return Agg(std::move(semi), {E::Col(0), E::Col(1)}, count,
-               AggMode::kPartial);
+    return Agg(std::move(semi), {E::Col(1)}, count, AggMode::kPartial);
   };
   plan.merge = [count](OperatorPtr gathered) {
-    auto distinct =
-        Agg(std::move(gathered), GroupCols(2), count, AggMode::kFinal);
-    auto by_prio = Agg(std::move(distinct), {E::Col(1)},
-                       {{AggOp::kCount, nullptr}});
-    return Sort(std::move(by_prio), {{0, true}});
+    return Sort(Agg(std::move(gathered), GroupCols(1), count,
+                    AggMode::kFinal),
+                {{0, true}});
   };
   return plan;
 }
@@ -546,14 +591,14 @@ TpchPlan Q5(const QB& qb) {
   plan.tables = {kCustomer, kOrders, kLineItem, kSupplier, kNation, kRegion};
   int64_t lo = Days(1994, 1, 1), hi = Days(1995, 1, 1);
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(2, 3)}};
-  SharedBuild cust_b = NewSharedBuild(), orders_b = NewSharedBuild(),
-              supp_b = NewSharedBuild(), asia_b = NewSharedBuild(),
-              region_b = NewSharedBuild();
-  plan.fragment = [qb, lo, hi, aggs, cust_b, orders_b, supp_b, asia_b,
+  auto [cust_b, supp_b, asia_b, region_b] =
+      NewSharedBuilds(&plan, {kCustomer, kSupplier, kNation, kRegion});
+  plan.fragment = [qb, lo, hi, aggs, cust_b, supp_b, asia_b,
                    region_b](const ScanOptions& o) {
     // oc: ok0 ck1 cck2 cnk3
-    auto oc = qb.SlicedBuild(
-        orders_b, o, [qb, lo, hi, cust_b](const ScanOptions& so) {
+    auto oc = qb.PartitionBuild(
+        o, kLineItem, col::l_orderkey, kOrders, col::o_orderkey,
+        [qb, lo, hi, cust_b](const ScanOptions& so) {
           auto orders = qb.Scan(
               kOrders, so, true,
               E::And(E::ColCmp(CmpOp::kGe, col::o_orderdate, lo),
@@ -614,33 +659,32 @@ TpchPlan Q7(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kSupplier, kLineItem, kOrders, kCustomer, kNation};
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(2, 3)}};
-  SharedBuild supp_nation_b = NewSharedBuild(),
-              cust_nation_b = NewSharedBuild(), cust_b = NewSharedBuild(),
-              orders_b = NewSharedBuild(), supp_b = NewSharedBuild();
-  plan.fragment = [qb, aggs, supp_nation_b, cust_nation_b, cust_b, orders_b,
+  auto [supp_nation_b, cust_nation_b, cust_b, supp_b] =
+      NewSharedBuilds(&plan, {kNation, kNation, kCustomer, kSupplier});
+  plan.fragment = [qb, aggs, supp_nation_b, cust_nation_b, cust_b,
                    supp_b](const ScanOptions& o) {
     auto nations_filter = E::Or(
         E::ColCmp(CmpOp::kEq, col::n_name, S("FRANCE")),
         E::ColCmp(CmpOp::kEq, col::n_name, S("GERMANY")));
     // ocn: ok0 ck1 + cn 2..5 (cck2 cnk3 nk4 cnname5)
-    auto ocn = qb.SlicedBuild(orders_b, o, [qb, nations_filter, cust_b,
-                                            cust_nation_b](
-                                               const ScanOptions& so) {
-      // cn: ck0 cnk1 nk2 nname3
-      auto cn = qb.SlicedBuild(
-          cust_b, so,
-          [qb, nations_filter, cust_nation_b](const ScanOptions& cso) {
-            return Join(qb.Scan(kCustomer, cso, true, nullptr,
-                                {col::c_custkey, col::c_nationkey}),
-                        qb.ScanBuild(cust_nation_b, cso, kNation,
-                                     nations_filter,
-                                     {col::n_nationkey, col::n_name}),
-                        {1}, {0});
-          });
-      return Join(qb.Scan(kOrders, so, true, nullptr,
-                          {col::o_orderkey, col::o_custkey}),
-                  std::move(cn), {1}, {0});
-    });
+    auto ocn = qb.PartitionBuild(
+        o, kLineItem, col::l_orderkey, kOrders, col::o_orderkey,
+        [qb, nations_filter, cust_b, cust_nation_b](const ScanOptions& so) {
+          // cn: ck0 cnk1 nk2 nname3
+          auto cn = qb.SlicedBuild(
+              cust_b, so,
+              [qb, nations_filter, cust_nation_b](const ScanOptions& cso) {
+                return Join(qb.Scan(kCustomer, cso, true, nullptr,
+                                    {col::c_custkey, col::c_nationkey}),
+                            qb.ScanBuild(cust_nation_b, cso, kNation,
+                                         nations_filter,
+                                         {col::n_nationkey, col::n_name}),
+                            {1}, {0});
+              });
+          return Join(qb.Scan(kOrders, so, true, nullptr,
+                              {col::o_orderkey, col::o_custkey}),
+                      std::move(cn), {1}, {0});
+        });
     // j: lok0 lsk1 ext2 disc3 sdate4 + ocn 5..10 (cnname at 10)
     // build = orders of FRANCE/GERMANY customers (2/25 nations).
     auto j = qb.ScanJoin(
@@ -684,17 +728,11 @@ TpchPlan Q8(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kPart, kSupplier, kLineItem, kOrders, kCustomer, kNation,
                  kRegion};
-  std::vector<AggSpec> aggs = {
-      {AggOp::kSum,
-       E::Case(E::ColCmp(CmpOp::kEq, 17, S("BRAZIL")), Vol(3, 4),
-               E::Lit(0.0))},
-      {AggOp::kSum, Vol(3, 4)}};
-  SharedBuild part_b = NewSharedBuild(), orders_b = NewSharedBuild(),
-              america_b = NewSharedBuild(), region_b = NewSharedBuild(),
-              cust_b = NewSharedBuild(), supp_b = NewSharedBuild(),
-              nation_b = NewSharedBuild();
-  plan.fragment = [qb, aggs, part_b, orders_b, america_b, region_b, cust_b,
-                   supp_b, nation_b](const ScanOptions& o) {
+  auto [part_b, america_b, region_b, cust_b, supp_b, nation_b] =
+      NewSharedBuilds(&plan,
+                      {kPart, kNation, kRegion, kCustomer, kSupplier, kNation});
+  plan.fragment = [qb, part_b, america_b, region_b, cust_b, supp_b,
+                   nation_b](const ScanOptions& o) {
     auto part = qb.ScanBuild(part_b, o, kPart,
                              E::ColCmp(CmpOp::kEq, col::p_type,
                                        S("ECONOMY ANODIZED STEEL")),
@@ -708,8 +746,8 @@ TpchPlan Q8(const QB& qb) {
                           {1}, std::move(part), {0}, JoinType::kInner,
                           double(qb.db->row_count(kPart)) / 150.0,
                           double(qb.db->row_count(kPart)));
-    auto orders = qb.ScanBuild(
-        orders_b, o, kOrders,
+    auto orders = qb.PartitionScanBuild(
+        o, kLineItem, col::l_orderkey, kOrders, col::o_orderkey,
         E::Between(col::o_orderdate, Days(1995, 1, 1), Days(1996, 12, 31)),
         {col::o_orderkey, col::o_custkey, col::o_orderdate});
     // lpo: +ook6 ock7 odate8
@@ -729,18 +767,11 @@ TpchPlan Q8(const QB& qb) {
                    qb.ScanBuild(supp_b, o, kSupplier, nullptr,
                                 {col::s_suppkey, col::s_nationkey}),
                    {2}, {0});
-    // nation2 (supplier nation): +nk15... wait cols: width 15 now; +nk15
-    // nname2_16? Column math: j2 width = 13 + 2 = 15 (cols 13,14). Join
-    // nation2 => cols 15 (n_nationkey), 16 (n_name)... but the agg case
-    // expression references col 17. Add region too? No: project instead.
+    // supplier nation: +nk15 nname16
     auto j3 = Join(std::move(j2),
                    qb.ScanBuild(nation_b, o, kNation, nullptr,
                                 {col::n_nationkey, col::n_name}),
                    {14}, {0});
-    // j3: width 17, supp-nation name at col 16. Pad to match agg exprs:
-    // project to keep odate8, ext3, disc4, nname16 at stable positions.
-    // For clarity rebuild positions: we keep full row; aggs reference
-    // col 17 -- adjust by projecting.
     auto proj = Project(std::move(j3),
                         {E::Col(8), E::Col(3), E::Col(4), E::Col(16)});
     // now: odate0 ext1 disc2 suppnation3
@@ -768,10 +799,9 @@ TpchPlan Q8(const QB& qb) {
 TpchPlan Q9(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kPart, kLineItem, kPartSupp, kSupplier, kOrders, kNation};
-  SharedBuild part_b = NewSharedBuild(), partsupp_b = NewSharedBuild(),
-              supp_b = NewSharedBuild(), orders_b = NewSharedBuild(),
-              nation_b = NewSharedBuild();
-  plan.fragment = [qb, part_b, partsupp_b, supp_b, orders_b,
+  auto [part_b, partsupp_b, supp_b, nation_b] =
+      NewSharedBuilds(&plan, {kPart, kPartSupp, kSupplier, kNation});
+  plan.fragment = [qb, part_b, partsupp_b, supp_b,
                    nation_b](const ScanOptions& o) {
     auto part = qb.ScanBuild(part_b, o, kPart,
                              E::Contains(E::Col(col::p_name), "green"),
@@ -797,8 +827,9 @@ TpchPlan Q9(const QB& qb) {
                    {2}, {0});
     // j4: +ook12 odate13
     auto j4 = Join(std::move(j3),
-                   qb.ScanBuild(orders_b, o, kOrders, nullptr,
-                                {col::o_orderkey, col::o_orderdate}),
+                   qb.PartitionScanBuild(o, kLineItem, col::l_orderkey,
+                                         kOrders, col::o_orderkey, nullptr,
+                                         {col::o_orderkey, col::o_orderdate}),
                    {0}, {0});
     // j5: +nk14 nname15
     auto j5 = Join(std::move(j4),
@@ -826,14 +857,13 @@ TpchPlan Q10(const QB& qb) {
   plan.tables = {kCustomer, kOrders, kLineItem, kNation};
   int64_t lo = Days(1993, 10, 1), hi = Days(1994, 1, 1);
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(1, 2)}};
-  SharedBuild cust_b = NewSharedBuild(), orders_b = NewSharedBuild(),
-              nation_b = NewSharedBuild();
-  SharedExchange by_customer = NewExchange({0});
-  auto partial = [qb, lo, hi, aggs, cust_b, orders_b,
-                  nation_b](const ScanOptions& o) {
+  auto [cust_b, nation_b] = NewSharedBuilds(&plan, {kCustomer, kNation});
+  SharedExchange by_customer = NewExchange(&plan, {0});
+  auto partial = [qb, lo, hi, aggs, cust_b, nation_b](const ScanOptions& o) {
     // oc: ok0 ck1 + customer 2..9
-    auto oc = qb.SlicedBuild(
-        orders_b, o, [qb, lo, hi, cust_b](const ScanOptions& so) {
+    auto oc = qb.PartitionBuild(
+        o, kLineItem, col::l_orderkey, kOrders, col::o_orderkey,
+        [qb, lo, hi, cust_b](const ScanOptions& so) {
           auto orders = qb.Scan(
               kOrders, so, true,
               E::And(E::ColCmp(CmpOp::kGe, col::o_orderdate, lo),
@@ -881,7 +911,7 @@ TpchPlan Q11(const QB& qb) {
   double fraction = 0.0001 / qb.db->config().scale;
   std::vector<AggSpec> aggs = {
       {AggOp::kSum, E::Arith(ArithOp::kMul, E::Col(3), E::Col(2))}};
-  SharedBuild nation_b = NewSharedBuild(), supp_b = NewSharedBuild();
+  auto [nation_b, supp_b] = NewSharedBuilds(&plan, {kNation, kSupplier});
   plan.fragment = [qb, aggs, nation_b, supp_b](const ScanOptions& o) {
     auto sn = qb.SlicedBuild(
         supp_b, o, [qb, nation_b](const ScanOptions& so) {
@@ -919,8 +949,7 @@ TpchPlan Q12(const QB& qb) {
                             E::Lit(int64_t{0}))},
       {AggOp::kSum, E::Case(E::Not(high_prio), E::Lit(int64_t{1}),
                             E::Lit(int64_t{0}))}};
-  SharedBuild orders_b = NewSharedBuild();
-  plan.fragment = [qb, lo, hi, aggs, orders_b](const ScanOptions& o) {
+  plan.fragment = [qb, lo, hi, aggs](const ScanOptions& o) {
     auto filter = E::And(
         E::And(E::In(E::Col(col::l_shipmode), {S("MAIL"), S("SHIP")}),
                E::And(E::Cmp(CmpOp::kLt, E::Col(col::l_commitdate),
@@ -934,9 +963,10 @@ TpchPlan Q12(const QB& qb) {
     // runtime filter, but the column-native join still applies.
     auto j = qb.ScanJoin(kLineItem, o, std::move(filter),
                          {col::l_orderkey, col::l_shipmode}, {0},
-                         qb.ScanBuild(orders_b, o, kOrders, nullptr,
-                                      {col::o_orderkey,
-                                       col::o_orderpriority}),
+                         qb.PartitionScanBuild(
+                             o, kLineItem, col::l_orderkey, kOrders,
+                             col::o_orderkey, nullptr,
+                             {col::o_orderkey, col::o_orderpriority}),
                          {0}, JoinType::kInner,
                          double(qb.db->row_count(kOrders)),
                          double(qb.db->row_count(kOrders)));
@@ -954,8 +984,8 @@ TpchPlan Q13(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kCustomer, kOrders};
   std::vector<AggSpec> count_aggs = {{AggOp::kCount, nullptr}};
-  SharedExchange counts_by_customer = NewExchange({0}),
-                 customers_by_key = NewExchange({0});
+  SharedExchange counts_by_customer = NewExchange(&plan, {0}),
+                 customers_by_key = NewExchange(&plan, {0});
   auto order_counts = [qb, count_aggs](const ScanOptions& o) {
     return qb.AggScan(kOrders, o,
                       E::Not(E::Contains(E::Col(col::o_comment), "special")),
@@ -997,7 +1027,7 @@ TpchPlan Q14(const QB& qb) {
       {AggOp::kSum, E::Case(E::StartsWith(E::Col(4), "PROMO"), Vol(1, 2),
                             E::Lit(0.0))},
       {AggOp::kSum, Vol(1, 2)}};
-  SharedBuild part_b = NewSharedBuild();
+  auto [part_b] = NewSharedBuilds(&plan, {kPart});
   plan.fragment = [qb, lo, hi, aggs, part_b](const ScanOptions& o) {
     // build = ALL parts: no runtime filter, but the column-native join
     // applies (Q19's shape).
@@ -1035,14 +1065,12 @@ TpchPlan Q15(const QB& qb) {
                              E::ColCmp(CmpOp::kLt, col::l_shipdate, hi)),
                       {col::l_suppkey}, aggs, AggMode::kPartial);
   };
-  plan.merge = [aggs, suppliers = qb.db->shards(kSupplier),
-                snap = qb.snap](OperatorPtr gathered) {
+  plan.merge = [qb, aggs](OperatorPtr gathered) {
     auto revenue =
         Agg(std::move(gathered), GroupCols(1), aggs, AggMode::kFinal);
     auto top = std::make_unique<HavingMaxOp>(std::move(revenue), 1);
     // §VII-C: supplier's primary key looked up via index nested-loop join.
-    auto j = std::make_unique<LookupJoinOp>(
-        std::move(top), suppliers, std::vector<ExprPtr>{E::Col(0)}, snap);
+    auto j = qb.Lookup(std::move(top), kSupplier, 0);
     // cols: sk0 rev1 s...2..8
     auto projected = Project(std::move(j),
                              {E::Col(0), E::Col(3), E::Col(4), E::Col(6),
@@ -1056,8 +1084,8 @@ TpchPlan Q16(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kPartSupp, kPart, kSupplier};
   std::vector<AggSpec> count_aggs = {{AggOp::kCount, nullptr}};
-  SharedBuild part_b = NewSharedBuild(), complaints_b = NewSharedBuild();
-  SharedExchange by_brand_type_size = NewExchange({0, 1, 2});
+  auto [part_b, complaints_b] = NewSharedBuilds(&plan, {kPart, kSupplier});
+  SharedExchange by_brand_type_size = NewExchange(&plan, {0, 1, 2});
   auto partial = [qb, count_aggs, part_b,
                   complaints_b](const ScanOptions& o) {
     auto part = qb.ScanBuild(
@@ -1106,7 +1134,7 @@ TpchPlan Q16(const QB& qb) {
 TpchPlan Q17(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kLineItem, kPart};
-  SharedBuild part_b = NewSharedBuild();
+  auto [part_b] = NewSharedBuilds(&plan, {kPart});
   plan.fragment = [qb, part_b](const ScanOptions& o) {
     auto part = qb.ScanBuild(
         part_b, o, kPart,
@@ -1147,29 +1175,20 @@ TpchPlan Q18(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kLineItem, kOrders, kCustomer};
   std::vector<AggSpec> aggs = {{AggOp::kSum, E::Col(col::l_quantity)}};
-  SharedExchange by_order = NewExchange({0});
-  // Partial sums per order, shuffled by l_orderkey: each task finishes the
-  // orders of its bucket, fetches the big ones' rows and keeps its top 100.
-  plan.fragment = [qb, aggs, by_order](const ScanOptions& o) {
-    auto partials =
-        qb.Shuffle(by_order, o, [qb, aggs](const ScanOptions& po) {
-          return qb.AggScan(kLineItem, po, nullptr, {col::l_orderkey}, aggs,
-                            AggMode::kPartial);
-        });
-    auto sums = Agg(std::move(partials), GroupCols(1), aggs,
-                    AggMode::kFinal);
+  // lineitem is partitioned on l_orderkey, so the task's partition holds
+  // whole orders: it sums them completely, fetches the big ones' rows and
+  // keeps its top 100.
+  plan.fragment = [qb, aggs](const ScanOptions& o) {
+    auto sums = qb.AggScan(kLineItem, o, nullptr, {col::l_orderkey}, aggs,
+                           AggMode::kComplete);
     auto big = Filter(std::move(sums),
                       E::ColCmp(CmpOp::kGt, 1, 300.0));
     // The handful of big orders and their customers are fetched by primary
     // key (§VII-C index nested-loop join), as in Q15.
     // j: ok0 qty1 + orders 2..9 (o_ck at 3, total at 5, odate at 6)
-    auto j = std::make_unique<LookupJoinOp>(
-        std::move(big), qb.db->shards(kOrders),
-        std::vector<ExprPtr>{E::Col(0)}, qb.snap);
+    auto j = qb.Lookup(std::move(big), kOrders, 0);
     // j2: + customer 10.. (c_ck10 c_name11)
-    auto j2 = std::make_unique<LookupJoinOp>(
-        std::move(j), qb.db->shards(kCustomer),
-        std::vector<ExprPtr>{E::Col(3)}, qb.snap);
+    auto j2 = qb.Lookup(std::move(j), kCustomer, 3);
     auto sorted = Sort(std::move(j2), {{5, false}, {6, true}}, 100);
     return Project(std::move(sorted),
                    {E::Col(11), E::Col(10), E::Col(0), E::Col(6), E::Col(5),
@@ -1186,7 +1205,7 @@ TpchPlan Q19(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kLineItem, kPart};
   std::vector<AggSpec> aggs = {{AggOp::kSum, Vol(2, 3)}};
-  SharedBuild part_b = NewSharedBuild();
+  auto [part_b] = NewSharedBuilds(&plan, {kPart});
   plan.fragment = [qb, aggs, part_b](const ScanOptions& o) {
     // j: lpk0 qty1 ext2 disc3 + part: ppk4 brand5 size6 container7
     // build = ALL parts (the brand/container predicate applies after the
@@ -1237,9 +1256,9 @@ TpchPlan Q20(const QB& qb) {
   plan.tables = {kLineItem, kPartSupp, kPart, kSupplier, kNation};
   int64_t lo = Days(1994, 1, 1), hi = Days(1995, 1, 1);
   std::vector<AggSpec> aggs = {{AggOp::kSum, E::Col(2)}};
-  SharedBuild partsupp_b = NewSharedBuild(), forest_b = NewSharedBuild(),
-              canada_b = NewSharedBuild(), supp_b = NewSharedBuild();
-  SharedExchange by_part_supp = NewExchange({0, 1});
+  auto [partsupp_b, forest_b, canada_b, supp_b] =
+      NewSharedBuilds(&plan, {kPartSupp, kPart, kNation, kSupplier});
+  SharedExchange by_part_supp = NewExchange(&plan, {0, 1});
   auto partial = [qb, lo, hi, aggs](const ScanOptions& o) {
     auto line = qb.Scan(kLineItem, o, true,
                         E::And(E::ColCmp(CmpOp::kGe, col::l_shipdate, lo),
@@ -1298,21 +1317,15 @@ TpchPlan Q20(const QB& qb) {
 TpchPlan Q21(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kLineItem, kSupplier, kOrders, kNation};
-  SharedBuild orders_b = NewSharedBuild(), saudi_b = NewSharedBuild(),
-              supp_b = NewSharedBuild();
-  SharedExchange by_order = NewExchange({0});
-  auto partial = [qb, orders_b](const ScanOptions& o) -> OperatorPtr {
-    // Only F-order lineitems can reach the final result (the final stage
-    // keeps F orders), so the partial stage semi-joins lineitem against
-    // the F orders; the column path runs this as a vectorized
-    // ColumnHashJoinOp with the F-orders bloom filter pruning the probe
-    // selection, the row path as HashJoinOp with the same filter pushed
-    // into the scan. ~51% of lineitems are pruned. The (ok, sk) pairs are
-    // nearly all distinct at this scale, so a partial agg would not
-    // compress the shuffle; the stage emits raw (ok, sk, late_sk_or_NULL)
-    // rows and leaves the single per-order grouping to the final stage.
-    auto orders_f = qb.ScanBuild(
-        orders_b, o, kOrders,
+  auto [saudi_b, supp_b] = NewSharedBuilds(&plan, {kNation, kSupplier});
+  plan.fragment = [qb, saudi_b, supp_b](const ScanOptions& o) {
+    // Only F-order lineitems can reach the result, so the task's lineitems
+    // semi-join its F orders, partition-wise; the column path runs this as
+    // a vectorized ColumnHashJoinOp with the F-orders bloom filter pruning
+    // the probe selection, the row path as HashJoinOp with the same filter
+    // pushed into the scan. ~48% of lineitems are pruned.
+    auto orders_f = qb.PartitionScanBuild(
+        o, kLineItem, col::l_orderkey, kOrders, col::o_orderkey,
         E::ColCmp(CmpOp::kEq, col::o_orderstatus, S("F")), {col::o_orderkey});
     auto semi = qb.ScanJoin(
         kLineItem, o, nullptr,
@@ -1323,22 +1336,16 @@ TpchPlan Q21(const QB& qb) {
         double(qb.db->row_count(kOrders)));
     // projected positions: commit=2, receipt=3
     auto late = E::Cmp(CmpOp::kGt, E::Col(3), E::Col(2));
-    return Project(std::move(semi),
-                   {E::Col(0), E::Col(1),
-                    E::Case(late, E::Col(1), E::Lit(Value{}))});
-  };
-  // Raw rows shuffled by orderkey, so each task sees whole orders.
-  plan.fragment = [qb, saudi_b, supp_b, by_order,
-                   partial](const ScanOptions& o) {
-    // Per-order stats with min/max only, which merge over raw
-    // lineitem-level rows from any number of producers — so one grouping
-    // pass by order replaces the (ok, sk) dedup + per-order two-agg
-    // cascade: >1 distinct supplier ⇔ min(sk) != max(sk); exactly one
-    // distinct late supplier ⇔ min(late_sk) == max(late_sk) and non-NULL,
-    // and that unique value IS the waiting supplier's key. Every shuffled
-    // row already comes from an F order (the producers semi-join against
-    // F orders), so no orderstatus re-check is needed.
-    auto stats = Agg(qb.Shuffle(by_order, o, partial), {E::Col(0)},
+    auto lines = Project(std::move(semi),
+                         {E::Col(0), E::Col(1),
+                          E::Case(late, E::Col(1), E::Lit(Value{}))});
+    // lineitem is partitioned on l_orderkey, so the task holds whole
+    // orders, and one grouping pass by order with min/max only replaces the
+    // (ok, sk) dedup + per-order two-agg cascade: >1 distinct supplier ⇔
+    // min(sk) != max(sk); exactly one distinct late supplier ⇔
+    // min(late_sk) == max(late_sk) and non-NULL, and that unique value IS
+    // the waiting supplier's key.
+    auto stats = Agg(std::move(lines), {E::Col(0)},
                      {{AggOp::kMin, E::Col(1)},
                       {AggOp::kMax, E::Col(1)},
                       {AggOp::kMin, E::Col(2)},
@@ -1382,8 +1389,8 @@ TpchPlan Q22(const QB& qb) {
                          S("18"), S("17")});
   std::vector<AggSpec> aggs = {{AggOp::kCount, nullptr},
                                {AggOp::kSum, E::Col(2)}};
-  SharedExchange buyers_by_customer = NewExchange({0}),
-                 customers_by_key = NewExchange({0});
+  SharedExchange buyers_by_customer = NewExchange(&plan, {0}),
+                 customers_by_key = NewExchange(&plan, {0});
   auto buyers = [qb](const ScanOptions& o) {
     return qb.AggScan(kOrders, o, nullptr, {col::o_custkey},
                       {{AggOp::kCount, nullptr}}, AggMode::kPartial);
@@ -1428,11 +1435,6 @@ TpchPlan Q22(const QB& qb) {
 
 TpchPlan BuildQuery(int q, const TpchDb& db, Timestamp snapshot) {
   QB qb{&db, snapshot};
-  for (int t = 0; t < kNumTables; ++t) {
-    if (const ColumnIndex* index = db.column_index(Table(t))) {
-      qb.index_rows[size_t(t)] = index->total_versions();
-    }
-  }
   switch (q) {
     case 1: return Q1(qb);
     case 2: return Q2(qb);

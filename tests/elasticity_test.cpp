@@ -43,6 +43,64 @@ TEST(PartitionTest, RuleRoutesConsistently) {
   }
 }
 
+// A table's default partition key is its whole primary key, routed exactly
+// like ShardOf(EncodeKey(pk)); a prefix partition key routes on the prefix.
+TEST(PartitionTest, PartitionKeyDefaultsToThePrimaryKey) {
+  TableDef def = MakeTableDef(1, "lines",
+                              {{"order", ValueType::kInt64, false},
+                               {"line", ValueType::kInt64, false},
+                               {"qty", ValueType::kDouble, false}},
+                              {0, 1}, 8);
+  EXPECT_EQ(def.PartitionColumns(), (std::vector<uint32_t>{0, 1}));
+  TableDef by_order = def;
+  by_order.partition_key = {0};
+  for (int64_t order = 0; order < 50; ++order) {
+    for (int64_t line = 1; line <= 4; ++line) {
+      Row row{order, line, 1.0};
+      EXPECT_EQ(def.rule().ShardOfRow(def.schema, row),
+                ShardOf(EncodeKey({order, line}), 8));
+      EXPECT_EQ(by_order.rule().ShardOfRow(def.schema, row),
+                ShardOf(EncodeKey({order}), 8));
+    }
+  }
+  TableGroupRegistry reg;
+  TableDef not_prefix = def;
+  not_prefix.partition_key = {1};
+  EXPECT_FALSE(reg.Register(not_prefix).ok());
+}
+
+// A join is partition-wise only between tables of one group, on their
+// partition keys.
+TEST(PartitionTest, PartitionWiseJoinNeedsGroupAndPartitionKeys) {
+  TableDef orders = MakeTableDef(
+      1, "orders",
+      {{"id", ValueType::kInt64, false}, {"cust", ValueType::kInt64, false}},
+      {0}, 8);
+  TableDef lines = MakeTableDef(2, "lines",
+                                {{"order", ValueType::kInt64, false},
+                                 {"line", ValueType::kInt64, false}},
+                                {0, 1}, 8);
+  lines.partition_key = {0};
+  TableDef other = orders;
+  other.id = 3;
+  orders.table_group = lines.table_group = "g";
+  TableGroupRegistry reg;
+  ASSERT_TRUE(reg.Register(orders).ok());
+  ASSERT_TRUE(reg.Register(lines).ok());
+  ASSERT_TRUE(reg.Register(other).ok());
+  EXPECT_TRUE(reg.PartitionWise(lines, {0}, orders, {0}));
+  EXPECT_TRUE(reg.PartitionWise(lines, {1, 0}, orders, {1, 0}));
+  EXPECT_FALSE(reg.PartitionWise(lines, {1}, orders, {0}));
+  EXPECT_FALSE(reg.PartitionWise(lines, {0}, orders, {1}));
+  EXPECT_FALSE(reg.PartitionWise(lines, {0}, other, {0}));
+
+  // Members of one group must hash the same key types.
+  TableDef by_name = MakeTableDef(
+      4, "by_name", {{"name", ValueType::kString, false}}, {0}, 8);
+  by_name.table_group = "g";
+  EXPECT_FALSE(reg.Register(by_name).ok());
+}
+
 TEST(PartitionTest, TableGroupRequiresMatchingShardCounts) {
   TableGroupRegistry reg;
   TableDef a = MakeTableDef(1, "orders", {{"id", ValueType::kInt64, false}},

@@ -1100,6 +1100,9 @@ TEST(MppTest, PartialFinalAggregation) {
   }
 }
 
+// Each task owns one block of consecutive shards, so a task's shards of
+// every table in a table group are the same partitions, and its column
+// slice is one row-id range.
 TEST(MppTest, ShardAssignmentIsDisjointAndComplete) {
   // Distinct placeholder pointers: ShardsForTask never dereferences them.
   std::array<char, 10> tags{};
@@ -1107,10 +1110,14 @@ TEST(MppTest, ShardAssignmentIsDisjointAndComplete) {
   for (char& tag : tags) shards.push_back(reinterpret_cast<TableStore*>(&tag));
   for (int tasks : {1, 3, 4, 7, 10, 12}) {
     std::map<TableStore*, int> owner;
+    size_t next = 0;  // the first shard no earlier task owns
     for (int t = 0; t < tasks; ++t) {
       for (TableStore* s : MppExecutor::ShardsForTask(shards, t, tasks)) {
         EXPECT_TRUE(owner.emplace(s, t).second)
             << "shard owned twice at " << tasks << " tasks";
+        ASSERT_LT(next, shards.size());
+        EXPECT_EQ(s, shards[next++])
+            << "task " << t << " of " << tasks << " owns a gap";
       }
     }
     EXPECT_EQ(owner.size(), shards.size()) << tasks << " tasks";

@@ -503,6 +503,81 @@ TEST_F(TpchExchangeFixture, Q18MatchesManualComputation) {
   ExpectSameRows(*mpp, want, "Q18 MPP+column, 7 tasks");
 }
 
+// orders and lineitem are one table group on orderkey: an order's lines
+// live in the order's shard, which is what lets the MPP plans join and
+// group them by orderkey inside each task.
+TEST_F(TpchExchangeFixture, LineitemLivesInItsOrdersShard) {
+  EXPECT_TRUE(db_->PartitionWise(kLineItem, col::l_orderkey, kOrders,
+                                 col::o_orderkey));
+  EXPECT_FALSE(db_->PartitionWise(kLineItem, col::l_partkey, kOrders,
+                                  col::o_orderkey));
+  EXPECT_FALSE(db_->PartitionWise(kLineItem, col::l_suppkey, kSupplier,
+                                  col::s_suppkey));
+  std::map<int64_t, size_t> order_shard;
+  for (size_t s = 0; s < db_->shards(kOrders).size(); ++s) {
+    db_->shards(kOrders)[s]->rows().ScanAll(
+        [&](const EncodedKey&, const VersionPtr& head) {
+          order_shard[std::get<int64_t>(head->row[col::o_orderkey])] = s;
+          return true;
+        });
+  }
+  size_t lines = 0;
+  for (size_t s = 0; s < db_->shards(kLineItem).size(); ++s) {
+    db_->shards(kLineItem)[s]->rows().ScanAll(
+        [&](const EncodedKey&, const VersionPtr& head) {
+          const int64_t ok = std::get<int64_t>(head->row[col::l_orderkey]);
+          EXPECT_EQ(order_shard.at(ok), s) << "order " << ok;
+          ++lines;
+          return true;
+        });
+  }
+  EXPECT_EQ(lines, db_->row_count(kLineItem));
+}
+
+/// Encoded primary keys of the rows `scan` yields; `scan` projects the
+/// table's primary-key columns.
+std::set<EncodedKey> KeysOf(Operator* scan) {
+  auto rows = Collect(scan);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  std::set<EncodedKey> keys;
+  for (const Row& row : *rows) keys.insert(EncodeKey(row));
+  return keys;
+}
+
+// A task's column slice holds exactly the rows of its row-store shards, at
+// task counts that do (4) and do not (3, 7) divide the 8 shards.
+TEST_F(TpchExchangeFixture, TaskColumnSliceIsItsShardsRows) {
+  for (Table t : {kOrders, kLineItem, kCustomer}) {
+    const Schema schema = TableSchema(t);
+    std::vector<int> pk(schema.key_columns().begin(),
+                        schema.key_columns().end());
+    for (int tasks : {3, 4, 7}) {
+      for (int task = 0; task < tasks; ++task) {
+        ColumnScanOp column(db_->column_index(t), db_->load_ts(), nullptr, pk,
+                            db_->TaskRows(t, task, tasks));
+        TableScanOp row(
+            MppExecutor::ShardsForTask(db_->shards(t), task, tasks),
+            db_->load_ts(), nullptr, pk);
+        EXPECT_EQ(KeysOf(&column), KeysOf(&row))
+            << TableName(t) << " task " << task << " of " << tasks;
+      }
+    }
+  }
+}
+
+// Q4, Q18 and Q21 run their orderkey work inside each task, and no plan
+// shares an orders build between its tasks.
+TEST_F(TpchExchangeFixture, OrderkeyWorkStaysInTheTask) {
+  for (int q = 1; q <= 22; ++q) {
+    TpchPlan plan = BuildQuery(q, *db_, db_->load_ts());
+    EXPECT_EQ(std::count(plan.shared_builds.begin(), plan.shared_builds.end(),
+                         kOrders),
+              0)
+        << "Q" << q;
+    if (q == 4 || q == 18 || q == 21) EXPECT_EQ(plan.exchanges, 0) << "Q" << q;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllQueries, QuerySweep, ::testing::Range(1, 23),
                          [](const auto& info) {
                            return "Q" + std::to_string(info.param);
