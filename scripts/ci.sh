@@ -123,7 +123,7 @@ counters = ("single_join_probe_rows", "single_scan_rows_dropped",
             "column_join_probe_rows", "column_scan_rows_dropped",
             "mpp_join_probe_rows", "mpp_scan_rows_dropped",
             "mpp_column_join_probe_rows", "mpp_column_scan_rows_dropped")
-checked = 0
+checked, differing = 0, 0
 for rf, path in (("on", sys.argv[2]), ("off", sys.argv[3])):
     want = {q["q"]: q for q in ref["runtime_filters_" + rf]["queries"]}
     got = {q["q"]: q for q in json.load(open(path))["queries"]}
@@ -133,9 +133,13 @@ for rf, path in (("on", sys.argv[2]), ("off", sys.argv[3])):
     for q in sorted(want):
         for c in counters:
             if got[q][c] != want[q][c]:
-                sys.exit("e4-counters: rf=%s Q%d %s is %d, committed %d"
-                         % (rf, q, c, got[q][c], want[q][c]))
+                print("e4-counters: rf=%s Q%d %s is %d, committed %d"
+                      % (rf, q, c, got[q][c], want[q][c]))
+                differing += 1
             checked += 1
+if differing:
+    sys.exit("e4-counters: %d of %d work counters differ from the committed "
+             "E4 JSON" % (differing, checked))
 print("e4-counters: %d work counters equal the committed E4 JSON" % checked)
 EOF
 

@@ -10,6 +10,16 @@ namespace polarx {
 Status JoinHashTable::Build(int num_slices, const BuildSliceFactory& slice,
                             const std::vector<int>& build_keys,
                             bool with_filter, size_t filter_keys) {
+  {
+    Args args{num_slices, build_keys, with_filter, filter_keys};
+    std::lock_guard<std::mutex> lock(args_mu_);
+    if (!args_) {
+      args_ = std::move(args);
+    } else if (*args_ != args) {
+      return Status::InvalidArgument(
+          "JoinHashTable: callers disagree on the build");
+    }
+  }
   return slices_.Run(
       num_slices,
       [&](int s, std::vector<Row>* chunk) {

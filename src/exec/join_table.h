@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "src/common/status.h"
@@ -51,7 +53,10 @@ class JoinHashTable {
   /// caller, now and later. `with_filter` also summarizes the `build_keys`
   /// of every row into a runtime filter whose bloom is sized for
   /// `filter_keys` keys (0 = the build row count). All callers pass the
-  /// same arguments, and `slice` factories that make the same slices.
+  /// same arguments, and `slice` factories that make the same slices; a
+  /// caller whose `num_slices`, `build_keys`, `with_filter` or
+  /// `filter_keys` differ from the first caller's gets InvalidArgument, so
+  /// a table cannot be built two ways.
   Status Build(int num_slices, const BuildSliceFactory& slice,
                const std::vector<int>& build_keys, bool with_filter,
                size_t filter_keys = 0);
@@ -81,6 +86,16 @@ class JoinHashTable {
               const std::vector<int>& build_keys, bool with_filter,
               size_t filter_keys);
 
+  /// The first Build() call's arguments, which every later call repeats.
+  struct Args {
+    int num_slices;
+    std::vector<int> build_keys;
+    bool with_filter;
+    size_t filter_keys;
+    bool operator==(const Args&) const = default;
+  };
+  std::mutex args_mu_;
+  std::optional<Args> args_;
   CooperativeRuns<std::vector<Row>> slices_;  // one row chunk per slice
   std::vector<Row> rows_;
   KeyWordTable keys_{0};

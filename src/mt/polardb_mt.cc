@@ -160,13 +160,6 @@ Status DataDictionary::ApplyDdl(uint32_t requester_rw,
   return Status::Ok();
 }
 
-Result<DataDictionary::TableMeta> DataDictionary::Lookup(TableId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tables_.find(id);
-  if (it == tables_.end()) return Status::NotFound("table meta");
-  return it->second;
-}
-
 // ------------------------------------------------------------- cluster --
 
 MtCluster::MtCluster(PhysicalClockMs clock) : clock_(std::move(clock)) {

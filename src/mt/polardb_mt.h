@@ -134,8 +134,6 @@ class DataDictionary {
   Status ApplyDdl(uint32_t requester_rw, const BindingTable& bindings,
                   TableMeta meta);
 
-  Result<TableMeta> Lookup(TableId id) const;
-
  private:
   mutable std::mutex mu_;
   std::map<TableId, TableMeta> tables_;

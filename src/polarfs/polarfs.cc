@@ -6,33 +6,18 @@ namespace polarx {
 
 size_t ChunkServer::NumReplicas() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return replica_bytes_.size();
+  return replicas_.size();
 }
 
 void ChunkServer::Write(ChunkId chunk, uint64_t /*offset*/, uint64_t len) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = replica_bytes_.find(chunk);
-  if (it == replica_bytes_.end()) return;
-  it->second += len;
+  if (replicas_.count(chunk) == 0) return;
   bytes_stored_ += len;
-}
-
-bool ChunkServer::Hosts(ChunkId chunk) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return replica_bytes_.count(chunk) != 0;
 }
 
 void ChunkServer::AddReplica(ChunkId chunk) {
   std::lock_guard<std::mutex> lock(mu_);
-  replica_bytes_.emplace(chunk, 0);
-}
-
-void ChunkServer::DropReplica(ChunkId chunk) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = replica_bytes_.find(chunk);
-  if (it == replica_bytes_.end()) return;
-  bytes_stored_ -= it->second;
-  replica_bytes_.erase(it);
+  replicas_.insert(chunk);
 }
 
 PolarFs::PolarFs(PolarFsOptions options) : options_(options) {}

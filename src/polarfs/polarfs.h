@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,15 +47,12 @@ class ChunkServer {
 
   /// Persists a write against a local replica.
   void Write(ChunkId chunk, uint64_t offset, uint64_t len);
-  /// Whether this server hosts a replica of `chunk`.
-  bool Hosts(ChunkId chunk) const;
   void AddReplica(ChunkId chunk);
-  void DropReplica(ChunkId chunk);
 
  private:
   uint32_t id_;
   mutable std::mutex mu_;
-  std::map<ChunkId, uint64_t> replica_bytes_;
+  std::set<ChunkId> replicas_;
   uint64_t bytes_stored_ = 0;
 };
 

@@ -96,13 +96,6 @@ void RwRoReplication::AddReplica(RoReplica* replica) {
   replicas_.push_back(replica);
 }
 
-void RwRoReplication::RemoveReplica(uint32_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  replicas_.erase(std::remove_if(replicas_.begin(), replicas_.end(),
-                                 [id](RoReplica* r) { return r->id() == id; }),
-                  replicas_.end());
-}
-
 Lsn RwRoReplication::SyncAll() {
   std::vector<RoReplica*> replicas;
   {

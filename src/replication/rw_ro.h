@@ -85,7 +85,6 @@ class RwRoReplication {
 
   /// Attaches a replica. It starts at the log's current purge horizon.
   void AddReplica(RoReplica* replica);
-  void RemoveReplica(uint32_t id);
 
   /// Step 4 of Fig. 3: broadcast "log advanced" — here, synchronously lets
   /// every attached (non-kicked) replica pull. Returns min lsn_RO.

@@ -114,9 +114,4 @@ size_t MvccTable::NumKeys() const {
   return rows_.size();
 }
 
-void MvccTable::Clear() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  rows_.clear();
-}
-
 }  // namespace polarx

@@ -98,9 +98,6 @@ class MvccTable {
 
   size_t NumKeys() const;
 
-  /// Clears all data (tenant drop / test reset).
-  void Clear();
-
  private:
   mutable std::shared_mutex mu_;
   std::map<EncodedKey, VersionPtr> rows_;

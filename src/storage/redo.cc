@@ -297,10 +297,7 @@ void RedoLog::MarkFlushed(Lsn lsn) {
   // not mark bytes flushed that no longer exist.
   Lsn end = purged_ + buffer_.size();
   if (lsn > end) lsn = end;
-  if (lsn > flushed_) {
-    flushed_ = lsn;
-    ++flush_advances_;
-  }
+  if (lsn > flushed_) flushed_ = lsn;
 }
 
 Lsn RedoLog::ReadBytes(Lsn from, Lsn to, std::string* out) const {
@@ -434,11 +431,6 @@ size_t RedoLog::SizeBytes() const {
 uint64_t RedoLog::mtrs_appended() const {
   std::lock_guard<std::mutex> lock(mu_);
   return mtrs_appended_;
-}
-
-uint64_t RedoLog::flush_advances() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return flush_advances_;
 }
 
 }  // namespace polarx

@@ -144,12 +144,8 @@ class RedoLog {
 
   size_t SizeBytes() const;
 
-  /// Telemetry for the write path: how many MTRs were appended and how
-  /// many MarkFlushed calls actually advanced the durable watermark. With
-  /// group commit, flush_advances() << mtrs_appended() — the ratio is the
-  /// measured batching factor.
+  /// Telemetry for the write path: how many MTRs were appended.
   uint64_t mtrs_appended() const;
-  uint64_t flush_advances() const;
 
  private:
   mutable std::mutex mu_;
@@ -157,7 +153,6 @@ class RedoLog {
   Lsn purged_ = 1;          // first retained LSN
   Lsn flushed_ = 1;
   uint64_t mtrs_appended_ = 0;
-  uint64_t flush_advances_ = 0;
 };
 
 }  // namespace polarx

@@ -39,13 +39,6 @@ std::vector<EncodedKey> LocalIndex::Lookup(const EncodedKey& from,
   return pks;
 }
 
-size_t LocalIndex::NumEntries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& [k, pks] : entries_) n += pks.size();
-  return n;
-}
-
 TableStore::TableStore(TableId id, std::string name, Schema schema,
                        TenantId tenant)
     : id_(id),
@@ -57,13 +50,6 @@ LocalIndex* TableStore::AddIndex(const std::string& name,
                                  std::vector<uint32_t> columns) {
   indexes_.push_back(std::make_unique<LocalIndex>(name, std::move(columns)));
   return indexes_.back().get();
-}
-
-LocalIndex* TableStore::FindIndex(const std::string& name) {
-  for (auto& idx : indexes_) {
-    if (idx->name() == name) return idx.get();
-  }
-  return nullptr;
 }
 
 uint32_t TableStore::PageNoFor(const EncodedKey& key) const {

@@ -40,8 +40,6 @@ class LocalIndex {
   std::vector<EncodedKey> Lookup(const EncodedKey& from,
                                  const EncodedKey& to) const;
 
-  size_t NumEntries() const;
-
  private:
   std::string name_;
   std::vector<uint32_t> columns_;
@@ -67,7 +65,6 @@ class TableStore {
   /// Adds a local secondary index over the given columns.
   LocalIndex* AddIndex(const std::string& name,
                        std::vector<uint32_t> columns);
-  LocalIndex* FindIndex(const std::string& name);
   const std::vector<std::unique_ptr<LocalIndex>>& indexes() const {
     return indexes_;
   }

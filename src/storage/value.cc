@@ -114,22 +114,4 @@ Row Schema::ExtractKey(const Row& row) const {
   return key;
 }
 
-size_t Schema::EstimateRowBytes() const {
-  size_t bytes = 0;
-  for (const auto& col : columns_) {
-    switch (col.type) {
-      case ValueType::kInt64:
-      case ValueType::kDouble:
-        bytes += 8;
-        break;
-      case ValueType::kString:
-        bytes += 32;
-        break;
-      default:
-        bytes += 1;
-    }
-  }
-  return bytes;
-}
-
 }  // namespace polarx

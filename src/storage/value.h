@@ -76,9 +76,6 @@ class Schema {
   /// Extracts the primary-key values from a full row.
   Row ExtractKey(const Row& row) const;
 
-  /// Rough bytes-per-row estimate for cost modeling.
-  size_t EstimateRowBytes() const;
-
  private:
   std::vector<ColumnDef> columns_;
   std::vector<uint32_t> key_columns_;

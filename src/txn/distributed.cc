@@ -562,11 +562,4 @@ Status TxnCoordinator::Update(DistributedTxn* txn, TxnEngine* engine,
       {.kind = Statement::Kind::kUpdate, .table = table, .row = row});
 }
 
-Status TxnCoordinator::Delete(DistributedTxn* txn, TxnEngine* engine,
-                              TableId table, const EncodedKey& key) {
-  return Execute(
-      txn, engine,
-      {.kind = Statement::Kind::kDelete, .table = table, .key = key});
-}
-
 }  // namespace polarx

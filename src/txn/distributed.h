@@ -271,8 +271,6 @@ class TxnCoordinator {
                 const Row& row);
   Status Update(DistributedTxn* txn, TxnEngine* engine, TableId table,
                 const Row& row);
-  Status Delete(DistributedTxn* txn, TxnEngine* engine, TableId table,
-                const EncodedKey& key);
 
   /// CommitAsync/AbortAsync run to completion. If the step hook stopped
   /// the coordinator before it acknowledged, returns Unavailable with the

@@ -799,25 +799,36 @@ TpchPlan Q8(const QB& qb) {
 TpchPlan Q9(const QB& qb) {
   TpchPlan plan;
   plan.tables = {kPart, kLineItem, kPartSupp, kSupplier, kOrders, kNation};
-  auto [part_b, partsupp_b, supp_b, nation_b] =
-      NewSharedBuilds(&plan, {kPart, kPartSupp, kSupplier, kNation});
-  plan.fragment = [qb, part_b, partsupp_b, supp_b,
-                   nation_b](const ScanOptions& o) {
-    auto part = qb.ScanBuild(part_b, o, kPart,
-                             E::Contains(E::Col(col::p_name), "green"),
-                             {col::p_partkey});
+  auto [part_b, partsupp_b, ps_part_b, supp_b, nation_b] = NewSharedBuilds(
+      &plan, {kPart, kPartSupp, kPart, kSupplier, kNation});
+  // The "green" parts: the lineitems join them, and the partsupp build
+  // keeps only theirs, since every lineitem that probes it is of a green
+  // part. As in Q20, each site builds its own table. p_name is two of 10
+  // colors, so 1 - 0.9^2 = 19% of names contain "green".
+  const double parts = double(qb.db->row_count(kPart));
+  auto green = [qb](const SharedBuild& b, const ScanOptions& o) {
+    return qb.ScanBuild(b, o, kPart,
+                        E::Contains(E::Col(col::p_name), "green"),
+                        {col::p_partkey});
+  };
+  plan.fragment = [qb, part_b, partsupp_b, ps_part_b, supp_b, nation_b,
+                   green, parts](const ScanOptions& o) {
     // lp: lok0 lpk1 lsk2 qty3 ext4 disc5 ppk6
-    // build = "green" parts (~1/17 of part names).
     auto lp = qb.ScanJoin(kLineItem, o, nullptr,
                           {col::l_orderkey, col::l_partkey, col::l_suppkey,
                            col::l_quantity, col::l_extendedprice,
                            col::l_discount},
-                          {1}, std::move(part), {0}, JoinType::kInner,
-                          double(qb.db->row_count(kPart)) * 0.06,
-                          double(qb.db->row_count(kPart)));
-    auto ps = qb.ScanBuild(partsupp_b, o, kPartSupp, nullptr,
-                           {col::ps_partkey, col::ps_suppkey,
-                            col::ps_supplycost});
+                          {1}, green(part_b, o), {0}, JoinType::kInner,
+                          parts * 0.19, parts);
+    // the green parts' partsupp rows: pspk0 pssk1 cost2
+    auto ps = qb.SlicedBuild(
+        partsupp_b, o, [qb, green, ps_part_b, parts](const ScanOptions& so) {
+          return qb.ScanJoin(kPartSupp, so, nullptr,
+                             {col::ps_partkey, col::ps_suppkey,
+                              col::ps_supplycost},
+                             {0}, green(ps_part_b, so), {0},
+                             JoinType::kLeftSemi, parts * 0.19, parts);
+        });
     // j2: +pspk7 pssk8 cost9
     auto j2 = Join(std::move(lp), std::move(ps), {1, 2}, {0, 1});
     // j3: +ssk10 snk11
@@ -1256,39 +1267,61 @@ TpchPlan Q20(const QB& qb) {
   plan.tables = {kLineItem, kPartSupp, kPart, kSupplier, kNation};
   int64_t lo = Days(1994, 1, 1), hi = Days(1995, 1, 1);
   std::vector<AggSpec> aggs = {{AggOp::kSum, E::Col(2)}};
-  auto [partsupp_b, forest_b, canada_b, supp_b] =
-      NewSharedBuilds(&plan, {kPartSupp, kPart, kNation, kSupplier});
+  auto [line_forest_b, partsupp_b, ps_forest_b, canada_b, supp_b] =
+      NewSharedBuilds(&plan, {kPart, kPartSupp, kPart, kNation, kSupplier});
   SharedExchange by_part_supp = NewExchange(&plan, {0, 1});
-  auto partial = [qb, lo, hi, aggs](const ScanOptions& o) {
-    auto line = qb.Scan(kLineItem, o, true,
-                        E::And(E::ColCmp(CmpOp::kGe, col::l_shipdate, lo),
-                               E::ColCmp(CmpOp::kLt, col::l_shipdate, hi)),
-                        {col::l_partkey, col::l_suppkey, col::l_quantity});
+  // Only forest parts can qualify, so the lineitems and the partsupp rows
+  // both semi-join them first, on their column 0 (the partkey); partkey is
+  // a grouping key, so the semi-join commutes with the grouping. p_name
+  // starts with one of 10 colors, so ~10% of parts are forest parts. Each
+  // site builds its own table: the cost model may attach a runtime filter
+  // to one probe and not to the other.
+  const double parts = double(qb.db->row_count(kPart));
+  auto forest_semi = [qb, parts](const SharedBuild& forest_b, Table t,
+                                 const ScanOptions& o, ExprPtr filter,
+                                 std::vector<int> proj) {
+    return qb.ScanJoin(
+        t, o, std::move(filter), std::move(proj), {0},
+        qb.ScanBuild(forest_b, o, kPart,
+                     E::StartsWith(E::Col(col::p_name), "forest"),
+                     {col::p_partkey}),
+        {0}, JoinType::kLeftSemi, parts * 0.1, parts);
+  };
+  auto partial = [lo, hi, aggs, forest_semi,
+                  line_forest_b](const ScanOptions& o) {
+    // line: pk0 sk1 qty2, the task's 1994 lineitems of forest parts
+    auto line = forest_semi(
+        line_forest_b, kLineItem, o,
+        E::And(E::ColCmp(CmpOp::kGe, col::l_shipdate, lo),
+               E::ColCmp(CmpOp::kLt, col::l_shipdate, hi)),
+        {col::l_partkey, col::l_suppkey, col::l_quantity});
     return Agg(std::move(line), {E::Col(0), E::Col(1)}, aggs,
                AggMode::kPartial);
   };
   // Partials shuffled by (partkey, suppkey): each task finishes its pairs'
-  // shipped quantity, checks them against partsupp and the forest parts,
+  // shipped quantity, checks them against the forest parts' partsupp rows,
   // and joins the suppkeys that qualify with the suppliers in CANADA.
-  plan.fragment = [qb, aggs, partsupp_b, forest_b, canada_b, supp_b,
-                   by_part_supp, partial](const ScanOptions& o) {
+  plan.fragment = [qb, aggs, partsupp_b, ps_forest_b, canada_b, supp_b,
+                   by_part_supp, partial,
+                   forest_semi](const ScanOptions& o) {
     // qty: pk0 sk1 sum2
     auto qty = Agg(qb.Shuffle(by_part_supp, o, partial), GroupCols(2), aggs,
                    AggMode::kFinal);
-    // j: qty 0..2 + partsupp: pspk3 pssk4 avail5 cost6
-    auto j = Join(std::move(qty), qb.ScanBuild(partsupp_b, o, kPartSupp),
-                  {0, 1}, {0, 1});
+    // partsupp rows of forest parts: pspk0 pssk1 avail2
+    auto forest_ps = qb.SlicedBuild(
+        partsupp_b, o, [forest_semi, ps_forest_b](const ScanOptions& so) {
+          return forest_semi(ps_forest_b, kPartSupp, so, nullptr,
+                             {col::ps_partkey, col::ps_suppkey,
+                              col::ps_availqty});
+        });
+    // j: qty 0..2 + pspk3 pssk4 avail5
+    auto j = Join(std::move(qty), std::move(forest_ps), {0, 1}, {0, 1});
     auto enough = Filter(
         std::move(j),
         E::Cmp(CmpOp::kGt, E::Col(5),
                E::Arith(ArithOp::kMul, E::Lit(0.5), E::Col(2))));
-    auto forest = qb.ScanBuild(forest_b, o, kPart,
-                               E::StartsWith(E::Col(col::p_name), "forest"),
-                               {col::p_partkey});
-    auto candidates = Join(std::move(enough), std::move(forest), {0}, {0},
-                           JoinType::kLeftSemi);
     // The task's qualifying suppkeys, once each: sk0.
-    auto sks = Agg(std::move(candidates), {E::Col(1)}, {});
+    auto sks = Agg(std::move(enough), {E::Col(1)}, {});
     // suppliers in CANADA: s_sk0 s_name1 s_addr2 s_nk3 nk4
     auto canada = qb.SlicedBuild(
         supp_b, o, [qb, canada_b](const ScanOptions& so) {

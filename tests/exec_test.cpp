@@ -527,6 +527,38 @@ TEST(OperatorTest, SharedJoinTableFailureReachesEveryTask) {
   }
 }
 
+// The first caller of a table's Build() fixes its slices, keys and filter.
+// A caller that asks for a different build, while the table fills or
+// after, is refused instead of getting a table built the first caller's
+// way (say, a join site that wants no filter, or one sized differently).
+TEST(OperatorTest, SharedJoinTableRefusesDisagreeingCallers) {
+  constexpr int kTasks = 2;
+  std::vector<Row> build;
+  for (int64_t k = 0; k < 40; ++k) build.push_back({k % 7, k});
+  std::array<std::atomic<int>, kTasks> opens{};
+  const BuildSliceFactory rows = CountedSlices(build, &opens);
+  JoinHashTable table;
+  Status while_filling;
+  const BuildSliceFactory slices = [&](int s) {
+    if (s == 0) while_filling = table.Build(kTasks, rows, {0}, false, 16);
+    return rows(s);
+  };
+  ASSERT_TRUE(table.Build(kTasks, slices, {0}, true, 16).ok());
+  EXPECT_EQ(while_filling.code(), StatusCode::kInvalidArgument);
+  for (int s = 0; s < kTasks; ++s) EXPECT_EQ(opens[s].load(), 1) << s;
+  EXPECT_EQ(table.Build(3, slices, {0}, true, 16).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.Build(kTasks, slices, {1}, true, 16).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.Build(kTasks, slices, {0}, false, 16).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.Build(kTasks, slices, {0}, true, 0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(table.Build(kTasks, slices, {0}, true, 16).ok());
+  EXPECT_EQ(table.size(), build.size());
+  EXPECT_NE(table.filter(), nullptr);
+}
+
 // A shared build whose slices are joins against another shared build, as
 // in Q3 (orders slices joined with the customer table): seven tasks on
 // four threads drain the outer table's slices, each of which opens the

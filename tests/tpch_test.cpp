@@ -503,6 +503,182 @@ TEST_F(TpchExchangeFixture, Q18MatchesManualComputation) {
   ExpectSameRows(*mpp, want, "Q18 MPP+column, 7 tasks");
 }
 
+// Q20 by brute force over the loaded rows: suppliers in CANADA with a
+// forest part whose available quantity exceeds half of what they shipped
+// of it in 1994, by name. A pair that shipped nothing does not qualify.
+// Every mode runs the same plan builder, so this is what catches a wrong
+// plan (the semi-join on the wrong key, the filter on the wrong side).
+TEST_F(TpchExchangeFixture, Q20MatchesManualComputation) {
+  const int64_t lo = Days(1994, 1, 1), hi = Days(1995, 1, 1);
+  std::map<std::pair<int64_t, int64_t>, double> shipped;
+  ForEachRow(kLineItem, [&](const Row& r) {
+    const int64_t date = std::get<int64_t>(r[col::l_shipdate]);
+    if (date < lo || date >= hi) return;
+    shipped[{std::get<int64_t>(r[col::l_partkey]),
+             std::get<int64_t>(r[col::l_suppkey])}] +=
+        std::get<double>(r[col::l_quantity]);
+  });
+  std::set<int64_t> forest;
+  ForEachRow(kPart, [&](const Row& r) {
+    if (std::get<std::string>(r[col::p_name]).starts_with("forest")) {
+      forest.insert(std::get<int64_t>(r[col::p_partkey]));
+    }
+  });
+  std::set<int64_t> suppliers;
+  ForEachRow(kPartSupp, [&](const Row& r) {
+    const int64_t pk = std::get<int64_t>(r[col::ps_partkey]);
+    const int64_t sk = std::get<int64_t>(r[col::ps_suppkey]);
+    auto it = shipped.find({pk, sk});
+    if (!forest.contains(pk) || it == shipped.end()) return;
+    if (double(std::get<int64_t>(r[col::ps_availqty])) > 0.5 * it->second) {
+      suppliers.insert(sk);
+    }
+  });
+  int64_t canada = -1;
+  ForEachRow(kNation, [&](const Row& r) {
+    if (std::get<std::string>(r[col::n_name]) == "CANADA") {
+      canada = std::get<int64_t>(r[col::n_nationkey]);
+    }
+  });
+  // out: s_name0 s_address1
+  std::vector<Row> want;
+  ForEachRow(kSupplier, [&](const Row& r) {
+    if (std::get<int64_t>(r[col::s_nationkey]) == canada &&
+        suppliers.contains(std::get<int64_t>(r[col::s_suppkey]))) {
+      want.push_back({r[col::s_name], r[col::s_address]});
+    }
+  });
+  std::sort(want.begin(), want.end());
+  ASSERT_FALSE(want.empty());
+
+  ScanOptions row, col;
+  col.use_column_index = true;
+  auto single_row = RunQuerySingleNode(20, *db_, db_->load_ts(), row);
+  ASSERT_TRUE(single_row.ok()) << single_row.status().ToString();
+  ExpectSameRows(*single_row, want, "Q20 single-node row");
+  auto single_col = RunQuerySingleNode(20, *db_, db_->load_ts(), col);
+  ASSERT_TRUE(single_col.ok()) << single_col.status().ToString();
+  ExpectSameRows(*single_col, want, "Q20 single-node column");
+  ThreadPool pool(4);
+  for (int tasks : {3, 4, 7}) {
+    auto mpp = RunQueryMpp(20, *db_, db_->load_ts(), tasks, &pool, col);
+    ASSERT_TRUE(mpp.ok()) << mpp.status().ToString();
+    ExpectSameRows(*mpp, want,
+                   "Q20 MPP+column, " + std::to_string(tasks) + " tasks");
+  }
+}
+
+// Q9 by brute force over the loaded rows: the profit of every lineitem of
+// a green part, by supplier nation and order year. Its partsupp build keeps
+// only the green parts' rows in every mode, so, as for Q20, only an oracle
+// outside the plan builder catches a wrong semi-join there.
+TEST_F(TpchExchangeFixture, Q9MatchesManualComputation) {
+  std::set<int64_t> green;
+  ForEachRow(kPart, [&](const Row& r) {
+    if (std::get<std::string>(r[col::p_name]).find("green") !=
+        std::string::npos) {
+      green.insert(std::get<int64_t>(r[col::p_partkey]));
+    }
+  });
+  std::map<std::pair<int64_t, int64_t>, double> cost;
+  ForEachRow(kPartSupp, [&](const Row& r) {
+    cost[{std::get<int64_t>(r[col::ps_partkey]),
+          std::get<int64_t>(r[col::ps_suppkey])}] =
+        std::get<double>(r[col::ps_supplycost]);
+  });
+  std::map<int64_t, std::string> nation_name;
+  ForEachRow(kNation, [&](const Row& r) {
+    nation_name[std::get<int64_t>(r[col::n_nationkey])] =
+        std::get<std::string>(r[col::n_name]);
+  });
+  std::map<int64_t, std::string> supp_nation;
+  ForEachRow(kSupplier, [&](const Row& r) {
+    supp_nation[std::get<int64_t>(r[col::s_suppkey])] =
+        nation_name.at(std::get<int64_t>(r[col::s_nationkey]));
+  });
+  std::map<int64_t, int64_t> order_year;
+  ForEachRow(kOrders, [&](const Row& r) {
+    order_year[std::get<int64_t>(r[col::o_orderkey])] =
+        YearOfDays(std::get<int64_t>(r[col::o_orderdate]));
+  });
+  // Inner joins: a lineitem whose (partkey, suppkey) has no partsupp row
+  // drops out.
+  std::map<std::pair<std::string, int64_t>, double> profit;
+  ForEachRow(kLineItem, [&](const Row& r) {
+    const int64_t pk = std::get<int64_t>(r[col::l_partkey]);
+    const int64_t sk = std::get<int64_t>(r[col::l_suppkey]);
+    auto ps = cost.find({pk, sk});
+    if (!green.contains(pk) || ps == cost.end()) return;
+    const double qty = std::get<double>(r[col::l_quantity]);
+    const double price = std::get<double>(r[col::l_extendedprice]);
+    const double disc = std::get<double>(r[col::l_discount]);
+    profit[{supp_nation.at(sk),
+            order_year.at(std::get<int64_t>(r[col::l_orderkey]))}] +=
+        price * (1 - disc) - ps->second * qty;
+  });
+  // out: nation0 year1 profit2, by nation, then year descending
+  std::vector<Row> want;
+  for (const auto& [key, sum] : profit) {
+    want.push_back({key.first, key.second, sum});
+  }
+  std::stable_sort(want.begin(), want.end(), [](const Row& a, const Row& b) {
+    return a[0] != b[0] ? a[0] < b[0] : a[1] > b[1];
+  });
+  ASSERT_FALSE(want.empty());
+
+  ScanOptions row, col;
+  col.use_column_index = true;
+  auto single_row = RunQuerySingleNode(9, *db_, db_->load_ts(), row);
+  ASSERT_TRUE(single_row.ok()) << single_row.status().ToString();
+  ExpectSameRows(*single_row, want, "Q9 single-node row");
+  auto single_col = RunQuerySingleNode(9, *db_, db_->load_ts(), col);
+  ASSERT_TRUE(single_col.ok()) << single_col.status().ToString();
+  ExpectSameRows(*single_col, want, "Q9 single-node column");
+  ThreadPool pool(4);
+  for (int tasks : {3, 4, 7}) {
+    auto mpp = RunQueryMpp(9, *db_, db_->load_ts(), tasks, &pool, col);
+    ASSERT_TRUE(mpp.ok()) << mpp.status().ToString();
+    ExpectSameRows(*mpp, want,
+                   "Q9 MPP+column, " + std::to_string(tasks) + " tasks");
+  }
+}
+
+// Q20's forest-part semi-join runs below its aggregation: with filters on,
+// the forest bloom filter prunes the 1994 lineitems at the scan, single-node
+// and MPP, without changing the result. A plan that aggregates first could
+// only prune partsupp, so pruning more rows than partsupp has shows that the
+// lineitem scan pruned.
+TEST_F(TpchExchangeFixture, RuntimeFiltersPruneQ20LineitemScan) {
+  ScanOptions on, off;
+  on.use_column_index = off.use_column_index = true;
+  on.runtime_filters = true;
+  off.runtime_filters = false;
+  ThreadPool pool(4);
+  for (int tasks : {1, 4}) {
+    auto run = [&](const ScanOptions& o) {
+      return tasks == 1
+                 ? RunQuerySingleNode(20, *db_, db_->load_ts(), o)
+                 : RunQueryMpp(20, *db_, db_->load_ts(), tasks, &pool, o);
+    };
+    ResetRuntimeFilterStats();
+    auto with_filters = run(on);
+    ASSERT_TRUE(with_filters.ok()) << with_filters.status().ToString();
+    RuntimeFilterStats s_on = ReadRuntimeFilterStats();
+    ResetRuntimeFilterStats();
+    auto without = run(off);
+    ASSERT_TRUE(without.ok()) << without.status().ToString();
+    RuntimeFilterStats s_off = ReadRuntimeFilterStats();
+
+    ExpectSameRows(*with_filters, *without,
+                   "Q20 tasks=" + std::to_string(tasks));
+    EXPECT_GT(s_on.scan_rows_dropped, db_->row_count(kPartSupp))
+        << "tasks=" << tasks;
+    EXPECT_EQ(s_off.scan_rows_dropped, 0u) << "tasks=" << tasks;
+    EXPECT_LT(s_on.join_probe_rows, s_off.join_probe_rows)
+        << "tasks=" << tasks;
+  }
+}
+
 // orders and lineitem are one table group on orderkey: an order's lines
 // live in the order's shard, which is what lets the MPP plans join and
 // group them by orderkey inside each task.
