@@ -9,9 +9,9 @@ namespace polarx {
 
 Status JoinHashTable::Build(int num_slices, const BuildSliceFactory& slice,
                             const std::vector<int>& build_keys,
-                            bool with_filter, size_t filter_keys) {
+                            bool with_filter) {
   {
-    Args args{num_slices, build_keys, with_filter, filter_keys};
+    Args args{num_slices, build_keys, with_filter};
     std::lock_guard<std::mutex> lock(args_mu_);
     if (!args_) {
       args_ = std::move(args);
@@ -35,13 +35,13 @@ Status JoinHashTable::Build(int num_slices, const BuildSliceFactory& slice,
         return Status::Ok();
       },
       [&](std::vector<std::vector<Row>>* chunks) {
-        return Fill(chunks, build_keys, with_filter, filter_keys);
+        return Fill(chunks, build_keys, with_filter);
       });
 }
 
 Status JoinHashTable::Fill(std::vector<std::vector<Row>>* chunks,
                            const std::vector<int>& build_keys,
-                           bool with_filter, size_t filter_keys) {
+                           bool with_filter) {
   size_t total = 0;
   for (const auto& chunk : *chunks) total += chunk.size();
   if (total >= kNoRow) {
@@ -60,7 +60,7 @@ Status JoinHashTable::Fill(std::vector<std::vector<Row>>* chunks,
   next_.resize(n);
   first_.reserve(n);
   std::optional<RuntimeFilterBuilder> rf;
-  if (with_filter) rf.emplace(filter_keys == 0 ? n : filter_keys, kKeyHashSeed);
+  if (with_filter) rf.emplace(n, kKeyHashSeed);
   std::vector<uint64_t> key(keys_.width());
   // Prepend in reverse so every key's rows are linked in build order.
   for (uint32_t i = n; i-- > 0;) {

@@ -51,15 +51,13 @@ class JoinHashTable {
   /// the chunks in slice order, so the table equals a one-slice build of
   /// the same rows. A failed slice's Status is kept and returned to every
   /// caller, now and later. `with_filter` also summarizes the `build_keys`
-  /// of every row into a runtime filter whose bloom is sized for
-  /// `filter_keys` keys (0 = the build row count). All callers pass the
-  /// same arguments, and `slice` factories that make the same slices; a
-  /// caller whose `num_slices`, `build_keys`, `with_filter` or
-  /// `filter_keys` differ from the first caller's gets InvalidArgument, so
-  /// a table cannot be built two ways.
+  /// of every row into a runtime filter whose bloom is sized for the build
+  /// row count. All callers pass the same arguments, and `slice` factories
+  /// that make the same slices; a caller whose `num_slices`, `build_keys`
+  /// or `with_filter` differ from the first caller's gets InvalidArgument,
+  /// so a table cannot be built two ways.
   Status Build(int num_slices, const BuildSliceFactory& slice,
-               const std::vector<int>& build_keys, bool with_filter,
-               size_t filter_keys = 0);
+               const std::vector<int>& build_keys, bool with_filter);
 
   // ---- read-only after Build() returned Ok ----
 
@@ -83,15 +81,13 @@ class JoinHashTable {
 
  private:
   Status Fill(std::vector<std::vector<Row>>* chunks,
-              const std::vector<int>& build_keys, bool with_filter,
-              size_t filter_keys);
+              const std::vector<int>& build_keys, bool with_filter);
 
   /// The first Build() call's arguments, which every later call repeats.
   struct Args {
     int num_slices;
     std::vector<int> build_keys;
     bool with_filter;
-    size_t filter_keys;
     bool operator==(const Args&) const = default;
   };
   std::mutex args_mu_;

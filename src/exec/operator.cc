@@ -106,40 +106,6 @@ Status TableScanOp::Next(Batch* out) {
   return Status::Ok();
 }
 
-// ------------------------------------------------------------ IndexScan --
-
-IndexScanOp::IndexScanOp(TableStore* table, LocalIndex* index,
-                         EncodedKey from, EncodedKey to,
-                         Timestamp snapshot_ts, ExprPtr filter)
-    : table_(table),
-      index_(index),
-      from_(std::move(from)),
-      to_(std::move(to)),
-      snapshot_ts_(snapshot_ts),
-      filter_(std::move(filter)) {}
-
-Status IndexScanOp::Open() {
-  pks_ = index_->Lookup(from_, to_);
-  pos_ = 0;
-  return Status::Ok();
-}
-
-Status IndexScanOp::Next(Batch* out) {
-  out->rows.clear();
-  while (pos_ < pks_.size() && out->rows.size() < kExecBatchSize) {
-    const EncodedKey& pk = pks_[pos_++];
-    const Version* v = LatestVisible(table_->rows().Head(pk), snapshot_ts_);
-    if (v != nullptr && !v->deleted) {
-      // Re-validate: index entries may be stale.
-      if (filter_ == nullptr || filter_->EvalBool(v->row)) {
-        out->rows.push_back(v->row);
-      }
-    }
-  }
-  rows_produced_ += out->rows.size();
-  return Status::Ok();
-}
-
 // --------------------------------------------------------------- Values --
 
 Status ValuesOp::Next(Batch* out) {
@@ -212,7 +178,7 @@ Status HashJoinOp::Open() {
       (type_ == JoinType::kInner || type_ == JoinType::kLeftSemi);
   JoinHashTable& table = *build_.table;
   POLARX_RETURN_NOT_OK(table.Build(build_.num_slices, build_.slice,
-                                   build_keys_, emit_rf, rf_expected_keys_));
+                                   build_keys_, emit_rf));
   // Publish before opening the probe: the probe-side scan reads the slot
   // at its own Open()/Next(), strictly after this point.
   if (emit_rf) rf_slot_->filter = table.filter();
@@ -577,22 +543,6 @@ Status SortOp::Next(Batch* out) {
   }
   while (pos_ < rows_.size() && out->rows.size() < kExecBatchSize) {
     out->rows.push_back(std::move(rows_[pos_++]));
-  }
-  rows_produced_ += out->rows.size();
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------- Limit --
-
-Status LimitOp::Next(Batch* out) {
-  out->rows.clear();
-  if (produced_ >= limit_) return Status::Ok();
-  Batch in;
-  POLARX_RETURN_NOT_OK(child_->Next(&in));
-  for (auto& row : in.rows) {
-    if (produced_ >= limit_) break;
-    out->rows.push_back(std::move(row));
-    ++produced_;
   }
   rows_produced_ += out->rows.size();
   return Status::Ok();

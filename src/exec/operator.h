@@ -82,26 +82,6 @@ class TableScanOp : public Operator {
   EncodedKey cursor_;
 };
 
-/// Point/range reads through a local secondary index, re-validated against
-/// the primary chain at the snapshot.
-class IndexScanOp : public Operator {
- public:
-  IndexScanOp(TableStore* table, LocalIndex* index, EncodedKey from,
-              EncodedKey to, Timestamp snapshot_ts, ExprPtr filter = nullptr);
-
-  Status Open() override;
-  Status Next(Batch* out) override;
-
- private:
-  TableStore* table_;
-  LocalIndex* index_;
-  EncodedKey from_, to_;
-  Timestamp snapshot_ts_;
-  ExprPtr filter_;
-  std::vector<EncodedKey> pks_;
-  size_t pos_ = 0;
-};
-
 /// Emits a pre-materialized row set (exchange receiver / test source).
 class ValuesOp : public Operator {
  public:
@@ -188,10 +168,8 @@ class HashJoinOp : public Operator {
   /// `slot` before opening the probe child (so a scan holding the same
   /// slot prunes from its first batch). Only inner/semi joins publish —
   /// pruning the probe of an anti/outer join would drop output rows.
-  void SetRuntimeFilterSource(std::shared_ptr<RuntimeFilterSlot> slot,
-                              size_t expected_build_keys) {
+  void SetRuntimeFilterSource(std::shared_ptr<RuntimeFilterSlot> slot) {
     rf_slot_ = std::move(slot);
-    rf_expected_keys_ = expected_build_keys;
   }
 
   Status Open() override;
@@ -205,7 +183,6 @@ class HashJoinOp : public Operator {
   JoinType type_;
   size_t build_width_;
   std::shared_ptr<RuntimeFilterSlot> rf_slot_;
-  size_t rf_expected_keys_ = 0;
   std::vector<uint64_t> probe_key_;  // reused per probe row
   // carry-over state when one probe row matches many build rows
   Batch pending_probe_;
@@ -364,20 +341,6 @@ class SortOp : public Operator {
   std::vector<Row> rows_;
   size_t pos_ = 0;
   bool sorted_ = false;
-};
-
-class LimitOp : public Operator {
- public:
-  LimitOp(OperatorPtr child, size_t limit)
-      : child_(std::move(child)), limit_(limit) {}
-  Status Open() override { return child_->Open(); }
-  Status Next(Batch* out) override;
-  void Close() override { child_->Close(); }
-
- private:
-  OperatorPtr child_;
-  size_t limit_;
-  size_t produced_ = 0;
 };
 
 /// Drains an operator tree into a row vector.

@@ -1,21 +1,16 @@
-// Global Meta Service (§II-A): the control plane. Holds the logical catalog
-// (table definitions, partition rules, table groups), cluster membership,
-// shard placement and coordinator leases, and produces migration plans for
-// scale-out (§V "Scale PolarDB-X cluster") from PolarDB-MT's tenant
-// bindings. In production GMS is itself a 3-AZ PolarDB; here it is an
-// in-process authority.
+// Global Meta Service (§II-A): the control plane. Holds coordinator leases
+// and DN endpoints, and produces migration plans for scale-out (§V "Scale
+// PolarDB-X cluster") from PolarDB-MT's tenant bindings. In production GMS
+// is itself a 3-AZ PolarDB; here it is an in-process authority.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
-#include "src/partition/partition.h"
 
 namespace polarx {
 
@@ -51,31 +46,7 @@ class Gms {
  public:
   Gms() = default;
 
-  // ---- catalog ----
-
-  /// Registers a table definition; assigns shards round-robin over DNs and
-  /// honors table-group co-location. Returns the def with id assigned.
-  Result<TableDef> CreateTable(const std::string& name,
-                               std::vector<ColumnDef> columns,
-                               std::vector<uint32_t> key_columns,
-                               uint32_t num_shards,
-                               const std::string& table_group = "");
-
-  Result<TableDef> FindTable(const std::string& name) const;
-
-  /// Adds a global secondary index to a table (backed by a hidden table id).
-  Result<GlobalIndexDef> AddGlobalIndex(const std::string& table,
-                                        const std::string& index_name,
-                                        std::vector<uint32_t> columns,
-                                        bool clustered);
-
-  /// Auto-increment sequence for a table's implicit primary key.
-  int64_t NextSequence(TableId table);
-
-  // ---- membership & placement ----
-
-  /// Registers a DN; returns its id.
-  uint32_t RegisterDn(DcId dc);
+  // ---- DN endpoints ----
 
   /// Current serving endpoint (Paxos leader node) of a DN group. CNs route
   /// writes here and re-resolve after kNotLeader / timeouts; failover code
@@ -97,29 +68,11 @@ class Gms {
   std::vector<uint32_t> ExpiredCoordinators(uint64_t now_us,
                                             uint64_t lease_us) const;
 
-  /// Placement of a shard: which DN hosts (table, shard). Co-located for
-  /// table-group members.
-  Result<uint32_t> DnOfShard(TableId table, ShardId shard) const;
-
-
  private:
-  uint32_t PickDnForShardLocked(const std::string& table_group,
-                                ShardId shard) const;
-
   mutable std::mutex mu_;
-  TableId next_table_ = 1;
-  std::map<TableId, TableDef> tables_;
-  std::map<std::string, TableId> table_names_;
-  std::map<TableId, Sequence> sequences_;
-  TableGroupRegistry table_groups_;
-  std::vector<DcId> dn_dcs_;  // DC of each registered DN, by DN id
   std::map<uint32_t, NodeId> dn_endpoints_;
   uint32_t next_coordinator_ = 1;
   std::map<uint32_t, CoordinatorInfo> coordinators_;
-  /// (table, shard) -> dn
-  std::map<std::pair<TableId, ShardId>, uint32_t> shard_placement_;
-  /// table_group -> shard -> dn (authoritative for grouped tables)
-  std::map<std::pair<std::string, ShardId>, uint32_t> group_placement_;
 };
 
 }  // namespace polarx

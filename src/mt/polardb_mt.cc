@@ -143,23 +143,6 @@ void MtRwNode::NoteWriteEnd(TenantId tenant) {
   --inflight_writes_[tenant];
 }
 
-// ----------------------------------------------------- data dictionary --
-
-Status DataDictionary::ApplyDdl(uint32_t requester_rw,
-                                const BindingTable& bindings,
-                                TableMeta meta) {
-  // §V: only the tenant's owner RW may change its tables' metadata.
-  auto owner = bindings.OwnerOf(meta.tenant);
-  if (!owner.ok()) return owner.status();
-  if (*owner != requester_rw) {
-    return Status::InvalidArgument(
-        "only the tenant's owner may modify its metadata");
-  }
-  std::lock_guard<std::mutex> lock(mu_);  // MDL: exclusive for the DDL
-  tables_[meta.id] = std::move(meta);
-  return Status::Ok();
-}
-
 // ------------------------------------------------------------- cluster --
 
 MtCluster::MtCluster(PhysicalClockMs clock) : clock_(std::move(clock)) {
@@ -192,9 +175,8 @@ Result<TableStore*> MtCluster::CreateTable(TenantId tenant,
   if (!owner.ok()) return owner.status();
   MtRwNode* rw = rws_[*owner].get();
   TableId id = next_table_++;
-  DataDictionary::TableMeta meta{id, name, schema, tenant};
-  POLARX_RETURN_NOT_OK(dict_.ApplyDdl(rw->id(), bindings_, meta));
-  auto created = rw->catalog()->CreateTable(id, name, schema, tenant);
+  auto created = rw->catalog()->CreateTable(id, name, std::move(schema),
+                                            tenant);
   if (!created.ok()) return created.status();
   return *created;
 }

@@ -6,11 +6,8 @@
 // (modeled by shared-ownership TableStore handles + a PolarFS volume per
 // node for page flushes).
 //
-// DDL on the shared data dictionary is accepted only from the RW that owns
-// the table's tenant in the binding table, and runs under the table's MDL.
-// (In the paper one RW also masters the dictionary; this model keeps no
-// master, because the ownership check is the only validation it does.)
-// Tenant transfer is the §V state
+// A table is created on the RW that owns its tenant in the binding table,
+// under the cluster's DDL lock. Tenant transfer is the §V state
 // machine: pause -> drain -> flush&close on source -> rebind -> open on
 // destination -> resume; no table data is copied. The traditional
 // data-transfer baseline (copy every row) is provided for experiment E2,
@@ -119,26 +116,6 @@ class MtRwNode {
   std::map<TenantId, int64_t> inflight_writes_;
 };
 
-/// The shared data dictionary: owner-checked DDL under MDL (§V).
-class DataDictionary {
- public:
-  struct TableMeta {
-    TableId id;
-    std::string name;
-    Schema schema;
-    TenantId tenant;
-  };
-
-  /// Executes a DDL: only the tenant's owner in `bindings` may modify its
-  /// tables (§V). Takes the table's MDL exclusively for the duration.
-  Status ApplyDdl(uint32_t requester_rw, const BindingTable& bindings,
-                  TableMeta meta);
-
- private:
-  mutable std::mutex mu_;
-  std::map<TableId, TableMeta> tables_;
-};
-
 /// Outcome metrics of one tenant move, for tests and the E2 bench.
 struct TransferMetrics {
   size_t tables_moved = 0;
@@ -158,7 +135,6 @@ class MtCluster {
   MtRwNode* rw(uint32_t id) { return rws_[id].get(); }
   size_t num_rws() const { return rws_.size(); }
   BindingTable* bindings() { return &bindings_; }
-  DataDictionary* dictionary() { return &dict_; }
 
   /// Creates a tenant bound to `rw`.
   Status CreateTenant(TenantId tenant, uint32_t rw);
@@ -192,7 +168,6 @@ class MtCluster {
   std::unique_ptr<PolarFsPageStore> page_store_;
   std::vector<std::unique_ptr<MtRwNode>> rws_;
   BindingTable bindings_;
-  DataDictionary dict_;
   TableId next_table_ = 1;
   std::mutex ddl_mu_;
 };

@@ -52,14 +52,6 @@ StoreChoice CostModel::ChooseStore(const QueryProfile& profile,
                              : StoreChoice::kRowStore;
 }
 
-bool CostModel::ShouldPushDown(double input_rows, double output_rows) const {
-  // Pushing down pays when it shrinks the rows crossing CN<->DN enough to
-  // beat the extra storage-node CPU.
-  double saved_network = (input_rows - output_rows) * options_.net_per_row;
-  double extra_storage_cpu = input_rows * options_.cpu_per_row * 0.2;
-  return saved_network > extra_storage_cpu;
-}
-
 bool CostModel::ShouldAttachRuntimeFilter(double build_rows,
                                           double build_base_rows,
                                           double probe_rows) const {

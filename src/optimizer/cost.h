@@ -84,10 +84,6 @@ class CostModel {
   StoreChoice ChooseStore(const QueryProfile& profile,
                           bool column_index_available) const;
 
-  /// Whether an operator (filter/join/agg) should be pushed down to the
-  /// storage node: beneficial when it reduces rows crossing the network.
-  bool ShouldPushDown(double input_rows, double output_rows) const;
-
   /// Whether a hash join should publish its build side as a runtime filter
   /// into the probe scan. `build_rows` is the estimated build cardinality
   /// after its own filters, `build_base_rows` the build table's base row

@@ -1,6 +1,6 @@
 // Partitioning metadata (§II-B): hash partitioning on a partition key (a
-// prefix of the primary key), implicit primary keys, table groups /
-// partition groups, and local/global secondary index definitions.
+// prefix of the primary key), implicit primary keys, and table groups /
+// partition groups.
 #pragma once
 
 #include <cstdint>
@@ -47,17 +47,6 @@ class PartitionRule {
   size_t key_prefix_;
 };
 
-/// A global secondary index (§II-B): partitioned by the indexed columns and
-/// stored as a hidden table. Clustered variants carry all columns so reads
-/// avoid a second hop to the primary shards.
-struct GlobalIndexDef {
-  std::string name;
-  std::vector<uint32_t> columns;  // indexed columns (its partition key)
-  bool clustered = false;
-  /// Hidden table id backing this index.
-  TableId hidden_table = 0;
-};
-
 /// Logical definition of a partitioned table.
 struct TableDef {
   TableId id = 0;
@@ -73,8 +62,6 @@ struct TableDef {
   /// True if the user declared no primary key and an implicit auto-increment
   /// BIGINT `__pk` column was prepended.
   bool implicit_pk = false;
-  std::vector<GlobalIndexDef> global_indexes;
-  std::vector<std::pair<std::string, std::vector<uint32_t>>> local_indexes;
 
   /// The partition-key columns, resolving the empty default.
   const std::vector<uint32_t>& PartitionColumns() const {
@@ -131,17 +118,6 @@ class TableGroupRegistry {
   };
   std::map<std::string, GroupInfo> groups_;
   std::map<TableId, std::string> table_to_group_;
-};
-
-/// Per-table auto-increment sequence for implicit primary keys (backed by
-/// GMS system tables in production).
-class Sequence {
- public:
-  int64_t Next() { return next_++; }
-  int64_t Peek() const { return next_; }
-
- private:
-  int64_t next_ = 1;
 };
 
 }  // namespace polarx

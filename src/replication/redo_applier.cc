@@ -36,12 +36,6 @@ Status RedoApplier::Apply(const RedoRecord& rec) {
       if (it != pending_.end()) {
         for (auto& w : it->second) {
           w.version->commit_ts.store(rec.ts, std::memory_order_release);
-          TableStore* table = catalog_->FindTable(w.table);
-          if (table != nullptr && !w.version->deleted) {
-            for (auto& idx : table->indexes()) {
-              idx->Insert(idx->KeyFor(w.version->row), w.key);
-            }
-          }
         }
         pending_.erase(it);
       }

@@ -1,13 +1,10 @@
-// A stored table: schema + MVCC primary index + local secondary indexes.
-// Local secondary indexes (§II-B) are partitioned with the table, so
-// maintaining them never requires a distributed transaction; they are
-// updated at commit time and reads re-check row visibility.
+// A stored table: schema + MVCC primary index, and the per-node catalog of
+// the tables an engine holds.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -17,35 +14,6 @@
 #include "src/storage/value.h"
 
 namespace polarx {
-
-/// A local secondary index: maps encoded index-key -> set of primary keys.
-/// Entries may be stale (pointing at deleted/overwritten rows); readers must
-/// re-validate against the primary index under their snapshot.
-class LocalIndex {
- public:
-  LocalIndex(std::string name, std::vector<uint32_t> columns)
-      : name_(std::move(name)), columns_(std::move(columns)) {}
-
-  const std::string& name() const { return name_; }
-  const std::vector<uint32_t>& columns() const { return columns_; }
-
-  /// Builds the index key for a full row.
-  EncodedKey KeyFor(const Row& row) const;
-
-  void Insert(const EncodedKey& index_key, const EncodedKey& pk);
-  void Remove(const EncodedKey& index_key, const EncodedKey& pk);
-
-  /// Collects primary keys whose index key is in [from, to); empty `to`
-  /// means "equal to from" (point lookup).
-  std::vector<EncodedKey> Lookup(const EncodedKey& from,
-                                 const EncodedKey& to) const;
-
- private:
-  std::string name_;
-  std::vector<uint32_t> columns_;
-  mutable std::mutex mu_;
-  std::map<EncodedKey, std::set<EncodedKey>> entries_;
-};
 
 /// One table's physical storage on a DN.
 class TableStore {
@@ -62,13 +30,6 @@ class TableStore {
   MvccTable& rows() { return rows_; }
   const MvccTable& rows() const { return rows_; }
 
-  /// Adds a local secondary index over the given columns.
-  LocalIndex* AddIndex(const std::string& name,
-                       std::vector<uint32_t> columns);
-  const std::vector<std::unique_ptr<LocalIndex>>& indexes() const {
-    return indexes_;
-  }
-
   /// Page number a key belongs to, for buffer-pool dirty tracking.
   uint32_t PageNoFor(const EncodedKey& key) const;
 
@@ -81,7 +42,6 @@ class TableStore {
   Schema schema_;
   TenantId tenant_;
   MvccTable rows_;
-  std::vector<std::unique_ptr<LocalIndex>> indexes_;
 };
 
 /// The set of tables resident on one engine (DN / RO replica mirror).
@@ -95,10 +55,6 @@ class TableCatalog {
                                   Schema schema, TenantId tenant = 0);
 
   TableStore* FindTable(TableId id) const;
-  TableStore* FindTableByName(const std::string& name) const;
-
-  /// Removes a table (tenant transfer closes its resources on the source).
-  Status DropTable(TableId id);
 
   /// Attaches an existing (shared-storage) table object.
   Status AttachTable(std::shared_ptr<TableStore> table);

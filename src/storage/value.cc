@@ -78,13 +78,6 @@ Schema::Schema(std::vector<ColumnDef> columns,
                std::vector<uint32_t> key_columns)
     : columns_(std::move(columns)), key_columns_(std::move(key_columns)) {}
 
-int Schema::FindColumn(const std::string& name) const {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 Status Schema::ValidateRow(const Row& row) const {
   if (row.size() != columns_.size()) {
     return Status::InvalidArgument("row arity " + std::to_string(row.size()) +

@@ -67,9 +67,6 @@ class Schema {
   const std::vector<uint32_t>& key_columns() const { return key_columns_; }
   size_t num_columns() const { return columns_.size(); }
 
-  /// Index of a column by name, or -1.
-  int FindColumn(const std::string& name) const;
-
   /// Validates a row against the schema (arity, types, nullability).
   Status ValidateRow(const Row& row) const;
 

@@ -538,23 +538,13 @@ Status TxnEngine::ResolveLocked(std::unique_lock<std::mutex>& lock,
     to_fire = std::move(wit->second);
     waiters_.erase(wit);
   }
-  // Secondary index maintenance and abort undo touch table locks; do them
-  // outside the engine lock. Nothing reads a resolved transaction's writes,
-  // so its remembered TxnInfo pins none of its versions.
+  // Abort undo touches table locks; do it outside the engine lock. Nothing
+  // reads a resolved transaction's writes, so its remembered TxnInfo pins
+  // none of its versions.
   std::vector<TxnInfo::WriteRef> writes = std::move(info->writes);
   lock.unlock();
 
-  if (commit) {
-    for (auto& w : writes) {
-      TableStore* ts = catalog_->FindTable(w.table);
-      if (ts == nullptr) continue;
-      for (auto& idx : ts->indexes()) {
-        if (!w.version->deleted) {
-          idx->Insert(idx->KeyFor(w.version->row), w.key);
-        }
-      }
-    }
-  } else {
+  if (!commit) {
     // Remove in reverse install order so repeated writes unwind correctly.
     for (auto it = writes.rbegin(); it != writes.rend(); ++it) {
       TableStore* ts = catalog_->FindTable(it->table);

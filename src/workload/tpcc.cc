@@ -1,5 +1,7 @@
 #include "src/workload/tpcc.h"
 
+#include <set>
+
 #include "src/storage/key_codec.h"
 
 namespace polarx {

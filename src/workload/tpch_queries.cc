@@ -209,10 +209,7 @@ struct QB {
     auto join = std::make_unique<HashJoinOp>(
         std::move(scan), std::move(build), std::move(probe_keys),
         std::move(build_keys), type);
-    if (slot != nullptr) {
-      join->SetRuntimeFilterSource(std::move(slot),
-                                   size_t(build_rows_est) + 16);
-    }
+    if (slot != nullptr) join->SetRuntimeFilterSource(std::move(slot));
     return join;
   }
 

@@ -1,6 +1,7 @@
-// Tests for partitioning (§II-B), GMS planning, and PolarDB-MT tenant
-// transfer (§V): bindings/leases, dictionary mastership, the transfer state
-// machine (no data copy), and the data-copy baseline.
+// Tests for partitioning (§II-B), GMS (coordinator leases, DN endpoints,
+// scale-out planning), and PolarDB-MT tenant transfer (§V): bindings and
+// leases, the transfer state machine (no data copy), and the data-copy
+// baseline.
 #include <gtest/gtest.h>
 
 #include "src/gms/gms.h"
@@ -136,70 +137,61 @@ TEST(PartitionTest, PartitionGroupsSpanGroupTables) {
 
 // ---------- GMS ----------
 
-TEST(GmsTest, CreateTableAssignsShardsToDns) {
+// A coordinator's lease lapses once last_heartbeat + lease < now: at
+// exactly last_heartbeat + lease it is still live.
+TEST(GmsTest, CoordinatorExpiresOnlyOnceItsLeaseLapses) {
   Gms gms;
-  gms.RegisterDn(0);
-  gms.RegisterDn(1);
-  auto def = gms.CreateTable("users", {{"id", ValueType::kInt64, false}},
-                             {0}, 8);
-  ASSERT_TRUE(def.ok());
-  int on0 = 0, on1 = 0;
-  for (ShardId s = 0; s < 8; ++s) {
-    auto dn = gms.DnOfShard(def->id, s);
-    ASSERT_TRUE(dn.ok());
-    (*dn == 0 ? on0 : on1)++;
-  }
-  EXPECT_EQ(on0, 4);
-  EXPECT_EQ(on1, 4);
+  uint32_t a = gms.RegisterCoordinator(/*dc=*/0, /*now_us=*/1000);
+  uint32_t b = gms.RegisterCoordinator(/*dc=*/1, /*now_us=*/1200);
+  EXPECT_EQ(a, 1u);
+  EXPECT_EQ(b, 2u);
+  EXPECT_TRUE(gms.ExpiredCoordinators(1000, 500).empty());
+  EXPECT_TRUE(gms.ExpiredCoordinators(1500, 500).empty());
+  EXPECT_EQ(gms.ExpiredCoordinators(1501, 500), std::vector<uint32_t>{a});
+  EXPECT_EQ(gms.ExpiredCoordinators(1701, 500),
+            (std::vector<uint32_t>{a, b}));
 }
 
-TEST(GmsTest, TableGroupMembersColocate) {
+// A heartbeat renews the lease; a late (older) heartbeat never moves it
+// backwards.
+TEST(GmsTest, HeartbeatRenewsLeaseAndNeverMovesItBack) {
   Gms gms;
-  gms.RegisterDn(0);
-  gms.RegisterDn(1);
-  gms.RegisterDn(2);
-  auto a = gms.CreateTable("orders", {{"id", ValueType::kInt64, false}}, {0},
-                           6, "g1");
-  auto b = gms.CreateTable("lineitem", {{"id", ValueType::kInt64, false}},
-                           {0}, 6, "g1");
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (ShardId s = 0; s < 6; ++s) {
-    EXPECT_EQ(*gms.DnOfShard(a->id, s), *gms.DnOfShard(b->id, s))
-        << "partition group " << s << " must colocate";
-  }
+  uint32_t id = gms.RegisterCoordinator(0, 1000);
+  gms.CoordinatorHeartbeat(id, 2000);
+  EXPECT_TRUE(gms.ExpiredCoordinators(2500, 500).empty());
+  gms.CoordinatorHeartbeat(id, 1100);  // delivered out of order
+  EXPECT_TRUE(gms.ExpiredCoordinators(2500, 500).empty());
+  EXPECT_EQ(gms.ExpiredCoordinators(2501, 500), std::vector<uint32_t>{id});
+  // A heartbeat after the lapse renews it again.
+  gms.CoordinatorHeartbeat(id, 3000);
+  EXPECT_TRUE(gms.ExpiredCoordinators(3500, 500).empty());
 }
 
-TEST(GmsTest, DuplicateTableRejected) {
+// A cleanly unregistered (or superseded) incarnation is never reported,
+// however old its last heartbeat, and heartbeats do not revive it.
+// Heartbeats for ids GMS never issued are ignored.
+TEST(GmsTest, UnregisteredCoordinatorIsNeverReported) {
   Gms gms;
-  gms.RegisterDn(0);
-  ASSERT_TRUE(
-      gms.CreateTable("t", {{"id", ValueType::kInt64, false}}, {0}, 2).ok());
-  EXPECT_FALSE(
-      gms.CreateTable("t", {{"id", ValueType::kInt64, false}}, {0}, 2).ok());
+  uint32_t gone = gms.RegisterCoordinator(0, 1000);
+  uint32_t live = gms.RegisterCoordinator(0, 1000);
+  gms.UnregisterCoordinator(gone);
+  gms.CoordinatorHeartbeat(gone, 5000);
+  gms.CoordinatorHeartbeat(/*id=*/99, 5000);
+  EXPECT_EQ(gms.ExpiredCoordinators(1000000, 500),
+            std::vector<uint32_t>{live});
+  gms.UnregisterCoordinator(live);
+  EXPECT_TRUE(gms.ExpiredCoordinators(1000000, 500).empty());
 }
 
-TEST(GmsTest, GlobalIndexGetsHiddenTable) {
+TEST(GmsTest, DnEndpointFollowsSetDnEndpoint) {
   Gms gms;
-  gms.RegisterDn(0);
-  ASSERT_TRUE(gms.CreateTable("t",
-                              {{"id", ValueType::kInt64, false},
-                               {"email", ValueType::kString, true}},
-                              {0}, 4)
-                  .ok());
-  auto idx = gms.AddGlobalIndex("t", "by_email", {1}, /*clustered=*/true);
-  ASSERT_TRUE(idx.ok());
-  EXPECT_GT(idx->hidden_table, 0u);
-  auto def = gms.FindTable("t");
-  ASSERT_TRUE(def.ok());
-  ASSERT_EQ(def->global_indexes.size(), 1u);
-  EXPECT_TRUE(def->global_indexes[0].clustered);
-}
-
-TEST(GmsTest, SequencesAreMonotonicPerTable) {
-  Gms gms;
-  EXPECT_EQ(gms.NextSequence(1), 1);
-  EXPECT_EQ(gms.NextSequence(1), 2);
-  EXPECT_EQ(gms.NextSequence(2), 1);
+  EXPECT_TRUE(gms.DnEndpoint(0).status().IsNotFound());
+  gms.SetDnEndpoint(0, 5);
+  ASSERT_TRUE(gms.DnEndpoint(0).ok());
+  EXPECT_EQ(*gms.DnEndpoint(0), 5u);
+  gms.SetDnEndpoint(0, 7);  // failover promoted another member
+  EXPECT_EQ(*gms.DnEndpoint(0), 7u);
+  EXPECT_TRUE(gms.DnEndpoint(1).status().IsNotFound());
 }
 
 TEST(GmsTest, RebalancePlanEqualizesTenantCounts) {
@@ -236,16 +228,6 @@ TEST(GmsTest, RebalancePlanEqualizesTenantCounts) {
     EXPECT_TRUE(PlanRebalance(bindings.Placement(), c.nodes).empty())
         << "already balanced";
   }
-}
-
-TEST(GmsTest, CreateTableNeedsARegisteredDn) {
-  Gms gms;
-  EXPECT_TRUE(gms.CreateTable("t", {{"id", ValueType::kInt64, false}}, {0}, 2)
-                  .status()
-                  .IsResourceExhausted());
-  gms.RegisterDn(0);
-  EXPECT_TRUE(
-      gms.CreateTable("t", {{"id", ValueType::kInt64, false}}, {0}, 2).ok());
 }
 
 // ---------- PolarDB-MT ----------
@@ -291,17 +273,6 @@ TEST(MtTest, RoutingFollowsBindings) {
   ASSERT_TRUE(rw.ok());
   EXPECT_EQ((*rw)->id(), 1u);
   EXPECT_TRUE(f.cluster.Route(99).status().IsNotFound());
-}
-
-TEST(MtTest, DdlRequiresTenantOwnership) {
-  MtFixture f;
-  ASSERT_TRUE(f.cluster.CreateTenant(1, 0).ok());
-  DataDictionary::TableMeta meta{100, "x", KvSchema(), 1};
-  // RW 1 does not own tenant 1.
-  EXPECT_FALSE(
-      f.cluster.dictionary()->ApplyDdl(1, *f.cluster.bindings(), meta).ok());
-  EXPECT_TRUE(
-      f.cluster.dictionary()->ApplyDdl(0, *f.cluster.bindings(), meta).ok());
 }
 
 TEST(MtTest, TransferMovesOwnershipWithoutCopy) {

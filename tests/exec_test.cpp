@@ -407,7 +407,7 @@ TEST(OperatorTest, SharedJoinTableBuildsOnceForAllTasks) {
           HashJoinOp join(std::make_unique<ValuesOp>(probe_of(t)),
                           JoinBuild(shared, kTasks, slices), {0}, {0}, type,
                           /*build_width=*/2);
-          join.SetRuntimeFilterSource(slots[t], build.size());
+          join.SetRuntimeFilterSource(slots[t]);
           got[t] = Collect(&join);
         });
       }
@@ -530,7 +530,7 @@ TEST(OperatorTest, SharedJoinTableFailureReachesEveryTask) {
 // The first caller of a table's Build() fixes its slices, keys and filter.
 // A caller that asks for a different build, while the table fills or
 // after, is refused instead of getting a table built the first caller's
-// way (say, a join site that wants no filter, or one sized differently).
+// way (say, a join site that wants no filter).
 TEST(OperatorTest, SharedJoinTableRefusesDisagreeingCallers) {
   constexpr int kTasks = 2;
   std::vector<Row> build;
@@ -540,21 +540,19 @@ TEST(OperatorTest, SharedJoinTableRefusesDisagreeingCallers) {
   JoinHashTable table;
   Status while_filling;
   const BuildSliceFactory slices = [&](int s) {
-    if (s == 0) while_filling = table.Build(kTasks, rows, {0}, false, 16);
+    if (s == 0) while_filling = table.Build(kTasks, rows, {0}, false);
     return rows(s);
   };
-  ASSERT_TRUE(table.Build(kTasks, slices, {0}, true, 16).ok());
+  ASSERT_TRUE(table.Build(kTasks, slices, {0}, true).ok());
   EXPECT_EQ(while_filling.code(), StatusCode::kInvalidArgument);
   for (int s = 0; s < kTasks; ++s) EXPECT_EQ(opens[s].load(), 1) << s;
-  EXPECT_EQ(table.Build(3, slices, {0}, true, 16).code(),
+  EXPECT_EQ(table.Build(3, slices, {0}, true).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(table.Build(kTasks, slices, {1}, true, 16).code(),
+  EXPECT_EQ(table.Build(kTasks, slices, {1}, true).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(table.Build(kTasks, slices, {0}, false, 16).code(),
+  EXPECT_EQ(table.Build(kTasks, slices, {0}, false).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(table.Build(kTasks, slices, {0}, true, 0).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(table.Build(kTasks, slices, {0}, true, 16).ok());
+  EXPECT_TRUE(table.Build(kTasks, slices, {0}, true).ok());
   EXPECT_EQ(table.size(), build.size());
   EXPECT_NE(table.filter(), nullptr);
 }
@@ -1038,43 +1036,6 @@ TEST(OperatorTest, SortAscDescAndTopN) {
   EXPECT_EQ(std::get<int64_t>((*top)[1][0]), 4);
 }
 
-TEST(OperatorTest, LimitStopsEarly) {
-  ExecFixture f(5000);
-  LimitOp limit(std::make_unique<TableScanOp>(
-                    std::vector<TableStore*>{f.table}, f.snapshot),
-                7);
-  auto rows = Collect(&limit);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 7u);
-}
-
-TEST(OperatorTest, IndexScanRevalidatesVisibility) {
-  ExecFixture f(100);
-  LocalIndex* idx = f.table->AddIndex("by_grp", {1});
-  // Index built on commit only for post-index writes; backfill manually.
-  f.table->rows().ScanAll([&](const EncodedKey& pk, const VersionPtr& head) {
-    const Version* v = LatestVisible(head, f.snapshot);
-    if (v != nullptr) idx->Insert(idx->KeyFor(v->row), pk);
-    return true;
-  });
-  EncodedKey key;
-  EncodeValue(Value{int64_t{4}}, &key);
-  IndexScanOp scan(f.table, idx, key, "", f.snapshot);
-  auto rows = Collect(&scan);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 10u);
-
-  // Delete one member; a snapshot after the delete must skip it.
-  TxnId txn = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Delete(txn, 1, EncodeKey({int64_t{4}})).ok());
-  ASSERT_TRUE(f.engine.CommitLocal(txn).ok());
-  f.now_ms += 1;
-  IndexScanOp scan2(f.table, idx, key, "", f.hlc.Now());
-  auto rows2 = Collect(&scan2);
-  ASSERT_TRUE(rows2.ok());
-  EXPECT_EQ(rows2->size(), 9u) << "stale index entry must be filtered";
-}
-
 // ---------- MPP ----------
 
 TEST(MppTest, ParallelScanCoversAllShards) {
@@ -1422,12 +1383,6 @@ TEST(CostModelTest, StoreChoiceMatchesPaperIntuition) {
   EXPECT_EQ(model.ChooseStore(point, true), StoreChoice::kRowStore);
   // No column index available: row store regardless.
   EXPECT_EQ(model.ChooseStore(scan, false), StoreChoice::kRowStore);
-}
-
-TEST(CostModelTest, PushdownWhenItShrinksTransfer) {
-  CostModel model;
-  EXPECT_TRUE(model.ShouldPushDown(1'000'000, 100));
-  EXPECT_FALSE(model.ShouldPushDown(1000, 1000));
 }
 
 }  // namespace

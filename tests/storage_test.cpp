@@ -66,14 +66,12 @@ TEST(SchemaTest, ValidateRowChecksArityTypesNullability) {
   EXPECT_TRUE(s.ValidateRow({int64_t{1}, Value{}, Value{}}).ok());
 }
 
-TEST(SchemaTest, ExtractKeyAndFindColumn) {
+TEST(SchemaTest, ExtractKey) {
   Schema s = MakeTestSchema();
   Row row{int64_t{7}, std::string("x"), 1.0};
   Row key = s.ExtractKey(row);
   ASSERT_EQ(key.size(), 1u);
   EXPECT_EQ(std::get<int64_t>(key[0]), 7);
-  EXPECT_EQ(s.FindColumn("balance"), 2);
-  EXPECT_EQ(s.FindColumn("missing"), -1);
 }
 
 // ---------- key codec ----------
@@ -509,38 +507,13 @@ TEST(MvccTableTest, VacuumRemovesOldTombstonedKeys) {
 
 // ---------- tables & catalog ----------
 
-TEST(LocalIndexTest, InsertLookupRemove) {
-  LocalIndex idx("by_name", {1});
-  Row row{int64_t{1}, std::string("bob")};
-  EncodedKey ikey = idx.KeyFor(row);
-  EncodedKey pk = EncodeKey({int64_t{1}});
-  idx.Insert(ikey, pk);
-  auto hits = idx.Lookup(ikey, "");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], pk);
-  idx.Remove(ikey, pk);
-  EXPECT_TRUE(idx.Lookup(ikey, "").empty());
-}
-
-TEST(LocalIndexTest, RangeLookup) {
-  LocalIndex idx("by_val", {0});
-  for (int64_t i = 0; i < 10; ++i) {
-    idx.Insert(EncodeKey({i}), EncodeKey({i + 100}));
-  }
-  auto hits = idx.Lookup(EncodeKey({int64_t{3}}), EncodeKey({int64_t{7}}));
-  EXPECT_EQ(hits.size(), 4u);
-}
-
-TEST(TableCatalogTest, CreateFindDrop) {
+TEST(TableCatalogTest, CreateAndFind) {
   TableCatalog catalog;
   auto t1 = catalog.CreateTable(1, "users", MakeTestSchema(), 10);
   ASSERT_TRUE(t1.ok());
   EXPECT_FALSE(catalog.CreateTable(1, "dup", MakeTestSchema()).ok());
   EXPECT_EQ(catalog.FindTable(1), *t1);
-  EXPECT_EQ(catalog.FindTableByName("users"), *t1);
   EXPECT_EQ(catalog.FindTable(2), nullptr);
-  EXPECT_TRUE(catalog.DropTable(1).ok());
-  EXPECT_FALSE(catalog.DropTable(1).ok());
 }
 
 TEST(TableCatalogTest, TablesOfTenant) {

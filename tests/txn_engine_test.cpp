@@ -148,7 +148,7 @@ TEST(TxnEngineTest, FirstCommitterWins) {
   EXPECT_TRUE(s.IsConflict());
 }
 
-TEST(TxnEngineTest, AbortRollsBackWritesAndIndexes) {
+TEST(TxnEngineTest, AbortRollsBackWrites) {
   EngineFixture f;
   f.Put(1, "keep");
   TxnId txn = f.engine.Begin();
@@ -309,18 +309,6 @@ TEST(TxnEngineTest, ScanRangeRespectsBounds) {
                                })
                   .ok());
   EXPECT_EQ(count, 10);
-}
-
-TEST(TxnEngineTest, SecondaryIndexMaintainedOnCommit) {
-  EngineFixture f;
-  TableStore* table = f.catalog.FindTable(f.table_id);
-  LocalIndex* idx = table->AddIndex("by_val", {1});
-  f.Put(1, "alpha");
-  f.Put(2, "alpha");
-  f.Put(3, "beta");
-  EncodedKey ikey;
-  EncodeValue(Value{std::string("alpha")}, &ikey);
-  EXPECT_EQ(idx->Lookup(ikey, "").size(), 2u);
 }
 
 TEST(TxnEngineTest, VacuumForgetsOldTransactionsButKeepsData) {
