@@ -30,7 +30,7 @@ SimCluster::SimCluster(sim::Scheduler* sched, sim::Network* net,
                                          std::to_string(i));
       cn.hlc = std::make_unique<Hlc>(SimClockMs(sched_));
       cn.server = std::make_unique<sim::Server>(sched_, config_.cn_cores);
-      uint32_t coordinator_id = gms_.RegisterCoordinator(cn.dc, 0);
+      uint32_t coordinator_id = gms_.RegisterCoordinator(0);
       cn.rng = Rng(config_.seed ^ (0x9E3779B97F4A7C15ULL * (cn.node + 1)));
       cn_of_node_[cn.node] = int(cns_.size());
       cns_.push_back(std::move(cn));
@@ -80,10 +80,24 @@ SimCluster::SimCluster(sim::Scheduler* sched, sim::Network* net,
     dn->serving_epoch = dn->leader->epoch();
     dn->committer = dn->committers.at(leader_node).get();
     dn->gc = dn->gc_drivers.at(leader_node).get();
+    DnNode* raw = dn.get();
+    // §III old-leader cleanup: the serving engine logs into its member's
+    // log and marks each page dirty at its MTR's start LSN, so when that
+    // member truncates (deposition, crash recovery, log repair), the pages
+    // dirtied by records at or past the new end are evicted unflushed:
+    // those records may never commit, and their LSNs may be refilled by
+    // another leader. Truncation points are MTR boundaries. Callbacks are
+    // permanent, so every member's fires, but only the serving one's
+    // applies.
+    for (auto& m : dn->paxos->members()) {
+      PaxosMember* member = m.get();
+      member->OnTruncate([raw, member](Lsn new_end) {
+        if (raw->leader == member) raw->pool->DiscardDirtyAfter(new_end - 1);
+      });
+    }
     // Commit-path durability flows engine -> group-commit driver: every
     // MTR the engine wants durable is a Submit, and the driver's flushes
     // (one per group) both persist the leader log and kick replication.
-    DnNode* raw = dn.get();
     dn->engine->SetDurabilityHook(
         [raw](Lsn end_lsn) { raw->gc->Submit(end_lsn); });
     dn->server = std::make_unique<sim::Server>(sched_, config_.dn_cores);
@@ -666,6 +680,10 @@ void SimCluster::MaybePromote(int dn_index) {
 
 void SimCluster::Promote(int dn_index, PaxosMember* member) {
   DnNode* dn = dns_[dn_index].get();
+  // The same cleanup for a serving member that went down instead of
+  // stepping down (it truncates only when it restarts, no longer
+  // serving): its records past its DLSN were never acknowledged.
+  dn->pool->DiscardDirtyAfter(dn->leader->dlsn() - 1);
   dn->serving_node = member->node();
   dn->serving_epoch = member->epoch();
   dn->leader = member;
@@ -773,7 +791,7 @@ void SimCluster::HandleNodeRestart(NodeId node) {
     // until recovery has resolved every transaction it left behind, and
     // only recovery reaps it.
     StartCoordinator(it->second,
-                     gms_.RegisterCoordinator(cn.dc, sched_->Now()));
+                     gms_.RegisterCoordinator(sched_->Now()));
     // Fresh coalescer: grants queued by the previous incarnation die with
     // the old instance (their requesters are gone).
     InstallTsoCoalescer(it->second);

@@ -188,6 +188,10 @@ class SimCluster {
   }
   /// The engine currently serving DN `dn_index` (invariant checks).
   TxnEngine* dn_engine(int dn_index) { return dns_[dn_index]->engine.get(); }
+  /// DN `dn_index`'s buffer pool, shared by its engine incarnations.
+  const BufferPool* dn_pool(int dn_index) const {
+    return dns_[dn_index]->pool.get();
+  }
   NodeId tso_node() const { return tso_node_; }
   int DnOfKey(int64_t key) const;
 

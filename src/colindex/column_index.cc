@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string_view>
 #include <type_traits>
 
@@ -254,13 +255,14 @@ void ToDoubles(TypedVector* v) {
 }
 
 bool EvalBoolVec(const std::vector<ColumnVector>& data, const Expr& expr,
-                 const std::vector<uint32_t>& sel, std::vector<uint8_t>* out);
+                 std::span<const uint32_t> sel, std::vector<uint8_t>* out);
 
-/// Row-at-a-time EvalBool on rows that hold only the columns `expr`
-/// references (the others stay NULL, as unreferenced cells never matter).
-void EvalBoolRows(const std::vector<ColumnVector>& data, const Expr& expr,
-                  const std::vector<uint32_t>& sel,
-                  std::vector<uint8_t>* out) {
+/// Calls `f(i, row)` for each selected row, `row` holding only the
+/// columns `expr` references (the others stay NULL, as unreferenced cells
+/// never matter to it).
+template <typename F>
+void ForEachRow(const std::vector<ColumnVector>& data, const Expr& expr,
+                std::span<const uint32_t> sel, F&& f) {
   std::vector<int> cols;
   expr.CollectColumns(&cols);
   std::sort(cols.begin(), cols.end());
@@ -271,18 +273,25 @@ void EvalBoolRows(const std::vector<ColumnVector>& data, const Expr& expr,
                             }),
              cols.end());
   Row row(cols.empty() ? 0 : size_t(cols.back()) + 1);
-  out->resize(sel.size());
   for (size_t i = 0; i < sel.size(); ++i) {
     for (int c : cols) row[c] = data[c].Get(sel[i]);
-    (*out)[i] = expr.EvalBool(row);
+    f(i, row);
   }
+}
+
+/// Row-at-a-time EvalBool, on rows of just the columns `expr` reads.
+void EvalBoolRows(const std::vector<ColumnVector>& data, const Expr& expr,
+                  std::span<const uint32_t> sel, std::vector<uint8_t>* out) {
+  out->resize(sel.size());
+  ForEachRow(data, expr, sel,
+             [&](size_t i, const Row& row) { (*out)[i] = expr.EvalBool(row); });
 }
 
 /// Evaluates `expr` over `sel` into `out`; false when its shape is not
 /// covered (string arithmetic, comparisons used as values, a CASE whose
 /// branches differ in type, ...).
 bool EvalTyped(const std::vector<ColumnVector>& data, const Expr& expr,
-               const std::vector<uint32_t>& sel, TypedVector* out) {
+               std::span<const uint32_t> sel, TypedVector* out) {
   const size_t n = sel.size();
   out->null.assign(n, 0);
   switch (expr.kind()) {
@@ -524,8 +533,7 @@ void InVector(const std::vector<Value>& set, const TypedVector& a,
 }
 
 bool EvalBoolVec(const std::vector<ColumnVector>& data, const Expr& expr,
-                 const std::vector<uint32_t>& sel,
-                 std::vector<uint8_t>* out) {
+                 std::span<const uint32_t> sel, std::vector<uint8_t>* out) {
   const size_t n = sel.size();
   out->assign(n, 0);
   switch (expr.kind()) {
@@ -707,22 +715,6 @@ double ColumnIndex::SumSelected(int col,
   return sum;
 }
 
-bool ColumnIndex::EvalNumericVector(const Expr& expr,
-                                    const std::vector<uint32_t>& selection,
-                                    std::vector<double>* out,
-                                    std::vector<uint8_t>* nulls) const {
-  std::shared_lock lock(mu_);
-  TypedVector v;
-  if (!EvalTyped(data_, expr, selection, &v) || !v.numeric()) return false;
-  ToDoubles(&v);
-  for (size_t i = 0; i < selection.size(); ++i) {
-    if (v.null[i]) v.doubles[i] = 0;
-  }
-  out->swap(v.doubles);
-  if (nulls != nullptr) nulls->swap(v.null);
-  return true;
-}
-
 bool ColumnIndex::EvalBoolVector(const Expr& expr,
                                  const std::vector<uint32_t>& selection,
                                  std::vector<uint8_t>* out) const {
@@ -853,30 +845,162 @@ void ColumnIndex::FilterSelection(const RuntimeFilter& rf,
   }
 }
 
+Status ProbeColumnJoin(const ColumnIndex& index, Timestamp snapshot,
+                       const ExprPtr& filter, RowRange range,
+                       const ColumnJoinProbe& join,
+                       std::vector<uint32_t>* selection,
+                       std::vector<uint32_t>* matches) {
+  JoinHashTable& table = *join.build.table;
+  POLARX_RETURN_NOT_OK(table.Build(join.build.num_slices, join.build.slice,
+                                   join.build_keys, join.use_runtime_filter));
+
+  index.BuildSelection(snapshot, filter, selection, range);
+  std::vector<uint64_t> keys, hashes;
+  const bool filtered = join.use_runtime_filter && table.filter() != nullptr;
+  if (filtered) {
+    // Filtering on the hashes first spares the dropped rows their words;
+    // the survivors keep their hashes for the lookups.
+    uint64_t tested = 0, dropped = 0;
+    index.FilterSelection(*table.filter(), join.probe_cols, selection,
+                          &tested, &dropped, &hashes);
+    AddScanFilterStats(tested, dropped);
+  }
+  index.EncodeKeys(join.probe_cols, *selection, table.keys(), &keys, &hashes,
+                   /*hashed=*/filtered);
+  const size_t width = table.keys().width();
+  matches->resize(selection->size());
+  for (size_t i = 0; i < selection->size(); ++i) {
+    (*matches)[i] = table.First(keys.data() + i * width, hashes[i]);
+  }
+  AddJoinProbeRows(selection->size());
+  return Status::Ok();
+}
+
+namespace {
+
+/// Whether two aggregate inputs are one expression: the same node, or
+/// references to the same column.
+bool SameInput(const Expr& a, const Expr& b) {
+  return &a == &b || (a.kind() == Expr::Kind::kColumn &&
+                      b.kind() == Expr::Kind::kColumn &&
+                      a.column() == b.column());
+}
+
+/// The least and greatest value of one int64 or double aggregate input in
+/// every group, for the min and max aggregates that read it, folded in one
+/// pass over each block (Q21's late CASE feeds both). EvalTyped types an
+/// input by its shape and its columns' types alone, so every block of one
+/// input has the same type.
+struct TypedExtremes {
+  bool min = false, max = false;      // which of the two an aggregate reads
+  ValueType type = ValueType::kNull;  // kInt64 or kDouble once folded
+  std::vector<int64_t> ints[2];       // [0] least, [1] greatest, per group
+  std::vector<double> doubles[2];
+  std::vector<uint8_t> seen;          // the group has had a non-NULL input
+
+  void Fold(const TypedVector& v, const uint32_t* group, size_t ngroups) {
+    if (type == ValueType::kNull) {
+      type = v.type;
+      seen.resize(ngroups);
+      for (int side : {0, 1}) {
+        const bool used = side == 0 ? min : max;
+        ints[side].resize(used && type == ValueType::kInt64 ? ngroups : 0);
+        doubles[side].resize(used && type == ValueType::kDouble ? ngroups : 0);
+      }
+    }
+    if (type == ValueType::kInt64) {
+      FoldAs(v.ints, v.null, group, ints);
+    } else {
+      FoldAs(v.doubles, v.null, group, doubles);
+    }
+  }
+
+  /// The fold of aggregate `op` (kMin or kMax) for group `g`, NULL when
+  /// the group had no non-NULL input.
+  Value Get(AggOp op, size_t g) const {
+    const int side = op == AggOp::kMin ? 0 : 1;
+    if (type == ValueType::kNull || !seen[g]) return Value{};
+    if (type == ValueType::kInt64) return Value{ints[side][g]};
+    return Value{doubles[side][g]};
+  }
+
+ private:
+  template <typename T>
+  void FoldAs(const std::vector<T>& in, const std::vector<uint8_t>& null,
+              const uint32_t* group, std::vector<T>* slots) {
+    if (min && max) {
+      Run<true, true>(in, null, group, slots);
+    } else if (min) {
+      Run<true, false>(in, null, group, slots);
+    } else {
+      Run<false, true>(in, null, group, slots);
+    }
+  }
+
+  /// Skips NULLs. A slot takes an input strictly below (least) or above
+  /// (greatest) it, so it keeps the first of equal ones, and a NaN
+  /// neither displaces nor is displaced once held, as under CompareValues.
+  /// The selects compile to conditional moves, which a group's
+  /// unpredictable inputs would otherwise make mispredicted branches.
+  template <bool kMin, bool kMax, typename T>
+  void Run(const std::vector<T>& in, const std::vector<uint8_t>& null,
+           const uint32_t* group, std::vector<T>* slots) {
+    // Raw pointers: a store through `set` could alias the vectors'
+    // members, which the loop would then reload on every row.
+    const T* x = in.data();
+    const uint8_t* skip = null.data();
+    T* lo = slots[0].data();
+    T* hi = slots[1].data();
+    uint8_t* set = seen.data();
+    for (size_t i = 0, n = in.size(); i < n; ++i) {
+      if (skip[i]) continue;
+      const uint32_t g = group[i];
+      const T v = x[i];
+      if (!set[g]) {
+        if (kMin) lo[g] = v;
+        if (kMax) hi[g] = v;
+        set[g] = 1;
+        continue;
+      }
+      if (kMin) lo[g] = v < lo[g] ? v : lo[g];
+      if (kMax) hi[g] = hi[g] < v ? v : hi[g];
+    }
+  }
+};
+
+}  // namespace
+
 ColumnAggOp::ColumnAggOp(const ColumnIndex* index, Timestamp snapshot_ts,
                          ExprPtr filter, std::vector<int> group_cols,
                          std::vector<AggSpec> aggs, AggMode mode,
-                         RowRange range)
+                         RowRange range,
+                         std::optional<ColumnJoinProbe> semi_join)
     : index_(index),
       snapshot_ts_(snapshot_ts),
       filter_(std::move(filter)),
       group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)),
       mode_(mode),
-      range_(range) {}
+      range_(range),
+      semi_join_(std::move(semi_join)) {}
 
 Status ColumnAggOp::Open() {
   results_.clear();
   pos_ = 0;
-  // Min/max are not vectorized here; plans that need them over a column
-  // index use ColumnScanOp + HashAggOp.
-  for (const AggSpec& spec : aggs_) {
-    if (spec.op == AggOp::kMin || spec.op == AggOp::kMax) {
-      return Status::NotSupported("min/max not supported by ColumnAggOp");
-    }
-  }
   std::vector<uint32_t> selection;
-  index_->BuildSelection(snapshot_ts_, filter_, &selection, range_);
+  if (semi_join_) {
+    std::vector<uint32_t> matches;
+    POLARX_RETURN_NOT_OK(ProbeColumnJoin(*index_, snapshot_ts_, filter_,
+                                         range_, *semi_join_, &selection,
+                                         &matches));
+    size_t kept = 0;
+    for (size_t i = 0; i < selection.size(); ++i) {
+      if (matches[i] != JoinHashTable::kNoRow) selection[kept++] = selection[i];
+    }
+    selection.resize(kept);
+  } else {
+    index_->BuildSelection(snapshot_ts_, filter_, &selection, range_);
+  }
 
   // Group id per selected row, numbered in first-seen order by the
   // executor's key table, whose keys the index encodes a column at a time.
@@ -895,54 +1019,134 @@ Status ColumnAggOp::Open() {
   // no row is selected.
   if (group_cols_.empty() && group_first.empty()) group_first.push_back(0);
 
-  // Accumulate each aggregate vectorized, into HashAggOp's accumulators:
-  // group g's state of aggregate a is accs[g * naggs + a].
+  // The distinct inputs: aggregate a reads inputs[input_of[a]] (-1 for
+  // COUNT(*)).
   const size_t ngroups = group_first.size(), naggs = aggs_.size();
-  std::vector<AggAcc> accs(ngroups * naggs);
+  auto is_extreme = [](AggOp op) {
+    return op == AggOp::kMin || op == AggOp::kMax;
+  };
+  std::vector<const Expr*> inputs;
+  std::vector<int> input_of(naggs, -1);
   for (size_t a = 0; a < naggs; ++a) {
-    auto acc = [&](size_t i) -> AggAcc& {
-      return accs[row_group[i] * naggs + a];
-    };
-    const AggSpec& spec = aggs_[a];
-    if (spec.op == AggOp::kCount && spec.expr == nullptr) {
-      for (size_t i = 0; i < selection.size(); ++i) ++acc(i).count;
-      continue;
-    }
-    // NULL values are skipped, as HashAggOp folds them.
-    std::vector<double> values;
-    std::vector<uint8_t> nulls;
-    if (index_->EvalNumericVector(*spec.expr, selection, &values, &nulls)) {
-      for (size_t i = 0; i < selection.size(); ++i) {
-        if (nulls[i]) continue;
-        acc(i).sum += values[i];
-        ++acc(i).count;
+    const ExprPtr& expr = aggs_[a].expr;
+    if (expr == nullptr) continue;
+    size_t k = 0;
+    while (k < inputs.size() && !SameInput(*inputs[k], *expr)) ++k;
+    if (k == inputs.size()) inputs.push_back(expr.get());
+    input_of[a] = int(k);
+  }
+  // HashAggOp's accumulators: group g's state of aggregate a is
+  // accs[g * naggs + a]. Min/max of a typed input keep their extremes per
+  // input (typed_extremes[k]), of any other input a Value per group per
+  // aggregate (value_extremes[a]).
+  std::vector<AggAcc> accs(ngroups * naggs);
+  std::vector<TypedExtremes> typed_extremes(inputs.size());
+  std::vector<std::vector<Value>> value_extremes(naggs);
+  for (size_t a = 0; a < naggs; ++a) {
+    if (input_of[a] < 0) continue;
+    if (aggs_[a].op == AggOp::kMin) typed_extremes[input_of[a]].min = true;
+    if (aggs_[a].op == AggOp::kMax) typed_extremes[input_of[a]].max = true;
+  }
+
+  std::shared_lock lock(index_->mu_);
+  const std::vector<ColumnVector>& data = index_->data_;
+  // Per input: whether it evaluates typed (decided on the first block),
+  // and its values over the current block, typed or as Values.
+  enum class Path { kUnknown, kTyped, kRows };
+  std::vector<Path> how(inputs.size(), Path::kUnknown);
+  std::vector<TypedVector> typed(inputs.size());
+  std::vector<std::vector<Value>> values(inputs.size());
+  for (size_t begin = 0; begin < selection.size(); begin += kExecBatchSize) {
+    const std::span<const uint32_t> block(
+        selection.data() + begin,
+        std::min(kExecBatchSize, selection.size() - begin));
+    const uint32_t* group = row_group.data() + begin;
+    for (size_t k = 0; k < inputs.size(); ++k) {
+      if (how[k] != Path::kRows) {
+        const bool ok = EvalTyped(data, *inputs[k], block, &typed[k]) &&
+                        typed[k].numeric();
+        how[k] = ok ? Path::kTyped : Path::kRows;
       }
-    } else {
-      // Fallback: row-at-a-time.
-      for (size_t i = 0; i < selection.size(); ++i) {
-        const Value v = spec.expr->Eval(index_->MaterializeRow(selection[i]));
-        if (IsNull(v)) continue;
-        auto d = ValueAsDouble(v);
-        if (spec.op == AggOp::kCount || d.ok()) {
-          acc(i).sum += d.ValueOr(0);
-          ++acc(i).count;
+      if (how[k] == Path::kTyped) {
+        TypedExtremes& ext = typed_extremes[k];
+        if (ext.min || ext.max) ext.Fold(typed[k], group, ngroups);
+        continue;
+      }
+      values[k].resize(block.size());
+      ForEachRow(data, *inputs[k], block, [&](size_t i, const Row& row) {
+        values[k][i] = inputs[k]->Eval(row);
+      });
+    }
+    for (size_t a = 0; a < naggs; ++a) {
+      const AggOp op = aggs_[a].op;
+      AggAcc* acc = accs.data() + a;
+      if (input_of[a] < 0) {  // COUNT(*)
+        for (size_t i = 0; i < block.size(); ++i) {
+          ++acc[group[i] * naggs].count;
         }
+        continue;
+      }
+      const size_t k = size_t(input_of[a]);
+      if (how[k] == Path::kRows) {
+        Value* ext = nullptr;
+        if (is_extreme(op)) {
+          value_extremes[a].resize(ngroups);
+          ext = value_extremes[a].data();
+        }
+        for (size_t i = 0; i < block.size(); ++i) {
+          const uint32_t g = group[i];
+          FoldAggInput(op, values[k][i], &acc[g * naggs],
+                       ext != nullptr ? &ext[g] : nullptr);
+        }
+        continue;
+      }
+      if (is_extreme(op)) continue;  // folded per input above
+      // COUNT counts the non-NULL inputs; SUM and AVG also add them.
+      const TypedVector& v = typed[k];
+      auto fold = [&](auto value) {
+        for (size_t i = 0; i < block.size(); ++i) {
+          if (v.null[i]) continue;
+          AggAcc& s = acc[group[i] * naggs];
+          s.sum += value(i);
+          ++s.count;
+        }
+      };
+      if (v.type == ValueType::kInt64) {
+        fold([&](size_t i) { return double(v.ints[i]); });
+      } else {
+        fold([&](size_t i) { return v.doubles[i]; });
       }
     }
   }
 
-  // Emit through HashAggOp's emit path, each group's cells read under the
-  // index lock.
-  std::vector<Row> groups;
-  if (group_cols_.empty()) {
-    groups.resize(ngroups);
-  } else {
-    index_->MaterializeBatch(group_first, 0, ngroups, group_cols_, &groups);
+  // Emit through HashAggOp's emit path. Each row is sized for its keys and
+  // aggregates (two columns for a partial avg), so appending the
+  // aggregates does not reallocate it.
+  size_t width = group_cols_.size();
+  for (const AggSpec& spec : aggs_) {
+    width += spec.op == AggOp::kAvg && mode_ == AggMode::kPartial ? 2 : 1;
   }
+  results_.reserve(ngroups);
+  std::vector<Value> group_extremes;  // the group's min/max, in agg order
   for (size_t g = 0; g < ngroups; ++g) {
-    AppendAggregates(aggs_, mode_, &accs[g * naggs], nullptr, &groups[g]);
+    Row& row = results_.emplace_back();
+    row.reserve(width);
+    for (int c : group_cols_) row.push_back(data[c].Get(group_first[g]));
+    group_extremes.clear();
+    for (size_t a = 0; a < naggs; ++a) {
+      if (!is_extreme(aggs_[a].op)) continue;
+      if (!value_extremes[a].empty()) {
+        group_extremes.push_back(std::move(value_extremes[a][g]));
+      } else if (input_of[a] >= 0) {
+        group_extremes.push_back(
+            typed_extremes[input_of[a]].Get(aggs_[a].op, g));
+      } else {
+        group_extremes.emplace_back();  // no input: NULL, as in HashAggOp
+      }
+    }
+    AppendAggregates(aggs_, mode_, &accs[g * naggs], group_extremes.data(),
+                     &row);
   }
-  results_ = std::move(groups);
   return Status::Ok();
 }
 
@@ -982,6 +1186,22 @@ Status ColumnScanOp::Next(Batch* out) {
   return Status::Ok();
 }
 
+namespace {
+
+/// `probe_keys`, positions in a row of `projection` (empty = all columns),
+/// as index column positions.
+std::vector<int> ProbeKeyColumns(const std::vector<int>& projection,
+                                 const std::vector<int>& probe_keys) {
+  std::vector<int> cols;
+  cols.reserve(probe_keys.size());
+  for (int k : probe_keys) {
+    cols.push_back(projection.empty() ? k : projection[k]);
+  }
+  return cols;
+}
+
+}  // namespace
+
 ColumnHashJoinOp::ColumnHashJoinOp(const ColumnIndex* index,
                                    Timestamp snapshot_ts, ExprPtr probe_filter,
                                    std::vector<int> projection,
@@ -993,56 +1213,27 @@ ColumnHashJoinOp::ColumnHashJoinOp(const ColumnIndex* index,
       snapshot_ts_(snapshot_ts),
       probe_filter_(std::move(probe_filter)),
       projection_(std::move(projection)),
-      build_(std::move(build)),
-      build_keys_(std::move(build_keys)),
       type_(type),
-      use_runtime_filter_(use_runtime_filter),
-      range_(range) {
-  probe_key_cols_.reserve(probe_keys.size());
-  for (int k : probe_keys) {
-    probe_key_cols_.push_back(projection_.empty() ? k : projection_[k]);
-  }
-}
+      range_(range),
+      // Anti joins keep exactly the rows a filter would prune, so they
+      // never build one; inner/semi get the bloom + bounds summary from
+      // the pass that fills the hash table.
+      join_{std::move(build), ProbeKeyColumns(projection_, probe_keys),
+            std::move(build_keys),
+            use_runtime_filter &&
+                (type == JoinType::kInner || type == JoinType::kLeftSemi)} {}
 
 Status ColumnHashJoinOp::Open() {
   if (type_ == JoinType::kLeftOuter) {
     return Status::NotSupported("ColumnHashJoinOp: left outer join");
   }
   pos_ = 0;
-  // Anti joins keep exactly the rows a filter would prune, so they never
-  // build one; inner/semi get the bloom + bounds summary from the pass
-  // that fills the hash table.
-  const bool prune =
-      use_runtime_filter_ &&
-      (type_ == JoinType::kInner || type_ == JoinType::kLeftSemi);
-  JoinHashTable& table = *build_.table;
-  POLARX_RETURN_NOT_OK(table.Build(build_.num_slices, build_.slice,
-                                   build_keys_, prune));
-
-  index_->BuildSelection(snapshot_ts_, probe_filter_, &selection_, range_);
-  std::vector<uint64_t> keys, hashes;
-  const bool filtered = prune && table.filter() != nullptr;
-  if (filtered) {
-    // Filtering on the hashes first spares the dropped rows their words;
-    // the survivors keep their hashes for the lookups.
-    uint64_t tested = 0, dropped = 0;
-    index_->FilterSelection(*table.filter(), probe_key_cols_, &selection_,
-                            &tested, &dropped, &hashes);
-    AddScanFilterStats(tested, dropped);
-  }
-  index_->EncodeKeys(probe_key_cols_, selection_, table.keys(), &keys,
-                     &hashes, /*hashed=*/filtered);
-  matches_.resize(selection_.size());
-  for (size_t i = 0; i < selection_.size(); ++i) {
-    matches_[i] =
-        table.First(keys.data() + i * table.keys().width(), hashes[i]);
-  }
-  return Status::Ok();
+  return ProbeColumnJoin(*index_, snapshot_ts_, probe_filter_, range_, join_,
+                         &selection_, &matches_);
 }
 
 Status ColumnHashJoinOp::Next(Batch* out) {
   out->rows.clear();
-  uint64_t probed = 0;
   // Probe first, collecting only surviving row ids (plus the matched build
   // row for inner joins); the survivors then materialize in one batched
   // pass — one index lock and only the projected columns, instead of a
@@ -1052,12 +1243,11 @@ Status ColumnHashJoinOp::Next(Batch* out) {
   // slots).
   hits_.clear();
   hit_build_.clear();
-  const JoinHashTable& table = *build_.table;
+  const JoinHashTable& table = *join_.build.table;
   while (pos_ < selection_.size() && hits_.size() < kExecBatchSize) {
     const uint32_t rowid = selection_[pos_];
     uint32_t match = matches_[pos_];
     ++pos_;
-    ++probed;
     if (type_ == JoinType::kInner) {
       for (; match != JoinHashTable::kNoRow; match = table.Next(match)) {
         hits_.push_back(rowid);
@@ -1077,7 +1267,6 @@ Status ColumnHashJoinOp::Next(Batch* out) {
                           build_row.end());
     }
   }
-  AddJoinProbeRows(probed);
   rows_produced_ += out->rows.size();
   return Status::Ok();
 }

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -121,16 +122,6 @@ class ColumnIndex {
   /// Sum of a numeric column over a selection (vectorized aggregate).
   double SumSelected(int col, const std::vector<uint32_t>& selection) const;
 
-  /// Vectorized evaluation of a numeric expression (columns, literals,
-  /// arithmetic, Year, CASE) for every selected row, as doubles. Rows
-  /// where Expr::Eval is NULL read 0 and, when `nulls` is non-null, are
-  /// flagged there. Returns false if the expression shape is unsupported
-  /// (caller falls back to row-at-a-time evaluation).
-  bool EvalNumericVector(const Expr& expr,
-                         const std::vector<uint32_t>& selection,
-                         std::vector<double>* out,
-                         std::vector<uint8_t>* nulls = nullptr) const;
-
   /// Vectorized boolean evaluation over selected rows, equal row for row to
   /// Expr::EvalBool (two-valued: a comparison with NULL is false, NOT of it
   /// true). Covers comparisons of any two int64/double/string operands
@@ -171,6 +162,9 @@ class ColumnIndex {
   const ColumnVector& column(int i) const { return data_[i]; }
 
  private:
+  // Folds and emits its groups over the typed arrays under one lock.
+  friend class ColumnAggOp;
+
   void ApplyOne(Timestamp commit_ts, const RedoRecord& op);
 
   Schema schema_;
@@ -193,25 +187,64 @@ class ColumnIndex {
   size_t pending_op_count_ = 0;
 };
 
+/// A hash join's build side as a scan of a column index probes it: the
+/// rows of `build` keyed on `build_keys`, matched on the index columns
+/// `probe_cols`. With `use_runtime_filter` (inner and semi joins only) the
+/// build side's bloom + min/max bounds prune the probe selection first.
+struct ColumnJoinProbe {
+  JoinBuild build;
+  std::vector<int> probe_cols;
+  std::vector<int> build_keys;
+  bool use_runtime_filter = true;
+};
+
+/// The probe of a hash join over a column index, shared by ColumnHashJoinOp
+/// and ColumnAggOp's semi-join: fills `join.build`'s table (with its
+/// runtime filter when `join.use_runtime_filter`), sets `selection` to the
+/// rows of `range` visible at `snapshot`, passing `filter` and the runtime
+/// filter, and `matches` to the first matching build row of each
+/// (JoinHashTable::kNoRow when none). Probe keys are encoded a column at a
+/// time into the build table's key format (ColumnIndex::EncodeKeys): the
+/// filter tests the hash the lookup uses. Counts the filter's tested and
+/// dropped rows and the rows reaching the probe (the E4 work counters).
+Status ProbeColumnJoin(const ColumnIndex& index, Timestamp snapshot,
+                       const ExprPtr& filter, RowRange range,
+                       const ColumnJoinProbe& join,
+                       std::vector<uint32_t>* selection,
+                       std::vector<uint32_t>* matches);
+
 /// Aggregation pushed down into the column index (§VI-E: "table-scan and
 /// filter ... and the first phase of aggregation are offloaded"): computes
 /// group-by aggregates directly over the typed column vectors, without
 /// materializing rows. Group ids come from HashAggOp's key table
 /// (KeyWordTable), fed a column at a time by ColumnIndex::EncodeKeys, so
 /// the groups and their first-seen output order are HashAggOp's over the
-/// same selection. Each aggregate folds a column at a time into HashAggOp's
-/// per-group {sum, count} accumulators (AggAcc), skipping NULL inputs as
-/// HashAggOp does, and the groups are emitted through HashAggOp's emit path
-/// (AppendAggregates), so the output is HashAggOp's for the same specs and
-/// the operator drops into plans as a replacement for Agg(Scan(...)).
-/// Min/max are not supported: Open() refuses them.
+/// same selection.
+///
+/// The aggregate inputs are evaluated over the selection in blocks of
+/// kExecBatchSize rows, each distinct input once per block (Q21's late
+/// CASE feeds both a min and a max), under one index lock. Sums, counts
+/// and averages fold into HashAggOp's per-group {sum, count} accumulators
+/// (AggAcc); min/max of int64 and double inputs fold into typed per-group
+/// slots, and of other inputs into Values under HashAggOp's rules
+/// (FoldAggInput). NULL inputs are skipped, as HashAggOp skips them. Groups
+/// are emitted through HashAggOp's emit path (AppendAggregates), so the
+/// output is HashAggOp's for the same specs (kComplete or kPartial) and the
+/// operator drops into plans as a replacement for Agg(Scan(...)).
+///
+/// With a semi-join, only the selected rows that match a build row are
+/// aggregated, probed as ColumnHashJoinOp probes (ProbeColumnJoin): the
+/// operator replaces Agg(ColumnHashJoinOp(kLeftSemi)) with the same
+/// runtime-filter and probe counts.
 class ColumnAggOp : public Operator {
  public:
-  /// Aggregates the rows of `range` only (an MPP task's slice).
+  /// Aggregates the rows of `range` only (an MPP task's slice), and with
+  /// `semi_join` only those whose keys it holds.
   ColumnAggOp(const ColumnIndex* index, Timestamp snapshot_ts,
               ExprPtr filter, std::vector<int> group_cols,
               std::vector<AggSpec> aggs, AggMode mode = AggMode::kComplete,
-              RowRange range = {});
+              RowRange range = {},
+              std::optional<ColumnJoinProbe> semi_join = std::nullopt);
 
   Status Open() override;
   Status Next(Batch* out) override;
@@ -224,6 +257,7 @@ class ColumnAggOp : public Operator {
   std::vector<AggSpec> aggs_;
   AggMode mode_;
   RowRange range_;
+  std::optional<ColumnJoinProbe> semi_join_;
   std::vector<Row> results_;
   size_t pos_ = 0;
 };
@@ -256,9 +290,7 @@ class ColumnScanOp : public Operator {
 /// store's "built-in" hash join): the build child is consumed into a
 /// JoinHashTable, and the probe side runs over the index's selection vector
 /// — visibility + pushed-down filter + (for inner/semi joins) the build
-/// side's own runtime filter. Probe keys are encoded a column at a time
-/// into the build table's key format (ColumnIndex::EncodeKeys): the
-/// filter tests the hash the lookup uses, and a key id names exactly its
+/// side's own runtime filter (ProbeColumnJoin). A key id names exactly its
 /// matching build rows. Survivors materialize in batches, projected
 /// columns only.
 /// Output layout matches HashJoinOp: projected probe columns, then build
@@ -288,12 +320,9 @@ class ColumnHashJoinOp : public Operator {
   Timestamp snapshot_ts_;
   ExprPtr probe_filter_;
   std::vector<int> projection_;
-  std::vector<int> probe_key_cols_;  // probe keys as index column positions
-  JoinBuild build_;
-  std::vector<int> build_keys_;
   JoinType type_;
-  bool use_runtime_filter_;
   RowRange range_;
+  ColumnJoinProbe join_;  // probe keys as index column positions
   std::vector<uint32_t> selection_;
   std::vector<uint32_t> matches_;  // first matching build row per selected row
   size_t pos_ = 0;

@@ -744,8 +744,8 @@ void PaxosMember::StepDown(uint64_t new_epoch) {
   }
   if (was_leader) {
     // §III old-leader cleanup: entries beyond DLSN may not exist on the new
-    // leader; discard them (the buffer-pool dirty pages are discarded by
-    // the DN wrapper via the same truncation point).
+    // leader; discard them (the DN discards its buffer pool's dirty pages
+    // past the same point from an OnTruncate callback).
     log_->TruncateTo(std::max(dlsn_, log_->purged_before()));
     TrimSpans(log_->current_lsn());
     POLARX_INFO("node " << node_ << " deposed; truncated to dlsn " << dlsn_);

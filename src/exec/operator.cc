@@ -27,6 +27,30 @@ void FoldExtreme(AggOp op, const Value& v, Value* slot) {
 
 }  // namespace
 
+void FoldAggInput(AggOp op, const Value& v, AggAcc* acc, Value* extreme) {
+  switch (op) {
+    case AggOp::kCount:
+      acc->count += !IsNull(v);
+      break;
+    case AggOp::kSum:
+    case AggOp::kAvg:
+      // Numbers only: NULLs and strings are skipped.
+      if (const auto* d = std::get_if<double>(&v)) {
+        acc->sum += *d;
+      } else if (const auto* n = std::get_if<int64_t>(&v)) {
+        acc->sum += double(*n);
+      } else {
+        break;
+      }
+      ++acc->count;
+      break;
+    case AggOp::kMin:
+    case AggOp::kMax:
+      FoldExtreme(op, v, extreme);
+      break;
+  }
+}
+
 Result<std::vector<Row>> Collect(Operator* op) {
   POLARX_RETURN_NOT_OK(op->Open());
   std::vector<Row> rows;
@@ -407,6 +431,7 @@ size_t HashAggOp::GroupOf(const Row& row, const std::vector<int>& cols) {
 
 void HashAggOp::Fold(const Row& row, size_t g) {
   AggAcc* accs = accs_.data() + g * aggs_.size();
+  Value* extremes = extremes_.data() + g * num_extremes_;
   Value computed;
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggSpec& spec = aggs_[i];
@@ -420,28 +445,7 @@ void HashAggOp::Fold(const Row& row, size_t g) {
     } else {
       computed = spec.expr->Eval(row);
     }
-    switch (spec.op) {
-      case AggOp::kCount:
-        accs[i].count += !IsNull(*v);
-        break;
-      case AggOp::kSum:
-      case AggOp::kAvg:
-        // Numbers only: NULLs and strings are skipped.
-        if (const auto* d = std::get_if<double>(v)) {
-          accs[i].sum += *d;
-        } else if (const auto* n = std::get_if<int64_t>(v)) {
-          accs[i].sum += double(*n);
-        } else {
-          break;
-        }
-        ++accs[i].count;
-        break;
-      case AggOp::kMin:
-      case AggOp::kMax:
-        FoldExtreme(spec.op, *v,
-                    &extremes_[g * num_extremes_ + extreme_of_[i]]);
-        break;
-    }
+    FoldAggInput(spec.op, *v, &accs[i], extremes + extreme_of_[i]);
   }
 }
 

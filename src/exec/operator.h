@@ -261,6 +261,14 @@ struct AggAcc {
   int64_t count = 0;
 };
 
+/// Folds input `v` of one aggregate `op` into its group's state: COUNT
+/// counts non-NULL inputs, SUM/AVG add numbers (NULLs and strings are
+/// skipped), MIN/MAX keep in `*extreme` the least/greatest non-NULL input
+/// under CompareValues, the first of equal ones (`extreme` is read for
+/// min/max only). HashAggOp folds every input through this, and ColumnAggOp
+/// every input whose type it does not fold into typed slots.
+void FoldAggInput(AggOp op, const Value& v, AggAcc* acc, Value* extreme);
+
 /// Appends one group's aggregate columns to `out`, one per aggregate of
 /// `aggs` (two, sum and count, for avg in kPartial mode): each from its
 /// entry of `accs`, or, for min/max, moved from the next of `extremes`.

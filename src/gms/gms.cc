@@ -14,11 +14,10 @@ Result<NodeId> Gms::DnEndpoint(uint32_t dn) const {
   return it->second;
 }
 
-uint32_t Gms::RegisterCoordinator(DcId dc, uint64_t now_us) {
+uint32_t Gms::RegisterCoordinator(uint64_t now_us) {
   std::lock_guard<std::mutex> lock(mu_);
   CoordinatorInfo info;
   info.id = next_coordinator_++;
-  info.dc = dc;
   info.last_heartbeat_us = now_us;
   coordinators_[info.id] = info;
   return info.id;

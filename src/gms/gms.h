@@ -37,7 +37,6 @@ std::vector<MigrationStep> PlanRebalance(
 /// coordinator will never finish its transactions".
 struct CoordinatorInfo {
   uint32_t id = 0;
-  DcId dc = 0;
   uint64_t last_heartbeat_us = 0;
   bool unregistered = false;  // clean shutdown / superseded incarnation
 };
@@ -57,7 +56,7 @@ class Gms {
   // ---- coordinator (CN) leases ----
 
   /// Registers a coordinator incarnation; returns its id (starts at 1).
-  uint32_t RegisterCoordinator(DcId dc, uint64_t now_us);
+  uint32_t RegisterCoordinator(uint64_t now_us);
   /// Renews a coordinator's lease. Unknown/unregistered ids are ignored.
   void CoordinatorHeartbeat(uint32_t id, uint64_t now_us);
   /// Clean shutdown (or supersession by a restart's new incarnation).

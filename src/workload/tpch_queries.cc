@@ -41,6 +41,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <optional>
 
 #include "src/optimizer/cost.h"
 #include "src/workload/tpch.h"
@@ -82,6 +83,17 @@ SharedExchange NewExchange(TpchPlan* plan, std::vector<int> keys) {
   return std::make_shared<Exchange>(std::move(keys));
 }
 
+/// A semi-join restricting a scan to the rows whose `probe_keys`
+/// (full-schema ids of the scanned table) equal some build row's
+/// `build_keys`; the estimates are ScanJoin's.
+struct SemiJoin {
+  JoinBuild build;
+  std::vector<int> probe_keys;
+  std::vector<int> build_keys;
+  double build_rows_est;
+  double build_base_rows;
+};
+
 /// Shared plan-construction context.
 struct QB {
   const TpchDb* db;
@@ -122,23 +134,38 @@ struct QB {
   }
 
   /// Aggregation over a filtered scan of one table (groups/agg exprs in
-  /// full-schema column ids). When the column index serves the scan, the
-  /// first aggregation phase is pushed into it (ColumnAggOp, §VI-E).
+  /// full-schema column ids), optionally restricted by a semi-join. When
+  /// the column index serves the scan, the first aggregation phase, and
+  /// the semi-join's probe, are pushed into it (ColumnAggOp, §VI-E).
   OperatorPtr AggScan(Table t, const ScanOptions& o, ExprPtr filter,
-                      std::vector<int> group_cols,
-                      std::vector<AggSpec> aggs, AggMode mode) const {
+                      std::vector<int> group_cols, std::vector<AggSpec> aggs,
+                      AggMode mode,
+                      std::optional<SemiJoin> semi = std::nullopt) const {
     if (o.use_column_index && db->column_index(t) != nullptr) {
+      std::optional<ColumnJoinProbe> probe;
+      if (semi) {
+        const bool attach =
+            AttachRuntimeFilter(t, o, semi->build, JoinType::kLeftSemi,
+                                semi->build_rows_est, semi->build_base_rows);
+        probe = ColumnJoinProbe{std::move(semi->build),
+                                std::move(semi->probe_keys),
+                                std::move(semi->build_keys), attach};
+      }
       return std::make_unique<ColumnAggOp>(
           db->column_index(t), snap, std::move(filter),
           std::move(group_cols), std::move(aggs), mode,
-          Slice(t, o, /*partition=*/true));
+          Slice(t, o, /*partition=*/true), std::move(probe));
     }
-    // The row scan copies only the columns up to the last one the groups
-    // and aggregates read, so their full-schema ids stay valid without
-    // copying the wide trailing columns (o_comment, ...).
+    // The row scan copies only the columns up to the last one the groups,
+    // aggregates and semi-join read, so their full-schema ids stay valid
+    // without copying the wide trailing columns (o_comment, ...).
     std::vector<int> used = group_cols;
     for (const AggSpec& a : aggs) {
       if (a.expr != nullptr) a.expr->CollectColumns(&used);
+    }
+    if (semi) {
+      used.insert(used.end(), semi->probe_keys.begin(),
+                  semi->probe_keys.end());
     }
     int width = 1;
     for (int c : used) width = std::max(width, c + 1);
@@ -146,11 +173,36 @@ struct QB {
     std::iota(proj.begin(), proj.end(), 0);
     std::vector<ExprPtr> group_exprs;
     for (int c : group_cols) group_exprs.push_back(Expr::Col(c));
-    auto scan =
-        Scan(t, o, /*partition=*/true, std::move(filter), std::move(proj));
+    OperatorPtr scan =
+        semi ? ScanJoin(t, o, std::move(filter), std::move(proj),
+                        std::move(semi->probe_keys), std::move(semi->build),
+                        std::move(semi->build_keys), JoinType::kLeftSemi,
+                        semi->build_rows_est, semi->build_base_rows)
+             : Scan(t, o, /*partition=*/true, std::move(filter),
+                    std::move(proj));
     return std::make_unique<HashAggOp>(std::move(scan),
                                        std::move(group_exprs),
                                        std::move(aggs), mode);
+  }
+
+  /// Whether a join of the partitioned scan of `t` with `build` gets the
+  /// build side's runtime filter: an inner or semi join the cost model
+  /// approves (ShouldAttachRuntimeFilter on the build estimates vs the
+  /// probe table size). Both sides are taken at the scope the join has: a
+  /// shared build (one slice per task) holds the whole build side and
+  /// meets every task's probe, so the whole probe table; a private build
+  /// here comes from PartitionBuild, which is partition-wise for every
+  /// TPC-H join, so it meets the task's share of the probe.
+  bool AttachRuntimeFilter(Table t, const ScanOptions& o,
+                           const JoinBuild& build, JoinType type,
+                           double build_rows_est,
+                           double build_base_rows) const {
+    const double share = build.num_slices > 1 ? 1.0 : 1.0 / o.num_tasks;
+    return o.runtime_filters &&
+           (type == JoinType::kInner || type == JoinType::kLeftSemi) &&
+           PlanCostModel().ShouldAttachRuntimeFilter(
+               build_rows_est * share, build_base_rows * share,
+               double(db->row_count(t)) * share);
   }
 
   /// Hash join whose probe side is a partitioned scan of `t` — the
@@ -159,11 +211,10 @@ struct QB {
   ///  - column-native join: with a column index available, the probe runs
   ///    as ColumnHashJoinOp over the task's slice of the index's selection
   ///    vector (a left outer join probes a ColumnScanOp through HashJoinOp);
-  ///  - runtime filter: when the cost model approves
-  ///    (ShouldAttachRuntimeFilter on the build estimates vs the probe
-  ///    table size), the join's build side is published as a bloom+bounds
-  ///    filter into the probe: ColumnHashJoinOp applies it to its selection
-  ///    vector, a row-store scan gets it through a shared RuntimeFilterSlot.
+  ///  - runtime filter (AttachRuntimeFilter): the join's build side is
+  ///    published as a bloom+bounds filter into the probe: ColumnHashJoinOp
+  ///    applies it to its selection vector, a row-store scan gets it
+  ///    through a shared RuntimeFilterSlot.
   /// `probe_keys` index the projected scan output; `build_rows_est` is the
   /// whole build side's estimated cardinality after its own filters and
   /// `build_base_rows` its base-table row count (0 when unknown).
@@ -172,19 +223,8 @@ struct QB {
                        JoinBuild build, std::vector<int> build_keys,
                        JoinType type, double build_rows_est,
                        double build_base_rows) const {
-    // Both sides at the scope the join has: a shared build (one slice per
-    // task) holds the whole build side and meets every task's probe, so
-    // the whole probe table; a private build here comes from
-    // PartitionBuild, which is partition-wise for every TPC-H join, so it
-    // meets the task's share of the probe.
-    const double share = build.num_slices > 1 ? 1.0 : 1.0 / o.num_tasks;
-    build_rows_est *= share;
-    const bool attach =
-        o.runtime_filters &&
-        (type == JoinType::kInner || type == JoinType::kLeftSemi) &&
-        PlanCostModel().ShouldAttachRuntimeFilter(
-            build_rows_est, build_base_rows * share,
-            double(db->row_count(t)) * share);
+    const bool attach = AttachRuntimeFilter(t, o, build, type,
+                                            build_rows_est, build_base_rows);
     if (o.use_column_index && db->column_index(t) != nullptr &&
         type != JoinType::kLeftOuter) {
       return std::make_unique<ColumnHashJoinOp>(
@@ -1350,36 +1390,33 @@ TpchPlan Q21(const QB& qb) {
   auto [saudi_b, supp_b] = NewSharedBuilds(&plan, {kNation, kSupplier});
   plan.fragment = [qb, saudi_b, supp_b](const ScanOptions& o) {
     // Only F-order lineitems can reach the result, so the task's lineitems
-    // semi-join its F orders, partition-wise; the column path runs this as
-    // a vectorized ColumnHashJoinOp with the F-orders bloom filter pruning
-    // the probe selection, the row path as HashJoinOp with the same filter
-    // pushed into the scan. ~48% of lineitems are pruned.
+    // semi-join its F orders, partition-wise, with the F-orders runtime
+    // filter pruning the probe (~48% of lineitems). lineitem is
+    // partitioned on l_orderkey, so the task holds whole orders, and one
+    // grouping pass by order with min/max only replaces the (ok, sk)
+    // dedup + per-order two-agg cascade: >1 distinct supplier ⇔
+    // min(sk) != max(sk); exactly one distinct late supplier ⇔
+    // min(late_sk) == max(late_sk) and non-NULL, and that unique value IS
+    // the waiting supplier's key. The column path runs semi-join, CASE and
+    // min/max inside the index (ColumnAggOp), the row path as HashAggOp
+    // over the semi-join.
     auto orders_f = qb.PartitionScanBuild(
         o, kLineItem, col::l_orderkey, kOrders, col::o_orderkey,
         E::ColCmp(CmpOp::kEq, col::o_orderstatus, S("F")), {col::o_orderkey});
-    auto semi = qb.ScanJoin(
-        kLineItem, o, nullptr,
-        {col::l_orderkey, col::l_suppkey, col::l_commitdate,
-         col::l_receiptdate},
-        {0}, std::move(orders_f), {0}, JoinType::kLeftSemi,
-        double(qb.db->row_count(kOrders)) * 0.49,
-        double(qb.db->row_count(kOrders)));
-    // projected positions: commit=2, receipt=3
-    auto late = E::Cmp(CmpOp::kGt, E::Col(3), E::Col(2));
-    auto lines = Project(std::move(semi),
-                         {E::Col(0), E::Col(1),
-                          E::Case(late, E::Col(1), E::Lit(Value{}))});
-    // lineitem is partitioned on l_orderkey, so the task holds whole
-    // orders, and one grouping pass by order with min/max only replaces the
-    // (ok, sk) dedup + per-order two-agg cascade: >1 distinct supplier ⇔
-    // min(sk) != max(sk); exactly one distinct late supplier ⇔
-    // min(late_sk) == max(late_sk) and non-NULL, and that unique value IS
-    // the waiting supplier's key.
-    auto stats = Agg(std::move(lines), {E::Col(0)},
-                     {{AggOp::kMin, E::Col(1)},
-                      {AggOp::kMax, E::Col(1)},
-                      {AggOp::kMin, E::Col(2)},
-                      {AggOp::kMax, E::Col(2)}});
+    auto sk = E::Col(col::l_suppkey);
+    auto late = E::Case(E::Cmp(CmpOp::kGt, E::Col(col::l_receiptdate),
+                               E::Col(col::l_commitdate)),
+                        sk, E::Lit(Value{}));
+    auto stats = qb.AggScan(
+        kLineItem, o, nullptr, {col::l_orderkey},
+        {{AggOp::kMin, sk},
+         {AggOp::kMax, sk},
+         {AggOp::kMin, late},
+         {AggOp::kMax, late}},
+        AggMode::kComplete,
+        SemiJoin{std::move(orders_f), {col::l_orderkey}, {0},
+                 double(qb.db->row_count(kOrders)) * 0.49,
+                 double(qb.db->row_count(kOrders))});
     // stats: ok0 minsk1 maxsk2 latemin3 latemax4. Orders with no late
     // supplier have NULL latemin; NULL comparisons yield NULL (false), so
     // the kEq clause drops them without an explicit IS NOT NULL.

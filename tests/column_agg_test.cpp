@@ -6,11 +6,13 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <set>
 #include <thread>
 
 #include "src/colindex/column_index.h"
 #include "src/common/rng.h"
+#include "src/exec/runtime_filter.h"
 #include "src/storage/key_codec.h"
 
 namespace polarx {
@@ -101,15 +103,6 @@ TEST(ColumnAggTest, GlobalAggOnEmptySelectionYieldsZeroRow) {
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 1u);
   EXPECT_EQ(std::get<int64_t>((*rows)[0][0]), 0);
-}
-
-TEST(ColumnAggTest, MinMaxRejectedExplicitly) {
-  Rng rng(9);
-  auto idx_ptr = MakeIndex(10, &rng);
-  ColumnIndex& idx = *idx_ptr;
-  ColumnAggOp agg(&idx, 100, nullptr, {}, {{AggOp::kMin, Expr::Col(2)}});
-  Batch batch;
-  EXPECT_FALSE(agg.Open().ok());
 }
 
 TEST(ColumnAggTest, CaseExpressionVectorizes) {
@@ -280,42 +273,188 @@ TEST(ColumnAggTest, GroupsMatchHashAggAndComeInFirstSeenOrder) {
   EXPECT_TRUE(IsNull((*one)[0][1]));
 }
 
-TEST(EvalNumericVectorTest, ArithmeticTree) {
-  Rng rng(17);
-  auto idx_ptr = MakeIndex(200, &rng);
-  ColumnIndex& idx = *idx_ptr;
-  std::vector<uint32_t> sel;
-  idx.BuildSelection(100, nullptr, &sel);
-  // (qty + 1) * price / 2
-  auto expr = Expr::Arith(
-      ArithOp::kDiv,
-      Expr::Arith(ArithOp::kMul,
-                  Expr::Arith(ArithOp::kAdd, Expr::Col(2), Expr::Lit(1.0)),
-                  Expr::Col(3)),
-      Expr::Lit(2.0));
-  std::vector<double> values;
-  ASSERT_TRUE(idx.EvalNumericVector(*expr, sel, &values));
-  ASSERT_EQ(values.size(), sel.size());
-  for (size_t i = 0; i < sel.size(); ++i) {
-    Row row = idx.MaterializeRow(sel[i]);
-    auto scalar = ValueAsDouble(expr->Eval(row));
-    ASSERT_TRUE(scalar.ok());
-    EXPECT_NEAR(values[i], *scalar, 1e-9) << "row " << i;
+/// Each row's key encoding, which tells -0.0 from 0.0 where == does not.
+std::vector<EncodedKey> Encoded(const std::vector<Row>& rows) {
+  std::vector<EncodedKey> keys;
+  for (const Row& row : rows) keys.push_back(EncodeKey(row));
+  return keys;
+}
+
+/// ColumnAggOp's rows, and HashAggOp's over a ColumnScanOp of the same
+/// selection, for `aggs` grouped by `cols`.
+std::pair<std::vector<Row>, std::vector<Row>> BothAggregates(
+    const ColumnIndex& idx, const ExprPtr& filter, const std::vector<int>& cols,
+    const std::vector<AggSpec>& aggs, AggMode mode = AggMode::kComplete) {
+  ColumnAggOp pushed(&idx, 100, filter, cols, aggs, mode);
+  auto fast = Collect(&pushed);
+  EXPECT_TRUE(fast.ok()) << fast.status().ToString();
+  std::vector<ExprPtr> group_by;
+  for (int c : cols) group_by.push_back(Expr::Col(c));
+  HashAggOp reference(std::make_unique<ColumnScanOp>(&idx, 100, filter),
+                      std::move(group_by), aggs, mode);
+  auto slow = Collect(&reference);
+  EXPECT_TRUE(slow.ok()) << slow.status().ToString();
+  return {fast.ok() ? *fast : std::vector<Row>{},
+          slow.ok() ? *slow : std::vector<Row>{}};
+}
+
+// Min/max fold int64 and double inputs into typed slots and other inputs
+// into Values, and come out as HashAggOp's: the same values of the same
+// types, NULL for a group whose inputs are all NULL, the first of -0.0 and
+// 0.0. Both fold in selection order, so every cell is equal, sums too.
+TEST(ColumnAggTest, MinMaxMatchesHashAgg) {
+  Rng rng(43);
+  auto idx = MakeGroupIndex(3000, &rng);
+  auto late = Expr::Case(Expr::ColCmp(CmpOp::kGt, 6, 0.5), Expr::Col(3),
+                         Expr::Lit(Value{}));
+  auto product = Expr::Arith(ArithOp::kMul, Expr::Col(3), Expr::Col(4));
+  const std::vector<AggSpec> aggs = {
+      {AggOp::kMin, Expr::Col(3)},  // int64 with NULLs and 2^53 neighbours
+      {AggOp::kMax, Expr::Col(3)},
+      {AggOp::kMin, Expr::Col(2)},  // double with -0.0, 0.0 and NULLs
+      {AggOp::kMax, Expr::Col(2)},
+      {AggOp::kMin, Expr::Col(6)},
+      {AggOp::kMax, Expr::Col(6)},
+      {AggOp::kMin, late},  // CASE with a NULL branch, shared by min and max
+      {AggOp::kMax, late},
+      {AggOp::kMax, product},  // int64 arithmetic, max only
+      {AggOp::kMin, Expr::Arith(ArithOp::kAdd, Expr::Col(3),
+                                Expr::Col(4))},  // int64, min only
+      {AggOp::kMin, Expr::Arith(ArithOp::kMul, Expr::Col(6),
+                                Expr::Lit(2.0))},  // double, min only
+      {AggOp::kMin, Expr::Col(1)},  // strings: Value slots
+      {AggOp::kMax, Expr::Col(5)},
+      {AggOp::kMin, Expr::Substr(Expr::Col(1), 0, 1)},  // computed string
+      {AggOp::kSum, Expr::Contains(Expr::Col(5), "x")},  // no typed shape
+      {AggOp::kSum,  // (d + 1) * v / 2: every arithmetic operator
+       Expr::Arith(ArithOp::kDiv,
+                   Expr::Arith(ArithOp::kMul,
+                               Expr::Arith(ArithOp::kAdd, Expr::Col(2),
+                                           Expr::Lit(1.0)),
+                               Expr::Col(6)),
+                   Expr::Lit(2.0))},
+      {AggOp::kSum, Expr::Col(6)},
+      {AggOp::kCount, late},
+      {AggOp::kAvg, Expr::Col(6)},
+      {AggOp::kCount, nullptr}};
+  const auto filter = Expr::ColCmp(CmpOp::kNe, 4, int64_t{2});
+  // {4}: the late CASE is NULL throughout no group; {3}: the int64 NULL
+  // group's min/max of column 3 are NULL; {4, 3} and {}: more and fewer.
+  for (const std::vector<int>& cols : std::vector<std::vector<int>>{
+           {4}, {3}, {4, 3}, {}, {1, 2}}) {
+    for (AggMode mode : {AggMode::kComplete, AggMode::kPartial}) {
+      auto [fast, slow] = BothAggregates(*idx, filter, cols, aggs, mode);
+      ASSERT_FALSE(fast.empty());
+      EXPECT_EQ(fast, slow) << cols.size() << " columns";
+      EXPECT_EQ(Encoded(fast), Encoded(slow)) << cols.size() << " columns";
+    }
+  }
+
+  // A group whose inputs are all NULL: late is NULL unless column 6 > 0.5.
+  auto none_late = Expr::ColCmp(CmpOp::kLe, 6, 0.5);
+  auto [fast, slow] = BothAggregates(*idx, none_late, {4},
+                                     {{AggOp::kMin, late}, {AggOp::kMax, late},
+                                      {AggOp::kMin, Expr::Col(6)}});
+  ASSERT_EQ(fast.size(), 3u);  // j = 0, 1, 2
+  EXPECT_EQ(fast, slow);
+  for (const Row& row : fast) {
+    EXPECT_TRUE(IsNull(row[1]) && IsNull(row[2]));
+    EXPECT_TRUE(std::holds_alternative<double>(row[3]));
+  }
+
+  // kPartial over two slices, merged by HashAggOp's kFinal, is the
+  // complete aggregate: NULL partial extremes do not displace a value.
+  std::vector<Row> partials;
+  for (RowRange range : {RowRange{0, 1500}, RowRange{1500, RowRange::kToEnd}}) {
+    ColumnAggOp part(idx.get(), 100, filter, {4}, aggs, AggMode::kPartial,
+                     range);
+    auto rows = Collect(&part);
+    ASSERT_TRUE(rows.ok());
+    partials.insert(partials.end(), rows->begin(), rows->end());
+  }
+  HashAggOp merged(std::make_unique<ValuesOp>(partials),
+                   {Expr::Col(0)}, aggs, AggMode::kFinal);
+  auto final_rows = Collect(&merged);
+  ASSERT_TRUE(final_rows.ok());
+  auto [complete, unused] = BothAggregates(*idx, filter, {4}, aggs);
+  ASSERT_EQ(final_rows->size(), complete.size());
+  for (size_t g = 0; g < complete.size(); ++g) {
+    for (size_t c = 0; c < complete[g].size(); ++c) {
+      if (c >= 15 && c <= 19 && c != 18) {  // sums and avg: partials added
+        EXPECT_NEAR(std::get<double>((*final_rows)[g][c]),
+                    std::get<double>(complete[g][c]), 1e-9);
+      } else {
+        EXPECT_EQ((*final_rows)[g][c], complete[g][c]) << "col " << c;
+      }
+    }
   }
 }
 
-TEST(EvalNumericVectorTest, UnsupportedShapesFallBack) {
-  Rng rng(19);
-  auto idx_ptr = MakeIndex(10, &rng);
-  ColumnIndex& idx = *idx_ptr;
-  std::vector<uint32_t> sel;
-  idx.BuildSelection(100, nullptr, &sel);
-  std::vector<double> values;
-  // String column: not numeric-vectorizable.
-  EXPECT_FALSE(idx.EvalNumericVector(*Expr::Col(1), sel, &values));
-  // Contains: unsupported kind.
-  EXPECT_FALSE(idx.EvalNumericVector(
-      *Expr::Contains(Expr::Col(1), "A"), sel, &values));
+/// A semi-join build of `keys`, one single-column row each.
+JoinBuild KeyBuild(const std::vector<Row>& keys) {
+  return JoinBuild(std::make_unique<ValuesOp>(keys));
+}
+
+// ColumnAggOp's semi-join keeps the rows ColumnHashJoinOp(kLeftSemi) keeps,
+// in the same order, through the same probe: its aggregates equal
+// HashAggOp's over that join, and the runtime-filter and probe counters
+// are equal, with the filter on and off, for an int64 key (bounds + bloom)
+// and a string + int64 key (bloom only).
+TEST(ColumnAggTest, SemiJoinMatchesHashAggOverColumnHashJoin) {
+  Rng rng(47);
+  auto idx = MakeGroupIndex(4000, &rng);
+  std::vector<Row> ids;  // every third id, a duplicate, and ids no row has
+  for (int64_t id = 0; id < 6000; id += 3) ids.push_back({id});
+  ids.push_back({int64_t{3}});
+  std::vector<Row> pairs = {{std::string("A"), int64_t{0}},
+                            {std::string("B"), int64_t{2}},
+                            {std::string(""), int64_t{1}},
+                            {std::string("C"), int64_t{1}}};
+  struct Case {
+    std::vector<Row> build;
+    std::vector<int> probe_cols;
+  };
+  const std::vector<AggSpec> aggs = {
+      {AggOp::kMin, Expr::Col(3)}, {AggOp::kMax, Expr::Col(6)},
+      {AggOp::kSum, Expr::Col(6)}, {AggOp::kCount, nullptr},
+      {AggOp::kMin, Expr::Col(5)}};
+  const auto filter = Expr::ColCmp(CmpOp::kNe, 4, int64_t{1});
+  for (const Case& c : {Case{ids, {0}}, Case{pairs, {1, 4}}}) {
+    std::vector<int> build_keys(c.probe_cols.size());
+    std::iota(build_keys.begin(), build_keys.end(), 0);
+    for (bool rf : {true, false}) {
+      ResetRuntimeFilterStats();
+      ColumnAggOp pushed(idx.get(), 100, filter, {5, 4}, aggs,
+                         AggMode::kComplete, {},
+                         ColumnJoinProbe{KeyBuild(c.build), c.probe_cols,
+                                         build_keys, rf});
+      auto fast = Collect(&pushed);
+      ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+      const RuntimeFilterStats fast_stats = ReadRuntimeFilterStats();
+
+      ResetRuntimeFilterStats();
+      HashAggOp reference(
+          std::make_unique<ColumnHashJoinOp>(
+              idx.get(), 100, filter, std::vector<int>{}, c.probe_cols,
+              KeyBuild(c.build), build_keys, JoinType::kLeftSemi, rf),
+          {Expr::Col(5), Expr::Col(4)}, aggs);
+      auto slow = Collect(&reference);
+      ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+      const RuntimeFilterStats slow_stats = ReadRuntimeFilterStats();
+
+      ASSERT_FALSE(fast->empty());
+      EXPECT_EQ(*fast, *slow) << "rf " << rf;
+      EXPECT_EQ(fast_stats.scan_rows_tested, slow_stats.scan_rows_tested);
+      EXPECT_EQ(fast_stats.scan_rows_dropped, slow_stats.scan_rows_dropped);
+      EXPECT_EQ(fast_stats.join_probe_rows, slow_stats.join_probe_rows);
+      EXPECT_GT(fast_stats.join_probe_rows, 0u);
+      if (rf) {
+        EXPECT_GT(fast_stats.scan_rows_dropped, 0u);
+      } else {
+        EXPECT_EQ(fast_stats.scan_rows_tested, 0u);
+      }
+    }
+  }
 }
 
 // A live index takes commits while AP queries read it: ApplyCommit appends
@@ -326,12 +465,29 @@ TEST(ColumnAggTest, AggregatesWhileCommitsAppend) {
   Rng rng(23);
   auto idx = MakeIndex(1000, &rng);
   const auto filter = Expr::ColCmp(CmpOp::kLt, 2, 40.0);
+  auto cheap = Expr::Case(Expr::ColCmp(CmpOp::kLt, 3, 25.0), Expr::Col(0),
+                          Expr::Lit(Value{}));
   const std::vector<AggSpec> aggs = {
       {AggOp::kCount, nullptr},
-      {AggOp::kSum, Expr::Arith(ArithOp::kMul, Expr::Col(2), Expr::Col(3))}};
+      {AggOp::kSum, Expr::Arith(ArithOp::kMul, Expr::Col(2), Expr::Col(3))},
+      {AggOp::kMin, Expr::Col(0)},
+      {AggOp::kMax, Expr::Col(3)},
+      {AggOp::kMin, cheap},
+      {AggOp::kMax, cheap},
+      {AggOp::kMax, Expr::Col(1)}};
+  std::vector<Row> odd_ids;
+  for (int64_t id = 1; id < 1000; id += 2) odd_ids.push_back({id});
+  auto semi_join = [&] {
+    return ColumnJoinProbe{JoinBuild(std::make_unique<ValuesOp>(odd_ids)),
+                           {0}, {0}, true};
+  };
   ColumnAggOp first(idx.get(), 100, filter, {1}, aggs);
   auto want = Collect(&first);
   ASSERT_TRUE(want.ok());
+  ColumnAggOp first_semi(idx.get(), 100, filter, {1}, aggs,
+                         AggMode::kComplete, {}, semi_join());
+  auto want_semi = Collect(&first_semi);
+  ASSERT_TRUE(want_semi.ok());
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
@@ -350,6 +506,10 @@ TEST(ColumnAggTest, AggregatesWhileCommitsAppend) {
     ColumnAggOp agg(idx.get(), 100, filter, {1}, aggs);
     auto got = Collect(&agg);
     EXPECT_TRUE(got.ok() && *got == *want);
+    ColumnAggOp semi(idx.get(), 100, filter, {1}, aggs, AggMode::kComplete,
+                     {}, semi_join());
+    auto got_semi = Collect(&semi);
+    EXPECT_TRUE(got_semi.ok() && *got_semi == *want_semi);
     std::vector<uint32_t> sel;
     idx->BuildSelection(100, nullptr, &sel);
     std::vector<uint8_t> mask;

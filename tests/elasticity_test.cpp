@@ -141,8 +141,8 @@ TEST(PartitionTest, PartitionGroupsSpanGroupTables) {
 // exactly last_heartbeat + lease it is still live.
 TEST(GmsTest, CoordinatorExpiresOnlyOnceItsLeaseLapses) {
   Gms gms;
-  uint32_t a = gms.RegisterCoordinator(/*dc=*/0, /*now_us=*/1000);
-  uint32_t b = gms.RegisterCoordinator(/*dc=*/1, /*now_us=*/1200);
+  uint32_t a = gms.RegisterCoordinator(/*now_us=*/1000);
+  uint32_t b = gms.RegisterCoordinator(/*now_us=*/1200);
   EXPECT_EQ(a, 1u);
   EXPECT_EQ(b, 2u);
   EXPECT_TRUE(gms.ExpiredCoordinators(1000, 500).empty());
@@ -156,7 +156,7 @@ TEST(GmsTest, CoordinatorExpiresOnlyOnceItsLeaseLapses) {
 // backwards.
 TEST(GmsTest, HeartbeatRenewsLeaseAndNeverMovesItBack) {
   Gms gms;
-  uint32_t id = gms.RegisterCoordinator(0, 1000);
+  uint32_t id = gms.RegisterCoordinator(1000);
   gms.CoordinatorHeartbeat(id, 2000);
   EXPECT_TRUE(gms.ExpiredCoordinators(2500, 500).empty());
   gms.CoordinatorHeartbeat(id, 1100);  // delivered out of order
@@ -172,8 +172,8 @@ TEST(GmsTest, HeartbeatRenewsLeaseAndNeverMovesItBack) {
 // Heartbeats for ids GMS never issued are ignored.
 TEST(GmsTest, UnregisteredCoordinatorIsNeverReported) {
   Gms gms;
-  uint32_t gone = gms.RegisterCoordinator(0, 1000);
-  uint32_t live = gms.RegisterCoordinator(0, 1000);
+  uint32_t gone = gms.RegisterCoordinator(1000);
+  uint32_t live = gms.RegisterCoordinator(1000);
   gms.UnregisterCoordinator(gone);
   gms.CoordinatorHeartbeat(gone, 5000);
   gms.CoordinatorHeartbeat(/*id=*/99, 5000);

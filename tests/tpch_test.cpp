@@ -643,6 +643,84 @@ TEST_F(TpchExchangeFixture, Q9MatchesManualComputation) {
   }
 }
 
+// Q21 by brute force over the loaded rows, as its SQL reads: a lineitem l1
+// of an F order, received after its commit date, whose supplier is in
+// SAUDI ARABIA, counts for that supplier when another supplier also
+// shipped part of the order and no other supplier was late on it. By count
+// descending, then name; the top 100. The column path runs the semi-join,
+// CASE and min/max inside the column index, the row path as HashAggOp over
+// the semi-join, so only an oracle outside the plan builder checks both.
+TEST_F(TpchExchangeFixture, Q21MatchesManualComputation) {
+  std::set<int64_t> finished;
+  ForEachRow(kOrders, [&](const Row& r) {
+    if (std::get<std::string>(r[col::o_orderstatus]) == "F") {
+      finished.insert(std::get<int64_t>(r[col::o_orderkey]));
+    }
+  });
+  struct Line {
+    int64_t sk;
+    bool late;
+  };
+  std::map<int64_t, std::vector<Line>> lines;  // by order
+  ForEachRow(kLineItem, [&](const Row& r) {
+    const int64_t ok = std::get<int64_t>(r[col::l_orderkey]);
+    if (!finished.contains(ok)) return;
+    lines[ok].push_back({std::get<int64_t>(r[col::l_suppkey]),
+                         std::get<int64_t>(r[col::l_receiptdate]) >
+                             std::get<int64_t>(r[col::l_commitdate])});
+  });
+  int64_t saudi = -1;
+  ForEachRow(kNation, [&](const Row& r) {
+    if (std::get<std::string>(r[col::n_name]) == "SAUDI ARABIA") {
+      saudi = std::get<int64_t>(r[col::n_nationkey]);
+    }
+  });
+  std::map<int64_t, std::string> saudi_name;
+  ForEachRow(kSupplier, [&](const Row& r) {
+    if (std::get<int64_t>(r[col::s_nationkey]) == saudi) {
+      saudi_name[std::get<int64_t>(r[col::s_suppkey])] =
+          std::get<std::string>(r[col::s_name]);
+    }
+  });
+  std::map<std::string, int64_t> numwait;
+  for (const auto& [ok, order] : lines) {
+    for (const Line& l1 : order) {
+      auto name = saudi_name.find(l1.sk);
+      if (!l1.late || name == saudi_name.end()) continue;
+      bool other = false, other_late = false;
+      for (const Line& l : order) {
+        other |= l.sk != l1.sk;
+        other_late |= l.sk != l1.sk && l.late;
+      }
+      if (other && !other_late) ++numwait[name->second];
+    }
+  }
+  // out: s_name0 numwait1
+  std::vector<Row> want;
+  for (const auto& [name, n] : numwait) want.push_back({name, n});
+  std::stable_sort(want.begin(), want.end(), [](const Row& a, const Row& b) {
+    return std::get<int64_t>(a[1]) > std::get<int64_t>(b[1]);
+  });
+  if (want.size() > 100) want.resize(100);
+  ASSERT_FALSE(want.empty());
+
+  ScanOptions row, col;
+  col.use_column_index = true;
+  auto single_row = RunQuerySingleNode(21, *db_, db_->load_ts(), row);
+  ASSERT_TRUE(single_row.ok()) << single_row.status().ToString();
+  ExpectSameRows(*single_row, want, "Q21 single-node row");
+  auto single_col = RunQuerySingleNode(21, *db_, db_->load_ts(), col);
+  ASSERT_TRUE(single_col.ok()) << single_col.status().ToString();
+  ExpectSameRows(*single_col, want, "Q21 single-node column");
+  ThreadPool pool(4);
+  for (int tasks : {3, 4, 7}) {
+    auto mpp = RunQueryMpp(21, *db_, db_->load_ts(), tasks, &pool, col);
+    ASSERT_TRUE(mpp.ok()) << mpp.status().ToString();
+    ExpectSameRows(*mpp, want,
+                   "Q21 MPP+column, " + std::to_string(tasks) + " tasks");
+  }
+}
+
 // Q20's forest-part semi-join runs below its aggregation: with filters on,
 // the forest bloom filter prunes the 1994 lineitems at the scan, single-node
 // and MPP, without changing the result. A plan that aggregates first could

@@ -246,6 +246,60 @@ INSTANTIATE_TEST_SUITE_P(Schemes, SimClusterSchemeTest,
                                                                  : "TsoSi";
                          });
 
+// §III old-leader cleanup in the cluster: when the serving DN member
+// truncates its log (on restarting after a crash), or another member is
+// promoted in its place (after it crashed), the DN's buffer pool evicts the
+// pages dirtied by its unacknowledged records, unflushed, and keeps the
+// pages of committed writes.
+class LeaderCleanupTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LeaderCleanupTest, DiscardsPagesOfUnacknowledgedRecords) {
+  const bool failover = GetParam();
+  SimFixture f(TsScheme::kHlcSi);
+  f.RunClosedLoop(SysbenchMode::kWriteOnly, 2, 5);
+  // Let the commits' trailing records (2PC decisions) become durable too.
+  f.sched.RunUntil(f.sched.Now() + 100'000);
+  const BufferPool& pool = *f.cluster->dn_pool(0);
+  const size_t committed_pages = pool.dirty_pages();
+  const uint64_t evictions = pool.evictions();
+  ASSERT_GT(committed_pages, 0u);
+
+  // A write the serving engine logged and nobody committed: its record
+  // lies past DLSN and was never flushed. The last key of DN 0 lands on a
+  // page no committed write dirtied.
+  int64_t key = 2000;
+  while (f.cluster->DnOfKey(key) != 0) --key;
+  TxnEngine* engine = f.cluster->dn_engine(0);
+  Rng rng(3);
+  const TxnId txn = engine->Begin();
+  ASSERT_TRUE(engine->Update(txn, 1, Sysbench::MakeRow(key, &rng)).ok());
+  ASSERT_EQ(pool.dirty_pages(), committed_pages + 1);
+
+  const NodeId leader = f.cluster->dn_serving_node(0);
+  f.net.SetNodeUp(leader, false);
+  f.cluster->HandleNodeCrash(leader);
+  if (failover) {
+    // Another member wins the election and is promoted.
+    for (int i = 0; i < 100 && f.cluster->dn_serving_node(0) == leader; ++i) {
+      f.sched.RunUntil(f.sched.Now() + 100'000);
+    }
+    ASSERT_NE(f.cluster->dn_serving_node(0), leader);
+  } else {
+    // It restarts before any failover and recovers its flushed log,
+    // cutting the unflushed record.
+    f.net.SetNodeUp(leader, true);
+    f.cluster->HandleNodeRestart(leader);
+    EXPECT_EQ(f.cluster->dn_serving_node(0), leader);
+  }
+  EXPECT_EQ(pool.dirty_pages(), committed_pages);
+  EXPECT_EQ(pool.evictions(), evictions + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(SimCluster, LeaderCleanupTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Failover" : "Restart";
+                         });
+
 TEST(SimClusterTest, TsoModeCallsTsoTwicePerWriteTxn) {
   SimFixture f(TsScheme::kTsoSi);
   f.RunClosedLoop(SysbenchMode::kWriteOnly, 3, 10);
