@@ -4,8 +4,9 @@
 # (one representative schedule per suite keeps the ASan pass fast while
 # still exercising every fault path; the full 50-seed sweeps run in the
 # regular build above), then a ThreadSanitizer build running the suites
-# whose code shares state between real threads. Between the regular build
-# and ASan, the E4 bench's work counters must equal its committed JSON.
+# whose code shares state between real threads, then the committed mutants
+# (scripts/mutants.sh). Between the regular build and ASan, the E4 bench's
+# work counters must equal its committed JSON.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]   (default: build)
 set -euo pipefail
@@ -184,5 +185,11 @@ echo "==> tsan: executor, MPP, column index and HTAP routing"
 ctest --test-dir "${PREFIX}-tsan" \
   -R '^(exec_test|tpch_test|colindex_test|column_agg_test|htap_router_test)$' \
   --output-on-failure
+
+echo "==> mutants: every committed mutant is caught (${PREFIX}-mutants)"
+# Outside tier-1, because it rebuilds once per mutant: each
+# tests/mutants/*.patch breaks the code on purpose, and every test its
+# header names must fail against it.
+scripts/mutants.sh "${PREFIX}"
 
 echo "==> ci.sh: all green"

@@ -82,9 +82,9 @@ SimCluster::SimCluster(sim::Scheduler* sched, sim::Network* net,
     dn->gc = dn->gc_drivers.at(leader_node).get();
     DnNode* raw = dn.get();
     // §III old-leader cleanup: the serving engine logs into its member's
-    // log and marks each page dirty at its MTR's start LSN, so when that
+    // log and marks each page dirty up to its MTR's end LSN, so when that
     // member truncates (deposition, crash recovery, log repair), the pages
-    // dirtied by records at or past the new end are evicted unflushed:
+    // dirtied by records ending past the new end are evicted unflushed:
     // those records may never commit, and their LSNs may be refilled by
     // another leader. Truncation points are MTR boundaries. Callbacks are
     // permanent, so every member's fires, but only the serving one's
@@ -92,7 +92,7 @@ SimCluster::SimCluster(sim::Scheduler* sched, sim::Network* net,
     for (auto& m : dn->paxos->members()) {
       PaxosMember* member = m.get();
       member->OnTruncate([raw, member](Lsn new_end) {
-        if (raw->leader == member) raw->pool->DiscardDirtyAfter(new_end - 1);
+        if (raw->leader == member) raw->pool->DiscardDirtyAfter(new_end);
       });
     }
     // Commit-path durability flows engine -> group-commit driver: every
@@ -118,9 +118,7 @@ SimCluster::SimCluster(sim::Scheduler* sched, sim::Network* net,
   // keep their event sequences.
   sched_->ScheduleAfter(config_.cn_heartbeat_us, [this] { HeartbeatTick(); });
   sched_->ScheduleAfter(config_.failover_poll_us, [this] { FailoverTick(); });
-  if (config_.enable_recovery) {
-    sched_->ScheduleAfter(config_.recovery_poll_us, [this] { RecoveryTick(); });
-  }
+  sched_->ScheduleAfter(config_.recovery_poll_us, [this] { RecoveryTick(); });
 }
 
 SimCluster::~SimCluster() = default;
@@ -213,7 +211,7 @@ void SimCluster::CnRpc(int cn_index, uint64_t incarnation,
       call->completed = true;
       return;  // the CN died; nobody is waiting for this reply
     }
-    bool retry = !reply.status.ok() && config_.enable_retry &&
+    bool retry = !reply.status.ok() &&
                  call->retry.ShouldRetry(reply.status, sched_->Now());
     if (!retry) {
       call->completed = true;
@@ -312,10 +310,6 @@ void SimCluster::RequestTsoTimestamp(int cn_index, uint64_t incarnation,
 
 void SimCluster::ReplyWhenDurable(DnNode* dn, ParticipantReply ok,
                                   ReplyFn reply) {
-  if (!config_.wait_commit_durability) {
-    reply(std::move(ok));  // guard mode: ack before durability (unsafe)
-    return;
-  }
   // The engine already routed this MTR into the group-commit driver via
   // its durability hook; here we only park the reply on the majority
   // watermark. The callback fires on DLSN advance, or fails if a leader
@@ -449,7 +443,7 @@ void SimCluster::CallDn(int cn_index, uint64_t incarnation, int dn_index,
       cn_index, incarnation, [this, dn_index] { return DnEndpoint(dn_index); },
       req_bytes, resp_bytes, /*resolve_via_gms=*/true, handler,
       [this, cn_index, incarnation, dn_index, p](ParticipantReply r) {
-        if (!config_.enable_retry || !MustRedrive(p->call, r.status)) {
+        if (!MustRedrive(p->call, r.status)) {
           p->done(std::move(r));
           return;
         }
@@ -683,7 +677,7 @@ void SimCluster::Promote(int dn_index, PaxosMember* member) {
   // The same cleanup for a serving member that went down instead of
   // stepping down (it truncates only when it restarts, no longer
   // serving): its records past its DLSN were never acknowledged.
-  dn->pool->DiscardDirtyAfter(dn->leader->dlsn() - 1);
+  dn->pool->DiscardDirtyAfter(dn->leader->dlsn());
   dn->serving_node = member->node();
   dn->serving_epoch = member->epoch();
   dn->leader = member;

@@ -89,16 +89,6 @@ struct SimClusterConfig {
   sim::SimTime recovery_poll_us = 50 * 1000;
   /// How often the failover monitor checks DN leaders.
   sim::SimTime failover_poll_us = 10 * 1000;
-  /// Guard-test switches: with retries off, RPC failures are terminal; with
-  /// recovery off, dead coordinators' prepared branches stay in doubt.
-  bool enable_retry = true;
-  bool enable_recovery = true;
-  /// Guard-test switch: when false, DN commit-path handlers reply as soon
-  /// as the engine op lands in the leader's log, WITHOUT waiting for the
-  /// group's durability watermark. Unsafe by construction — the
-  /// group-commit chaos guard test uses it to show acked commits can
-  /// vanish in a crash when the durability wait is skipped.
-  bool wait_commit_durability = true;
   /// Test hook fired at 2PC step boundaries of write transactions (see
   /// CommitStep). Chaos tests use it to crash the coordinator at exactly
   /// each boundary.
@@ -308,8 +298,8 @@ class SimCluster {
   /// One participant call from CN `cn_index` to DN `dn_index`: a CnRpc
   /// whose handler checks the serving leader on arrival, then ServeOnDn
   /// after the dn_op_us service time. A coordinator call after the commit
-  /// point is re-driven every 4 rpc timeouts until it lands (with retries
-  /// enabled); otherwise the final failure is handed back.
+  /// point is re-driven every 4 rpc timeouts until it lands; any other
+  /// call's final failure is handed back.
   void CallDn(int cn_index, uint64_t incarnation, int dn_index,
               ParticipantCall call, ReplyFn done);
   /// Serves `p`'s call on DN `dn_index` if `to` still serves it: runs
@@ -325,8 +315,7 @@ class SimCluster {
   /// freshly created CN (ctor / restart).
   void InstallTsoCoalescer(int cn_index);
   /// Parks `reply` until every byte currently in the DN's serving log is
-  /// majority-durable (the asynchronous-commit wait), or replies
-  /// immediately when `wait_commit_durability` is off (guard mode).
+  /// majority-durable (the asynchronous-commit wait).
   void ReplyWhenDurable(DnNode* dn, ParticipantReply ok, ReplyFn reply);
 
   /// Runs the transaction's next statement on its DN, or ends the

@@ -104,6 +104,8 @@ PaxosMember::PaxosMember(PaxosGroup* group, NodeId node, PaxosRole role,
   last_heard_ = group_->scheduler()->Now();
 }
 
+const PaxosConfig& PaxosMember::config() const { return group_->config(); }
+
 void PaxosMember::BecomeLeader() {
   role_ = PaxosRole::kLeader;
   if (epoch_ == 0) epoch_ = 1;
@@ -953,9 +955,9 @@ void GroupCommitDriver::StartFlush() {
   if (group > 1) ++grouped_flushes_;
   max_group_ = std::max(max_group_, group);
   uint64_t gen = truncation_gen_;
-  scheduler_->ScheduleAfter(cfg_.flush_latency_us, [this, target, gen] {
-    FinishFlush(target, gen);
-  });
+  scheduler_->ScheduleAfter(
+      member_->config().flush_latency_us,
+      [this, target, gen] { FinishFlush(target, gen); });
 }
 
 void GroupCommitDriver::FinishFlush(Lsn target, uint64_t gen) {

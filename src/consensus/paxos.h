@@ -57,7 +57,8 @@ struct PaxosConfig {
   /// Max frames in flight per follower; 1 is stop-and-wait, each frame
   /// waiting for the previous frame's ack (A2 ablation).
   size_t max_inflight = 64;
-  /// Simulated local PolarFS append latency for persisting received log.
+  /// Simulated local PolarFS append latency for persisting log, on the
+  /// leader (one per group-commit flush) and on followers alike.
   sim::SimTime flush_latency_us = 40;
   /// Leader heartbeat period (also carries DLSN advancement).
   sim::SimTime heartbeat_us = 20 * 1000;
@@ -115,6 +116,7 @@ class PaxosMember {
   Lsn dlsn() const { return dlsn_; }
   RedoLog* log() { return log_; }
   bool is_leader() const { return role_ == PaxosRole::kLeader; }
+  const PaxosConfig& config() const;
 
   /// Applied watermark: records below this have been handed to apply_fn.
   Lsn applied_lsn() const { return applied_lsn_; }
@@ -412,8 +414,6 @@ struct GroupCommitConfig {
   /// A single group flush covers at most this many log bytes; larger
   /// backlogs are split at an MTR boundary across several flushes.
   size_t max_group_bytes = 1 << 20;
-  /// Simulated PolarFS append latency per leader-side flush.
-  sim::SimTime flush_latency_us = 40;
 };
 
 /// Leader-side redo group commit (the delay-and-batch lever of §IV/STAR):

@@ -2,9 +2,8 @@
 
 namespace polarx {
 
-HtapRouter::HtapRouter(TxnEngine* rw, QueryScheduler* scheduler,
-                       CostModel model)
-    : rw_(rw), scheduler_(scheduler), model_(std::move(model)) {}
+HtapRouter::HtapRouter(TxnEngine* rw, QueryScheduler* scheduler)
+    : rw_(rw), scheduler_(scheduler) {}
 
 void HtapRouter::AddReplica(RoReplica* replica) {
   replicas_.push_back(replica);

@@ -30,7 +30,7 @@ struct RouteDecision {
 class HtapRouter {
  public:
   /// `rw` is the primary engine; `scheduler` provides the TP/AP pools.
-  HtapRouter(TxnEngine* rw, QueryScheduler* scheduler, CostModel model = CostModel());
+  HtapRouter(TxnEngine* rw, QueryScheduler* scheduler);
 
   /// Registers an RO replica (AP queries round-robin over replicas).
   void AddReplica(RoReplica* replica);

@@ -4,7 +4,27 @@
 
 namespace polarx {
 
-CostModel::CostModel(CostModelOptions options) : options_(options) {}
+namespace {
+
+constexpr double kCpuPerRow = 1.0;
+constexpr double kIoPerRowRowStore = 4.0;  // row store scan reads full rows
+constexpr double kIoPerRowColIndex = 0.6;  // compact columnar, used columns
+constexpr double kIoPerPointLookup = 2.0;  // B+Tree descent
+constexpr double kNetPerRow = 0.5;         // CN <-> DN transfer
+constexpr double kJoinCpuFactor = 2.0;
+constexpr double kAggCpuFactor = 1.5;
+/// Empirical TP/AP threshold on total cost (§VI-B).
+constexpr double kApThreshold = 10000.0;
+// Runtime-filter attachment thresholds (DESIGN.md §9): probe sides below
+// kRfMinProbeRows aren't worth the per-row bloom test; build sides larger
+// than kRfMaxBuildRatio × probe rows summarize too little; and a build side
+// keeping more than kRfMaxBuildSelectivity of its base table (an unfiltered
+// PK/FK build) prunes almost nothing.
+constexpr double kRfMinProbeRows = 1024;
+constexpr double kRfMaxBuildRatio = 0.2;
+constexpr double kRfMaxBuildSelectivity = 0.5;
+
+}  // namespace
 
 PlanCost CostModel::Estimate(const QueryProfile& profile,
                              StoreChoice store) const {
@@ -12,35 +32,34 @@ PlanCost CostModel::Estimate(const QueryProfile& profile,
   if (profile.point_access_only) {
     // Index-hit path: a handful of B+Tree descents; the row store wins.
     double lookups = std::max(1.0, profile.rows_scanned);
-    cost.io = lookups * options_.io_per_point_lookup *
+    cost.io = lookups * kIoPerPointLookup *
               (store == StoreChoice::kColumnIndex ? 4.0 : 1.0);
-    cost.cpu = lookups * options_.cpu_per_row;
-    cost.network = lookups * options_.net_per_row;
+    cost.cpu = lookups * kCpuPerRow;
+    cost.network = lookups * kNetPerRow;
     return cost;
   }
-  double io_per_row = store == StoreChoice::kRowStore
-                          ? options_.io_per_row_rowstore
-                          : options_.io_per_row_colindex;
+  double io_per_row =
+      store == StoreChoice::kRowStore ? kIoPerRowRowStore : kIoPerRowColIndex;
   cost.io = profile.rows_scanned * io_per_row;
   // Column stores also evaluate filters/joins/aggregations faster
   // (vectorized, cache-friendly).
   double cpu_discount = store == StoreChoice::kColumnIndex ? 0.3 : 1.0;
-  cost.cpu = profile.rows_scanned * options_.cpu_per_row * cpu_discount;
-  cost.cpu += profile.rows_processed * options_.cpu_per_row * cpu_discount *
-              (1.0 + profile.num_joins * options_.join_cpu_factor +
-               (profile.has_aggregation ? options_.agg_cpu_factor : 0.0) +
+  cost.cpu = profile.rows_scanned * kCpuPerRow * cpu_discount;
+  cost.cpu += profile.rows_processed * kCpuPerRow * cpu_discount *
+              (1.0 + profile.num_joins * kJoinCpuFactor +
+               (profile.has_aggregation ? kAggCpuFactor : 0.0) +
                (profile.has_order_by ? 1.0 : 0.0));
-  cost.network = profile.rows_processed * options_.net_per_row;
+  cost.network = profile.rows_processed * kNetPerRow;
   cost.memory = profile.rows_processed * 0.1;
-  cost.cpu += profile.rows_written * options_.cpu_per_row * 2;
-  cost.io += profile.rows_written * options_.io_per_row_rowstore;
+  cost.cpu += profile.rows_written * kCpuPerRow * 2;
+  cost.io += profile.rows_written * kIoPerRowRowStore;
   return cost;
 }
 
 WorkloadClass CostModel::Classify(const QueryProfile& profile) const {
   PlanCost cost = Estimate(profile, StoreChoice::kRowStore);
-  return cost.total() > options_.ap_threshold ? WorkloadClass::kAp
-                                              : WorkloadClass::kTp;
+  return cost.total() > kApThreshold ? WorkloadClass::kAp
+                                     : WorkloadClass::kTp;
 }
 
 StoreChoice CostModel::ChooseStore(const QueryProfile& profile,
@@ -55,10 +74,10 @@ StoreChoice CostModel::ChooseStore(const QueryProfile& profile,
 bool CostModel::ShouldAttachRuntimeFilter(double build_rows,
                                           double build_base_rows,
                                           double probe_rows) const {
-  if (probe_rows < options_.rf_min_probe_rows) return false;
-  if (build_rows > probe_rows * options_.rf_max_build_ratio) return false;
+  if (probe_rows < kRfMinProbeRows) return false;
+  if (build_rows > probe_rows * kRfMaxBuildRatio) return false;
   if (build_base_rows > 0 &&
-      build_rows > build_base_rows * options_.rf_max_build_selectivity) {
+      build_rows > build_base_rows * kRfMaxBuildSelectivity) {
     return false;
   }
   return true;

@@ -47,30 +47,9 @@ struct PlanCost {
 enum class StoreChoice { kRowStore, kColumnIndex };
 enum class WorkloadClass { kTp, kAp };
 
-struct CostModelOptions {
-  double cpu_per_row = 1.0;
-  double io_per_row_rowstore = 4.0;    // row store scan reads full rows
-  double io_per_row_colindex = 0.6;    // compact columnar, only used columns
-  double io_per_point_lookup = 2.0;    // B+Tree descent
-  double net_per_row = 0.5;            // CN <-> DN transfer
-  double join_cpu_factor = 2.0;
-  double agg_cpu_factor = 1.5;
-  /// Empirical TP/AP threshold on total cost (§VI-B).
-  double ap_threshold = 10000.0;
-  // Runtime-filter attachment thresholds (DESIGN.md §9): probe sides below
-  // rf_min_probe_rows aren't worth the per-row bloom test; build sides
-  // larger than rf_max_build_ratio × probe rows summarize too little; and a
-  // build side keeping more than rf_max_build_selectivity of its base table
-  // (an unfiltered PK/FK build) prunes almost nothing.
-  double rf_min_probe_rows = 1024;
-  double rf_max_build_ratio = 0.2;
-  double rf_max_build_selectivity = 0.5;
-};
-
+/// Per-row cost weights and thresholds are constants in cost.cc.
 class CostModel {
  public:
-  explicit CostModel(CostModelOptions options = CostModelOptions{});
-
   /// Cost of the profile against a given store.
   PlanCost Estimate(const QueryProfile& profile, StoreChoice store) const;
 
@@ -88,15 +67,10 @@ class CostModel {
   /// into the probe scan. `build_rows` is the estimated build cardinality
   /// after its own filters, `build_base_rows` the build table's base row
   /// count (<= 0 when unknown), `probe_rows` the probe scan's estimated
-  /// output. Attaching is cheap but not free, so all three thresholds in
-  /// CostModelOptions must agree.
+  /// output. Attaching is cheap but not free, so all three runtime-filter
+  /// thresholds must agree.
   bool ShouldAttachRuntimeFilter(double build_rows, double build_base_rows,
                                  double probe_rows) const;
-
-  const CostModelOptions& options() const { return options_; }
-
- private:
-  CostModelOptions options_;
 };
 
 /// Helper to derive a QueryProfile for a simple scan query.

@@ -54,15 +54,15 @@ void BufferPool::MaybeEvictLocked() {
   }
 }
 
-void BufferPool::MarkDirty(PageId page, Lsn lsn) {
+void BufferPool::MarkDirty(PageId page, Lsn start_lsn, Lsn end_lsn) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = frames_.find(page);
   if (it == frames_.end()) {
     lru_.push_front(page);
     Frame frame;
     frame.dirty = true;
-    frame.oldest_mod = lsn;
-    frame.newest_mod = lsn;
+    frame.oldest_mod = start_lsn;
+    frame.newest_mod = end_lsn;
     frame.lru_it = lru_.begin();
     frames_.emplace(page, frame);
     MaybeEvictLocked();
@@ -71,9 +71,9 @@ void BufferPool::MarkDirty(PageId page, Lsn lsn) {
   Frame& frame = it->second;
   if (!frame.dirty) {
     frame.dirty = true;
-    frame.oldest_mod = lsn;
+    frame.oldest_mod = start_lsn;
   }
-  frame.newest_mod = std::max(frame.newest_mod, lsn);
+  frame.newest_mod = std::max(frame.newest_mod, end_lsn);
   TouchLocked(page, &frame);
 }
 

@@ -57,8 +57,11 @@ class BufferPool {
   /// `capacity_pages` caps resident pages; 0 means unbounded.
   BufferPool(PageStore* store, size_t capacity_pages = 0);
 
-  /// Marks a page modified at `lsn` (pins it resident).
-  void MarkDirty(PageId page, Lsn lsn);
+  /// Marks a page modified by the MTR spanning [start_lsn, end_lsn) (pins
+  /// it resident): `start_lsn` is the oldest modification if the page was
+  /// clean, and `end_lsn` raises the newest, so the flush and discard gates
+  /// compare the end of every record on the page.
+  void MarkDirty(PageId page, Lsn start_lsn, Lsn end_lsn);
 
   /// Read access for LRU accounting.
   void Touch(PageId page);

@@ -295,7 +295,8 @@ Status TxnEngine::Write(TxnId txn, TableId table, const EncodedKey& key,
   rec.key = key;
   if (!deleted) rec.row = version->row;
   MtrHandle mtr = log_->AppendMtr({rec});
-  pool_->MarkDirty(MakePageId(table, ts->PageNoFor(key)), mtr.start_lsn);
+  pool_->MarkDirty(MakePageId(table, ts->PageNoFor(key)), mtr.start_lsn,
+                   mtr.end_lsn);
   return Status::Ok();
 }
 
@@ -375,7 +376,7 @@ Status TxnEngine::BulkLoad(TxnId txn, TableId table,
   MtrHandle mtr = log_->AppendMtr(recs);
   for (const auto& ref : refs) {
     pool_->MarkDirty(MakePageId(table, ts->PageNoFor(ref.key)),
-                     mtr.start_lsn);
+                     mtr.start_lsn, mtr.end_lsn);
   }
   return Status::Ok();
 }

@@ -19,8 +19,10 @@
 //       to its serving leader's — a restarted member that never converges
 //       leaves its DN without a spare replica.
 //
-// A guard run with the durability wait disabled (acks sent before the
-// group flush replicates) must violate G1 under the same leader crash.
+// A deterministic fault plan that cuts a leader's replication links and
+// then crashes it checks G1 where acking early would break it; the
+// committed mutant tests/mutants/02-ack-before-durable.patch (acks sent
+// before the group flush replicates) must fail it.
 //
 // A failing seed is replayable with POLARX_CHAOS_SEED=<seed>.
 #include <gtest/gtest.h>
@@ -241,25 +243,21 @@ TEST(ChaosGroupCommitTest, LeaderCrashMidGroupCommitSweep) {
   }
 }
 
-// ---- guard: acking before the group flush is durable loses commits ----
+// ---- acking only once the group flush is durable loses no commit ----
 
-TEST(ChaosGroupCommitTest, GuardAckBeforeDurabilityLosesAckedCommits) {
-  // Same leader crash, but DN handlers reply the moment the engine op
-  // lands in the leader's volatile log (wait_commit_durability = false),
-  // so acks no longer wait for the group flush to reach a quorum. The
-  // race is made deterministic with a short fault window: the victim
-  // leader's outbound replication links are cut a few ms into the burst
-  // (acks keep flowing — they need no follower), and the leader crashes
-  // 4ms later. Every transaction acked inside the window has its records
-  // in the dead leader's log only; after failover promotes a follower,
-  // those acknowledged rows are gone. In the safe configuration the same
-  // fault plan loses nothing, because the committer refuses to ack until
-  // the group is quorum-durable — which a cut link simply stalls.
-  int lost_total = 0;
+TEST(ChaosGroupCommitTest, CutThenCrashLeaderLosesNoAckedCommit) {
+  // A short deterministic fault window: the victim leader's outbound
+  // replication links are cut a few ms into the burst, and the leader
+  // crashes 4ms later. Acks need no follower, so a DN that replied as soon
+  // as the engine op lands in its leader's volatile log would ack every
+  // transaction inside the window with its records in the dead leader's
+  // log only, and those rows would be gone after failover promotes a
+  // follower. The committer refuses to ack until the group is
+  // quorum-durable, which a cut link simply stalls, so nothing is lost.
   for (uint64_t seed : {2u, 5u, 9u, 13u, 21u}) {
+    SCOPED_TRACE(seed);
     SimClusterConfig cfg;
     cfg.seed = seed;
-    cfg.wait_commit_durability = false;
     GroupCommitFixture f(cfg);
 
     // DN victim's leader shares a DC with CN victim_dn, so the whole
@@ -288,11 +286,11 @@ TEST(ChaosGroupCommitTest, GuardAckBeforeDurabilityLosesAckedCommits) {
       f.StartUniqueKeyClient(victim_dn, /*txns=*/60, /*width=*/1, victim_dn);
     }
     f.RunUntil(6000 * kMs);
-    lost_total += f.MissingAckedKeys();
+    EXPECT_GT(f.acked_keys.size(), 0u) << "no commit was acknowledged";
+    EXPECT_EQ(f.MissingAckedKeys(), 0)
+        << "an acknowledged commit vanished when its leader was cut off "
+           "and crashed (G1)";
   }
-  EXPECT_GT(lost_total, 0)
-      << "acking before group-commit durability should have lost commits — "
-         "if this passes, the guard lost its teeth";
 }
 
 }  // namespace

@@ -20,7 +20,8 @@
 //   G3  once the flapped DN leader has rejoined, every member's log equals
 //       its serving leader's (checked after the post-chaos probe).
 //
-// A guard run with retries and recovery disabled must violate R1 — the
+// The committed mutant tests/mutants/01-no-recovery-daemon.patch (the
+// recovery daemon never scheduled) must violate R1 in the kill sweep — the
 // violation the survivability layer exists to prevent.
 //
 // A failing seed is replayable with POLARX_CHAOS_SEED=<seed>.
@@ -352,47 +353,6 @@ TEST(ChaosRecoveryTest, LostPrepareIsFencedNotCommitted) {
   if (std::getenv("POLARX_CHAOS_SEED") == nullptr) {
     EXPECT_GT(resolved_aborts, 0u) << "no lost prepare was ever fenced";
   }
-}
-
-// ---- guard: with the survivability layer disabled, the same fault leaves
-// branches in doubt — the violation recovery exists to prevent ----
-
-TEST(ChaosRecoveryTest, GuardWithoutRecoveryLeavesBranchesInDoubt) {
-  SimClusterConfig cfg;
-  cfg.seed = 3;
-  cfg.enable_retry = false;
-  cfg.enable_recovery = false;
-  ChaosFixture f(cfg);
-
-  // Kill CN 0 the moment all branches of one of its transactions are
-  // PREPARED: committed under implicit commit, but only recovery can
-  // commit the branches once the coordinator is gone.
-  auto killed = std::make_shared<bool>(false);
-  ChaosFixture* fp = &f;
-  *f.step_hook = [fp, killed](int cn, int step) {
-    if (*killed || cn != 0 || step != int(CommitStep::kAllPrepared)) return;
-    *killed = true;
-    fp->CrashNode(fp->cluster->cn_node(0));
-  };
-
-  auto remaining = std::make_shared<int>(3 * 8);
-  for (int c = 0; c < 3; ++c) {
-    f.StartClient(c, 8, remaining, 17 + uint64_t(c));
-  }
-  f.RunUntil(3000 * kMs);
-
-  ASSERT_TRUE(*killed) << "fault never triggered";
-  int prepared = 0;
-  for (int d = 0; d < f.cluster->num_dns(); ++d) {
-    for (const TxnInfo& info : f.cluster->dn_engine(d)->TxnsSnapshot()) {
-      prepared += info.state == TxnState::kPrepared ? 1 : 0;
-    }
-  }
-  EXPECT_GT(prepared, 0)
-      << "without recovery the killed coordinator's prepared branches must "
-         "stay in doubt — if this passes, the guard lost its teeth";
-  EXPECT_EQ(f.cluster->stats().recovery_resolved_commits, 0u);
-  EXPECT_EQ(f.cluster->stats().recovery_resolved_aborts, 0u);
 }
 
 // ---- pinned recovery footprint: one fixed schedule per kill point, with

@@ -553,8 +553,7 @@ TEST(GroupCommitTest, ByteCapSplitsGroupsAtMtrBoundaries) {
 
 TEST(GroupCommitTest, IdleSubmitFlushesWithoutWaitingForWindow) {
   GroupFixture g;
-  GroupCommitConfig gcc;
-  GroupCommitDriver driver(&g.sched, g.leader, gcc);
+  GroupCommitDriver driver(&g.sched, g.leader);
   MtrHandle h = EngineAppend(g.leader, 1, 1);
   sim::SimTime before = g.sched.Now();
   driver.Submit(h.end_lsn);
@@ -562,7 +561,8 @@ TEST(GroupCommitTest, IdleSubmitFlushesWithoutWaitingForWindow) {
          g.sched.PendingEvents() > 0) {
     g.sched.Step();
   }
-  EXPECT_LE(g.sched.Now() - before, gcc.flush_latency_us + 1)
+  EXPECT_LE(g.sched.Now() - before,
+            g.leader->config().flush_latency_us + 1)
       << "an idle driver fires immediately; the window only forms under "
          "load";
 }

@@ -103,7 +103,7 @@ TEST(PolarFsTest, PageStoreAdapterWritesVolume) {
   ASSERT_TRUE(vol.ok());
   PolarFsPageStore store(&fs, (*vol)->id());
   BufferPool pool(&store);
-  pool.MarkDirty(MakePageId(1, 5), 100);
+  pool.MarkDirty(MakePageId(1, 5), 95, 100);
   pool.FlushUpTo(1000);
   EXPECT_EQ(store.pages_written(), 1u);
   EXPECT_GT(fs.total_bytes_written(), 0u);

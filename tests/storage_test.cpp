@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "src/clock/hlc.h"
 #include "src/common/rng.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/key_codec.h"
@@ -11,6 +12,7 @@
 #include "src/storage/redo.h"
 #include "src/storage/table.h"
 #include "src/storage/value.h"
+#include "src/txn/engine.h"
 
 namespace polarx {
 namespace {
@@ -325,9 +327,9 @@ TEST(Crc32Test, KnownProperties) {
 TEST(BufferPoolTest, FlushGateRespectsLsnLimit) {
   CountingPageStore store;
   BufferPool pool(&store);
-  pool.MarkDirty(MakePageId(1, 0), 100);
-  pool.MarkDirty(MakePageId(1, 1), 200);
-  pool.MarkDirty(MakePageId(1, 2), 300);
+  pool.MarkDirty(MakePageId(1, 0), 95, 100);
+  pool.MarkDirty(MakePageId(1, 1), 195, 200);
+  pool.MarkDirty(MakePageId(1, 2), 295, 300);
   EXPECT_EQ(pool.dirty_pages(), 3u);
   // DLSN = 250: only pages whose newest mod <= 250 may be flushed.
   EXPECT_EQ(pool.FlushUpTo(250), 2u);
@@ -341,8 +343,8 @@ TEST(BufferPoolTest, RedirtyRaisesNewestMod) {
   CountingPageStore store;
   BufferPool pool(&store);
   PageId p = MakePageId(1, 0);
-  pool.MarkDirty(p, 100);
-  pool.MarkDirty(p, 500);
+  pool.MarkDirty(p, 95, 100);
+  pool.MarkDirty(p, 495, 500);
   EXPECT_EQ(pool.FlushUpTo(200), 0u);  // newest mod is 500 > 200
   EXPECT_EQ(pool.FlushUpTo(500), 1u);
   EXPECT_EQ(store.PersistedLsn(p), 500u);
@@ -352,10 +354,10 @@ TEST(BufferPoolTest, MinDirtyLsnTracksOldestModification) {
   CountingPageStore store;
   BufferPool pool(&store);
   EXPECT_EQ(pool.MinDirtyLsn(), kMaxLsn);
-  pool.MarkDirty(MakePageId(1, 0), 300);
-  pool.MarkDirty(MakePageId(1, 1), 100);
-  pool.MarkDirty(MakePageId(1, 1), 400);  // oldest stays 100
-  EXPECT_EQ(pool.MinDirtyLsn(), 100u);
+  pool.MarkDirty(MakePageId(1, 0), 295, 300);
+  pool.MarkDirty(MakePageId(1, 1), 95, 100);
+  pool.MarkDirty(MakePageId(1, 1), 395, 400);  // oldest stays 95
+  EXPECT_EQ(pool.MinDirtyLsn(), 95u);
   pool.FlushUpTo(400);
   EXPECT_EQ(pool.MinDirtyLsn(), kMaxLsn);
 }
@@ -364,19 +366,52 @@ TEST(BufferPoolTest, DiscardDirtyAfterEvictsUnackedPages) {
   // §III old-leader cleanup: evict dirty pages with mods beyond DLSN.
   CountingPageStore store;
   BufferPool pool(&store);
-  pool.MarkDirty(MakePageId(1, 0), 100);
-  pool.MarkDirty(MakePageId(1, 1), 900);
+  pool.MarkDirty(MakePageId(1, 0), 95, 100);
+  pool.MarkDirty(MakePageId(1, 1), 895, 900);
   EXPECT_EQ(pool.DiscardDirtyAfter(500), 1u);
   EXPECT_EQ(pool.dirty_pages(), 1u);
   EXPECT_EQ(store.writes(), 0u);  // discarded, never flushed
 }
 
+TEST(BufferPoolTest, EnginePagesCarryTheirMtrEnd) {
+  // TxnEngine marks a page with the span of the MTR that dirtied it, so the
+  // DLSN flush gate never writes a page whose record ends past the limit,
+  // and a truncation at an MTR boundary keeps the record ending there and
+  // evicts the one starting there.
+  TableCatalog catalog;
+  Hlc hlc([] { return uint64_t(1000); });
+  RedoLog log;
+  CountingPageStore store;
+  BufferPool pool(&store);
+  TxnEngine engine(1, &catalog, &hlc, &log, &pool);
+  catalog.CreateTable(1, "t", Schema({{"id", ValueType::kInt64, false}}, {0}),
+                      0);
+  TxnId txn = engine.Begin();
+
+  Lsn start = log.current_lsn();
+  ASSERT_TRUE(engine.Insert(txn, 1, {int64_t(7)}).ok());
+  Lsn end = log.current_lsn();
+  ASSERT_LT(start, end);
+  EXPECT_EQ(pool.FlushUpTo(start), 0u) << "the MTR straddles the limit";
+  EXPECT_EQ(pool.FlushUpTo(end - 1), 0u) << "the MTR straddles the limit";
+  EXPECT_EQ(pool.FlushUpTo(end), 1u);
+
+  start = log.current_lsn();
+  ASSERT_TRUE(engine.Update(txn, 1, {int64_t(7)}).ok());
+  end = log.current_lsn();
+  EXPECT_EQ(pool.DiscardDirtyAfter(end), 0u)
+      << "a record ending at the truncation point survives it";
+  EXPECT_EQ(pool.DiscardDirtyAfter(start), 1u)
+      << "a record starting at the truncation point is truncated";
+  EXPECT_EQ(store.writes(), 1u);
+}
+
 TEST(BufferPoolTest, FlushAndDropTableDrainsTenantPages) {
   CountingPageStore store;
   BufferPool pool(&store);
-  pool.MarkDirty(MakePageId(1, 0), 100);
-  pool.MarkDirty(MakePageId(1, 1), 999999);  // beyond any gate
-  pool.MarkDirty(MakePageId(2, 0), 100);
+  pool.MarkDirty(MakePageId(1, 0), 95, 100);
+  pool.MarkDirty(MakePageId(1, 1), 999994, 999999);  // beyond any gate
+  pool.MarkDirty(MakePageId(2, 0), 95, 100);
   EXPECT_EQ(pool.FlushAndDropTable(1), 2u);
   EXPECT_EQ(pool.dirty_pages(), 1u);
   EXPECT_EQ(pool.resident_pages(), 1u);
@@ -385,8 +420,8 @@ TEST(BufferPoolTest, FlushAndDropTableDrainsTenantPages) {
 TEST(BufferPoolTest, LruEvictsOnlyCleanPages) {
   CountingPageStore store;
   BufferPool pool(&store, /*capacity_pages=*/2);
-  pool.MarkDirty(MakePageId(1, 0), 10);
-  pool.MarkDirty(MakePageId(1, 1), 20);
+  pool.MarkDirty(MakePageId(1, 0), 5, 10);
+  pool.MarkDirty(MakePageId(1, 1), 15, 20);
   // Over capacity with a clean newcomer: the clean page is the only eviction
   // candidate, so the two dirty pages stay.
   pool.Touch(MakePageId(1, 2));
