@@ -163,8 +163,10 @@ echo "==> asan: executor / runtime-filter / column-join / 2PC / SimCluster units
 # selection-vector slicing, and the key table that joins and aggregations
 # share (KeyWordTable) indexes flat arrays by computed slots; the 2PC
 # coordinator and in-doubt resolver carry shared transaction state between
-# continuations, and SimCluster's footprint tests (workload_test) run them
-# over simulated RPCs. Run their unit suites under ASan+UBSan too.
+# continuations. Their unit suites run them over the tests' inline
+# transport (tests/txn_cluster.h), which answers each call inside the
+# caller's stack, and SimCluster's footprint tests (workload_test) run them
+# over simulated RPCs. Run these suites under ASan+UBSan too.
 ctest --test-dir "${PREFIX}-asan" \
   -R 'exec_test|runtime_filter_test|colindex_test|column_agg_test|distributed_txn_test|txn_recovery_test|workload_test' \
   --output-on-failure

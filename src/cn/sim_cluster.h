@@ -20,15 +20,16 @@
 // Statements, 2PC and in-doubt recovery are not implemented here: each CN
 // runs the TxnCoordinator (src/txn/distributed.h) and, when another
 // coordinator's GMS lease lapses, the InDoubtResolver (src/txn/recovery.h),
-// both over this cluster's TxnParticipants transport, which sends every
-// participant call as one retried RPC to the DN's serving leader, where
-// ServeParticipantCall answers it. The transport's only statement logic is
-// the prepared-wait: a point read blocked by a PREPARED writer is parked
-// until the writer resolves, then served again. DN leader
-// crashes are detected by a failover monitor that promotes the newly
-// elected Paxos leader: catalog and transaction state are rebuilt from its
-// replicated redo log (RedoApplier + TxnEngine::RecoverState) and the GMS
-// endpoint map is updated so CNs re-route.
+// both over this cluster's TxnParticipants transport (the only one in
+// src/), which sends every participant call as one retried RPC to the DN's
+// serving leader, where ServeParticipantCall answers it. The transport's
+// only statement logic is the prepared-wait: a point read blocked by a
+// PREPARED writer is parked on TxnEngine::OnResolved until the writer
+// resolves, then served again. DN leader crashes are detected by a
+// failover monitor that promotes the newly elected Paxos leader: catalog
+// and transaction state are rebuilt from its replicated redo log
+// (RedoApplier + TxnEngine::RecoverState) and the GMS endpoint map is
+// updated so CNs re-route.
 #pragma once
 
 #include <functional>

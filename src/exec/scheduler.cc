@@ -71,6 +71,14 @@ std::shared_ptr<JobHandle> QueryScheduler::Submit(
   return handle;
 }
 
+void QueryScheduler::SetIsolationEnabled(bool enabled) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    isolation_enabled_ = enabled;
+  }
+  work_cv_.notify_all();  // lifting the quota may unblock queued AP work
+}
+
 std::shared_ptr<JobHandle> QueryScheduler::PickJobLocked() {
   // TP first, always unrestricted.
   if (!tp_queue_.empty()) {
@@ -133,18 +141,12 @@ void QueryScheduler::WorkerLoop() {
     QueryClass running_as{};
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return shutdown_ || !tp_queue_.empty() || !ap_queue_.empty() ||
-               !slow_queue_.empty();
+      // A worker whose only queued work is over the AP quota waits here
+      // too: a submit, a finished slice or an isolation toggle wakes it.
+      work_cv_.wait(lock, [this, &handle] {
+        return shutdown_ || (handle = PickJobLocked()) != nullptr;
       });
-      if (shutdown_) return;
-      handle = PickJobLocked();
-      if (handle == nullptr) {
-        // Quota blocks the only available work; yield briefly.
-        lock.unlock();
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        continue;
-      }
+      if (handle == nullptr) return;  // shutdown
       running_as = handle->current_class_;
     }
 

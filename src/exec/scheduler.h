@@ -93,7 +93,6 @@ class JobHandle {
   std::atomic<uint64_t> cpu_us_{0};
   std::atomic<uint64_t> latency_us_{0};
   std::chrono::steady_clock::time_point submit_time_;
-  bool isolation_enabled_ = true;
 };
 
 /// The CN's local scheduler.
@@ -108,7 +107,7 @@ class QueryScheduler {
 
   /// Toggles resource isolation (the §VII-C "isolation switch"). With it
   /// off, AP jobs compete freely with TP jobs for all workers.
-  void SetIsolationEnabled(bool enabled) { isolation_enabled_ = enabled; }
+  void SetIsolationEnabled(bool enabled);
   bool isolation_enabled() const { return isolation_enabled_; }
 
   /// Telemetry.

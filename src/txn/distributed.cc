@@ -1,23 +1,11 @@
 #include "src/txn/distributed.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <utility>
 
 namespace polarx {
 
 namespace {
-/// How often LocalParticipants serves a point read that a PREPARED writer
-/// blocks: it waits for the blocker to resolve between attempts.
-constexpr int kMaxPreparedWaitRetries = 64;
-
-/// Coordinators that are not given an explicit id still need distinct ones:
-/// global txn ids are namespaced by coordinator id, and two coordinators
-/// sharing an engine must never collide in its BeginBranch dedup map. Auto
-/// ids start high to stay clear of registry-assigned ids.
-std::atomic<uint32_t> g_auto_coordinator_id{1u << 20};
-
 using Op = ParticipantCall::Op;
 }  // namespace
 
@@ -87,7 +75,7 @@ ParticipantReply ServeParticipantCall(TxnEngine* engine,
       break;
     }
     case Op::kCommitOnePhase: {
-      Result<Timestamp> committed = engine->CommitOnePhase(call.branch);
+      Result<Timestamp> committed = engine->CommitLocal(call.branch);
       r.status = committed.status();
       if (committed.ok()) r.ts = *committed;
       break;
@@ -156,45 +144,6 @@ ParticipantReply ServeParticipantCall(TxnEngine* engine,
   return r;
 }
 
-LocalParticipants::LocalParticipants(TsoService* tso,
-                                     const std::vector<TxnEngine*>& engines)
-    : tso_(tso) {
-  for (TxnEngine* e : engines) Add(e);
-}
-
-std::vector<uint32_t> LocalParticipants::participant_ids() const {
-  std::vector<uint32_t> ids;
-  for (const auto& [id, engine] : engines_) ids.push_back(id);
-  return ids;
-}
-
-void LocalParticipants::Call(uint32_t participant, ParticipantCall call,
-                             ReplyFn done) {
-  auto it = engines_.find(participant);
-  if (it == engines_.end()) {
-    done(ParticipantReply{Status::NotFound("participant unreachable")});
-    return;
-  }
-  ParticipantReply r = ServeParticipantCall(it->second, call);
-  // Prepared-wait (§IV case 2): block until the writer resolves, then
-  // serve the read again.
-  for (int attempt = 1; r.blocker != kInvalidTxnId; ++attempt) {
-    if (attempt == kMaxPreparedWaitRetries) {
-      r.status = Status::TimedOut("prepared-wait retries exhausted");
-      break;
-    }
-    it->second->WaitResolved(r.blocker);
-    r = ServeParticipantCall(it->second, call);
-  }
-  done(std::move(r));
-}
-
-void LocalParticipants::FetchTso(ReplyFn done) {
-  ParticipantReply r;
-  r.ts = tso_->Next();
-  done(std::move(r));
-}
-
 // ---------------------------------------------------------------------------
 // Coordinator: the 2PC state machine
 // ---------------------------------------------------------------------------
@@ -219,23 +168,13 @@ struct TxnCoordinator::Run {
   Timestamp commit_ts = 0;
 };
 
-TxnCoordinator::TxnCoordinator(TsScheme scheme, Hlc* cn_hlc, TsoService* tso,
-                               uint32_t coordinator_id)
-    : TxnCoordinator(nullptr, scheme, cn_hlc, coordinator_id) {
-  assert(scheme_ == TsScheme::kTsoSi ? tso != nullptr : cn_hlc_ != nullptr);
-  local_ = std::make_unique<LocalParticipants>(tso);
-  participants_ = local_.get();
-}
-
 TxnCoordinator::TxnCoordinator(TxnParticipants* participants,
                                TsScheme scheme, Hlc* cn_hlc,
                                uint32_t coordinator_id)
     : participants_(participants),
       scheme_(scheme),
       cn_hlc_(cn_hlc),
-      coordinator_id_(coordinator_id != 0
-                          ? coordinator_id
-                          : g_auto_coordinator_id.fetch_add(1)) {}
+      coordinator_id_(coordinator_id) {}
 
 DistributedTxn TxnCoordinator::NewTxn() {
   DistributedTxn txn;
@@ -507,59 +446,6 @@ void TxnCoordinator::AbortBranches(RunPtr run) {
       if (--run->pending == 0) finish();
     });
   }
-}
-
-// ---------------------------------------------------------------------------
-// Synchronous in-process API
-// ---------------------------------------------------------------------------
-
-DistributedTxn TxnCoordinator::Begin() {
-  DistributedTxn txn = NewTxn();
-  AcquireSnapshot(&txn, [](Status) {});  // inline; a local fetch cannot fail
-  return txn;
-}
-
-Status TxnCoordinator::Commit(DistributedTxn* txn) {
-  Status result = Status::Unavailable("coordinator stopped mid-commit");
-  CommitAsync(txn, [&result](Status s) { result = std::move(s); });
-  return result;
-}
-
-Status TxnCoordinator::Abort(DistributedTxn* txn) {
-  Status result = Status::Unavailable("coordinator stopped mid-abort");
-  AbortAsync(txn, [&result](Status s) { result = std::move(s); });
-  return result;
-}
-
-Status TxnCoordinator::Execute(DistributedTxn* txn, TxnEngine* engine,
-                               Statement statement, Row* out) {
-  if (local_ != nullptr) local_->Add(engine);
-  ParticipantReply reply{Status::Unavailable("statement not answered")};
-  ExecuteAsync(txn, engine->engine_id(), std::move(statement),
-               [&reply](ParticipantReply r) { reply = std::move(r); });
-  if (out != nullptr && reply.status.ok()) *out = std::move(reply.row);
-  return reply.status;
-}
-
-Status TxnCoordinator::Read(DistributedTxn* txn, TxnEngine* engine,
-                            TableId table, const EncodedKey& key, Row* out) {
-  return Execute(txn, engine,
-                 {.kind = Statement::Kind::kRead, .table = table, .key = key},
-                 out);
-}
-
-Status TxnCoordinator::Insert(DistributedTxn* txn, TxnEngine* engine,
-                              TableId table, const Row& row) {
-  return Execute(
-      txn, engine,
-      {.kind = Statement::Kind::kInsert, .table = table, .row = row});
-}
-
-Status TxnCoordinator::Update(DistributedTxn* txn, TxnEngine* engine,
-                              TableId table, const Row& row) {
-  return Execute(
-      txn, engine,
-      {.kind = Statement::Kind::kUpdate, .table = table, .row = row});
 }
 
 }  // namespace polarx

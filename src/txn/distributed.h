@@ -21,15 +21,13 @@
 // call (ServeParticipantCall). A statement is one more call: it carries
 // the branch context the coordinator holds, and the branch's first
 // statement ships snapshot_ts to the DN, which starts the branch there
-// (§IV step 3). Two transports implement the interface: LocalParticipants
-// calls TxnEngines in-process and completes every call inline (the
-// synchronous Begin/Read/.../Commit/Abort below), and SimCluster
-// (src/cn/sim_cluster.h) sends each call as a retried RPC over the
-// simulated network, where every TSO fetch is a round trip to the TSO's
-// datacenter. The only statement logic a transport adds is the
-// prepared-wait: a point read blocked by a PREPARED writer is served again
-// once the writer resolves. The in-doubt resolver (src/txn/recovery.h)
-// runs over the same interface.
+// (§IV step 3). SimCluster (src/cn/sim_cluster.h) implements the interface:
+// it sends each call as a retried RPC over the simulated network, where
+// every TSO fetch is a round trip to the TSO's datacenter. The only
+// statement logic a transport adds is the prepared-wait: a point read
+// blocked by a PREPARED writer is served again once the writer resolves
+// (TxnEngine::OnResolved). The in-doubt resolver (src/txn/recovery.h) runs
+// over the same interface.
 #pragma once
 
 #include <functional>
@@ -39,7 +37,6 @@
 #include <vector>
 
 #include "src/clock/hlc.h"
-#include "src/clock/tso.h"
 #include "src/common/status.h"
 #include "src/txn/engine.h"
 
@@ -154,31 +151,11 @@ class TxnParticipants {
   virtual bool IsLocal(uint32_t /*participant*/) const { return false; }
 };
 
-/// In-process transport: calls the engines directly, so every callback
-/// fires inline. A point read blocked by a PREPARED writer blocks the
-/// calling thread until the writer resolves, then runs again (bounded).
-class LocalParticipants : public TxnParticipants {
- public:
-  explicit LocalParticipants(TsoService* tso = nullptr,
-                             const std::vector<TxnEngine*>& engines = {});
-  void Add(TxnEngine* engine) { engines_[engine->engine_id()] = engine; }
-
-  std::vector<uint32_t> participant_ids() const override;
-  void Call(uint32_t participant, ParticipantCall call,
-            ReplyFn done) override;
-  void FetchTso(ReplyFn done) override;
-
- private:
-  TsoService* tso_;
-  std::map<uint32_t, TxnEngine*> engines_;
-};
-
 /// Coordinator-side state of one distributed transaction.
 class DistributedTxn {
  public:
   Timestamp snapshot_ts() const { return snapshot_ts_; }
   Timestamp commit_ts() const { return commit_ts_; }
-  bool resolved() const { return resolved_; }
   GlobalTxnId global_id() const { return global_id_; }
   /// Committed by one one-phase call to its only participant.
   bool one_phase() const { return one_phase_; }
@@ -221,22 +198,15 @@ class TxnCoordinator {
   /// then never fire).
   using StepHook = std::function<bool(CommitStep, GlobalTxnId global_id)>;
 
-  /// In-process coordinator over LocalParticipants. For kHlcSi, `cn_hlc`
-  /// is this CN's clock and `tso` may be null. For kTsoSi, `tso` must be
-  /// non-null. `coordinator_id` identifies this coordinator incarnation in
-  /// prepare records (what in-doubt recovery matches dead coordinators
-  /// against) and namespaces global txn ids.
-  TxnCoordinator(TsScheme scheme, Hlc* cn_hlc, TsoService* tso,
-                 uint32_t coordinator_id = 0);
-  /// Coordinator over any transport. The synchronous statement methods
-  /// below need one that answers inline.
+  /// `coordinator_id` identifies this coordinator incarnation in prepare
+  /// records (what in-doubt recovery matches dead coordinators against)
+  /// and namespaces global txn ids. `cn_hlc` is this CN's clock; under
+  /// TSO-SI the transport's FetchTso serves the timestamps.
   TxnCoordinator(TxnParticipants* participants, TsScheme scheme, Hlc* cn_hlc,
                  uint32_t coordinator_id);
 
   uint32_t coordinator_id() const { return coordinator_id_; }
   void set_step_hook(StepHook hook) { step_hook_ = std::move(hook); }
-
-  // ---- the state machine (any transport) ----
 
   /// Mints a transaction's global id; its snapshot comes separately.
   DistributedTxn NewTxn();
@@ -258,36 +228,12 @@ class TxnCoordinator {
   /// Presumed abort: aborts every branch, then fires `done`.
   void AbortAsync(DistributedTxn* txn, std::function<void(Status)> done);
 
-  // ---- synchronous in-process API ----
-
-  /// Starts a distributed transaction (acquires snapshot_ts).
-  DistributedTxn Begin();
-
-  /// ExecuteAsync run to completion on `engine`'s branch. A point read
-  /// blocked by a PREPARED writer waits for it (bounded).
-  Status Read(DistributedTxn* txn, TxnEngine* engine, TableId table,
-              const EncodedKey& key, Row* out);
-  Status Insert(DistributedTxn* txn, TxnEngine* engine, TableId table,
-                const Row& row);
-  Status Update(DistributedTxn* txn, TxnEngine* engine, TableId table,
-                const Row& row);
-
-  /// CommitAsync/AbortAsync run to completion. If the step hook stopped
-  /// the coordinator before it acknowledged, returns Unavailable with the
-  /// branches left as they were for the in-doubt resolver.
-  Status Commit(DistributedTxn* txn);
-  Status Abort(DistributedTxn* txn);
-
   CoordinatorStats stats() const { return stats_; }
 
  private:
   struct Run;
   using RunPtr = std::shared_ptr<Run>;
 
-  /// ExecuteAsync on `engine`'s branch, run to completion; fills `out`
-  /// with the row a point read returns.
-  Status Execute(DistributedTxn* txn, TxnEngine* engine, Statement statement,
-                 Row* out = nullptr);
   bool Step(CommitStep step, GlobalTxnId global_id) {
     return !step_hook_ || step_hook_(step, global_id);
   }
@@ -301,7 +247,6 @@ class TxnCoordinator {
   void CommitBranches(RunPtr run);
   void AbortBranches(RunPtr run);
 
-  std::unique_ptr<LocalParticipants> local_;  // in-process transport
   TxnParticipants* participants_;
   TsScheme scheme_;
   Hlc* cn_hlc_;

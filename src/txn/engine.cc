@@ -553,7 +553,6 @@ Status TxnEngine::ResolveLocked(std::unique_lock<std::mutex>& lock,
     }
   }
 
-  resolved_cv_.notify_all();
   for (auto& fn : to_fire) fn();
   return Status::Ok();
 }
@@ -577,13 +576,13 @@ Status TxnEngine::Commit(TxnId txn, Timestamp commit_ts) {
   return ResolveLocked(lock, info, /*commit=*/true, commit_ts);
 }
 
-Result<Timestamp> TxnEngine::CommitOnePhase(TxnId txn) {
+Result<Timestamp> TxnEngine::CommitLocal(TxnId txn) {
   std::unique_lock<std::mutex> lock(mu_);
   TxnInfo* info = FindTxnLocked(txn);
   if (info == nullptr) return Status::NotFound("txn unknown");
   if (info->state == TxnState::kCommitted) return info->commit_ts;  // retry
   if (info->state != TxnState::kActive || FencedLocked(*info)) {
-    return Status::Aborted("txn not active at one-phase commit");
+    return Status::Aborted("txn not active at local commit");
   }
   const Timestamp commit_ts = hlc_->Advance();
   info->prepare_ts = commit_ts;
@@ -598,13 +597,6 @@ Result<Timestamp> TxnEngine::CommitOnePhase(TxnId txn) {
   RequestDurable(mtr.end_lsn, /*require_local_flush=*/true);
   ResolveLocked(lock, info, /*commit=*/true, commit_ts);
   return commit_ts;
-}
-
-Result<Timestamp> TxnEngine::CommitLocal(TxnId txn) {
-  POLARX_ASSIGN_OR_RETURN(Timestamp prepare_ts, Prepare(txn));
-  // Single participant: commit_ts = max over one prepare_ts.
-  POLARX_RETURN_NOT_OK(Commit(txn, prepare_ts));
-  return prepare_ts;
 }
 
 Status TxnEngine::Abort(TxnId txn) {
@@ -625,15 +617,6 @@ Status TxnEngine::Abort(TxnId txn) {
   // reaching the record).
   RequestDurable(mtr.end_lsn, /*require_local_flush=*/false);
   return ResolveLocked(lock, info, /*commit=*/false, 0);
-}
-
-void TxnEngine::WaitResolved(TxnId txn) {
-  std::unique_lock<std::mutex> lock(mu_);
-  resolved_cv_.wait(lock, [&] {
-    const TxnInfo* info = FindTxnLocked(txn);
-    return info == nullptr || info->state == TxnState::kCommitted ||
-           info->state == TxnState::kAborted;
-  });
 }
 
 void TxnEngine::OnResolved(TxnId txn, std::function<void()> fn) {

@@ -12,13 +12,11 @@
 //      snapshot_ts).
 //
 // The engine is synchronous: reads blocked by a PREPARED writer return
-// Status::Busy plus the blocking TxnId; callers either retry after
-// WaitResolved() (thread-based users) or subscribe via OnResolved()
-// (simulation actors).
+// Status::Busy plus the blocking TxnId; callers subscribe via OnResolved()
+// and serve the read again once the writer resolves.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -151,11 +149,13 @@ class TxnEngine {
   Result<Timestamp> Prepare(TxnId txn, uint32_t commit_owner = 0,
                             std::vector<uint32_t> participants = {});
 
-  /// One-phase commit of a distributed transaction's only branch: prepares
-  /// and commits in one MTR at prepare_ts = ClockAdvance(). That commit
-  /// record is the transaction's decision. Refused like Prepare; idempotent
-  /// for a COMMITTED branch (returns its commit_ts).
-  Result<Timestamp> CommitOnePhase(TxnId txn);
+  /// One-phase commit of a transaction with one branch: a local one, or a
+  /// distributed one whose only branch is here. Prepares and commits in one
+  /// MTR at prepare_ts = commit_ts = ClockAdvance(), with one durability
+  /// request, so concurrent readers never see the branch PREPARED. That
+  /// commit record is the transaction's decision. Refused like Prepare;
+  /// idempotent for a COMMITTED branch (returns its commit_ts).
+  Result<Timestamp> CommitLocal(TxnId txn);
 
   // ---- 2PC decision registry (commit-point participant role) ----
   //
@@ -184,7 +184,7 @@ class TxnEngine {
   /// `global_id` here if it is PREPARED or COMMITTED (a committed branch
   /// Vacuum forgot reports its recorded commit_ts); otherwise durably
   /// records an abort decision first, so any later Prepare or
-  /// CommitOnePhase of the global is refused, and reports kAborted. The id
+  /// CommitLocal of the global is refused, and reports kAborted. The id
   /// is kInvalidTxnId when no branch is known here.
   Result<TxnInfo> FenceUnprepared(GlobalTxnId global_id);
 
@@ -192,9 +192,6 @@ class TxnEngine {
   /// onto all written versions, logs the commit, wakes waiters, and calls
   /// ClockUpdate(commit_ts) on the node clock.
   Status Commit(TxnId txn, Timestamp commit_ts);
-
-  /// Local (single-shard) commit: Prepare + Commit with this node's clock.
-  Result<Timestamp> CommitLocal(TxnId txn);
 
   Status Abort(TxnId txn);
 
@@ -260,11 +257,8 @@ class TxnEngine {
 
   // ---- waiting ----
 
-  /// Blocks the calling thread until `txn` is committed or aborted.
-  void WaitResolved(TxnId txn);
-
   /// Registers a callback fired when `txn` resolves (or immediately if it
-  /// already has). Used by simulation actors instead of blocking.
+  /// already has): the prepared-wait of every transport.
   void OnResolved(TxnId txn, std::function<void()> fn);
 
   // ---- maintenance ----
@@ -319,7 +313,6 @@ class TxnEngine {
   BufferPool* pool_;
 
   mutable std::mutex mu_;
-  std::condition_variable resolved_cv_;
   std::atomic<uint64_t> next_txn_{1};
   std::unordered_map<TxnId, std::unique_ptr<TxnInfo>> txns_;
   std::unordered_map<TxnId, std::vector<std::function<void()>>> waiters_;

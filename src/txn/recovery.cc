@@ -167,10 +167,6 @@ void ResolveGlobals(const SweepPtr& sweep) {
 
 }  // namespace
 
-InDoubtResolver::InDoubtResolver(std::vector<TxnEngine*> engines)
-    : local_(std::make_unique<LocalParticipants>(nullptr, engines)),
-      participants_(local_.get()) {}
-
 InDoubtResolver::InDoubtResolver(TxnParticipants* participants)
     : participants_(participants) {}
 
@@ -210,14 +206,6 @@ void InDoubtResolver::ResolveAsync(const std::set<uint32_t>& dead_coordinators,
       ResolveGlobals(sweep);
     });
   }
-}
-
-ResolutionStats InDoubtResolver::Resolve(
-    const std::set<uint32_t>& dead_coordinators) {
-  ResolutionStats stats;
-  ResolveAsync(dead_coordinators,
-               [&stats](ResolutionStats s) { stats = s; });
-  return stats;
 }
 
 }  // namespace polarx

@@ -28,13 +28,12 @@
 //                                   shows the branch that was found
 //                                   prepared, with its prepare record.
 //
-// The resolver runs over the TxnParticipants interface (distributed.h):
-// in-process over LocalParticipants, and in SimCluster over simulated RPCs.
+// The resolver runs over the TxnParticipants interface (distributed.h); in
+// SimCluster each of its calls is a simulated RPC.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -54,9 +53,7 @@ struct ResolutionStats {
 
 class InDoubtResolver {
  public:
-  /// In-process resolver over `engines` (owner lookup is by engine id).
-  explicit InDoubtResolver(std::vector<TxnEngine*> engines);
-  /// Resolver over any transport; `participants` must outlive the sweeps.
+  /// `participants` must outlive the sweeps.
   explicit InDoubtResolver(TxnParticipants* participants);
 
   /// One sweep over every branch whose coordinator is in
@@ -65,11 +62,7 @@ class InDoubtResolver {
   void ResolveAsync(const std::set<uint32_t>& dead_coordinators,
                     std::function<void(ResolutionStats)> done);
 
-  /// ResolveAsync run to completion (in-process transport).
-  ResolutionStats Resolve(const std::set<uint32_t>& dead_coordinators);
-
  private:
-  std::unique_ptr<LocalParticipants> local_;
   TxnParticipants* participants_;
 };
 

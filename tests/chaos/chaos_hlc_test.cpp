@@ -10,26 +10,23 @@
 //
 // Part 2 — HLC-SI snapshot consistency (50 seeds): a sharded bank on
 // engines with skewed clocks runs randomly interleaved transfers, audits,
-// and contended increments through TxnCoordinator. Audits must never see a
-// torn transfer (every snapshot conserves total balance — no dirty read of
-// one leg), and contended increments must never lose an update
-// (first-committer-wins: final counter == number of committed increments).
+// and contended increments through TxnCoordinator over the inline
+// transport of tests/txn_cluster.h. Audits must never see a torn transfer
+// (every snapshot conserves total balance — no dirty read of one leg), and
+// contended increments must never lose an update (first-committer-wins:
+// final counter == number of committed increments).
 //
 // A failing seed is replayable with POLARX_CHAOS_SEED=<seed>.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "src/clock/hlc.h"
 #include "src/common/rng.h"
-#include "src/storage/buffer_pool.h"
-#include "src/storage/key_codec.h"
-#include "src/txn/distributed.h"
-#include "src/txn/engine.h"
 #include "tests/chaos/chaos_util.h"
+#include "tests/txn_cluster.h"
 
 namespace polarx {
 namespace {
@@ -118,80 +115,33 @@ TEST(ChaosHlcTest, MonotonicAndDriftBoundedSweep) {
 
 // ------------------------------------- part 2: HLC-SI under the bank --
 
-constexpr TableId kTable = 1;
+constexpr TableId kTable = TxnCluster::kTable;
 constexpr int kShards = 4;
 constexpr int kAccountsPerShard = 6;
 constexpr int64_t kInitialBalance = 100;
 // One designated contended counter row (shard 0) for lost-update checks.
 const int64_t kCounterKey = 999;
 
-struct HlcSiHarness {
-  uint64_t cn_ms = 1000;
-  std::vector<uint64_t> dn_ms;
-  Hlc cn_hlc;
-  TsoService tso;
-  struct Shard {
-    TableCatalog catalog;
-    std::unique_ptr<Hlc> hlc;
-    RedoLog log;
-    CountingPageStore store;
-    std::unique_ptr<BufferPool> pool;
-    std::unique_ptr<TxnEngine> engine;
-  };
-  std::vector<std::unique_ptr<Shard>> shards;
-  TxnCoordinator coord;
-
-  explicit HlcSiHarness(Rng* rng)
-      : cn_hlc([this] { return cn_ms; }),
-        tso([this] { return cn_ms; }),
-        coord(TsScheme::kHlcSi, &cn_hlc, nullptr) {
-    dn_ms.resize(kShards);
-    for (auto& ms : dn_ms) ms = 1000 + rng->Uniform(100);  // skewed start
-    for (int i = 0; i < kShards; ++i) {
-      auto shard = std::make_unique<Shard>();
-      shard->hlc = std::make_unique<Hlc>([this, i] { return dn_ms[i]; });
-      shard->pool = std::make_unique<BufferPool>(&shard->store);
-      shard->engine = std::make_unique<TxnEngine>(
-          uint32_t(i + 1), &shard->catalog, shard->hlc.get(), &shard->log,
-          shard->pool.get());
-      Schema schema({{"id", ValueType::kInt64, false},
-                     {"bal", ValueType::kInt64, false}},
-                    {0});
-      shard->catalog.CreateTable(kTable, "bank", schema, 0);
-      shards.push_back(std::move(shard));
-    }
-    // Seed accounts (plus the counter row) with local transactions.
-    for (int s = 0; s < kShards; ++s) {
-      TxnEngine* e = engine(s);
-      TxnId txn = e->Begin();
-      for (int a = 0; a < kAccountsPerShard; ++a) {
-        EXPECT_TRUE(
-            e->Update(txn, kTable, {AccountId(s, a), kInitialBalance}).ok());
-      }
-      if (s == 0) {
-        EXPECT_TRUE(e->Update(txn, kTable, {kCounterKey, int64_t(0)}).ok());
-      }
-      EXPECT_TRUE(e->CommitLocal(txn).ok());
-    }
-  }
-
-  static int64_t AccountId(int shard, int account) {
-    return int64_t(shard) * 1000 + account;
-  }
-  TxnEngine* engine(int i) { return shards[i]->engine.get(); }
-
-  /// Clocks advance at independent random rates — the skew the HLC must
-  /// absorb without breaking snapshot consistency.
-  void Tick(Rng* rng) {
-    cn_ms += rng->Uniform(3);
-    for (auto& ms : dn_ms) ms += rng->Uniform(3);
-  }
-};
+int64_t AccountId(int shard, int account) {
+  return int64_t(shard) * 1000 + account;
+}
 
 void RunHlcSiChaos(uint64_t seed) {
   Rng rng(seed);
-  HlcSiHarness h(&rng);
+  // A bank on kShards DNs whose clocks start up to 100 ms apart.
+  std::vector<uint64_t> dn_ms(kShards);
+  for (auto& ms : dn_ms) ms = 1000 + rng.Uniform(100);
+  TxnCluster c(kShards, TsScheme::kHlcSi, dn_ms);
+  for (int s = 0; s < kShards; ++s) {
+    std::vector<Row> rows;
+    for (int a = 0; a < kAccountsPerShard; ++a) {
+      rows.push_back({AccountId(s, a), kInitialBalance});
+    }
+    if (s == 0) rows.push_back({kCounterKey, int64_t(0)});
+    c.Load(size_t(s), rows);
+  }
   if (::testing::Test::HasFatalFailure()) return;
+  SyncCoordinator coord = c.Coordinator(TsScheme::kHlcSi);
 
   const int64_t total = int64_t(kShards) * kAccountsPerShard *
                         kInitialBalance;
@@ -199,59 +149,53 @@ void RunHlcSiChaos(uint64_t seed) {
   int audits = 0;
 
   for (int step = 0; step < 250; ++step) {
-    h.Tick(&rng);
+    c.Tick(&rng);
     switch (rng.Uniform(4)) {
       case 0: {  // transfer between two random accounts on distinct shards
         int s1 = int(rng.Uniform(kShards));
         int s2 = int(rng.Uniform(kShards));
         if (s1 == s2) s2 = (s2 + 1) % kShards;
-        int64_t k1 = HlcSiHarness::AccountId(s1, int(rng.Uniform(
-                                                     kAccountsPerShard)));
-        int64_t k2 = HlcSiHarness::AccountId(s2, int(rng.Uniform(
-                                                     kAccountsPerShard)));
+        int64_t k1 = AccountId(s1, int(rng.Uniform(kAccountsPerShard)));
+        int64_t k2 = AccountId(s2, int(rng.Uniform(kAccountsPerShard)));
         int64_t amount = 1 + int64_t(rng.Uniform(20));
-        DistributedTxn txn = h.coord.Begin();
+        DistributedTxn txn = coord.Begin();
         Row r1, r2;
         bool ok =
-            h.coord.Read(&txn, h.engine(s1), kTable, EncodeKey({k1}), &r1)
+            coord.Read(&txn, c.engine(s1), kTable, EncodeKey({k1}), &r1)
                 .ok() &&
-            h.coord.Read(&txn, h.engine(s2), kTable, EncodeKey({k2}), &r2)
+            coord.Read(&txn, c.engine(s2), kTable, EncodeKey({k2}), &r2)
                 .ok();
         ok = ok &&
-             h.coord
-                 .Update(&txn, h.engine(s1), kTable,
-                         {k1, std::get<int64_t>(r1[1]) - amount})
+             coord.Update(&txn, c.engine(s1), kTable,
+                          {k1, std::get<int64_t>(r1[1]) - amount})
                  .ok() &&
-             h.coord
-                 .Update(&txn, h.engine(s2), kTable,
-                         {k2, std::get<int64_t>(r2[1]) + amount})
+             coord.Update(&txn, c.engine(s2), kTable,
+                          {k2, std::get<int64_t>(r2[1]) + amount})
                  .ok();
         if (ok) {
-          h.coord.Commit(&txn).ok();  // conflict aborts are fine
+          coord.Commit(&txn).ok();  // conflict aborts are fine
         } else {
-          h.coord.Abort(&txn);
+          coord.Abort(&txn);
         }
         break;
       }
       case 1: {  // audit: one snapshot over every shard conserves money
-        DistributedTxn txn = h.coord.Begin();
+        DistributedTxn txn = coord.Begin();
         int64_t sum = 0;
         bool complete = true;
         for (int s = 0; s < kShards && complete; ++s) {
           for (int a = 0; a < kAccountsPerShard; ++a) {
             Row row;
-            Status st = h.coord.Read(&txn, h.engine(s), kTable,
-                                     EncodeKey({HlcSiHarness::AccountId(
-                                         s, a)}),
-                                     &row);
-            if (!st.ok()) {  // prepared-wait exhaustion: retry next round
+            Status st = coord.Read(&txn, c.engine(s), kTable,
+                                   EncodeKey({AccountId(s, a)}), &row);
+            if (!st.ok()) {  // left waiting on a PREPARED writer: next round
               complete = false;
               break;
             }
             sum += std::get<int64_t>(row[1]);
           }
         }
-        h.coord.Abort(&txn);
+        coord.Abort(&txn);
         if (complete) {
           ++audits;
           ASSERT_EQ(sum, total)
@@ -261,38 +205,36 @@ void RunHlcSiChaos(uint64_t seed) {
         break;
       }
       case 2: {  // two interleaved increments of one contended row
-        DistributedTxn t1 = h.coord.Begin();
-        DistributedTxn t2 = h.coord.Begin();
+        DistributedTxn t1 = coord.Begin();
+        DistributedTxn t2 = coord.Begin();
         Row r1, r2;
-        bool ok1 = h.coord
-                       .Read(&t1, h.engine(0), kTable,
-                             EncodeKey({kCounterKey}), &r1)
-                       .ok();
-        bool ok2 = h.coord
-                       .Read(&t2, h.engine(0), kTable,
-                             EncodeKey({kCounterKey}), &r2)
-                       .ok();
-        ok1 = ok1 && h.coord
-                         .Update(&t1, h.engine(0), kTable,
+        bool ok1 =
+            coord.Read(&t1, c.engine(0), kTable, EncodeKey({kCounterKey}), &r1)
+                .ok();
+        bool ok2 =
+            coord.Read(&t2, c.engine(0), kTable, EncodeKey({kCounterKey}), &r2)
+                .ok();
+        ok1 = ok1 && coord
+                         .Update(&t1, c.engine(0), kTable,
                                  {kCounterKey, std::get<int64_t>(r1[1]) + 1})
                          .ok();
-        ok1 = ok1 && h.coord.Commit(&t1).ok();
-        if (!ok1) h.coord.Abort(&t1);
+        ok1 = ok1 && coord.Commit(&t1).ok();
+        if (!ok1) coord.Abort(&t1);
         // t2 read the same version t1 just replaced: SI first-committer-
         // wins must refuse the second write instead of losing t1's update.
-        ok2 = ok2 && h.coord
-                         .Update(&t2, h.engine(0), kTable,
+        ok2 = ok2 && coord
+                         .Update(&t2, c.engine(0), kTable,
                                  {kCounterKey, std::get<int64_t>(r2[1]) + 1})
                          .ok();
-        ok2 = ok2 && h.coord.Commit(&t2).ok();
-        if (!ok2) h.coord.Abort(&t2);
+        ok2 = ok2 && coord.Commit(&t2).ok();
+        if (!ok2) coord.Abort(&t2);
         ASSERT_FALSE(ok1 && ok2)
             << "both interleaved increments committed: lost update";
         committed_increments += (ok1 ? 1 : 0) + (ok2 ? 1 : 0);
         break;
       }
       case 3:  // clock-only step: skew accumulates between transactions
-        h.Tick(&rng);
+        c.Tick(&rng);
         break;
     }
     if (::testing::Test::HasFatalFailure()) return;
@@ -302,10 +244,10 @@ void RunHlcSiChaos(uint64_t seed) {
   // claimed success. Read at shard 0's own clock — commits there were
   // stamped by it, so its Now() is past every counter commit_ts even when
   // the CN clock lags.
-  h.Tick(&rng);
+  c.Tick(&rng);
   Row counter;
-  ASSERT_TRUE(h.engine(0)
-                  ->ReadAt(h.shards[0]->hlc->Now(), kTable,
+  ASSERT_TRUE(c.engine(0)
+                  ->ReadAt(c.engine(0)->hlc()->Now(), kTable,
                            EncodeKey({kCounterKey}), &counter)
                   .ok());
   EXPECT_EQ(std::get<int64_t>(counter[1]), committed_increments);

@@ -10,69 +10,15 @@
 #include <memory>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "src/clock/hlc.h"
-#include "src/clock/tso.h"
 #include "src/common/rng.h"
-#include "src/storage/buffer_pool.h"
-#include "src/storage/key_codec.h"
-#include "src/txn/distributed.h"
-#include "src/txn/engine.h"
-#include "src/txn/recovery.h"
+#include "tests/txn_cluster.h"
 
 namespace polarx {
 namespace {
 
-constexpr TableId kTable = 1;
-
-/// A mini-cluster: N shard engines, each with its own (skewable) physical
-/// clock, plus a CN clock and a TSO.
-struct Cluster {
-  uint64_t cn_ms = 1000;
-  std::vector<uint64_t> dn_ms;
-  Hlc cn_hlc;
-  TsoService tso;
-  struct Shard {
-    TableCatalog catalog;
-    std::unique_ptr<Hlc> hlc;
-    RedoLog log;
-    CountingPageStore store;
-    std::unique_ptr<BufferPool> pool;
-    std::unique_ptr<TxnEngine> engine;
-  };
-  std::vector<std::unique_ptr<Shard>> shards;
-
-  explicit Cluster(size_t n, TsScheme scheme = TsScheme::kHlcSi,
-                   std::vector<uint64_t> skews = {})
-      : cn_hlc([this] { return cn_ms; }), tso([this] { return cn_ms; }) {
-    dn_ms.resize(n, 1000);
-    for (size_t i = 0; i < n; ++i) {
-      if (i < skews.size()) dn_ms[i] = skews[i];
-      auto shard = std::make_unique<Shard>();
-      shard->hlc = std::make_unique<Hlc>([this, i] { return dn_ms[i]; });
-      shard->pool = std::make_unique<BufferPool>(&shard->store);
-      TxnEngineOptions opts;
-      opts.use_prepare_ts_filter = (scheme == TsScheme::kHlcSi);
-      shard->engine = std::make_unique<TxnEngine>(
-          static_cast<uint32_t>(i + 1), &shard->catalog, shard->hlc.get(),
-          &shard->log, shard->pool.get(), opts);
-      Schema schema({{"id", ValueType::kInt64, false},
-                     {"val", ValueType::kInt64, false}},
-                    {0});
-      shard->catalog.CreateTable(kTable, "t", schema, 0);
-      shards.push_back(std::move(shard));
-    }
-  }
-
-  TxnEngine* engine(size_t i) { return shards[i]->engine.get(); }
-
-  void TickAll(uint64_t ms = 1) {
-    cn_ms += ms;
-    for (auto& t : dn_ms) t += ms;
-  }
-};
+constexpr TableId kTable = TxnCluster::kTable;
 
 class SchemeTest : public ::testing::TestWithParam<TsScheme> {
  protected:
@@ -80,8 +26,8 @@ class SchemeTest : public ::testing::TestWithParam<TsScheme> {
 };
 
 TEST_P(SchemeTest, CrossShardCommitIsAtomic) {
-  Cluster c(3, scheme());
-  TxnCoordinator coord(scheme(), &c.cn_hlc, &c.tso);
+  TxnCluster c(3, scheme());
+  SyncCoordinator coord = c.Coordinator(scheme());
   DistributedTxn txn = coord.Begin();
   for (size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(coord
@@ -106,8 +52,8 @@ TEST_P(SchemeTest, CrossShardCommitIsAtomic) {
 }
 
 TEST_P(SchemeTest, AbortRollsBackAllShards) {
-  Cluster c(2, scheme());
-  TxnCoordinator coord(scheme(), &c.cn_hlc, &c.tso);
+  TxnCluster c(2, scheme());
+  SyncCoordinator coord = c.Coordinator(scheme());
   DistributedTxn txn = coord.Begin();
   ASSERT_TRUE(coord.Insert(&txn, c.engine(0), kTable, {int64_t{1}, int64_t{1}}).ok());
   ASSERT_TRUE(coord.Insert(&txn, c.engine(1), kTable, {int64_t{2}, int64_t{2}}).ok());
@@ -123,8 +69,8 @@ TEST_P(SchemeTest, AbortRollsBackAllShards) {
 }
 
 TEST_P(SchemeTest, PrepareConflictAbortsEverywhere) {
-  Cluster c(2, scheme());
-  TxnCoordinator coord(scheme(), &c.cn_hlc, &c.tso);
+  TxnCluster c(2, scheme());
+  SyncCoordinator coord = c.Coordinator(scheme());
   // t1 writes shard0 key 1; t2 writes shard1 key 2 then conflicts on shard0.
   DistributedTxn t1 = coord.Begin();
   ASSERT_TRUE(coord.Update(&t1, c.engine(0), kTable, {int64_t{1}, int64_t{10}}).ok());
@@ -148,8 +94,8 @@ TEST_P(SchemeTest, PrepareConflictAbortsEverywhere) {
 TEST_P(SchemeTest, SnapshotSeesAllOrNothingOfConcurrentCommit) {
   // The fundamental cross-shard SI test: a reader must never observe a
   // distributed transaction's write on one shard but not the other.
-  Cluster c(2, scheme());
-  TxnCoordinator coord(scheme(), &c.cn_hlc, &c.tso);
+  TxnCluster c(2, scheme());
+  SyncCoordinator coord = c.Coordinator(scheme());
   {
     DistributedTxn init = coord.Begin();
     ASSERT_TRUE(coord.Insert(&init, c.engine(0), kTable, {int64_t{1}, int64_t{0}}).ok());
@@ -176,8 +122,8 @@ TEST_P(SchemeTest, SnapshotSeesAllOrNothingOfConcurrentCommit) {
 }
 
 TEST_P(SchemeTest, OneShardCommitUsesFastPath) {
-  Cluster c(2, scheme());
-  TxnCoordinator coord(scheme(), &c.cn_hlc, &c.tso);
+  TxnCluster c(2, scheme());
+  SyncCoordinator coord = c.Coordinator(scheme());
   DistributedTxn txn = coord.Begin();
   ASSERT_TRUE(coord.Insert(&txn, c.engine(0), kTable, {int64_t{1}, int64_t{1}}).ok());
   ASSERT_TRUE(coord.Commit(&txn).ok());
@@ -195,8 +141,8 @@ INSTANTIATE_TEST_SUITE_P(Schemes, SchemeTest,
 TEST(HlcSiTest, WorksUnderSevereClockSkew) {
   // DN clocks skewed by seconds: HLC-SI must still give consistent
   // snapshots (the whole point of hybrid clocks vs Clock-SI).
-  Cluster c(2, TsScheme::kHlcSi, {100, 60000});
-  TxnCoordinator coord(TsScheme::kHlcSi, &c.cn_hlc, &c.tso);
+  TxnCluster c(2, TsScheme::kHlcSi, {100, 60000});
+  SyncCoordinator coord = c.Coordinator(TsScheme::kHlcSi);
   {
     DistributedTxn init = coord.Begin();
     ASSERT_TRUE(coord.Insert(&init, c.engine(0), kTable, {int64_t{1}, int64_t{0}}).ok());
@@ -219,8 +165,8 @@ TEST(HlcSiTest, WorksUnderSevereClockSkew) {
 }
 
 TEST(HlcSiTest, CommitTsIsMaxOfPrepareTs) {
-  Cluster c(3, TsScheme::kHlcSi, {1000, 5000, 3000});
-  TxnCoordinator coord(TsScheme::kHlcSi, &c.cn_hlc, &c.tso);
+  TxnCluster c(3, TsScheme::kHlcSi, {1000, 5000, 3000});
+  SyncCoordinator coord = c.Coordinator(TsScheme::kHlcSi);
   DistributedTxn txn = coord.Begin();
   for (size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(coord.Insert(&txn, c.engine(i), kTable, {int64_t(i), int64_t(i)}).ok());
@@ -236,8 +182,8 @@ TEST(HlcSiTest, VisibilityRuleMatchesPaperProof) {
   // Construct the §IV proof scenario directly: T2's snapshot is taken, then
   // T1 (still ACTIVE on the shared shard when T2 reads) must be invisible
   // and must receive commit_ts > T2.snapshot_ts.
-  Cluster c(2, TsScheme::kHlcSi);
-  TxnCoordinator coord(TsScheme::kHlcSi, &c.cn_hlc, &c.tso);
+  TxnCluster c(2, TsScheme::kHlcSi);
+  SyncCoordinator coord = c.Coordinator(TsScheme::kHlcSi);
   {
     DistributedTxn init = coord.Begin();
     ASSERT_TRUE(coord.Insert(&init, c.engine(0), kTable, {int64_t{1}, int64_t{0}}).ok());
@@ -260,8 +206,8 @@ TEST(HlcSiTest, VisibilityRuleMatchesPaperProof) {
 }
 
 TEST(TsoSiTest, EveryTxnCallsTso) {
-  Cluster c(2, TsScheme::kTsoSi);
-  TxnCoordinator coord(TsScheme::kTsoSi, &c.cn_hlc, &c.tso);
+  TxnCluster c(2, TsScheme::kTsoSi);
+  SyncCoordinator coord = c.Coordinator(TsScheme::kTsoSi);
   for (int i = 0; i < 5; ++i) {
     c.TickAll();
     DistributedTxn txn = coord.Begin();
@@ -290,8 +236,8 @@ TEST_P(DistributedBankTest, SnapshotAuditsAlwaysBalance) {
   constexpr int kShards = 4;
   constexpr int kAccountsPerShard = 4;
   constexpr int64_t kInitial = 1000;
-  Cluster c(kShards, p.scheme, p.skews);
-  TxnCoordinator coord(p.scheme, &c.cn_hlc, &c.tso);
+  TxnCluster c(kShards, p.scheme, p.skews);
+  SyncCoordinator coord = c.Coordinator(p.scheme);
   {
     DistributedTxn init = coord.Begin();
     for (int s = 0; s < kShards; ++s) {
@@ -358,8 +304,8 @@ TEST_P(DistributedBankTest, SnapshotAuditsAlwaysBalance) {
 }
 
 TEST(CoordinatorStatsTest, AbortsSplitByPreparePhase) {
-  Cluster c(2);
-  TxnCoordinator coord(TsScheme::kHlcSi, &c.cn_hlc, &c.tso);
+  TxnCluster c(2);
+  SyncCoordinator coord = c.Coordinator(TsScheme::kHlcSi);
 
   // Abort before any branch prepared: the cheap case, nothing in doubt.
   DistributedTxn t1 = coord.Begin();
@@ -405,8 +351,8 @@ class StepHookTest : public ::testing::TestWithParam<StepCase> {};
 TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
   const auto [scheme, stop_at] = GetParam();
   constexpr uint32_t kCoordinatorId = 77;
-  Cluster c(3);
-  TxnCoordinator coord(scheme, &c.cn_hlc, &c.tso, kCoordinatorId);
+  TxnCluster c(3);
+  SyncCoordinator coord = c.Coordinator(scheme, kCoordinatorId);
   coord.set_step_hook(
       [stop_at](CommitStep step, GlobalTxnId) { return step != stop_at; });
 
@@ -423,8 +369,7 @@ TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
   EXPECT_EQ(coord.Commit(&txn).ok(), acked)
       << "acknowledged exactly when the step follows the commit point";
 
-  InDoubtResolver resolver({c.engine(0), c.engine(1), c.engine(2)});
-  resolver.Resolve({kCoordinatorId});
+  c.Resolve({kCoordinatorId});
 
   const bool committed = stop_at >= commit_point;
   for (size_t i = 0; i < 3; ++i) {
@@ -439,7 +384,7 @@ TEST_P(StepHookTest, ResolverCompletesStoppedCommitAtomically) {
   // Every row is writable again: no intent of the stopped coordinator is
   // left behind.
   c.TickAll();
-  TxnCoordinator next(scheme, &c.cn_hlc, &c.tso);
+  SyncCoordinator next = c.Coordinator(scheme);
   DistributedTxn writer = next.Begin();
   for (size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(
@@ -489,28 +434,26 @@ INSTANTIATE_TEST_SUITE_P(
              StepName(info.param.stop_at);
     });
 
-// The in-process engines behind a transport that parks every phase-2
-// commit until Release().
+// The cluster's inline transport, except that every phase-2 commit is
+// parked until Release().
 class ParkedCommitParticipants : public TxnParticipants {
  public:
-  ParkedCommitParticipants(TsoService* tso,
-                           const std::vector<TxnEngine*>& engines)
-      : inner_(tso, engines) {}
+  explicit ParkedCommitParticipants(TxnParticipants* inner) : inner_(inner) {}
 
   std::vector<uint32_t> participant_ids() const override {
-    return inner_.participant_ids();
+    return inner_->participant_ids();
   }
   void Call(uint32_t participant, ParticipantCall call,
             ReplyFn done) override {
     if (call.op != ParticipantCall::Op::kCommit) {
-      inner_.Call(participant, std::move(call), std::move(done));
+      inner_->Call(participant, std::move(call), std::move(done));
       return;
     }
     parked_.push_back([this, participant, call, done] {
-      inner_.Call(participant, call, done);
+      inner_->Call(participant, call, done);
     });
   }
-  void FetchTso(ReplyFn done) override { inner_.FetchTso(std::move(done)); }
+  void FetchTso(ReplyFn done) override { inner_->FetchTso(std::move(done)); }
 
   size_t parked() const { return parked_.size(); }
   void Release() {
@@ -520,7 +463,7 @@ class ParkedCommitParticipants : public TxnParticipants {
   }
 
  private:
-  LocalParticipants inner_;
+  TxnParticipants* inner_;
   std::vector<std::function<void()>> parked_;
 };
 
@@ -532,11 +475,10 @@ class ParkedCommitParticipants : public TxnParticipants {
 // branch instead of reading past it.
 TEST(AckAtCommitPointTest, AckedWriteIsWaitedOnUntilPhaseTwoLands) {
   constexpr uint32_t kCoordinatorId = 91;
-  Cluster c(3);
-  ParkedCommitParticipants transport(
-      &c.tso, {c.engine(0), c.engine(1), c.engine(2)});
-  TxnCoordinator coord(&transport, TsScheme::kHlcSi, &c.cn_hlc,
-                       kCoordinatorId);
+  TxnCluster c(3);
+  ParkedCommitParticipants transport(&c.transport);
+  SyncCoordinator coord(&transport, TsScheme::kHlcSi, &c.cn_hlc,
+                        kCoordinatorId);
 
   // The caller owns its transaction only until the acknowledgement.
   auto txn = std::make_unique<DistributedTxn>(coord.NewTxn());
@@ -580,7 +522,7 @@ TEST(AckAtCommitPointTest, AckedWriteIsWaitedOnUntilPhaseTwoLands) {
   // DN answers the reader's first statement Busy, naming the writer, on
   // the branch that statement started.
   c.TickAll();
-  TxnCoordinator next(TsScheme::kHlcSi, &c.cn_hlc, &c.tso);
+  SyncCoordinator next = c.Coordinator(TsScheme::kHlcSi);
   DistributedTxn reader = next.Begin();
   ASSERT_GT(reader.snapshot_ts(), commit_ts);
   std::map<uint32_t, TxnId> reads;
@@ -624,7 +566,7 @@ TEST(AckAtCommitPointTest, AckedWriteIsWaitedOnUntilPhaseTwoLands) {
 // by global id); a statement on a branch the DN no longer has is refused,
 // so a transaction never continues with half its writes missing.
 TEST(StatementCallTest, FirstStatementStartsTheBranchOnce) {
-  Cluster c(1);
+  TxnCluster c(1);
   ParticipantCall call{ParticipantCall::Op::kStatement};
   call.statement = {.kind = Statement::Kind::kUpdate,
                     .table = kTable,

@@ -6,6 +6,7 @@
 #include <array>
 #include <atomic>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <random>
@@ -805,7 +806,9 @@ TEST(OperatorTest, HashAggGroupsMixedTypeKeysLikeEncodedKeys) {
                    g.max, g.nonnull});
       expected.push_back(std::move(want));
     }
-    if (ncols == 1) ASSERT_EQ(groups.size(), pool.size());
+    if (ncols == 1) {
+      ASSERT_EQ(groups.size(), pool.size());
+    }
 
     HashAggOp complete(std::make_unique<ValuesOp>(rows), group_by(),
                        aggs(false));
@@ -1338,6 +1341,61 @@ TEST(SchedulerTest, IsolationKeepsTpLatencyLowUnderApFlood) {
         << "TP latency must not queue behind the AP flood";
   }
   for (auto& h : ap) h->Wait();
+}
+
+/// A one-slice job that counts its start, then blocks until `gate` opens.
+class GatedJob : public SlicedJob {
+ public:
+  GatedJob(std::shared_future<void> gate, std::atomic<int>* started)
+      : gate_(std::move(gate)), started_(started) {}
+  bool RunSlice() override {
+    started_->fetch_add(1);
+    gate_.wait();
+    return true;
+  }
+
+ private:
+  std::shared_future<void> gate_;
+  std::atomic<int>* started_;
+};
+
+/// Polls `done` for up to ~5 s.
+bool Eventually(const std::function<bool()>& done) {
+  for (int i = 0; i < 5000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST(SchedulerTest, QuotaBlockedWorkerWakesForTpAndIsolationToggle) {
+  // Two workers, an AP quota of one: one worker runs a gated AP slice and
+  // the other has only a second AP job to pick, which the quota refuses.
+  SchedulerOptions opts;
+  opts.num_workers = 2;
+  opts.ap_max_concurrency = 1;
+  std::atomic<int> started{0};
+  QueryScheduler sched(opts);
+  std::promise<void> open;  // destroyed first: a failed run still ends
+  std::shared_future<void> gate = open.get_future().share();
+  auto ap1 = sched.Submit(std::make_shared<GatedJob>(gate, &started),
+                          QueryClass::kAp);
+  ASSERT_TRUE(Eventually([&] { return started == 1; }));
+  auto ap2 = sched.Submit(std::make_shared<GatedJob>(gate, &started),
+                          QueryClass::kAp);
+
+  // A TP job runs on the quota-blocked worker while both AP jobs wait.
+  auto tp = sched.Submit(
+      std::make_shared<SpinJob>(1, std::chrono::microseconds(100)),
+      QueryClass::kTp);
+  EXPECT_TRUE(Eventually([&] { return tp->done(); }));
+  EXPECT_FALSE(ap1->done() || ap2->done());
+
+  // Lifting the quota wakes the waiting worker for the second AP job.
+  sched.SetIsolationEnabled(false);
+  EXPECT_TRUE(Eventually([&] { return started == 2; }));
+  open.set_value();
+  ap1->Wait();
+  ap2->Wait();
 }
 
 TEST(SchedulerTest, OperatorJobCollectsRows) {

@@ -118,7 +118,9 @@ TEST(KeyCodecTest, EncodingPreservesOrder) {
       EXPECT_GT(encoded, 0);
     } else {
       // equal typed values of the same type encode identically
-      if (TypeOf(a[0]) == TypeOf(b[0])) EXPECT_EQ(encoded, 0);
+      if (TypeOf(a[0]) == TypeOf(b[0])) {
+        EXPECT_EQ(encoded, 0);
+      }
     }
   }
 }

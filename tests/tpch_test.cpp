@@ -828,7 +828,9 @@ TEST_F(TpchExchangeFixture, OrderkeyWorkStaysInTheTask) {
                          kOrders),
               0)
         << "Q" << q;
-    if (q == 4 || q == 18 || q == 21) EXPECT_EQ(plan.exchanges, 0) << "Q" << q;
+    if (q == 4 || q == 18 || q == 21) {
+      EXPECT_EQ(plan.exchanges, 0) << "Q" << q;
+    }
   }
 }
 

@@ -4,10 +4,11 @@
 
 #include <memory>
 #include <optional>
-#include <thread>
+#include <vector>
 
 #include "src/clock/hlc.h"
 #include "src/common/rng.h"
+#include "src/replication/redo_applier.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/key_codec.h"
 #include "src/storage/redo.h"
@@ -207,23 +208,6 @@ TEST(TxnEngineTest, PreparedDoesNotBlockEarlierSnapshot) {
   EXPECT_EQ(f.engine.stats().prepared_waits, 0u);
 }
 
-TEST(TxnEngineTest, WaitResolvedUnblocksOnCommit) {
-  EngineFixture f;
-  TxnId writer = f.engine.Begin();
-  ASSERT_TRUE(f.engine.Update(writer, f.table_id, f.MakeRow(1, "v")).ok());
-  auto prep = f.engine.Prepare(writer);
-  ASSERT_TRUE(prep.ok());
-  std::thread committer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    f.engine.Commit(writer, *prep);
-  });
-  f.engine.WaitResolved(writer);  // must unblock
-  committer.join();
-  auto state = f.engine.StateOf(writer);
-  ASSERT_TRUE(state.ok());
-  EXPECT_EQ(*state, TxnState::kCommitted);
-}
-
 TEST(TxnEngineTest, OnResolvedFiresOnceOnAbort) {
   EngineFixture f;
   TxnId writer = f.engine.Begin();
@@ -236,6 +220,66 @@ TEST(TxnEngineTest, OnResolvedFiresOnceOnAbort) {
   // Already resolved: fires immediately.
   f.engine.OnResolved(writer, [&] { ++fired; });
   EXPECT_EQ(fired, 2);
+
+  // A commit fires its waiters once, too: the prepared-wait of a read
+  // blocked by a PREPARED writer, which serves the read again from there.
+  f.now_ms += 5;
+  TxnId committer = f.engine.Begin();
+  ASSERT_TRUE(f.engine.Update(committer, f.table_id, f.MakeRow(2, "w")).ok());
+  Result<Timestamp> prep = f.engine.Prepare(committer);
+  ASSERT_TRUE(prep.ok());
+  f.now_ms += 5;
+  const Timestamp snapshot = f.hlc.Now();
+  Row row;
+  TxnId blocker = kInvalidTxnId;
+  ASSERT_TRUE(
+      f.engine.ReadAt(snapshot, f.table_id, f.Key(2), &row, &blocker).IsBusy());
+  ASSERT_EQ(blocker, committer);
+  int commit_fired = 0;
+  Status reread = Status::Unavailable("waiter never fired");
+  f.engine.OnResolved(blocker, [&] {
+    ++commit_fired;
+    reread = f.engine.ReadAt(snapshot, f.table_id, f.Key(2), &row);
+  });
+  EXPECT_EQ(commit_fired, 0);
+  ASSERT_TRUE(f.engine.Commit(committer, *prep).ok());
+  EXPECT_EQ(commit_fired, 1);
+  ASSERT_TRUE(reread.ok()) << reread.ToString();
+  EXPECT_EQ(std::get<std::string>(row[1]), "w");
+  ASSERT_TRUE(f.engine.Commit(committer, *prep).ok());  // a retried commit
+  EXPECT_EQ(commit_fired, 1);
+  f.engine.OnResolved(committer, [&] { ++commit_fired; });
+  EXPECT_EQ(commit_fired, 2);
+}
+
+TEST(TxnEngineTest, LocalCommitIsOneMtrThatReplays) {
+  // The prepare and commit records share one MTR: one append, one
+  // durability request, and no PREPARED window between two of them.
+  EngineFixture f;
+  TxnId txn = f.engine.Begin();
+  ASSERT_TRUE(f.engine.Update(txn, f.table_id, f.MakeRow(1, "a")).ok());
+  const uint64_t mtrs = f.log.mtrs_appended();
+  Result<Timestamp> cts = f.engine.CommitLocal(txn);
+  ASSERT_TRUE(cts.ok());
+  EXPECT_EQ(f.log.mtrs_appended(), mtrs + 1);
+
+  // Replayed alone, the log yields the committed row and state.
+  std::vector<RedoRecord> recs;
+  ASSERT_TRUE(f.log.ReadRecords(1, f.log.current_lsn(), &recs).ok());
+  TableCatalog catalog;
+  catalog.CreateTable(f.table_id, "kv",
+                      f.catalog.FindTable(f.table_id)->schema(), 0);
+  ASSERT_TRUE(RedoApplier(&catalog).ApplyAll(recs).ok());
+  TxnEngineOptions opts;
+  opts.id_epoch = 1;
+  TxnEngine rebuilt(1, &catalog, &f.hlc, &f.log, &f.pool, opts);
+  ASSERT_TRUE(rebuilt.RecoverState(recs).ok());
+  Result<TxnState> state = rebuilt.StateOf(txn);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(*state, TxnState::kCommitted);
+  Row row;
+  ASSERT_TRUE(rebuilt.ReadAt(*cts, f.table_id, f.Key(1), &row).ok());
+  EXPECT_EQ(std::get<std::string>(row[1]), "a");
 }
 
 TEST(TxnEngineTest, CommitIsIdempotent) {
@@ -559,7 +603,7 @@ TEST(TxnEngineTest, RecoveryKeepsParticipantsFencesAndOnePhaseCommits) {
   ASSERT_TRUE(f.engine.Prepare(prepared, 0, {1, 2, 3}).ok());
   TxnId one_phase = f.engine.BeginBranch(0, GlobalTxnId(12), 7);
   ASSERT_TRUE(f.engine.Update(one_phase, f.table_id, f.MakeRow(2, "b")).ok());
-  Result<Timestamp> committed = f.engine.CommitOnePhase(one_phase);
+  Result<Timestamp> committed = f.engine.CommitLocal(one_phase);
   ASSERT_TRUE(committed.ok());
   ASSERT_EQ(f.engine.FenceUnprepared(GlobalTxnId(13))->state,
             TxnState::kAborted);

@@ -6,20 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
-#include <set>
 #include <vector>
 
-#include "src/clock/hlc.h"
-#include "src/storage/buffer_pool.h"
-#include "src/storage/key_codec.h"
-#include "src/txn/engine.h"
-#include "src/txn/recovery.h"
+#include "tests/txn_cluster.h"
 
 namespace polarx {
 namespace {
 
-constexpr TableId kTable = 1;
+constexpr TableId kTable = TxnCluster::kTable;
 constexpr uint32_t kDeadCoord = 5;
 constexpr uint32_t kLiveCoord = 6;
 
@@ -27,43 +21,10 @@ GlobalTxnId Gid(uint32_t coordinator, uint64_t counter) {
   return (GlobalTxnId(coordinator) << 32) | counter;
 }
 
-/// N shard engines sharing a wall clock, plus a CN clock for snapshots.
-struct MiniCluster {
-  uint64_t now_ms = 1000;
-  Hlc cn_hlc;
-  struct Shard {
-    TableCatalog catalog;
-    std::unique_ptr<Hlc> hlc;
-    RedoLog log;
-    CountingPageStore store;
-    std::unique_ptr<BufferPool> pool;
-    std::unique_ptr<TxnEngine> engine;
-  };
-  std::vector<std::unique_ptr<Shard>> shards;
-
-  explicit MiniCluster(size_t n) : cn_hlc([this] { return now_ms; }) {
-    for (size_t i = 0; i < n; ++i) {
-      auto shard = std::make_unique<Shard>();
-      shard->hlc = std::make_unique<Hlc>([this] { return now_ms; });
-      shard->pool = std::make_unique<BufferPool>(&shard->store);
-      shard->engine = std::make_unique<TxnEngine>(
-          static_cast<uint32_t>(i + 1), &shard->catalog, shard->hlc.get(),
-          &shard->log, shard->pool.get());
-      Schema schema({{"id", ValueType::kInt64, false},
-                     {"val", ValueType::kInt64, false}},
-                    {0});
-      shard->catalog.CreateTable(kTable, "t", schema, 0);
-      shards.push_back(std::move(shard));
-    }
-  }
-
-  TxnEngine* engine(size_t i) { return shards[i]->engine.get(); }
-
-  std::vector<TxnEngine*> engines() {
-    std::vector<TxnEngine*> out;
-    for (auto& s : shards) out.push_back(s->engine.get());
-    return out;
-  }
+/// The shared test cluster (all clocks start together and tick together),
+/// plus helpers that leave global transactions in doubt.
+struct MiniCluster : TxnCluster {
+  using TxnCluster::TxnCluster;
 
   /// Drives a global transaction to the end of phase 1: one branch per
   /// engine in `participants`, each with a row written and PREPARED, commit
@@ -126,8 +87,7 @@ TEST(InDoubtResolverTest, PresumedAbortWhenNoCommitPoint) {
   std::vector<TxnId> branches;
   c.PrepareGlobal(gid, kDeadCoord, {0, 1, 2}, &branches);
 
-  InDoubtResolver resolver(c.engines());
-  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  ResolutionStats stats = c.Resolve({kDeadCoord});
   EXPECT_EQ(stats.globals_resolved, 1u);
   EXPECT_EQ(stats.branches_aborted, 3u);
   EXPECT_EQ(stats.branches_committed, 0u);
@@ -153,8 +113,7 @@ TEST(InDoubtResolverTest, FollowsCommitPointWhenPresent) {
   // The coordinator recorded its commit point, then died before phase 2.
   ASSERT_TRUE(c.engine(0)->DecideCommit(gid, max_prepare).ok());
 
-  InDoubtResolver resolver(c.engines());
-  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  ResolutionStats stats = c.Resolve({kDeadCoord});
   EXPECT_EQ(stats.globals_resolved, 1u);
   EXPECT_EQ(stats.branches_committed, 2u);
   EXPECT_EQ(stats.branches_aborted, 0u);
@@ -171,10 +130,9 @@ TEST(InDoubtResolverTest, FollowsCommitPointWhenPresent) {
 TEST(InDoubtResolverTest, ResolveIsIdempotent) {
   MiniCluster c(2);
   c.PrepareGlobal(Gid(kDeadCoord, 1), kDeadCoord, {0, 1});
-  InDoubtResolver resolver(c.engines());
-  ResolutionStats first = resolver.Resolve({kDeadCoord});
+  ResolutionStats first = c.Resolve({kDeadCoord});
   EXPECT_EQ(first.globals_resolved, 1u);
-  ResolutionStats second = resolver.Resolve({kDeadCoord});
+  ResolutionStats second = c.Resolve({kDeadCoord});
   EXPECT_EQ(second.globals_resolved, 0u);
   EXPECT_EQ(second.branches_aborted, 0u);
   EXPECT_EQ(second.branches_committed, 0u);
@@ -186,8 +144,7 @@ TEST(InDoubtResolverTest, LeavesLiveCoordinatorsBranchesAlone) {
   c.PrepareGlobal(Gid(kDeadCoord, 1), kDeadCoord, {0, 1}, &dead_branches);
   c.PrepareGlobal(Gid(kLiveCoord, 1), kLiveCoord, {0, 1}, &live_branches);
 
-  InDoubtResolver resolver(c.engines());
-  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  ResolutionStats stats = c.Resolve({kDeadCoord});
   EXPECT_EQ(stats.globals_resolved, 1u);
 
   for (size_t i = 0; i < 2; ++i) {
@@ -208,17 +165,16 @@ TEST(InDoubtResolverTest, AbortReleasesLocksForNewWriters) {
 
   // The prepared branch holds a write intent on key 7: a new writer
   // conflicts against it.
-  c.now_ms += 10;
+  c.TickAll(10);
   TxnId w1 = c.engine(0)->Begin();
   EXPECT_FALSE(c.engine(0)->Update(w1, kTable, {int64_t{7}, int64_t{2}}).ok());
   ASSERT_TRUE(c.engine(0)->Abort(w1).ok());
 
-  InDoubtResolver resolver(c.engines());
-  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  ResolutionStats stats = c.Resolve({kDeadCoord});
   EXPECT_EQ(stats.branches_aborted, 1u);
 
   // Resolution released the intent: the key is writable again.
-  c.now_ms += 10;
+  c.TickAll(10);
   TxnId w2 = c.engine(0)->Begin();
   EXPECT_TRUE(c.engine(0)->Update(w2, kTable, {int64_t{7}, int64_t{3}}).ok());
   EXPECT_TRUE(c.engine(0)->CommitLocal(w2).ok());
@@ -232,20 +188,19 @@ TEST(InDoubtResolverTest, AbortsActiveBranchHoldingRowLock) {
   TxnId b = c.engine(0)->BeginBranch(c.cn_hlc.Now(), gid, kDeadCoord);
   ASSERT_TRUE(c.engine(0)->Update(b, kTable, {int64_t{7}, int64_t{1}}).ok());
 
-  c.now_ms += 10;
+  c.TickAll(10);
   TxnId w1 = c.engine(0)->Begin();
   EXPECT_FALSE(c.engine(0)->Update(w1, kTable, {int64_t{7}, int64_t{2}}).ok());
   ASSERT_TRUE(c.engine(0)->Abort(w1).ok());
 
-  InDoubtResolver resolver(c.engines());
-  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  ResolutionStats stats = c.Resolve({kDeadCoord});
   EXPECT_EQ(stats.branches_found, 1u);
   EXPECT_EQ(stats.branches_aborted, 1u);
   Result<TxnState> st = c.engine(0)->StateOf(b);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(*st, TxnState::kAborted);
 
-  c.now_ms += 10;
+  c.TickAll(10);
   TxnId w2 = c.engine(0)->Begin();
   EXPECT_TRUE(c.engine(0)->Update(w2, kTable, {int64_t{7}, int64_t{3}}).ok());
   EXPECT_TRUE(c.engine(0)->CommitLocal(w2).ok());
@@ -266,8 +221,7 @@ TEST(InDoubtResolverTest, UnpreparedGlobalIsFencedThenAborted) {
     branches.push_back(b);
   }
 
-  InDoubtResolver resolver(c.engines());
-  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  ResolutionStats stats = c.Resolve({kDeadCoord});
   EXPECT_EQ(stats.globals_resolved, 1u);
   EXPECT_EQ(stats.branches_aborted, 2u);
   for (size_t i = 0; i < 2; ++i) {
@@ -289,8 +243,7 @@ TEST(InDoubtResolverTest, ImplicitCommitWhenEveryParticipantPrepared) {
   std::vector<TxnId> branches;
   Timestamp max_prepare = c.PrepareImplicit(gid, {0, 1, 2}, 3, &branches);
 
-  InDoubtResolver resolver(c.engines());
-  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  ResolutionStats stats = c.Resolve({kDeadCoord});
   EXPECT_EQ(stats.globals_resolved, 1u);
   EXPECT_EQ(stats.branches_committed, 3u);
   for (size_t i = 0; i < 3; ++i) {
@@ -313,8 +266,7 @@ TEST(InDoubtResolverTest, FencesBranchWhosePrepareIsInFlight) {
   GlobalTxnId gid = Gid(kDeadCoord, 1);
   std::vector<TxnId> branches;
   c.PrepareImplicit(gid, {0, 1}, 1, &branches, /*unreached=*/{3});
-  InDoubtResolver resolver(c.engines());
-  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  ResolutionStats stats = c.Resolve({kDeadCoord});
   EXPECT_EQ(stats.branches_found, 2u);
   EXPECT_EQ(stats.branches_aborted, 2u);
   EXPECT_EQ(stats.branches_committed, 0u);
@@ -332,7 +284,7 @@ TEST(InDoubtResolverTest, FencesBranchWhosePrepareIsInFlight) {
                   .ok());
   EXPECT_TRUE(
       c.engine(2)->Prepare(late, 0, {1, 2, 3}).status().IsAborted());
-  EXPECT_TRUE(c.engine(2)->CommitOnePhase(late).status().IsAborted());
+  EXPECT_TRUE(c.engine(2)->CommitLocal(late).status().IsAborted());
 }
 
 TEST(InDoubtResolverTest, CommittedVacuumedBranchIsNeverFenced) {
@@ -345,12 +297,11 @@ TEST(InDoubtResolverTest, CommittedVacuumedBranchIsNeverFenced) {
   std::vector<TxnId> branches;
   Timestamp commit_ts = c.PrepareImplicit(gid, {0, 1}, 2, &branches);
   ASSERT_TRUE(c.engine(0)->Commit(branches[0], commit_ts).ok());
-  c.now_ms += 1000;
+  c.TickAll(1000);
   c.engine(0)->Vacuum(c.engine(0)->hlc()->Now());
   ASSERT_TRUE(c.engine(0)->StateOf(branches[0]).status().IsNotFound());
 
-  InDoubtResolver resolver(c.engines());
-  ResolutionStats stats = resolver.Resolve({kDeadCoord});
+  ResolutionStats stats = c.Resolve({kDeadCoord});
   EXPECT_EQ(stats.branches_found, 1u);
   EXPECT_EQ(stats.branches_committed, 1u);
   EXPECT_EQ(stats.branches_aborted, 0u);
@@ -363,14 +314,14 @@ TEST(InDoubtResolverTest, CommittedVacuumedBranchIsNeverFenced) {
   EXPECT_TRUE(recorded->commit) << "the committed branch was fenced";
 }
 
-/// Forwards to LocalParticipants, except that one participant's listing
+/// The cluster's inline transport, except that one participant's listing
 /// fails (an unreachable DN).
 class FailingListing : public TxnParticipants {
  public:
-  FailingListing(std::vector<TxnEngine*> engines, uint32_t unreachable)
-      : inner_(nullptr, engines), unreachable_(unreachable) {}
+  FailingListing(TxnParticipants* inner, uint32_t unreachable)
+      : inner_(inner), unreachable_(unreachable) {}
   std::vector<uint32_t> participant_ids() const override {
-    return inner_.participant_ids();
+    return inner_->participant_ids();
   }
   void Call(uint32_t participant, ParticipantCall call,
             ReplyFn done) override {
@@ -379,12 +330,12 @@ class FailingListing : public TxnParticipants {
       done(ParticipantReply{Status::Unavailable("dn unreachable")});
       return;
     }
-    inner_.Call(participant, std::move(call), std::move(done));
+    inner_->Call(participant, std::move(call), std::move(done));
   }
-  void FetchTso(ReplyFn done) override { inner_.FetchTso(std::move(done)); }
+  void FetchTso(ReplyFn done) override { inner_->FetchTso(std::move(done)); }
 
  private:
-  LocalParticipants inner_;
+  TxnParticipants* inner_;
   uint32_t unreachable_;
 };
 
@@ -396,9 +347,8 @@ TEST(InDoubtResolverTest, FailedListingReportsIncompleteSweep) {
 
   // Engine 2's listing fails: the sweep still resolves what it saw, but
   // reports itself incomplete, so the dead coordinator must not be reaped.
-  FailingListing flaky(c.engines(), c.engine(1)->engine_id());
-  InDoubtResolver partial(&flaky);
-  ResolutionStats first = partial.Resolve({kDeadCoord});
+  FailingListing flaky(&c.transport, c.engine(1)->engine_id());
+  ResolutionStats first = c.Resolve({kDeadCoord}, &flaky);
   EXPECT_FALSE(first.complete);
   EXPECT_EQ(first.branches_found, 1u);
   EXPECT_EQ(first.branches_aborted, 1u);
@@ -408,8 +358,7 @@ TEST(InDoubtResolverTest, FailedListingReportsIncompleteSweep) {
 
   // A later complete sweep finds the hidden branch and follows the abort
   // decision the first sweep recorded.
-  InDoubtResolver full(c.engines());
-  ResolutionStats second = full.Resolve({kDeadCoord});
+  ResolutionStats second = c.Resolve({kDeadCoord});
   EXPECT_TRUE(second.complete);
   EXPECT_EQ(second.branches_found, 1u);
   EXPECT_EQ(second.branches_aborted, 1u);
@@ -419,7 +368,7 @@ TEST(InDoubtResolverTest, FailedListingReportsIncompleteSweep) {
 
   // Nothing left: a complete sweep that finds nothing is what lets the
   // caller forget the dead coordinator.
-  ResolutionStats third = full.Resolve({kDeadCoord});
+  ResolutionStats third = c.Resolve({kDeadCoord});
   EXPECT_TRUE(third.complete);
   EXPECT_EQ(third.branches_found, 0u);
 }
